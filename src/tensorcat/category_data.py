@@ -790,11 +790,12 @@ def save_category(cd: CategoryData, path):
         fh.write("\n")
 
 
-def load_category(path, validate=True) -> CategoryData:
+def load_category(path, validate=True, tolerance=None) -> CategoryData:
     """Load the JSON category format; validation runs unless suppressed.
 
     With ``validate=False`` the data loads with ``deferred_validation`` set
     on the returned object instead of raising on coherence failures.
+    ``tolerance`` replaces the file's tolerance, for validation included.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -812,7 +813,7 @@ def load_category(path, validate=True) -> CategoryData:
         raise StructuralError("multiplicity > 1 is out of scope for this format")
     partial = bool(doc.get("partial", False))
     dims = fp_dimensions(ring)
-    tol = float(doc.get("tolerance", 1e-9))
+    tol = float(doc.get("tolerance", 1e-9)) if tolerance is None else tolerance
     if partial:
         cd = CategoryData(ring=ring, dims=dims, F=FSymbolSet({}), R=None,
                           tolerance=tol, partial=True)

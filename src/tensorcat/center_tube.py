@@ -7,6 +7,12 @@ fuse through every channel b with the dual leg closed off by rotation
 isometries; all coefficients are produced by the diagram evaluator, and the
 resulting structure constants are verified associative and C* by the tests.
 
+Structure constants are dense arrays: product[i, j, k] is the coefficient of
+t_k in t_i * t_j (48 MB at dimension n = 144) and star[i, k] that of t_k in
+t_i^*, so products, stars and the left and right regular actions are array
+contractions.  The center is the null space of the n^2 x n commutator stack,
+read off an economy SVD, so no step allocates more than O(n^3).
+
 Blocks of the algebra correspond to the simple objects of the center: each
 carries a multiplicity vector over Irr(C), half-braiding component matrices
 (extracted from the block representation by a linear solve and verified
@@ -43,8 +49,8 @@ __all__ = [
 @dataclass
 class TubeAlgebra:
     basis: list            # quadruples (x, a, e, y)
-    product: dict          # (i, j) -> {k: coeff} for t_i * t_j
-    star: dict             # i -> {k: coeff}
+    product: np.ndarray    # (n, n, n): [i, j, k] = coefficient of t_k in t_i * t_j
+    star: np.ndarray       # (n, n): [i, k] = coefficient of t_k in t_i^*
     cd: CategoryData
 
     @property
@@ -59,32 +65,14 @@ class TubeAlgebra:
         return v
 
     def left_matrices(self):
-        n = self.dim
-        mats = np.zeros((n, n, n), dtype=complex)  # mats[i] = L_{t_i}
-        for (i, j), col in self.product.items():
-            for k, val in col.items():
-                mats[i, k, j] = val
-        return mats
+        """mats[i] is the matrix of left multiplication by t_i."""
+        return self.product.transpose(0, 2, 1)
 
     def multiply(self, u, v):
-        out = np.zeros(self.dim, dtype=complex)
-        for (i, j), col in self.product.items():
-            c = u[i] * v[j]
-            if c == 0:
-                continue
-            for k, val in col.items():
-                out[k] += c * val
-        return out
+        return v @ np.tensordot(u, self.product, 1)
 
     def star_vector(self, u):
-        out = np.zeros(self.dim, dtype=complex)
-        for i, col in self.star.items():
-            c = np.conj(u[i])
-            if c == 0:
-                continue
-            for k, val in col.items():
-                out[k] += c * val
-        return out
+        return np.conj(u) @ self.star
 
     def trace_functional(self):
         """tau(t_{x,a,e,y}) = delta_{a,0} delta_{x,y} d_x."""
@@ -169,12 +157,13 @@ def build_tube_algebra(cd: CategoryData) -> TubeAlgebra:
     if (ring.N > 1).any():
         raise StructuralError("fusion multiplicity > 1 is out of scope")
     basis = _tube_basis(cd)
+    n = len(basis)
     index = {}
     for k, quad in enumerate(basis):
         index[quad] = k
     tube_mv = {quad: _tube_vector(cd, *quad) for quad in basis}
 
-    product = {}
+    product = np.zeros((n, n, n), dtype=complex)
     rot_cache = {}
     for i, (x2, a2, e2, y2) in enumerate(basis):
         for j, (x1, a1, e1, y1) in enumerate(basis):
@@ -185,7 +174,6 @@ def build_tube_algebra(cd: CategoryData) -> TubeAlgebra:
             ab1, ab2 = ring.dual[a1], ring.dual[a2]
             inner = insert(cd, (a2,), t1, (ab2,))        # [a2,a1,x1,ab1,ab2] -> [a2,y1,ab2]
             S = compose_values(cd, t2, inner)
-            col = {}
             for b in ring.channels(a2, a1):
                 psi = path_vector(cd, (a2, a1), b, (a2, b))
                 key = (a1, a2, b)
@@ -202,12 +190,9 @@ def build_tube_algebra(cd: CategoryData) -> TubeAlgebra:
                 for ci, path in enumerate(cols):
                     coeff = blk[0, ci]
                     if abs(coeff) > 1e-13:
-                        k = index[(x1, b, path[1], y2)]
-                        col[k] = col.get(k, 0.0) + coeff
-            if col:
-                product[(i, j)] = col
+                        product[i, j, index[(x1, b, path[1], y2)]] += coeff
 
-    star = {}
+    star = np.zeros((n, n), dtype=complex)
     zig_cache = {}
     for i, (x, a, e, y) in enumerate(basis):
         ab = ring.dual[a]
@@ -222,44 +207,25 @@ def build_tube_algebra(cd: CategoryData) -> TubeAlgebra:
             zval = zig.block(ring, ab)[0, 0]
             zig_cache[a] = zval / abs(zval)
         zeta = zig_cache[a]
-        tstar.blocks = {c: m / zeta for c, m in tstar.blocks.items()}
-        col = {}
-        blkmap = tstar.blocks
-        cols = paths(ring, (ab, y, a))
-        for c, blk in blkmap.items():
-            if c != x or not blk.size:
-                continue
-            for ci, path in enumerate(cols.get(x, [])):
-                coeff = blk[0, ci]
-                if abs(coeff) > 1e-13:
-                    k = index[(y, ab, path[1], x)]
-                    col[k] = col.get(k, 0.0) + coeff
-        star[i] = col
+        blk = tstar.blocks.get(x)
+        if blk is None or not blk.size:
+            continue
+        for ci, path in enumerate(paths(ring, (ab, y, a)).get(x, [])):
+            coeff = blk[0, ci] / zeta
+            if abs(coeff) > 1e-13:
+                star[i, index[(y, ab, path[1], x)]] += coeff
     return TubeAlgebra(basis=basis, product=product, star=star, cd=cd)
 
 
 def _central_elements(tube: TubeAlgebra):
     """Basis of the center of the tube algebra (nullspace of ad)."""
     n = tube.dim
-    # commutator constraints: z * t_j - t_j * z = 0 for all j
-    rows = []
-    for j in range(n):
-        # (z * t_j)_k = sum_i z_i product[(i,j)][k]; (t_j * z)_k = sum_i z_i product[(j,i)][k]
-        A = np.zeros((n, n), dtype=complex)
-        for i in range(n):
-            for k, val in tube.product.get((i, j), {}).items():
-                A[k, i] += val
-            for k, val in tube.product.get((j, i), {}).items():
-                A[k, i] -= val
-        rows.append(A)
-    big = np.vstack(rows)
-    _u, s, vh = np.linalg.svd(big)
-    smax = s[0] if len(s) else 1.0
-    keep = np.abs(s) < 1e-9 * max(1.0, smax)
-    null = vh[keep].conj().T
-    if n > len(s):  # exact nullspace rows svd did not report
-        null = np.hstack([null, vh[len(s):].conj().T])
-    return null  # columns span the center
+    C = tube.product
+    # row (j, k), column i: (t_i t_j - t_j t_i)_k, so big @ z = 0 iff z is central
+    big = (C.transpose(1, 2, 0) - C.transpose(0, 2, 1)).reshape(n * n, n)
+    _u, s, vh = np.linalg.svd(big, full_matrices=False)
+    keep = s < 1e-9 * max(1.0, s[0])
+    return vh[keep].conj().T  # columns span the center
 
 
 def _minimal_idempotents(tube: TubeAlgebra, seed):
@@ -267,16 +233,21 @@ def _minimal_idempotents(tube: TubeAlgebra, seed):
     Z = _central_elements(tube)
     m = Z.shape[1]
     rng = np.random.default_rng((seed, 1))
-    for attempt in range(4):
+    attempts = 4
+    min_gap = np.inf
+    for attempt in range(attempts):
         coeff = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         h = Z @ coeff
         h = h + tube.star_vector(h)
         # regular action of h restricted to the center
-        Hz = np.column_stack([tube.multiply(h, Z[:, k]) for k in range(m)])
+        Hz = np.tensordot(h, tube.product, 1).T @ Z
         A, resid, *_ = np.linalg.lstsq(Z, Hz, rcond=None)
         w, V = np.linalg.eig(A)
-        if m > 1 and np.min(np.abs(w[:, None] - w[None, :]) + np.eye(m)) < 1e-6:
-            continue  # eigenvalue collision: retry
+        if m > 1:
+            gap = np.min(np.abs(w[:, None] - w[None, :]) + np.eye(m))
+            min_gap = min(min_gap, gap)
+            if gap < 1e-6:
+                continue  # eigenvalue collision: retry
         idems = []
         for k in range(m):
             v = Z @ V[:, k]
@@ -293,18 +264,20 @@ def _minimal_idempotents(tube: TubeAlgebra, seed):
             total = np.sum(idems, axis=0)
             if np.max(np.abs(total - tube.unit_vector())) < 1e-7:
                 return idems
-    raise StructuralError("central idempotent refinement failed to converge")
+    raise StructuralError(
+        f"central idempotent refinement failed after {attempts} attempts "
+        f"(smallest eigenvalue gap {min_gap:.2e})")
 
 
 def _block_representation(tube: TubeAlgebra, p, seed):
-    """One irreducible module of the block cut out by the idempotent p."""
+    """One irreducible module of the block cut out by the idempotent p.
+
+    Returns (basis, pi, nk): the n x nk module basis, and pi[i] the nk x nk
+    matrix of t_i on it.
+    """
     n = tube.dim
-    L = tube.left_matrices()
-    Lp = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        if abs(p[i]) > 1e-13:
-            Lp += p[i] * L[i]
-    u, s, vh = np.linalg.svd(Lp)
+    C = tube.product
+    u, s, vh = np.linalg.svd(np.tensordot(p, C, 1).T)  # left multiplication by p
     rank = int(np.sum(s > 1e-8 * s[0]))
     nk = int(round(np.sqrt(rank)))
     if nk * nk != rank:
@@ -312,20 +285,13 @@ def _block_representation(tube: TubeAlgebra, p, seed):
     Scols = u[:, :rank]  # ONB of the left ideal p * Tube
     # right multiplication by a random element commutes with the left action
     rng = np.random.default_rng((seed, 2))
-    for attempt in range(6):
+    attempts = 6
+    no_group = 0
+    min_dev = np.inf
+    for attempt in range(attempts):
         r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        rstar = tube.star_vector(r)
-        K = np.zeros((rank, rank), dtype=complex)
-        for col in range(rank):
-            v = Scols[:, col]
-            w = np.zeros(n, dtype=complex)
-            # w = v * (r + r*): right multiplication
-            for (i, j), colmap in tube.product.items():
-                c = v[i] * (r[j] + rstar[j])
-                if c != 0:
-                    for k, val in colmap.items():
-                        w[k] += c * val
-            K[:, col] = Scols.conj().T @ w
+        right = ((r + tube.star_vector(r)) @ C).T  # v -> v * (r + r*)
+        K = Scols.conj().T @ right @ Scols
         w_eig, V = np.linalg.eig(K)
         # group eigenvalues; each group of size nk spans one copy
         order = np.argsort(w_eig.real + 1e-3 * w_eig.imag)
@@ -339,37 +305,34 @@ def _block_representation(tube: TubeAlgebra, p, seed):
                 groups.append([idx])
         good = [g for g in groups if len(g) == nk]
         if not good:
+            no_group += 1
             continue
         cols = good[0]
         basis_vecs = Scols @ V[:, cols]  # n x nk: one copy of the simple module
-        pi = {}
-        for i in range(n):
-            Li = L[i] @ basis_vecs
-            pi[i] = np.linalg.lstsq(basis_vecs, Li, rcond=None)[0]
-        # verify invariance
-        dev = max(np.max(np.abs(basis_vecs @ pi[i] - L[i] @ basis_vecs))
-                  for i in range(n))
+        # LB[i, c] is t_i times basis vector c; one least-squares solve for all i
+        LB = basis_vecs.T @ C
+        sol = np.linalg.lstsq(basis_vecs, LB.reshape(n * nk, n).T, rcond=None)[0]
+        pi = sol.reshape(nk, n, nk).transpose(1, 0, 2)
+        dev = float(np.max(np.abs(basis_vecs @ pi - LB.transpose(0, 2, 1))))
+        min_dev = min(min_dev, dev)
         if dev < 1e-7:
             return basis_vecs, pi, nk
-    raise StructuralError("failed to isolate an irreducible tube module")
+    raise StructuralError(
+        f"failed to isolate an irreducible tube module after {attempts} attempts "
+        f"({no_group} found no {nk}-fold eigenvalue; smallest invariance "
+        f"deviation {min_dev:.2e})")
 
 
 def _unitarize(tube, pi, nk):
     """Inner product making pi a *-representation: pi(t)^dag G = G pi(t*)."""
-    n = tube.dim
-    rows = []
-    for i in range(n):
-        st = tube.star[i]
-        pst = np.zeros((nk, nk), dtype=complex)
-        for k, val in st.items():
-            pst += val * pi[k]
-        # constraint pi(t_i)^dag G - G pi(t_i*) = 0; row-major vectorization:
-        # vec(A G) = (A kron I) vec(G), vec(G B) = (I kron B^T) vec(G)
-        A = np.kron(pi[i].conj().T, np.eye(nk)) - np.kron(np.eye(nk), pst.T)
-        rows.append(A)
-    big = np.vstack(rows)
-    _u, s, vh = np.linalg.svd(big)
-    null = vh[np.abs(s) < 1e-8 * max(1.0, s[0])].conj().T
+    pi_star = np.tensordot(tube.star, pi, 1)  # pi(t_i^*)
+    eye = np.eye(nk)
+    # constraint pi(t_i)^dag G - G pi(t_i*) = 0; row-major vectorization:
+    # vec(A G) = (A kron I) vec(G), vec(G B) = (I kron B^T) vec(G)
+    big = (np.einsum("ica,bd->iabcd", pi.conj(), eye)
+           - np.einsum("ac,idb->iabcd", eye, pi_star)).reshape(-1, nk * nk)
+    _u, s, vh = np.linalg.svd(big, full_matrices=False)
+    null = vh[s < 1e-8 * max(1.0, s[0])].conj().T
     if null.shape[1] == 0:
         raise StructuralError("no invariant inner product found for tube module")
     G = null[:, 0].reshape(nk, nk)
@@ -380,14 +343,9 @@ def _unitarize(tube, pi, nk):
     if np.any(w < 1e-10):
         raise StructuralError("invariant form is not definite")
     B = np.linalg.cholesky(G).conj().T
-    Binv = np.linalg.inv(B)
-    out = {i: B @ m @ Binv for i, m in pi.items()}
-    dev = 0.0
-    for i in range(n):
-        pst = np.zeros((nk, nk), dtype=complex)
-        for k, val in tube.star[i].items():
-            pst += val * out[k]
-        dev = max(dev, float(np.max(np.abs(pst - out[i].conj().T))))
+    out = B @ pi @ np.linalg.inv(B)
+    dev = float(np.max(np.abs(np.tensordot(tube.star, out, 1)
+                              - out.conj().transpose(0, 2, 1))))
     if dev > 1e-7:
         raise StructuralError(f"unitarization failed (star deviation {dev:.2e})")
     return out

@@ -82,12 +82,12 @@ def _emit_text(doc, indent=""):
 def _load_cd(args) -> CategoryData:
     if getattr(args, "catalog", None):
         cd = _catalog.catalog_category(args.catalog)
-    elif getattr(args, "input", None):
-        cd = load_category(args.input, validate=not args.no_validate)
-    else:
-        raise StructuralError("need --input PATH or --catalog NAME")
-    cd.tolerance = args.tol
-    return cd
+        cd.tolerance = args.tol
+        return cd
+    if getattr(args, "input", None):
+        return load_category(args.input, validate=not args.no_validate,
+                             tolerance=args.tol)
+    raise StructuralError("need --input PATH or --catalog NAME")
 
 
 def _load_algebra_arg(cd, spec) -> AlgebraObject:

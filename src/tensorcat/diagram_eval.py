@@ -72,10 +72,10 @@ class MorphismValue:
     blocks: dict  # c -> complex matrix (target paths) x (source paths)
 
     def block(self, ring, c):
-        nt = len(paths(ring, self.target).get(c, []))
-        ns = len(paths(ring, self.source).get(c, []))
         if c in self.blocks:
             return self.blocks[c]
+        nt = len(paths(ring, self.target).get(c, []))
+        ns = len(paths(ring, self.source).get(c, []))
         return np.zeros((nt, ns), dtype=complex)
 
     def dagger(self):

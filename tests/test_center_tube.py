@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from tensorcat.algebra import algebra_dim, is_commutative, verify_qsystem
-from tensorcat.catalog import catalog_category
-from tensorcat.center_tube import (build_tube_algebra, center_global_checks,
-                                   center_presentation, decompose_center,
-                                   half_braiding_check, lagrangian_algebra,
-                                   theorem_c_shadow)
+from tensorcat.catalog import catalog_category, vec_zn
+from tensorcat.center_tube import (_block_representation, _central_elements,
+                                   _minimal_idempotents, build_tube_algebra,
+                                   center_global_checks, center_presentation,
+                                   decompose_center, half_braiding_check,
+                                   lagrangian_algebra, theorem_c_shadow)
 from tensorcat.category_data import deligne_product_data, reverse_braiding
+from tensorcat.errors import StructuralError
 from tensorcat.local_modules import condensation_identity_check
 
 from oracles import PHI
@@ -64,6 +66,66 @@ def test_tube_star_and_trace_form_positive(centers):
             lhs = tube.star_vector(tube.multiply(eye[i], eye[j]))
             rhs = tube.multiply(tube.star_vector(eye[j]), tube.star_vector(eye[i]))
             assert np.allclose(lhs, rhs, atol=1e-9), (name, i, j)
+
+
+def test_array_methods_match_entrywise_sums(centers):
+    """multiply, star_vector and left_matrices against the defining sums
+    over structure constants, written as loops."""
+    rng = np.random.default_rng(7)
+    for name, (cd, tube, _) in centers.items():
+        n = tube.dim
+        u, v = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+        prod = np.zeros(n, dtype=complex)
+        ustar = np.zeros(n, dtype=complex)
+        for i in range(n):
+            for k in range(n):
+                ustar[k] += np.conj(u[i]) * tube.star[i, k]
+                for j in range(n):
+                    prod[k] += u[i] * v[j] * tube.product[i, j, k]
+        assert np.allclose(tube.multiply(u, v), prod, atol=1e-12), name
+        assert np.allclose(tube.star_vector(u), ustar, atol=1e-12), name
+        L = tube.left_matrices()
+        for i, e in enumerate(np.eye(n)):
+            assert np.allclose(L[i] @ v, tube.multiply(e, v), atol=1e-12), (name, i)
+
+
+def test_central_elements_commute_and_count(centers):
+    for name, (cd, tube, center) in centers.items():
+        Z = _central_elements(tube)
+        assert Z.shape[1] == len(center.simples), name
+        for z in Z.T:
+            for e in np.eye(tube.dim):
+                assert np.allclose(tube.multiply(z, e), tube.multiply(e, z),
+                                   atol=1e-9), name
+
+
+def test_central_elements_memory_bounded():
+    """The economy SVD keeps _central_elements at O(n^3) memory; a full SVD
+    of the n^2 x n commutator stack allocates a 27 MB U factor at n = 36."""
+    import tracemalloc
+    tube = build_tube_algebra(vec_zn(6, 1))
+    assert tube.dim == 36
+    tracemalloc.start()
+    try:
+        _central_elements(tube)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+
+
+def test_retry_loops_report_attempts(centers):
+    import dataclasses
+    _, tube, _ = centers["vec_z2"]
+    # doubling the product halves every idempotent, so none sums to the unit
+    doubled = dataclasses.replace(tube, product=2 * tube.product)
+    with pytest.raises(StructuralError,
+                       match=r"after 4 attempts \(smallest eigenvalue gap \d"):
+        _minimal_idempotents(doubled, seed=0)
+    # the unit of a commutative tube algebra cuts out no 2x2 block
+    with pytest.raises(StructuralError,
+                       match=r"after 6 attempts \(6 found no 2-fold eigenvalue"):
+        _block_representation(tube, tube.unit_vector(), seed=0)
 
 
 def test_center_vec_z2_is_toric_code(centers):

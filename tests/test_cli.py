@@ -62,6 +62,19 @@ def test_validate_good_and_bad(tmp_path, capsys):
     assert code == 2  # load-time validation also reports failure
 
 
+def test_validate_input_uses_tol(tmp_path, capsys):
+    import copy
+    cd = copy.deepcopy(catalog_category("fibonacci"))
+    cd.F.entries[(1, 1, 1, 1, 1, 1)] += 1e-7
+    path = tmp_path / "fib_perturbed.json"
+    save_category(cd, path)
+    code, _ = run(capsys, "validate", "--input", str(path))
+    assert code == 2
+    code, out = run(capsys, "validate", "--input", str(path), "--tol", "1e-5")
+    assert code == 0
+    assert json.loads(out)["valid"] is True
+
+
 def test_unknown_subcommand_exits_3(capsys):
     code, out = run(capsys, "frobnicate")
     assert code == 3
