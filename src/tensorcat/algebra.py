@@ -376,6 +376,7 @@ def solve_support_algebra(cd: CategoryData, support, commutative=False,
     rng = np.random.default_rng(seed)
     mags = np.array([np.sqrt(d[a] * d[b] * d[c] / dQ) for (a, b, c) in free])
     best = None
+    nfev = 0
     for attempt in range(max_restarts):
         # magnitude heuristic with random phases; phase frustration is the
         # usual reason a single positive start stalls
@@ -390,6 +391,7 @@ def solve_support_algebra(cd: CategoryData, support, commutative=False,
             start *= 1 + 0.2 * rng.standard_normal(len(start))
         sol = least_squares(residuals, start, method="lm", xtol=1e-15, ftol=1e-15,
                             max_nfev=20_000)
+        nfev += sol.nfev
         cost = float(np.sum(sol.fun ** 2))
         if best is None or cost < best[0]:
             best = (cost, sol.x)
@@ -398,7 +400,8 @@ def solve_support_algebra(cd: CategoryData, support, commutative=False,
     cost, xbest = best
     if cost > 1e-18:
         raise StructuralError(
-            f"no Q-system found on support {support} (residual {np.sqrt(cost):.2e})")
+            f"no Q-system found on support {support} after {attempt + 1} attempts "
+            f"(best residual {np.sqrt(cost):.2e}, {nfev} residual evaluations)")
     return AlgebraObject(support=support, mu=unpack(xbest))
 
 

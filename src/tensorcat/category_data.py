@@ -13,6 +13,7 @@ of the braiding sigma_{a,b}: a*b -> b*a on the channel c.
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -114,6 +115,15 @@ class CategoryData:
         if self.R is None:
             raise PreconditionError("category carries no braiding data")
         return self.R.value(a, b, c)
+
+    @functools.cached_property
+    def unfold_cache(self):
+        """(x, s_word, y) -> unfolded middle bases; filled by diagram_eval.unfold.
+
+        Entries depend on ring and F, which must not be reassigned after the
+        first evaluation.
+        """
+        return {}
 
 
 @dataclass(frozen=True)

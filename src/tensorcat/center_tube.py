@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import algebra_dim, is_commutative, verify_qsystem
+from .algebra import algebra_dim, group_algebra, is_commutative, verify_qsystem
 from .category_data import (CategoryData, QuadraticForm, deligne_product_data,
                             pointed_from_quadratic_form, reverse_braiding)
 from .braided_analysis import is_nondegenerate
@@ -602,10 +602,11 @@ def center_global_checks(center: CenterData) -> dict:
 def lagrangian_algebra(cd: CategoryData, center: CenterData):
     """The canonical Lagrangian algebra of Z(C) in a braided presentation.
 
-    The support is read from the unit multiplicities of the tube simples;
-    the multiplication is solved on the corresponding support of an explicit
-    braided presentation of Z(C) (see center_presentation) and validated.
-    Returns (presentation, algebra, support_indices_in_center).
+    The support is read from the unit multiplicities of the tube simples.
+    On the pointed presentation (trivial F, R = 1 on the dual-group factor)
+    the multiplication is the group algebra's; otherwise it is solved on
+    the support of the presentation (see center_presentation).  Either way
+    it is validated.  Returns (presentation, algebra, support_indices_in_center).
     """
     mults = [int(z.underlying[0]) for z in center.simples]
     if any(m > 1 for m in mults):
@@ -613,8 +614,11 @@ def lagrangian_algebra(cd: CategoryData, center: CenterData):
                               "Lagrangian algebra out of scope")
     chosen = [i for i, m in enumerate(mults) if m == 1]
     pres, support = center_presentation(cd, center)
-    from .algebra import solve_support_algebra
-    alg = solve_support_algebra(pres, support, commutative=True)
+    if _presents_center_as_product(cd):
+        from .algebra import solve_support_algebra
+        alg = solve_support_algebra(pres, support, commutative=True)
+    else:
+        alg = group_algebra(pres, support)
     dQ = algebra_dim(pres, alg)
     DZ = pres.dims.global_dim
     if abs(dQ ** 2 - DZ) > 1e-6:
@@ -630,6 +634,12 @@ def lagrangian_algebra(cd: CategoryData, center: CenterData):
     return pres, alg, tuple(chosen)
 
 
+def _presents_center_as_product(cd: CategoryData) -> bool:
+    """True when Z(C) is presented as C (x) reverse(C), i.e. cd is
+    nondegenerately braided; otherwise only the pointed presentation applies."""
+    return cd.R is not None and is_nondegenerate(cd)
+
+
 def center_presentation(cd: CategoryData, center: CenterData):
     """An explicit braided CategoryData presenting Z(C), plus the Lagrangian
     support in its labels.
@@ -638,7 +648,7 @@ def center_presentation(cd: CategoryData, center: CenterData):
     (c, dual c).  Pointed cd with trivial associator built from a quadratic
     form: the double of the group, Lagrangian on the dual-group factor.
     """
-    if cd.R is not None and is_nondegenerate(cd):
+    if _presents_center_as_product(cd):
         pres = deligne_product_data(cd, reverse_braiding(cd))
         r = cd.ring.rank
         support = tuple(c * r + cd.ring.dual[c] for c in range(r))

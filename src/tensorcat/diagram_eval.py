@@ -22,7 +22,6 @@ simple a evaluates to d_a.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +43,16 @@ DEFAULT_MAX_WORD = 8
 ObjectWord = tuple  # tuple of simple label indices
 
 
-@functools.lru_cache(maxsize=100_000)
-def _paths_cached(ring: FusionRing, word: ObjectWord):
+def paths(ring: FusionRing, word) -> dict:
+    """Map total channel c -> ordered list of fusion paths of the word.
+
+    Memoized on the ring (``ring.path_cache``); callers must not mutate the
+    returned lists.
+    """
+    word = tuple(word)
+    found = ring.path_cache.get(word)
+    if found is not None:
+        return found
     byc = {}
     if not word:
         byc[0] = [()]
@@ -55,12 +62,8 @@ def _paths_cached(ring: FusionRing, word: ObjectWord):
             partial = [p + (c,) for p in partial for c in ring.channels(p[-1], w)]
         for p in partial:
             byc.setdefault(p[-1], []).append(p)
-    return {c: sorted(ps) for c, ps in byc.items()}
-
-
-def paths(ring: FusionRing, word) -> dict:
-    """Map total channel c -> ordered list of fusion paths of the word."""
-    return _paths_cached(ring, tuple(word))
+    found = ring.path_cache[word] = {c: sorted(ps) for c, ps in byc.items()}
+    return found
 
 
 @dataclass
@@ -157,9 +160,7 @@ def path_vector(cd: CategoryData, word, c, path) -> MorphismValue:
     return MorphismValue(source=(c,), target=word, blocks={c: col})
 
 
-@functools.lru_cache(maxsize=100_000)
-def _unfold_cached(cd_key, x, s_word, y):
-    cd = _CD_REGISTRY[cd_key]
+def _unfold(cd, x, s_word, y):
     ring = cd.ring
     j = len(s_word)
     in_basis = [p for p in _middle_paths(ring, x, s_word) if (p[-1] if p else x) == y]
@@ -213,27 +214,20 @@ def _middle_paths(ring, x, s_word):
     return sorted(m for m, _ in states)
 
 
-_CD_REGISTRY = {}
-
-
-def _cd_key(cd):
-    key = getattr(cd, "_eval_key", None)
-    if key is None:
-        key = len(_CD_REGISTRY)
-        _CD_REGISTRY[key] = cd
-        cd._eval_key = key
-    return key
-
-
 def unfold(cd, x, s_word, y):
     """Unitary change of basis between in-context and detached middle bases.
 
     Returns (in_basis, out_basis, U): in_basis holds the in-context middle
     paths from x to y through s_word; out_basis holds pairs (e, spath) of a
     standalone path of s_word at total e with N^y_{x,e} = 1; and
-    |m> = sum U[(e,spath), m] |x (x) (e, spath); y>.
+    |m> = sum U[(e,spath), m] |x (x) (e, spath); y>.  Memoized on the
+    category (``cd.unfold_cache``).
     """
-    return _unfold_cached(_cd_key(cd), x, tuple(s_word), y)
+    key = (x, tuple(s_word), y)
+    found = cd.unfold_cache.get(key)
+    if found is None:
+        found = cd.unfold_cache[key] = _unfold(cd, *key)
+    return found
 
 
 def insert(cd: CategoryData, prefix, h: MorphismValue, suffix,

@@ -10,6 +10,7 @@ opposites.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,6 +81,11 @@ class FusionRing:
     def channels(self, a, b):
         """Sorted list of c with N^c_{ab} >= 1."""
         return [int(c) for c in np.nonzero(self.N[a, b])[0]]
+
+    @functools.cached_property
+    def path_cache(self):
+        """word -> fusion paths by channel; filled by diagram_eval.paths."""
+        return {}
 
     def __eq__(self, other):
         if not isinstance(other, FusionRing):

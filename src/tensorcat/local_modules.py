@@ -219,6 +219,7 @@ def free_module_decomposition(cd, A, x, seed=0, max_rounds=5):
     ys = sorted(sectors)
     gens = _commutant_generators(cd, A, x, sectors)
     rng = np.random.default_rng((seed, x, 977))
+    failures = []
     for attempt in range(max_rounds):
         coeff = rng.standard_normal(len(gens)) + 1j * rng.standard_normal(len(gens))
         H = {}
@@ -242,13 +243,14 @@ def free_module_decomposition(cd, A, x, seed=0, max_rounds=5):
             else:
                 groups.append((lam, [(y, vec)]))
         modules = []
-        ok = True
         for _lam, members in groups:
             per_y = {}
             for y, vec in members:
                 per_y.setdefault(y, []).append(vec)
-            if any(len(v) > 1 for v in per_y.values()):
-                ok = False  # collision between distinct simples, or multiplicity
+            crowded = [y for y, v in per_y.items() if len(v) > 1]
+            if crowded:
+                # collision between distinct simples, or multiplicity
+                failures.append(f"eigenvalue collision in sector {crowded[0]}")
                 break
             support = tuple(sorted(per_y))
             rho = {}
@@ -265,16 +267,21 @@ def free_module_decomposition(cd, A, x, seed=0, max_rounds=5):
             mod = ModuleObject(support=support, rho=rho)
             if not _action_connected(mod):
                 # two distinct simples merged by an eigenvalue collision
-                ok = False
+                failures.append(f"merged simples on support {support}")
                 break
             modules.append(mod)
-        if not ok:
-            continue
-        if all(verify_module(cd, A, mod)["passed"] for mod in modules):
-            return modules
+        else:
+            reports = (verify_module(cd, A, mod) for mod in modules)
+            bad = next((r for r in reports if not r["passed"]), None)
+            if bad is None:
+                return modules
+            failures.append(f"verify_module failed (associativity "
+                            f"{bad['associativity']:.2e}, unit {bad['unit']:.2e})")
     raise StructuralError(
-        f"could not split x (x) A for x={x}: persistent eigenvalue collisions "
-        "or underlying multiplicity (out of scope)")
+        f"could not split x (x) A for x={x} in {max_rounds} rounds ("
+        + "; ".join(f"round {i + 1}: {f}" for i, f in enumerate(failures))
+        + "): persistent eigenvalue collisions or underlying multiplicity "
+        "(out of scope)")
 
 
 def _action_connected(mod: ModuleObject, tol=1e-8) -> bool:

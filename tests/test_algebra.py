@@ -3,8 +3,9 @@ import pytest
 
 from tensorcat.algebra import (AlgebraObject, algebra_dim, canonical_algebra,
                                group_algebra, is_commutative, is_connected,
-                               load_algebra, save_algebra, symmetric_enveloping,
-                               trivial_algebra, verify_qsystem)
+                               load_algebra, save_algebra, solve_support_algebra,
+                               symmetric_enveloping, trivial_algebra,
+                               verify_qsystem)
 from tensorcat.braided_analysis import is_nondegenerate, twists
 from tensorcat.category_data import reverse_braiding
 from tensorcat.errors import StructuralError
@@ -182,3 +183,11 @@ def test_algebra_file_round_trip(tmp_path, toric):
     assert B.support == A.support
     for k, v in A.mu.items():
         assert B.mu[k] == pytest.approx(v)
+
+
+def test_solve_support_algebra_failure_reports_attempts(toric):
+    # f is a fermion (R^{ff}_1 = -1), so no commutative algebra lives on 1 + f
+    with pytest.raises(StructuralError,
+                       match=r"after 2 attempts \(best residual \d\.\d+e[-+]\d+, "
+                             r"\d+ residual evaluations\)"):
+        solve_support_algebra(toric, (0, 3), commutative=True, max_restarts=2)

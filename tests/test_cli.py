@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -215,3 +219,14 @@ def test_text_format(capsys):
     code, out = run(capsys, "dims", "--catalog", "fibonacci", "--format", "text")
     assert code == 0
     assert "global_dim" in out and "{" not in out
+
+
+def test_import_does_not_load_scipy_optimize():
+    # start-up latency: scipy.optimize is imported only by the solvers that use it
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import tensorcat.cli, sys; print('scipy.optimize' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"

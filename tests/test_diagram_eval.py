@@ -305,3 +305,35 @@ def test_missing_r_reported(toric):
     cd.R = None
     with pytest.raises(PreconditionError):
         evaluate("braid[e,m]", cd)
+
+
+def _braid_in_context(cd):
+    from tensorcat.diagram_eval import braid_morphism, insert
+    return insert(cd, (1,), braid_morphism(cd, 1, 2), (1,))
+
+
+def test_evaluator_caches_die_with_their_category():
+    import gc
+    import weakref
+    from tensorcat.catalog import ising
+    cd = ising()
+    _braid_in_context(cd)
+    paths(cd.ring, (1, 1, 1, 2))
+    refs = weakref.ref(cd), weakref.ref(cd.ring)
+    del cd
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
+
+
+def test_equal_distinct_categories_evaluate_identically():
+    from tensorcat.catalog import ising
+    cd1, cd2 = ising(), ising()
+    assert cd1.ring == cd2.ring and cd1.ring is not cd2.ring
+    v1 = _braid_in_context(cd1)
+    # each ring and category owns its caches: nothing is shared through equality
+    assert cd1.ring.path_cache and cd1.unfold_cache
+    assert not cd2.ring.path_cache and not cd2.unfold_cache
+    v2 = _braid_in_context(cd2)
+    assert v1.blocks.keys() == v2.blocks.keys()
+    for c in v1.blocks:
+        assert np.array_equal(v1.blocks[c], v2.blocks[c])

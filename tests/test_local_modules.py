@@ -163,3 +163,14 @@ def test_inadmissible_rho_reported(toric):
     X.rho[(0, 1, 0)] = 1.0
     with pytest.raises(StructuralError):
         verify_module(toric, A, X)
+
+
+def test_free_module_decomposition_failure_names_rounds(toric, monkeypatch):
+    import tensorcat.local_modules as lm
+    monkeypatch.setattr(lm, "verify_module", lambda cd, A, X: {
+        "associativity": 0.5, "unit": 0.0, "passed": False})
+    A = group_algebra(toric, ("1", "e"))
+    with pytest.raises(StructuralError,
+                       match=r"in 2 rounds \(round 1: verify_module failed "
+                             r"\(associativity 5\.00e-01, unit 0\.00e\+00\); round 2: "):
+        free_module_decomposition(toric, A, 2, max_rounds=2)
