@@ -131,6 +131,31 @@ def _sum_values(cd, values, source, target):
     return MorphismValue(source=source, target=target, blocks=blocks)
 
 
+def _associativity_dev(cd, act, xs, mu, supp) -> float:
+    """Largest blockwise deviation of act(act (x) id) from act(id (x) mu).
+
+    ``act`` and ``mu`` map (x, a, y) and (a, b, c) to scalar generators, on
+    the module support ``xs`` and the algebra support ``supp``.  Algebra
+    associativity is the case act = mu, xs = supp.
+    """
+    dev = 0.0
+    for x in xs:
+        for a in supp:
+            for b in supp:
+                for y in xs:
+                    src, tgt = (x, a, b), (y,)
+                    lhs = [compose_values(cd, act[(z, b, y)],
+                                          insert(cd, (), act[(x, a, z)], (b,)))
+                           for z in xs if (x, a, z) in act and (z, b, y) in act]
+                    rhs = [compose_values(cd, act[(x, c, y)],
+                                          insert(cd, (x,), mu[(a, b, c)], ()))
+                           for c in supp if (a, b, c) in mu and (x, c, y) in act]
+                    if lhs or rhs:
+                        dev = max(dev, _max_dev(cd, _sum_values(cd, lhs, src, tgt),
+                                                _sum_values(cd, rhs, src, tgt)))
+    return dev
+
+
 def verify_qsystem(cd: CategoryData, A: AlgebraObject) -> QSystemReport:
     """Check the five Q-system axioms by diagram evaluation.
 
@@ -145,28 +170,7 @@ def verify_qsystem(cd: CategoryData, A: AlgebraObject) -> QSystemReport:
 
     unit_dev = max(abs(A.mu[k] - 1.0) for k in A.mu if k[0] == 0 or k[1] == 0)
 
-    assoc_dev = 0.0
-    for a in supp:
-        for b in supp:
-            for c in supp:
-                for d in supp:
-                    src, tgt = (a, b, c), (d,)
-                    lhs = []
-                    for e in supp:
-                        if (a, b, e) in gens and (e, c, d) in gens:
-                            lhs.append(compose_values(
-                                cd, gens[(e, c, d)],
-                                insert(cd, (), gens[(a, b, e)], (c,))))
-                    rhs = []
-                    for f in supp:
-                        if (b, c, f) in gens and (a, f, d) in gens:
-                            rhs.append(compose_values(
-                                cd, gens[(a, f, d)],
-                                insert(cd, (a,), gens[(b, c, f)], ())))
-                    if lhs or rhs:
-                        assoc_dev = max(assoc_dev, _max_dev(
-                            cd, _sum_values(cd, lhs, src, tgt),
-                            _sum_values(cd, rhs, src, tgt)))
+    assoc_dev = _associativity_dev(cd, gens, supp, gens, supp)
 
     frob_dev = 0.0
     for a in supp:
@@ -201,7 +205,7 @@ def verify_qsystem(cd: CategoryData, A: AlgebraObject) -> QSystemReport:
     return QSystemReport(
         associativity=assoc_dev / scale, unitality=unit_dev,
         frobenius=frob_dev / scale, separability=sep_dev,
-        connected=is_connected(A), tolerance=max(cd.tolerance * 100, 1e-9))
+        connected=is_connected(A), tolerance=cd.residual_tolerance)
 
 
 def is_connected(A: AlgebraObject) -> bool:
@@ -216,8 +220,7 @@ def is_commutative(cd: CategoryData, A: AlgebraObject):
     residual = 0.0
     for (a, b, c), v in A.mu.items():
         residual = max(residual, abs(A.mu[(b, a, c)] * cd.rval(a, b, c) - v))
-    tol = max(cd.tolerance * 100, 1e-9)
-    return residual < tol, residual
+    return residual < cd.residual_tolerance, residual
 
 
 def canonical_algebra(cd: CategoryData, x) -> AlgebraObject:

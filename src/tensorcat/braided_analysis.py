@@ -173,7 +173,7 @@ def verify_hypergroup_hom(cd: CategoryData, sr: SubcategoryRestriction) -> list:
     M = hypergroup_coeffs(cd.ring, cd.dims).M
     r = cd.ring.rank
     f = sr.f
-    tol = max(cd.tolerance * 100, 1e-9)
+    tol = cd.residual_tolerance
     report = []
     for a in range(r):
         for b in range(r):

@@ -7,6 +7,7 @@ enforces this, including for all pairwise Deligne products.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -103,10 +104,8 @@ def toric_code() -> CategoryData:
     """Pointed on Z/2 x Z/2 with q(e) = q(m) = 1, q(f) = -1."""
     cd = pointed_from_quadratic_form(
         QuadraticForm(group=(2, 2), t=(0, 0), cross={(0, 1): 1}), name="toric_code")
-    ring = cd.ring
-    relabeled = FusionRing(rank=4, labels=("1", "e", "m", "f"), dual=ring.dual, N=ring.N)
-    cd.ring = relabeled
-    return cd
+    relabeled = FusionRing(rank=4, labels=("1", "e", "m", "f"), dual=cd.ring.dual, N=cd.ring.N)
+    return dataclasses.replace(cd, ring=relabeled)
 
 
 _CATALOG = {

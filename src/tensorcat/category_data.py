@@ -84,12 +84,13 @@ class RSymbolSet:
             raise StructuralError(f"missing R entry for admissible channel {(a, b, c)}") from None
 
 
-@dataclass
+@dataclass(frozen=True)
 class CategoryData:
     """A unitary fusion category skeleton: ring, dims, F and optional R.
 
-    Treated as immutable after construction or load; safe to share
-    read-only across threads.
+    Frozen: a derived category (other ring labels, tolerance, no braiding)
+    is a new instance from ``dataclasses.replace``, which starts with empty
+    evaluator caches.  Safe to share read-only across threads.
     """
 
     ring: FusionRing
@@ -99,10 +100,13 @@ class CategoryData:
     tolerance: float = 1e-9
     name: str = ""
     partial: bool = False  # ring and dims only; F entries absent
+    quadratic_form: QuadraticForm | None = None  # set by pointed_from_quadratic_form
+    deferred_validation: bool = False  # loaded with validate=False
 
     @property
-    def braided(self):
-        return self.R is not None
+    def residual_tolerance(self):
+        """Threshold for the axiom residuals of algebras, modules and hypergroups."""
+        return max(self.tolerance * 100, 1e-9)
 
     def is_pointed(self, tol=None):
         tol = self.tolerance if tol is None else tol
@@ -118,11 +122,7 @@ class CategoryData:
 
     @functools.cached_property
     def unfold_cache(self):
-        """(x, s_word, y) -> unfolded middle bases; filled by diagram_eval.unfold.
-
-        Entries depend on ring and F, which must not be reassigned after the
-        first evaluation.
-        """
+        """(x, s_word, y) -> unfolded middle bases; filled by diagram_eval.unfold."""
         return {}
 
 
@@ -393,42 +393,6 @@ def verify_pentagon(cd: CategoryData) -> list:
         f"residual={resid[i]:.3e}" for i in order]
 
 
-def _verify_pentagon_loops(cd: CategoryData) -> list:
-    """Reference implementation with plain loops (used as a testing oracle)."""
-    ring = cd.ring
-    tol = cd.tolerance
-    r = ring.rank
-    ch = [[ring.channels(a, b) for b in range(r)] for a in range(r)]
-    fval = cd.fval
-    report = []
-    for a in range(r):
-        for b in range(r):
-            for f in ch[a][b]:
-                for c in range(r):
-                    for g in ch[f][c]:
-                        for d in range(r):
-                            for e in ch[g][d]:
-                                for l in ch[c][d]:
-                                    if not ring.N[f, l, e]:
-                                        continue
-                                    for k in ch[b][l]:
-                                        if not ring.N[a, k, e]:
-                                            continue
-                                        lhs = fval(f, c, d, e, g, l) * fval(a, b, l, e, f, k)
-                                        rhs = 0.0
-                                        for h in ch[b][c]:
-                                            if ring.N[a, h, g] and ring.N[h, d, k]:
-                                                rhs += (fval(a, b, c, g, f, h)
-                                                        * fval(a, h, d, e, g, k)
-                                                        * fval(b, c, d, k, h, l))
-                                        if abs(lhs - rhs) > tol:
-                                            report.append(
-                                                "pentagon: (a,b,c,d,e;f,g,k,l)="
-                                                f"({a},{b},{c},{d},{e};{f},{g},{k},{l}) "
-                                                f"residual={abs(lhs - rhs):.3e}")
-    return report
-
-
 def _hexagon_instances(cd, rtab, invert):
     """One hexagon family for braiding scalars rv(a,b,c):
 
@@ -506,34 +470,6 @@ def _hexagon_pointed(cd, rtab, invert) -> list:
     return report
 
 
-def _hexagon_loops(cd, rv):
-    """Reference loop implementation of one hexagon family (testing oracle)."""
-    ring = cd.ring
-    tol = cd.tolerance
-    r = ring.rank
-    fval = cd.fval
-    report = []
-    for a in range(r):
-        for b in range(r):
-            for e in ring.channels(a, b):
-                for c in range(r):
-                    for d in ring.channels(e, c):
-                        for f in ring.channels(a, c):
-                            if not ring.N[b, f, d]:
-                                continue
-                            lhs = rv(a, b, e) * fval(b, a, c, d, e, f) * rv(a, c, f)
-                            rhs = 0.0
-                            for g in ring.channels(b, c):
-                                if ring.N[a, g, d]:
-                                    rhs += (fval(a, b, c, d, e, g) * rv(a, g, d)
-                                            * fval(b, c, a, d, g, f))
-                            if abs(lhs - rhs) > tol:
-                                report.append(
-                                    f"hexagon: (a,b,c,d;e,f)=({a},{b},{c},{d};{e},{f}) "
-                                    f"residual={abs(lhs - rhs):.3e}")
-    return report
-
-
 def verify_hexagon(cd: CategoryData) -> list:
     """Both hexagon families: for R and for the inverse braiding."""
     if cd.R is None:
@@ -579,12 +515,10 @@ def validate_category(cd: CategoryData) -> list:
     return report
 
 
-def _finish(ring, F_entries, R_entries, tolerance=1e-9, name=""):
-    dims = fp_dimensions(ring)
-    cd = CategoryData(ring=ring, dims=dims, F=FSymbolSet(F_entries),
-                      R=RSymbolSet(R_entries) if R_entries is not None else None,
-                      tolerance=tolerance, name=name)
-    return cd
+def _finish(ring, F_entries, R_entries, tolerance=1e-9, name="", quadratic_form=None):
+    return CategoryData(ring=ring, dims=fp_dimensions(ring), F=FSymbolSet(F_entries),
+                        R=RSymbolSet(R_entries) if R_entries is not None else None,
+                        tolerance=tolerance, name=name, quadratic_form=quadratic_form)
 
 
 def pointed_from_quadratic_form(qf: QuadraticForm, name="") -> CategoryData:
@@ -638,9 +572,8 @@ def pointed_from_quadratic_form(qf: QuadraticForm, name="") -> CategoryData:
     for g in els:
         for h in els:
             R_entries[(index[g], index[h], index[add(g, h)])] = qf.r_value(g, h)
-    cd = _finish(ring, F_entries, R_entries, name=name or f"pointed{list(ns)}")
-    cd.quadratic_form = qf
-    return cd
+    return _finish(ring, F_entries, R_entries, name=name or f"pointed{list(ns)}",
+                   quadratic_form=qf)
 
 
 def kappa_of(cd: CategoryData, g) -> complex:
@@ -825,10 +758,8 @@ def load_category(path, validate=True, tolerance=None) -> CategoryData:
     dims = fp_dimensions(ring)
     tol = float(doc.get("tolerance", 1e-9)) if tolerance is None else tolerance
     if partial:
-        cd = CategoryData(ring=ring, dims=dims, F=FSymbolSet({}), R=None,
-                          tolerance=tol, partial=True)
-        cd.deferred_validation = False
-        return cd
+        return CategoryData(ring=ring, dims=dims, F=FSymbolSet({}), R=None,
+                            tolerance=tol, partial=True)
 
     F_entries = {}
     for a, b, c, d, e, f, v in doc.get("F", []):
@@ -846,14 +777,11 @@ def load_category(path, validate=True, tolerance=None) -> CategoryData:
             R_entries[(a, b, c)] = _decode_value(v)
     cd = CategoryData(ring=ring, dims=dims, F=FSymbolSet(F_entries),
                       R=RSymbolSet(R_entries) if R_entries is not None else None,
-                      tolerance=tol)
-    cd.deferred_validation = False
+                      tolerance=tol, deferred_validation=not validate)
     if validate:
         report = validate_category(cd)
         if report:
             raise ValidationFailure(
                 f"category data failed validation ({len(report)} problems); "
                 f"first: {report[0]}", report)
-    else:
-        cd.deferred_validation = True
     return cd

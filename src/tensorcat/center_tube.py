@@ -653,7 +653,7 @@ def center_presentation(cd: CategoryData, center: CenterData):
         r = cd.ring.rank
         support = tuple(c * r + cd.ring.dual[c] for c in range(r))
         return pres, support
-    qf = getattr(cd, "quadratic_form", None)
+    qf = cd.quadratic_form
     if qf is not None and cd.is_pointed():
         if any(abs(v - 1.0) > 1e-12 for v in cd.F.entries.values()):
             raise PreconditionError(

@@ -10,6 +10,7 @@ same seed produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import os
@@ -81,9 +82,7 @@ def _emit_text(doc, indent=""):
 
 def _load_cd(args) -> CategoryData:
     if getattr(args, "catalog", None):
-        cd = _catalog.catalog_category(args.catalog)
-        cd.tolerance = args.tol
-        return cd
+        return dataclasses.replace(_catalog.catalog_category(args.catalog), tolerance=args.tol)
     if getattr(args, "input", None):
         return load_category(args.input, validate=not args.no_validate,
                              tolerance=args.tol)

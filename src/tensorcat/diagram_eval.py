@@ -85,22 +85,6 @@ class MorphismValue:
         return MorphismValue(source=self.target, target=self.source,
                              blocks={c: m.conj().T for c, m in self.blocks.items()})
 
-    def max_abs(self):
-        return max((np.max(np.abs(m)) if m.size else 0.0 for m in self.blocks.values()),
-                   default=0.0)
-
-
-def _full_blocks(ring, source, target, fill):
-    """Blocks over all channels shared by source and target, built by fill(c, ps, pt)."""
-    ps_by = paths(ring, source)
-    pt_by = paths(ring, target)
-    blocks = {}
-    for c in set(ps_by) | set(pt_by):
-        ps = ps_by.get(c, [])
-        pt = pt_by.get(c, [])
-        blocks[c] = fill(c, ps, pt)
-    return blocks
-
 
 def identity_morphism(cd: CategoryData, word) -> MorphismValue:
     word = tuple(word)

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (AlgebraObject, algebra_dim, is_commutative,
-                      is_connected, verify_qsystem, _max_dev, _sum_values)
+from .algebra import (AlgebraObject, _associativity_dev, algebra_dim,
+                      is_commutative, is_connected, verify_qsystem)
 from .braided_analysis import is_nondegenerate
 from .category_data import CategoryData
 from .diagram_eval import (compose_values, insert, path_vector, paths,
@@ -87,26 +87,9 @@ def verify_module(cd: CategoryData, A: AlgebraObject, X: ModuleObject) -> dict:
     mu_gens = {k: scalar_generator(cd, *k, v) for k, v in A.mu.items()}
     unit_dev = max((abs(X.rho[k] - 1.0) for k in X.rho if k[1] == 0), default=0.0)
 
-    assoc_dev = 0.0
-    for x in X.support:
-        for a in A.support:
-            for b in A.support:
-                for y in X.support:
-                    src, tgt = (x, a, b), (y,)
-                    lhs = [compose_values(cd, rho_gens[(z, b, y)],
-                                          insert(cd, (), rho_gens[(x, a, z)], (b,)))
-                           for z in X.support
-                           if (x, a, z) in rho_gens and (z, b, y) in rho_gens]
-                    rhs = [compose_values(cd, rho_gens[(x, c, y)],
-                                          insert(cd, (x,), mu_gens[(a, b, c)], ()))
-                           for c in A.support
-                           if (a, b, c) in mu_gens and (x, c, y) in rho_gens]
-                    if lhs or rhs:
-                        assoc_dev = max(assoc_dev, _max_dev(
-                            cd, _sum_values(cd, lhs, src, tgt),
-                            _sum_values(cd, rhs, src, tgt)))
+    assoc_dev = _associativity_dev(cd, rho_gens, X.support, mu_gens, A.support)
     scale = max(1.0, max((abs(v) for v in X.rho.values()), default=1.0) ** 2)
-    tol = max(cd.tolerance * 100, 1e-9)
+    tol = cd.residual_tolerance
     return {"associativity": assoc_dev / scale, "unit": unit_dev,
             "passed": assoc_dev / scale < tol and unit_dev < tol}
 
@@ -123,8 +106,7 @@ def is_local(cd: CategoryData, A: AlgebraObject, X: ModuleObject):
     for (x, a, y), v in X.rho.items():
         residual = max(residual,
                        abs(v * (cd.rval(x, a, y) * cd.rval(a, x, y) - 1.0)))
-    tol = max(cd.tolerance * 100, 1e-9)
-    return residual < tol, residual
+    return residual < cd.residual_tolerance, residual
 
 
 def _sector_entry(cd, x, b, a, c, y1, y2, coeff):

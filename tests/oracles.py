@@ -229,3 +229,67 @@ def _is_decomposable(cd, A, mod):
                 seen.add(nxt)
                 stack.append(nxt)
     return len(seen) != len(supp)
+
+
+def pentagon_by_loops(cd):
+    """Plain-loop pentagon check; report lines as verify_pentagon prints them."""
+    ring = cd.ring
+    tol = cd.tolerance
+    r = ring.rank
+    ch = [[ring.channels(a, b) for b in range(r)] for a in range(r)]
+    fval = cd.fval
+    report = []
+    for a in range(r):
+        for b in range(r):
+            for f in ch[a][b]:
+                for c in range(r):
+                    for g in ch[f][c]:
+                        for d in range(r):
+                            for e in ch[g][d]:
+                                for l in ch[c][d]:
+                                    if not ring.N[f, l, e]:
+                                        continue
+                                    for k in ch[b][l]:
+                                        if not ring.N[a, k, e]:
+                                            continue
+                                        lhs = fval(f, c, d, e, g, l) * fval(a, b, l, e, f, k)
+                                        rhs = 0.0
+                                        for h in ch[b][c]:
+                                            if ring.N[a, h, g] and ring.N[h, d, k]:
+                                                rhs += (fval(a, b, c, g, f, h)
+                                                        * fval(a, h, d, e, g, k)
+                                                        * fval(b, c, d, k, h, l))
+                                        if abs(lhs - rhs) > tol:
+                                            report.append(
+                                                "pentagon: (a,b,c,d,e;f,g,k,l)="
+                                                f"({a},{b},{c},{d},{e};{f},{g},{k},{l}) "
+                                                f"residual={abs(lhs - rhs):.3e}")
+    return report
+
+
+def hexagon_by_loops(cd, rv):
+    """Plain-loop check of one hexagon family for braiding scalars rv(a, b, c)."""
+    ring = cd.ring
+    tol = cd.tolerance
+    r = ring.rank
+    fval = cd.fval
+    report = []
+    for a in range(r):
+        for b in range(r):
+            for e in ring.channels(a, b):
+                for c in range(r):
+                    for d in ring.channels(e, c):
+                        for f in ring.channels(a, c):
+                            if not ring.N[b, f, d]:
+                                continue
+                            lhs = rv(a, b, e) * fval(b, a, c, d, e, f) * rv(a, c, f)
+                            rhs = 0.0
+                            for g in ring.channels(b, c):
+                                if ring.N[a, g, d]:
+                                    rhs += (fval(a, b, c, d, e, g) * rv(a, g, d)
+                                            * fval(b, c, a, d, g, f))
+                            if abs(lhs - rhs) > tol:
+                                report.append(
+                                    f"hexagon: (a,b,c,d;e,f)=({a},{b},{c},{d};{e},{f}) "
+                                    f"residual={abs(lhs - rhs):.3e}")
+    return report

@@ -4,9 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from tensorcat.category_data import (QuadraticForm, _hexagon_loops,
-                                     _verify_pentagon_loops,
-                                     deligne_product_data, kappa_of,
+from tensorcat.category_data import (QuadraticForm, deligne_product_data, kappa_of,
                                      load_category, monoidal_opposite,
                                      pointed_from_quadratic_form,
                                      reverse_braiding, save_category,
@@ -15,7 +13,7 @@ from tensorcat.category_data import (QuadraticForm, _hexagon_loops,
 from tensorcat.catalog import catalog_category, catalog_names, vec_zn
 from tensorcat.errors import StructuralError, ValidationFailure
 
-from oracles import PHI
+from oracles import PHI, hexagon_by_loops, pentagon_by_loops
 
 
 def test_catalog_passes_pentagon_and_hexagon(cats):
@@ -47,10 +45,10 @@ def test_hexagon_detects_flattened_r(fib):
 
 def test_vectorized_validators_match_loop_reference(cats):
     for name, cd in cats.items():
-        assert verify_pentagon(cd) == _verify_pentagon_loops(cd)
-        loops = (_hexagon_loops(cd, lambda a, b, c: cd.rval(a, b, c))
+        assert verify_pentagon(cd) == pentagon_by_loops(cd)
+        loops = (hexagon_by_loops(cd, lambda a, b, c: cd.rval(a, b, c))
                  + [l.replace("hexagon:", "hexagon(inverse):")
-                    for l in _hexagon_loops(cd, lambda a, b, c: 1 / cd.rval(b, a, c))])
+                    for l in hexagon_by_loops(cd, lambda a, b, c: 1 / cd.rval(b, a, c))])
         assert verify_hexagon(cd) == loops
 
 
@@ -70,6 +68,9 @@ def test_toric_code_modular(toric):
     assert toric.rval(1, 1, 0) == pytest.approx(1.0)    # q(e) = 1
     assert toric.rval(3, 3, 0) == pytest.approx(-1.0)   # q(f) = -1
     assert is_nondegenerate(toric)
+    # relabelling the ring keeps the form the category was built from
+    assert toric.ring.labels == ("1", "e", "m", "f")
+    assert toric.quadratic_form == QuadraticForm(group=(2, 2), t=(0, 0), cross={(0, 1): 1})
 
 
 def _abelian_groups_up_to(order):
@@ -211,6 +212,7 @@ def test_deligne_product_data_validates(fib, semion_cat, toric):
     assert validate_category(p) == []
     q = deligne_product_data(semion_cat, semion_cat)
     assert validate_category(q) == []
+    assert q.quadratic_form is None
     # product of self-braidings: q((1,1)) = -1
     assert kappa_of(q, 3) == pytest.approx(-1.0)
 
@@ -228,6 +230,7 @@ def test_save_load_round_trip(tmp_path, fib):
     p2 = tmp_path / "fib2.json"
     save_category(fib, p1)
     cd = load_category(p1)
+    assert cd.deferred_validation is False
     save_category(cd, p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert cd.ring == fib.ring
@@ -271,3 +274,21 @@ def test_rou_tokens_accepted(tmp_path):
     cd = load_category(path)
     assert cd.rval(1, 1, 0) == pytest.approx(1j)
     assert cd.fval(1, 1, 1, 1, 0, 0) == pytest.approx(-1.0)
+
+
+def test_category_data_is_frozen():
+    import dataclasses
+    cd = catalog_category("fibonacci")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cd.tolerance = 1e-7
+
+
+def test_replace_starts_with_empty_unfold_cache():
+    import dataclasses
+    from tensorcat.diagram_eval import braid_morphism, insert
+    cd = catalog_category("ising")
+    insert(cd, (1,), braid_morphism(cd, 1, 2), (1,))
+    assert cd.unfold_cache
+    looser = dataclasses.replace(cd, tolerance=1e-7)
+    assert looser.tolerance == 1e-7 and looser.unfold_cache == {}
+    assert cd.tolerance == 1e-9

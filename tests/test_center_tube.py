@@ -313,12 +313,9 @@ def test_center_verlinde_ring_is_integral(tmp_path, centers):
 
 
 def test_center_presentation_unavailable():
-    import copy
+    import dataclasses
     cd = catalog_category("vec_z2")
-    cd2 = copy.deepcopy(cd)
-    cd2.R = None
-    if hasattr(cd2, "quadratic_form"):
-        del cd2.quadratic_form
+    cd2 = dataclasses.replace(cd, R=None, quadratic_form=None)
     tube = build_tube_algebra(cd2)
     center = decompose_center(tube, seed=0)
     from tensorcat.errors import PreconditionError

@@ -79,6 +79,15 @@ def test_validate_input_uses_tol(tmp_path, capsys):
     assert json.loads(out)["valid"] is True
 
 
+def test_validate_catalog_uses_tol(capsys):
+    # fibonacci's pentagon residuals are about 1e-16, above a 1e-20 tolerance
+    code, out = run(capsys, "validate", "--catalog", "fibonacci", "--tol", "1e-20")
+    assert code == 2
+    assert json.loads(out)["valid"] is False
+    code, _ = run(capsys, "validate", "--catalog", "fibonacci")
+    assert code == 0
+
+
 def test_unknown_subcommand_exits_3(capsys):
     code, out = run(capsys, "frobnicate")
     assert code == 3

@@ -300,9 +300,8 @@ def test_unfold_matrices_are_unitary(ising_cat):
 
 
 def test_missing_r_reported(toric):
-    import copy
-    cd = copy.deepcopy(toric)
-    cd.R = None
+    import dataclasses
+    cd = dataclasses.replace(toric, R=None)
     with pytest.raises(PreconditionError):
         evaluate("braid[e,m]", cd)
 
