@@ -165,24 +165,28 @@ def build_tube_algebra(cd: CategoryData) -> TubeAlgebra:
 
     product = np.zeros((n, n, n), dtype=complex)
     rot_cache = {}
+    inner_cache = {}   # (j, a2): t_j inside the a2 strand
+    glue_cache = {}    # (a1, a2, b, x1): the a2 (x) a1 -> b gluing
     for i, (x2, a2, e2, y2) in enumerate(basis):
         for j, (x1, a1, e1, y1) in enumerate(basis):
             if x2 != y1:
                 continue
-            t1 = tube_mv[(x1, a1, e1, y1)]
-            t2 = tube_mv[(x2, a2, e2, y2)]
             ab1, ab2 = ring.dual[a1], ring.dual[a2]
-            inner = insert(cd, (a2,), t1, (ab2,))        # [a2,a1,x1,ab1,ab2] -> [a2,y1,ab2]
-            S = compose_values(cd, t2, inner)
+            if (j, a2) not in inner_cache:
+                # [a2,a1,x1,ab1,ab2] -> [a2,y1,ab2]
+                inner_cache[(j, a2)] = insert(cd, (a2,), tube_mv[(x1, a1, e1, y1)],
+                                              (ab2,))
+            S = compose_values(cd, tube_mv[(x2, a2, e2, y2)], inner_cache[(j, a2)])
             for b in ring.channels(a2, a1):
-                psi = path_vector(cd, (a2, a1), b, (a2, b))
-                key = (a1, a2, b)
-                if key not in rot_cache:
-                    rot_cache[key] = _rotation_isometry(cd, a1, a2, b)
-                phi = rot_cache[key]
-                step_phi = insert(cd, (b, x1), phi, ())
-                step_psi = insert(cd, (), psi, (x1, ab1, ab2))
-                E = compose_values(cd, S, compose_values(cd, step_psi, step_phi))
+                key = (a1, a2, b, x1)
+                if key not in glue_cache:
+                    if (a1, a2, b) not in rot_cache:
+                        rot_cache[(a1, a2, b)] = _rotation_isometry(cd, a1, a2, b)
+                    psi = path_vector(cd, (a2, a1), b, (a2, b))
+                    step_phi = insert(cd, (b, x1), rot_cache[(a1, a2, b)], ())
+                    step_psi = insert(cd, (), psi, (x1, ab1, ab2))
+                    glue_cache[key] = compose_values(cd, step_psi, step_phi)
+                E = compose_values(cd, S, glue_cache[key])
                 blk = E.block(ring, y2)
                 if not blk.size:
                     continue

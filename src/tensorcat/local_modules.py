@@ -9,8 +9,12 @@ sum_{a,y} |rho^{xa}_y|^2 = dim Q for every x in the support.
 
 Simple modules are enumerated by decomposing the induced modules x (x) A
 over all simples x, which is complete: a simple module embeds in the
-induction from any simple in its support.  Fusion of local modules uses the
-canonical projector onto X (x)_Q Y built from the separability element.
+induction from any simple in its support.  Enumeration checks module
+associativity (verify_module) only on the candidates it returns, the local
+ones not equivalent to a module already found; the rest are discarded
+unverified.  Fusion of local modules uses the canonical projector onto
+X (x)_Q Y built from the separability element, and is refused when the
+supports of the simple locals do not determine the multiplicities.
 """
 
 from __future__ import annotations
@@ -188,13 +192,19 @@ def _commutant_generators(cd, A, x, sectors):
     return gens
 
 
-def free_module_decomposition(cd, A, x, seed=0, max_rounds=5):
+def free_module_decomposition(cd, A, x, seed=0, max_rounds=5, keep=None):
     """Simple submodules of x (x) A.
 
     A seeded random Hermitian element of the commutant is diagonalized per
     sector; eigenvalue groups across sectors are the simple summands.  A
     summand whose underlying object acquires multiplicity is out of scope
     and raises.
+
+    keep, if given, is a predicate on candidate summands: only the
+    candidates it accepts are verified with verify_module and returned, the
+    others are dropped unverified.  A round is retried when a returned
+    candidate fails verify_module; with keep=None every candidate is
+    verified and returned.
     """
     ring = cd.ring
     sectors, act = _induced_action(cd, A, x)
@@ -253,6 +263,8 @@ def free_module_decomposition(cd, A, x, seed=0, max_rounds=5):
                 break
             modules.append(mod)
         else:
+            if keep is not None:
+                modules = [mod for mod in modules if keep(mod)]
             reports = (verify_module(cd, A, mod) for mod in modules)
             bad = next((r for r in reports if not r["passed"]), None)
             if bad is None:
@@ -318,6 +330,9 @@ def enumerate_local_modules(cd: CategoryData, A: AlgebraObject,
 
     Complete by Frobenius reciprocity; deduplicated up to unitary
     equivalence and deterministically ordered by (support, |rho| data).
+    Each returned simple is checked once with verify_module; candidates of
+    x (x) A that are not local, or are equivalent to a simple already
+    found, are discarded without that check.
     """
     if not is_connected(A):
         raise PreconditionError("algebra must be connected")
@@ -330,17 +345,18 @@ def enumerate_local_modules(cd: CategoryData, A: AlgebraObject,
     dQ = algebra_dim(cd, A)
     bound = dQ * np.sqrt(cd.dims.global_dim) + 1e-6
     found = []
+
+    def keep(mod):
+        return is_local(cd, A, mod)[0] and not any(
+            _unitarily_equivalent(cd, A, mod, got) for got in found)
+
     for x in range(cd.ring.rank):
-        for mod in free_module_decomposition(cd, A, x, seed=seed):
-            loc, _ = is_local(cd, A, mod)
-            if not loc:
-                continue
+        for mod in free_module_decomposition(cd, A, x, seed=seed, keep=keep):
             if mod.fpdim(cd) > bound:
                 raise StructuralError(
                     f"module dimension {mod.fpdim(cd):.6f} exceeds the "
                     f"enumeration bound {bound:.6f}")
-            if not any(_unitarily_equivalent(cd, A, mod, got) for got in found):
-                found.append(mod)
+            found.append(mod)
     found.sort(key=lambda m: m.fingerprint())
     data = CondensedData(
         simples=found,
@@ -388,8 +404,12 @@ def local_fusion(cd: CategoryData, A: AlgebraObject, X: ModuleObject,
     """Decompose X (x)_Q Y against the enumerated simple local modules.
 
     Returns (condensed, multiplicities).  Multiplicities are read off from
-    the per-channel ranks of the canonical projector and must come out
-    integral to within 0.01.
+    the per-channel ranks of the canonical projector by solving
+    indicator @ m = ranks, where indicator[t, j] = 1 when t lies in the
+    support of the j-th simple; they must come out integral to within 0.01
+    and nonnegative.  When the indicator has rank below the number of
+    simples (two simples with the same support, say), the channel ranks do
+    not determine the multiplicities and StructuralError is raised.
     """
     if condensed is None:
         condensed = enumerate_local_modules(cd, A, seed=seed)
@@ -408,17 +428,23 @@ def local_fusion(cd: CategoryData, A: AlgebraObject, X: ModuleObject,
         ranks[t] = int(np.sum(sv > 0.5))
     if not condensed.simples:
         raise StructuralError("no simple local modules to decompose against")
-    indicator = np.zeros((ring.rank, len(condensed.simples)))
+    n_simples = len(condensed.simples)
+    indicator = np.zeros((ring.rank, n_simples))
     for j, z in enumerate(condensed.simples):
         for t in z.support:
             indicator[t, j] = 1.0
-    from scipy.optimize import nnls
-    mults, _ = nnls(indicator, ranks)
+    support_rank = np.linalg.matrix_rank(indicator)
+    if support_rank < n_simples:
+        raise StructuralError(
+            f"supports of the {n_simples} simple locals span rank {support_rank} < "
+            f"{n_simples}: channel ranks do not determine the multiplicities")
+    mults = np.linalg.lstsq(indicator, ranks, rcond=None)[0]
     rounded = np.round(mults).astype(int)
     if np.max(np.abs(mults - rounded)) > 0.01 or np.max(
-            np.abs(indicator @ rounded - ranks)) > 0.01:
+            np.abs(indicator @ rounded - ranks)) > 0.01 or (rounded < 0).any():
         raise StructuralError(
-            f"non-integral multiplicities {mults} for channel ranks {ranks}")
+            f"no nonnegative integral multiplicities: solved {mults} "
+            f"for channel ranks {ranks}")
     return condensed, rounded
 
 

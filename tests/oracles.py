@@ -293,3 +293,42 @@ def hexagon_by_loops(cd, rv):
                                     f"hexagon: (a,b,c,d;e,f)=({a},{b},{c},{d};{e},{f}) "
                                     f"residual={abs(lhs - rhs):.3e}")
     return report
+
+
+def tube_product_by_pairs(cd):
+    """Tube-algebra structure constants C[i, j, k], re-evaluating the whole
+    gluing diagram for every basis pair (i, j) with x2 = y1.
+
+    Same diagrams, composition order and 1e-13 drop as
+    build_tube_algebra, with no intermediate reused between pairs.
+    """
+    from tensorcat.center_tube import _rotation_isometry, _tube_basis, _tube_vector
+    from tensorcat.diagram_eval import compose_values, insert, path_vector, paths
+
+    ring = cd.ring
+    basis = _tube_basis(cd)
+    n = len(basis)
+    index = {quad: k for k, quad in enumerate(basis)}
+    product = np.zeros((n, n, n), dtype=complex)
+    for i, (x2, a2, e2, y2) in enumerate(basis):
+        for j, (x1, a1, e1, y1) in enumerate(basis):
+            if x2 != y1:
+                continue
+            ab1, ab2 = ring.dual[a1], ring.dual[a2]
+            inner = insert(cd, (a2,), _tube_vector(cd, x1, a1, e1, y1), (ab2,))
+            S = compose_values(cd, _tube_vector(cd, x2, a2, e2, y2), inner)
+            for b in ring.channels(a2, a1):
+                psi = path_vector(cd, (a2, a1), b, (a2, b))
+                phi = _rotation_isometry(cd, a1, a2, b)
+                step_phi = insert(cd, (b, x1), phi, ())
+                step_psi = insert(cd, (), psi, (x1, ab1, ab2))
+                E = compose_values(cd, S, compose_values(cd, step_psi, step_phi))
+                blk = E.block(ring, y2)
+                if not blk.size:
+                    continue
+                cols = paths(ring, (b, x1, ring.dual[b])).get(y2, [])
+                for ci, path in enumerate(cols):
+                    coeff = blk[0, ci]
+                    if abs(coeff) > 1e-13:
+                        product[i, j, index[(x1, b, path[1], y2)]] += coeff
+    return product

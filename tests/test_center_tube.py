@@ -12,7 +12,7 @@ from tensorcat.category_data import deligne_product_data, reverse_braiding
 from tensorcat.errors import StructuralError
 from tensorcat.local_modules import condensation_identity_check
 
-from oracles import PHI
+from oracles import PHI, tube_product_by_pairs
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +87,15 @@ def test_array_methods_match_entrywise_sums(centers):
         L = tube.left_matrices()
         for i, e in enumerate(np.eye(n)):
             assert np.allclose(L[i] @ v, tube.multiply(e, v), atol=1e-12), (name, i)
+
+
+def test_tube_product_matches_per_pair_oracle(cats):
+    """Reusing the gluing diagrams across pairs leaves the structure
+    constants bit-identical."""
+    for name in ("fibonacci", "ising", "toric_code"):
+        cd = cats[name]
+        assert np.array_equal(build_tube_algebra(cd).product,
+                              tube_product_by_pairs(cd)), name
 
 
 def test_central_elements_commute_and_count(centers):

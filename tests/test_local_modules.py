@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from tensorcat.algebra import canonical_algebra, group_algebra, trivial_algebra
 from tensorcat.errors import PreconditionError, StructuralError
-from tensorcat.local_modules import (condensation_identity_check,
+from tensorcat.local_modules import (CondensedData,
+                                     condensation_identity_check,
                                      enumerate_local_modules,
                                      free_module_decomposition, is_local,
                                      load_module, local_double_braid_trace,
@@ -174,3 +180,93 @@ def test_free_module_decomposition_failure_names_rounds(toric, monkeypatch):
                        match=r"in 2 rounds \(round 1: verify_module failed "
                              r"\(associativity 5\.00e-01, unit 0\.00e\+00\); round 2: "):
         free_module_decomposition(toric, A, 2, max_rounds=2)
+
+
+def _d_z6_z3():
+    """D(Z/6) with the commutative algebra on the Z/3 subgroup {0.0, 0.2, 0.4}."""
+    from tensorcat.catalog import vec_zn
+    from tensorcat.center_tube import center_presentation
+    cd, _ = center_presentation(vec_zn(6, 0), None)
+    return cd, group_algebra(cd, ("0.0", "0.2", "0.4"))
+
+
+def _count_verify_calls(monkeypatch):
+    import tensorcat.local_modules as lm
+    calls = []
+    real = lm.verify_module
+
+    def counting(cd, A, X):
+        calls.append(X)
+        return real(cd, A, X)
+
+    monkeypatch.setattr(lm, "verify_module", counting)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["toric:1+e", "D(Z6):Z3"])
+def test_enumeration_verifies_each_returned_simple_once(case, toric, monkeypatch):
+    if case == "toric:1+e":
+        cd, A = toric, group_algebra(toric, ("1", "e"))
+    else:
+        cd, A = _d_z6_z3()
+    calls = _count_verify_calls(monkeypatch)
+    cond = enumerate_local_modules(cd, A)
+    assert len(cond.simples) == (1 if case == "toric:1+e" else 4)
+    assert len(calls) == len(cond.simples)
+    assert sorted(m.fingerprint() for m in calls) == [
+        m.fingerprint() for m in cond.simples]
+    for m in cond.simples:
+        assert verify_module(cd, A, m)["passed"]
+
+
+def test_free_module_decomposition_without_keep_verifies_all(toric, monkeypatch):
+    calls = _count_verify_calls(monkeypatch)
+    A = group_algebra(toric, ("1", "e"))
+    for x in range(toric.ring.rank):
+        calls.clear()
+        mods = free_module_decomposition(toric, A, x)
+        assert mods and len(calls) == len(mods)
+        dropped = free_module_decomposition(toric, A, x, keep=lambda m: False)
+        assert dropped == []
+
+
+def test_local_fusion_refuses_rank_deficient_supports(toric):
+    A = trivial_algebra()
+    cond = enumerate_local_modules(toric, A)
+    X = cond.simples[1]
+    twice = CondensedData(simples=[X, X], dims_over_Q=np.ones(2))
+    with pytest.raises(StructuralError, match=r"rank 1 < 2"):
+        local_fusion(toric, A, X, X, condensed=twice)
+
+
+def test_local_fusion_toric_squared_matches_group_law():
+    """toric (x) toric condensed by 1 + e(x)1 is a toric code again: the simple
+    locals sit over (1, g) + (e, g), g in (1, e, m, f), and fuse by the
+    Z/2 x Z/2 group law (index XOR), the multiplicities scipy's nnls gave."""
+    from tensorcat.catalog import toric_code
+    from tensorcat.category_data import deligne_product_data
+    cd = deligne_product_data(toric_code(), toric_code())
+    A = group_algebra(cd, ("(1,1)", "(e,1)"))
+    cond = enumerate_local_modules(cd, A)
+    assert [m.support for m in cond.simples] == [(0, 4), (1, 5), (2, 6), (3, 7)]
+    for i, X in enumerate(cond.simples):
+        for j, Y in enumerate(cond.simples):
+            _, mult = local_fusion(cd, A, X, Y, condensed=cond)
+            assert list(mult) == list(np.eye(4, dtype=int)[i ^ j]), (i, j)
+
+
+def test_condensed_ring_does_not_load_scipy_optimize():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys\n"
+            "from tensorcat.algebra import group_algebra\n"
+            "from tensorcat.catalog import toric_code\n"
+            "from tensorcat.local_modules import enumerate_local_modules\n"
+            "cd = toric_code()\n"
+            "cond = enumerate_local_modules(cd, group_algebra(cd, ('1', 'e')),"
+            " with_ring=True)\n"
+            "assert cond.ring.rank == 1\n"
+            "print('scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
