@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .category_data import CategoryData, deligne_product_data, monoidal_opposite
-from .diagram_eval import (MorphismValue, cap_morphism, compose_values,
-                           dagger_value, insert, path_vector,
-                           scalar_generator, tensor_values)
+from .diagram_eval import (MorphismValue, braid_morphism, cap_morphism,
+                           compose_values, cup_morphism, dagger_value, insert,
+                           path_vector, scalar_generator, tensor_values)
 from .errors import PreconditionError, StructuralError
 
 __all__ = [
@@ -274,6 +274,52 @@ def canonical_algebra(cd: CategoryData, x) -> AlgebraObject:
     return AlgebraObject(support=tuple(support), mu=mu)
 
 
+def _conjugate_vertex_algebra(cd: CategoryData, support, braided) -> AlgebraObject:
+    """The Longo-Rehren Q-system with one summand support[c] per simple c of cd.
+
+    support[c] is the product label pairing c with its partner: (c, dual c)
+    in C (x) rev(C) for the canonical Lagrangian (``braided``), (c, c) in
+    op(C) (x) C for the symmetric enveloping algebra.  The multiplication
+    is closed-form (Longo & Rehren 1995; Kong & Runkel 2008), not solved:
+
+        mu^{support[a] support[b]}_{support[c]} = (d_a d_b / d_c)^{1/2} phase(a, b, c).
+
+    The phase is evaluated once per admissible triple of cd.  For the basis
+    vertex v: ab -> c, form its right mate v^: c~ -> b~a~ (coevaluation
+    cup(a) with cup(b) nested inside, evaluation cap(c~), x~ = dual(x)), and
+    read kappa(a, b, c) off (v^)^dag: b~a~ -> c~, precomposed with the
+    braiding sigma_{a~,b~} of cd when ``braided``.  Then phase(a, b, c) =
+    s_c kappa / |kappa|, where the sign s_c = kappa(0, c, c) / |kappa(0, c, c)|
+    cancels the Frobenius-Schur sign the unsigned cups and caps leave in the
+    zigzag (-1 for the semion and the odd elements of vec_zn(6, 1)).  It is
+    applied as its conjugate, equal for a sign, so that the unit channels
+    come out as exactly 1 in floating point.
+    """
+    ring = cd.ring
+    dl = ring.dual
+    d = cd.dims.dims
+    kappa = {}
+    for a in range(ring.rank):
+        for b in range(ring.rank):
+            coev = compose_values(cd, insert(cd, (a,), cup_morphism(cd, b), (dl[a],)),
+                                  cup_morphism(cd, a))
+            for c in ring.channels(a, b):
+                v = scalar_generator(cd, a, b, c, 1.0)
+                mate = compose_values(
+                    cd, insert(cd, (), cap_morphism(cd, dl[c]), (dl[b], dl[a])),
+                    compose_values(cd, insert(cd, (dl[c],), v, (dl[b], dl[a])),
+                                   insert(cd, (dl[c],), coev, ())))
+                w = dagger_value(mate)
+                if braided:
+                    w = compose_values(cd, w, braid_morphism(cd, dl[a], dl[b]))
+                k = complex(w.block(ring, dl[c])[0, 0])
+                kappa[(a, b, c)] = k / abs(k)
+    mu = {(support[a], support[b], support[c]):
+          np.sqrt(d[a] * d[b] / d[c]) * k * np.conj(kappa[(0, c, c)])
+          for (a, b, c), k in kappa.items()}
+    return AlgebraObject(support=support, mu=mu)
+
+
 def solve_support_algebra(cd: CategoryData, support, commutative=False,
                           seed=0, max_restarts=24) -> AlgebraObject:
     """Numerically solve for Q-system coefficients on a fusion-closed support.
@@ -411,17 +457,18 @@ def solve_support_algebra(cd: CategoryData, support, commutative=False,
 def symmetric_enveloping(cd: CategoryData):
     """The enveloping Q-system on the diagonal of op(C) (x) C.
 
-    Returns (product_category, algebra); the support is {(c, c) : c}, and
-    the multiplication is solved against the product F-symbols and then
-    validated by verify_qsystem.
+    Returns (product_category, algebra); the support is {(c, c) : c}.  The
+    multiplication is closed-form (see _conjugate_vertex_algebra): modulus
+    (d_a d_b / d_c)^{1/2} and a phase read from the mate of each vertex of
+    cd, with no braiding, times the sign s_c.  It is not solved for; callers
+    check it with verify_qsystem.
     """
     if cd.partial:
         raise PreconditionError("symmetric enveloping needs full F data")
     prod = deligne_product_data(monoidal_opposite(cd), cd)
     r2 = cd.ring.rank
     support = tuple(c * r2 + c for c in range(r2))
-    alg = solve_support_algebra(prod, support)
-    return prod, alg
+    return prod, _conjugate_vertex_algebra(cd, support, braided=False)
 
 
 def load_algebra(cd: CategoryData, path) -> AlgebraObject:

@@ -632,50 +632,47 @@ def monoidal_opposite(cd: CategoryData) -> CategoryData:
                    name=f"op({cd.name})" if cd.name else "")
 
 
+def _f_items(cd: CategoryData) -> list:
+    """(a, b, c, d, e, f, F^{abc}_d[e, f]) on every admissible tuple.
+
+    Unit legs are included, with the value 1.
+    """
+    r = cd.ring
+    return [(a, b, c, d, e, f, cd.fval(a, b, c, d, e, f))
+            for a in range(r.rank) for b in range(r.rank) for e in r.channels(a, b)
+            for c in range(r.rank) for d in r.channels(e, c) for f in r.channels(b, c)
+            if r.N[a, f, d]]
+
+
+def _r_items(cd: CategoryData) -> list:
+    """(a, b, c, R^{ab}_c) on every admissible channel, unit legs included."""
+    r = cd.ring
+    return [(a, b, c, cd.rval(a, b, c))
+            for a in range(r.rank) for b in range(r.rank) for c in r.channels(a, b)]
+
+
 def deligne_product_data(c1: CategoryData, c2: CategoryData) -> CategoryData:
-    """Deligne product: ring product, componentwise F (and R when both braided)."""
+    """Deligne product: ring product, componentwise F (and R when both braided).
+
+    The pair (i, j) has index i * rank2 + j; each entry is the product of
+    the two factors' entries, read from one list per factor.
+    """
     ring = deligne_product(c1.ring, c2.ring)
     k = c2.ring.rank
-
-    def pi(i, j):
-        return i * k + j
-
     F_entries = {}
-    r1, r2 = c1.ring, c2.ring
-    for a1 in range(r1.rank):
-        for b1 in range(r1.rank):
-            for e1 in r1.channels(a1, b1):
-                for c1_ in range(r1.rank):
-                    for d1 in r1.channels(e1, c1_):
-                        for f1 in r1.channels(b1, c1_):
-                            if not r1.N[a1, f1, d1]:
-                                continue
-                            v1 = c1.fval(a1, b1, c1_, d1, e1, f1)
-                            for a2 in range(r2.rank):
-                                for b2 in range(r2.rank):
-                                    for e2 in r2.channels(a2, b2):
-                                        for c2_ in range(r2.rank):
-                                            for d2 in r2.channels(e2, c2_):
-                                                for f2 in r2.channels(b2, c2_):
-                                                    if not r2.N[a2, f2, d2]:
-                                                        continue
-                                                    A, B, C = pi(a1, a2), pi(b1, b2), pi(c1_, c2_)
-                                                    if A == 0 or B == 0 or C == 0:
-                                                        continue
-                                                    F_entries[(A, B, C, pi(d1, d2),
-                                                               pi(e1, e2), pi(f1, f2))] = (
-                                                        v1 * c2.fval(a2, b2, c2_, d2, e2, f2))
+    items2 = _f_items(c2)
+    for a1, b1, c1_, d1, e1, f1, v1 in _f_items(c1):
+        for a2, b2, c2_, d2, e2, f2, v2 in items2:
+            A, B, C = a1 * k + a2, b1 * k + b2, c1_ * k + c2_
+            if A == 0 or B == 0 or C == 0:
+                continue
+            F_entries[(A, B, C, d1 * k + d2, e1 * k + e2, f1 * k + f2)] = v1 * v2
     R_entries = None
     if c1.R is not None and c2.R is not None:
-        R_entries = {}
-        for a1 in range(r1.rank):
-            for b1 in range(r1.rank):
-                for cc1 in r1.channels(a1, b1):
-                    for a2 in range(r2.rank):
-                        for b2 in range(r2.rank):
-                            for cc2 in r2.channels(a2, b2):
-                                R_entries[(pi(a1, a2), pi(b1, b2), pi(cc1, cc2))] = (
-                                    c1.rval(a1, b1, cc1) * c2.rval(a2, b2, cc2))
+        items2 = _r_items(c2)
+        R_entries = {(a1 * k + a2, b1 * k + b2, cc1 * k + cc2): v1 * v2
+                     for a1, b1, cc1, v1 in _r_items(c1)
+                     for a2, b2, cc2, v2 in items2}
     name = f"{c1.name}(x){c2.name}" if c1.name and c2.name else ""
     return _finish(ring, F_entries, R_entries,
                    tolerance=max(c1.tolerance, c2.tolerance), name=name)

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import algebra_dim, group_algebra, is_commutative, verify_qsystem
+from .algebra import (_conjugate_vertex_algebra, algebra_dim, group_algebra,
+                      is_commutative, verify_qsystem)
 from .category_data import (CategoryData, QuadraticForm, deligne_product_data,
                             pointed_from_quadratic_form, reverse_braiding)
 from .braided_analysis import is_nondegenerate
@@ -608,9 +609,14 @@ def lagrangian_algebra(cd: CategoryData, center: CenterData):
 
     The support is read from the unit multiplicities of the tube simples.
     On the pointed presentation (trivial F, R = 1 on the dual-group factor)
-    the multiplication is the group algebra's; otherwise it is solved on
-    the support of the presentation (see center_presentation).  Either way
-    it is validated.  Returns (presentation, algebra, support_indices_in_center).
+    the multiplication is the group algebra's.  On C (x) reverse(C) it is
+    the Longo-Rehren algebra on the pairs (c, dual c), in closed form (see
+    algebra._conjugate_vertex_algebra): modulus (d_a d_b / d_c)^{1/2} and a
+    phase evaluated once per vertex of C from its braided mate, times the
+    sign s_c that cancels the Frobenius-Schur sign of the unsigned cups and
+    caps.  Nothing is solved for.  Either way the dimension, the Q-system
+    axioms and commutativity are checked.  Returns (presentation, algebra,
+    support_indices_in_center).
     """
     mults = [int(z.underlying[0]) for z in center.simples]
     if any(m > 1 for m in mults):
@@ -619,8 +625,7 @@ def lagrangian_algebra(cd: CategoryData, center: CenterData):
     chosen = [i for i, m in enumerate(mults) if m == 1]
     pres, support = center_presentation(cd, center)
     if _presents_center_as_product(cd):
-        from .algebra import solve_support_algebra
-        alg = solve_support_algebra(pres, support, commutative=True)
+        alg = _conjugate_vertex_algebra(cd, support, braided=True)
     else:
         alg = group_algebra(pres, support)
     dQ = algebra_dim(pres, alg)

@@ -79,8 +79,17 @@ class FusionRing:
             raise StructuralError(f"unknown label {name!r}") from None
 
     def channels(self, a, b):
-        """Sorted list of c with N^c_{ab} >= 1."""
-        return [int(c) for c in np.nonzero(self.N[a, b])[0]]
+        """Sorted list of c with N^c_{ab} >= 1.
+
+        Read from ``channel_table``; callers must not mutate the returned list.
+        """
+        return self.channel_table[a][b]
+
+    @functools.cached_property
+    def channel_table(self):
+        """channel_table[a][b] = channels(a, b), built once per ring."""
+        return tuple(tuple([int(c) for c in np.nonzero(row)[0]] for row in plane)
+                     for plane in self.N)
 
     @functools.cached_property
     def path_cache(self):

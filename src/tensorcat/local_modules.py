@@ -113,18 +113,17 @@ def is_local(cd: CategoryData, A: AlgebraObject, X: ModuleObject):
     return residual < cd.residual_tolerance, residual
 
 
-def _sector_entry(cd, x, b, a, c, y1, y2, coeff):
-    """Matrix element of id_x (x) mu-vertex from sector (y1, b) to (y2, c).
+def _sector_entry(cd, mv, y1, y2):
+    """Matrix element of an evaluated mu-vertex from sector (y1, b) to (y2, c).
 
-    The vertex is b (x) a -> c with the given coefficient; entry is the block
-    value of [x, b, a] -> [x, c] at total y2, column path (x, y1, y2).
+    mv is id_x (x) (b (x) a -> c): [x, b, a] -> [x, c]; the entry is its
+    block at total y2, column path (x, y1, y2).
     """
-    mv = insert(cd, (x,), scalar_generator(cd, b, a, c, coeff), ())
     blk = mv.block(cd.ring, y2)
     if not blk.size:
         return 0.0
-    cols = paths(cd.ring, (x, b, a)).get(y2, [])
-    key = (x, y1, y2)
+    cols = paths(cd.ring, mv.source).get(y2, [])
+    key = (mv.source[0], y1, y2)
     if key not in cols:
         return 0.0
     return complex(blk[0, cols.index(key)])
@@ -135,7 +134,8 @@ def _induced_action(cd, A, x):
 
     sectors[y] is the ordered basis {b in supp A : N^y_{xb} = 1} of the
     y-component; act[a][(y2, y1)] is the matrix of the a-action from the
-    y1 sector to the y2 sector.
+    y1 sector to the y2 sector.  Each id_x (x) mu^{ba}_c is evaluated once
+    and read for every sector pair.
     """
     ring = cd.ring
     sectors = {}
@@ -143,6 +143,7 @@ def _induced_action(cd, A, x):
         for y in ring.channels(x, b):
             sectors.setdefault(y, []).append(b)
     sectors = {y: sorted(bs) for y, bs in sectors.items()}
+    vertex = {}
     act = {}
     for a in A.support:
         mats = {}
@@ -155,8 +156,11 @@ def _induced_action(cd, A, x):
                 for j, b in enumerate(bs):
                     for i, c in enumerate(cs):
                         if (b, a, c) in A.mu:
-                            m[i, j] = _sector_entry(cd, x, b, a, c, y1, y2,
-                                                    A.mu[(b, a, c)])
+                            mv = vertex.get((b, a, c))
+                            if mv is None:
+                                gen = scalar_generator(cd, b, a, c, A.mu[(b, a, c)])
+                                mv = vertex[(b, a, c)] = insert(cd, (x,), gen, ())
+                            m[i, j] = _sector_entry(cd, mv, y1, y2)
                 mats[(y2, y1)] = m
         act[a] = mats
     return sectors, act

@@ -332,3 +332,113 @@ def tube_product_by_pairs(cd):
                     if abs(coeff) > 1e-13:
                         product[i, j, index[(x1, b, path[1], y2)]] += coeff
     return product
+
+
+def algebras_gauge_equivalent(A1, A2, tol=1e-8):
+    """Equality of two algebras on one object up to a diagonal gauge.
+
+    The gauge is mu^{ab}_c -> u_a u_b mu^{ab}_c / u_c with |u_c| = 1 and
+    u_0 = 1, the diagonal algebra isomorphisms; this is the test of
+    local_modules._unitarily_equivalent carried over to algebras.  Supports,
+    admissible triples and |mu| must agree.  The ratios r^{ab}_c =
+    mu2 / mu1 must then solve u_a u_b / u_c = r, a system of integer
+    exponent rows over the torus.  Unimodular integer row operations keep
+    its solution set, and a row-echelon system is always solvable on the
+    torus, so it is solvable exactly when every row that reduces to zero
+    exponents carries the ratio 1.
+    """
+    if A1.support != A2.support or set(A1.mu) != set(A2.mu):
+        return False
+    if any(abs(abs(A1.mu[k]) - abs(A2.mu[k])) > tol for k in A1.mu):
+        return False
+    col = {c: j for j, c in enumerate(c for c in A1.support if c != 0)}
+    rows = []
+    for (a, b, c), v in sorted(A1.mu.items()):
+        if abs(v) <= tol:
+            continue
+        n = [0] * len(col)
+        for lab, sign in ((a, 1), (b, 1), (c, -1)):
+            if lab:
+                n[col[lab]] += sign
+        ratio = A2.mu[(a, b, c)] / v
+        rows.append((n, ratio / abs(ratio)))
+    for j in range(len(col)):
+        while True:
+            live = [r for r in rows if r[0][j]]
+            if len(live) <= 1:
+                break
+            pn, pr = min(live, key=lambda r: abs(r[0][j]))
+            reduced = []
+            for n, r in rows:
+                if n is not pn and n[j]:
+                    q = n[j] // pn[j]
+                    n, r = [x - q * y for x, y in zip(n, pn)], r * pr ** (-q)
+                reduced.append((n, r))
+            rows = reduced
+        # the one row left with a u_j term fixes u_j once the later u's are set
+        rows = [(n, r) for n, r in rows if not n[j]]
+    return all(abs(r - 1.0) <= 10 * tol for _n, r in rows)
+
+
+def induced_action_by_entries(cd, A, x):
+    """local_modules._induced_action with one insert per matrix entry: the
+    vertex id_x (x) mu^{ba}_c is evaluated again for every sector pair."""
+    from tensorcat.diagram_eval import insert, paths, scalar_generator
+
+    ring = cd.ring
+    sectors = {}
+    for b in A.support:
+        for y in ring.channels(x, b):
+            sectors.setdefault(y, []).append(b)
+    sectors = {y: sorted(bs) for y, bs in sectors.items()}
+    act = {}
+    for a in A.support:
+        mats = {}
+        for y1, bs in sectors.items():
+            for y2 in ring.channels(y1, a):
+                if y2 not in sectors:
+                    continue
+                cs = sectors[y2]
+                m = np.zeros((len(cs), len(bs)), dtype=complex)
+                for j, b in enumerate(bs):
+                    for i, c in enumerate(cs):
+                        if (b, a, c) not in A.mu:
+                            continue
+                        mv = insert(cd, (x,), scalar_generator(
+                            cd, b, a, c, A.mu[(b, a, c)]), ())
+                        blk = mv.block(ring, y2)
+                        cols = paths(ring, (x, b, a)).get(y2, [])
+                        if blk.size and (x, y1, y2) in cols:
+                            m[i, j] = complex(blk[0, cols.index((x, y1, y2))])
+                mats[(y2, y1)] = m
+        act[a] = mats
+    return sectors, act
+
+
+def deligne_product_data_by_loops(c1, c2):
+    """Deligne product F and R entries by nested loops over both factors,
+    one F lookup per product tuple; the library reads each factor's entries
+    into one list first."""
+    k = c2.ring.rank
+    r1, r2 = c1.ring, c2.ring
+    F = {}
+    for a1, b1, c1_, d1, e1, f1 in _admissible(r1):
+        for a2, b2, c2_, d2, e2, f2 in _admissible(r2):
+            A, B, C = a1 * k + a2, b1 * k + b2, c1_ * k + c2_
+            if A == 0 or B == 0 or C == 0:
+                continue
+            F[(A, B, C, d1 * k + d2, e1 * k + e2, f1 * k + f2)] = (
+                c1.fval(a1, b1, c1_, d1, e1, f1) * c2.fval(a2, b2, c2_, d2, e2, f2))
+    R = {}
+    for a1, b1, x1 in itertools.product(range(r1.rank), repeat=3):
+        for a2, b2, x2 in itertools.product(range(r2.rank), repeat=3):
+            if r1.N[a1, b1, x1] and r2.N[a2, b2, x2]:
+                R[(a1 * k + a2, b1 * k + b2, x1 * k + x2)] = (
+                    c1.rval(a1, b1, x1) * c2.rval(a2, b2, x2))
+    return F, R
+
+
+def _admissible(ring):
+    for a, b, c, d, e, f in itertools.product(range(ring.rank), repeat=6):
+        if ring.N[a, b, e] and ring.N[e, c, d] and ring.N[b, c, f] and ring.N[a, f, d]:
+            yield a, b, c, d, e, f

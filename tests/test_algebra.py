@@ -7,11 +7,12 @@ from tensorcat.algebra import (AlgebraObject, algebra_dim, canonical_algebra,
                                symmetric_enveloping, trivial_algebra,
                                verify_qsystem)
 from tensorcat.braided_analysis import is_nondegenerate, twists
+from tensorcat.catalog import vec_zn
 from tensorcat.category_data import reverse_braiding
 from tensorcat.errors import StructuralError
 from tensorcat.local_modules import is_local, regular_module
 
-from oracles import PHI
+from oracles import PHI, algebras_gauge_equivalent
 
 
 def test_trivial_algebra_passes(fib):
@@ -191,3 +192,54 @@ def test_solve_support_algebra_failure_reports_attempts(toric):
                        match=r"after 2 attempts \(best residual \d\.\d+e[-+]\d+, "
                              r"\d+ residual evaluations\)"):
         solve_support_algebra(toric, (0, 3), commutative=True, max_restarts=2)
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "ising", "semion", "toric_code", "vec_z3"])
+def test_symmetric_enveloping_matches_solver_up_to_gauge(cats, name):
+    prod, S = symmetric_enveloping(cats[name])
+    solved = solve_support_algebra(prod, S.support)
+    assert algebras_gauge_equivalent(S, solved), name
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "vec_z6"])
+def test_symmetric_enveloping_does_not_solve(cats, name, monkeypatch):
+    import tensorcat.algebra
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the enveloping algebra has a closed form")
+
+    monkeypatch.setattr(tensorcat.algebra, "solve_support_algebra", no_solve)
+    cd = cats[name]
+    prod, S = symmetric_enveloping(cd)
+    assert algebra_dim(prod, S) == pytest.approx(cd.dims.global_dim, abs=1e-9)
+    assert verify_qsystem(prod, S).passed
+    assert all(S.mu[k] == 1.0 for k in S.mu if k[0] == 0 or k[1] == 0)
+
+
+def test_symmetric_enveloping_needs_evaluated_phases():
+    """Positive-real mu of the closed-form modulus is not a Q-system on
+    op(vec_zn(6, 1)) (x) vec_zn(6, 1): the phases carry F-symbol data."""
+    prod, S = symmetric_enveloping(vec_zn(6, 1))
+    assert any(abs(v - abs(v)) > 0.5 for v in S.mu.values())
+    real = AlgebraObject(support=S.support, mu={k: abs(v) for k, v in S.mu.items()})
+    assert not verify_qsystem(prod, real).passed
+
+
+def test_gauge_equivalence_helper(cats):
+    prod, S = symmetric_enveloping(cats["ising"])
+    rng = np.random.default_rng(3)
+    u = {c: np.exp(2j * np.pi * rng.uniform()) for c in S.support}
+    u[0] = 1.0
+    moved = AlgebraObject(support=S.support, mu={
+        (a, b, c): u[a] * u[b] * v / u[c] for (a, b, c), v in S.mu.items()})
+    assert algebras_gauge_equivalent(S, moved)
+    assert algebras_gauge_equivalent(moved, S)
+    # one flipped sign on sigma sigma -> psi is no gauge: it breaks associativity
+    key = (4, 4, 8)
+    flipped = AlgebraObject(support=S.support, mu={
+        k: -v if k == key else v for k, v in S.mu.items()})
+    assert not verify_qsystem(prod, flipped).passed
+    assert not algebras_gauge_equivalent(S, flipped)
+    scaled = AlgebraObject(support=S.support, mu={
+        k: 2 * v if k == key else v for k, v in S.mu.items()})
+    assert not algebras_gauge_equivalent(S, scaled)

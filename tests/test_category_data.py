@@ -13,7 +13,8 @@ from tensorcat.category_data import (QuadraticForm, deligne_product_data, kappa_
 from tensorcat.catalog import catalog_category, catalog_names, vec_zn
 from tensorcat.errors import StructuralError, ValidationFailure
 
-from oracles import PHI, hexagon_by_loops, pentagon_by_loops
+from oracles import (PHI, deligne_product_data_by_loops, hexagon_by_loops,
+                     pentagon_by_loops)
 
 
 def test_catalog_passes_pentagon_and_hexagon(cats):
@@ -215,6 +216,17 @@ def test_deligne_product_data_validates(fib, semion_cat, toric):
     assert q.quadratic_form is None
     # product of self-braidings: q((1,1)) = -1
     assert kappa_of(q, 3) == pytest.approx(-1.0)
+
+
+def test_deligne_product_data_matches_loop_oracle(fib, ising_cat, toric):
+    from tensorcat.category_data import monoidal_opposite
+    z3 = vec_zn(3, 2)
+    for c1, c2 in ((fib, ising_cat), (toric, reverse_braiding(toric)),
+                   (monoidal_opposite(z3), z3)):
+        p = deligne_product_data(c1, c2)
+        F, R = deligne_product_data_by_loops(c1, c2)
+        assert p.F.entries == F
+        assert p.R.entries == R
 
 
 def test_deligne_with_unit_is_identity(fib):

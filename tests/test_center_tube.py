@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from tensorcat.algebra import algebra_dim, is_commutative, verify_qsystem
+from tensorcat.algebra import (AlgebraObject, algebra_dim, is_commutative,
+                               solve_support_algebra, verify_qsystem)
 from tensorcat.catalog import catalog_category, vec_zn
 from tensorcat.center_tube import (_block_representation, _central_elements,
                                    _minimal_idempotents, build_tube_algebra,
@@ -12,7 +18,7 @@ from tensorcat.category_data import deligne_product_data, reverse_braiding
 from tensorcat.errors import StructuralError
 from tensorcat.local_modules import condensation_identity_check
 
-from oracles import PHI, tube_product_by_pairs
+from oracles import PHI, algebras_gauge_equivalent, tube_product_by_pairs
 
 
 @pytest.fixture(scope="module")
@@ -262,6 +268,60 @@ def test_lagrangian_algebra_fibonacci(centers):
     chk = condensation_identity_check(pres, alg)
     assert chk["passed"] and chk["n_simples"] == 1
     assert chk["sum_fpdim_sq"] == pytest.approx((1 + PHI ** 2) ** 2, abs=1e-6)
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "ising", "semion", "toric_code", "vec_z3"])
+def test_lagrangian_algebra_matches_solver_up_to_gauge(name):
+    cd = catalog_category(name)
+    center = decompose_center(build_tube_algebra(cd), seed=0)
+    pres, alg, _ = lagrangian_algebra(cd, center)
+    solved = solve_support_algebra(pres, alg.support, commutative=True)
+    assert algebras_gauge_equivalent(alg, solved), name
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "vec_z6"])
+def test_lagrangian_algebra_does_not_solve(name, monkeypatch):
+    import tensorcat.algebra
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the Lagrangian on C (x) rev(C) has a closed form")
+
+    monkeypatch.setattr(tensorcat.algebra, "solve_support_algebra", no_solve)
+    cd = catalog_category(name)
+    center = decompose_center(build_tube_algebra(cd), seed=0)
+    pres, alg, chosen = lagrangian_algebra(cd, center)
+    r = cd.ring.rank
+    assert alg.support == tuple(sorted(c * r + cd.ring.dual[c] for c in range(r)))
+    assert len(chosen) == r
+    assert algebra_dim(pres, alg) ** 2 == pytest.approx(pres.dims.global_dim, abs=1e-9)
+    assert all(alg.mu[k] == 1.0 for k in alg.mu if k[0] == 0 or k[1] == 0)
+    chk = condensation_identity_check(pres, alg)
+    assert chk["passed"] and chk["n_simples"] == 1
+
+
+def test_lagrangian_algebra_needs_evaluated_phases():
+    """Positive-real mu of the closed-form modulus fails the Q-system axioms
+    on vec_zn(6, 1) (x) rev: the phases are evaluated, not a convention."""
+    cd = vec_zn(6, 1)
+    center = decompose_center(build_tube_algebra(cd), seed=0)
+    pres, alg, _ = lagrangian_algebra(cd, center)
+    real = AlgebraObject(support=alg.support, mu={k: abs(v) for k, v in alg.mu.items()})
+    assert not verify_qsystem(pres, real).passed
+
+
+def test_closed_forms_do_not_load_scipy_optimize():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys\n"
+            "from tensorcat.algebra import symmetric_enveloping\n"
+            "from tensorcat.catalog import fibonacci\n"
+            "from tensorcat.center_tube import theorem_c_shadow\n"
+            "assert theorem_c_shadow(fibonacci())['passed']\n"
+            "symmetric_enveloping(fibonacci())\n"
+            "print('scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_theorem_c_shadow_all_three():

@@ -172,3 +172,15 @@ def test_brute_force_oracle_small_ranks():
             assert lib == oracle, (dual, N)
             checked += 1
     assert checked > 10_000
+
+
+def test_channel_table_matches_nonzero():
+    rings = [catalog_category(name).ring for name in catalog_names()]
+    rings.append(deligne_product(fib_ring(), catalog_category("ising").ring))
+    for ring in rings:
+        for a in range(ring.rank):
+            for b in range(ring.rank):
+                want = [int(c) for c in np.nonzero(ring.N[a, b])[0]]
+                got = ring.channels(a, b)
+                assert isinstance(got, list) and got == want, (ring.labels, a, b)
+                assert ring.channels(a, b) is got  # built once per ring

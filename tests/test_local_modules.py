@@ -16,7 +16,7 @@ from tensorcat.local_modules import (CondensedData,
                                      local_fusion, regular_module, save_module,
                                      verify_module)
 
-from oracles import brute_force_local_count
+from oracles import brute_force_local_count, induced_action_by_entries
 
 
 def test_regular_module_over_itself(toric):
@@ -217,6 +217,47 @@ def test_enumeration_verifies_each_returned_simple_once(case, toric, monkeypatch
         m.fingerprint() for m in cond.simples]
     for m in cond.simples:
         assert verify_module(cd, A, m)["passed"]
+
+
+def _fib_lagrangian():
+    """fib (x) rev(fib) with its Lagrangian: a vertex meets several sector pairs."""
+    from tensorcat.catalog import fibonacci
+    from tensorcat.center_tube import (build_tube_algebra, decompose_center,
+                                       lagrangian_algebra)
+    cd = fibonacci()
+    pres, A, _ = lagrangian_algebra(cd, decompose_center(build_tube_algebra(cd)))
+    return pres, A
+
+
+@pytest.mark.parametrize("case", ["toric:1+e", "D(Z6):Z3", "fib:lagrangian"])
+def test_induced_action_matches_per_entry_oracle(case, toric, monkeypatch):
+    import tensorcat.local_modules as lm
+    if case == "toric:1+e":
+        cd, A = toric, group_algebra(toric, ("1", "e"))
+    elif case == "D(Z6):Z3":
+        cd, A = _d_z6_z3()
+    else:
+        cd, A = _fib_lagrangian()
+    inserts = []
+    real_insert = lm.insert
+
+    def counting(*args, **kwargs):
+        inserts.append(args[2])
+        return real_insert(*args, **kwargs)
+
+    monkeypatch.setattr(lm, "insert", counting)
+    for x in range(cd.ring.rank):
+        want_sectors, want = induced_action_by_entries(cd, A, x)
+        inserts.clear()
+        sectors, act = lm._induced_action(cd, A, x)
+        assert sectors == want_sectors
+        assert act.keys() == want.keys()
+        for a in act:
+            assert act[a].keys() == want[a].keys()
+            for k in act[a]:
+                assert np.array_equal(act[a][k], want[a][k]), (case, x, a, k)
+        keys = [(h.source[0], h.source[1], h.target[0]) for h in inserts]
+        assert len(keys) == len(set(keys))  # one evaluation per vertex
 
 
 def test_free_module_decomposition_without_keep_verifies_all(toric, monkeypatch):
