@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -160,50 +161,59 @@ class QuadraticForm:
             out = [e + (a,) for e in out for a in range(n)]
         return out
 
-    def r_value(self, g, h):
-        """The braiding scalar R(g, h) of the associated pointed category."""
+    def _phase(self, g, h):
+        """arg R(g, h) / pi, for coordinate tuples or broadcastable per-factor arrays."""
         phase = 0.0
         for i, n in enumerate(self.group):
-            phase += self.t[i] * g[i] * h[i] / n
+            phase = phase + self.t[i] * g[i] * h[i] / n
         for (i, j), cij in self.cross.items():
             gcd = math.gcd(self.group[i], self.group[j])
-            phase += 2.0 * cij * g[i] * h[j] / gcd
-        return cmath.exp(1j * math.pi * phase)
+            phase = phase + 2.0 * cij * g[i] * h[j] / gcd
+        return phase
+
+    def r_value(self, g, h):
+        """The braiding scalar R(g, h) of the associated pointed category."""
+        return cmath.exp(1j * math.pi * self._phase(g, h))
 
     def q_value(self, g):
         return self.r_value(g, g)
 
+    def _grid(self):
+        """Coordinates x[i, g] of the elements, in ``elements()`` order, and
+        the product table P[g, h] = index of g + h."""
+        k = len(self.group)
+        x = np.indices(self.group).reshape(k, self.order)
+        n = np.array(self.group).reshape(k, 1, 1)
+        P = np.ravel_multi_index(tuple((x[:, :, None] + x[:, None, :]) % n), self.group)
+        return x, P.reshape(self.order, self.order)
+
     def validate(self):
-        """Check q(g) = q(-g) and that b(g,h) = q(g+h)/(q(g)q(h)) is a bicharacter."""
+        """Check q(g) = q(-g) and that b(g,h) = q(g+h)/(q(g)q(h)) is a bicharacter.
+
+        Both are broadcast comparisons over the element grid.  The report
+        names, in element order, every g with q(g) != q(-g); then, for each
+        generator e_i, the first (h, k) in (h, k) order at which
+        b(e_i, h + k) != b(e_i, h) b(e_i, k).  q(e_i) is taken at the
+        unreduced coordinates of e_i, so on a Z/1 factor with odd t it is -1.
+        """
         report = []
         els = self.elements()
-        ns = self.group
-
-        def neg(g):
-            return tuple((-a) % n for a, n in zip(g, ns))
-
-        def add(g, h):
-            return tuple((a + b) % n for a, b, n in zip(g, h, ns))
-
-        def q(g):
-            return self.q_value(g)
-
-        def b(g, h):
-            return q(add(g, h)) / (q(g) * q(h))
-
-        for g in els:
-            if abs(q(g) - q(neg(g))) > 1e-9:
-                report.append(f"q({g}) != q(-{g})")
-        gens = [tuple(1 if j == i else 0 for j in range(len(ns))) for i in range(len(ns))]
-        for g in gens:
-            for h in els:
-                for k in els:
-                    if abs(b(g, add(h, k)) - b(g, h) * b(g, k)) > 1e-9:
-                        report.append(f"b({g}, -) not multiplicative at {h}+{k}")
-                        break
-                else:
-                    continue
-                break
+        x, P = self._grid()
+        # the phase is a scalar 0.0 when the group has no factors
+        q = np.broadcast_to(np.exp(1j * np.pi * self._phase(x, x)), (self.order,))
+        neg = np.argmin(P, axis=1)          # the g' with g + g' = 0
+        for g in np.nonzero(np.abs(q - q[neg]) > 1e-9)[0]:
+            report.append(f"q({els[g]}) != q(-{els[g]})")
+        k = len(self.group)
+        for i in range(k):
+            gen = tuple(1 if j == i else 0 for j in range(k))
+            at = np.ravel_multi_index(tuple(a % n for a, n in zip(gen, self.group)),
+                                      self.group)
+            b = q[P[at]] / (self.q_value(gen) * q)         # b(e_i, h) for every h
+            bad = np.abs(b[P] - b[:, None] * b[None, :]) > 1e-9
+            if bad.any():
+                h, kk = divmod(int(np.argmax(bad)), self.order)
+                report.append(f"b({gen}, -) not multiplicative at {els[h]}+{els[kk]}")
         return report
 
 
@@ -293,15 +303,20 @@ def _is_group_ring(ring):
     return bool((ring.N.sum(axis=2) == 1).all())
 
 
+def _dense_prefix(entries, r, arity, lead):
+    """np.ones((r,) * lead) holding each value at the first ``lead`` of the
+    ``arity`` indices of its key; one fancy assignment."""
+    keys = np.fromiter(itertools.chain.from_iterable(entries), dtype=np.intp,
+                       count=len(entries) * arity).reshape(len(entries), arity)
+    out = np.ones((r,) * lead, dtype=complex)
+    out[tuple(keys[:, :lead].T)] = np.fromiter(entries.values(), dtype=complex,
+                                               count=len(entries))
+    return out
+
+
 def _pointed_tables(cd):
     """Group product table and dense F(a,b,c) array for a pointed category."""
-    ring = cd.ring
-    r = ring.rank
-    P = np.argmax(ring.N, axis=2)
-    FF = np.ones((r, r, r), dtype=complex)
-    for (a, b, c, d, e, f), v in cd.F.entries.items():
-        FF[a, b, c] = v
-    return P, FF
+    return np.argmax(cd.ring.N, axis=2), _dense_prefix(cd.F.entries, cd.ring.rank, 6, 3)
 
 
 def _pentagon_pointed(cd) -> list:
@@ -451,9 +466,7 @@ def _hexagon_pointed(cd, rtab, invert) -> list:
     ring = cd.ring
     r = ring.rank
     P, FF = _pointed_tables(cd)
-    RR = np.ones((r, r), dtype=complex)
-    for (a, b, c), v in cd.R.entries.items():
-        RR[a, b] = v
+    RR = _dense_prefix(cd.R.entries, r, 3, 2)
     if invert:
         RR = 1.0 / RR.T
     a, b, c = np.ogrid[:r, :r, :r]
@@ -527,53 +540,45 @@ def pointed_from_quadratic_form(qf: QuadraticForm, name="") -> CategoryData:
     Per cyclic factor Z/n with parameter t the closed forms are
     F(a,b,c) = exp(pi i t a (b + c - ((b+c) mod n)) / n) and
     R(a,b) = exp(pi i t a b / n); cross terms contribute only to R.
+
+    The form is validated first.  Labels are the elements in
+    ``qf.elements()`` order; the product table, duals, F and R come from
+    coordinate arrays over that grid.  F is filled one a-slab of (b, c) at a
+    time, in (a, b, c) order, so no (rank - 1)^3 array of keys or values is
+    ever held.
     """
     bad = qf.validate()
     if bad:
         raise StructuralError("quadratic form invalid: " + "; ".join(bad[:3]))
     ns = qf.group
-    els = qf.elements()
-    index = {g: i for i, g in enumerate(els)}
-    rank = len(els)
-
-    def add(g, h):
-        return tuple((x + y) % n for x, y, n in zip(g, h, ns))
-
-    def neg(g):
-        return tuple((-x) % n for x, n in zip(g, ns))
-
-    labels = tuple(".".join(str(x) for x in g) if len(ns) > 1 else str(g[0]) for g in els)
-    dual = tuple(index[neg(g)] for g in els)
+    rank = qf.order
+    x, P = qf._grid()
+    labels = tuple(".".join(str(a) for a in g) if len(ns) > 1 else str(g[0])
+                   for g in qf.elements())
+    dual = tuple(np.argmin(P, axis=1).tolist())
     N = np.zeros((rank, rank, rank), dtype=np.int64)
-    for g in els:
-        for h in els:
-            N[index[g], index[h], index[add(g, h)]] = 1
+    N[np.arange(rank)[:, None], np.arange(rank)[None, :], P] = 1
     ring = FusionRing(rank=rank, labels=labels, dual=dual, N=N)
 
-    def fscalar(g, h, k):
+    # carry[i, b, c] = x_i(b) + x_i(c) - ((x_i(b) + x_i(c)) mod n_i), on b, c >= 1
+    s = x[:, 1:, None] + x[:, None, 1:]
+    carry = (s - s % np.array(ns).reshape(-1, 1, 1)).reshape(len(ns), -1)
+    b, c = (v.ravel() for v in np.indices((rank - 1, rank - 1)) + 1)
+    bs, cs, fs = b.tolist(), c.tolist(), P[b, c].tolist()
+    F = FSymbolSet({})     # filled in place: no second copy of the largest dict
+    for a in range(1, rank):
+        e = P[a, b]
         phase = 0.0
         for i, n in enumerate(ns):
-            carry = h[i] + k[i] - ((h[i] + k[i]) % n)
-            phase += qf.t[i] * g[i] * carry / n
-        return cmath.exp(1j * math.pi * phase)
-
-    F_entries = {}
-    for g in els:
-        for h in els:
-            for k in els:
-                if index[g] == 0 or index[h] == 0 or index[k] == 0:
-                    continue
-                a, b, c = index[g], index[h], index[k]
-                e = index[add(g, h)]
-                f = index[add(h, k)]
-                d = index[add(add(g, h), k)]
-                F_entries[(a, b, c, d, e, f)] = fscalar(g, h, k)
-    R_entries = {}
-    for g in els:
-        for h in els:
-            R_entries[(index[g], index[h], index[add(g, h)])] = qf.r_value(g, h)
-    return _finish(ring, F_entries, R_entries, name=name or f"pointed{list(ns)}",
-                   quadratic_form=qf)
+            phase = phase + qf.t[i] * int(x[i, a]) * carry[i] / n
+        F.entries.update(zip(
+            zip(itertools.repeat(a), bs, cs, P[e, c].tolist(), e.tolist(), fs),
+            np.exp(1j * np.pi * phase).tolist()))
+    R = np.exp(1j * np.pi * qf._phase(x[:, :, None], x[:, None, :]))
+    g_col, h_col = (v.ravel().tolist() for v in np.indices((rank, rank)))
+    R_entries = zip(zip(g_col, h_col, P.ravel().tolist()), R.ravel().tolist())
+    return CategoryData(ring=ring, dims=fp_dimensions(ring), F=F, R=RSymbolSet(R_entries),
+                        name=name or f"pointed{list(ns)}", quadratic_form=qf)
 
 
 def kappa_of(cd: CategoryData, g) -> complex:

@@ -699,8 +699,10 @@ def theorem_c_shadow(cd: CategoryData, seed=0) -> dict:
         "iii_trivial_centralizer": bool(checks["trivial_centralizer"]),
     }
     pres, alg, chosen = lagrangian_algebra(cd, center)
-    from .local_modules import condensation_identity_check
-    cond = condensation_identity_check(pres, alg, seed=seed)
+    # lagrangian_algebra has run verify_qsystem and is_commutative on (pres, alg)
+    from .local_modules import _condensation_identity, _require_condensable
+    _require_condensable(pres, alg)
+    cond = _condensation_identity(pres, alg, seed)
     result["iv_lagrangian_condenses_trivially"] = bool(
         cond["passed"] and cond["n_simples"] == 1)
     result["passed"] = all(result[k] for k in (

@@ -340,12 +340,22 @@ def enumerate_local_modules(cd: CategoryData, A: AlgebraObject,
     """
     if not is_connected(A):
         raise PreconditionError("algebra must be connected")
+    _require_commutative_qsystem(cd, A)
+    return _local_modules(cd, A, seed, with_ring)
+
+
+def _require_commutative_qsystem(cd, A):
+    """verify_qsystem and is_commutative, raising PreconditionError."""
     qrep = verify_qsystem(cd, A)
     if not qrep.passed:
         raise PreconditionError(f"algebra fails Q-system axioms: {qrep.residuals}")
     comm, resid = is_commutative(cd, A)
     if not comm:
         raise PreconditionError(f"algebra is not commutative (residual {resid:.3e})")
+
+
+def _local_modules(cd, A, seed=0, with_ring=False) -> CondensedData:
+    """enumerate_local_modules on an A that already passed its checks."""
     dQ = algebra_dim(cd, A)
     bound = dQ * np.sqrt(cd.dims.global_dim) + 1e-6
     found = []
@@ -478,9 +488,23 @@ def condensation_identity_check(cd: CategoryData, A: AlgebraObject, seed=0) -> d
     a Lagrangian algebra (algebra_dim^2 = global_dim) must condense to a
     single simple.
     """
+    _require_condensable(cd, A)
+    _require_commutative_qsystem(cd, A)
+    return _condensation_identity(cd, A, seed)
+
+
+def _require_condensable(cd, A):
+    """The checks of condensation_identity_check besides verify_qsystem and
+    is_commutative."""
     if not is_nondegenerate(cd):
         raise PreconditionError("condensation identities need a nondegenerate braiding")
-    cond = enumerate_local_modules(cd, A, seed=seed)
+    if not is_connected(A):
+        raise PreconditionError("algebra must be connected")
+
+
+def _condensation_identity(cd, A, seed=0) -> dict:
+    """condensation_identity_check on a (cd, A) that already passed its checks."""
+    cond = _local_modules(cd, A, seed)
     total = float(sum(m.fpdim(cd) ** 2 for m in cond.simples))
     D = cd.dims.global_dim
     dQ = algebra_dim(cd, A)

@@ -6,7 +6,9 @@ axiom checking, and a support-enumeration module finder driven by a generic
 nonlinear solver.
 """
 
+import cmath
 import itertools
+import math
 
 import numpy as np
 
@@ -442,3 +444,119 @@ def _admissible(ring):
     for a, b, c, d, e, f in itertools.product(range(ring.rank), repeat=6):
         if ring.N[a, b, e] and ring.N[e, c, d] and ring.N[b, c, f] and ring.N[a, f, d]:
             yield a, b, c, d, e, f
+
+
+def _qf_r_value_by_loops(qf, g, h):
+    """R(g, h) of a quadratic form, one factor and one cross term at a time."""
+    phase = 0.0
+    for i, n in enumerate(qf.group):
+        phase += qf.t[i] * g[i] * h[i] / n
+    for (i, j), cij in qf.cross.items():
+        gcd = math.gcd(qf.group[i], qf.group[j])
+        phase += 2.0 * cij * g[i] * h[j] / gcd
+    return cmath.exp(1j * math.pi * phase)
+
+
+def quadratic_form_validate_by_loops(qf):
+    """QuadraticForm.validate as triple loops over the group: q(g) = q(-g),
+    then b(e_i, h + k) = b(e_i, h) b(e_i, k), first failure per generator."""
+    report = []
+    els = qf.elements()
+    ns = qf.group
+
+    def neg(g):
+        return tuple((-a) % n for a, n in zip(g, ns))
+
+    def add(g, h):
+        return tuple((a + b) % n for a, b, n in zip(g, h, ns))
+
+    qs = {g: _qf_r_value_by_loops(qf, g, g) for g in els}
+
+    def q(g):  # a generator of a Z/1 factor is not reduced, so not in qs
+        return qs[g] if g in qs else _qf_r_value_by_loops(qf, g, g)
+
+    def b(g, h):
+        return q(add(g, h)) / (q(g) * q(h))
+
+    for g in els:
+        if abs(q(g) - q(neg(g))) > 1e-9:
+            report.append(f"q({g}) != q(-{g})")
+    gens = [tuple(1 if j == i else 0 for j in range(len(ns))) for i in range(len(ns))]
+    for g in gens:
+        bg = {h: b(g, h) for h in els}
+        for h in els:
+            for k in els:
+                if abs(bg[add(h, k)] - bg[h] * bg[k]) > 1e-9:
+                    report.append(f"b({g}, -) not multiplicative at {h}+{k}")
+                    break
+            else:
+                continue
+            break
+    return report
+
+
+def pointed_from_quadratic_form_by_loops(qf, name=""):
+    """pointed_from_quadratic_form with every table built by loops over the
+    group: N, labels and dual per element, F per triple, R per pair."""
+    from tensorcat.category_data import CategoryData, FSymbolSet, RSymbolSet
+    from tensorcat.errors import StructuralError
+    from tensorcat.fusion_ring import FusionRing, fp_dimensions
+
+    bad = quadratic_form_validate_by_loops(qf)
+    if bad:
+        raise StructuralError("quadratic form invalid: " + "; ".join(bad[:3]))
+    ns = qf.group
+    els = qf.elements()
+    index = {g: i for i, g in enumerate(els)}
+    rank = len(els)
+
+    def add(g, h):
+        return tuple((x + y) % n for x, y, n in zip(g, h, ns))
+
+    def neg(g):
+        return tuple((-x) % n for x, n in zip(g, ns))
+
+    labels = tuple(".".join(str(x) for x in g) if len(ns) > 1 else str(g[0]) for g in els)
+    dual = tuple(index[neg(g)] for g in els)
+    N = np.zeros((rank, rank, rank), dtype=np.int64)
+    for g in els:
+        for h in els:
+            N[index[g], index[h], index[add(g, h)]] = 1
+    ring = FusionRing(rank=rank, labels=labels, dual=dual, N=N)
+
+    def fscalar(g, h, k):
+        phase = 0.0
+        for i, n in enumerate(ns):
+            carry = h[i] + k[i] - ((h[i] + k[i]) % n)
+            phase += qf.t[i] * g[i] * carry / n
+        return cmath.exp(1j * math.pi * phase)
+
+    F_entries = {}
+    for g in els[1:]:
+        for h in els[1:]:
+            gh = add(g, h)
+            for k in els[1:]:
+                a, b, c = index[g], index[h], index[k]
+                e = index[gh]
+                f = index[add(h, k)]
+                d = index[add(gh, k)]
+                F_entries[(a, b, c, d, e, f)] = fscalar(g, h, k)
+    R_entries = {}
+    for g in els:
+        for h in els:
+            R_entries[(index[g], index[h], index[add(g, h)])] = _qf_r_value_by_loops(qf, g, h)
+    return CategoryData(ring=ring, dims=fp_dimensions(ring), F=FSymbolSet(F_entries),
+                        R=RSymbolSet(R_entries), name=name or f"pointed{list(ns)}",
+                        quadratic_form=qf)
+
+
+def pointed_tables_by_loops(cd):
+    """Product table and dense F(a, b, c) of a pointed category, one F entry
+    at a time."""
+    ring = cd.ring
+    r = ring.rank
+    P = np.argmax(ring.N, axis=2)
+    FF = np.ones((r, r, r), dtype=complex)
+    for (a, b, c, d, e, f), v in cd.F.entries.items():
+        FF[a, b, c] = v
+    return P, FF

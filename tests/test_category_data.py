@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,8 +14,11 @@ from tensorcat.category_data import (QuadraticForm, deligne_product_data, kappa_
 from tensorcat.catalog import catalog_category, catalog_names, vec_zn
 from tensorcat.errors import StructuralError, ValidationFailure
 
+from tensorcat.category_data import _pointed_tables
+
 from oracles import (PHI, deligne_product_data_by_loops, hexagon_by_loops,
-                     pentagon_by_loops)
+                     pentagon_by_loops, pointed_from_quadratic_form_by_loops,
+                     pointed_tables_by_loops, quadratic_form_validate_by_loops)
 
 
 def test_catalog_passes_pentagon_and_hexagon(cats):
@@ -130,6 +134,67 @@ def test_quadratic_form_symmetry_rejected():
     assert qf.validate()
     with pytest.raises(StructuralError):
         pointed_from_quadratic_form(qf)
+
+
+DZ6 = QuadraticForm(group=(6, 6), t=(0, 0), cross={(0, 1): 1})
+
+
+def _all_forms(max_order):
+    """Every (A, t, cross) of the exhaustive test with |A| <= max_order."""
+    for group in _abelian_groups_up_to(max_order):
+        k = len(group)
+        pairs = list(itertools.combinations(range(k), 2))
+        for combo in itertools.product(*[range(2 * n) for n in group],
+                                       *[range(np.gcd(group[i], group[j])) for i, j in pairs]):
+            yield QuadraticForm(group=group, t=combo[:k],
+                                cross={pairs[i]: combo[k + i] for i in range(len(pairs))})
+
+
+def test_pointed_from_quadratic_form_matches_loop_oracle():
+    """Every form of the exhaustive test with |A| <= 8, and D(Z6): the same
+    validation report; for a valid form, equal ring arrays and F and R items
+    equal in value and dict order."""
+    extra = [DZ6, QuadraticForm(group=(3,), t=(1,)), QuadraticForm(group=(1,), t=(1,)),
+             QuadraticForm(group=(5, 2), t=(3, 1)), QuadraticForm(group=(2, 1), t=(1, 3))]
+    n_valid = n_invalid = 0
+    for qf in itertools.chain(_all_forms(8), extra):
+        report = qf.validate()
+        assert report == quadratic_form_validate_by_loops(qf), qf
+        if report:
+            with pytest.raises(StructuralError):
+                pointed_from_quadratic_form(qf)
+            n_invalid += 1
+            continue
+        cd = pointed_from_quadratic_form(qf)
+        ref = pointed_from_quadratic_form_by_loops(qf)
+        assert np.array_equal(cd.ring.N, ref.ring.N), qf
+        assert cd.ring.labels == ref.ring.labels and cd.ring.dual == ref.ring.dual, qf
+        assert list(cd.F.entries.items()) == list(ref.F.entries.items()), qf
+        assert list(cd.R.entries.items()) == list(ref.R.entries.items()), qf
+        assert cd.name == ref.name and cd.quadratic_form == qf
+        n_valid += 1
+    assert n_valid > 600 and n_invalid > 30
+
+
+@pytest.mark.parametrize("qf", [DZ6, QuadraticForm(group=(4, 4), t=(1, 3), cross={(0, 1): 2}),
+                                QuadraticForm(group=(1,), t=(0,))],
+                         ids=["D(Z6)", "Z4xZ4", "Z1"])
+def test_pointed_tables_match_loop_oracle(qf):
+    cd = pointed_from_quadratic_form(qf)
+    for got, want in zip(_pointed_tables(cd), pointed_tables_by_loops(cd)):
+        assert np.array_equal(got, want)
+
+
+def test_pointed_from_quadratic_form_peak_memory():
+    """The per-slab build allocates no more at its peak than the loops."""
+    peaks = []
+    for build in (pointed_from_quadratic_form, pointed_from_quadratic_form_by_loops):
+        tracemalloc.start()
+        cd = build(DZ6)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        del cd
+    assert peaks[0] <= peaks[1], peaks
 
 
 def test_kappa_semion(semion_cat):

@@ -336,6 +336,25 @@ def test_theorem_c_shadow_extended():
         assert res["passed"], (name, res)
 
 
+@pytest.mark.parametrize("make", [lambda: catalog_category("fibonacci"), lambda: vec_zn(6, 0)],
+                         ids=["fibonacci", "vec_zn(6,0)"])
+def test_theorem_c_shadow_verifies_the_lagrangian_once(make, monkeypatch):
+    import tensorcat.algebra
+    import tensorcat.center_tube
+    import tensorcat.local_modules
+
+    calls = []
+
+    def counted(cd, A):
+        calls.append(A)
+        return verify_qsystem(cd, A)
+
+    for module in (tensorcat.algebra, tensorcat.center_tube, tensorcat.local_modules):
+        monkeypatch.setattr(module, "verify_qsystem", counted)
+    assert theorem_c_shadow(make(), seed=0)["passed"]
+    assert len(calls) == 1
+
+
 def test_condensed_center_braiding_trivial(centers):
     """The condensed theory of the canonical Lagrangian is trivial: its
     unique simple has unit double-braiding trace."""
