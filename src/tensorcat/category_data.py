@@ -42,15 +42,26 @@ __all__ = [
 ]
 
 
-class FSymbolSet:
+class _SymbolSet:
+    """A dict of symbol entries, copied from what the constructor is given."""
+
+    def __init__(self, entries):
+        self.entries = dict(entries)
+
+    @classmethod
+    def _adopt(cls, entries: dict):
+        """Wrap a dict that no caller keeps, without the constructor's copy."""
+        out = cls.__new__(cls)
+        out.entries = entries
+        return out
+
+
+class FSymbolSet(_SymbolSet):
     """Associator entries (a,b,c,d,e,f) -> complex on admissible tuples.
 
     A tuple is admissible when N^e_{ab} = N^d_{ec} = N^f_{bc} = N^d_{af} = 1.
     Entries with a unit leg are not stored; ``value`` returns 1 for them.
     """
-
-    def __init__(self, entries):
-        self.entries = dict(entries)
 
     def value(self, a, b, c, d, e, f):
         if a == 0 or b == 0 or c == 0:
@@ -70,11 +81,8 @@ class FSymbolSet:
         return es, fs, mat
 
 
-class RSymbolSet:
+class RSymbolSet(_SymbolSet):
     """Braiding scalars (a,b,c) -> R^{ab}_c on channels with N^c_{ab} = 1."""
-
-    def __init__(self, entries):
-        self.entries = dict(entries)
 
     def value(self, a, b, c):
         if a == 0 or b == 0:
@@ -529,8 +537,9 @@ def validate_category(cd: CategoryData) -> list:
 
 
 def _finish(ring, F_entries, R_entries, tolerance=1e-9, name="", quadratic_form=None):
-    return CategoryData(ring=ring, dims=fp_dimensions(ring), F=FSymbolSet(F_entries),
-                        R=RSymbolSet(R_entries) if R_entries is not None else None,
+    """The CategoryData of freshly built entry dicts, which it keeps uncopied."""
+    return CategoryData(ring=ring, dims=fp_dimensions(ring), F=FSymbolSet._adopt(F_entries),
+                        R=RSymbolSet._adopt(R_entries) if R_entries is not None else None,
                         tolerance=tolerance, name=name, quadratic_form=quadratic_form)
 
 
@@ -600,7 +609,7 @@ def reverse_braiding(cd: CategoryData) -> CategoryData:
     entries = {}
     for (a, b, c), v in cd.R.entries.items():
         entries[(a, b, c)] = np.conj(cd.R.entries[(b, a, c)])
-    return CategoryData(ring=cd.ring, dims=cd.dims, F=cd.F, R=RSymbolSet(entries),
+    return CategoryData(ring=cd.ring, dims=cd.dims, F=cd.F, R=RSymbolSet._adopt(entries),
                         tolerance=cd.tolerance,
                         name=f"rev({cd.name})" if cd.name else "")
 
@@ -777,8 +786,8 @@ def load_category(path, validate=True, tolerance=None) -> CategoryData:
             if not ring.N[a, b, c]:
                 raise StructuralError(f"R entry on inadmissible channel ({a},{b},{c})")
             R_entries[(a, b, c)] = _decode_value(v)
-    cd = CategoryData(ring=ring, dims=dims, F=FSymbolSet(F_entries),
-                      R=RSymbolSet(R_entries) if R_entries is not None else None,
+    cd = CategoryData(ring=ring, dims=dims, F=FSymbolSet._adopt(F_entries),
+                      R=RSymbolSet._adopt(R_entries) if R_entries is not None else None,
                       tolerance=tol, deferred_validation=not validate)
     if validate:
         report = validate_category(cd)

@@ -9,15 +9,18 @@ resulting structure constants are verified associative and C* by the tests.
 
 Structure constants are dense arrays: product[i, j, k] is the coefficient of
 t_k in t_i * t_j (48 MB at dimension n = 144) and star[i, k] that of t_k in
-t_i^*, so products, stars and the left and right regular actions are array
-contractions.  The center is the null space of the n^2 x n commutator stack,
-read off an economy SVD, so no step allocates more than O(n^3).
+t_i^*, so products, stars and the left regular action are array contractions.
 
-Blocks of the algebra correspond to the simple objects of the center: each
-carries a multiplicity vector over Irr(C), half-braiding component matrices
-(extracted from the block representation by a linear solve and verified
-against the composite-channel axioms), a twist, and a quantum dimension.
-The S and T matrices of the center are computed from the half-braidings.
+t_(x,a,e,y) maps the sector x to y, and the center lives in the diagonal
+corners p_x Tube p_x (Izumi 2000, Mueger 2003), which are small: at most 16
+of the 144 basis elements of ising (x) ising.  Each minimal central
+idempotent of a corner is p_Z p_x for a simple Z of the center, and cuts out
+m_x(Z) x m_x(Z) matrices; a minimal projection q under it spans one copy of
+Z's irreducible module, the left ideal Tube q.  From that module come the
+multiplicity vector over Irr(C), the half-braiding components (a linear
+solve against diagram values tabulated once per tube, checked against the
+composite-channel axioms by half_braiding_check), the dimension, and the
+traces that S and T contract.
 
 Conventions: the half-braiding sigma_{c,z}: c (x) z -> z (x) c carries the
 strand of the ambient category over the center object's strand; the braiding
@@ -35,9 +38,8 @@ from .algebra import (_conjugate_vertex_algebra, algebra_dim, group_algebra,
 from .category_data import (CategoryData, QuadraticForm, deligne_product_data,
                             pointed_from_quadratic_form, reverse_braiding)
 from .braided_analysis import is_nondegenerate
-from .diagram_eval import (MorphismValue, cap_morphism, categorical_trace,
-                           compose_values, cup_morphism, dagger_value,
-                           insert, path_vector, paths)
+from .diagram_eval import (MorphismValue, cap_morphism, compose_values, cup_morphism,
+                           dagger_value, insert, path_vector, paths)
 from .errors import PreconditionError, StructuralError
 
 __all__ = [
@@ -83,6 +85,12 @@ class TubeAlgebra:
             if a == 0 and x == y:
                 tau[i] = d[x]
         return tau
+
+    def trace_weights(self):
+        """w_i = tau(t_i^* t_i): the trace form tau(u^* v) is diagonal on the
+        basis, with these positive weights."""
+        return np.einsum("ik,ki->i", self.star,
+                         self.product @ self.trace_functional()).real
 
 
 @dataclass
@@ -223,7 +231,7 @@ def build_tube_algebra(cd: CategoryData) -> TubeAlgebra:
 
 
 def _central_elements(tube: TubeAlgebra):
-    """Basis of the center of the tube algebra (nullspace of ad)."""
+    """Basis of the center of a tube algebra or corner (nullspace of ad)."""
     n = tube.dim
     C = tube.product
     # row (j, k), column i: (t_i t_j - t_j t_i)_k, so big @ z = 0 iff z is central
@@ -274,170 +282,152 @@ def _minimal_idempotents(tube: TubeAlgebra, seed):
         f"(smallest eigenvalue gap {min_gap:.2e})")
 
 
-def _block_representation(tube: TubeAlgebra, p, seed):
-    """One irreducible module of the block cut out by the idempotent p.
+def _corner_module(tube: TubeAlgebra, x, e, m, weights, rng):
+    """The irreducible module Tube q of a minimal projection q <= e, for a
+    minimal central idempotent e of the corner p_x Tube p_x with block m x m.
 
-    Returns (basis, pi, nk): the n x nk module basis, and pi[i] the nk x nk
-    matrix of t_i on it.
+    q = e when m = 1, else a spectral projection of a random hermitian
+    element of the corner (the only use of rng).  The t_j q with t_j leaving
+    x span Tube q; a pivoted Gram-Schmidt in the trace inner product, which
+    is diagonal on the basis with the given weights, makes an orthonormal
+    basis of it, sector by sector, on which the left action is unitary.
+
+    Returns (copies, pi): copies[c] = (y, j) labels basis vector c, the j-th
+    in sector y, sectors ascending; pi[k] is the matrix of t_k on the module.
     """
-    n = tube.dim
-    C = tube.product
-    u, s, vh = np.linalg.svd(np.tensordot(p, C, 1).T)  # left multiplication by p
-    rank = int(np.sum(s > 1e-8 * s[0]))
-    nk = int(round(np.sqrt(rank)))
-    if nk * nk != rank:
-        raise StructuralError(f"block rank {rank} is not a perfect square")
-    Scols = u[:, :rank]  # ONB of the left ideal p * Tube
-    # right multiplication by a random element commutes with the left action
-    rng = np.random.default_rng((seed, 2))
-    attempts = 6
-    no_group = 0
-    min_dev = np.inf
+    source, target = np.array(tube.basis)[:, [0, 3]].T
+    J = np.flatnonzero(source == x)         # coordinates of Tube p_x
+    L = tube.product[:, J[:, None], J]      # L[k, i, l]: t_{J_l} in t_k t_{J_i}
+    q = _minimal_corner_projection(L[J], tube.star[J[:, None], J], e[J], m, rng)
+    sw = np.sqrt(weights[J])
+    rows = np.tensordot(L[J], q, axes=(1, 0)) * sw   # row j: t_{J_j} q, tau-scaled
+    tol = 1e-8 * np.max(np.abs(rows))
+    picked = []
+    for _ in J:
+        norms = np.sqrt(np.sum(np.abs(rows) ** 2, axis=1))
+        if norms.max() <= tol:
+            break
+        # the first row of largest norm, ties within 1e-6 included, so that the
+        # choice and with it the copy's phase do not follow rounding
+        j = int(np.argmax(norms >= (1 - 1e-6) * norms.max()))
+        v = rows[j] / norms[j]
+        picked.append((int(target[J[j]]), v))
+        rows = rows - np.outer(rows @ v.conj(), v)
+    picked.sort(key=lambda s: s[0])
+    sectors = [y for y, _v in picked]
+    copies = [(y, sectors[:i].count(y)) for i, y in enumerate(sectors)]
+    B = np.array([v for _y, v in picked]).T
+    pi = np.einsum("lC,kil,ic->kCc", (B * sw[:, None]).conj(), L,
+                   B / sw[:, None], optimize=True)
+    rank_q = np.trace(np.tensordot(q, pi[J], 1)).real
+    if abs(rank_q - 1.0) > 1e-6:
+        raise StructuralError(f"the corner projection at x={x} is not minimal: "
+                              f"pi(q) has rank {rank_q:.6g}, not 1")
+    return copies, pi
+
+
+def _minimal_corner_projection(L, star, e, m, rng):
+    """A minimal projection under e = p p_x in the corner e Tube e, which is
+    a full m x m matrix algebra.
+
+    L and star are the structure constants and star of Tube p_x in its own
+    coordinates.  For m > 1 a random hermitian h in the corner has m simple
+    eigenvalues, the roots of its minimal polynomial h^m = sum_k c_k h^k;
+    q is the spectral projection on the largest, prod (h - mu e)/(lam - mu)
+    over the others.  An eigenvalue collision is retried.
+    """
+    if m == 1:
+        return e
+
+    def mul(u, v):
+        return v @ np.tensordot(u, L, 1)
+
+    attempts = 4
+    min_gap = np.inf
     for attempt in range(attempts):
-        r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        right = ((r + tube.star_vector(r)) @ C).T  # v -> v * (r + r*)
-        K = Scols.conj().T @ right @ Scols
-        w_eig, V = np.linalg.eig(K)
-        # group eigenvalues; each group of size nk spans one copy
-        order = np.argsort(w_eig.real + 1e-3 * w_eig.imag)
-        w_eig = w_eig[order]
-        V = V[:, order]
-        groups = []
-        for idx, lam in enumerate(w_eig):
-            if groups and abs(lam - w_eig[groups[-1][-1]]) < 1e-7 * max(1.0, abs(lam)):
-                groups[-1].append(idx)
-            else:
-                groups.append([idx])
-        good = [g for g in groups if len(g) == nk]
-        if not good:
-            no_group += 1
+        r = rng.standard_normal(len(e)) + 1j * rng.standard_normal(len(e))
+        h = mul(e, mul(r, e))
+        h = h + np.conj(h) @ star
+        powers = [e]
+        for _ in range(m):
+            powers.append(mul(h, powers[-1]))
+        c = np.linalg.lstsq(np.array(powers[:-1]).T, powers[-1], rcond=None)[0]
+        lam = np.sort(np.roots(np.r_[1.0, -c[::-1]]).real)
+        gap = float(np.min(np.diff(lam)))
+        min_gap = min(min_gap, gap)
+        if gap < 1e-6 * max(1.0, np.max(np.abs(lam))):
             continue
-        cols = good[0]
-        basis_vecs = Scols @ V[:, cols]  # n x nk: one copy of the simple module
-        # LB[i, c] is t_i times basis vector c; one least-squares solve for all i
-        LB = basis_vecs.T @ C
-        sol = np.linalg.lstsq(basis_vecs, LB.reshape(n * nk, n).T, rcond=None)[0]
-        pi = sol.reshape(nk, n, nk).transpose(1, 0, 2)
-        dev = float(np.max(np.abs(basis_vecs @ pi - LB.transpose(0, 2, 1))))
-        min_dev = min(min_dev, dev)
-        if dev < 1e-7:
-            return basis_vecs, pi, nk
+        q = e
+        for mu in lam[:-1]:
+            q = mul(h - mu * e, q) / (lam[-1] - mu)
+        if np.max(np.abs(mul(q, q) - q)) < 1e-8 * max(1.0, np.max(np.abs(q))):
+            return q
     raise StructuralError(
-        f"failed to isolate an irreducible tube module after {attempts} attempts "
-        f"({no_group} found no {nk}-fold eigenvalue; smallest invariance "
-        f"deviation {min_dev:.2e})")
+        f"corner split failed after {attempts} attempts "
+        f"(smallest eigenvalue gap {min_gap:.2e})")
 
 
-def _unitarize(tube, pi, nk):
-    """Inner product making pi a *-representation: pi(t)^dag G = G pi(t*)."""
-    pi_star = np.tensordot(tube.star, pi, 1)  # pi(t_i^*)
-    eye = np.eye(nk)
-    # constraint pi(t_i)^dag G - G pi(t_i*) = 0; row-major vectorization:
-    # vec(A G) = (A kron I) vec(G), vec(G B) = (I kron B^T) vec(G)
-    big = (np.einsum("ica,bd->iabcd", pi.conj(), eye)
-           - np.einsum("ac,idb->iabcd", eye, pi_star)).reshape(-1, nk * nk)
-    _u, s, vh = np.linalg.svd(big, full_matrices=False)
-    null = vh[s < 1e-8 * max(1.0, s[0])].conj().T
-    if null.shape[1] == 0:
-        raise StructuralError("no invariant inner product found for tube module")
-    G = null[:, 0].reshape(nk, nk)
-    G = (G + G.conj().T) / 2
-    w, V = np.linalg.eigh(G)
-    if np.all(w < 0):
-        G, w = -G, -w
-    if np.any(w < 1e-10):
-        raise StructuralError("invariant form is not definite")
-    B = np.linalg.cholesky(G).conj().T
-    out = B @ pi @ np.linalg.inv(B)
-    dev = float(np.max(np.abs(np.tensordot(tube.star, out, 1)
-                              - out.conj().transpose(0, 2, 1))))
-    if dev > 1e-7:
-        raise StructuralError(f"unitarization failed (star deviation {dev:.2e})")
-    return out
+def _half_braiding_table(tube: TubeAlgebra) -> dict:
+    """(x, a, y) -> (tube indices ks, channels cs, W), one entry per tube.
 
-
-def _half_braiding_from_block(cd, tube, pi, nk):
-    """Copies, multiplicity vector, and half-braiding components of a block."""
+    For a half-braiding with a-components sigma_c: a (x) x -> y (x) a, the
+    coefficient of t_(x,a,e,y) in a module is sum_c W[e, c] sigma_c; W
+    closes sigma_c against the basis tree with a cap, so it depends on the
+    category only and is evaluated once for all blocks.
+    """
+    cd = tube.cd
     ring = cd.ring
-    n = tube.dim
-    # orthonormal bases of the x-isotypic pieces H_x = pi(1_x) V
-    proj = {}
-    for i, (x, a, e, y) in enumerate(tube.basis):
-        if a == 0 and x == y:
-            proj[x] = pi[i]
-    copies = []
-    frames = {}
-    for x in sorted(proj):
-        P = proj[x]
-        w, V = np.linalg.eigh((P + P.conj().T) / 2)
-        cols = V[:, w > 0.5]
-        if cols.shape[1]:
-            frames[x] = cols
-            copies += [(x, m) for m in range(cols.shape[1])]
-    mult = np.zeros(ring.rank, dtype=np.int64)
-    for x, cols in frames.items():
-        mult[x] = cols.shape[1]
+    groups = {}
+    for k, (x, a, e, y) in enumerate(tube.basis):
+        groups.setdefault((x, a, y), []).append(k)
+    table = {}
+    for (x, a, y), ks in groups.items():
+        cap = insert(cd, (y,), cap_morphism(cd, a), ())
+        cs = [c for c in ring.channels(a, x) if ring.N[y, a, c]]
+        # (id_y (x) cap_a)(sigma_c (x) id_ab): [a, x, ab] -> [y]
+        closed = []
+        for c in cs:
+            sg = MorphismValue(source=(a, x), target=(y, a), blocks={c: np.ones((1, 1), complex)})
+            closed.append(compose_values(cd, cap, insert(cd, (), sg, (ring.dual[a],))))
+        W = np.zeros((len(ks), len(cs)), dtype=complex)
+        for ti, k in enumerate(ks):
+            td = dagger_value(_tube_vector(cd, *tube.basis[k]))   # [y] -> [a, x, ab]
+            for ci, mv in enumerate(closed):
+                blk = compose_values(cd, mv, td).block(ring, y)
+                W[ti, ci] = blk[0, 0] if blk.size else 0.0
+        table[(x, a, y)] = (ks, cs, W)
+    return table
 
-    half = {}
-    for a in range(ring.rank):
-        ab = ring.dual[a]
-        comp = {}
-        # solve sum_c W[e, c] sigma_c = pi-elements for each copy pair
-        for (x, mx) in copies:
-            for (y, my) in copies:
-                cs = [c for c in ring.channels(a, x) if ring.N[y, a, c]]
-                if not cs:
-                    continue
-                tubes = [(x, a, e, y) for e in ring.channels(a, x)
-                         if ring.N[e, ab, y]]
-                if not tubes:
-                    continue
-                W = np.zeros((len(tubes), len(cs)), dtype=complex)
-                rhs = np.zeros(len(tubes), dtype=complex)
-                for ti, quad in enumerate(tubes):
-                    tv = _tube_vector(cd, *quad)
-                    td = dagger_value(tv)                     # [y] -> [a, x, ab]
-                    for ci, c in enumerate(cs):
-                        sg = MorphismValue(source=(a, x), target=(y, a),
-                                           blocks={c: np.array([[1.0 + 0j]])})
-                        step = insert(cd, (), sg, (ab,))       # [a,x,ab] -> [y,a,ab]
-                        capa = insert(cd, (y,), cap_morphism(cd, a), ())
-                        mv = compose_values(cd, capa, compose_values(cd, step, td))
-                        blk = mv.block(ring, y)
-                        W[ti, ci] = blk[0, 0] if blk.size else 0.0
-                    k = tube.basis.index(quad)
-                    mat = pi[k]
-                    rhs[ti] = (frames[y][:, my].conj() @ mat @ frames[x][:, mx])
-                sigma, *_ = np.linalg.lstsq(W, rhs, rcond=None)
-                # the tube inner product weights the x-sector by d_x relative
-                # to the categorical tree normalization
-                w = np.sqrt(cd.dims.dims[x] / cd.dims.dims[y])
-                for ci, c in enumerate(cs):
-                    comp.setdefault(c, {})[((y, my), (x, mx))] = sigma[ci] * w
-        half[a] = comp
 
-    # per-a rescale to unitarity (fixes the positive normalization freedom)
-    for a in range(ring.rank):
-        comp = half[a]
-        scales = []
-        for c in comp:
-            rows = sorted({yy for (yy, xx) in comp[c]})
-            colsl = sorted({xx for (yy, xx) in comp[c]})
-            M = np.array([[comp[c].get((yy, xx), 0.0) for xx in colsl] for yy in rows])
-            if M.size:
-                g = M.conj().T @ M
-                scales.append(np.sqrt(np.trace(g).real / g.shape[0]))
-        if not scales:
+def _half_braiding(cd, table, copies, pi):
+    """Half-braiding components of a module, a -> {c: {(copy_out, copy_in): v}},
+    and their traces D[a, c, x] = sum_m sigma_a(c; (x, m), (x, m)).
+
+    One least-squares solve W sigma = pi(t_(x,a,.,y)) per (x, a, y) in the
+    module's support, every copy pair a right-hand side.  pi is unitary in a
+    trace-orthonormal basis, so the components come out unitary as solved.
+    """
+    d = cd.dims.dims
+    rank = cd.ring.rank
+    at = {}
+    for i, (x, _m) in enumerate(copies):
+        at.setdefault(x, []).append(i)
+    half = {a: {} for a in range(rank)}
+    D = np.zeros((rank, rank, rank), dtype=complex)
+    for (x, a, y), (ks, cs, W) in table.items():
+        if x not in at or y not in at:
             continue
-        s0 = float(np.mean(scales))
-        if abs(s0) < 1e-12:
-            raise StructuralError("vanishing half-braiding block")
-        if max(abs(s - s0) for s in scales) > 1e-6 * max(1.0, s0):
-            raise StructuralError("inconsistent half-braiding normalization")
-        for c in comp:
-            for key in comp[c]:
-                comp[c][key] /= s0
-    return copies, mult, half
+        rhs = pi[np.ix_(ks, at[y], at[x])].reshape(len(ks), -1)
+        sigma = np.linalg.lstsq(W, rhs, rcond=None)[0]
+        # the tube inner product weights sector x by d_x against the tree normalization
+        sigma = sigma.reshape(len(cs), len(at[y]), len(at[x])) * np.sqrt(d[x] / d[y])
+        if x == y:
+            D[a, cs, x] = np.einsum("cmm->c", sigma)
+        for c, s in zip(cs, sigma):
+            half[a].setdefault(c, {}).update(
+                ((copies[i], copies[j]), s[u, v])
+                for u, i in enumerate(at[y]) for v, j in enumerate(at[x]))
+    return half, D
 
 
 def _sigma_generator(cd, z: CenterObject, a, copy_out, copy_in) -> MorphismValue:
@@ -511,73 +501,81 @@ def half_braiding_check(cd: CategoryData, z: CenterObject) -> list:
     return report
 
 
-def _is_unit_object(cd, z: CenterObject) -> bool:
-    """The tensor unit of the center: unit underlying and trivial half-braiding."""
-    if abs(z.dim - 1.0) > 1e-8 or z.underlying[0] != 1:
-        return False
-    for a, comp in z.half_braiding.items():
-        for c, table in comp.items():
-            for (out_c, in_c), v in table.items():
-                want = 1.0 if out_c == in_c else 0.0
-                if abs(v - want) > 1e-6:
-                    return False
-    return True
-
-
-def _center_twist(cd, z: CenterObject) -> complex:
-    total = 0.0 + 0.0j
-    for copy in z.copies:
-        sg = _sigma_generator(cd, z, copy[0], copy, copy)
-        if sg.blocks:
-            total += categorical_trace(cd, MorphismValue(
-                source=sg.source, target=sg.source, blocks=sg.blocks))
-    return complex(total / z.dim)
-
-
-def _center_s_entry(cd, z: CenterObject, w: CenterObject) -> complex:
-    ring = cd.ring
-    total = 0.0 + 0.0j
-    for cz in z.copies:
-        for cw in w.copies:
-            x, xp = cz[0], cw[0]
-            a1 = _sigma_generator(cd, w, x, cw, cw)     # [x, xp] -> [xp, x]
-            a2 = _sigma_generator(cd, z, xp, cz, cz)    # [xp, x] -> [x, xp]
-            if not a1.blocks or not a2.blocks:
-                continue
-            total += categorical_trace(cd, compose_values(cd, a2, a1))
-    return complex(total)
-
-
 def decompose_center(tube: TubeAlgebra, seed=0) -> CenterData:
     """Simple center objects with dims, twists, half-braidings, S and T.
 
-    Deterministic given the seed; the reported (underlying, dim, twist)
-    data is seed-independent, and simples are ordered canonically by
-    (dim, twist angle, multiplicity vector).
+    One simple per block of the tube algebra, built in the corner where its
+    multiplicity is smallest (the first such x).  With D[z, a, c, x] the
+    traces of the half-braidings (see _half_braiding), S[z, w] is the sum of
+    d_c D[z, p, c, x] D[w, x, c, p] and theta_z that of d_c D[z, x, c, x],
+    over dim z.  Simples are ordered by (dim, twist angle, multiplicity
+    vector), the unit first.
+
+    The seed drives the random central element that splits each corner and,
+    for a simple whose multiplicities all exceed 1, the split of its corner.
+    Dims, twists, underlying multiplicities and S do not depend on it, up to
+    the order of simples that agree in all three.  Nor do the copies and
+    half-braidings of a simple with some multiplicity 1; otherwise they are
+    fixed up to a seed-dependent unitary change of copy basis.
     """
     cd = tube.cd
     d = cd.dims.dims
-    idems = _minimal_idempotents(tube, seed)
-    simples = []
-    for p in idems:
-        vecs, pi, nk = _block_representation(tube, p, seed)
-        pi = _unitarize(tube, pi, nk)
-        copies, mult, half = _half_braiding_from_block(cd, tube, pi, nk)
-        dim = float(sum(d[x] * m for x, m in enumerate(mult)))
-        z = CenterObject(underlying=mult, half_braiding=half, copies=copies,
-                         twist=1.0, dim=dim)
-        z.twist = _center_twist(cd, z)
-        simples.append(z)
-    simples.sort(key=lambda z: (not _is_unit_object(cd, z), round(z.dim, 9),
-                                round(float(np.angle(z.twist)), 9),
-                                tuple(z.underlying)))
-    r = len(simples)
-    S = np.zeros((r, r), dtype=complex)
-    for i in range(r):
-        for j in range(r):
-            S[i, j] = _center_s_entry(cd, simples[i], simples[j])
-    T = np.diag([z.twist for z in simples])
-    return CenterData(simples=simples, S=S, T=T, cd=cd)
+    rank = cd.ring.rank
+    source, target = np.array(tube.basis)[:, [0, 3]].T
+    corners = []   # (m, x, e): e = p_Z p_x for each block Z of each diagonal corner
+    for x in range(rank):
+        D = np.flatnonzero((source == x) & (target == x))
+        sub = TubeAlgebra(basis=[tube.basis[i] for i in D], cd=cd,
+                          product=tube.product[np.ix_(D, D, D)],
+                          star=tube.star[np.ix_(D, D)])
+        for f in _minimal_idempotents(sub, seed):
+            # the block f sub is m x m matrices: m^2 is the trace of f acting on sub
+            m = int(np.rint(np.sqrt(abs(np.einsum("j,jii->", f, sub.product)))))
+            e = np.zeros(tube.dim, dtype=complex)
+            e[D] = f
+            corners.append((m, x, e))
+    corners.sort(key=lambda c: c[:2])
+    E = np.array([e for _m, _x, e in corners])
+    unclaimed = np.ones(len(corners), dtype=bool)
+    table = _half_braiding_table(tube)
+    weights = tube.trace_weights()
+    rng = np.random.default_rng((seed, 2))
+    simples, traces = [], []
+    for i, (m, x, e) in enumerate(corners):
+        if not unclaimed[i]:
+            continue
+        copies, pi = _corner_module(tube, x, e, m, weights, rng)
+        # tr pi(e') is the multiplicity of Z at y for its corner e' at y, else 0
+        unclaimed &= (E @ np.einsum("kcc->k", pi)).real < 0.5
+        half, D = _half_braiding(cd, table, copies, pi)
+        mult = np.bincount([y for y, _j in copies], minlength=rank)
+        simples.append(CenterObject(underlying=mult, half_braiding=half, copies=copies,
+                                    twist=1.0, dim=float(d @ mult)))
+        traces.append(D)
+    if sum(len(z.copies) ** 2 for z in simples) != tube.dim:
+        raise StructuralError("the corner modules do not exhaust the tube algebra")
+    D = np.array(traces)
+    twists = np.einsum("zxcx,c->z", D, d) / np.array([z.dim for z in simples])
+    if np.max(np.abs(np.abs(twists) - 1.0)) > 1e-6:
+        raise StructuralError("half-braidings are not unitary: a twist is off the unit circle")
+    labels = np.arange(rank)
+
+    def sort_key(i):
+        z = simples[i]
+        # the unit: underlying object 1 and sigma_a = 1 on channel a for every a
+        unit = (z.underlying[0] == z.underlying.sum() == 1
+                and np.allclose(D[i, labels, labels, 0], 1))
+        # rounded without signed zeros, so a twist of -1 always sorts at angle pi
+        t = complex(round(twists[i].real, 9) + 0.0, round(twists[i].imag, 9) + 0.0)
+        return (not unit, round(z.dim, 9), float(np.angle(t)), tuple(z.underlying))
+
+    order = sorted(range(len(simples)), key=sort_key)
+    for z, t in zip(simples, twists):
+        z.twist = complex(t)
+    D = D[order]
+    S = np.einsum("zpcx,wxcp,c->zw", D, D, d)
+    return CenterData(simples=[simples[i] for i in order], S=S,
+                      T=np.diag(twists[order]), cd=cd)
 
 
 def center_global_checks(center: CenterData) -> dict:

@@ -336,6 +336,68 @@ def tube_product_by_pairs(cd):
     return product
 
 
+def half_braiding_W_by_entries(cd, x, a, y):
+    """W[e, c] of one (x, a, y) of the tube, one diagram per entry: the
+    cap-closed sigma_c (x) id composed with the dagger of t_(x,a,e,y).
+
+    Rows follow e in channels(a, x) with N^y_{e, dual a}, columns c in
+    channels(a, x) with N^c_{y a}, as in center_tube's table.
+    """
+    from tensorcat.center_tube import _tube_vector
+    from tensorcat.diagram_eval import (MorphismValue, cap_morphism, compose_values,
+                                        dagger_value, insert)
+
+    ring = cd.ring
+    ab = ring.dual[a]
+    es = [e for e in ring.channels(a, x) if ring.N[e, ab, y]]
+    cs = [c for c in ring.channels(a, x) if ring.N[y, a, c]]
+    W = np.zeros((len(es), len(cs)), dtype=complex)
+    for ti, e in enumerate(es):
+        td = dagger_value(_tube_vector(cd, x, a, e, y))          # [y] -> [a, x, ab]
+        for ci, c in enumerate(cs):
+            sg = MorphismValue(source=(a, x), target=(y, a),
+                               blocks={c: np.array([[1.0 + 0j]])})
+            step = insert(cd, (), sg, (ab,))                      # [a,x,ab] -> [y,a,ab]
+            capa = insert(cd, (y,), cap_morphism(cd, a), ())
+            blk = compose_values(cd, capa, compose_values(cd, step, td)).block(ring, y)
+            W[ti, ci] = blk[0, 0] if blk.size else 0.0
+    return W
+
+
+def center_twist_by_traces(cd, z):
+    """theta_z = sum over copies (x, m) of the categorical trace of
+    sigma_x((x, m), (x, m)), divided by dim z."""
+    from tensorcat.center_tube import _sigma_generator
+    from tensorcat.diagram_eval import MorphismValue, categorical_trace
+
+    total = 0.0 + 0.0j
+    for copy in z.copies:
+        sg = _sigma_generator(cd, z, copy[0], copy, copy)
+        if sg.blocks:
+            total += categorical_trace(cd, MorphismValue(
+                source=sg.source, target=sg.source, blocks=sg.blocks))
+    return complex(total / z.dim)
+
+
+def center_s_by_traces(cd, simples):
+    """S[z, w]: for every copy of z in sector x and of w in sector x', the
+    categorical trace of sigma^z_{x'} composed with sigma^w_x."""
+    from tensorcat.center_tube import _sigma_generator
+    from tensorcat.diagram_eval import categorical_trace, compose_values
+
+    r = len(simples)
+    S = np.zeros((r, r), dtype=complex)
+    for i, z in enumerate(simples):
+        for j, w in enumerate(simples):
+            for cz in z.copies:
+                for cw in w.copies:
+                    a1 = _sigma_generator(cd, w, cz[0], cw, cw)   # [x, x'] -> [x', x]
+                    a2 = _sigma_generator(cd, z, cw[0], cz, cz)   # [x', x] -> [x, x']
+                    if a1.blocks and a2.blocks:
+                        S[i, j] += categorical_trace(cd, compose_values(cd, a2, a1))
+    return S
+
+
 def algebras_gauge_equivalent(A1, A2, tol=1e-8):
     """Equality of two algebras on one object up to a diagonal gauge.
 

@@ -294,6 +294,24 @@ def test_deligne_product_data_matches_loop_oracle(fib, ising_cat, toric):
         assert p.R.entries == R
 
 
+def test_deligne_product_keeps_its_fresh_dicts(ising_cat):
+    """deligne_product_data hands its F and R dicts to the symbol sets
+    uncopied: building ising (x) ising peaks less than one F dict table above
+    what it keeps, where a copy adds one.  The public constructor still copies."""
+    import sys
+    from tensorcat.category_data import FSymbolSet
+    deligne_product_data(ising_cat, ising_cat)   # fill the factors' caches
+    tracemalloc.start()
+    try:
+        cd = deligne_product_data(ising_cat, ising_cat)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - kept < sys.getsizeof(cd.F.entries), (kept, peak)
+    entries = dict(cd.F.entries)
+    assert FSymbolSet(entries).entries is not entries
+
+
 def test_deligne_with_unit_is_identity(fib):
     unit = vec_zn(1, 0)
     p = deligne_product_data(fib, unit)

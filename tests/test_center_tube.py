@@ -9,7 +9,8 @@ import pytest
 from tensorcat.algebra import (AlgebraObject, algebra_dim, is_commutative,
                                solve_support_algebra, verify_qsystem)
 from tensorcat.catalog import catalog_category, vec_zn
-from tensorcat.center_tube import (_block_representation, _central_elements,
+from tensorcat.center_tube import (_central_elements, _corner_module,
+                                   _half_braiding_table, _minimal_corner_projection,
                                    _minimal_idempotents, build_tube_algebra,
                                    center_global_checks, center_presentation,
                                    decompose_center, half_braiding_check,
@@ -18,7 +19,9 @@ from tensorcat.category_data import deligne_product_data, reverse_braiding
 from tensorcat.errors import StructuralError
 from tensorcat.local_modules import condensation_identity_check
 
-from oracles import PHI, algebras_gauge_equivalent, tube_product_by_pairs
+from oracles import (PHI, algebras_gauge_equivalent, center_s_by_traces,
+                     center_twist_by_traces, half_braiding_W_by_entries,
+                     tube_product_by_pairs)
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +67,8 @@ def test_tube_star_and_trace_form_positive(centers):
             for j in range(n):
                 G[i, j] = tau @ tube.multiply(si, eye[j])
         assert np.max(np.abs(G - G.conj().T)) < 1e-9, name
+        # diagonal on the basis: the corner modules take their inner product from it
+        assert np.max(np.abs(G - np.diag(tube.trace_weights()))) < 1e-12, name
         assert np.min(np.linalg.eigvalsh((G + G.conj().T) / 2)) > 1e-9, name
         # star is an anti-homomorphism: (s t)* = t* s*
         rng = np.random.default_rng(5)
@@ -137,10 +142,17 @@ def test_retry_loops_report_attempts(centers):
     with pytest.raises(StructuralError,
                        match=r"after 4 attempts \(smallest eigenvalue gap \d"):
         _minimal_idempotents(doubled, seed=0)
-    # the unit of a commutative tube algebra cuts out no 2x2 block
-    with pytest.raises(StructuralError,
-                       match=r"after 6 attempts \(6 found no 2-fold eigenvalue"):
-        _block_representation(tube, tube.unit_vector(), seed=0)
+    # the unit of the commutative vec_z2 tube is not minimal: pi of it has rank 2
+    rng = np.random.default_rng(0)
+    with pytest.raises(StructuralError, match=r"the corner projection at x=0 is not "
+                       r"minimal: pi\(q\) has rank 2, not 1"):
+        _corner_module(tube, 0, tube.unit_vector(), 1, tube.trace_weights(), rng)
+    # no spectral projection of the doubled product is idempotent
+    J = np.array([i for i, quad in enumerate(tube.basis) if quad[0] == 0])
+    with pytest.raises(StructuralError, match=r"corner split failed after 4 attempts "
+                       r"\(smallest eigenvalue gap \d"):
+        _minimal_corner_projection(2 * tube.product[J[:, None, None], J[:, None], J],
+                                   tube.star[J[:, None], J], tube.unit_vector()[J], 2, rng)
 
 
 def test_center_vec_z2_is_toric_code(centers):
@@ -240,6 +252,150 @@ def test_seed_independence(centers):
         b = [(round(z.dim, 9), np.round(z.twist, 9), tuple(z.underlying))
              for z in other.simples]
         assert a == b
+
+
+def _tied_relabelling(c1, c2, tol=1e-10):
+    """perm with c2.simples[perm[i]] matching c1.simples[i]: equal dims,
+    twists and underlying multiplicities, position by position, and S equal
+    after permuting simples only within groups that agree in all three.
+    None if there is no such permutation."""
+    z1, z2 = c1.simples, c2.simples
+    if len(z1) != len(z2):
+        return None
+
+    def same(a, b):
+        return (abs(a.dim - b.dim) <= tol and abs(a.twist - b.twist) <= tol
+                and np.array_equal(a.underlying, b.underlying))
+
+    if not all(same(a, b) for a, b in zip(z1, z2)):
+        return None
+
+    def extend(perm):
+        i = len(perm)
+        if i == len(z1):
+            return perm
+        for j in range(len(z2)):
+            if j in perm or not same(z1[i], z2[j]):
+                continue
+            if abs(c1.S[i, i] - c2.S[j, j]) <= tol and all(
+                    abs(c1.S[i, k] - c2.S[j, perm[k]]) <= tol
+                    and abs(c1.S[k, i] - c2.S[perm[k], j]) <= tol for k in range(i)):
+                found = extend(perm + [j])
+                if found:
+                    return found
+        return None
+
+    return extend([])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: vec_zn(6, 1),
+    lambda: deligne_product_data(catalog_category("fibonacci"), catalog_category("fibonacci")),
+    lambda: vec_zn(8, 1),
+    lambda: deligne_product_data(catalog_category("fibonacci"), catalog_category("ising")),
+], ids=["vec_zn(6,1)", "fib*fib", "vec_zn(8,1)", "fib*ising"])
+def test_center_data_seed_independent_on_bench_categories(make):
+    """Every multiplicity here is at most 1, so the half-braidings are
+    seed-independent too."""
+    tube = build_tube_algebra(make())
+    ref = decompose_center(tube, seed=0)
+    for seed in range(1, 5):
+        other = decompose_center(tube, seed=seed)
+        perm = _tied_relabelling(ref, other)
+        assert perm is not None, seed
+        for z, j in zip(ref.simples, perm):
+            w = other.simples[j]
+            assert w.copies == z.copies
+            assert all(abs(v - w.half_braiding[a][c][key]) < 1e-10
+                       for a, comp in z.half_braiding.items()
+                       for c, tab in comp.items() for key, v in tab.items()), seed
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "ising", "toric_code", "vec_zn(6,1)"])
+def test_contracted_s_and_t_match_trace_oracles(name):
+    cd = vec_zn(6, 1) if name == "vec_zn(6,1)" else catalog_category(name)
+    center = decompose_center(build_tube_algebra(cd), seed=0)
+    assert np.max(np.abs(center.S - center_s_by_traces(cd, center.simples))) < 1e-12
+    for i, z in enumerate(center.simples):
+        assert abs(z.twist - center_twist_by_traces(cd, z)) < 1e-12, i
+        assert center.T[i, i] == z.twist
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "ising", "toric_code"])
+def test_half_braiding_table_matches_entrywise_oracle(cats, name):
+    cd = cats[name]
+    tube = build_tube_algebra(cd)
+    table = _half_braiding_table(tube)
+    assert sorted(k for ks, _cs, _W in table.values() for k in ks) == list(range(tube.dim))
+    for (x, a, y), (ks, cs, W) in table.items():
+        assert [tube.basis[k] for k in ks] == [
+            (x, a, e, y) for e in cd.ring.channels(a, x) if cd.ring.N[e, cd.ring.dual[a], y]]
+        assert np.max(np.abs(W - half_braiding_W_by_entries(cd, x, a, y))) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "toric_code"])
+def test_decompose_center_evaluates_diagrams_once_per_tube(cats, name, monkeypatch):
+    """decompose_center inserts only what the half-braiding table does, one
+    cap and one sigma_c per channel for each (x, a, y), and takes one SVD
+    per simple object of the category (the center of each diagonal corner),
+    however many simples the center has."""
+    import tensorcat.center_tube as ct
+    tube = build_tube_algebra(cats[name])
+    inserts, svds = [], []
+    insert, svd = ct.insert, np.linalg.svd
+    monkeypatch.setattr(ct, "insert", lambda *a, **k: inserts.append(1) or insert(*a, **k))
+    table = _half_braiding_table(tube)
+    per_table = len(inserts)
+    assert per_table == sum(1 + len(cs) for _ks, cs, _W in table.values())
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(1) or svd(*a, **k))
+    inserts.clear()
+    center = decompose_center(tube, seed=0)
+    assert len(inserts) == per_table
+    assert len(svds) == cats[name].ring.rank < len(center.simples)
+
+
+def _vec_s3():
+    """Vec(S_3) with trivial associator: its center has a simple whose
+    underlying object is twice the unit, so the corner of the unit is a
+    2 x 2 matrix algebra that must be split."""
+    import itertools
+
+    from tensorcat.category_data import CategoryData, FSymbolSet, fp_dimensions
+    from tensorcat.fusion_ring import FusionRing
+
+    els = list(itertools.permutations(range(3)))
+    idx = {g: i for i, g in enumerate(els)}
+    mul = [[idx[tuple(g[h[i]] for i in range(3))] for h in els] for g in els]
+    r = len(els)
+    N = np.zeros((r, r, r), dtype=np.int64)
+    for a in range(r):
+        for b in range(r):
+            N[a, b, mul[a][b]] = 1
+    dual = tuple(mul[a].index(0) for a in range(r))
+    ring = FusionRing(rank=r, labels=tuple(map(str, range(r))), dual=dual, N=N)
+    F = {(a, b, c, mul[mul[a][b]][c], mul[a][b], mul[b][c]): 1.0 + 0j
+         for a in range(1, r) for b in range(1, r) for c in range(1, r)}
+    return CategoryData(ring=ring, dims=fp_dimensions(ring), F=FSymbolSet(F), name="vec_s3")
+
+
+def test_center_vec_s3_splits_a_corner():
+    cd = _vec_s3()
+    tube = build_tube_algebra(cd)
+    center = decompose_center(tube, seed=0)
+    assert [round(z.dim, 9) for z in center.simples] == [1, 1, 2, 2, 2, 2, 3, 3]
+    w = np.exp(2j * np.pi / 3)
+    assert sorted(np.round([z.twist for z in center.simples], 9).tolist(),
+                  key=lambda t: (t.real, t.imag)) == sorted(
+        np.round([1, 1, 1, 1, 1, -1, w, w.conjugate()], 9).tolist(),
+        key=lambda t: (t.real, t.imag))
+    doubled = [z for z in center.simples if z.underlying[0] == 2]
+    assert len(doubled) == 1 and doubled[0].copies == [(0, 0), (0, 1)]
+    checks = center_global_checks(center)
+    assert checks["dims_identity"] and checks["nondegenerate"]
+    for z in center.simples:
+        assert half_braiding_check(cd, z) == []
+    for seed in (1, 2):
+        assert _tied_relabelling(center, decompose_center(tube, seed=seed)) is not None
 
 
 def test_lagrangian_algebra_vec_z2(centers, monkeypatch):
