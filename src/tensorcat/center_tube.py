@@ -368,12 +368,14 @@ def _minimal_corner_projection(L, star, e, m, rng):
 
 
 def _half_braiding_table(tube: TubeAlgebra) -> dict:
-    """(x, a, y) -> (tube indices ks, channels cs, W), one entry per tube.
+    """(x, a, y) -> (tube indices ks, channels cs, W, W+), one entry per tube.
 
     For a half-braiding with a-components sigma_c: a (x) x -> y (x) a, the
     coefficient of t_(x,a,e,y) in a module is sum_c W[e, c] sigma_c; W
     closes sigma_c against the basis tree with a cap, so it depends on the
-    category only and is evaluated once for all blocks.
+    category only and is evaluated once for all blocks.  W+ is its
+    pseudo-inverse, taken in one batched call per shape of W, so that each
+    module reads sigma = W+ pi(t_(x,a,.,y)) with a product.
     """
     cd = tube.cd
     ring = cd.ring
@@ -396,6 +398,15 @@ def _half_braiding_table(tube: TubeAlgebra) -> dict:
                 blk = compose_values(cd, mv, td).block(ring, y)
                 W[ti, ci] = blk[0, 0] if blk.size else 0.0
         table[(x, a, y)] = (ks, cs, W)
+    by_shape = {}
+    for key, (_ks, _cs, W) in table.items():
+        by_shape.setdefault(W.shape, []).append(key)
+    for shape, keys in by_shape.items():
+        # the singular-value cutoff lstsq(W, ., rcond=None) would apply to each W
+        pinvs = np.linalg.pinv(np.array([table[k][2] for k in keys]),
+                               max(shape) * np.finfo(float).eps)
+        for key, Wp in zip(keys, pinvs):
+            table[key] += (Wp,)
     return table
 
 
@@ -403,9 +414,11 @@ def _half_braiding(cd, table, copies, pi):
     """Half-braiding components of a module, a -> {c: {(copy_out, copy_in): v}},
     and their traces D[a, c, x] = sum_m sigma_a(c; (x, m), (x, m)).
 
-    One least-squares solve W sigma = pi(t_(x,a,.,y)) per (x, a, y) in the
-    module's support, every copy pair a right-hand side.  pi is unitary in a
-    trace-orthonormal basis, so the components come out unitary as solved.
+    sigma solves W sigma = pi(t_(x,a,.,y)) in least squares for each
+    (x, a, y) in the module's support, every copy pair a right-hand side: it
+    is W+ times the right-hand side, with the pseudo-inverse W+ of the
+    table.  pi is unitary in a trace-orthonormal basis, so the components
+    come out unitary as solved.
     """
     d = cd.dims.dims
     rank = cd.ring.rank
@@ -414,11 +427,10 @@ def _half_braiding(cd, table, copies, pi):
         at.setdefault(x, []).append(i)
     half = {a: {} for a in range(rank)}
     D = np.zeros((rank, rank, rank), dtype=complex)
-    for (x, a, y), (ks, cs, W) in table.items():
+    for (x, a, y), (ks, cs, _W, Wp) in table.items():
         if x not in at or y not in at:
             continue
-        rhs = pi[np.ix_(ks, at[y], at[x])].reshape(len(ks), -1)
-        sigma = np.linalg.lstsq(W, rhs, rcond=None)[0]
+        sigma = Wp @ pi[np.ix_(ks, at[y], at[x])].reshape(len(ks), -1)
         # the tube inner product weights sector x by d_x against the tree normalization
         sigma = sigma.reshape(len(cs), len(at[y]), len(at[x])) * np.sqrt(d[x] / d[y])
         if x == y:

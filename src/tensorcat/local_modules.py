@@ -15,6 +15,12 @@ ones not equivalent to a module already found; the rest are discarded
 unverified.  Fusion of local modules uses the canonical projector onto
 X (x)_Q Y built from the separability element, and is refused when the
 supports of the simple locals do not determine the multiplicities.
+
+The induced action, the commutant generators and the projector are read
+without evaluating diagrams: in a multiplicity-free category each of their
+entries is one algebra or module coefficient (mu or rho) times entries of
+the memoized F-move matrices unfold(cd, x, word, y).  verify_module still
+checks every returned module by diagram evaluation.
 """
 
 from __future__ import annotations
@@ -28,8 +34,7 @@ from .algebra import (AlgebraObject, _associativity_dev, algebra_dim,
                       is_commutative, is_connected, verify_qsystem)
 from .braided_analysis import is_nondegenerate
 from .category_data import CategoryData
-from .diagram_eval import (compose_values, insert, path_vector, paths,
-                           scalar_generator, tensor_values)
+from .diagram_eval import scalar_generator, unfold
 from .errors import PreconditionError, StructuralError
 
 __all__ = [
@@ -113,20 +118,11 @@ def is_local(cd: CategoryData, A: AlgebraObject, X: ModuleObject):
     return residual < cd.residual_tolerance, residual
 
 
-def _sector_entry(cd, mv, y1, y2):
-    """Matrix element of an evaluated mu-vertex from sector (y1, b) to (y2, c).
-
-    mv is id_x (x) (b (x) a -> c): [x, b, a] -> [x, c]; the entry is its
-    block at total y2, column path (x, y1, y2).
-    """
-    blk = mv.block(cd.ring, y2)
-    if not blk.size:
-        return 0.0
-    cols = paths(cd.ring, mv.source).get(y2, [])
-    key = (mv.source[0], y1, y2)
-    if key not in cols:
-        return 0.0
-    return complex(blk[0, cols.index(key)])
+def _unfold_entry(cd, x, word, y, tree, path):
+    """U[tree, path] of unfold(cd, x, word, y): the coefficient of the detached
+    tree (e, spath) in the in-context middle path from x to y through word."""
+    ins, outs, U = unfold(cd, x, word, y)
+    return U[outs.index(tree), ins.index(path)]
 
 
 def _induced_action(cd, A, x):
@@ -134,8 +130,9 @@ def _induced_action(cd, A, x):
 
     sectors[y] is the ordered basis {b in supp A : N^y_{xb} = 1} of the
     y-component; act[a][(y2, y1)] is the matrix of the a-action from the
-    y1 sector to the y2 sector.  Each id_x (x) mu^{ba}_c is evaluated once
-    and read for every sector pair.
+    y1 sector to the y2 sector.  The (c, b) entry is the coefficient of
+    id_x (x) mu^{ba}_c on the path (x, y1, y2): mu^{ba}_c times the
+    ((c, (b, c)), (y1, y2)) entry of unfold(cd, x, (b, a), y2).
     """
     ring = cd.ring
     sectors = {}
@@ -143,7 +140,6 @@ def _induced_action(cd, A, x):
         for y in ring.channels(x, b):
             sectors.setdefault(y, []).append(b)
     sectors = {y: sorted(bs) for y, bs in sectors.items()}
-    vertex = {}
     act = {}
     for a in A.support:
         mats = {}
@@ -155,12 +151,10 @@ def _induced_action(cd, A, x):
                 m = np.zeros((len(cs), len(bs)), dtype=complex)
                 for j, b in enumerate(bs):
                     for i, c in enumerate(cs):
-                        if (b, a, c) in A.mu:
-                            mv = vertex.get((b, a, c))
-                            if mv is None:
-                                gen = scalar_generator(cd, b, a, c, A.mu[(b, a, c)])
-                                mv = vertex[(b, a, c)] = insert(cd, (x,), gen, ())
-                            m[i, j] = _sector_entry(cd, mv, y1, y2)
+                        mu = A.mu.get((b, a, c))
+                        if mu is not None:
+                            m[i, j] = mu * _unfold_entry(cd, x, (b, a), y2,
+                                                         (c, (b, c)), (y1, y2))
                 mats[(y2, y1)] = m
         act[a] = mats
     return sectors, act
@@ -168,29 +162,27 @@ def _induced_action(cd, A, x):
 
 def _commutant_generators(cd, A, x, sectors):
     """End_A(x (x) A) via Frobenius reciprocity: one generator per a with
-    N^x_{xa} = 1, acting sector-diagonally."""
+    N^x_{xa} = 1, acting sector-diagonally.
+
+    The generator is (id_x (x) mu^{ab}_c)(f_a (x) id_b), f_a the path vector
+    x -> x (x) a; its (c, b) entry at sector y is mu^{ab}_c times the
+    ((c, (a, c)), (x, y)) entry of unfold(cd, x, (a, b), y).  Lifting f_a to
+    [x, a, b] adds one unit-leg F-move: 1 in the stored gauge, and in any
+    gauge a scalar per generator, which leaves their span as it is.
+    """
     ring = cd.ring
     gens = []
     for a in A.support:
         if not ring.N[x, a, x]:
             continue
-        f_a = path_vector(cd, (x, a), x, (x, x))
         mats = {}
         for y, bs in sectors.items():
             m = np.zeros((len(bs), len(bs)), dtype=complex)
             for j, b in enumerate(bs):
                 for i, c in enumerate(bs):
-                    if (a, b, c) not in A.mu:
-                        continue
-                    mv = compose_values(
-                        cd,
-                        insert(cd, (x,), scalar_generator(cd, a, b, c, A.mu[(a, b, c)]), ()),
-                        insert(cd, (), f_a, (b,)))
-                    blk = mv.block(ring, y)
-                    if blk.size:
-                        cols = paths(ring, (x, b)).get(y, [])
-                        if (x, y) in cols:
-                            m[i, j] = blk[0, cols.index((x, y))]
+                    mu = A.mu.get((a, b, c))
+                    if mu is not None:
+                        m[i, j] = mu * _unfold_entry(cd, x, (a, b), y, (c, (a, c)), (x, y))
             mats[y] = m
         gens.append(mats)
     return gens
@@ -380,14 +372,21 @@ def _local_modules(cd, A, seed=0, with_ring=False) -> CondensedData:
     return data
 
 
-def _left_action_gen(cd, Y: ModuleObject, a, y, y2):
-    """Left action of the algebra summand a on Y, defined via the braiding."""
-    lam = cd.rval(a, y, y2) * Y.rho[(y, a, y2)]
-    return scalar_generator(cd, a, y, y2, lam)
-
-
 def _projector_block(cd, A, X, Y, t, pairs, dQ):
-    """Block of the canonical projector X (x) Y -> X (x)_Q Y at channel t."""
+    """Block of the canonical projector X (x) Y -> X (x)_Q Y at channel t.
+
+    The separability element sum_a conj(mu^{a ab}_0) e_a, e_a the unit path
+    vector 0 -> a (x) ab, inserted between x1 and y1 and closed by rho_X on
+    the left and the left action
+    lambda_Y^{ab y1}_{y2} = R^{ab y1}_{y2} rho_Y(y1, ab, y2) on the right,
+    gives the (x2, y2) <- (x1, y1) entry
+    conj(mu^{a ab}_0) rho_X(x1, a, x2) lambda_Y(ab, y1, y2) K / dQ.  K is a
+    product of three unfold entries, the F-moves of that diagram: e_a
+    read on the path (x2, x1) of unfold(x1, (a, ab), x1), rho_X's vertex on
+    (x1, x2) of unfold(0, (x1, a), x2), and lambda_Y's vertex on (x1, t) of
+    unfold(x2, (ab, y1), t).  The second is an F-move with a unit leg; it is
+    kept so that the block stays right in a gauge where unit legs are not 1.
+    """
     ring = cd.ring
     P = np.zeros((len(pairs), len(pairs)), dtype=complex)
     for a in A.support:
@@ -395,20 +394,16 @@ def _projector_block(cd, A, X, Y, t, pairs, dQ):
         wmu = np.conj(A.mu.get((a, ab, 0), 0.0))
         if wmu == 0:
             continue
-        emb = path_vector(cd, (a, ab), 0, (a, 0))
         for ci, (x1, y1) in enumerate(pairs):
             for ri, (x2, y2) in enumerate(pairs):
-                if (x1, a, x2) not in X.rho or (y1, ab, y2) not in Y.rho:
+                rx = X.rho.get((x1, a, x2))
+                ry = Y.rho.get((y1, ab, y2))
+                if rx is None or ry is None or not ring.N[ab, y1, y2]:
                     continue
-                if not ring.N[ab, y1, y2]:
-                    continue
-                rx = scalar_generator(cd, x1, a, x2, X.rho[(x1, a, x2)])
-                ly = _left_action_gen(cd, Y, ab, y1, y2)
-                mv = compose_values(cd, tensor_values(cd, rx, ly),
-                                    insert(cd, (x1,), emb, (y1,)))
-                blk = mv.block(ring, t)
-                if blk.size:
-                    P[ri, ci] += wmu * blk[0, 0] / dQ
+                K = (np.conj(_unfold_entry(cd, x1, (a, ab), x1, (0, (a, 0)), (x2, x1)))
+                     * _unfold_entry(cd, 0, (x1, a), x2, (x2, (x1, x2)), (x1, x2))
+                     * _unfold_entry(cd, x2, (ab, y1), t, (y2, (ab, y2)), (x1, t)))
+                P[ri, ci] += wmu * rx * cd.rval(ab, y1, y2) * ry * K / dQ
     return P
 
 

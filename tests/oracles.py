@@ -479,6 +479,72 @@ def induced_action_by_entries(cd, A, x):
     return sectors, act
 
 
+def commutant_generators_by_diagrams(cd, A, x, sectors):
+    """local_modules._commutant_generators with one diagram per matrix entry:
+    (id_x (x) mu^{ab}_c) after (f_a (x) id_b), f_a the path vector x -> x (x) a,
+    read at the path (x, y) of every sector y."""
+    from tensorcat.diagram_eval import (compose_values, insert, path_vector, paths,
+                                        scalar_generator)
+
+    ring = cd.ring
+    gens = []
+    for a in A.support:
+        if not ring.N[x, a, x]:
+            continue
+        f_a = path_vector(cd, (x, a), x, (x, x))
+        mats = {}
+        for y, bs in sectors.items():
+            m = np.zeros((len(bs), len(bs)), dtype=complex)
+            for j, b in enumerate(bs):
+                for i, c in enumerate(bs):
+                    if (a, b, c) not in A.mu:
+                        continue
+                    mv = compose_values(
+                        cd,
+                        insert(cd, (x,), scalar_generator(cd, a, b, c, A.mu[(a, b, c)]), ()),
+                        insert(cd, (), f_a, (b,)))
+                    blk = mv.block(ring, y)
+                    if blk.size:
+                        cols = paths(ring, (x, b)).get(y, [])
+                        if (x, y) in cols:
+                            m[i, j] = blk[0, cols.index((x, y))]
+            mats[y] = m
+        gens.append(mats)
+    return gens
+
+
+def projector_block_by_diagrams(cd, A, X, Y, t, pairs, dQ):
+    """local_modules._projector_block with one diagram per entry: rho_X (x)
+    lambda_Y after the normalized cup a (x) ab inserted between x1 and y1, where
+    lambda_Y^{ab y1}_{y2} = R^{ab y1}_{y2} rho_Y(y1, ab, y2) is the left action."""
+    from tensorcat.diagram_eval import (compose_values, insert, path_vector,
+                                        scalar_generator, tensor_values)
+
+    ring = cd.ring
+    P = np.zeros((len(pairs), len(pairs)), dtype=complex)
+    for a in A.support:
+        ab = ring.dual[a]
+        wmu = np.conj(A.mu.get((a, ab, 0), 0.0))
+        if wmu == 0:
+            continue
+        emb = path_vector(cd, (a, ab), 0, (a, 0))
+        for ci, (x1, y1) in enumerate(pairs):
+            for ri, (x2, y2) in enumerate(pairs):
+                if (x1, a, x2) not in X.rho or (y1, ab, y2) not in Y.rho:
+                    continue
+                if not ring.N[ab, y1, y2]:
+                    continue
+                rx = scalar_generator(cd, x1, a, x2, X.rho[(x1, a, x2)])
+                ly = scalar_generator(cd, ab, y1, y2,
+                                      cd.rval(ab, y1, y2) * Y.rho[(y1, ab, y2)])
+                mv = compose_values(cd, tensor_values(cd, rx, ly),
+                                    insert(cd, (x1,), emb, (y1,)))
+                blk = mv.block(ring, t)
+                if blk.size:
+                    P[ri, ci] += wmu * blk[0, 0] / dQ
+    return P
+
+
 def deligne_product_data_by_loops(c1, c2):
     """Deligne product F and R entries by nested loops over both factors,
     one F lookup per product tuple; the library reads each factor's entries

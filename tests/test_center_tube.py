@@ -326,32 +326,36 @@ def test_half_braiding_table_matches_entrywise_oracle(cats, name):
     cd = cats[name]
     tube = build_tube_algebra(cd)
     table = _half_braiding_table(tube)
-    assert sorted(k for ks, _cs, _W in table.values() for k in ks) == list(range(tube.dim))
-    for (x, a, y), (ks, cs, W) in table.items():
+    assert sorted(k for ks, _cs, _W, _Wp in table.values() for k in ks) == list(range(tube.dim))
+    for (x, a, y), (ks, cs, W, Wp) in table.items():
         assert [tube.basis[k] for k in ks] == [
             (x, a, e, y) for e in cd.ring.channels(a, x) if cd.ring.N[e, cd.ring.dual[a], y]]
         assert np.max(np.abs(W - half_braiding_W_by_entries(cd, x, a, y))) < 1e-12
+        assert np.max(np.abs(Wp @ W - np.eye(len(cs)))) < 1e-12
 
 
 @pytest.mark.parametrize("name", ["fibonacci", "toric_code"])
 def test_decompose_center_evaluates_diagrams_once_per_tube(cats, name, monkeypatch):
     """decompose_center inserts only what the half-braiding table does, one
-    cap and one sigma_c per channel for each (x, a, y), and takes one SVD
-    per simple object of the category (the center of each diagonal corner),
-    however many simples the center has."""
+    cap and one sigma_c per channel for each (x, a, y), takes one SVD per
+    simple object of the category (the center of each diagonal corner),
+    however many simples the center has, and one pseudo-inverse per shape
+    of W."""
     import tensorcat.center_tube as ct
     tube = build_tube_algebra(cats[name])
-    inserts, svds = [], []
-    insert, svd = ct.insert, np.linalg.svd
+    inserts, svds, pinvs = [], [], []
+    insert, svd, pinv = ct.insert, np.linalg.svd, np.linalg.pinv
     monkeypatch.setattr(ct, "insert", lambda *a, **k: inserts.append(1) or insert(*a, **k))
     table = _half_braiding_table(tube)
     per_table = len(inserts)
-    assert per_table == sum(1 + len(cs) for _ks, cs, _W in table.values())
+    assert per_table == sum(1 + len(cs) for _ks, cs, _W, _Wp in table.values())
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(1) or svd(*a, **k))
+    monkeypatch.setattr(np.linalg, "pinv", lambda *a, **k: pinvs.append(1) or pinv(*a, **k))
     inserts.clear()
     center = decompose_center(tube, seed=0)
     assert len(inserts) == per_table
     assert len(svds) == cats[name].ring.rank < len(center.simples)
+    assert len(pinvs) == len({W.shape for _ks, _cs, W, _Wp in table.values()})
 
 
 def _vec_s3():

@@ -16,7 +16,8 @@ from tensorcat.local_modules import (CondensedData,
                                      local_fusion, regular_module, save_module,
                                      verify_module)
 
-from oracles import brute_force_local_count, induced_action_by_entries
+from oracles import (brute_force_local_count, commutant_generators_by_diagrams,
+                     induced_action_by_entries, projector_block_by_diagrams)
 
 
 def test_regular_module_over_itself(toric):
@@ -229,23 +230,37 @@ def _fib_lagrangian():
     return pres, A
 
 
+def _cases(case, toric):
+    if case == "toric:1+e":
+        return toric, group_algebra(toric, ("1", "e"))
+    if case == "D(Z6):Z3":
+        return _d_z6_z3()
+    return _fib_lagrangian()
+
+
+def _record_inserts(monkeypatch, active=()):
+    """Record every insert call made from diagram_eval, algebra or
+    local_modules, with a copy of the list ``active`` at the time of the call."""
+    import tensorcat.algebra as alg
+    import tensorcat.diagram_eval as de
+    import tensorcat.local_modules as lm
+    calls = []
+    real = de.insert
+
+    def counting(*args, **kwargs):
+        calls.append(tuple(active))
+        return real(*args, **kwargs)
+
+    for mod in (de, alg, lm):
+        monkeypatch.setattr(mod, "insert", counting, raising=False)
+    return calls
+
+
 @pytest.mark.parametrize("case", ["toric:1+e", "D(Z6):Z3", "fib:lagrangian"])
 def test_induced_action_matches_per_entry_oracle(case, toric, monkeypatch):
     import tensorcat.local_modules as lm
-    if case == "toric:1+e":
-        cd, A = toric, group_algebra(toric, ("1", "e"))
-    elif case == "D(Z6):Z3":
-        cd, A = _d_z6_z3()
-    else:
-        cd, A = _fib_lagrangian()
-    inserts = []
-    real_insert = lm.insert
-
-    def counting(*args, **kwargs):
-        inserts.append(args[2])
-        return real_insert(*args, **kwargs)
-
-    monkeypatch.setattr(lm, "insert", counting)
+    cd, A = _cases(case, toric)
+    inserts = _record_inserts(monkeypatch)
     for x in range(cd.ring.rank):
         want_sectors, want = induced_action_by_entries(cd, A, x)
         inserts.clear()
@@ -256,8 +271,84 @@ def test_induced_action_matches_per_entry_oracle(case, toric, monkeypatch):
             assert act[a].keys() == want[a].keys()
             for k in act[a]:
                 assert np.array_equal(act[a][k], want[a][k]), (case, x, a, k)
-        keys = [(h.source[0], h.source[1], h.target[0]) for h in inserts]
-        assert len(keys) == len(set(keys))  # one evaluation per vertex
+        assert inserts == []  # read from unfold, no diagram evaluated
+
+
+@pytest.mark.parametrize("case", ["toric:1+e", "D(Z6):Z3", "fib:lagrangian"])
+def test_commutant_generators_match_diagram_oracle(case, toric):
+    """Same products as the diagram route, so equal to the last bit."""
+    import tensorcat.local_modules as lm
+    cd, A = _cases(case, toric)
+    for x in range(cd.ring.rank):
+        sectors, _act = lm._induced_action(cd, A, x)
+        got = lm._commutant_generators(cd, A, x, sectors)
+        want = commutant_generators_by_diagrams(cd, A, x, sectors)
+        assert len(got) == len(want) > 0
+        for g, w in zip(got, want):
+            assert g.keys() == w.keys() == sectors.keys()
+            for y in g:
+                assert np.array_equal(g[y], w[y]), (case, x, y)
+
+
+@pytest.mark.parametrize("case", ["toric:1+e", "D(Z6):Z3", "fib:lagrangian"])
+def test_projector_block_matches_diagram_oracle(case, toric):
+    """Every block over every pair of the simple locals and the simple
+    submodules, local or not, of the first six induced modules x (x) A; rho,
+    lambda and the F-moves multiply in another order than the diagram route,
+    hence the tolerance of 1e-13."""
+    import tensorcat.local_modules as lm
+    from tensorcat.algebra import algebra_dim
+    cd, A = _cases(case, toric)
+    dQ = algebra_dim(cd, A)
+    mods = enumerate_local_modules(cd, A).simples + [
+        m for x in range(min(cd.ring.rank, 6)) for m in free_module_decomposition(cd, A, x)]
+    blocks = 0
+    for X in mods:
+        for Y in mods:
+            for t in range(cd.ring.rank):
+                pairs = [(x, y) for x in X.support for y in Y.support if cd.ring.N[x, y, t]]
+                if not pairs:
+                    continue
+                got = lm._projector_block(cd, A, X, Y, t, pairs, dQ)
+                want = projector_block_by_diagrams(cd, A, X, Y, t, pairs, dQ)
+                assert np.max(np.abs(got - want)) < 1e-13, (case, X.support, Y.support, t)
+                blocks += np.count_nonzero(want) > 0
+    assert blocks > 0
+
+
+@pytest.mark.parametrize("case", ["toric:1+e", "D(Z6):Z3"])
+def test_local_layer_evaluates_diagrams_only_to_verify(case, toric, monkeypatch):
+    """enumerate_local_modules with its condensed ring, and the double-braid
+    trace of every pair of simple locals, insert only inside verify_qsystem
+    and verify_module; every insert of verify_module goes through
+    algebra._associativity_dev."""
+    import tensorcat.algebra as alg
+    import tensorcat.local_modules as lm
+    cd, A = _cases(case, toric)
+    active = []
+
+    def tracked(name, fn):
+        def run(*args, **kwargs):
+            active.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                active.pop()
+        return run
+
+    for mod, name in ((lm, "verify_qsystem"), (lm, "verify_module"),
+                      (lm, "_associativity_dev"), (alg, "_associativity_dev")):
+        monkeypatch.setattr(mod, name, tracked(name, getattr(mod, name)))
+    inserts = _record_inserts(monkeypatch, active)
+    cond = enumerate_local_modules(cd, A, with_ring=True)
+    assert cond.ring.rank == len(cond.simples) == (1 if case == "toric:1+e" else 4)
+    for X in cond.simples:
+        for Y in cond.simples:
+            local_double_braid_trace(cd, A, X, Y)
+    assert [c for c in inserts if not c] == []
+    by_module = [c for c in inserts if "verify_module" in c]
+    assert by_module and all("_associativity_dev" in c for c in by_module)
+    assert any("verify_qsystem" in c and "_associativity_dev" in c for c in inserts)
 
 
 def test_free_module_decomposition_without_keep_verifies_all(toric, monkeypatch):
