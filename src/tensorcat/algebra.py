@@ -257,10 +257,10 @@ def canonical_algebra(cd: CategoryData, x) -> AlgebraObject:
     # gauge-fix the unit channels to exactly 1
     unit_vals = [mu[k] for k in mu if k[0] == 0 or k[1] == 0]
     nu = unit_vals[0]
-    if any(abs(v - nu) > 1e-8 for v in unit_vals):
+    if any(abs(v - nu) > cd.identity_tolerance for v in unit_vals):
         raise StructuralError("canonical algebra has non-constant unit channel; "
                               "cannot gauge-normalize")
-    if abs(abs(nu) - 1.0) > 1e-8:
+    if abs(abs(nu) - 1.0) > cd.identity_tolerance:
         raise StructuralError(f"canonical algebra unit channel has modulus {abs(nu)}")
     for (a, b, c), v in list(mu.items()):
         w = 1.0

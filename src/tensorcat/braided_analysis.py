@@ -91,9 +91,7 @@ def gamma_characters(cd: CategoryData) -> CharacterTable:
 
 def is_nondegenerate(cd: CategoryData) -> bool:
     """True iff s~ is invertible (smallest singular value > rank * tolerance)."""
-    s = s_matrix(cd).s
-    smin = np.linalg.svd(s, compute_uv=False)[-1]
-    return bool(smin > cd.ring.rank * cd.tolerance)
+    return _sub_nondegenerate(cd, list(range(cd.ring.rank)))
 
 
 def check_label_subset(cd: CategoryData, sub) -> tuple:
@@ -148,7 +146,7 @@ def restriction_hom(cd: CategoryData, sub) -> SubcategoryRestriction:
         raise PreconditionError("restriction of the braiding to sub is degenerate")
     gamma = gamma_characters(cd).gamma
     d = cd.dims.dims
-    tol = max(cd.tolerance * max(1.0, float(d.max()) ** 2) * 100, 1e-7)
+    tol = cd.residual_tolerance * max(1.0, float(d.max()) ** 2)
     # distinct sub labels must have distinct restricted characters
     for i, y in enumerate(sub):
         for z in sub[i + 1:]:

@@ -1,7 +1,7 @@
 """Built-in category data.
 
-Every entry passes pentagon and hexagon validation at 1e-9; the test suite
-enforces this, including for all pairwise Deligne products.
+Every entry passes pentagon and hexagon validation at the default tolerance;
+the test suite enforces this, including for all pairwise Deligne products.
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -29,6 +30,7 @@ __all__ = [
     "FSymbolSet",
     "RSymbolSet",
     "CategoryData",
+    "check_tolerance",
     "QuadraticForm",
     "verify_pentagon",
     "verify_hexagon",
@@ -93,6 +95,16 @@ class RSymbolSet(_SymbolSet):
             raise StructuralError(f"missing R entry for admissible channel {(a, b, c)}") from None
 
 
+def check_tolerance(value) -> float:
+    """``value`` as a float; StructuralError unless it is a finite number > 0."""
+    try:
+        if math.isfinite(tol := float(value)) and tol > 0:
+            return tol
+    except (TypeError, ValueError):
+        pass
+    raise StructuralError(f"tolerance must be a finite number > 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CategoryData:
     """A unitary fusion category skeleton: ring, dims, F and optional R.
@@ -112,14 +124,37 @@ class CategoryData:
     quadratic_form: QuadraticForm | None = None  # set by pointed_from_quadratic_form
     deferred_validation: bool = False  # loaded with validate=False
 
+    def __post_init__(self):
+        object.__setattr__(self, "tolerance", check_tolerance(self.tolerance))
+
+    # The tolerance policy (README, "Tolerances"): ``tolerance`` bounds the
+    # coherence residuals of the input data, and the thresholds on derived
+    # data are the three names below.  ``split_resolution`` is fixed: it
+    # conditions the seeded random elements of the spectral splits (central
+    # idempotents, corner projections, free_module_decomposition), whose
+    # eigenvalues, and the corner Gram-Schmidt's row norms, count as equal
+    # when closer than it relative to max(1, scale).
+    split_resolution: ClassVar[float] = 1e-6
+
     @property
     def residual_tolerance(self):
-        """Threshold for the axiom residuals of algebras, modules and hypergroups."""
+        """Axiom residuals of algebras, modules and hypergroups."""
         return max(self.tolerance * 100, 1e-9)
 
-    def is_pointed(self, tol=None):
-        tol = self.tolerance if tol is None else tol
-        return bool(np.all(np.abs(self.dims.dims - 1.0) < tol))
+    @property
+    def identity_tolerance(self):
+        """Equalities between computed numbers: identities, idempotency, ranks.
+        Capped, so that integrality and rank checks still decide something at
+        a loose tolerance."""
+        return min(max(self.tolerance * 1000, 1e-7), 1e-3)
+
+    @property
+    def noise_floor(self):
+        """Computed coefficients, norms and relative singular values below it are 0."""
+        return max(self.tolerance / 10, 1e-10)
+
+    def is_pointed(self):
+        return bool(np.all(np.abs(self.dims.dims - 1.0) < self.tolerance))
 
     def fval(self, a, b, c, d, e, f):
         return self.F.value(a, b, c, d, e, f)
@@ -536,7 +571,8 @@ def validate_category(cd: CategoryData) -> list:
     return report
 
 
-def _finish(ring, F_entries, R_entries, tolerance=1e-9, name="", quadratic_form=None):
+def _finish(ring, F_entries, R_entries, tolerance=CategoryData.tolerance, name="",
+            quadratic_form=None):
     """The CategoryData of freshly built entry dicts, which it keeps uncopied."""
     return CategoryData(ring=ring, dims=fp_dimensions(ring), F=FSymbolSet._adopt(F_entries),
                         R=RSymbolSet._adopt(R_entries) if R_entries is not None else None,
@@ -767,7 +803,7 @@ def load_category(path, validate=True, tolerance=None) -> CategoryData:
         raise StructuralError("multiplicity > 1 is out of scope for this format")
     partial = bool(doc.get("partial", False))
     dims = fp_dimensions(ring)
-    tol = float(doc.get("tolerance", 1e-9)) if tolerance is None else tolerance
+    tol = doc.get("tolerance", CategoryData.tolerance) if tolerance is None else tolerance
     if partial:
         return CategoryData(ring=ring, dims=dims, F=FSymbolSet({}), R=None,
                             tolerance=tol, partial=True)

@@ -29,12 +29,12 @@ of two center objects (z, sigma) and (w, rho) is rho evaluated at z.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import (_conjugate_vertex_algebra, algebra_dim, group_algebra,
-                      is_commutative, verify_qsystem)
+from .algebra import (_conjugate_vertex_algebra, _max_dev, algebra_dim,
+                      group_algebra, is_commutative, verify_qsystem)
 from .category_data import (CategoryData, QuadraticForm, deligne_product_data,
                             pointed_from_quadratic_form, reverse_braiding)
 from .braided_analysis import is_nondegenerate
@@ -151,7 +151,7 @@ def _rotation_isometry(cd, a1, a2, b):
     zeta = zig.block(ring, bb)[0, 0] / cd.dims.dims[b]
     zeta /= abs(zeta)
     norm = compose_values(cd, dagger_value(phi), phi).block(ring, bb)[0, 0]
-    if not norm.real > 1e-12:
+    if not norm.real > cd.noise_floor:
         raise StructuralError("degenerate rotation isometry")
     phi.blocks = {c: m / (zeta * np.sqrt(norm.real))
                   for c, m in phi.blocks.items()}
@@ -167,6 +167,7 @@ def build_tube_algebra(cd: CategoryData) -> TubeAlgebra:
         raise StructuralError("fusion multiplicity > 1 is out of scope")
     basis = _tube_basis(cd)
     n = len(basis)
+    floor = cd.noise_floor
     index = {}
     for k, quad in enumerate(basis):
         index[quad] = k
@@ -202,7 +203,7 @@ def build_tube_algebra(cd: CategoryData) -> TubeAlgebra:
                 cols = paths(ring, (b, x1, ring.dual[b])).get(y2, [])
                 for ci, path in enumerate(cols):
                     coeff = blk[0, ci]
-                    if abs(coeff) > 1e-13:
+                    if abs(coeff) > floor:
                         product[i, j, index[(x1, b, path[1], y2)]] += coeff
 
     star = np.zeros((n, n), dtype=complex)
@@ -225,7 +226,7 @@ def build_tube_algebra(cd: CategoryData) -> TubeAlgebra:
             continue
         for ci, path in enumerate(paths(ring, (ab, y, a)).get(x, [])):
             coeff = blk[0, ci] / zeta
-            if abs(coeff) > 1e-13:
+            if abs(coeff) > floor:
                 star[i, index[(y, ab, path[1], x)]] += coeff
     return TubeAlgebra(basis=basis, product=product, star=star, cd=cd)
 
@@ -237,7 +238,7 @@ def _central_elements(tube: TubeAlgebra):
     # row (j, k), column i: (t_i t_j - t_j t_i)_k, so big @ z = 0 iff z is central
     big = (C.transpose(1, 2, 0) - C.transpose(0, 2, 1)).reshape(n * n, n)
     _u, s, vh = np.linalg.svd(big, full_matrices=False)
-    keep = s < 1e-9 * max(1.0, s[0])
+    keep = s < tube.cd.noise_floor * max(1.0, s[0])
     return vh[keep].conj().T  # columns span the center
 
 
@@ -245,6 +246,7 @@ def _minimal_idempotents(tube: TubeAlgebra, seed):
     """Minimal central idempotents via a seeded random central element."""
     Z = _central_elements(tube)
     m = Z.shape[1]
+    tol = tube.cd.identity_tolerance
     rng = np.random.default_rng((seed, 1))
     attempts = 4
     min_gap = np.inf
@@ -259,7 +261,7 @@ def _minimal_idempotents(tube: TubeAlgebra, seed):
         if m > 1:
             gap = np.min(np.abs(w[:, None] - w[None, :]) + np.eye(m))
             min_gap = min(min_gap, gap)
-            if gap < 1e-6:
+            if gap < tube.cd.split_resolution:
                 continue  # eigenvalue collision: retry
         idems = []
         for k in range(m):
@@ -267,15 +269,15 @@ def _minimal_idempotents(tube: TubeAlgebra, seed):
             sq = tube.multiply(v, v)
             lead = np.argmax(np.abs(v))
             gamma = sq[lead] / v[lead]
-            if abs(gamma) < 1e-10:
+            if abs(gamma) < tube.cd.noise_floor:
                 break
             p = v / gamma
-            if np.max(np.abs(tube.multiply(p, p) - p)) > 1e-8:
+            if np.max(np.abs(tube.multiply(p, p) - p)) > tol:
                 break
             idems.append(p)
         else:
             total = np.sum(idems, axis=0)
-            if np.max(np.abs(total - tube.unit_vector())) < 1e-7:
+            if np.max(np.abs(total - tube.unit_vector())) < tol:
                 return idems
     raise StructuralError(
         f"central idempotent refinement failed after {attempts} attempts "
@@ -298,18 +300,19 @@ def _corner_module(tube: TubeAlgebra, x, e, m, weights, rng):
     source, target = np.array(tube.basis)[:, [0, 3]].T
     J = np.flatnonzero(source == x)         # coordinates of Tube p_x
     L = tube.product[:, J[:, None], J]      # L[k, i, l]: t_{J_l} in t_k t_{J_i}
-    q = _minimal_corner_projection(L[J], tube.star[J[:, None], J], e[J], m, rng)
+    cd = tube.cd
+    q = _minimal_corner_projection(cd, L[J], tube.star[J[:, None], J], e[J], m, rng)
     sw = np.sqrt(weights[J])
     rows = np.tensordot(L[J], q, axes=(1, 0)) * sw   # row j: t_{J_j} q, tau-scaled
-    tol = 1e-8 * np.max(np.abs(rows))
+    floor = cd.noise_floor * np.max(np.abs(rows))
     picked = []
     for _ in J:
         norms = np.sqrt(np.sum(np.abs(rows) ** 2, axis=1))
-        if norms.max() <= tol:
+        if norms.max() <= floor:
             break
-        # the first row of largest norm, ties within 1e-6 included, so that the
-        # choice and with it the copy's phase do not follow rounding
-        j = int(np.argmax(norms >= (1 - 1e-6) * norms.max()))
+        # the first row of largest norm, ties within split_resolution included,
+        # so that the choice and with it the copy's phase do not follow rounding
+        j = int(np.argmax(norms >= (1 - cd.split_resolution) * norms.max()))
         v = rows[j] / norms[j]
         picked.append((int(target[J[j]]), v))
         rows = rows - np.outer(rows @ v.conj(), v)
@@ -320,13 +323,13 @@ def _corner_module(tube: TubeAlgebra, x, e, m, weights, rng):
     pi = np.einsum("lC,kil,ic->kCc", (B * sw[:, None]).conj(), L,
                    B / sw[:, None], optimize=True)
     rank_q = np.trace(np.tensordot(q, pi[J], 1)).real
-    if abs(rank_q - 1.0) > 1e-6:
+    if abs(rank_q - 1.0) > cd.identity_tolerance:
         raise StructuralError(f"the corner projection at x={x} is not minimal: "
                               f"pi(q) has rank {rank_q:.6g}, not 1")
     return copies, pi
 
 
-def _minimal_corner_projection(L, star, e, m, rng):
+def _minimal_corner_projection(cd, L, star, e, m, rng):
     """A minimal projection under e = p p_x in the corner e Tube e, which is
     a full m x m matrix algebra.
 
@@ -355,12 +358,12 @@ def _minimal_corner_projection(L, star, e, m, rng):
         lam = np.sort(np.roots(np.r_[1.0, -c[::-1]]).real)
         gap = float(np.min(np.diff(lam)))
         min_gap = min(min_gap, gap)
-        if gap < 1e-6 * max(1.0, np.max(np.abs(lam))):
+        if gap < cd.split_resolution * max(1.0, np.max(np.abs(lam))):
             continue
         q = e
         for mu in lam[:-1]:
             q = mul(h - mu * e, q) / (lam[-1] - mu)
-        if np.max(np.abs(mul(q, q) - q)) < 1e-8 * max(1.0, np.max(np.abs(q))):
+        if np.max(np.abs(mul(q, q) - q)) < cd.identity_tolerance * max(1.0, np.max(np.abs(q))):
             return q
     raise StructuralError(
         f"corner split failed after {attempts} attempts "
@@ -462,7 +465,7 @@ def half_braiding_check(cd: CategoryData, z: CenterObject) -> list:
     """
     ring = cd.ring
     report = []
-    tol = max(cd.tolerance * 1e3, 1e-7)
+    tol = cd.identity_tolerance
     # unit component
     for c, table in z.half_braiding.get(0, {}).items():
         for ((yc, my), (xc, mx)), v in table.items():
@@ -501,11 +504,7 @@ def half_braiding_check(cd: CategoryData, z: CenterObject) -> list:
                                 MorphismValue(source=(a, b, x), target=(y, a, b),
                                               blocks=two),
                                 psi_in))
-                        dev = 0.0
-                        for t in set(composite.blocks) | set(gmv.blocks):
-                            diff = composite.block(ring, t) - gmv.block(ring, t)
-                            if diff.size:
-                                dev = max(dev, float(np.max(np.abs(diff))))
+                        dev = _max_dev(cd, composite, gmv)
                         if dev > tol:
                             report.append(
                                 f"hexagon fails at a={a}, b={b}, g={g}, "
@@ -568,7 +567,7 @@ def decompose_center(tube: TubeAlgebra, seed=0) -> CenterData:
         raise StructuralError("the corner modules do not exhaust the tube algebra")
     D = np.array(traces)
     twists = np.einsum("zxcx,c->z", D, d) / np.array([z.dim for z in simples])
-    if np.max(np.abs(np.abs(twists) - 1.0)) > 1e-6:
+    if np.max(np.abs(np.abs(twists) - 1.0)) > cd.identity_tolerance:
         raise StructuralError("half-braidings are not unitary: a twist is off the unit circle")
     labels = np.arange(rank)
 
@@ -576,7 +575,7 @@ def decompose_center(tube: TubeAlgebra, seed=0) -> CenterData:
         z = simples[i]
         # the unit: underlying object 1 and sigma_a = 1 on channel a for every a
         unit = (z.underlying[0] == z.underlying.sum() == 1
-                and np.allclose(D[i, labels, labels, 0], 1))
+                and np.all(np.abs(D[i, labels, labels, 0] - 1) < cd.identity_tolerance))
         # rounded without signed zeros, so a twist of -1 always sorts at angle pi
         t = complex(round(twists[i].real, 9) + 0.0, round(twists[i].imag, 9) + 0.0)
         return (not unit, round(z.dim, 9), float(np.angle(t)), tuple(z.underlying))
@@ -597,20 +596,21 @@ def center_global_checks(center: CenterData) -> dict:
     total = float(np.sum(dims ** 2))
     D = cd.dims.global_dim
     S = center.S
+    tol = cd.identity_tolerance
     smin = np.linalg.svd(S, compute_uv=False)[-1] if len(S) else 0.0
-    nondeg = bool(smin > len(S) * 1e-8)
+    nondeg = bool(smin > len(S) * cd.tolerance)
     transparent = [i for i in range(len(S))
-                   if all(abs(S[i, j] - dims[i] * dims[j]) < 1e-6
+                   if all(abs(S[i, j] - dims[i] * dims[j]) < tol
                           for j in range(len(S)))]
     return {
         "sum_dim_sq": total, "global_dim_sq": D ** 2,
-        "dims_identity": abs(total - D ** 2) < 1e-6,
+        "dims_identity": abs(total - D ** 2) < tol,
         "nondegenerate": nondeg,
         "self_centralizer": transparent,
         "trivial_centralizer": (
             len(transparent) == 1
-            and abs(dims[transparent[0]] - 1.0) < 1e-6
-            and abs(center.simples[transparent[0]].twist - 1.0) < 1e-6),
+            and abs(dims[transparent[0]] - 1.0) < tol
+            and abs(center.simples[transparent[0]].twist - 1.0) < tol),
     }
 
 
@@ -640,7 +640,7 @@ def lagrangian_algebra(cd: CategoryData, center: CenterData):
         alg = group_algebra(pres, support)
     dQ = algebra_dim(pres, alg)
     DZ = pres.dims.global_dim
-    if abs(dQ ** 2 - DZ) > 1e-6:
+    if abs(dQ ** 2 - DZ) > cd.identity_tolerance:
         raise StructuralError(
             f"Lagrangian dimension check failed: dim^2 = {dQ**2:.6f}, D = {DZ:.6f}")
     rep = verify_qsystem(pres, alg)
@@ -666,6 +666,7 @@ def center_presentation(cd: CategoryData, center: CenterData):
     Nondegenerately braided cd: C (x) reverse(C), Lagrangian on the pairs
     (c, dual c).  Pointed cd with trivial associator built from a quadratic
     form: the double of the group, Lagrangian on the dual-group factor.
+    Either presentation carries cd's tolerance.
     """
     if _presents_center_as_product(cd):
         pres = deligne_product_data(cd, reverse_braiding(cd))
@@ -674,14 +675,15 @@ def center_presentation(cd: CategoryData, center: CenterData):
         return pres, support
     qf = cd.quadratic_form
     if qf is not None and cd.is_pointed():
-        if any(abs(v - 1.0) > 1e-12 for v in cd.F.entries.values()):
+        if any(abs(v - 1.0) > cd.identity_tolerance for v in cd.F.entries.values()):
             raise PreconditionError(
                 "pointed presentation requires a trivial associator")
         k = len(qf.group)
         dbl = QuadraticForm(group=qf.group + qf.group,
                             t=(0,) * (2 * k),
                             cross={(i, k + i): 1 for i in range(k)})
-        pres = pointed_from_quadratic_form(dbl, name=f"double({cd.name})")
+        pres = replace(pointed_from_quadratic_form(dbl, name=f"double({cd.name})"),
+                       tolerance=cd.tolerance)
         els = dbl.elements()
         support = tuple(i for i, g in enumerate(els)
                         if all(x == 0 for x in g[:k]))

@@ -24,8 +24,8 @@ from .algebra import (AlgebraObject, canonical_algebra, is_commutative,
 from .braided_analysis import (find_centralizing_object, gamma_characters,
                                muger_centralizer, restriction_hom, s_matrix,
                                twists, verify_hypergroup_hom)
-from .category_data import (CategoryData, load_category, save_category,
-                            validate_category)
+from .category_data import (CategoryData, check_tolerance, load_category,
+                            save_category, validate_category)
 from .center_tube import (build_tube_algebra, center_global_checks,
                           decompose_center)
 from .diagram_eval import categorical_trace, evaluate, parse_diagram, typecheck
@@ -108,7 +108,7 @@ def _find_lagrangian(cd) -> AlgebraObject:
     for size in range(0, r):
         for combo in itertools.combinations(rest, size):
             supp = (0,) + combo
-            if abs(sum(d[c] for c in supp) ** 2 - D) > 1e-8:
+            if abs(sum(d[c] for c in supp) ** 2 - D) > cd.identity_tolerance:
                 continue
             if any(cd.ring.dual[c] not in supp for c in supp):
                 continue
@@ -128,7 +128,9 @@ def _sub_labels(cd, text):
 def _add_common(sp):
     sp.add_argument("--input", help="category data file")
     sp.add_argument("--catalog", help="built-in category name")
-    sp.add_argument("--tol", type=float, default=None, help="tolerance override")
+    # argparse parses a string default with ``type``, so TENSORCAT_TOL is checked too
+    sp.add_argument("--tol", type=check_tolerance, help="tolerance override",
+                    default=os.environ.get("TENSORCAT_TOL", CategoryData.tolerance))
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--format", choices=("json", "text"), default="json")
     sp.add_argument("--no-validate", action="store_true")
@@ -185,14 +187,12 @@ def main(argv=None) -> int:
 
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
+    except (_UsageError, StructuralError) as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True, indent=2))
         return EXIT_STRUCTURAL
     if not args.command:
         parser.print_usage(sys.stderr)
         return EXIT_STRUCTURAL
-    if args.tol is None:
-        args.tol = float(os.environ.get("TENSORCAT_TOL", "1e-9"))
 
     try:
         return _dispatch(args)
@@ -364,13 +364,15 @@ def _write_center_category(cd, center, path):
                 val = np.sum(Snorm[a, :] * Snorm[b, :] * np.conj(Snorm[c, :])
                              / Snorm[0, :])
                 n = int(round(val.real))
-                if abs(val - n) > 1e-6:
+                if abs(val - n) > cd.identity_tolerance:
                     raise StructuralError(
                         f"Verlinde coefficient not integral at ({a},{b},{c}): {val}")
                 N[a, b, c] = n
     dual = []
     for a in range(r):
         cands = [b for b in range(r) if N[a, b, 0] == 1]
+        if not cands:
+            raise StructuralError(f"Verlinde fusion ring: z{a} has no dual")
         dual.append(cands[0])
     labels = tuple(f"z{i}" for i in range(r))
     ring = FusionRing(rank=r, labels=labels, dual=tuple(dual), N=N)

@@ -204,7 +204,7 @@ def validate_fusion_ring(ring: FusionRing) -> list:
     return report
 
 
-def fp_dimensions(ring: FusionRing, tol: float = 1e-9, max_iter: int = 100_000) -> FPDimData:
+def fp_dimensions(ring: FusionRing) -> FPDimData:
     """Frobenius-Perron dimensions by power iteration on sum_a N_a.
 
     The fusion matrices share a unique strictly positive common
@@ -214,7 +214,7 @@ def fp_dimensions(ring: FusionRing, tol: float = 1e-9, max_iter: int = 100_000) 
     M = ring.N.sum(axis=0).astype(float)
     v = np.ones(ring.rank)
     target = 5e-16 * ring.rank
-    for _ in range(max_iter):
+    for _ in range(100_000):
         w = M @ v
         nw = np.linalg.norm(w)
         if nw == 0:
@@ -225,13 +225,13 @@ def fp_dimensions(ring: FusionRing, tol: float = 1e-9, max_iter: int = 100_000) 
             break
         v = w
     else:
-        raise PreconditionError(f"power iteration did not converge in {max_iter} steps")
+        raise PreconditionError("power iteration did not converge in 100000 steps")
     if v[0] <= 0:
         raise PreconditionError("Perron-Frobenius vector vanishes at the unit")
     dims = v / v[0]
     # d_a d_b = sum_c N^c_{ab} d_c must hold for a genuine fusion ring.
     resid = np.max(np.abs(np.outer(dims, dims) - np.einsum("abc,c->ab", ring.N, dims)))
-    if resid > max(tol, 1e-7) * max(1.0, dims.max() ** 2):
+    if resid > 1e-7 * max(1.0, dims.max() ** 2):
         raise PreconditionError(f"FP dimension residual {resid:.2e}; ring data inconsistent")
     return FPDimData(dims=dims, global_dim=float(np.sum(dims ** 2)))
 

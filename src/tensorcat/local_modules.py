@@ -223,7 +223,7 @@ def free_module_decomposition(cd, A, x, seed=0, max_rounds=5, keep=None):
             for i, lam in enumerate(w):
                 pairs.append((float(lam), y, U[:, i]))
         pairs.sort(key=lambda t: t[0])
-        gap = 1e-6 * max(1.0, max(abs(p[0]) for p in pairs))
+        gap = cd.split_resolution * max(1.0, max(abs(p[0]) for p in pairs))
         groups = []
         for lam, y, vec in pairs:
             if groups and abs(lam - groups[-1][0]) < gap:
@@ -253,7 +253,7 @@ def free_module_decomposition(cd, A, x, seed=0, max_rounds=5, keep=None):
                             continue
                         rho[(y1, a, y2)] = complex(per_y[y2][0].conj() @ m @ u1)
             mod = ModuleObject(support=support, rho=rho)
-            if not _action_connected(mod):
+            if not _action_connected(cd, mod):
                 # two distinct simples merged by an eigenvalue collision
                 failures.append(f"merged simples on support {support}")
                 break
@@ -274,50 +274,42 @@ def free_module_decomposition(cd, A, x, seed=0, max_rounds=5, keep=None):
         "(out of scope)")
 
 
-def _action_connected(mod: ModuleObject, tol=1e-8) -> bool:
-    """Simple modules have connected action graphs; a disconnected graph
-    means the candidate splits into invariant pieces."""
-    if len(mod.support) <= 1:
-        return True
-    adj = {x: set() for x in mod.support}
-    for (x, a, y), v in mod.rho.items():
-        if x != y and abs(v) > tol:
-            adj[x].add(y)
-            adj[y].add(x)
-    seen = {mod.support[0]}
-    stack = [mod.support[0]]
-    while stack:
-        for nxt in adj[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return len(seen) == len(mod.support)
-
-
-def _unitarily_equivalent(cd, A, m1: ModuleObject, m2: ModuleObject, tol=1e-6):
-    """Equality up to a diagonal phase gauge rho -> u_y rho^{xa}_y u_x^{-1}."""
-    if m1.support != m2.support or set(m1.rho) != set(m2.rho):
-        return False
-    for k in m1.rho:
-        if abs(abs(m1.rho[k]) - abs(m2.rho[k])) > tol:
-            return False
-    phases = {m1.support[0]: 1.0 + 0j}
-    edges = [(x, y, m2.rho[(x, a, y)] / m1.rho[(x, a, y)])
-             for (x, a, y) in sorted(m1.rho) if abs(m1.rho[(x, a, y)]) > tol]
+def _gauge_phases(support, edges):
+    """u with u[y] = u[x] r along each edge (x, y, r), starting from 1 at
+    support[0]; only the labels the edges connect to it get a phase."""
+    u = {support[0]: 1.0 + 0j}
     changed = True
     while changed:
         changed = False
-        for xx, yy, ratio in edges:
-            if xx in phases and yy not in phases:
-                phases[yy] = phases[xx] * ratio
+        for x, y, r in edges:
+            if x in u and y not in u:
+                u[y] = u[x] * r
                 changed = True
-            elif yy in phases and xx not in phases:
-                phases[xx] = phases[yy] / ratio
+            elif y in u and x not in u:
+                u[x] = u[y] / r
                 changed = True
-    if set(phases) != set(m1.support):
+    return u
+
+
+def _action_connected(cd, mod: ModuleObject) -> bool:
+    """Simple modules have connected action graphs; a disconnected graph
+    means the candidate splits into invariant pieces."""
+    edges = [(x, y, 1.0) for (x, _a, y), v in mod.rho.items() if abs(v) > cd.noise_floor]
+    return len(_gauge_phases(mod.support, edges)) == len(mod.support)
+
+
+def _unitarily_equivalent(cd, m1: ModuleObject, m2: ModuleObject):
+    """Equality up to a diagonal phase gauge rho -> u_y rho^{xa}_y u_x^{-1}."""
+    tol = cd.identity_tolerance
+    if (m1.support != m2.support or set(m1.rho) != set(m2.rho)
+            or any(abs(abs(m1.rho[k]) - abs(m2.rho[k])) > tol for k in m1.rho)):
+        return False
+    edges = [(x, y, m2.rho[(x, a, y)] / m1.rho[(x, a, y)])
+             for (x, a, y) in sorted(m1.rho) if abs(m1.rho[(x, a, y)]) > tol]
+    u = _gauge_phases(m1.support, edges)
+    if set(u) != set(m1.support):
         return True  # action graph disconnected; magnitudes already agree
-    return all(abs(phases[yy] / phases[xx] - ratio) <= 10 * tol
-               for xx, yy, ratio in edges)
+    return all(abs(u[y] / u[x] - r) <= 10 * tol for x, y, r in edges)
 
 
 def enumerate_local_modules(cd: CategoryData, A: AlgebraObject,
@@ -349,12 +341,12 @@ def _require_commutative_qsystem(cd, A):
 def _local_modules(cd, A, seed=0, with_ring=False) -> CondensedData:
     """enumerate_local_modules on an A that already passed its checks."""
     dQ = algebra_dim(cd, A)
-    bound = dQ * np.sqrt(cd.dims.global_dim) + 1e-6
+    bound = dQ * np.sqrt(cd.dims.global_dim) + cd.identity_tolerance
     found = []
 
     def keep(mod):
         return is_local(cd, A, mod)[0] and not any(
-            _unitarily_equivalent(cd, A, mod, got) for got in found)
+            _unitarily_equivalent(cd, mod, got) for got in found)
 
     for x in range(cd.ring.rank):
         for mod in free_module_decomposition(cd, A, x, seed=seed, keep=keep):
@@ -431,7 +423,7 @@ def local_fusion(cd: CategoryData, A: AlgebraObject, X: ModuleObject,
             continue
         P = _projector_block(cd, A, X, Y, t, pairs, dQ)
         dev = np.max(np.abs(P @ P - P))
-        if dev > 1e-6:
+        if dev > cd.identity_tolerance:
             raise StructuralError(f"canonical projector not idempotent (dev {dev:.2e})")
         sv = np.linalg.svd(P, compute_uv=False)
         ranks[t] = int(np.sum(sv > 0.5))
@@ -503,10 +495,11 @@ def _condensation_identity(cd, A, seed=0) -> dict:
     total = float(sum(m.fpdim(cd) ** 2 for m in cond.simples))
     D = cd.dims.global_dim
     dQ = algebra_dim(cd, A)
-    lagrangian = abs(dQ ** 2 - D) < 1e-6
-    ok = abs(total - D) < 1e-6 and (not lagrangian or len(cond.simples) == 1)
+    tol = cd.identity_tolerance
+    lagrangian = abs(dQ ** 2 - D) < tol
+    ok = abs(total - D) < tol and (not lagrangian or len(cond.simples) == 1)
     return {
-        "sum_fpdim_sq": total, "global_dim": D, "identity_ok": abs(total - D) < 1e-6,
+        "sum_fpdim_sq": total, "global_dim": D, "identity_ok": abs(total - D) < tol,
         "lagrangian": lagrangian, "n_simples": len(cond.simples), "passed": ok,
         "condensed": cond,
     }
@@ -523,7 +516,7 @@ def _condensed_ring(cd, A, condensed: CondensedData):
             N[i, j, :len(mult)] = mult
     reg = regular_module(A)
     unit_idx = next(i for i, m in enumerate(condensed.simples)
-                    if _unitarily_equivalent(cd, A, m, reg))
+                    if _unitarily_equivalent(cd, m, reg))
     order = [unit_idx] + [i for i in range(n) if i != unit_idx]
     N = N[np.ix_(order, order, order)]
     labels = tuple("Q" if i == 0 else f"X{i}" for i in range(n))

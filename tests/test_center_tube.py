@@ -151,7 +151,7 @@ def test_retry_loops_report_attempts(centers):
     J = np.array([i for i, quad in enumerate(tube.basis) if quad[0] == 0])
     with pytest.raises(StructuralError, match=r"corner split failed after 4 attempts "
                        r"\(smallest eigenvalue gap \d"):
-        _minimal_corner_projection(2 * tube.product[J[:, None, None], J[:, None], J],
+        _minimal_corner_projection(tube.cd, 2 * tube.product[J[:, None, None], J[:, None], J],
                                    tube.star[J[:, None], J], tube.unit_vector()[J], 2, rng)
 
 
