@@ -64,20 +64,11 @@ def ising() -> CategoryData:
         (2, 1, 2, 1, 1, 1): -1.0,
         (2, 1, 1, 0, 1, 2): 1.0,
         (2, 1, 1, 2, 1, 0): 1.0,
-        (1, 1, 2, 0, 0, 1): 1.0,
         (1, 1, 2, 2, 0, 1): 1.0,
         (1, 1, 2, 0, 2, 1): 1.0,
-        (1, 1, 2, 2, 2, 1): 1.0,
         (2, 2, 1, 1, 0, 1): 1.0,
         (1, 2, 2, 1, 1, 0): 1.0,
         (2, 2, 2, 2, 0, 0): 1.0,
-        (2, 1, 1, 1, 1, 1): 1.0,
-        (1, 1, 1, 1, 1, 1): 1.0,
-        (1, 2, 1, 1, 1, 1): 1.0,
-        (1, 1, 2, 1, 1, 1): 1.0,
-        (2, 2, 1, 0, 0, 1): 1.0,
-        (1, 2, 2, 0, 1, 0): 1.0,
-        (2, 1, 2, 0, 1, 1): 1.0,
     }
     R = {
         (1, 1, 0): cmath.exp(-1j * math.pi / 8.0),

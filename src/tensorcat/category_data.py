@@ -130,10 +130,10 @@ class CategoryData:
     # The tolerance policy (README, "Tolerances"): ``tolerance`` bounds the
     # coherence residuals of the input data, and the thresholds on derived
     # data are the three names below.  ``split_resolution`` is fixed: it
-    # conditions the seeded random elements of the spectral splits (central
-    # idempotents, corner projections, free_module_decomposition), whose
-    # eigenvalues, and the corner Gram-Schmidt's row norms, count as equal
-    # when closer than it relative to max(1, scale).
+    # conditions the seeded random elements of the two spectral splits
+    # (corner projections, free_module_decomposition), whose eigenvalues,
+    # and the corner Gram-Schmidt's row norms, count as equal when closer
+    # than it relative to max(1, scale).
     split_resolution: ClassVar[float] = 1e-6
 
     @property
@@ -346,11 +346,16 @@ def _is_group_ring(ring):
     return bool((ring.N.sum(axis=2) == 1).all())
 
 
+def _key_array(entries, arity):
+    """The keys of an entries dict as a (len(entries), arity) index array."""
+    return np.fromiter(itertools.chain.from_iterable(entries), dtype=np.intp,
+                       count=len(entries) * arity).reshape(len(entries), arity)
+
+
 def _dense_prefix(entries, r, arity, lead):
     """np.ones((r,) * lead) holding each value at the first ``lead`` of the
     ``arity`` indices of its key; one fancy assignment."""
-    keys = np.fromiter(itertools.chain.from_iterable(entries), dtype=np.intp,
-                       count=len(entries) * arity).reshape(len(entries), arity)
+    keys = _key_array(entries, arity)
     out = np.ones((r,) * lead, dtype=complex)
     out[tuple(keys[:, :lead].T)] = np.fromiter(entries.values(), dtype=complex,
                                                count=len(entries))
@@ -536,8 +541,23 @@ def verify_hexagon(cd: CategoryData) -> list:
     return rep + [line.replace("hexagon:", "hexagon(inverse):") for line in rep_inv]
 
 
+def _inadmissible_entries(ring, F_entries, R_entries) -> list:
+    """A line per F entry (a,b,c,d,e,f) with N^e_{ab} N^d_{ec} N^f_{bc} N^d_{af}
+    = 0 and per R entry (a,b,c) with N^c_{ab} = 0: validate_category reports
+    them and load_category raises the first."""
+    N = ring.N
+    F = _key_array(F_entries, 6)
+    a, b, c, d, e, f = F.T
+    bad = F[N[a, b, e] * N[e, c, d] * N[b, c, f] * N[a, f, d] == 0]
+    R = _key_array(R_entries or {}, 3)
+    return (["F entry on inadmissible tuple ({},{},{},{},{},{})".format(*k) for k in bad.tolist()]
+            + ["R entry on inadmissible channel ({},{},{})".format(*k)
+               for k in R[N[tuple(R.T)] == 0].tolist()])
+
+
 def validate_category(cd: CategoryData) -> list:
-    """Ring axioms, F unitarity, pentagon, unimodularity and hexagons."""
+    """Ring axioms, admissibility of the stored entries, F unitarity,
+    pentagon, unimodularity and hexagons."""
     from .fusion_ring import validate_fusion_ring
     report = list(validate_fusion_ring(cd.ring))
     if report:
@@ -546,6 +566,7 @@ def validate_category(cd: CategoryData) -> list:
         return report
     ring = cd.ring
     r = ring.rank
+    report += _inadmissible_entries(ring, cd.F.entries, cd.R and cd.R.entries)
     # unitarity of each F-block
     for a in range(1, r):
         for b in range(1, r):
@@ -563,9 +584,7 @@ def validate_category(cd: CategoryData) -> list:
     report += verify_pentagon(cd)
     if cd.R is not None:
         for (a, b, c), v in cd.R.entries.items():
-            if not ring.N[a, b, c]:
-                report.append(f"R entry on inadmissible channel ({a},{b},{c})")
-            elif abs(abs(v) - 1.0) > cd.tolerance * 10:
+            if ring.N[a, b, c] and abs(abs(v) - 1.0) > cd.tolerance * 10:
                 report.append(f"R^{{{a},{b}}}_{c} not unimodular: |R| = {abs(v):.12f}")
         report += verify_hexagon(cd)
     return report
@@ -808,20 +827,13 @@ def load_category(path, validate=True, tolerance=None) -> CategoryData:
         return CategoryData(ring=ring, dims=dims, F=FSymbolSet({}), R=None,
                             tolerance=tol, partial=True)
 
-    F_entries = {}
-    for a, b, c, d, e, f, v in doc.get("F", []):
-        a, b, c, d, e, f = map(int, (a, b, c, d, e, f))
-        if not (ring.N[a, b, e] and ring.N[e, c, d] and ring.N[b, c, f] and ring.N[a, f, d]):
-            raise StructuralError(f"F entry on inadmissible tuple ({a},{b},{c},{d},{e},{f})")
-        F_entries[(a, b, c, d, e, f)] = _decode_value(v)
-    R_entries = None
-    if "R" in doc:
-        R_entries = {}
-        for a, b, c, v in doc["R"]:
-            a, b, c = int(a), int(b), int(c)
-            if not ring.N[a, b, c]:
-                raise StructuralError(f"R entry on inadmissible channel ({a},{b},{c})")
-            R_entries[(a, b, c)] = _decode_value(v)
+    F_entries = {(int(a), int(b), int(c), int(d), int(e), int(f)): _decode_value(v)
+                 for a, b, c, d, e, f, v in doc.get("F", [])}
+    R_entries = None if "R" not in doc else {
+        (int(a), int(b), int(c)): _decode_value(v) for a, b, c, v in doc["R"]}
+    bad = _inadmissible_entries(ring, F_entries, R_entries)
+    if bad:
+        raise StructuralError(bad[0])
     cd = CategoryData(ring=ring, dims=dims, F=FSymbolSet._adopt(F_entries),
                       R=RSymbolSet._adopt(R_entries) if R_entries is not None else None,
                       tolerance=tol, deferred_validation=not validate)

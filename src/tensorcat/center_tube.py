@@ -13,14 +13,16 @@ t_i^*, so products, stars and the left regular action are array contractions.
 
 t_(x,a,e,y) maps the sector x to y, and the center lives in the diagonal
 corners p_x Tube p_x (Izumi 2000, Mueger 2003), which are small: at most 16
-of the 144 basis elements of ising (x) ising.  Each minimal central
-idempotent of a corner is p_Z p_x for a simple Z of the center, and cuts out
-m_x(Z) x m_x(Z) matrices; a minimal projection q under it spans one copy of
-Z's irreducible module, the left ideal Tube q.  From that module come the
-multiplicity vector over Irr(C), the half-braiding components (a linear
-solve against diagram values tabulated once per tube, checked against the
-composite-channel axioms by half_braiding_check), the dimension, and the
-traces that S and T contract.
+of the 144 basis elements of ising (x) ising.  A corner is the sum, over
+the simples Z of the center, of the blocks p_Z p_x Tube p_x, each of
+m_x(Z) x m_x(Z) matrices.  One eigendecomposition of the left action of a
+random hermitian element, self-adjoint for the trace form, gives minimal
+projections q under every block at once (_corner_projections); q spans one
+copy of Z's irreducible module, the left ideal Tube q.  From that module
+come the multiplicity vector over Irr(C), the half-braiding components (a
+linear solve against diagram values tabulated once per tube, checked
+against the composite-channel axioms by half_braiding_check), the
+dimension, and the traces that S and T contract.
 
 Conventions: the half-braiding sigma_{c,z}: c (x) z -> z (x) c carries the
 strand of the ambient category over the center object's strand; the braiding
@@ -231,68 +233,54 @@ def build_tube_algebra(cd: CategoryData) -> TubeAlgebra:
     return TubeAlgebra(basis=basis, product=product, star=star, cd=cd)
 
 
-def _central_elements(tube: TubeAlgebra):
-    """Basis of the center of a tube algebra or corner (nullspace of ad)."""
-    n = tube.dim
-    C = tube.product
-    # row (j, k), column i: (t_i t_j - t_j t_i)_k, so big @ z = 0 iff z is central
-    big = (C.transpose(1, 2, 0) - C.transpose(0, 2, 1)).reshape(n * n, n)
-    _u, s, vh = np.linalg.svd(big, full_matrices=False)
-    keep = s < tube.cd.noise_floor * max(1.0, s[0])
-    return vh[keep].conj().T  # columns span the center
+def _corner_projections(sub: TubeAlgebra, weights, rng):
+    """(m, q) for each eigenvalue cluster of a random hermitian h in the
+    corner sub = p_x Tube p_x: q is a minimal projection of the corner
+    under the block M_m of one center simple.
 
-
-def _minimal_idempotents(tube: TubeAlgebra, seed):
-    """Minimal central idempotents via a seeded random central element."""
-    Z = _central_elements(tube)
-    m = Z.shape[1]
-    tol = tube.cd.identity_tolerance
-    rng = np.random.default_rng((seed, 1))
+    Left multiplication by h is self-adjoint for the trace inner product,
+    which is diagonal on the basis with the given weights, so one eigh of
+    diag(sqrt w) L_h diag(1/sqrt w) diagonalizes it.  On a block M_m each of
+    h's m eigenvalues appears m times, and the spectral projection at one of
+    them is left multiplication by a minimal projection q: q is that
+    projection applied to the unit, and m is the size of the cluster.  A
+    collision of eigenvalues shows as dim(q sub q) = tr(L_q R_q) != 1 and is
+    retried with a new h.
+    """
+    cd = sub.cd
+    n = sub.dim
+    sw = np.sqrt(weights)
+    unit = sw * sub.unit_vector()
     attempts = 4
     min_gap = np.inf
-    for attempt in range(attempts):
-        coeff = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        h = Z @ coeff
-        h = h + tube.star_vector(h)
-        # regular action of h restricted to the center
-        Hz = np.tensordot(h, tube.product, 1).T @ Z
-        A, resid, *_ = np.linalg.lstsq(Z, Hz, rcond=None)
-        w, V = np.linalg.eig(A)
-        if m > 1:
-            gap = np.min(np.abs(w[:, None] - w[None, :]) + np.eye(m))
-            min_gap = min(min_gap, gap)
-            if gap < tube.cd.split_resolution:
-                continue  # eigenvalue collision: retry
-        idems = []
-        for k in range(m):
-            v = Z @ V[:, k]
-            sq = tube.multiply(v, v)
-            lead = np.argmax(np.abs(v))
-            gamma = sq[lead] / v[lead]
-            if abs(gamma) < tube.cd.noise_floor:
-                break
-            p = v / gamma
-            if np.max(np.abs(tube.multiply(p, p) - p)) > tol:
-                break
-            idems.append(p)
-        else:
-            total = np.sum(idems, axis=0)
-            if np.max(np.abs(total - tube.unit_vector())) < tol:
-                return idems
+    for _ in range(attempts):
+        r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        h = r + sub.star_vector(r)
+        lam, V = np.linalg.eigh(sw[:, None] * np.tensordot(h, sub.product, 1).T / sw)
+        gaps = np.diff(lam)
+        cuts = np.flatnonzero(gaps > cd.split_resolution * max(1.0, np.abs(lam).max()))
+        min_gap = min(min_gap, gaps[cuts].min(initial=np.inf))
+        clusters = np.split(np.arange(n), cuts + 1)
+        coeff = V.conj().T @ unit
+        Q = np.array([V[:, c] @ coeff[c] for c in clusters]) / sw
+        # tr(L_q R_q), the dimension of q sub q: 1 exactly when q is minimal
+        dims = np.einsum("cjk,ckj->c", np.tensordot(Q, sub.product, (1, 0)),
+                         np.tensordot(Q, sub.product, (1, 1))).real
+        if np.all(np.abs(dims - 1.0) < cd.identity_tolerance):
+            return [(len(c), q) for c, q in zip(clusters, Q)]
     raise StructuralError(
-        f"central idempotent refinement failed after {attempts} attempts "
+        f"corner split failed after {attempts} attempts "
         f"(smallest eigenvalue gap {min_gap:.2e})")
 
 
-def _corner_module(tube: TubeAlgebra, x, e, m, weights, rng):
-    """The irreducible module Tube q of a minimal projection q <= e, for a
-    minimal central idempotent e of the corner p_x Tube p_x with block m x m.
+def _corner_module(tube: TubeAlgebra, x, q, weights):
+    """The irreducible module Tube q of a minimal projection q of the corner
+    p_x Tube p_x.
 
-    q = e when m = 1, else a spectral projection of a random hermitian
-    element of the corner (the only use of rng).  The t_j q with t_j leaving
-    x span Tube q; a pivoted Gram-Schmidt in the trace inner product, which
-    is diagonal on the basis with the given weights, makes an orthonormal
-    basis of it, sector by sector, on which the left action is unitary.
+    The t_j q with t_j leaving x span Tube q; a pivoted Gram-Schmidt in the
+    trace inner product, which is diagonal on the basis with the given
+    weights, makes an orthonormal basis of it, sector by sector, on which
+    the left action is unitary.
 
     Returns (copies, pi): copies[c] = (y, j) labels basis vector c, the j-th
     in sector y, sectors ascending; pi[k] is the matrix of t_k on the module.
@@ -301,9 +289,8 @@ def _corner_module(tube: TubeAlgebra, x, e, m, weights, rng):
     J = np.flatnonzero(source == x)         # coordinates of Tube p_x
     L = tube.product[:, J[:, None], J]      # L[k, i, l]: t_{J_l} in t_k t_{J_i}
     cd = tube.cd
-    q = _minimal_corner_projection(cd, L[J], tube.star[J[:, None], J], e[J], m, rng)
     sw = np.sqrt(weights[J])
-    rows = np.tensordot(L[J], q, axes=(1, 0)) * sw   # row j: t_{J_j} q, tau-scaled
+    rows = np.tensordot(L[J], q[J], axes=(1, 0)) * sw   # row j: t_{J_j} q, tau-scaled
     floor = cd.noise_floor * np.max(np.abs(rows))
     picked = []
     for _ in J:
@@ -322,52 +309,7 @@ def _corner_module(tube: TubeAlgebra, x, e, m, weights, rng):
     B = np.array([v for _y, v in picked]).T
     pi = np.einsum("lC,kil,ic->kCc", (B * sw[:, None]).conj(), L,
                    B / sw[:, None], optimize=True)
-    rank_q = np.trace(np.tensordot(q, pi[J], 1)).real
-    if abs(rank_q - 1.0) > cd.identity_tolerance:
-        raise StructuralError(f"the corner projection at x={x} is not minimal: "
-                              f"pi(q) has rank {rank_q:.6g}, not 1")
     return copies, pi
-
-
-def _minimal_corner_projection(cd, L, star, e, m, rng):
-    """A minimal projection under e = p p_x in the corner e Tube e, which is
-    a full m x m matrix algebra.
-
-    L and star are the structure constants and star of Tube p_x in its own
-    coordinates.  For m > 1 a random hermitian h in the corner has m simple
-    eigenvalues, the roots of its minimal polynomial h^m = sum_k c_k h^k;
-    q is the spectral projection on the largest, prod (h - mu e)/(lam - mu)
-    over the others.  An eigenvalue collision is retried.
-    """
-    if m == 1:
-        return e
-
-    def mul(u, v):
-        return v @ np.tensordot(u, L, 1)
-
-    attempts = 4
-    min_gap = np.inf
-    for attempt in range(attempts):
-        r = rng.standard_normal(len(e)) + 1j * rng.standard_normal(len(e))
-        h = mul(e, mul(r, e))
-        h = h + np.conj(h) @ star
-        powers = [e]
-        for _ in range(m):
-            powers.append(mul(h, powers[-1]))
-        c = np.linalg.lstsq(np.array(powers[:-1]).T, powers[-1], rcond=None)[0]
-        lam = np.sort(np.roots(np.r_[1.0, -c[::-1]]).real)
-        gap = float(np.min(np.diff(lam)))
-        min_gap = min(min_gap, gap)
-        if gap < cd.split_resolution * max(1.0, np.max(np.abs(lam))):
-            continue
-        q = e
-        for mu in lam[:-1]:
-            q = mul(h - mu * e, q) / (lam[-1] - mu)
-        if np.max(np.abs(mul(q, q) - q)) < cd.identity_tolerance * max(1.0, np.max(np.abs(q))):
-            return q
-    raise StructuralError(
-        f"corner split failed after {attempts} attempts "
-        f"(smallest eigenvalue gap {min_gap:.2e})")
 
 
 def _half_braiding_table(tube: TubeAlgebra) -> dict:
@@ -522,42 +464,41 @@ def decompose_center(tube: TubeAlgebra, seed=0) -> CenterData:
     over dim z.  Simples are ordered by (dim, twist angle, multiplicity
     vector), the unit first.
 
-    The seed drives the random central element that splits each corner and,
-    for a simple whose multiplicities all exceed 1, the split of its corner.
-    Dims, twists, underlying multiplicities and S do not depend on it, up to
-    the order of simples that agree in all three.  Nor do the copies and
-    half-braidings of a simple with some multiplicity 1; otherwise they are
-    fixed up to a seed-dependent unitary change of copy basis.
+    The seed drives the random hermitian element that splits each corner,
+    one stream for all corners.  Dims, twists, underlying multiplicities and
+    S do not depend on it, up to the order of simples that agree in all
+    three.  Nor do the copies and half-braidings of a simple with some
+    multiplicity 1, whose projection there is the block idempotent p_Z p_x;
+    otherwise they are fixed up to a seed-dependent unitary change of copy
+    basis.
     """
     cd = tube.cd
     d = cd.dims.dims
     rank = cd.ring.rank
     source, target = np.array(tube.basis)[:, [0, 3]].T
-    corners = []   # (m, x, e): e = p_Z p_x for each block Z of each diagonal corner
+    weights = tube.trace_weights()
+    rng = np.random.default_rng((seed, 1))
+    corners = []   # (m, x, q): q a minimal projection at x under a block M_m
     for x in range(rank):
         D = np.flatnonzero((source == x) & (target == x))
         sub = TubeAlgebra(basis=[tube.basis[i] for i in D], cd=cd,
                           product=tube.product[np.ix_(D, D, D)],
                           star=tube.star[np.ix_(D, D)])
-        for f in _minimal_idempotents(sub, seed):
-            # the block f sub is m x m matrices: m^2 is the trace of f acting on sub
-            m = int(np.rint(np.sqrt(abs(np.einsum("j,jii->", f, sub.product)))))
-            e = np.zeros(tube.dim, dtype=complex)
-            e[D] = f
-            corners.append((m, x, e))
+        for m, f in _corner_projections(sub, weights[D], rng):
+            q = np.zeros(tube.dim, dtype=complex)
+            q[D] = f
+            corners.append((m, x, q))
     corners.sort(key=lambda c: c[:2])
-    E = np.array([e for _m, _x, e in corners])
+    Q = np.array([q for _m, _x, q in corners])
     unclaimed = np.ones(len(corners), dtype=bool)
     table = _half_braiding_table(tube)
-    weights = tube.trace_weights()
-    rng = np.random.default_rng((seed, 2))
     simples, traces = [], []
-    for i, (m, x, e) in enumerate(corners):
+    for i, (_m, x, q) in enumerate(corners):
         if not unclaimed[i]:
             continue
-        copies, pi = _corner_module(tube, x, e, m, weights, rng)
-        # tr pi(e') is the multiplicity of Z at y for its corner e' at y, else 0
-        unclaimed &= (E @ np.einsum("kcc->k", pi)).real < 0.5
+        copies, pi = _corner_module(tube, x, q, weights)
+        # tr pi(q') is 1 for a minimal projection q' under Z's blocks, else 0
+        unclaimed &= (Q @ np.einsum("kcc->k", pi)).real < 0.5
         half, D = _half_braiding(cd, table, copies, pi)
         mult = np.bincount([y for y, _j in copies], minlength=rank)
         simples.append(CenterObject(underlying=mult, half_braiding=half, copies=copies,

@@ -81,8 +81,11 @@ def _emit_text(doc, indent=""):
 
 
 def _load_cd(args) -> CategoryData:
+    """The category of --catalog or --input, at the tolerance of --tol, else
+    TENSORCAT_TOL, else the file's, else the default."""
     if getattr(args, "catalog", None):
-        return dataclasses.replace(_catalog.catalog_category(args.catalog), tolerance=args.tol)
+        cd = _catalog.catalog_category(args.catalog)
+        return cd if args.tol is None else dataclasses.replace(cd, tolerance=args.tol)
     if getattr(args, "input", None):
         return load_category(args.input, validate=not args.no_validate,
                              tolerance=args.tol)
@@ -130,7 +133,7 @@ def _add_common(sp):
     sp.add_argument("--catalog", help="built-in category name")
     # argparse parses a string default with ``type``, so TENSORCAT_TOL is checked too
     sp.add_argument("--tol", type=check_tolerance, help="tolerance override",
-                    default=os.environ.get("TENSORCAT_TOL", CategoryData.tolerance))
+                    default=os.environ.get("TENSORCAT_TOL"))
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--format", choices=("json", "text"), default="json")
     sp.add_argument("--no-validate", action="store_true")
@@ -212,10 +215,12 @@ def _dispatch(args) -> int:
     cmd = args.command
 
     if cmd == "catalog":
-        _emit({"categories": _catalog.catalog_names()}, args)
+        _emit({"categories": _catalog.catalog_names(),
+               "tolerance": args.tol or CategoryData.tolerance}, args)
         return EXIT_OK
 
     cd = _load_cd(args)
+    args.tol = cd.tolerance     # the one in use, which _emit reports
     ring = cd.ring
 
     if cmd == "validate":
@@ -368,14 +373,7 @@ def _write_center_category(cd, center, path):
                     raise StructuralError(
                         f"Verlinde coefficient not integral at ({a},{b},{c}): {val}")
                 N[a, b, c] = n
-    dual = []
-    for a in range(r):
-        cands = [b for b in range(r) if N[a, b, 0] == 1]
-        if not cands:
-            raise StructuralError(f"Verlinde fusion ring: z{a} has no dual")
-        dual.append(cands[0])
-    labels = tuple(f"z{i}" for i in range(r))
-    ring = FusionRing(rank=r, labels=labels, dual=tuple(dual), N=N)
+    ring = FusionRing.from_fusion([f"z{i}" for i in range(r)], N)
     dims = fp_dimensions(ring)
     from .category_data import CategoryData, FSymbolSet
     zcd = CategoryData(ring=ring, dims=dims, F=FSymbolSet({}), R=None,

@@ -57,6 +57,16 @@ class FusionRing:
                           N=np.asarray(N, dtype=np.int64))
 
     @staticmethod
+    def from_fusion(labels, N):
+        """The ring with dual(a) the first b with N^0_{ab} > 0, read from the
+        fusion rules; StructuralError when some a has no such b."""
+        has = np.asarray(N)[:, :, 0] > 0
+        missing = np.flatnonzero(~has.any(axis=1))
+        if missing.size:
+            raise StructuralError(f"fusion rules give {labels[missing[0]]} no dual")
+        return FusionRing.from_arrays(labels, np.argmax(has, axis=1).tolist(), N)
+
+    @staticmethod
     def from_sparse(rank, triples, dual, labels=None):
         """Build from sparse entries [(a, b, c, n), ...]; unchecked duplicates add."""
         if labels is None:

@@ -188,7 +188,7 @@ def _commutant_generators(cd, A, x, sectors):
     return gens
 
 
-def free_module_decomposition(cd, A, x, seed=0, max_rounds=5, keep=None):
+def free_module_decomposition(cd, A, x, seed=0, keep=None):
     """Simple submodules of x (x) A.
 
     A seeded random Hermitian element of the commutant is diagonalized per
@@ -207,8 +207,9 @@ def free_module_decomposition(cd, A, x, seed=0, max_rounds=5, keep=None):
     ys = sorted(sectors)
     gens = _commutant_generators(cd, A, x, sectors)
     rng = np.random.default_rng((seed, x, 977))
+    rounds = 5
     failures = []
-    for attempt in range(max_rounds):
+    for _ in range(rounds):
         coeff = rng.standard_normal(len(gens)) + 1j * rng.standard_normal(len(gens))
         H = {}
         for y in ys:
@@ -268,7 +269,7 @@ def free_module_decomposition(cd, A, x, seed=0, max_rounds=5, keep=None):
             failures.append(f"verify_module failed (associativity "
                             f"{bad['associativity']:.2e}, unit {bad['unit']:.2e})")
     raise StructuralError(
-        f"could not split x (x) A for x={x} in {max_rounds} rounds ("
+        f"could not split x (x) A for x={x} in {rounds} rounds ("
         + "; ".join(f"round {i + 1}: {f}" for i, f in enumerate(failures))
         + "): persistent eigenvalue collisions or underlying multiplicity "
         "(out of scope)")
@@ -519,12 +520,7 @@ def _condensed_ring(cd, A, condensed: CondensedData):
                     if _unitarily_equivalent(cd, m, reg))
     order = [unit_idx] + [i for i in range(n) if i != unit_idx]
     N = N[np.ix_(order, order, order)]
-    labels = tuple("Q" if i == 0 else f"X{i}" for i in range(n))
-    dual = []
-    for i in range(n):
-        cands = [j for j in range(n) if N[i, j, 0] >= 1]
-        dual.append(cands[0] if cands else i)
-    return FusionRing(rank=n, labels=labels, dual=tuple(dual), N=N)
+    return FusionRing.from_fusion(["Q"] + [f"X{i}" for i in range(1, n)], N)
 
 
 def load_module(cd: CategoryData, path) -> ModuleObject:

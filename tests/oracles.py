@@ -379,6 +379,38 @@ def center_twist_by_traces(cd, z):
     return complex(total / z.dim)
 
 
+def central_idempotents_by_nullspace(tube, seed=0):
+    """Minimal central idempotents of a tube algebra or corner: a basis of
+    the center from the nullspace of the commutator stack, then a seeded
+    random central element diagonalized on that basis, retried on an
+    eigenvalue collision."""
+    n = tube.dim
+    C = tube.product
+    # row (j, k), column i: (t_i t_j - t_j t_i)_k, so big @ z = 0 iff z is central
+    big = (C.transpose(1, 2, 0) - C.transpose(0, 2, 1)).reshape(n * n, n)
+    _u, s, vh = np.linalg.svd(big, full_matrices=False)
+    Z = vh[s < 1e-10 * max(1.0, s[0])].conj().T     # columns span the center
+    m = Z.shape[1]
+    rng = np.random.default_rng((seed, 1))
+    for _ in range(4):
+        coeff = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        h = Z @ coeff
+        h = h + tube.star_vector(h)
+        # regular action of h restricted to the center
+        A = np.linalg.lstsq(Z, np.tensordot(h, C, 1).T @ Z, rcond=None)[0]
+        w, V = np.linalg.eig(A)
+        if m > 1 and np.min(np.abs(w[:, None] - w[None, :]) + np.eye(m)) < 1e-6:
+            continue
+        idems = []
+        for v in (Z @ V).T:
+            lead = np.argmax(np.abs(v))
+            idems.append(v * v[lead] / tube.multiply(v, v)[lead])
+        if all(np.max(np.abs(tube.multiply(p, p) - p)) < 1e-6 for p in idems) and \
+                np.max(np.abs(np.sum(idems, axis=0) - tube.unit_vector())) < 1e-6:
+            return idems
+    raise AssertionError("no split of the center into minimal idempotents")
+
+
 def center_s_by_traces(cd, simples):
     """S[z, w]: for every copy of z in sector x and of w in sector x', the
     categorical trace of sigma^z_{x'} composed with sigma^w_x."""

@@ -344,6 +344,44 @@ def test_load_rejects_inadmissible_f_entry(tmp_path, fib):
     assert "(0,0,0,1,0,0)" in str(err.value)
 
 
+def test_validate_and_load_reject_inadmissible_entries_alike(tmp_path, fib):
+    import copy
+    import re
+    for where, key, msg in [("F", (1, 1, 1, 0, 0, 0), "F entry on inadmissible tuple (1,1,1,0,0,0)"),
+                            ("R", (1, 0, 0), "R entry on inadmissible channel (1,0,0)")]:
+        bad = copy.deepcopy(fib)
+        getattr(bad, where).entries[key] = 1.0 + 0j
+        assert msg in validate_category(bad), where
+        path = tmp_path / f"bad_{where}.json"
+        save_category(bad, path)
+        for validate in (True, False):
+            with pytest.raises(StructuralError, match=re.escape(msg)):
+                load_category(path, validate=validate)
+
+
+def test_every_catalog_entry_round_trips(tmp_path, cats):
+    """save_category then load_category returns equal F, R and dims on the
+    catalog, its op and rev variants (validated on load) and the Deligne
+    products of distinct entries (loaded unvalidated: the save and load
+    of the 45 products already take 3 s)."""
+    def cases():
+        for n, cd in cats.items():
+            yield n, cd, True
+            yield f"op({n})", monoidal_opposite(cd), True
+            yield f"rev({n})", reverse_braiding(cd), True
+        for a, b in itertools.combinations(cats, 2):
+            yield f"{a}*{b}", deligne_product_data(cats[a], cats[b]), False
+
+    path = tmp_path / "cd.json"
+    for name, cd, validate in cases():
+        save_category(cd, path)
+        back = load_category(path, validate=validate)
+        assert back.ring == cd.ring, name
+        assert back.F.entries == cd.F.entries, name
+        assert back.R.entries == cd.R.entries, name
+        assert np.array_equal(back.dims.dims, cd.dims.dims), name
+
+
 def test_load_with_no_validate_defers(tmp_path, fib):
     import copy
     bad = copy.deepcopy(fib)

@@ -8,10 +8,9 @@ import pytest
 
 from tensorcat.algebra import (AlgebraObject, algebra_dim, is_commutative,
                                solve_support_algebra, verify_qsystem)
-from tensorcat.catalog import catalog_category, vec_zn
-from tensorcat.center_tube import (_central_elements, _corner_module,
-                                   _half_braiding_table, _minimal_corner_projection,
-                                   _minimal_idempotents, build_tube_algebra,
+from tensorcat.catalog import catalog_category, catalog_names, vec_zn
+from tensorcat.center_tube import (TubeAlgebra, _corner_module, _corner_projections,
+                                   _half_braiding_table, build_tube_algebra,
                                    center_global_checks, center_presentation,
                                    decompose_center, half_braiding_check,
                                    lagrangian_algebra, theorem_c_shadow)
@@ -20,8 +19,8 @@ from tensorcat.errors import StructuralError
 from tensorcat.local_modules import condensation_identity_check
 
 from oracles import (PHI, algebras_gauge_equivalent, center_s_by_traces,
-                     center_twist_by_traces, half_braiding_W_by_entries,
-                     tube_product_by_pairs)
+                     center_twist_by_traces, central_idempotents_by_nullspace,
+                     half_braiding_W_by_entries, tube_product_by_pairs)
 
 
 @pytest.fixture(scope="module")
@@ -109,50 +108,95 @@ def test_tube_product_matches_per_pair_oracle(cats):
                               tube_product_by_pairs(cd)), name
 
 
-def test_central_elements_commute_and_count(centers):
-    for name, (cd, tube, center) in centers.items():
-        Z = _central_elements(tube)
-        assert Z.shape[1] == len(center.simples), name
-        for z in Z.T:
-            for e in np.eye(tube.dim):
-                assert np.allclose(tube.multiply(z, e), tube.multiply(e, z),
-                                   atol=1e-9), name
+def _corner(tube, x):
+    """The diagonal corner p_x Tube p_x, its coordinates D in the tube."""
+    source, target = np.array(tube.basis)[:, [0, 3]].T
+    D = np.flatnonzero((source == x) & (target == x))
+    return D, TubeAlgebra(basis=[tube.basis[i] for i in D], cd=tube.cd,
+                          product=tube.product[np.ix_(D, D, D)],
+                          star=tube.star[np.ix_(D, D)])
 
 
-def test_central_elements_memory_bounded():
-    """The economy SVD keeps _central_elements at O(n^3) memory; a full SVD
-    of the n^2 x n commutator stack allocates a 27 MB U factor at n = 36."""
+def test_corner_split_reports_attempts(centers):
+    import dataclasses
+    _, tube, _ = centers["vec_z2"]
+    D, sub = _corner(tube, 0)
+    weights = tube.trace_weights()[D]
+    # doubling the product quadruples dim(q sub q) for every spectral projection q
+    doubled = dataclasses.replace(sub, product=2 * sub.product)
+    with pytest.raises(StructuralError, match=r"corner split failed after 4 attempts "
+                       r"\(smallest eigenvalue gap \d"):
+        _corner_projections(doubled, weights, np.random.default_rng(0))
+
+
+def test_corner_split_retries_a_central_element(centers):
+    """An rng whose draws make h a multiple of the unit yields one cluster,
+    whose q, the unit of the 2-dimensional corner, is not minimal."""
+    _, tube, _ = centers["vec_z2"]
+    D, sub = _corner(tube, 0)
+
+    class UnitDraws:
+        calls = 0
+
+        def standard_normal(self, n):
+            self.calls += 1
+            return sub.unit_vector().real
+
+    rng = UnitDraws()
+    with pytest.raises(StructuralError, match=r"corner split failed after 4 attempts "
+                       r"\(smallest eigenvalue gap inf\)"):
+        _corner_projections(sub, tube.trace_weights()[D], rng)
+    assert rng.calls == 8     # a real and an imaginary part per attempt
+
+
+def test_decompose_center_memory_bounded():
+    """The whole decomposition of the vec_zn(6, 1) tube (n = 36) peaks
+    below 4 MiB, half the 8 MiB that bounded a nullspace SVD of the whole
+    tube on its own (a full SVD of that n^2 x n stack allocates 27 MB)."""
     import tracemalloc
     tube = build_tube_algebra(vec_zn(6, 1))
     assert tube.dim == 36
     tracemalloc.start()
     try:
-        _central_elements(tube)
+        decompose_center(tube, seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2 ** 20
+    assert peak < 4 * 2 ** 20
 
 
-def test_retry_loops_report_attempts(centers):
-    import dataclasses
-    _, tube, _ = centers["vec_z2"]
-    # doubling the product halves every idempotent, so none sums to the unit
-    doubled = dataclasses.replace(tube, product=2 * tube.product)
-    with pytest.raises(StructuralError,
-                       match=r"after 4 attempts \(smallest eigenvalue gap \d"):
-        _minimal_idempotents(doubled, seed=0)
-    # the unit of the commutative vec_z2 tube is not minimal: pi of it has rank 2
+@pytest.mark.parametrize("name", catalog_names() + ["vec_s3", "fib*ising"])
+def test_corner_projections_sum_to_central_idempotents(cats, name):
+    """At every corner, the projections one simple claims (tr pi(q) > 0.5
+    on the module of the first of them) add up to one minimal central
+    idempotent of the nullspace oracle, and every idempotent is reached."""
+    if name == "vec_s3":
+        cd = _vec_s3()
+    elif name == "fib*ising":
+        cd = deligne_product_data(cats["fibonacci"], cats["ising"])
+    else:
+        cd = cats[name]
+    tube = build_tube_algebra(cd)
+    weights = tube.trace_weights()
     rng = np.random.default_rng(0)
-    with pytest.raises(StructuralError, match=r"the corner projection at x=0 is not "
-                       r"minimal: pi\(q\) has rank 2, not 1"):
-        _corner_module(tube, 0, tube.unit_vector(), 1, tube.trace_weights(), rng)
-    # no spectral projection of the doubled product is idempotent
-    J = np.array([i for i, quad in enumerate(tube.basis) if quad[0] == 0])
-    with pytest.raises(StructuralError, match=r"corner split failed after 4 attempts "
-                       r"\(smallest eigenvalue gap \d"):
-        _minimal_corner_projection(tube.cd, 2 * tube.product[J[:, None, None], J[:, None], J],
-                                   tube.star[J[:, None], J], tube.unit_vector()[J], 2, rng)
+    for x in range(cd.ring.rank):
+        D, sub = _corner(tube, x)
+        oracle = central_idempotents_by_nullspace(sub)
+        qs = []
+        for _m, f in _corner_projections(sub, weights[D], rng):
+            q = np.zeros(tube.dim, dtype=complex)
+            q[D] = f
+            qs.append(q)
+        found = []
+        while qs:
+            _copies, pi = _corner_module(tube, x, qs[0], weights)
+            claimed = [(np.einsum("k,kcc->", q, pi).real > 0.5) for q in qs]
+            total = np.sum([q[D] for q, c in zip(qs, claimed) if c], axis=0)
+            dev = [np.max(np.abs(total - e)) for e in oracle]
+            assert min(dev) < 1e-10, (name, x, min(dev))
+            found.append(int(np.argmin(dev)))
+            qs = [q for q, c in zip(qs, claimed) if not c]
+        assert sorted(found) == list(range(len(oracle))), (name, x)
 
 
 def test_center_vec_z2_is_toric_code(centers):
@@ -337,24 +381,26 @@ def test_half_braiding_table_matches_entrywise_oracle(cats, name):
 @pytest.mark.parametrize("name", ["fibonacci", "toric_code"])
 def test_decompose_center_evaluates_diagrams_once_per_tube(cats, name, monkeypatch):
     """decompose_center inserts only what the half-braiding table does, one
-    cap and one sigma_c per channel for each (x, a, y), takes one SVD per
-    simple object of the category (the center of each diagonal corner),
-    however many simples the center has, and one pseudo-inverse per shape
-    of W."""
+    cap and one sigma_c per channel for each (x, a, y), takes no SVD and one
+    eigh per simple object of the category (the split of each diagonal
+    corner), however many simples the center has, and one pseudo-inverse
+    per shape of W."""
     import tensorcat.center_tube as ct
     tube = build_tube_algebra(cats[name])
-    inserts, svds, pinvs = [], [], []
-    insert, svd, pinv = ct.insert, np.linalg.svd, np.linalg.pinv
+    inserts, svds, eighs, pinvs = [], [], [], []
+    insert, svd, eigh, pinv = ct.insert, np.linalg.svd, np.linalg.eigh, np.linalg.pinv
     monkeypatch.setattr(ct, "insert", lambda *a, **k: inserts.append(1) or insert(*a, **k))
     table = _half_braiding_table(tube)
     per_table = len(inserts)
     assert per_table == sum(1 + len(cs) for _ks, cs, _W, _Wp in table.values())
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(1) or svd(*a, **k))
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: eighs.append(1) or eigh(*a, **k))
     monkeypatch.setattr(np.linalg, "pinv", lambda *a, **k: pinvs.append(1) or pinv(*a, **k))
     inserts.clear()
     center = decompose_center(tube, seed=0)
     assert len(inserts) == per_table
-    assert len(svds) == cats[name].ring.rank < len(center.simples)
+    assert not svds
+    assert len(eighs) == cats[name].ring.rank < len(center.simples)
     assert len(pinvs) == len({W.shape for _ks, _cs, W, _Wp in table.values()})
 
 

@@ -88,6 +88,28 @@ def test_validate_catalog_uses_tol(capsys):
     assert code == 0
 
 
+def test_cli_honours_the_file_tolerance(tmp_path, capsys, monkeypatch):
+    """--tol, then TENSORCAT_TOL, then the file's tolerance, then the
+    default; the emitted tolerance is the one used."""
+    import dataclasses
+    path = tmp_path / "fib.json"
+    save_category(dataclasses.replace(catalog_category("fibonacci"), tolerance=1e-20), path)
+    # fibonacci's pentagon residuals are about 1e-16, above the file's 1e-20
+    code, _ = run(capsys, "validate", "--input", str(path))
+    assert code == 2
+    code, out = run(capsys, "validate", "--input", str(path), "--no-validate")
+    assert code == 2 and json.loads(out)["tolerance"] == 1e-20
+    code, out = run(capsys, "validate", "--input", str(path), "--tol", "1e-9")
+    assert code == 0 and json.loads(out)["tolerance"] == 1e-9
+    monkeypatch.setenv("TENSORCAT_TOL", "1e-8")
+    code, out = run(capsys, "dims", "--input", str(path))
+    assert code == 0 and json.loads(out)["tolerance"] == 1e-8
+    code, _ = run(capsys, "validate", "--input", str(path), "--tol", "1e-20")
+    assert code == 2
+    code, out = run(capsys, "catalog")
+    assert json.loads(out)["tolerance"] == 1e-8
+
+
 def test_unknown_subcommand_exits_3(capsys):
     code, out = run(capsys, "frobnicate")
     assert code == 3

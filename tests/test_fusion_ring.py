@@ -22,6 +22,17 @@ def test_rank_one_ring_valid():
     assert validate_fusion_ring(ring) == []
 
 
+def test_from_fusion_reads_duals_and_refuses_a_missing_one():
+    from tensorcat.errors import StructuralError
+    for name in catalog_names():
+        ring = catalog_category(name).ring
+        assert FusionRing.from_fusion(ring.labels, ring.N) == ring, name
+    N = fib_ring().N.copy()
+    N[1, 1, 0] = 0
+    with pytest.raises(StructuralError, match="fusion rules give t no dual"):
+        FusionRing.from_fusion(("1", "t"), N)
+
+
 def test_fibonacci_with_doubled_entry_stays_a_ring():
     # x^2 = 1 + 2x is a valid fusion ring; both associativity sides move
     # together (5 = 5 at (t,t,t,t)), confirmed by the loop oracle

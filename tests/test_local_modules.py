@@ -116,6 +116,15 @@ def test_condensed_ring_of_lagrangian_is_trivial(toric):
     assert cond.dims_over_Q[0] == pytest.approx(1.0)
 
 
+def test_condensed_ring_refuses_a_label_without_dual(cats, monkeypatch):
+    """A condensed fusion table whose unit row misses N^0 raises instead of
+    making the label its own dual."""
+    import tensorcat.local_modules as lm
+    monkeypatch.setattr(lm, "local_fusion", lambda *a, **k: (None, np.zeros(0, int)))
+    with pytest.raises(StructuralError, match="fusion rules give Q no dual"):
+        enumerate_local_modules(cats["vec_z3"], trivial_algebra(), with_ring=True)
+
+
 def test_local_fusion_assoc_comm_multisets(toric):
     A = trivial_algebra()
     cond = enumerate_local_modules(toric, A)
@@ -178,9 +187,9 @@ def test_free_module_decomposition_failure_names_rounds(toric, monkeypatch):
         "associativity": 0.5, "unit": 0.0, "passed": False})
     A = group_algebra(toric, ("1", "e"))
     with pytest.raises(StructuralError,
-                       match=r"in 2 rounds \(round 1: verify_module failed "
+                       match=r"in 5 rounds \(round 1: verify_module failed "
                              r"\(associativity 5\.00e-01, unit 0\.00e\+00\); round 2: "):
-        free_module_decomposition(toric, A, 2, max_rounds=2)
+        free_module_decomposition(toric, A, 2)
 
 
 def _d_z6_z3():
