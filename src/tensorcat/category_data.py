@@ -567,13 +567,13 @@ def validate_category(cd: CategoryData) -> list:
     ring = cd.ring
     r = ring.rank
     report += _inadmissible_entries(ring, cd.F.entries, cd.R and cd.R.entries)
-    # unitarity of each F-block
+    # unitarity of each F-block, d over the channels of (a (x) b) (x) c
     for a in range(1, r):
         for b in range(1, r):
             for c in range(1, r):
-                for d in range(r):
+                for d in sorted({d for e in ring.channels(a, b) for d in ring.channels(e, c)}):
                     es, fs, mat = cd.F.matrix(ring, a, b, c, d)
-                    if not es or not fs:
+                    if not fs:
                         continue
                     if mat.shape[0] != mat.shape[1]:
                         report.append(f"F-block ({a},{b},{c};{d}) is not square")

@@ -4,16 +4,21 @@ The tube algebra has one basis vector per admissible quadruple (x, a, e, y)
 with N^e_{ax} = N^y_{e, dual(a)} = 1, realized as the orthonormal tree
 vector in Hom(a (x) x (x) dual(a) -> y).  Products glue annuli: the a-strands
 fuse through every channel b with the dual leg closed off by rotation
-isometries; all coefficients are produced by the diagram evaluator, and the
-resulting structure constants are verified associative and C* by the tests.
+isometries.  Each coefficient of that gluing diagram is a single product of
+F-moves, the unfold entries the evaluator would multiply, times a rotation
+phase evaluated once per vertex (a1, a2, b); the tests hold the result to
+the diagrams in random gauges of F and check it associative and C*.
 
-Structure constants are dense arrays: product[i, j, k] is the coefficient of
-t_k in t_i * t_j (48 MB at dimension n = 144) and star[i, k] that of t_k in
-t_i^*, so products, stars and the left regular action are array contractions.
+t_(x,a,e,y) maps the sector x to y, and t_i t_j is nonzero only when t_j
+ends where t_i starts.  So the structure constants are stored as one block
+per chain of sectors x -> y -> z, n_yz x n_xy x n_xz entries, and the star
+as one block per sector pair: 5.2 MiB for ising (x) fib (x) fib (dimension
+n = 588), where a dense n^3 array would take 3.0 GiB.  Products, stars and
+the left regular action are contractions over blocks.
 
-t_(x,a,e,y) maps the sector x to y, and the center lives in the diagonal
-corners p_x Tube p_x (Izumi 2000, Mueger 2003), which are small: at most 16
-of the 144 basis elements of ising (x) ising.  A corner is the sum, over
+The center lives in the diagonal corners p_x Tube p_x (Izumi 2000, Mueger
+2003), which are small: at most 16 of the 144 basis elements of
+ising (x) ising.  A corner is the sum, over
 the simples Z of the center, of the blocks p_Z p_x Tube p_x, each of
 m_x(Z) x m_x(Z) matrices.  One eigendecomposition of the left action of a
 random hermitian element, self-adjoint for the trace form, gives minimal
@@ -40,8 +45,8 @@ from .algebra import (_conjugate_vertex_algebra, _max_dev, algebra_dim,
 from .category_data import (CategoryData, QuadraticForm, deligne_product_data,
                             pointed_from_quadratic_form, reverse_braiding)
 from .braided_analysis import is_nondegenerate
-from .diagram_eval import (MorphismValue, cap_morphism, compose_values, cup_morphism,
-                           dagger_value, insert, path_vector, paths)
+from .diagram_eval import (MorphismValue, cap_morphism, compose_values, dagger_value,
+                           insert, path_vector)
 from .errors import PreconditionError, StructuralError
 
 __all__ = [
@@ -53,9 +58,17 @@ __all__ = [
 
 @dataclass
 class TubeAlgebra:
-    basis: list            # quadruples (x, a, e, y)
-    product: np.ndarray    # (n, n, n): [i, j, k] = coefficient of t_k in t_i * t_j
-    star: np.ndarray       # (n, n): [i, k] = coefficient of t_k in t_i^*
+    """Basis and structure constants of a tube algebra, stored by sector.
+
+    The sector (x, y) holds the basis vectors t_(x,a,e,y) from x to y, and
+    a product t_i t_j is nonzero only when t_j ends where t_i starts, so
+    the structure constants live in one block per chain x -> y -> z.
+    """
+    basis: list     # quadruples (x, a, e, y)
+    sectors: dict   # (x, y) -> ascending indices of the t_(x, ., ., y)
+    blocks: dict    # (x, y, z) -> (n_yz, n_xy, n_xz): [i, j, k] = coefficient of t_k in
+                    # t_i * t_j, positions in sectors (y, z), (x, y) and (x, z)
+    star: dict      # (x, y) -> (n_xy, n_yx): [i, k] = coefficient of t_k in t_i^*
     cd: CategoryData
 
     @property
@@ -69,15 +82,36 @@ class TubeAlgebra:
                 v[i] = 1.0
         return v
 
-    def left_matrices(self):
-        """mats[i] is the matrix of left multiplication by t_i."""
-        return self.product.transpose(0, 2, 1)
+    def left_matrix(self, u):
+        """The matrix of left multiplication by u."""
+        S = self.sectors
+        L = np.zeros((self.dim, self.dim), dtype=complex)
+        for (x, y, z), P in self.blocks.items():
+            L[np.ix_(S[x, z], S[x, y])] += np.tensordot(u[S[y, z]], P, 1).T
+        return L
 
     def multiply(self, u, v):
-        return v @ np.tensordot(u, self.product, 1)
+        S = self.sectors
+        w = np.zeros(self.dim, dtype=complex)
+        for (x, y, z), P in self.blocks.items():
+            w[S[x, z]] += v[S[x, y]] @ np.tensordot(u[S[y, z]], P, 1)
+        return w
 
     def star_vector(self, u):
-        return np.conj(u) @ self.star
+        S = self.sectors
+        w = np.zeros(self.dim, dtype=complex)
+        for (x, y), M in self.star.items():
+            w[S[y, x]] += np.conj(u[S[x, y]]) @ M
+        return w
+
+    def corner(self, x):
+        """The diagonal corner p_x Tube p_x as a tube algebra of its own, with
+        its coordinates in this one."""
+        D = self.sectors[x, x]
+        return D, TubeAlgebra(basis=[self.basis[i] for i in D],
+                              sectors={(x, x): np.arange(len(D))},
+                              blocks={(x, x, x): self.blocks[x, x, x]},
+                              star={(x, x): self.star[x, x]}, cd=self.cd)
 
     def trace_functional(self):
         """tau(t_{x,a,e,y}) = delta_{a,0} delta_{x,y} d_x."""
@@ -91,9 +125,13 @@ class TubeAlgebra:
     def trace_weights(self):
         """w_i = tau(t_i^* t_i): the trace form tau(u^* v) is diagonal on the
         basis, with these positive weights."""
-        return np.einsum("ik,ki->i", self.star,
-                         self.product @ self.trace_functional()).real
-
+        S = self.sectors
+        tau = self.trace_functional()
+        w = np.zeros(self.dim)
+        for (x, y), M in self.star.items():
+            # t_i^* t_i runs x -> y -> x
+            w[S[x, y]] = np.einsum("ik,kil,l->i", M, self.blocks[x, y, x], tau[S[x, x]]).real
+        return w
 
 @dataclass
 class CenterObject:
@@ -130,107 +168,116 @@ def _tube_vector(cd, x, a, e, y) -> MorphismValue:
     return dagger_value(path_vector(cd, (a, x, ab), y, (a, e, y)))
 
 
-def _rotation_isometry(cd, a1, a2, b):
-    """phi: [dual(b)] -> [dual(a1), dual(a2)], the rigidity dual of the tree
-    psi_b: b -> a2 (x) a1.
+def _zigzag_phases(cd):
+    """zeta_a, the phase of the zig-zag (cap_ab (x) id_ab)(id_ab (x) cup_a) on
+    [ab], ab = dual(a), which evaluates to d_a conj F^{ab a ab}_ab[0, 0]: the
+    Frobenius-Schur indicator of a, up to the gauge of F."""
+    dual = cd.ring.dual
+    z = np.array([cd.fval(dual[a], a, dual[a], dual[a], 0, 0)
+                  for a in range(cd.ring.rank)]).conj()
+    return z / np.abs(z)
 
-    Defined by (psi_b (x) phi) cup_b = nested cups, which fixes the phase
-    (Frobenius-Schur signs included); the result is normalized to an isometry.
+
+def _rotation_phase(cd, a1, a2, b, zeta):
+    """The one coefficient of the rotation isometry phi: [bb] -> [ab1, ab2]
+    (ab = dual(a)), the rigidity dual of the tree psi_b: b -> a2 (x) a1.
+
+    The condition (psi_b (x) phi) cup_b = nested cups fixes the phase of phi,
+    Frobenius-Schur signs included; phi is normalized to an isometry and
+    divided by the zig-zag phase of b.  The nested cups composed with psi_b^*
+    and closed by a cap on b evaluate to sqrt(d_a1 d_a2 d_b) times
+
+        conj(F^{bb a2 ab2}_bb[ab1, 0] F^{ab1 a1 ab1}_ab1[0, 0]) F^{bb a2 a1}_0[ab1, b],
+
+    so phi is the phase of that product over zeta_b.
     """
-    ring = cd.ring
-    ab1, ab2, bb = ring.dual[a1], ring.dual[a2], ring.dual[b]
-    psi_dag = dagger_value(path_vector(cd, (a2, a1), b, (a2, b)))
-    # [bb] -> [bb, a2, ab2] -> [bb, a2, a1, ab1, ab2] -> [bb, b, ab1, ab2] -> [ab1, ab2]
-    step1 = insert(cd, (bb,), cup_morphism(cd, a2), ())
-    step2 = insert(cd, (bb, a2), cup_morphism(cd, a1), (ab2,))
-    step3 = insert(cd, (bb,), psi_dag, (ab1, ab2))
-    step4 = insert(cd, (), cap_morphism(cd, bb), (ab1, ab2))
-    phi = compose_values(cd, step4, compose_values(cd, step3,
-                         compose_values(cd, step2, step1)))
-    # divide out the zig-zag phase of b (the Frobenius-Schur indicator)
-    zig = compose_values(cd, insert(cd, (), cap_morphism(cd, bb), (bb,)),
-                         insert(cd, (bb,), cup_morphism(cd, b), ()))
-    zeta = zig.block(ring, bb)[0, 0] / cd.dims.dims[b]
-    zeta /= abs(zeta)
-    norm = compose_values(cd, dagger_value(phi), phi).block(ring, bb)[0, 0]
-    if not norm.real > cd.noise_floor:
+    dual = cd.ring.dual
+    ab1, ab2, bb = dual[a1], dual[a2], dual[b]
+    v = ((cd.fval(bb, a2, ab2, bb, ab1, 0) * cd.fval(ab1, a1, ab1, ab1, 0, 0)).conjugate()
+         * cd.fval(bb, a2, a1, 0, ab1, b))
+    if not abs(v) > cd.noise_floor:
         raise StructuralError("degenerate rotation isometry")
-    phi.blocks = {c: m / (zeta * np.sqrt(norm.real))
-                  for c, m in phi.blocks.items()}
-    return phi
+    return complex(v / abs(v) / zeta[b])
 
 
 def build_tube_algebra(cd: CategoryData) -> TubeAlgebra:
-    """Assemble basis, structure constants, and the star structure."""
+    """Basis, structure constants and star, read from the F-moves.
+
+    The product t_(y,a2,e2,z) t_(x,a1,e1,y) glues the a-strands through each
+    channel b of a2 (x) a1: the diagram
+
+        t_i (id_a2 (x) t_j (x) id_ab2) (psi_b (x) id) (id_(b,x) (x) phi_b)
+
+    on [b, x, dual b], with psi_b the tree b -> a2 (x) a1 and phi_b its
+    rotation isometry.  Evaluated on the path (b, f, z) it is a single term:
+    phi_b times the three unfold entries the evaluator would multiply.  These
+    are F-moves, the one of psi_b on a unit leg and so 1:
+
+        conj F^{f ab1 ab2}_z[e2, bb] * F^{a2 a1 x}_f[b, e1] * F^{a2 e1 ab1}_{e2}[f, y],
+
+    the coefficient of t_(x,b,f,z); phi_b is a phase per vertex (a1, a2, b),
+    read from F in the same way (_rotation_phase).  The star of t_(x,a,e,y)
+    closes both a-strands with caps; on t_(y,ab,g,x) it is
+
+        d_a / zeta_a * conj(F^{ab a x}_x[0, e] F^{ab e ab}_g[x, y]) * F^{x ab a}_x[g, 0].
+
+    Coefficients at or below the noise floor are dropped.
+    """
     if cd.partial:
         raise PreconditionError("tube algebra needs full F data")
     ring = cd.ring
     if (ring.N > 1).any():
         raise StructuralError("fusion multiplicity > 1 is out of scope")
-    basis = _tube_basis(cd)
-    n = len(basis)
+    rank, dual, fval = ring.rank, ring.dual, cd.fval
+    N = ring.N.tolist()
+    d = cd.dims.dims
     floor = cd.noise_floor
-    index = {}
-    for k, quad in enumerate(basis):
-        index[quad] = k
-    tube_mv = {quad: _tube_vector(cd, *quad) for quad in basis}
+    basis = _tube_basis(cd)
+    index = {quad: k for k, quad in enumerate(basis)}
+    sectors, pos, leaving = {}, [], {}
+    for k, (x, a, e, y) in enumerate(basis):
+        members = sectors.setdefault((x, y), [])
+        pos.append(len(members))
+        members.append(k)
+        leaving.setdefault((x, a), []).append((e, y, k))
+    size = {s: len(ks) for s, ks in sectors.items()}
+    zeta = _zigzag_phases(cd)
+    blocks = {(x, y, z): np.zeros((size[y, z], size[x, y], size[x, z]), dtype=complex)
+              for (x, y) in sectors for z in range(rank)
+              if (y, z) in sectors and (x, z) in sectors}
 
-    product = np.zeros((n, n, n), dtype=complex)
-    rot_cache = {}
-    inner_cache = {}   # (j, a2): t_j inside the a2 strand
-    glue_cache = {}    # (a1, a2, b, x1): the a2 (x) a1 -> b gluing
-    for i, (x2, a2, e2, y2) in enumerate(basis):
-        for j, (x1, a1, e1, y1) in enumerate(basis):
-            if x2 != y1:
-                continue
-            ab1, ab2 = ring.dual[a1], ring.dual[a2]
-            if (j, a2) not in inner_cache:
-                # [a2,a1,x1,ab1,ab2] -> [a2,y1,ab2]
-                inner_cache[(j, a2)] = insert(cd, (a2,), tube_mv[(x1, a1, e1, y1)],
-                                              (ab2,))
-            S = compose_values(cd, tube_mv[(x2, a2, e2, y2)], inner_cache[(j, a2)])
+    for a1 in range(rank):
+        ab1 = dual[a1]
+        for a2 in range(rank):
+            ab2 = dual[a2]
             for b in ring.channels(a2, a1):
-                key = (a1, a2, b, x1)
-                if key not in glue_cache:
-                    if (a1, a2, b) not in rot_cache:
-                        rot_cache[(a1, a2, b)] = _rotation_isometry(cd, a1, a2, b)
-                    psi = path_vector(cd, (a2, a1), b, (a2, b))
-                    step_phi = insert(cd, (b, x1), rot_cache[(a1, a2, b)], ())
-                    step_psi = insert(cd, (), psi, (x1, ab1, ab2))
-                    glue_cache[key] = compose_values(cd, step_psi, step_phi)
-                E = compose_values(cd, S, glue_cache[key])
-                blk = E.block(ring, y2)
-                if not blk.size:
-                    continue
-                cols = paths(ring, (b, x1, ring.dual[b])).get(y2, [])
-                for ci, path in enumerate(cols):
-                    coeff = blk[0, ci]
-                    if abs(coeff) > floor:
-                        product[i, j, index[(x1, b, path[1], y2)]] += coeff
+                bb = dual[b]
+                phi = _rotation_phase(cd, a1, a2, b, zeta)
+                for x in range(rank):
+                    fs = ring.channels(b, x)
+                    for e1, y, j in leaving.get((x, a1), ()):
+                        for e2, z, i in leaving.get((y, a2), ()):
+                            P = blocks[x, y, z]
+                            for f in fs:
+                                if not (N[a2][e1][f] and N[f][ab1][e2] and N[f][bb][z]):
+                                    continue
+                                c = (phi * fval(f, ab1, ab2, z, e2, bb).conjugate()
+                                     * fval(a2, a1, x, f, b, e1) * fval(a2, e1, ab1, e2, f, y))
+                                if abs(c) > floor:
+                                    P[pos[i], pos[j], pos[index[x, b, f, z]]] = c
 
-    star = np.zeros((n, n), dtype=complex)
-    zig_cache = {}
-    for i, (x, a, e, y) in enumerate(basis):
-        ab = ring.dual[a]
-        td = dagger_value(tube_mv[(x, a, e, y)])          # [y] -> [a, x, ab]
-        mid = insert(cd, (ab,), td, (a,))                 # [ab, y, a] -> [ab, a, x, ab, a]
-        s1 = insert(cd, (), cap_morphism(cd, ab), (x, ab, a))
-        s2 = insert(cd, (x,), cap_morphism(cd, ab), ())
-        tstar = compose_values(cd, s2, compose_values(cd, s1, mid))
-        if a not in zig_cache:
-            zig = compose_values(cd, insert(cd, (), cap_morphism(cd, ab), (ab,)),
-                                 insert(cd, (ab,), cup_morphism(cd, a), ()))
-            zval = zig.block(ring, ab)[0, 0]
-            zig_cache[a] = zval / abs(zval)
-        zeta = zig_cache[a]
-        blk = tstar.blocks.get(x)
-        if blk is None or not blk.size:
-            continue
-        for ci, path in enumerate(paths(ring, (ab, y, a)).get(x, [])):
-            coeff = blk[0, ci] / zeta
-            if abs(coeff) > floor:
-                star[i, index[(y, ab, path[1], x)]] += coeff
-    return TubeAlgebra(basis=basis, product=product, star=star, cd=cd)
+    star = {(x, y): np.zeros((size[x, y], size[y, x]), dtype=complex) for x, y in sectors}
+    for k, (x, a, e, y) in enumerate(basis):
+        ab = dual[a]
+        scale = d[a] / zeta[a] * fval(ab, a, x, x, 0, e).conjugate()
+        for g in ring.channels(ab, y):
+            if not (N[x][ab][g] and N[g][a][x]):
+                continue
+            c = scale * fval(ab, e, ab, g, x, y).conjugate() * fval(x, ab, a, x, g, 0)
+            if abs(c) > floor:
+                star[x, y][pos[k], pos[index[y, ab, g, x]]] = c
+    return TubeAlgebra(basis=basis, sectors={s: np.array(ks) for s, ks in sectors.items()},
+                       blocks=blocks, star=star, cd=cd)
 
 
 def _corner_projections(sub: TubeAlgebra, weights, rng):
@@ -249,6 +296,7 @@ def _corner_projections(sub: TubeAlgebra, weights, rng):
     """
     cd = sub.cd
     n = sub.dim
+    (P,) = sub.blocks.values()
     sw = np.sqrt(weights)
     unit = sw * sub.unit_vector()
     attempts = 4
@@ -256,7 +304,7 @@ def _corner_projections(sub: TubeAlgebra, weights, rng):
     for _ in range(attempts):
         r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         h = r + sub.star_vector(r)
-        lam, V = np.linalg.eigh(sw[:, None] * np.tensordot(h, sub.product, 1).T / sw)
+        lam, V = np.linalg.eigh(sw[:, None] * sub.left_matrix(h) / sw)
         gaps = np.diff(lam)
         cuts = np.flatnonzero(gaps > cd.split_resolution * max(1.0, np.abs(lam).max()))
         min_gap = min(min_gap, gaps[cuts].min(initial=np.inf))
@@ -264,8 +312,8 @@ def _corner_projections(sub: TubeAlgebra, weights, rng):
         coeff = V.conj().T @ unit
         Q = np.array([V[:, c] @ coeff[c] for c in clusters]) / sw
         # tr(L_q R_q), the dimension of q sub q: 1 exactly when q is minimal
-        dims = np.einsum("cjk,ckj->c", np.tensordot(Q, sub.product, (1, 0)),
-                         np.tensordot(Q, sub.product, (1, 1))).real
+        dims = np.einsum("cjk,ckj->c", np.tensordot(Q, P, (1, 0)),
+                         np.tensordot(Q, P, (1, 1))).real
         if np.all(np.abs(dims - 1.0) < cd.identity_tolerance):
             return [(len(c), q) for c, q in zip(clusters, Q)]
     raise StructuralError(
@@ -285,12 +333,16 @@ def _corner_module(tube: TubeAlgebra, x, q, weights):
     Returns (copies, pi): copies[c] = (y, j) labels basis vector c, the j-th
     in sector y, sectors ascending; pi[k] is the matrix of t_k on the module.
     """
-    source, target = np.array(tube.basis)[:, [0, 3]].T
-    J = np.flatnonzero(source == x)         # coordinates of Tube p_x
-    L = tube.product[:, J[:, None], J]      # L[k, i, l]: t_{J_l} in t_k t_{J_i}
     cd = tube.cd
+    S = tube.sectors
+    ys = [y for y in range(cd.ring.rank) if (x, y) in S]
+    J = np.sort(np.concatenate([S[x, y] for y in ys]))    # coordinates of Tube p_x
+    at = {y: np.searchsorted(J, S[x, y]) for y in ys}     # sector y's rows in J
     sw = np.sqrt(weights[J])
-    rows = np.tensordot(L[J], q[J], axes=(1, 0)) * sw   # row j: t_{J_j} q, tau-scaled
+    rows = np.zeros((len(J), len(J)), dtype=complex)    # row j: t_{J_j} q, tau-scaled
+    for y, p in at.items():
+        rows[np.ix_(p, p)] = np.tensordot(tube.blocks[x, x, y], q[S[x, x]], (1, 0))
+    rows *= sw
     floor = cd.noise_floor * np.max(np.abs(rows))
     picked = []
     for _ in J:
@@ -301,14 +353,19 @@ def _corner_module(tube: TubeAlgebra, x, q, weights):
         # so that the choice and with it the copy's phase do not follow rounding
         j = int(np.argmax(norms >= (1 - cd.split_resolution) * norms.max()))
         v = rows[j] / norms[j]
-        picked.append((int(target[J[j]]), v))
+        picked.append((tube.basis[J[j]][3], v))
         rows = rows - np.outer(rows @ v.conj(), v)
     picked.sort(key=lambda s: s[0])
     sectors = [y for y, _v in picked]
     copies = [(y, sectors[:i].count(y)) for i, y in enumerate(sectors)]
     B = np.array([v for _y, v in picked]).T
-    pi = np.einsum("lC,kil,ic->kCc", (B * sw[:, None]).conj(), L,
-                   B / sw[:, None], optimize=True)
+    Bl, Br = (B * sw[:, None]).conj(), B / sw[:, None]
+    pi = np.zeros((tube.dim, len(copies), len(copies)), dtype=complex)
+    for y, p in at.items():
+        for z, l in at.items():
+            if (x, y, z) in tube.blocks:
+                # t_k from y to z takes the module's sector y to its sector z
+                pi[S[y, z]] = np.einsum("lC,kil,ic->kCc", Bl[l], tube.blocks[x, y, z], Br[p])
     return copies, pi
 
 
@@ -475,15 +532,11 @@ def decompose_center(tube: TubeAlgebra, seed=0) -> CenterData:
     cd = tube.cd
     d = cd.dims.dims
     rank = cd.ring.rank
-    source, target = np.array(tube.basis)[:, [0, 3]].T
     weights = tube.trace_weights()
     rng = np.random.default_rng((seed, 1))
     corners = []   # (m, x, q): q a minimal projection at x under a block M_m
     for x in range(rank):
-        D = np.flatnonzero((source == x) & (target == x))
-        sub = TubeAlgebra(basis=[tube.basis[i] for i in D], cd=cd,
-                          product=tube.product[np.ix_(D, D, D)],
-                          star=tube.star[np.ix_(D, D)])
+        D, sub = tube.corner(x)
         for m, f in _corner_projections(sub, weights[D], rng):
             q = np.zeros(tube.dim, dtype=complex)
             q[D] = f

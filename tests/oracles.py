@@ -233,6 +233,28 @@ def _is_decomposable(cd, A, mod):
     return len(seen) != len(supp)
 
 
+def f_unitarity_by_loops(cd):
+    """F-block unitarity over all (a, b, c, d) with non-unit a, b, c; report
+    lines as validate_category prints them."""
+    ring = cd.ring
+    r = ring.rank
+    report = []
+    for a in range(1, r):
+        for b in range(1, r):
+            for c in range(1, r):
+                for d in range(r):
+                    es, fs, mat = cd.F.matrix(ring, a, b, c, d)
+                    if not es or not fs:
+                        continue
+                    if mat.shape[0] != mat.shape[1]:
+                        report.append(f"F-block ({a},{b},{c};{d}) is not square")
+                        continue
+                    dev = np.max(np.abs(mat @ mat.conj().T - np.eye(len(es))))
+                    if dev > cd.tolerance * 10:
+                        report.append(f"F-block ({a},{b},{c};{d}) not unitary, dev={dev:.3e}")
+    return report
+
+
 def pentagon_by_loops(cd):
     """Plain-loop pentagon check; report lines as verify_pentagon prints them."""
     ring = cd.ring
@@ -297,14 +319,40 @@ def hexagon_by_loops(cd, rv):
     return report
 
 
+def rotation_isometry_by_diagrams(cd, a1, a2, b):
+    """phi: [dual(b)] -> [dual(a1), dual(a2)], the rigidity dual of the tree
+    psi_b: b -> a2 (x) a1, from (psi_b (x) phi) cup_b = nested cups,
+    normalized to an isometry and divided by the zig-zag phase of b."""
+    from tensorcat.diagram_eval import (cap_morphism, compose_values, cup_morphism,
+                                        dagger_value, insert, path_vector)
+
+    ring = cd.ring
+    ab1, ab2, bb = ring.dual[a1], ring.dual[a2], ring.dual[b]
+    psi_dag = dagger_value(path_vector(cd, (a2, a1), b, (a2, b)))
+    # [bb] -> [bb, a2, ab2] -> [bb, a2, a1, ab1, ab2] -> [bb, b, ab1, ab2] -> [ab1, ab2]
+    step1 = insert(cd, (bb,), cup_morphism(cd, a2), ())
+    step2 = insert(cd, (bb, a2), cup_morphism(cd, a1), (ab2,))
+    step3 = insert(cd, (bb,), psi_dag, (ab1, ab2))
+    step4 = insert(cd, (), cap_morphism(cd, bb), (ab1, ab2))
+    phi = compose_values(cd, step4, compose_values(cd, step3,
+                         compose_values(cd, step2, step1)))
+    zig = compose_values(cd, insert(cd, (), cap_morphism(cd, bb), (bb,)),
+                         insert(cd, (bb,), cup_morphism(cd, b), ()))
+    zeta = zig.block(ring, bb)[0, 0]
+    zeta /= abs(zeta)
+    norm = compose_values(cd, dagger_value(phi), phi).block(ring, bb)[0, 0]
+    phi.blocks = {c: m / (zeta * np.sqrt(norm.real)) for c, m in phi.blocks.items()}
+    return phi
+
+
 def tube_product_by_pairs(cd):
     """Tube-algebra structure constants C[i, j, k], re-evaluating the whole
     gluing diagram for every basis pair (i, j) with x2 = y1.
 
-    Same diagrams, composition order and 1e-13 drop as
-    build_tube_algebra, with no intermediate reused between pairs.
+    The gluing diagram of build_tube_algebra with a 1e-13 drop, no
+    intermediate reused between pairs.
     """
-    from tensorcat.center_tube import _rotation_isometry, _tube_basis, _tube_vector
+    from tensorcat.center_tube import _tube_basis, _tube_vector
     from tensorcat.diagram_eval import compose_values, insert, path_vector, paths
 
     ring = cd.ring
@@ -321,7 +369,7 @@ def tube_product_by_pairs(cd):
             S = compose_values(cd, _tube_vector(cd, x2, a2, e2, y2), inner)
             for b in ring.channels(a2, a1):
                 psi = path_vector(cd, (a2, a1), b, (a2, b))
-                phi = _rotation_isometry(cd, a1, a2, b)
+                phi = rotation_isometry_by_diagrams(cd, a1, a2, b)
                 step_phi = insert(cd, (b, x1), phi, ())
                 step_psi = insert(cd, (), psi, (x1, ab1, ab2))
                 E = compose_values(cd, S, compose_values(cd, step_psi, step_phi))
@@ -334,6 +382,71 @@ def tube_product_by_pairs(cd):
                     if abs(coeff) > 1e-13:
                         product[i, j, index[(x1, b, path[1], y2)]] += coeff
     return product
+
+
+def tube_star_by_diagrams(cd):
+    """Star coefficients star[i, k] of t_k in t_i^*: the dagger of t_i with
+    both a-strands closed by caps, one diagram per basis vector, divided by
+    the zig-zag phase of a."""
+    from tensorcat.center_tube import _tube_basis, _tube_vector
+    from tensorcat.diagram_eval import (cap_morphism, compose_values, cup_morphism,
+                                        dagger_value, insert, paths)
+
+    ring = cd.ring
+    basis = _tube_basis(cd)
+    index = {quad: k for k, quad in enumerate(basis)}
+    star = np.zeros((len(basis), len(basis)), dtype=complex)
+    for i, (x, a, e, y) in enumerate(basis):
+        ab = ring.dual[a]
+        td = dagger_value(_tube_vector(cd, x, a, e, y))   # [y] -> [a, x, ab]
+        mid = insert(cd, (ab,), td, (a,))                 # [ab, y, a] -> [ab, a, x, ab, a]
+        s1 = insert(cd, (), cap_morphism(cd, ab), (x, ab, a))
+        s2 = insert(cd, (x,), cap_morphism(cd, ab), ())
+        tstar = compose_values(cd, s2, compose_values(cd, s1, mid))
+        zig = compose_values(cd, insert(cd, (), cap_morphism(cd, ab), (ab,)),
+                             insert(cd, (ab,), cup_morphism(cd, a), ()))
+        zeta = zig.block(ring, ab)[0, 0]
+        zeta /= abs(zeta)
+        blk = tstar.block(ring, x)
+        for ci, path in enumerate(paths(ring, (ab, y, a)).get(x, [])):
+            coeff = blk[0, ci] / zeta
+            if abs(coeff) > 1e-13:
+                star[i, index[(y, ab, path[1], x)]] += coeff
+    return star
+
+
+def vertex_gauge(cd, seed, size=2 * math.pi):
+    """cd in another gauge of F, R dropped: a random unit phase u^{ab}_c of
+    angle at most size on every admissible vertex, 1 on unit legs and on
+    u^{a dual(a)}_0, and every stored entry transported,
+    F'^{abc}_d[e,f] = F^{abc}_d[e,f] u^{bc}_f u^{af}_d / (u^{ab}_e u^{ec}_d)."""
+    import dataclasses
+
+    from tensorcat.category_data import FSymbolSet
+
+    ring = cd.ring
+    rng = np.random.default_rng(seed)
+    u = np.exp(1j * size * rng.uniform(-1, 1, ring.N.shape)) * (ring.N > 0)
+    u[0, :, :] = u[:, 0, :] = u[:, :, 0] = 1.0
+    F = {(a, b, c, d, e, f): v * u[b, c, f] * u[a, f, d] / (u[a, b, e] * u[e, c, d])
+         for (a, b, c, d, e, f), v in cd.F.entries.items()}
+    return dataclasses.replace(cd, F=FSymbolSet(F), R=None, quadratic_form=None,
+                               name=f"{cd.name} in a vertex gauge")
+
+
+def dense_tube(tube):
+    """The dense (n, n, n) product and (n, n) star of a tube algebra,
+    assembled from its blocks: C[i, j, k] is the coefficient of t_k in
+    t_i t_j.  For small test tubes only."""
+    n = tube.dim
+    S = tube.sectors
+    C = np.zeros((n, n, n), dtype=complex)
+    for (x, y, z), P in tube.blocks.items():
+        C[np.ix_(S[y, z], S[x, y], S[x, z])] = P
+    star = np.zeros((n, n), dtype=complex)
+    for (x, y), M in tube.star.items():
+        star[np.ix_(S[x, y], S[y, x])] = M
+    return C, star
 
 
 def half_braiding_W_by_entries(cd, x, a, y):
@@ -385,7 +498,7 @@ def central_idempotents_by_nullspace(tube, seed=0):
     random central element diagonalized on that basis, retried on an
     eigenvalue collision."""
     n = tube.dim
-    C = tube.product
+    C = dense_tube(tube)[0]
     # row (j, k), column i: (t_i t_j - t_j t_i)_k, so big @ z = 0 iff z is central
     big = (C.transpose(1, 2, 0) - C.transpose(0, 2, 1)).reshape(n * n, n)
     _u, s, vh = np.linalg.svd(big, full_matrices=False)

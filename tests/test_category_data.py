@@ -16,8 +16,8 @@ from tensorcat.errors import StructuralError, ValidationFailure
 
 from tensorcat.category_data import _pointed_tables
 
-from oracles import (PHI, deligne_product_data_by_loops, hexagon_by_loops,
-                     pentagon_by_loops, pointed_from_quadratic_form_by_loops,
+from oracles import (PHI, deligne_product_data_by_loops, f_unitarity_by_loops,
+                     hexagon_by_loops, pentagon_by_loops, pointed_from_quadratic_form_by_loops,
                      pointed_tables_by_loops, quadratic_form_validate_by_loops)
 
 
@@ -55,6 +55,23 @@ def test_vectorized_validators_match_loop_reference(cats):
                  + [l.replace("hexagon:", "hexagon(inverse):")
                     for l in hexagon_by_loops(cd, lambda a, b, c: 1 / cd.rval(b, a, c))])
         assert verify_hexagon(cd) == loops
+
+
+def test_f_unitarity_matches_loop_reference(cats, fib, ising_cat):
+    """validate_category visits only the nonempty F blocks and reports what
+    the loop over all (a, b, c, d) reports, a corrupted block included."""
+    import copy
+
+    def unitarity(cd):
+        return [l for l in validate_category(cd) if l.startswith("F-block")]
+
+    for name, cd in cats.items():
+        assert unitarity(cd) == f_unitarity_by_loops(cd) == [], name
+    for cd, key in ((fib, (1, 1, 1, 1, 1, 1)), (ising_cat, (1, 1, 1, 1, 0, 2))):
+        bad = copy.deepcopy(cd)
+        bad.F.entries[key] *= 1.5
+        assert unitarity(bad) == f_unitarity_by_loops(bad) != [], key
+        assert f"({key[0]},{key[1]},{key[2]};{key[3]}) not unitary" in unitarity(bad)[0]
 
 
 def test_semion_values(semion_cat):

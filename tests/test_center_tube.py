@@ -9,7 +9,7 @@ import pytest
 from tensorcat.algebra import (AlgebraObject, algebra_dim, is_commutative,
                                solve_support_algebra, verify_qsystem)
 from tensorcat.catalog import catalog_category, catalog_names, vec_zn
-from tensorcat.center_tube import (TubeAlgebra, _corner_module, _corner_projections,
+from tensorcat.center_tube import (_corner_module, _corner_projections,
                                    _half_braiding_table, build_tube_algebra,
                                    center_global_checks, center_presentation,
                                    decompose_center, half_braiding_check,
@@ -20,7 +20,9 @@ from tensorcat.local_modules import condensation_identity_check
 
 from oracles import (PHI, algebras_gauge_equivalent, center_s_by_traces,
                      center_twist_by_traces, central_idempotents_by_nullspace,
-                     half_braiding_W_by_entries, tube_product_by_pairs)
+                     dense_tube, half_braiding_W_by_entries,
+                     rotation_isometry_by_diagrams, tube_product_by_pairs,
+                     tube_star_by_diagrams, vertex_gauge)
 
 
 @pytest.fixture(scope="module")
@@ -79,51 +81,81 @@ def test_tube_star_and_trace_form_positive(centers):
 
 
 def test_array_methods_match_entrywise_sums(centers):
-    """multiply, star_vector and left_matrices against the defining sums
-    over structure constants, written as loops."""
+    """multiply, star_vector, left_matrix and trace_weights against the
+    defining sums over the dense structure constants, written as loops."""
     rng = np.random.default_rng(7)
     for name, (cd, tube, _) in centers.items():
         n = tube.dim
+        C, star = dense_tube(tube)
         u, v = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
         prod = np.zeros(n, dtype=complex)
         ustar = np.zeros(n, dtype=complex)
         for i in range(n):
             for k in range(n):
-                ustar[k] += np.conj(u[i]) * tube.star[i, k]
+                ustar[k] += np.conj(u[i]) * star[i, k]
                 for j in range(n):
-                    prod[k] += u[i] * v[j] * tube.product[i, j, k]
+                    prod[k] += u[i] * v[j] * C[i, j, k]
         assert np.allclose(tube.multiply(u, v), prod, atol=1e-12), name
         assert np.allclose(tube.star_vector(u), ustar, atol=1e-12), name
-        L = tube.left_matrices()
-        for i, e in enumerate(np.eye(n)):
-            assert np.allclose(L[i] @ v, tube.multiply(e, v), atol=1e-12), (name, i)
+        assert np.allclose(tube.left_matrix(u) @ v, prod, atol=1e-12), name
+        tau = tube.trace_functional()
+        weights = [sum(star[i, k] * C[k, i, l] * tau[l] for k in range(n) for l in range(n))
+                   for i in range(n)]
+        assert np.allclose(tube.trace_weights(), weights, atol=1e-12), name
 
 
 def test_tube_product_matches_per_pair_oracle(cats):
-    """Reusing the gluing diagrams across pairs leaves the structure
-    constants bit-identical."""
-    for name in ("fibonacci", "ising", "toric_code"):
-        cd = cats[name]
-        assert np.array_equal(build_tube_algebra(cd).product,
-                              tube_product_by_pairs(cd)), name
+    """On the catalog, fib (x) ising, Vec(S_3) and vec_zn(3, 2), the blocks
+    read from the F-moves equal the per-pair gluing diagrams and the
+    per-vector star diagrams to 1e-12, and the diagrams vanish outside the
+    stored blocks."""
+    cases = dict(cats, **{"fib*ising": deligne_product_data(cats["fibonacci"], cats["ising"]),
+                          "vec_s3": _vec_s3(), "vec_zn(3,2)": vec_zn(3, 2)})
+    for name, cd in cases.items():
+        tube = build_tube_algebra(cd)
+        C, star = dense_tube(tube)
+        oracle, oracle_star = tube_product_by_pairs(cd), tube_star_by_diagrams(cd)
+        assert np.max(np.abs(C - oracle)) < 1e-12, name
+        assert np.max(np.abs(star - oracle_star)) < 1e-12, name
+        S = tube.sectors
+        stored = np.zeros(C.shape, dtype=bool)
+        for x, y, z in tube.blocks:
+            stored[np.ix_(S[y, z], S[x, y], S[x, z])] = True
+        assert not oracle[~stored].any(), name
+        stored_star = np.zeros(star.shape, dtype=bool)
+        for x, y in tube.star:
+            stored_star[np.ix_(S[x, y], S[y, x])] = True
+        assert not oracle_star[~stored_star].any(), name
 
 
-def _corner(tube, x):
-    """The diagonal corner p_x Tube p_x, its coordinates D in the tube."""
-    source, target = np.array(tube.basis)[:, [0, 3]].T
-    D = np.flatnonzero((source == x) & (target == x))
-    return D, TubeAlgebra(basis=[tube.basis[i] for i in D], cd=tube.cd,
-                          product=tube.product[np.ix_(D, D, D)],
-                          star=tube.star[np.ix_(D, D)])
+@pytest.mark.parametrize("name,seed", [("fibonacci", 1), ("ising", 2), ("vec_zn(3,2)", 1)])
+def test_tube_follows_the_evaluator_in_another_gauge(cats, name, seed):
+    """In a random vertex gauge of F (R dropped) the build still equals the
+    gluing diagrams, is associative and has a positive trace form: it
+    follows the evaluator's conventions, not the stored gauge."""
+    cd = vec_zn(3, 2) if name == "vec_zn(3,2)" else cats[name]
+    gauged = vertex_gauge(cd, seed)
+    tube = build_tube_algebra(gauged)
+    C, star = dense_tube(tube)
+    assert np.max(np.abs(C - tube_product_by_pairs(gauged))) < 1e-12
+    assert np.max(np.abs(star - tube_star_by_diagrams(gauged))) < 1e-12
+    # not the stored gauge's constants
+    assert np.max(np.abs(C - dense_tube(build_tube_algebra(cd))[0])) > 0.1
+    assert np.max(np.abs(np.einsum("ijk,klm->ijlm", C, C)
+                         - np.einsum("jlk,ikm->ijlm", C, C))) < 1e-12
+    tau = tube.trace_functional()
+    G = np.einsum("ik,kjl,l->ij", star, C, tau)    # tau(t_i^* t_j)
+    assert np.max(np.abs(G - np.diag(tube.trace_weights()))) < 1e-12
+    assert tube.trace_weights().min() > 0.1
 
 
 def test_corner_split_reports_attempts(centers):
     import dataclasses
     _, tube, _ = centers["vec_z2"]
-    D, sub = _corner(tube, 0)
+    D, sub = tube.corner(0)
     weights = tube.trace_weights()[D]
     # doubling the product quadruples dim(q sub q) for every spectral projection q
-    doubled = dataclasses.replace(sub, product=2 * sub.product)
+    doubled = dataclasses.replace(sub, blocks={k: 2 * P for k, P in sub.blocks.items()})
     with pytest.raises(StructuralError, match=r"corner split failed after 4 attempts "
                        r"\(smallest eigenvalue gap \d"):
         _corner_projections(doubled, weights, np.random.default_rng(0))
@@ -133,7 +165,7 @@ def test_corner_split_retries_a_central_element(centers):
     """An rng whose draws make h a multiple of the unit yields one cluster,
     whose q, the unit of the 2-dimensional corner, is not minimal."""
     _, tube, _ = centers["vec_z2"]
-    D, sub = _corner(tube, 0)
+    D, sub = tube.corner(0)
 
     class UnitDraws:
         calls = 0
@@ -165,6 +197,60 @@ def test_decompose_center_memory_bounded():
     assert peak < 4 * 2 ** 20
 
 
+def test_tube_build_and_decomposition_allocate_no_cube():
+    """build_tube_algebra and decompose_center on vec_zn(8, 1) (n = 64)
+    together peak below n^3 complex entries, 4 MiB, which a dense product
+    array alone would take.  A small center is decomposed first, so that
+    lazy imports are not counted."""
+    import tracemalloc
+    decompose_center(build_tube_algebra(vec_zn(2, 1)), seed=0)
+    cd = vec_zn(8, 1)
+    tracemalloc.start()
+    try:
+        tube = build_tube_algebra(cd)
+        decompose_center(tube, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tube.dim == 64
+    assert peak < tube.dim ** 3 * 16
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "fib*ising"])
+def test_tube_build_evaluates_no_diagram(cats, name, monkeypatch):
+    """Every structure constant, star coefficient and rotation phase is read
+    from F: the build calls neither insert nor compose_values, however many
+    basis pairs the tube has."""
+    import tensorcat.center_tube as ct
+    cd = (deligne_product_data(cats["fibonacci"], cats["ising"]) if name == "fib*ising"
+          else cats[name])
+    calls = []
+    insert, compose = ct.insert, ct.compose_values
+    monkeypatch.setattr(ct, "insert", lambda *a, **k: calls.append(1) or insert(*a, **k))
+    monkeypatch.setattr(ct, "compose_values",
+                        lambda *a, **k: calls.append(1) or compose(*a, **k))
+    tube = build_tube_algebra(cd)
+    assert not calls
+    pairs = sum(len(tube.sectors[x, y]) * len(tube.sectors[y, z]) for x, y, z in tube.blocks)
+    assert pairs > 3 * int(cd.ring.N.sum())
+
+
+def test_rotation_phase_matches_the_diagram():
+    """The closed-form phase of the rotation isometry equals the evaluated
+    diagram on every vertex, in the stored gauge and in a random one."""
+    from tensorcat.center_tube import _rotation_phase, _zigzag_phases
+    for base in (catalog_category("ising"), vec_zn(3, 2)):
+        for cd in (base, vertex_gauge(base, 3)):
+            ring = cd.ring
+            zeta = _zigzag_phases(cd)
+            for a1 in range(ring.rank):
+                for a2 in range(ring.rank):
+                    for b in ring.channels(a2, a1):
+                        phi = rotation_isometry_by_diagrams(cd, a1, a2, b)
+                        want = phi.blocks[ring.dual[b]][0, 0]
+                        assert abs(_rotation_phase(cd, a1, a2, b, zeta) - want) < 1e-12
+
+
 @pytest.mark.parametrize("name", catalog_names() + ["vec_s3", "fib*ising"])
 def test_corner_projections_sum_to_central_idempotents(cats, name):
     """At every corner, the projections one simple claims (tr pi(q) > 0.5
@@ -180,7 +266,7 @@ def test_corner_projections_sum_to_central_idempotents(cats, name):
     weights = tube.trace_weights()
     rng = np.random.default_rng(0)
     for x in range(cd.ring.rank):
-        D, sub = _corner(tube, x)
+        D, sub = tube.corner(x)
         oracle = central_idempotents_by_nullspace(sub)
         qs = []
         for _m, f in _corner_projections(sub, weights[D], rng):
