@@ -10,18 +10,22 @@ so unitary separability reads
 
 and that is what the verifier checks (as m_phys m_phys^dag = id).
 Associativity, unitality and the Frobenius relations are scale-free in this
-gauge and are checked by evaluating the corresponding diagram words with the
-mu components bound as generators.
+gauge.  The diagram basis is left-associated and F has entries 1 on unit
+legs, so associativity and both Frobenius relations are F-contractions of
+the stored mu (see _associativity_dev and _frobenius_dev), checked without
+evaluating a diagram.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .category_data import CategoryData, deligne_product_data, monoidal_opposite
+from .category_data import (CategoryData, _decode_value, _write_json,
+                            deligne_product_data, monoidal_opposite)
 from .diagram_eval import (MorphismValue, braid_morphism, cap_morphism,
                            compose_values, cup_morphism, dagger_value, insert,
                            path_vector, scalar_generator, tensor_values)
@@ -106,10 +110,6 @@ def group_algebra(cd: CategoryData, support) -> AlgebraObject:
     return AlgebraObject(support=support, mu=mu)
 
 
-def _mu_generators(cd, A):
-    return {k: scalar_generator(cd, k[0], k[1], k[2], v) for k, v in A.mu.items()}
-
-
 def _max_dev(cd, f: MorphismValue, g: MorphismValue) -> float:
     ring = cd.ring
     dev = 0.0
@@ -120,81 +120,65 @@ def _max_dev(cd, f: MorphismValue, g: MorphismValue) -> float:
     return dev
 
 
-def _sum_values(cd, values, source, target):
-    from .diagram_eval import paths
-    ring = cd.ring
-    blocks = {}
-    for c in set(paths(ring, source)) & set(paths(ring, target)):
-        blocks[c] = sum((v.block(ring, c) for v in values),
-                        np.zeros((len(paths(ring, target)[c]),
-                                  len(paths(ring, source)[c])), dtype=complex))
-    return MorphismValue(source=source, target=target, blocks=blocks)
-
-
 def _associativity_dev(cd, act, xs, mu, supp) -> float:
-    """Largest blockwise deviation of act(act (x) id) from act(id (x) mu).
+    """Largest deviation of act(act (x) id) from act(id (x) mu), read from F.
 
-    ``act`` and ``mu`` map (x, a, y) and (a, b, c) to scalar generators, on
-    the module support ``xs`` and the algebra support ``supp``.  Algebra
-    associativity is the case act = mu, xs = supp.
+    ``act`` and ``mu`` map (x, a, y) and (a, b, c) to coefficients on the
+    module support ``xs`` and the algebra support ``supp``; algebra
+    associativity is act = mu, xs = supp.  On the path (x, z, y) of
+    x (x) a (x) b -> y the sides are act^{xa}_z act^{zb}_y (0 for z outside
+    xs) and sum_c F^{xab}_y[z, c] mu^{ab}_c act^{xc}_y.
     """
+    ring = cd.ring
+    inside = set(xs)
     dev = 0.0
-    for x in xs:
-        for a in supp:
-            for b in supp:
-                for y in xs:
-                    src, tgt = (x, a, b), (y,)
-                    lhs = [compose_values(cd, act[(z, b, y)],
-                                          insert(cd, (), act[(x, a, z)], (b,)))
-                           for z in xs if (x, a, z) in act and (z, b, y) in act]
-                    rhs = [compose_values(cd, act[(x, c, y)],
-                                          insert(cd, (x,), mu[(a, b, c)], ()))
-                           for c in supp if (a, b, c) in mu and (x, c, y) in act]
-                    if lhs or rhs:
-                        dev = max(dev, _max_dev(cd, _sum_values(cd, lhs, src, tgt),
-                                                _sum_values(cd, rhs, src, tgt)))
-    return dev
+    for x, a, b in itertools.product(xs, supp, supp):
+        cs = [c for c in ring.channels(a, b) if (a, b, c) in mu]
+        for z in ring.channels(x, a):
+            for y in (y for y in ring.channels(z, b) if y in inside):
+                rhs = sum(cd.fval(x, a, b, y, z, c) * mu[(a, b, c)] * act[(x, c, y)]
+                          for c in cs if (x, c, y) in act)
+                dev = max(dev, abs(act.get((x, a, z), 0) * act.get((z, b, y), 0) - rhs))
+    return float(dev)
+
+
+def _frobenius_dev(cd, mu, supp) -> float:
+    """Largest deviation of either Frobenius composite from m^dag m, read from F.
+
+    On the channel t of a (x) b -> c (x) d the three terms are
+    mid = mu^{ab}_t conj(mu^{cd}_t) (0 for t outside supp),
+    left = sum_g conj(mu^{cg}_a) mu^{gb}_d F^{cgb}_t[a, d] and
+    right = sum_g mu^{ag}_c conj(mu^{gd}_b F^{agd}_t[c, b]).
+    """
+    ring = cd.ring
+    dev = 0.0
+    for a, b, c, d in itertools.product(supp, repeat=4):
+        for t in (t for t in ring.channels(a, b) if ring.N[c, d, t]):
+            mid = mu.get((a, b, t), 0) * mu.get((c, d, t), 0).conjugate()
+            left = sum(mu[(c, g, a)].conjugate() * mu[(g, b, d)] * cd.fval(c, g, b, t, a, d)
+                       for g in supp if (c, g, a) in mu and (g, b, d) in mu)
+            right = sum(mu[(a, g, c)] * (mu[(g, d, b)] * cd.fval(a, g, d, t, c, b)).conjugate()
+                        for g in supp if (a, g, c) in mu and (g, d, b) in mu)
+            dev = max(dev, abs(left - mid), abs(right - mid))
+    return float(dev)
 
 
 def verify_qsystem(cd: CategoryData, A: AlgebraObject) -> QSystemReport:
-    """Check the five Q-system axioms by diagram evaluation.
+    """Check the five Q-system axioms on the stored coefficients.
 
-    Residuals are maxima of blockwise deviations; separability is measured
-    on the physically normalized multiplication m / sqrt(dim Q).
+    Associativity and the Frobenius relations are multiplicity-free
+    F-contractions of mu (_associativity_dev, _frobenius_dev); no diagram is
+    evaluated.  Residuals are maxima over fusion-tree components;
+    separability is measured on the physically normalized multiplication
+    m / sqrt(dim Q).
     """
     A.check_admissible(cd)
-    gens = _mu_generators(cd, A)
     supp = A.support
-    ring = cd.ring
     dQ = algebra_dim(cd, A)
 
     unit_dev = max(abs(A.mu[k] - 1.0) for k in A.mu if k[0] == 0 or k[1] == 0)
-
-    assoc_dev = _associativity_dev(cd, gens, supp, gens, supp)
-
-    frob_dev = 0.0
-    for a in supp:
-        for b in supp:
-            for c in supp:
-                for d in supp:
-                    src, tgt = (a, b), (c, d)
-                    mid = [compose_values(cd, dagger_value(gens[(c, d, e)]),
-                                          gens[(a, b, e)])
-                           for e in supp if (a, b, e) in gens and (c, d, e) in gens]
-                    left = [compose_values(
-                        cd, insert(cd, (c,), gens[(g, b, d)], ()),
-                        insert(cd, (), dagger_value(gens[(c, g, a)]), (b,)))
-                        for g in supp if (c, g, a) in gens and (g, b, d) in gens]
-                    right = [compose_values(
-                        cd, insert(cd, (), gens[(a, g, c)], (d,)),
-                        insert(cd, (a,), dagger_value(gens[(g, d, b)]), ()))
-                        for g in supp if (a, g, c) in gens and (g, d, b) in gens]
-                    if mid or left or right:
-                        vm = _sum_values(cd, mid, src, tgt)
-                        vl = _sum_values(cd, left, src, tgt)
-                        vr = _sum_values(cd, right, src, tgt)
-                        frob_dev = max(frob_dev, _max_dev(cd, vl, vm),
-                                       _max_dev(cd, vr, vm))
+    assoc_dev = _associativity_dev(cd, A.mu, supp, A.mu, supp)
+    frob_dev = _frobenius_dev(cd, A.mu, supp)
 
     sep_dev = 0.0
     for c in supp:
@@ -477,7 +461,6 @@ def load_algebra(cd: CategoryData, path) -> AlgebraObject:
     if doc.get("format") != 1:
         raise StructuralError(f"unsupported algebra format {doc.get('format')!r}")
     support = tuple(cd.ring.label_index(x) for x in doc["support"])
-    from .category_data import _decode_value
     mu = {}
     for a, b, c, v in doc["mu"]:
         key = (cd.ring.label_index(a), cd.ring.label_index(b), cd.ring.label_index(c))
@@ -493,6 +476,4 @@ def save_algebra(cd: CategoryData, A: AlgebraObject, path):
                 [complex(v).real, complex(v).imag]]
                for (a, b, c), v in sorted(A.mu.items())],
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(doc, path)

@@ -794,9 +794,23 @@ def save_category(cd: CategoryData, path):
         if cd.R is not None:
             doc["R"] = [[a, b, c, _encode_value(v)]
                         for (a, b, c), v in sorted(cd.R.entries.items())]
+    _write_json(doc, path)
+
+
+def _write_json(doc: dict, path):
+    """Write doc with sorted keys, one line per key and one per row of a list
+    of rows.  Every line goes through json.dumps's C encoder (an indented
+    json.dump runs the pure-Python one)."""
+    lines = []
+    for key in sorted(doc):
+        val = doc[key]
+        if isinstance(val, list) and val and isinstance(val[0], list):
+            val = "[\n" + ",\n".join(map(json.dumps, val)) + "\n]"
+        else:
+            val = json.dumps(val)
+        lines.append(f"{json.dumps(key)}: {val}")
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write("{\n" + ",\n".join(lines) + "\n}\n")
 
 
 def load_category(path, validate=True, tolerance=None) -> CategoryData:

@@ -412,9 +412,10 @@ def _half_braiding_table(tube: TubeAlgebra) -> dict:
     return table
 
 
-def _half_braiding(cd, table, copies, pi):
-    """Half-braiding components of a module, a -> {c: {(copy_out, copy_in): v}},
-    and their traces D[a, c, x] = sum_m sigma_a(c; (x, m), (x, m)).
+def _half_braiding(cd, table, copies, pi, D):
+    """Half-braiding components of a module, a -> {c: {(copy_out, copy_in): v}};
+    their traces D[a, c, x] = sum_m sigma_a(c; (x, m), (x, m)) are written
+    into the zero (rank, rank, rank) array D.
 
     sigma solves W sigma = pi(t_(x,a,.,y)) in least squares for each
     (x, a, y) in the module's support, every copy pair a right-hand side: it
@@ -428,7 +429,6 @@ def _half_braiding(cd, table, copies, pi):
     for i, (x, _m) in enumerate(copies):
         at.setdefault(x, []).append(i)
     half = {a: {} for a in range(rank)}
-    D = np.zeros((rank, rank, rank), dtype=complex)
     for (x, a, y), (ks, cs, _W, Wp) in table.items():
         if x not in at or y not in at:
             continue
@@ -441,7 +441,7 @@ def _half_braiding(cd, table, copies, pi):
             half[a].setdefault(c, {}).update(
                 ((copies[i], copies[j]), s[u, v])
                 for u, i in enumerate(at[y]) for v, j in enumerate(at[x]))
-    return half, D
+    return half
 
 
 def _sigma_generator(cd, z: CenterObject, a, copy_out, copy_in) -> MorphismValue:
@@ -545,21 +545,22 @@ def decompose_center(tube: TubeAlgebra, seed=0) -> CenterData:
     Q = np.array([q for _m, _x, q in corners])
     unclaimed = np.ones(len(corners), dtype=bool)
     table = _half_braiding_table(tube)
-    simples, traces = [], []
+    # half-braiding traces, one row per simple; zeros leaves the unused rows unallocated
+    D = np.zeros((len(corners), rank, rank, rank), dtype=complex)
+    simples = []
     for i, (_m, x, q) in enumerate(corners):
         if not unclaimed[i]:
             continue
         copies, pi = _corner_module(tube, x, q, weights)
         # tr pi(q') is 1 for a minimal projection q' under Z's blocks, else 0
         unclaimed &= (Q @ np.einsum("kcc->k", pi)).real < 0.5
-        half, D = _half_braiding(cd, table, copies, pi)
+        half = _half_braiding(cd, table, copies, pi, D[len(simples)])
         mult = np.bincount([y for y, _j in copies], minlength=rank)
         simples.append(CenterObject(underlying=mult, half_braiding=half, copies=copies,
                                     twist=1.0, dim=float(d @ mult)))
-        traces.append(D)
     if sum(len(z.copies) ** 2 for z in simples) != tube.dim:
         raise StructuralError("the corner modules do not exhaust the tube algebra")
-    D = np.array(traces)
+    D = D[:len(simples)]
     twists = np.einsum("zxcx,c->z", D, d) / np.array([z.dim for z in simples])
     if np.max(np.abs(np.abs(twists) - 1.0)) > cd.identity_tolerance:
         raise StructuralError("half-braidings are not unitary: a twist is off the unit circle")
@@ -577,8 +578,11 @@ def decompose_center(tube: TubeAlgebra, seed=0) -> CenterData:
     order = sorted(range(len(simples)), key=sort_key)
     for z, t in zip(simples, twists):
         z.twist = complex(t)
-    D = D[order]
-    S = np.einsum("zpcx,wxcp,c->zw", D, D, d)
+    # S[z, w] = sum over (p, c, x) of D[z, p, c, x] d_c D[w, x, c, p], with z
+    # and w in the order found, then sorted
+    Dt = np.ascontiguousarray(D.transpose(0, 3, 2, 1))
+    Dt *= d[:, None]
+    S = (D.reshape(len(D), -1) @ Dt.reshape(len(D), -1).T)[np.ix_(order, order)]
     return CenterData(simples=[simples[i] for i in order], S=S,
                       T=np.diag(twists[order]), cd=cd)
 

@@ -589,6 +589,79 @@ def algebras_gauge_equivalent(A1, A2, tol=1e-8):
     return all(abs(r - 1.0) <= 10 * tol for _n, r in rows)
 
 
+def _sum_values(cd, values, source, target):
+    from tensorcat.diagram_eval import MorphismValue, paths
+    ring = cd.ring
+    blocks = {}
+    for c in set(paths(ring, source)) & set(paths(ring, target)):
+        blocks[c] = sum((v.block(ring, c) for v in values),
+                        np.zeros((len(paths(ring, target)[c]),
+                                  len(paths(ring, source)[c])), dtype=complex))
+    return MorphismValue(source=source, target=target, blocks=blocks)
+
+
+def _associativity_by_diagrams(cd, act, xs, mu, supp):
+    """Largest blockwise deviation of act(act (x) id) from act(id (x) mu),
+    act and mu scalar generators, every term an evaluated diagram."""
+    from tensorcat.algebra import _max_dev
+    from tensorcat.diagram_eval import compose_values, insert
+    dev = 0.0
+    for x in xs:
+        for a in supp:
+            for b in supp:
+                for y in xs:
+                    src, tgt = (x, a, b), (y,)
+                    lhs = [compose_values(cd, act[(z, b, y)],
+                                          insert(cd, (), act[(x, a, z)], (b,)))
+                           for z in xs if (x, a, z) in act and (z, b, y) in act]
+                    rhs = [compose_values(cd, act[(x, c, y)],
+                                          insert(cd, (x,), mu[(a, b, c)], ()))
+                           for c in supp if (a, b, c) in mu and (x, c, y) in act]
+                    if lhs or rhs:
+                        dev = max(dev, _max_dev(cd, _sum_values(cd, lhs, src, tgt),
+                                                _sum_values(cd, rhs, src, tgt)))
+    return dev
+
+
+def _generators(cd, coeffs):
+    from tensorcat.diagram_eval import scalar_generator
+    return {k: scalar_generator(cd, *k, v) for k, v in coeffs.items()}
+
+
+def qsystem_residuals_by_diagrams(cd, A):
+    """(associativity, frobenius) of algebra.verify_qsystem, unscaled, from
+    evaluated diagrams: the mu components bound as scalar generators and
+    both sides of each axiom composed with insert and compose_values."""
+    from tensorcat.algebra import _max_dev
+    from tensorcat.diagram_eval import compose_values, dagger_value, insert
+    gens = _generators(cd, A.mu)
+    supp = A.support
+    assoc = _associativity_by_diagrams(cd, gens, supp, gens, supp)
+    frob = 0.0
+    for a, b, c, d in itertools.product(supp, repeat=4):
+        src, tgt = (a, b), (c, d)
+        mid = [compose_values(cd, dagger_value(gens[(c, d, e)]), gens[(a, b, e)])
+               for e in supp if (a, b, e) in gens and (c, d, e) in gens]
+        left = [compose_values(cd, insert(cd, (c,), gens[(g, b, d)], ()),
+                               insert(cd, (), dagger_value(gens[(c, g, a)]), (b,)))
+                for g in supp if (c, g, a) in gens and (g, b, d) in gens]
+        right = [compose_values(cd, insert(cd, (), gens[(a, g, c)], (d,)),
+                                insert(cd, (a,), dagger_value(gens[(g, d, b)]), ()))
+                 for g in supp if (a, g, c) in gens and (g, d, b) in gens]
+        if mid or left or right:
+            vm = _sum_values(cd, mid, src, tgt)
+            frob = max(frob, _max_dev(cd, _sum_values(cd, left, src, tgt), vm),
+                       _max_dev(cd, _sum_values(cd, right, src, tgt), vm))
+    return assoc, frob
+
+
+def module_associativity_by_diagrams(cd, A, X):
+    """The unscaled associativity residual of local_modules.verify_module,
+    from evaluated diagrams with rho and mu bound as scalar generators."""
+    return _associativity_by_diagrams(cd, _generators(cd, X.rho), X.support,
+                                      _generators(cd, A.mu), A.support)
+
+
 def induced_action_by_entries(cd, A, x):
     """local_modules._induced_action with one insert per matrix entry: the
     vertex id_x (x) mu^{ba}_c is evaluated again for every sector pair."""

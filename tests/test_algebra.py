@@ -243,3 +243,52 @@ def test_gauge_equivalence_helper(cats):
     scaled = AlgebraObject(support=S.support, mu={
         k: 2 * v if k == key else v for k, v in S.mu.items()})
     assert not algebras_gauge_equivalent(S, scaled)
+
+
+QSYSTEM_CASES = ["fib:lagrangian", "vec_z2:lagrangian", "vec_z6_t1:lagrangian",
+                 "vec_z6_t0:lagrangian", "fib:enveloping", "D(Z6):Z3",
+                 "toric*toric:1+e*1"]
+
+
+def _random_mu(A, seed):
+    """Random complex mu on A's admissible triples, the unit channels pinned to 1."""
+    rng = np.random.default_rng(seed)
+    return AlgebraObject(A.support, {
+        k: 1.0 if k[0] == 0 or k[1] == 0 else complex(*rng.standard_normal(2))
+        for k in sorted(A.mu)})
+
+
+@pytest.mark.parametrize("case", QSYSTEM_CASES)
+def test_qsystem_residuals_match_diagram_oracle(case, qsystem_case):
+    """The F-contractions of verify_qsystem equal the diagram route in the
+    stored gauge and in a random vertex gauge, for the Q-system and for a
+    random mu with unit channels 1.  Away from the stored Q-system the
+    residuals are far from 0, so the formulas are tested, not just the zeros."""
+    from tensorcat.algebra import _associativity_dev, _frobenius_dev
+
+    from oracles import qsystem_residuals_by_diagrams, vertex_gauge
+    cd, A = qsystem_case(case)
+    largest = 0.0
+    for gauged in (cd, vertex_gauge(cd, 11)):
+        for B in (A, _random_mu(A, 5)):
+            want = qsystem_residuals_by_diagrams(gauged, B)
+            got = (_associativity_dev(gauged, B.mu, B.support, B.mu, B.support),
+                   _frobenius_dev(gauged, B.mu, B.support))
+            assert np.allclose(got, want, rtol=0, atol=1e-12), (case, got, want)
+            largest = max(largest, *want)
+    assert verify_qsystem(cd, A).passed
+    assert largest > 0.5
+
+
+def test_perturbed_qsystem_fails_with_oracle_residual(qsystem_case):
+    """A fibonacci Lagrangian with its non-unit channels scaled fails
+    associativity and Frobenius by what the diagram route measures."""
+    from oracles import qsystem_residuals_by_diagrams
+    cd, A = qsystem_case("fib:lagrangian")
+    B = AlgebraObject(A.support, {k: v if 0 in k[:2] else 2.0 * v for k, v in A.mu.items()})
+    rep = verify_qsystem(cd, B)
+    scale = max(1.0, max(abs(v) for v in B.mu.values()) ** 2)
+    assoc, frob = qsystem_residuals_by_diagrams(cd, B)
+    assert not rep.passed and min(rep.associativity, rep.frobenius) > 0.1
+    assert rep.associativity == pytest.approx(assoc / scale, abs=1e-12)
+    assert rep.frobenius == pytest.approx(frob / scale, abs=1e-12)

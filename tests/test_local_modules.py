@@ -192,14 +192,6 @@ def test_free_module_decomposition_failure_names_rounds(toric, monkeypatch):
         free_module_decomposition(toric, A, 2)
 
 
-def _d_z6_z3():
-    """D(Z/6) with the commutative algebra on the Z/3 subgroup {0.0, 0.2, 0.4}."""
-    from tensorcat.catalog import vec_zn
-    from tensorcat.center_tube import center_presentation
-    cd, _ = center_presentation(vec_zn(6, 0), None)
-    return cd, group_algebra(cd, ("0.0", "0.2", "0.4"))
-
-
 def _count_verify_calls(monkeypatch):
     import tensorcat.local_modules as lm
     calls = []
@@ -214,11 +206,8 @@ def _count_verify_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("case", ["toric:1+e", "D(Z6):Z3"])
-def test_enumeration_verifies_each_returned_simple_once(case, toric, monkeypatch):
-    if case == "toric:1+e":
-        cd, A = toric, group_algebra(toric, ("1", "e"))
-    else:
-        cd, A = _d_z6_z3()
+def test_enumeration_verifies_each_returned_simple_once(case, qsystem_case, monkeypatch):
+    cd, A = qsystem_case(case)
     calls = _count_verify_calls(monkeypatch)
     cond = enumerate_local_modules(cd, A)
     assert len(cond.simples) == (1 if case == "toric:1+e" else 4)
@@ -229,50 +218,31 @@ def test_enumeration_verifies_each_returned_simple_once(case, toric, monkeypatch
         assert verify_module(cd, A, m)["passed"]
 
 
-def _fib_lagrangian():
-    """fib (x) rev(fib) with its Lagrangian: a vertex meets several sector pairs."""
-    from tensorcat.catalog import fibonacci
-    from tensorcat.center_tube import (build_tube_algebra, decompose_center,
-                                       lagrangian_algebra)
-    cd = fibonacci()
-    pres, A, _ = lagrangian_algebra(cd, decompose_center(build_tube_algebra(cd)))
-    return pres, A
-
-
-def _cases(case, toric):
-    if case == "toric:1+e":
-        return toric, group_algebra(toric, ("1", "e"))
-    if case == "D(Z6):Z3":
-        return _d_z6_z3()
-    return _fib_lagrangian()
-
-
-def _record_inserts(monkeypatch, active=()):
-    """Record every insert call made from diagram_eval, algebra or
-    local_modules, with a copy of the list ``active`` at the time of the call."""
+def _record_diagram_calls(monkeypatch):
+    """Record the name of every insert and compose_values call made through
+    diagram_eval, algebra or local_modules."""
     import tensorcat.algebra as alg
     import tensorcat.diagram_eval as de
     import tensorcat.local_modules as lm
     calls = []
-    real = de.insert
+    for name in ("insert", "compose_values"):
+        def counting(*args, _name=name, _real=getattr(de, name), **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
 
-    def counting(*args, **kwargs):
-        calls.append(tuple(active))
-        return real(*args, **kwargs)
-
-    for mod in (de, alg, lm):
-        monkeypatch.setattr(mod, "insert", counting, raising=False)
+        for mod in (de, alg, lm):
+            monkeypatch.setattr(mod, name, counting, raising=False)
     return calls
 
 
 @pytest.mark.parametrize("case", ["toric:1+e", "D(Z6):Z3", "fib:lagrangian"])
-def test_induced_action_matches_per_entry_oracle(case, toric, monkeypatch):
+def test_induced_action_matches_per_entry_oracle(case, qsystem_case, monkeypatch):
     import tensorcat.local_modules as lm
-    cd, A = _cases(case, toric)
-    inserts = _record_inserts(monkeypatch)
+    cd, A = qsystem_case(case)
+    calls = _record_diagram_calls(monkeypatch)
     for x in range(cd.ring.rank):
         want_sectors, want = induced_action_by_entries(cd, A, x)
-        inserts.clear()
+        calls.clear()
         sectors, act = lm._induced_action(cd, A, x)
         assert sectors == want_sectors
         assert act.keys() == want.keys()
@@ -280,14 +250,14 @@ def test_induced_action_matches_per_entry_oracle(case, toric, monkeypatch):
             assert act[a].keys() == want[a].keys()
             for k in act[a]:
                 assert np.array_equal(act[a][k], want[a][k]), (case, x, a, k)
-        assert inserts == []  # read from unfold, no diagram evaluated
+        assert calls == []  # read from unfold, no diagram evaluated
 
 
 @pytest.mark.parametrize("case", ["toric:1+e", "D(Z6):Z3", "fib:lagrangian"])
-def test_commutant_generators_match_diagram_oracle(case, toric):
+def test_commutant_generators_match_diagram_oracle(case, qsystem_case):
     """Same products as the diagram route, so equal to the last bit."""
     import tensorcat.local_modules as lm
-    cd, A = _cases(case, toric)
+    cd, A = qsystem_case(case)
     for x in range(cd.ring.rank):
         sectors, _act = lm._induced_action(cd, A, x)
         got = lm._commutant_generators(cd, A, x, sectors)
@@ -300,14 +270,14 @@ def test_commutant_generators_match_diagram_oracle(case, toric):
 
 
 @pytest.mark.parametrize("case", ["toric:1+e", "D(Z6):Z3", "fib:lagrangian"])
-def test_projector_block_matches_diagram_oracle(case, toric):
+def test_projector_block_matches_diagram_oracle(case, qsystem_case):
     """Every block over every pair of the simple locals and the simple
     submodules, local or not, of the first six induced modules x (x) A; rho,
     lambda and the F-moves multiply in another order than the diagram route,
     hence the tolerance of 1e-13."""
     import tensorcat.local_modules as lm
     from tensorcat.algebra import algebra_dim
-    cd, A = _cases(case, toric)
+    cd, A = qsystem_case(case)
     dQ = algebra_dim(cd, A)
     mods = enumerate_local_modules(cd, A).simples + [
         m for x in range(min(cd.ring.rank, 6)) for m in free_module_decomposition(cd, A, x)]
@@ -326,38 +296,66 @@ def test_projector_block_matches_diagram_oracle(case, toric):
 
 
 @pytest.mark.parametrize("case", ["toric:1+e", "D(Z6):Z3"])
-def test_local_layer_evaluates_diagrams_only_to_verify(case, toric, monkeypatch):
-    """enumerate_local_modules with its condensed ring, and the double-braid
-    trace of every pair of simple locals, insert only inside verify_qsystem
-    and verify_module; every insert of verify_module goes through
-    algebra._associativity_dev."""
-    import tensorcat.algebra as alg
-    import tensorcat.local_modules as lm
-    cd, A = _cases(case, toric)
-    active = []
-
-    def tracked(name, fn):
-        def run(*args, **kwargs):
-            active.append(name)
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                active.pop()
-        return run
-
-    for mod, name in ((lm, "verify_qsystem"), (lm, "verify_module"),
-                      (lm, "_associativity_dev"), (alg, "_associativity_dev")):
-        monkeypatch.setattr(mod, name, tracked(name, getattr(mod, name)))
-    inserts = _record_inserts(monkeypatch, active)
+def test_local_layer_evaluates_no_diagram(case, qsystem_case, monkeypatch):
+    """enumerate_local_modules with its condensed ring, verify_qsystem and
+    verify_module included, and the double-braid trace of every pair of
+    simple locals call neither insert nor compose_values."""
+    cd, A = qsystem_case(case)
+    calls = _record_diagram_calls(monkeypatch)
     cond = enumerate_local_modules(cd, A, with_ring=True)
     assert cond.ring.rank == len(cond.simples) == (1 if case == "toric:1+e" else 4)
     for X in cond.simples:
         for Y in cond.simples:
             local_double_braid_trace(cd, A, X, Y)
-    assert [c for c in inserts if not c] == []
-    by_module = [c for c in inserts if "verify_module" in c]
-    assert by_module and all("_associativity_dev" in c for c in by_module)
-    assert any("verify_qsystem" in c and "_associativity_dev" in c for c in inserts)
+    assert calls == []
+
+
+@pytest.mark.parametrize("case", ["fib:lagrangian", "D(Z6):Z3"])
+def test_verifiers_evaluate_no_diagram(case, qsystem_case, monkeypatch):
+    from tensorcat.algebra import verify_qsystem
+    cd, A = qsystem_case(case)
+    mods = enumerate_local_modules(cd, A).simples + free_module_decomposition(cd, A, 1)
+    calls = _record_diagram_calls(monkeypatch)
+    assert verify_qsystem(cd, A).passed
+    assert all(verify_module(cd, A, X)["passed"] for X in mods)
+    assert calls == []
+
+
+MODULE_CASES = ["fib:lagrangian", "vec_z2:lagrangian", "vec_z6_t1:lagrangian",
+                "vec_z6_t0:lagrangian", "D(Z6):Z3", "toric*toric:1+e*1"]
+
+
+@pytest.mark.parametrize("case", MODULE_CASES)
+def test_module_residuals_match_diagram_oracle(case, qsystem_case):
+    """verify_module's F-contraction equals the diagram route, in the stored
+    gauge and in a random vertex gauge, on every simple local module X and
+    two perturbed copies: random non-unit rho, and X cut down to its first
+    label x, whose paths (x, z, x) with z != x have only the mu side.  The
+    perturbed copies fail verify_module by the oracle's residual."""
+    from tensorcat.algebra import _associativity_dev
+    from tensorcat.local_modules import ModuleObject
+
+    from oracles import module_associativity_by_diagrams, vertex_gauge
+    cd, A = qsystem_case(case)
+    rng = np.random.default_rng(3)
+    for X in enumerate_local_modules(cd, A).simples:
+        assert verify_module(cd, A, X)["passed"]
+        x = X.support[0]
+        perturbed = [
+            ModuleObject(X.support, {k: v if k[1] == 0 else complex(*rng.standard_normal(2))
+                                     for k, v in sorted(X.rho.items())}),
+            ModuleObject((x,), {k: v for k, v in X.rho.items() if k[0] == k[2] == x})]
+        for gauged in (cd, vertex_gauge(cd, 11)):
+            for M in [X] + perturbed:
+                got = _associativity_dev(gauged, M.rho, M.support, A.mu, A.support)
+                want = module_associativity_by_diagrams(gauged, A, M)
+                assert got == pytest.approx(want, abs=1e-12), (case, M.support)
+        for M in perturbed:
+            rep = verify_module(cd, A, M)
+            scale = max(1.0, max(abs(v) for v in M.rho.values()) ** 2)
+            assert not rep["passed"] and rep["associativity"] > 0.01
+            assert rep["associativity"] == pytest.approx(
+                module_associativity_by_diagrams(cd, A, M) / scale, abs=1e-12)
 
 
 def test_free_module_decomposition_without_keep_verifies_all(toric, monkeypatch):
