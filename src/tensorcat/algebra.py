@@ -26,9 +26,9 @@ import numpy as np
 
 from .category_data import (CategoryData, _decode_value, _write_json,
                             deligne_product_data, monoidal_opposite)
-from .diagram_eval import (MorphismValue, braid_morphism, cap_morphism,
-                           compose_values, cup_morphism, dagger_value, insert,
-                           path_vector, scalar_generator, tensor_values)
+from .diagram_eval import (MorphismValue, cap_morphism, compose_values,
+                           dagger_value, insert, path_vector, scalar_generator,
+                           tensor_values)
 from .errors import PreconditionError, StructuralError
 
 __all__ = [
@@ -258,6 +258,38 @@ def canonical_algebra(cd: CategoryData, x) -> AlgebraObject:
     return AlgebraObject(support=tuple(support), mu=mu)
 
 
+def _zigzag_phases(cd):
+    """zeta_a, the phase of the zig-zag (cap_ab (x) id_ab)(id_ab (x) cup_a) on
+    [ab], ab = dual(a), which evaluates to d_a conj F^{ab a ab}_ab[0, 0]: the
+    Frobenius-Schur indicator of a, up to the gauge of F."""
+    dual = cd.ring.dual
+    z = np.array([cd.fval(dual[a], a, dual[a], dual[a], 0, 0)
+                  for a in range(cd.ring.rank)]).conj()
+    return z / np.abs(z)
+
+
+def _rotation_phase(cd, a1, a2, b, zeta):
+    """The one coefficient of the rotation isometry phi: [bb] -> [ab1, ab2]
+    (ab = dual(a)), the rigidity dual of the tree psi_b: b -> a2 (x) a1.
+
+    The condition (psi_b (x) phi) cup_b = nested cups fixes the phase of phi,
+    Frobenius-Schur signs included; phi is normalized to an isometry and
+    divided by the zig-zag phase of b.  The nested cups composed with psi_b^*
+    and closed by a cap on b evaluate to sqrt(d_a1 d_a2 d_b) times
+
+        conj(F^{bb a2 ab2}_bb[ab1, 0] F^{ab1 a1 ab1}_ab1[0, 0]) F^{bb a2 a1}_0[ab1, b],
+
+    so phi is the phase of that product over zeta_b.
+    """
+    dual = cd.ring.dual
+    ab1, ab2, bb = dual[a1], dual[a2], dual[b]
+    v = ((cd.fval(bb, a2, ab2, bb, ab1, 0) * cd.fval(ab1, a1, ab1, ab1, 0, 0)).conjugate()
+         * cd.fval(bb, a2, a1, 0, ab1, b))
+    if not abs(v) > cd.noise_floor:
+        raise StructuralError("degenerate rotation isometry")
+    return complex(v / abs(v) / zeta[b])
+
+
 def _conjugate_vertex_algebra(cd: CategoryData, support, braided) -> AlgebraObject:
     """The Longo-Rehren Q-system with one summand support[c] per simple c of cd.
 
@@ -266,38 +298,32 @@ def _conjugate_vertex_algebra(cd: CategoryData, support, braided) -> AlgebraObje
     op(C) (x) C for the symmetric enveloping algebra.  The multiplication
     is closed-form (Longo & Rehren 1995; Kong & Runkel 2008), not solved:
 
-        mu^{support[a] support[b]}_{support[c]} = (d_a d_b / d_c)^{1/2} phase(a, b, c).
+        mu^{support[a] support[b]}_{support[c]}
+            = (d_a d_b / d_c)^{1/2} kappa(a, b, c) conj(kappa(0, c, c)).
 
-    The phase is evaluated once per admissible triple of cd.  For the basis
-    vertex v: ab -> c, form its right mate v^: c~ -> b~a~ (coevaluation
-    cup(a) with cup(b) nested inside, evaluation cap(c~), x~ = dual(x)), and
-    read kappa(a, b, c) off (v^)^dag: b~a~ -> c~, precomposed with the
-    braiding sigma_{a~,b~} of cd when ``braided``.  Then phase(a, b, c) =
-    s_c kappa / |kappa|, where the sign s_c = kappa(0, c, c) / |kappa(0, c, c)|
-    cancels the Frobenius-Schur sign the unsigned cups and caps leave in the
-    zigzag (-1 for the semion and the odd elements of vec_zn(6, 1)).  It is
-    applied as its conjugate, equal for a sign, so that the unit channels
-    come out as exactly 1 in floating point.
+    kappa(a, b, c) is the phase of the dagger of the right mate c~ -> b~a~
+    (x~ = dual(x)) of the basis vertex v: ab -> c, precomposed with the
+    braiding sigma_{a~,b~} of cd when ``braided``.  The mate is the rotation
+    isometry phi of the tree c -> a (x) b times the zig-zag phase of c, and
+    the braiding adds one R-symbol:
+
+        kappa(a, b, c) = conj(phi(b, a, c) zeta_c) [R^{a~ b~}_{c~} if braided].
+
+    The sign s_c = conj(kappa(0, c, c)) cancels the Frobenius-Schur sign the
+    unsigned cups and caps leave in the zigzag (-1 for the semion and the
+    odd elements of vec_zn(6, 1)).  It is applied as its conjugate, equal for
+    a sign, so that the unit channels come out as exactly 1 in floating point.
     """
     ring = cd.ring
     dl = ring.dual
     d = cd.dims.dims
+    zeta = _zigzag_phases(cd)
     kappa = {}
     for a in range(ring.rank):
         for b in range(ring.rank):
-            coev = compose_values(cd, insert(cd, (a,), cup_morphism(cd, b), (dl[a],)),
-                                  cup_morphism(cd, a))
             for c in ring.channels(a, b):
-                v = scalar_generator(cd, a, b, c, 1.0)
-                mate = compose_values(
-                    cd, insert(cd, (), cap_morphism(cd, dl[c]), (dl[b], dl[a])),
-                    compose_values(cd, insert(cd, (dl[c],), v, (dl[b], dl[a])),
-                                   insert(cd, (dl[c],), coev, ())))
-                w = dagger_value(mate)
-                if braided:
-                    w = compose_values(cd, w, braid_morphism(cd, dl[a], dl[b]))
-                k = complex(w.block(ring, dl[c])[0, 0])
-                kappa[(a, b, c)] = k / abs(k)
+                k = np.conj(_rotation_phase(cd, b, a, c, zeta) * zeta[c])
+                kappa[(a, b, c)] = k * cd.rval(dl[a], dl[b], dl[c]) if braided else k
     mu = {(support[a], support[b], support[c]):
           np.sqrt(d[a] * d[b] / d[c]) * k * np.conj(kappa[(0, c, c)])
           for (a, b, c), k in kappa.items()}
@@ -443,9 +469,9 @@ def symmetric_enveloping(cd: CategoryData):
 
     Returns (product_category, algebra); the support is {(c, c) : c}.  The
     multiplication is closed-form (see _conjugate_vertex_algebra): modulus
-    (d_a d_b / d_c)^{1/2} and a phase read from the mate of each vertex of
-    cd, with no braiding, times the sign s_c.  It is not solved for; callers
-    check it with verify_qsystem.
+    (d_a d_b / d_c)^{1/2} and the phase of the mate of each vertex of cd,
+    read from F with no braiding, times the sign s_c.  It is not solved
+    for; callers check it with verify_qsystem.
     """
     if cd.partial:
         raise PreconditionError("symmetric enveloping needs full F data")

@@ -24,10 +24,10 @@ m_x(Z) x m_x(Z) matrices.  One eigendecomposition of the left action of a
 random hermitian element, self-adjoint for the trace form, gives minimal
 projections q under every block at once (_corner_projections); q spans one
 copy of Z's irreducible module, the left ideal Tube q.  From that module
-come the multiplicity vector over Irr(C), the half-braiding components (a
-linear solve against diagram values tabulated once per tube, checked
-against the composite-channel axioms by half_braiding_check), the
-dimension, and the traces that S and T contract.
+come the multiplicity vector over Irr(C), the half-braiding components
+(one module matrix per basis vector, times a scale read from one F entry;
+half_braiding_check holds them to the composite-channel axioms with
+diagrams), the dimension, and the traces that S and T contract.
 
 Conventions: the half-braiding sigma_{c,z}: c (x) z -> z (x) c carries the
 strand of the ambient category over the center object's strand; the braiding
@@ -40,13 +40,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import (_conjugate_vertex_algebra, _max_dev, algebra_dim,
-                      group_algebra, is_commutative, verify_qsystem)
+from .algebra import (_conjugate_vertex_algebra, _max_dev, _rotation_phase,
+                      _zigzag_phases, algebra_dim, group_algebra, is_commutative,
+                      verify_qsystem)
 from .category_data import (CategoryData, QuadraticForm, deligne_product_data,
                             pointed_from_quadratic_form, reverse_braiding)
 from .braided_analysis import is_nondegenerate
-from .diagram_eval import (MorphismValue, cap_morphism, compose_values, dagger_value,
-                           insert, path_vector)
+from .diagram_eval import (MorphismValue, compose_values, dagger_value, insert,
+                           path_vector)
 from .errors import PreconditionError, StructuralError
 
 __all__ = [
@@ -160,44 +161,6 @@ def _tube_basis(cd):
                 for y in ring.channels(e, ab):
                     basis.append((x, a, e, y))
     return basis
-
-
-def _tube_vector(cd, x, a, e, y) -> MorphismValue:
-    """The basis morphism [a, x, dual(a)] -> [y] at the tree path (a, e, y)."""
-    ab = cd.ring.dual[a]
-    return dagger_value(path_vector(cd, (a, x, ab), y, (a, e, y)))
-
-
-def _zigzag_phases(cd):
-    """zeta_a, the phase of the zig-zag (cap_ab (x) id_ab)(id_ab (x) cup_a) on
-    [ab], ab = dual(a), which evaluates to d_a conj F^{ab a ab}_ab[0, 0]: the
-    Frobenius-Schur indicator of a, up to the gauge of F."""
-    dual = cd.ring.dual
-    z = np.array([cd.fval(dual[a], a, dual[a], dual[a], 0, 0)
-                  for a in range(cd.ring.rank)]).conj()
-    return z / np.abs(z)
-
-
-def _rotation_phase(cd, a1, a2, b, zeta):
-    """The one coefficient of the rotation isometry phi: [bb] -> [ab1, ab2]
-    (ab = dual(a)), the rigidity dual of the tree psi_b: b -> a2 (x) a1.
-
-    The condition (psi_b (x) phi) cup_b = nested cups fixes the phase of phi,
-    Frobenius-Schur signs included; phi is normalized to an isometry and
-    divided by the zig-zag phase of b.  The nested cups composed with psi_b^*
-    and closed by a cap on b evaluate to sqrt(d_a1 d_a2 d_b) times
-
-        conj(F^{bb a2 ab2}_bb[ab1, 0] F^{ab1 a1 ab1}_ab1[0, 0]) F^{bb a2 a1}_0[ab1, b],
-
-    so phi is the phase of that product over zeta_b.
-    """
-    dual = cd.ring.dual
-    ab1, ab2, bb = dual[a1], dual[a2], dual[b]
-    v = ((cd.fval(bb, a2, ab2, bb, ab1, 0) * cd.fval(ab1, a1, ab1, ab1, 0, 0)).conjugate()
-         * cd.fval(bb, a2, a1, 0, ab1, b))
-    if not abs(v) > cd.noise_floor:
-        raise StructuralError("degenerate rotation isometry")
-    return complex(v / abs(v) / zeta[b])
 
 
 def build_tube_algebra(cd: CategoryData) -> TubeAlgebra:
@@ -369,75 +332,42 @@ def _corner_module(tube: TubeAlgebra, x, q, weights):
     return copies, pi
 
 
-def _half_braiding_table(tube: TubeAlgebra) -> dict:
-    """(x, a, y) -> (tube indices ks, channels cs, W, W+), one entry per tube.
-
-    For a half-braiding with a-components sigma_c: a (x) x -> y (x) a, the
-    coefficient of t_(x,a,e,y) in a module is sum_c W[e, c] sigma_c; W
-    closes sigma_c against the basis tree with a cap, so it depends on the
-    category only and is evaluated once for all blocks.  W+ is its
-    pseudo-inverse, taken in one batched call per shape of W, so that each
-    module reads sigma = W+ pi(t_(x,a,.,y)) with a product.
-    """
+def _half_braiding_scale(tube: TubeAlgebra):
+    """scale[k] with sigma_a(c) = scale[k] pi(t_k) at t_k = t_(x,a,c,y)."""
     cd = tube.cd
-    ring = cd.ring
-    groups = {}
-    for k, (x, a, e, y) in enumerate(tube.basis):
-        groups.setdefault((x, a, y), []).append(k)
-    table = {}
-    for (x, a, y), ks in groups.items():
-        cap = insert(cd, (y,), cap_morphism(cd, a), ())
-        cs = [c for c in ring.channels(a, x) if ring.N[y, a, c]]
-        # (id_y (x) cap_a)(sigma_c (x) id_ab): [a, x, ab] -> [y]
-        closed = []
-        for c in cs:
-            sg = MorphismValue(source=(a, x), target=(y, a), blocks={c: np.ones((1, 1), complex)})
-            closed.append(compose_values(cd, cap, insert(cd, (), sg, (ring.dual[a],))))
-        W = np.zeros((len(ks), len(cs)), dtype=complex)
-        for ti, k in enumerate(ks):
-            td = dagger_value(_tube_vector(cd, *tube.basis[k]))   # [y] -> [a, x, ab]
-            for ci, mv in enumerate(closed):
-                blk = compose_values(cd, mv, td).block(ring, y)
-                W[ti, ci] = blk[0, 0] if blk.size else 0.0
-        table[(x, a, y)] = (ks, cs, W)
-    by_shape = {}
-    for key, (_ks, _cs, W) in table.items():
-        by_shape.setdefault(W.shape, []).append(key)
-    for shape, keys in by_shape.items():
-        # the singular-value cutoff lstsq(W, ., rcond=None) would apply to each W
-        pinvs = np.linalg.pinv(np.array([table[k][2] for k in keys]),
-                               max(shape) * np.finfo(float).eps)
-        for key, Wp in zip(keys, pinvs):
-            table[key] += (Wp,)
-    return table
+    d, dual = cd.dims.dims, cd.ring.dual
+    return np.array([np.sqrt(d[x] / (d[y] * d[a])) / cd.fval(y, a, dual[a], y, c, 0)
+                     for x, a, c, y in tube.basis])
 
 
-def _half_braiding(cd, table, copies, pi, D):
+def _half_braiding(tube: TubeAlgebra, scale, copies, pi, D):
     """Half-braiding components of a module, a -> {c: {(copy_out, copy_in): v}};
     their traces D[a, c, x] = sum_m sigma_a(c; (x, m), (x, m)) are written
     into the zero (rank, rank, rank) array D.
 
-    sigma solves W sigma = pi(t_(x,a,.,y)) in least squares for each
-    (x, a, y) in the module's support, every copy pair a right-hand side: it
-    is W+ times the right-hand side, with the pseudo-inverse W+ of the
-    table.  pi is unitary in a trace-orthonormal basis, so the components
-    come out unitary as solved.
+    For a half-braiding with a-components sigma_c: a (x) x -> y (x) a, the
+    coefficient of t_(x,a,e,y) in a module is sigma_c closed against the
+    basis tree with a cap on a.  Only the channel c = e survives, as one
+    F-move, sqrt(d_a) F^{y a ab}_y[c, 0] (ab = dual(a)), and the tube inner
+    product weights sector x by d_x against the tree normalization, so
+
+        sigma_a(c) = pi(t_(x,a,c,y)) sqrt(d_x / d_y) / (sqrt(d_a) F^{y a ab}_y[c, 0]),
+
+    with scale[k] the factor on pi(t_k).  pi is unitary in a
+    trace-orthonormal basis, so the components come out unitary.
     """
-    d = cd.dims.dims
-    rank = cd.ring.rank
     at = {}
     for i, (x, _m) in enumerate(copies):
         at.setdefault(x, []).append(i)
-    half = {a: {} for a in range(rank)}
-    for (x, a, y), (ks, cs, _W, Wp) in table.items():
+    half = {a: {} for a in range(tube.cd.ring.rank)}
+    for (x, y), ks in tube.sectors.items():
         if x not in at or y not in at:
             continue
-        sigma = Wp @ pi[np.ix_(ks, at[y], at[x])].reshape(len(ks), -1)
-        # the tube inner product weights sector x by d_x against the tree normalization
-        sigma = sigma.reshape(len(cs), len(at[y]), len(at[x])) * np.sqrt(d[x] / d[y])
-        if x == y:
-            D[a, cs, x] = np.einsum("cmm->c", sigma)
-        for c, s in zip(cs, sigma):
+        sigma = pi[np.ix_(ks, at[y], at[x])] * scale[ks, None, None]
+        for k, s in zip(ks, sigma):
+            _x, a, c, _y = tube.basis[k]
+            if x == y:
+                D[a, c, x] = np.trace(s)
             half[a].setdefault(c, {}).update(
                 ((copies[i], copies[j]), s[u, v])
                 for u, i in enumerate(at[y]) for v, j in enumerate(at[x]))
@@ -515,11 +445,15 @@ def decompose_center(tube: TubeAlgebra, seed=0) -> CenterData:
     """Simple center objects with dims, twists, half-braidings, S and T.
 
     One simple per block of the tube algebra, built in the corner where its
-    multiplicity is smallest (the first such x).  With D[z, a, c, x] the
-    traces of the half-braidings (see _half_braiding), S[z, w] is the sum of
-    d_c D[z, p, c, x] D[w, x, c, p] and theta_z that of d_c D[z, x, c, x],
-    over dim z.  Simples are ordered by (dim, twist angle, multiplicity
-    vector), the unit first.
+    multiplicity is smallest (the first such x).  Nothing is solved: each
+    half-braiding component is one module matrix times one F entry,
+
+        sigma_a(c) = pi(t_(x,a,c,y)) sqrt(d_x / d_y) / (sqrt(d_a) F^{y a dual(a)}_y[c, 0]),
+
+    and with D[z, a, c, x] their traces (see _half_braiding), S[z, w] is the
+    sum of d_c D[z, p, c, x] D[w, x, c, p] and theta_z that of
+    d_c D[z, x, c, x], over dim z.  Simples are ordered by (dim, twist
+    angle, multiplicity vector), the unit first.
 
     The seed drives the random hermitian element that splits each corner,
     one stream for all corners.  Dims, twists, underlying multiplicities and
@@ -544,7 +478,7 @@ def decompose_center(tube: TubeAlgebra, seed=0) -> CenterData:
     corners.sort(key=lambda c: c[:2])
     Q = np.array([q for _m, _x, q in corners])
     unclaimed = np.ones(len(corners), dtype=bool)
-    table = _half_braiding_table(tube)
+    scale = _half_braiding_scale(tube)
     # half-braiding traces, one row per simple; zeros leaves the unused rows unallocated
     D = np.zeros((len(corners), rank, rank, rank), dtype=complex)
     simples = []
@@ -554,7 +488,7 @@ def decompose_center(tube: TubeAlgebra, seed=0) -> CenterData:
         copies, pi = _corner_module(tube, x, q, weights)
         # tr pi(q') is 1 for a minimal projection q' under Z's blocks, else 0
         unclaimed &= (Q @ np.einsum("kcc->k", pi)).real < 0.5
-        half = _half_braiding(cd, table, copies, pi, D[len(simples)])
+        half = _half_braiding(tube, scale, copies, pi, D[len(simples)])
         mult = np.bincount([y for y, _j in copies], minlength=rank)
         simples.append(CenterObject(underlying=mult, half_braiding=half, copies=copies,
                                     twist=1.0, dim=float(d @ mult)))
@@ -619,12 +553,12 @@ def lagrangian_algebra(cd: CategoryData, center: CenterData):
     On the pointed presentation (trivial F, R = 1 on the dual-group factor)
     the multiplication is the group algebra's.  On C (x) reverse(C) it is
     the Longo-Rehren algebra on the pairs (c, dual c), in closed form (see
-    algebra._conjugate_vertex_algebra): modulus (d_a d_b / d_c)^{1/2} and a
-    phase evaluated once per vertex of C from its braided mate, times the
-    sign s_c that cancels the Frobenius-Schur sign of the unsigned cups and
-    caps.  Nothing is solved for.  Either way the dimension, the Q-system
-    axioms and commutativity are checked.  Returns (presentation, algebra,
-    support_indices_in_center).
+    algebra._conjugate_vertex_algebra): modulus (d_a d_b / d_c)^{1/2} and
+    the phase of the braided mate of each vertex of C, read from F and R,
+    times the sign s_c that cancels the Frobenius-Schur sign of the unsigned
+    cups and caps.  Nothing is solved for.  Either way the dimension, the
+    Q-system axioms and commutativity are checked.  Returns (presentation,
+    algebra, support_indices_in_center).
     """
     mults = [int(z.underlying[0]) for z in center.simples]
     if any(m > 1 for m in mults):

@@ -319,6 +319,15 @@ def hexagon_by_loops(cd, rv):
     return report
 
 
+def tube_vector(cd, x, a, e, y):
+    """The tube basis morphism t_(x,a,e,y): [a, x, dual(a)] -> [y] at the
+    tree path (a, e, y), as a diagram value."""
+    from tensorcat.diagram_eval import dagger_value, path_vector
+
+    ab = cd.ring.dual[a]
+    return dagger_value(path_vector(cd, (a, x, ab), y, (a, e, y)))
+
+
 def rotation_isometry_by_diagrams(cd, a1, a2, b):
     """phi: [dual(b)] -> [dual(a1), dual(a2)], the rigidity dual of the tree
     psi_b: b -> a2 (x) a1, from (psi_b (x) phi) cup_b = nested cups,
@@ -352,7 +361,7 @@ def tube_product_by_pairs(cd):
     The gluing diagram of build_tube_algebra with a 1e-13 drop, no
     intermediate reused between pairs.
     """
-    from tensorcat.center_tube import _tube_basis, _tube_vector
+    from tensorcat.center_tube import _tube_basis
     from tensorcat.diagram_eval import compose_values, insert, path_vector, paths
 
     ring = cd.ring
@@ -365,8 +374,8 @@ def tube_product_by_pairs(cd):
             if x2 != y1:
                 continue
             ab1, ab2 = ring.dual[a1], ring.dual[a2]
-            inner = insert(cd, (a2,), _tube_vector(cd, x1, a1, e1, y1), (ab2,))
-            S = compose_values(cd, _tube_vector(cd, x2, a2, e2, y2), inner)
+            inner = insert(cd, (a2,), tube_vector(cd, x1, a1, e1, y1), (ab2,))
+            S = compose_values(cd, tube_vector(cd, x2, a2, e2, y2), inner)
             for b in ring.channels(a2, a1):
                 psi = path_vector(cd, (a2, a1), b, (a2, b))
                 phi = rotation_isometry_by_diagrams(cd, a1, a2, b)
@@ -388,7 +397,7 @@ def tube_star_by_diagrams(cd):
     """Star coefficients star[i, k] of t_k in t_i^*: the dagger of t_i with
     both a-strands closed by caps, one diagram per basis vector, divided by
     the zig-zag phase of a."""
-    from tensorcat.center_tube import _tube_basis, _tube_vector
+    from tensorcat.center_tube import _tube_basis
     from tensorcat.diagram_eval import (cap_morphism, compose_values, cup_morphism,
                                         dagger_value, insert, paths)
 
@@ -398,7 +407,7 @@ def tube_star_by_diagrams(cd):
     star = np.zeros((len(basis), len(basis)), dtype=complex)
     for i, (x, a, e, y) in enumerate(basis):
         ab = ring.dual[a]
-        td = dagger_value(_tube_vector(cd, x, a, e, y))   # [y] -> [a, x, ab]
+        td = dagger_value(tube_vector(cd, x, a, e, y))   # [y] -> [a, x, ab]
         mid = insert(cd, (ab,), td, (a,))                 # [ab, y, a] -> [ab, a, x, ab, a]
         s1 = insert(cd, (), cap_morphism(cd, ab), (x, ab, a))
         s2 = insert(cd, (x,), cap_morphism(cd, ab), ())
@@ -451,12 +460,13 @@ def dense_tube(tube):
 
 def half_braiding_W_by_entries(cd, x, a, y):
     """W[e, c] of one (x, a, y) of the tube, one diagram per entry: the
-    cap-closed sigma_c (x) id composed with the dagger of t_(x,a,e,y).
+    cap-closed sigma_c (x) id composed with the dagger of t_(x,a,e,y), so
+    that the coefficient of t_(x,a,e,y) in a module is sum_c W[e, c] sigma_c.
 
     Rows follow e in channels(a, x) with N^y_{e, dual a}, columns c in
-    channels(a, x) with N^c_{y a}, as in center_tube's table.
+    channels(a, x) with N^c_{y a}.  center_tube reads W as diagonal, with
+    W[c, c] = sqrt(d_a) F^{y a dual(a)}_y[c, 0]; the tests hold it to this.
     """
-    from tensorcat.center_tube import _tube_vector
     from tensorcat.diagram_eval import (MorphismValue, cap_morphism, compose_values,
                                         dagger_value, insert)
 
@@ -466,7 +476,7 @@ def half_braiding_W_by_entries(cd, x, a, y):
     cs = [c for c in ring.channels(a, x) if ring.N[y, a, c]]
     W = np.zeros((len(es), len(cs)), dtype=complex)
     for ti, e in enumerate(es):
-        td = dagger_value(_tube_vector(cd, x, a, e, y))          # [y] -> [a, x, ab]
+        td = dagger_value(tube_vector(cd, x, a, e, y))           # [y] -> [a, x, ab]
         for ci, c in enumerate(cs):
             sg = MorphismValue(source=(a, x), target=(y, a),
                                blocks={c: np.array([[1.0 + 0j]])})
@@ -475,6 +485,67 @@ def half_braiding_W_by_entries(cd, x, a, y):
             blk = compose_values(cd, capa, compose_values(cd, step, td)).block(ring, y)
             W[ti, ci] = blk[0, 0] if blk.size else 0.0
     return W
+
+
+def mate_phase_by_diagrams(cd, braided):
+    """(a, b, c) -> kappa(a, b, c), one diagram per vertex v: ab -> c: the
+    right mate v^: c~ -> b~a~ (coevaluation cup(a) with cup(b) nested
+    inside, evaluation cap(c~), x~ = dual(x)), daggered, precomposed with
+    the braiding sigma_{a~,b~} when ``braided``, and normalized to a phase."""
+    from tensorcat.diagram_eval import (braid_morphism, cap_morphism, compose_values,
+                                        cup_morphism, dagger_value, insert,
+                                        scalar_generator)
+
+    ring = cd.ring
+    dl = ring.dual
+    kappa = {}
+    for a in range(ring.rank):
+        for b in range(ring.rank):
+            coev = compose_values(cd, insert(cd, (a,), cup_morphism(cd, b), (dl[a],)),
+                                  cup_morphism(cd, a))
+            for c in ring.channels(a, b):
+                v = scalar_generator(cd, a, b, c, 1.0)
+                mate = compose_values(
+                    cd, insert(cd, (), cap_morphism(cd, dl[c]), (dl[b], dl[a])),
+                    compose_values(cd, insert(cd, (dl[c],), v, (dl[b], dl[a])),
+                                   insert(cd, (dl[c],), coev, ())))
+                w = dagger_value(mate)
+                if braided:
+                    w = compose_values(cd, w, braid_morphism(cd, dl[a], dl[b]))
+                k = complex(w.block(ring, dl[c])[0, 0])
+                kappa[(a, b, c)] = k / abs(k)
+    return kappa
+
+
+def record_diagram_calls(monkeypatch):
+    """Record the name of every insert and compose_values call made through
+    diagram_eval, algebra, local_modules or center_tube."""
+    import tensorcat.algebra as alg
+    import tensorcat.center_tube as ct
+    import tensorcat.diagram_eval as de
+    import tensorcat.local_modules as lm
+    calls = []
+    for name in ("insert", "compose_values"):
+        def counting(*args, _name=name, _real=getattr(de, name), **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        for mod in (de, alg, lm, ct):
+            monkeypatch.setattr(mod, name, counting, raising=False)
+    return calls
+
+
+def record_linalg_calls(monkeypatch, *names):
+    """name -> a list that grows by one on every call of np.linalg.<name>."""
+    seen = {}
+    for name in names:
+        def counting(*args, _calls=seen.setdefault(name, []),
+                     _real=getattr(np.linalg, name), **kwargs):
+            _calls.append(1)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return seen
 
 
 def center_twist_by_traces(cd, z):

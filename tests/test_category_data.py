@@ -379,14 +379,16 @@ def test_validate_and_load_reject_inadmissible_entries_alike(tmp_path, fib):
 def test_every_catalog_entry_round_trips(tmp_path, cats):
     """save_category then load_category returns equal F, R and dims on the
     catalog, its op and rev variants (validated on load) and the Deligne
-    products of distinct entries (loaded unvalidated: the save and load
-    of the 45 products already take 3 s)."""
+    products of every pair of entries, self-products included (loaded
+    unvalidated: the save and load of the 55 products take about 2.8 s on
+    a 2-core Xeon, the ten self-products 1 s of it and vec_z6 (x) vec_z6
+    alone 0.65 s)."""
     def cases():
         for n, cd in cats.items():
             yield n, cd, True
             yield f"op({n})", monoidal_opposite(cd), True
             yield f"rev({n})", reverse_braiding(cd), True
-        for a, b in itertools.combinations(cats, 2):
+        for a, b in itertools.combinations_with_replacement(cats, 2):
             yield f"{a}*{b}", deligne_product_data(cats[a], cats[b]), False
 
     path = tmp_path / "cd.json"

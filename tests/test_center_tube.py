@@ -10,7 +10,7 @@ from tensorcat.algebra import (AlgebraObject, algebra_dim, is_commutative,
                                solve_support_algebra, verify_qsystem)
 from tensorcat.catalog import catalog_category, catalog_names, vec_zn
 from tensorcat.center_tube import (_corner_module, _corner_projections,
-                                   _half_braiding_table, build_tube_algebra,
+                                   _half_braiding_scale, build_tube_algebra,
                                    center_global_checks, center_presentation,
                                    decompose_center, half_braiding_check,
                                    lagrangian_algebra, theorem_c_shadow)
@@ -20,7 +20,8 @@ from tensorcat.local_modules import condensation_identity_check
 
 from oracles import (PHI, algebras_gauge_equivalent, center_s_by_traces,
                      center_twist_by_traces, central_idempotents_by_nullspace,
-                     dense_tube, half_braiding_W_by_entries,
+                     dense_tube, half_braiding_W_by_entries, mate_phase_by_diagrams,
+                     record_diagram_calls, record_linalg_calls,
                      rotation_isometry_by_diagrams, tube_product_by_pairs,
                      tube_star_by_diagrams, vertex_gauge)
 
@@ -238,7 +239,7 @@ def test_tube_build_evaluates_no_diagram(cats, name, monkeypatch):
 def test_rotation_phase_matches_the_diagram():
     """The closed-form phase of the rotation isometry equals the evaluated
     diagram on every vertex, in the stored gauge and in a random one."""
-    from tensorcat.center_tube import _rotation_phase, _zigzag_phases
+    from tensorcat.algebra import _rotation_phase, _zigzag_phases
     for base in (catalog_category("ising"), vec_zn(3, 2)):
         for cd in (base, vertex_gauge(base, 3)):
             ring = cd.ring
@@ -451,43 +452,73 @@ def test_contracted_s_and_t_match_trace_oracles(name):
         assert center.T[i, i] == z.twist
 
 
-@pytest.mark.parametrize("name", ["fibonacci", "ising", "toric_code"])
-def test_half_braiding_table_matches_entrywise_oracle(cats, name):
-    cd = cats[name]
-    tube = build_tube_algebra(cd)
-    table = _half_braiding_table(tube)
-    assert sorted(k for ks, _cs, _W, _Wp in table.values() for k in ks) == list(range(tube.dim))
-    for (x, a, y), (ks, cs, W, Wp) in table.items():
-        assert [tube.basis[k] for k in ks] == [
-            (x, a, e, y) for e in cd.ring.channels(a, x) if cd.ring.N[e, cd.ring.dual[a], y]]
-        assert np.max(np.abs(W - half_braiding_W_by_entries(cd, x, a, y))) < 1e-12
-        assert np.max(np.abs(Wp @ W - np.eye(len(cs)))) < 1e-12
+@pytest.mark.parametrize("name", catalog_names() + ["fib*ising", "vec_zn(3,2)", "vec_s3"])
+def test_half_braiding_scale_matches_entrywise_oracle(cats, name):
+    """The cap-closed W of the entrywise diagrams is diagonal, and its
+    diagonal is the closed form the readout divides by: W[c, c] =
+    sqrt(d_x / d_y) / scale[k] at t_k = t_(x,a,c,y), in the stored gauge and
+    in a random vertex gauge."""
+    base = {"fib*ising": lambda: deligne_product_data(cats["fibonacci"], cats["ising"]),
+            "vec_zn(3,2)": lambda: vec_zn(3, 2), "vec_s3": _vec_s3}.get(
+        name, lambda: cats[name])()
+    for cd in (base, vertex_gauge(base, 3)):
+        tube = build_tube_algebra(cd)
+        d = cd.dims.dims
+        scale = _half_braiding_scale(tube)
+        for (x, y), ks in tube.sectors.items():
+            for a in {tube.basis[k][1] for k in ks}:
+                mine = [k for k in ks if tube.basis[k][1] == a]
+                W = half_braiding_W_by_entries(cd, x, a, y)
+                want = np.diag([np.sqrt(d[x] / d[y]) / scale[k] for k in mine])
+                assert np.max(np.abs(W - want)) < 1e-12, (cd.name, x, a, y)
 
 
 @pytest.mark.parametrize("name", ["fibonacci", "toric_code"])
-def test_decompose_center_evaluates_diagrams_once_per_tube(cats, name, monkeypatch):
-    """decompose_center inserts only what the half-braiding table does, one
-    cap and one sigma_c per channel for each (x, a, y), takes no SVD and one
-    eigh per simple object of the category (the split of each diagonal
-    corner), however many simples the center has, and one pseudo-inverse
-    per shape of W."""
-    import tensorcat.center_tube as ct
+def test_decompose_center_evaluates_no_diagram(cats, name, monkeypatch):
+    """decompose_center calls neither insert nor compose_values, solves
+    nothing (no pinv) and takes no SVD: one eigh per simple object of the
+    category (the split of each diagonal corner), however many simples the
+    center has."""
     tube = build_tube_algebra(cats[name])
-    inserts, svds, eighs, pinvs = [], [], [], []
-    insert, svd, eigh, pinv = ct.insert, np.linalg.svd, np.linalg.eigh, np.linalg.pinv
-    monkeypatch.setattr(ct, "insert", lambda *a, **k: inserts.append(1) or insert(*a, **k))
-    table = _half_braiding_table(tube)
-    per_table = len(inserts)
-    assert per_table == sum(1 + len(cs) for _ks, cs, _W, _Wp in table.values())
-    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(1) or svd(*a, **k))
-    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: eighs.append(1) or eigh(*a, **k))
-    monkeypatch.setattr(np.linalg, "pinv", lambda *a, **k: pinvs.append(1) or pinv(*a, **k))
-    inserts.clear()
+    calls = record_diagram_calls(monkeypatch)
+    linalg = record_linalg_calls(monkeypatch, "svd", "eigh", "pinv")
     center = decompose_center(tube, seed=0)
-    assert len(inserts) == per_table
-    assert not svds
-    assert len(eighs) == cats[name].ring.rank < len(center.simples)
-    assert len(pinvs) == len({W.shape for _ks, _cs, W, _Wp in table.values()})
+    assert calls == []
+    assert not linalg["svd"] and not linalg["pinv"]
+    assert len(linalg["eigh"]) == cats[name].ring.rank < len(center.simples)
+
+
+@pytest.mark.parametrize("name", catalog_names() + ["ising:gauged", "vec_zn(3,2):gauged"])
+def test_conjugate_vertex_phases_match_the_mate_diagrams(cats, name):
+    """The Longo-Rehren multiplication read from F (and R) equals the one
+    built from the diagram mates to 1e-12: with the braiding on the braided
+    catalog in the stored gauge (toric_code fixes the order of R), without
+    it in a random vertex gauge."""
+    from tensorcat.algebra import _conjugate_vertex_algebra
+    base, gauged = name.partition(":")[::2]
+    cd = vec_zn(3, 2) if base == "vec_zn(3,2)" else cats[base]
+    braided = not gauged
+    if gauged:
+        cd = vertex_gauge(cd, 3)
+    d = cd.dims.dims
+    kappa = mate_phase_by_diagrams(cd, braided)
+    A = _conjugate_vertex_algebra(cd, tuple(range(cd.ring.rank)), braided)
+    assert set(A.mu) == set(kappa)
+    for (a, b, c), k in kappa.items():
+        want = np.sqrt(d[a] * d[b] / d[c]) * k * np.conj(kappa[(0, c, c)])
+        assert abs(A.mu[(a, b, c)] - want) < 1e-12, (a, b, c)
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "vec_zn(6,1)", "vec_zn(6,0)"])
+def test_theorem_c_shadow_evaluates_no_diagram(cats, name, monkeypatch):
+    """The whole Theorem C pipeline, Lagrangian and condensation included,
+    calls neither insert nor compose_values and no pinv."""
+    cd = {"vec_zn(6,1)": lambda: vec_zn(6, 1), "vec_zn(6,0)": lambda: vec_zn(6, 0)}.get(
+        name, lambda: cats[name])()
+    calls = record_diagram_calls(monkeypatch)
+    linalg = record_linalg_calls(monkeypatch, "pinv")
+    assert theorem_c_shadow(cd)["passed"]
+    assert calls == [] and linalg["pinv"] == []
 
 
 def _vec_s3():

@@ -17,7 +17,8 @@ from tensorcat.local_modules import (CondensedData,
                                      verify_module)
 
 from oracles import (brute_force_local_count, commutant_generators_by_diagrams,
-                     induced_action_by_entries, projector_block_by_diagrams)
+                     induced_action_by_entries, projector_block_by_diagrams,
+                     record_diagram_calls)
 
 
 def test_regular_module_over_itself(toric):
@@ -218,28 +219,11 @@ def test_enumeration_verifies_each_returned_simple_once(case, qsystem_case, monk
         assert verify_module(cd, A, m)["passed"]
 
 
-def _record_diagram_calls(monkeypatch):
-    """Record the name of every insert and compose_values call made through
-    diagram_eval, algebra or local_modules."""
-    import tensorcat.algebra as alg
-    import tensorcat.diagram_eval as de
-    import tensorcat.local_modules as lm
-    calls = []
-    for name in ("insert", "compose_values"):
-        def counting(*args, _name=name, _real=getattr(de, name), **kwargs):
-            calls.append(_name)
-            return _real(*args, **kwargs)
-
-        for mod in (de, alg, lm):
-            monkeypatch.setattr(mod, name, counting, raising=False)
-    return calls
-
-
 @pytest.mark.parametrize("case", ["toric:1+e", "D(Z6):Z3", "fib:lagrangian"])
 def test_induced_action_matches_per_entry_oracle(case, qsystem_case, monkeypatch):
     import tensorcat.local_modules as lm
     cd, A = qsystem_case(case)
-    calls = _record_diagram_calls(monkeypatch)
+    calls = record_diagram_calls(monkeypatch)
     for x in range(cd.ring.rank):
         want_sectors, want = induced_action_by_entries(cd, A, x)
         calls.clear()
@@ -301,7 +285,7 @@ def test_local_layer_evaluates_no_diagram(case, qsystem_case, monkeypatch):
     verify_module included, and the double-braid trace of every pair of
     simple locals call neither insert nor compose_values."""
     cd, A = qsystem_case(case)
-    calls = _record_diagram_calls(monkeypatch)
+    calls = record_diagram_calls(monkeypatch)
     cond = enumerate_local_modules(cd, A, with_ring=True)
     assert cond.ring.rank == len(cond.simples) == (1 if case == "toric:1+e" else 4)
     for X in cond.simples:
@@ -315,7 +299,7 @@ def test_verifiers_evaluate_no_diagram(case, qsystem_case, monkeypatch):
     from tensorcat.algebra import verify_qsystem
     cd, A = qsystem_case(case)
     mods = enumerate_local_modules(cd, A).simples + free_module_decomposition(cd, A, 1)
-    calls = _record_diagram_calls(monkeypatch)
+    calls = record_diagram_calls(monkeypatch)
     assert verify_qsystem(cd, A).passed
     assert all(verify_module(cd, A, X)["passed"] for X in mods)
     assert calls == []
