@@ -7,11 +7,16 @@ module associativity reads rho(rho (x) id) = rho(id (x) m) verbatim with the
 stored coefficients, and the standardly-normalized action satisfies
 sum_{a,y} |rho^{xa}_y|^2 = dim Q for every x in the support.
 
-Simple modules are enumerated by decomposing the induced modules x (x) A
-over all simples x, which is complete: a simple module embeds in the
-induction from any simple in its support.  Enumeration checks module
-associativity (verify_module) only on the candidates it returns, the local
-ones not equivalent to a module already found; the rest are discarded
+Simple modules are enumerated by decomposing induced modules x (x) A.  By
+Frobenius reciprocity, Hom_A(x (x) A, M) = Hom_C(x, M), so x (x) A is the
+sum of the simple modules M with x in supp M, and d_x dim A is the sum of
+their FPdims.  x runs over the simples in order; x (x) A is decomposed only
+while the modules found so far through x fall short of d_x dim A, and each
+summand M is counted once, at x = min supp M.  The least label of every simple module is
+therefore decomposed, so the enumeration is complete, and the totals must
+come out exact for every x or the enumeration raises.  Enumeration checks
+module associativity (verify_module) only on the candidates it returns, the
+local summands first met at their least label; the rest are discarded
 unverified.  Fusion of local modules uses the canonical projector onto
 X (x)_Q Y built from the separability element, and is refused when the
 supports of the simple locals do not determine the multiplicities.
@@ -199,11 +204,12 @@ def free_module_decomposition(cd, A, x, seed=0, keep=None):
     summand whose underlying object acquires multiplicity is out of scope
     and raises.
 
-    keep, if given, is a predicate on candidate summands: only the
-    candidates it accepts are verified with verify_module and returned, the
-    others are dropped unverified.  A round is retried when a returned
-    candidate fails verify_module; with keep=None every candidate is
-    verified and returned.
+    keep, if given, is called with the list of every summand of a cleanly
+    split round and returns the sublist to verify with verify_module and
+    return; the others are dropped unverified.  A round is retried when a
+    returned candidate fails verify_module, and keep is then called again on
+    the new round, so the returned list comes from the round keep saw last.
+    With keep=None every summand is verified and returned.
     """
     ring = cd.ring
     sectors, act = _induced_action(cd, A, x)
@@ -264,7 +270,7 @@ def free_module_decomposition(cd, A, x, seed=0, keep=None):
             modules.append(mod)
         else:
             if keep is not None:
-                modules = [mod for mod in modules if keep(mod)]
+                modules = keep(modules)
             reports = (verify_module(cd, A, mod) for mod in modules)
             bad = next((r for r in reports if not r["passed"]), None)
             if bad is None:
@@ -320,11 +326,19 @@ def enumerate_local_modules(cd: CategoryData, A: AlgebraObject,
                             seed=0, with_ring=False) -> CondensedData:
     """All simple local modules over a connected commutative Q-system.
 
-    Complete by Frobenius reciprocity; deduplicated up to unitary
-    equivalence and deterministically ordered by (support, |rho| data).
-    Each returned simple is checked once with verify_module; candidates of
-    x (x) A that are not local, or are equivalent to a simple already
-    found, are discarded without that check.
+    For x = 0, 1, ... the induced module x (x) A is decomposed unless
+    covered[x] >= d_x dim A - identity_tolerance, where covered[x] sums
+    FPdim M over the distinct simple A-modules M found so far with x in
+    supp M, local or not.  Each M is counted once, at the decomposition of
+    x = min supp M, which is never skipped: until M is counted, covered[x]
+    falls short by at least FPdim M >= 1.  By Frobenius reciprocity every
+    covered[x] must end at d_x dim A; a deviation above identity_tolerance
+    (a wrong eigen-split) raises StructuralError naming x.
+
+    The simples are deterministically ordered by (support, |rho| data), each
+    the representative of the decomposition at its least label.  Each is
+    checked once with verify_module; the other summands are discarded
+    without that check.
     """
     if not is_connected(A):
         raise PreconditionError("algebra must be connected")
@@ -345,20 +359,36 @@ def _require_commutative_qsystem(cd, A):
 def _local_modules(cd, A, seed=0, with_ring=False) -> CondensedData:
     """enumerate_local_modules on an A that already passed its checks."""
     dQ = algebra_dim(cd, A)
-    bound = dQ * np.sqrt(cd.dims.global_dim) + cd.identity_tolerance
+    dims = cd.dims.dims
+    tol = cd.identity_tolerance
+    bound = dQ * np.sqrt(cd.dims.global_dim) + tol
+    covered = np.zeros(cd.ring.rank)
     found = []
+    first_seen = []
 
-    def keep(mod):
-        return is_local(cd, A, mod)[0] and not any(
-            _unitarily_equivalent(cd, mod, got) for got in found)
+    def keep(mods):
+        # x (x) A contains M exactly when x is in supp M: a summand whose
+        # least label is below x was met, and counted, at that label
+        first_seen[:] = [m for m in mods if m.support[0] == x]
+        return [m for m in first_seen if is_local(cd, A, m)[0]]
 
     for x in range(cd.ring.rank):
+        if covered[x] >= dims[x] * dQ - tol:
+            continue
         for mod in free_module_decomposition(cd, A, x, seed=seed, keep=keep):
             if mod.fpdim(cd) > bound:
                 raise StructuralError(
                     f"module dimension {mod.fpdim(cd):.6f} exceeds the "
                     f"enumeration bound {bound:.6f}")
             found.append(mod)
+        for mod in first_seen:
+            covered[list(mod.support)] += mod.fpdim(cd)
+    for x in range(cd.ring.rank):
+        if abs(covered[x] - dims[x] * dQ) > tol:
+            raise StructuralError(
+                f"simple A-modules through x={x} have total FPdim "
+                f"{covered[x]:.6f}, but Frobenius reciprocity needs "
+                f"d_x dim A = {dims[x] * dQ:.6f}")
     found.sort(key=lambda m: m.fingerprint())
     data = CondensedData(
         simples=found,

@@ -41,11 +41,13 @@ def _build_qsystem_case(cats, name):
     if name == "toric*toric:1+e*1":
         cd = deligne_product_data(toric, toric)
         return cd, group_algebra(cd, ("(1,1)", "(e,1)"))
-    if name == "D(Z6):Z3":
-        cd, _ = center_presentation(vec_zn(6, 0), None)
-        return cd, group_algebra(cd, ("0.0", "0.2", "0.4"))
+    if name in ("D(Z6):Z3", "D(Z6):lagrangian"):
+        cd, lagrangian = center_presentation(vec_zn(6, 0), None)
+        support = lagrangian if name == "D(Z6):lagrangian" else ("0.0", "0.2", "0.4")
+        return cd, group_algebra(cd, support)
     base, kind = name.split(":")
-    cd = {"fib": lambda: cats["fibonacci"], "vec_z2": lambda: cats["vec_z2"],
+    cd = {"fib": lambda: cats["fibonacci"], "ising": lambda: cats["ising"],
+          "vec_z2": lambda: cats["vec_z2"],
           "vec_z6_t1": lambda: vec_zn(6, 1), "vec_z6_t0": lambda: vec_zn(6, 0)}[base]()
     if kind == "enveloping":
         return symmetric_enveloping(cd)
@@ -58,7 +60,8 @@ def qsystem_case(cats):
     """name -> (category, algebra), each built once and shared: callers must
     not mutate them.  Names: 'toric:1+e', 'toric*toric:1+e*1' (the algebra
     1 + e (x) 1), 'D(Z6):Z3' (D(Z/6) and the Z/3 subgroup {0.0, 0.2, 0.4}),
-    'fib:enveloping' and '<base>:lagrangian' for base fib, vec_z2,
+    'D(Z6):lagrangian' (D(Z/6) and the group algebra of the dual-group factor),
+    'fib:enveloping' and '<base>:lagrangian' for base fib, ising, vec_z2,
     vec_z6_t1 or vec_z6_t0 (the canonical Lagrangian of Z(base))."""
     built = {}
 

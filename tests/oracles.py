@@ -213,6 +213,28 @@ def brute_force_local_count(cd, A, seed=7):
     return count
 
 
+def local_modules_by_every_induction(cd, A, seed=0):
+    """enumerate_local_modules by decomposing x (x) A for every simple x,
+    keeping each local summand not unitarily equivalent to one kept before;
+    no Frobenius-reciprocity count, no skip."""
+    from tensorcat.algebra import algebra_dim
+    from tensorcat.local_modules import (CondensedData, _unitarily_equivalent,
+                                         free_module_decomposition, is_local)
+
+    found = []
+
+    def keep(mods):
+        return [m for m in mods if is_local(cd, A, m)[0] and not any(
+            _unitarily_equivalent(cd, m, got) for got in found)]
+
+    for x in range(cd.ring.rank):
+        found.extend(free_module_decomposition(cd, A, x, seed=seed, keep=keep))
+    found.sort(key=lambda m: m.fingerprint())
+    dQ = algebra_dim(cd, A)
+    return CondensedData(simples=found,
+                         dims_over_Q=np.array([m.fpdim(cd) / dQ for m in found]))
+
+
 def _is_decomposable(cd, A, mod):
     """A module on a support that splits into two invariant pieces."""
     supp = list(mod.support)

@@ -17,8 +17,8 @@ from tensorcat.local_modules import (CondensedData,
                                      verify_module)
 
 from oracles import (brute_force_local_count, commutant_generators_by_diagrams,
-                     induced_action_by_entries, projector_block_by_diagrams,
-                     record_diagram_calls)
+                     induced_action_by_entries, local_modules_by_every_induction,
+                     projector_block_by_diagrams, record_diagram_calls)
 
 
 def test_regular_module_over_itself(toric):
@@ -349,7 +349,7 @@ def test_free_module_decomposition_without_keep_verifies_all(toric, monkeypatch)
         calls.clear()
         mods = free_module_decomposition(toric, A, x)
         assert mods and len(calls) == len(mods)
-        dropped = free_module_decomposition(toric, A, x, keep=lambda m: False)
+        dropped = free_module_decomposition(toric, A, x, keep=lambda mods: [])
         assert dropped == []
 
 
@@ -393,3 +393,107 @@ def test_condensed_ring_does_not_load_scipy_optimize():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+# Condense cases of the benchmark, then Longo-Rehren Lagrangians, with the
+# number of simple A-modules: one x (x) A is decomposed per simple A-module.
+INDUCTION_CASES = {"D(Z6):lagrangian": 6, "D(Z6):Z3": 12, "toric*toric:1+e*1": 8,
+                   "fib:lagrangian": 2, "ising:lagrangian": 3,
+                   "vec_z6_t1:lagrangian": 6}
+
+
+def _count_decompositions(monkeypatch):
+    import tensorcat.local_modules as lm
+    calls = []
+    real = lm.free_module_decomposition
+
+    def counting(cd, A, x, **kw):
+        calls.append(x)
+        return real(cd, A, x, **kw)
+
+    monkeypatch.setattr(lm, "free_module_decomposition", counting)
+    return calls
+
+
+def _same_condensed(got, want):
+    assert [m.support for m in got.simples] == [m.support for m in want.simples]
+    for m, w in zip(got.simples, want.simples):
+        assert m.rho == w.rho
+    assert np.array_equal(got.dims_over_Q, want.dims_over_Q)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("case", list(INDUCTION_CASES))
+def test_enumeration_matches_every_induction_oracle(case, seed, qsystem_case):
+    """Skipping covered x (x) A changes no simple, no representative and no
+    order: rho is equal to the last bit."""
+    cd, A = qsystem_case(case)
+    _same_condensed(enumerate_local_modules(cd, A, seed=seed),
+                    local_modules_by_every_induction(cd, A, seed=seed))
+
+
+def test_trivial_algebra_matches_every_induction_oracle(cats):
+    for cd in cats.values():
+        for seed in (0, 1):
+            _same_condensed(enumerate_local_modules(cd, trivial_algebra(), seed=seed),
+                            local_modules_by_every_induction(cd, trivial_algebra(), seed=seed))
+
+
+def test_enumeration_decomposes_once_per_simple_module(qsystem_case, cats, monkeypatch):
+    from tensorcat.center_tube import theorem_c_shadow
+    calls = _count_decompositions(monkeypatch)
+    for case, n_modules in INDUCTION_CASES.items():
+        calls.clear()
+        enumerate_local_modules(*qsystem_case(case))
+        assert len(calls) == len(set(calls)) == n_modules, case
+    for cd in cats.values():
+        calls.clear()
+        enumerate_local_modules(cd, trivial_algebra())
+        assert calls == list(range(cd.ring.rank))
+    calls.clear()
+    assert theorem_c_shadow(cats["ising"])["passed"]
+    assert len(calls) == INDUCTION_CASES["ising:lagrangian"]
+
+
+@pytest.mark.parametrize("case", ["D(Z6):Z3", "toric*toric:1+e*1"])
+def test_enumeration_counts_only_the_returned_round(case, qsystem_case, monkeypatch):
+    """verify_module fails once per least label x, so each x (x) A with a local
+    summand is split twice; its summands must be counted once, or the
+    Frobenius-reciprocity totals overshoot and the enumeration raises."""
+    import tensorcat.local_modules as lm
+    cd, A = qsystem_case(case)
+    calls = _count_decompositions(monkeypatch)
+    want = enumerate_local_modules(cd, A)
+    want_calls = list(calls)
+    real = lm.verify_module
+    failed = set()
+
+    def fail_once(cd, A, X):
+        if X.support[0] not in failed:
+            failed.add(X.support[0])
+            return {"associativity": 0.5, "unit": 0.0, "passed": False}
+        return real(cd, A, X)
+
+    monkeypatch.setattr(lm, "verify_module", fail_once)
+    calls.clear()
+    got = enumerate_local_modules(cd, A)
+    assert failed == {m.support[0] for m in want.simples}
+    assert calls == want_calls
+    assert [m.fingerprint() for m in got.simples] == [m.fingerprint() for m in want.simples]
+    assert np.array_equal(got.dims_over_Q, want.dims_over_Q)
+
+
+def test_enumeration_raises_when_the_split_misses_a_module(toric, monkeypatch):
+    """A round that loses a summand leaves Frobenius reciprocity short at
+    every label of that summand."""
+    import tensorcat.local_modules as lm
+    real = lm.free_module_decomposition
+
+    def lossy(cd, A, x, keep, **kw):
+        return real(cd, A, x, keep=lambda mods: keep(mods[1:]), **kw)
+
+    monkeypatch.setattr(lm, "free_module_decomposition", lossy)
+    with pytest.raises(StructuralError, match=r"through x=0 have total FPdim 0\.000000, "
+                                              r"but Frobenius reciprocity needs "
+                                              r"d_x dim A = 2\.000000"):
+        enumerate_local_modules(toric, group_algebra(toric, ("1", "e")))
