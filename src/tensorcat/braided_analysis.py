@@ -74,13 +74,7 @@ def twists(cd: CategoryData) -> TwistData:
 def s_matrix(cd: CategoryData) -> SMatrix:
     """s~_{ab} = sum_c N^c_{ab} (theta_c / theta_a theta_b) d_c."""
     th = twists(cd).theta
-    ring, d = cd.ring, cd.dims.dims
-    r = ring.rank
-    s = np.zeros((r, r), dtype=complex)
-    for a in range(r):
-        for b in range(r):
-            s[a, b] = sum(ring.N[a, b, c] * (th[c] / (th[a] * th[b])) * d[c]
-                          for c in ring.channels(a, b))
+    s = np.einsum("abc,c->ab", cd.ring.N, th * cd.dims.dims) / np.outer(th, th)
     return SMatrix(s=s)
 
 
@@ -123,15 +117,11 @@ def muger_centralizer(cd: CategoryData, sub) -> tuple:
     """Labels a with s~_{ax} = d_a d_x for every x in sub."""
     if cd.R is None:
         raise PreconditionError("centralizer requires R-symbols")
-    sub = check_label_subset(cd, sub)
-    s = s_matrix(cd).s
+    sub = list(check_label_subset(cd, sub))
     d = cd.dims.dims
     tol = cd.tolerance * max(1.0, float(d.max()) ** 2) * 10
-    out = []
-    for a in range(cd.ring.rank):
-        if all(abs(s[a, x] - d[a] * d[x]) < tol for x in sub):
-            out.append(a)
-    return tuple(out)
+    dev = np.abs(s_matrix(cd).s[:, sub] - np.outer(d, d[sub]))
+    return tuple(int(a) for a in np.flatnonzero(np.all(dev < tol, axis=1)))
 
 
 def restriction_hom(cd: CategoryData, sub) -> SubcategoryRestriction:

@@ -17,15 +17,19 @@ therefore decomposed, so the enumeration is complete, and the totals must
 come out exact for every x or the enumeration raises.  Enumeration checks
 module associativity (verify_module) only on the candidates it returns, the
 local summands first met at their least label; the rest are discarded
-unverified.  Fusion of local modules uses the canonical projector onto
-X (x)_Q Y built from the separability element, and is refused when the
-supports of the simple locals do not determine the multiplicities.
+unverified.
 
-The induced action, the commutant generators and the projector are read
-without evaluating diagrams: in a multiplicity-free category each of their
-entries is one algebra or module coefficient (mu or rho) times entries of
-the memoized F-move matrices unfold(cd, x, word, y).  verify_module reads
-module associativity straight from rho, mu and the F-symbols.
+For a nondegenerate C the simple local modules form a modular category
+(Kirillov-Ostrik 2002), so their fusion follows from Verlinde: S is the
+matrix of local_double_braid_trace normalized by sqrt(sum dims_over_Q^2),
+and N_ij^k = sum_m S_im S_jm conj(S_km) / S_0m.  local_fusion reads its
+multiplicities from that ring.
+
+The induced action, the commutant generators and the double-braid trace are
+read without evaluating diagrams: in a multiplicity-free category each of
+their entries is one algebra or module coefficient (mu or rho) times
+F-symbols.  verify_module reads module associativity straight from rho, mu
+and the F-symbols.
 """
 
 from __future__ import annotations
@@ -37,9 +41,8 @@ import numpy as np
 
 from .algebra import (AlgebraObject, _associativity_dev, algebra_dim,
                       is_commutative, is_connected, verify_qsystem)
-from .braided_analysis import is_nondegenerate
+from .braided_analysis import is_nondegenerate, muger_centralizer
 from .category_data import CategoryData, _decode_value, _write_json
-from .diagram_eval import unfold
 from .errors import PreconditionError, StructuralError
 
 __all__ = [
@@ -126,21 +129,14 @@ def is_local(cd: CategoryData, A: AlgebraObject, X: ModuleObject):
     return residual < cd.residual_tolerance, residual
 
 
-def _unfold_entry(cd, x, word, y, tree, path):
-    """U[tree, path] of unfold(cd, x, word, y): the coefficient of the detached
-    tree (e, spath) in the in-context middle path from x to y through word."""
-    ins, outs, U = unfold(cd, x, word, y)
-    return U[outs.index(tree), ins.index(path)]
-
-
 def _induced_action(cd, A, x):
     """Action data of the induced module x (x) A.
 
     sectors[y] is the ordered basis {b in supp A : N^y_{xb} = 1} of the
     y-component; act[a][(y2, y1)] is the matrix of the a-action from the
     y1 sector to the y2 sector.  The (c, b) entry is the coefficient of
-    id_x (x) mu^{ba}_c on the path (x, y1, y2): mu^{ba}_c times the
-    ((c, (b, c)), (y1, y2)) entry of unfold(cd, x, (b, a), y2).
+    id_x (x) mu^{ba}_c on the path (x, y1, y2): mu^{ba}_c times the F-move
+    F^{xba}_{y2}[y1, c] that detaches b (x) a -> c from the path.
     """
     ring = cd.ring
     sectors = {}
@@ -161,8 +157,7 @@ def _induced_action(cd, A, x):
                     for i, c in enumerate(cs):
                         mu = A.mu.get((b, a, c))
                         if mu is not None:
-                            m[i, j] = mu * _unfold_entry(cd, x, (b, a), y2,
-                                                         (c, (b, c)), (y1, y2))
+                            m[i, j] = mu * cd.fval(x, b, a, y2, y1, c)
                 mats[(y2, y1)] = m
         act[a] = mats
     return sectors, act
@@ -173,10 +168,10 @@ def _commutant_generators(cd, A, x, sectors):
     N^x_{xa} = 1, acting sector-diagonally.
 
     The generator is (id_x (x) mu^{ab}_c)(f_a (x) id_b), f_a the path vector
-    x -> x (x) a; its (c, b) entry at sector y is mu^{ab}_c times the
-    ((c, (a, c)), (x, y)) entry of unfold(cd, x, (a, b), y).  Lifting f_a to
-    [x, a, b] adds one unit-leg F-move: 1 in the stored gauge, and in any
-    gauge a scalar per generator, which leaves their span as it is.
+    x -> x (x) a; its (c, b) entry at sector y is mu^{ab}_c times the F-move
+    F^{xab}_y[x, c].  Lifting f_a to [x, a, b] adds one unit-leg F-move: 1
+    in the stored gauge, and in any gauge a scalar per generator, which
+    leaves their span as it is.
     """
     ring = cd.ring
     gens = []
@@ -190,7 +185,7 @@ def _commutant_generators(cd, A, x, sectors):
                 for i, c in enumerate(bs):
                     mu = A.mu.get((a, b, c))
                     if mu is not None:
-                        m[i, j] = mu * _unfold_entry(cd, x, (a, b), y, (c, (a, c)), (x, y))
+                        m[i, j] = mu * cd.fval(x, a, b, y, x, c)
             mats[y] = m
         gens.append(mats)
     return gens
@@ -398,108 +393,87 @@ def _local_modules(cd, A, seed=0, with_ring=False) -> CondensedData:
     return data
 
 
-def _projector_block(cd, A, X, Y, t, pairs, dQ):
-    """Block of the canonical projector X (x) Y -> X (x)_Q Y at channel t.
-
-    The separability element sum_a conj(mu^{a ab}_0) e_a, e_a the unit path
-    vector 0 -> a (x) ab, inserted between x1 and y1 and closed by rho_X on
-    the left and the left action
-    lambda_Y^{ab y1}_{y2} = R^{ab y1}_{y2} rho_Y(y1, ab, y2) on the right,
-    gives the (x2, y2) <- (x1, y1) entry
-    conj(mu^{a ab}_0) rho_X(x1, a, x2) lambda_Y(ab, y1, y2) K / dQ.  K is a
-    product of three unfold entries, the F-moves of that diagram: e_a
-    read on the path (x2, x1) of unfold(x1, (a, ab), x1), rho_X's vertex on
-    (x1, x2) of unfold(0, (x1, a), x2), and lambda_Y's vertex on (x1, t) of
-    unfold(x2, (ab, y1), t).  The second is an F-move with a unit leg; it is
-    kept so that the block stays right in a gauge where unit legs are not 1.
-    """
-    ring = cd.ring
-    P = np.zeros((len(pairs), len(pairs)), dtype=complex)
-    for a in A.support:
-        ab = ring.dual[a]
-        wmu = np.conj(A.mu.get((a, ab, 0), 0.0))
-        if wmu == 0:
-            continue
-        for ci, (x1, y1) in enumerate(pairs):
-            for ri, (x2, y2) in enumerate(pairs):
-                rx = X.rho.get((x1, a, x2))
-                ry = Y.rho.get((y1, ab, y2))
-                if rx is None or ry is None or not ring.N[ab, y1, y2]:
-                    continue
-                K = (np.conj(_unfold_entry(cd, x1, (a, ab), x1, (0, (a, 0)), (x2, x1)))
-                     * _unfold_entry(cd, 0, (x1, a), x2, (x2, (x1, x2)), (x1, x2))
-                     * _unfold_entry(cd, x2, (ab, y1), t, (y2, (ab, y2)), (x1, t)))
-                P[ri, ci] += wmu * rx * cd.rval(ab, y1, y2) * ry * K / dQ
-    return P
-
-
 def local_fusion(cd: CategoryData, A: AlgebraObject, X: ModuleObject,
                  Y: ModuleObject, condensed: CondensedData | None = None,
                  seed=0):
     """Decompose X (x)_Q Y against the enumerated simple local modules.
 
-    Returns (condensed, multiplicities).  Multiplicities are read off from
-    the per-channel ranks of the canonical projector by solving
-    indicator @ m = ranks, where indicator[t, j] = 1 when t lies in the
-    support of the j-th simple; they must come out integral to within 0.01
-    and nonnegative.  When the indicator has rank below the number of
-    simples (two simples with the same support, say), the channel ranks do
-    not determine the multiplicities and StructuralError is raised.
+    Returns (condensed, multiplicities), the multiplicities indexed like
+    condensed.simples.  X and Y must each be unitarily equivalent, within
+    identity_tolerance, to exactly one of the simples, or StructuralError is
+    raised.  The multiplicities are read from the Verlinde ring of the
+    condensed theory: condensed.ring, computed by _condensed_ring and stored
+    on condensed when it is None, which needs a nondegenerate C.  Simples
+    that share a support are told apart by their rows of S, so the supports
+    need not determine the multiplicities.
     """
     if condensed is None:
         condensed = enumerate_local_modules(cd, A, seed=seed)
-    ring = cd.ring
-    dQ = algebra_dim(cd, A)
-    ranks = np.zeros(ring.rank)
-    for t in range(ring.rank):
-        pairs = [(x, y) for x in X.support for y in Y.support if ring.N[x, y, t]]
-        if not pairs:
-            continue
-        P = _projector_block(cd, A, X, Y, t, pairs, dQ)
-        dev = np.max(np.abs(P @ P - P))
-        if dev > cd.identity_tolerance:
-            raise StructuralError(f"canonical projector not idempotent (dev {dev:.2e})")
-        sv = np.linalg.svd(P, compute_uv=False)
-        ranks[t] = int(np.sum(sv > 0.5))
     if not condensed.simples:
         raise StructuralError("no simple local modules to decompose against")
-    n_simples = len(condensed.simples)
-    indicator = np.zeros((ring.rank, n_simples))
-    for j, z in enumerate(condensed.simples):
-        for t in z.support:
-            indicator[t, j] = 1.0
-    support_rank = np.linalg.matrix_rank(indicator)
-    if support_rank < n_simples:
+    if condensed.ring is None:
+        condensed.ring = _condensed_ring(cd, A, condensed)
+    order = _unit_first(cd, A, condensed.simples)
+    i, j = (_simple_index(cd, condensed.simples, order, M) for M in (X, Y))
+    mult = np.zeros(len(order), dtype=np.int64)
+    mult[order] = condensed.ring.N[i, j]
+    return condensed, mult
+
+
+def _unit_first(cd, A, simples):
+    """Indices of simples with the one equivalent to A itself moved first."""
+    unit = _simple_index(cd, simples, range(len(simples)), regular_module(A))
+    return [unit] + [i for i in range(len(simples)) if i != unit]
+
+
+def _simple_index(cd, simples, order, M):
+    """The position k in order of the one simple unitarily equivalent to M."""
+    hits = [k for k, i in enumerate(order) if _unitarily_equivalent(cd, simples[i], M)]
+    if len(hits) != 1:
         raise StructuralError(
-            f"supports of the {n_simples} simple locals span rank {support_rank} < "
-            f"{n_simples}: channel ranks do not determine the multiplicities")
-    mults = np.linalg.lstsq(indicator, ranks, rcond=None)[0]
-    rounded = np.round(mults).astype(int)
-    if np.max(np.abs(mults - rounded)) > 0.01 or np.max(
-            np.abs(indicator @ rounded - ranks)) > 0.01 or (rounded < 0).any():
-        raise StructuralError(
-            f"no nonnegative integral multiplicities: solved {mults} "
-            f"for channel ranks {ranks}")
-    return condensed, rounded
+            f"module on support {M.support} is equivalent to {len(hits)} of the "
+            "simple local modules, not to exactly one")
+    return hits[0]
 
 
 def local_double_braid_trace(cd, A, X: ModuleObject, Y: ModuleObject) -> complex:
-    """Trace of the inherited double braiding on X (x)_Q Y.
+    """Trace in C_A of the inherited double braiding on X (x)_Q Y.
+
+    That is the trace in C divided by dQ, sum_t d_t tr(P_t D_t) / dQ, with
+    P_t the block at channel t of the canonical projector
+    X (x) Y -> X (x)_Q Y built from the separability element, and D_t the
+    diagonal of R^{xy}_t R^{yx}_t over the pairs (x, y) of X (x) Y.  Since
+    D_t is diagonal only the diagonal of P_t is read: at the pair (x, y) it
+    is sum_a conj(mu^{a ab}_0) rho_X(x, a, x) R^{ab y}_y rho_Y(y, ab, y) K
+    / dQ, ab the dual of a, and K the F-moves of that diagram,
+    conj(F^{x a ab}_x[x, 0]) F^{x ab y}_t[x, y] (the F-move of rho_X's
+    vertex has a unit leg, and is 1).
 
     This pairwise observable is the only braiding data of the condensed
     theory exposed here; condensed R-symbols are not computed.
     """
-    ring = cd.ring
+    ring, dims = cd.ring, cd.dims.dims
     dQ = algebra_dim(cd, A)
     total = 0.0 + 0.0j
-    for t in range(ring.rank):
-        pairs = [(x, y) for x in X.support for y in Y.support if ring.N[x, y, t]]
-        if not pairs:
+    for a in A.support:
+        ab = ring.dual[a]
+        wmu = np.conj(A.mu.get((a, ab, 0), 0.0))
+        if wmu == 0:
             continue
-        P = _projector_block(cd, A, X, Y, t, pairs, dQ)
-        D = np.diag([cd.rval(x, y, t) * cd.rval(y, x, t) for (x, y) in pairs])
-        total += cd.dims.dims[t] * np.trace(P @ D)
-    return complex(total / dQ)
+        for x in X.support:
+            rx = X.rho.get((x, a, x))
+            if rx is None:
+                continue
+            wx = wmu * rx * np.conj(cd.fval(x, a, ab, x, x, 0))
+            for y in Y.support:
+                ry = Y.rho.get((y, ab, y))
+                if ry is None:
+                    continue
+                wxy = wx * cd.rval(ab, y, y) * ry
+                for t in ring.channels(x, y):
+                    total += (dims[t] * wxy * cd.fval(x, ab, y, t, x, y)
+                              * cd.rval(x, y, t) * cd.rval(y, x, t))
+    return complex(total / dQ ** 2)
 
 
 def condensation_identity_check(cd: CategoryData, A: AlgebraObject, seed=0) -> dict:
@@ -540,20 +514,45 @@ def _condensation_identity(cd, A, seed=0) -> dict:
 
 
 def _condensed_ring(cd, A, condensed: CondensedData):
-    """Fusion ring of the condensed theory via pairwise local_fusion."""
+    """Fusion ring of the condensed theory by Verlinde.
+
+    C_A^loc is modular for a nondegenerate C, so the local S, the
+    local_double_braid_trace matrix over unordered pairs divided by
+    sqrt(sum dims_over_Q^2), is unitary and N follows from _verlinde.  The
+    simple equivalent to A itself is moved first, as the unit Q.  C is
+    nondegenerate when its Muger center is trivial; otherwise
+    PreconditionError is raised before any trace is taken.
+    """
     from .fusion_ring import FusionRing
-    n = len(condensed.simples)
-    N = np.zeros((n, n, n), dtype=np.int64)
-    for i, Xi in enumerate(condensed.simples):
-        for j, Yj in enumerate(condensed.simples):
-            _, mult = local_fusion(cd, A, Xi, Yj, condensed=condensed)
-            N[i, j, :len(mult)] = mult
-    reg = regular_module(A)
-    unit_idx = next(i for i, m in enumerate(condensed.simples)
-                    if _unitarily_equivalent(cd, m, reg))
-    order = [unit_idx] + [i for i in range(n) if i != unit_idx]
-    N = N[np.ix_(order, order, order)]
+    if muger_centralizer(cd, range(cd.ring.rank)) != (0,):
+        raise PreconditionError(
+            "the Verlinde ring of the condensed theory needs a nondegenerate braiding")
+    simples = [condensed.simples[i] for i in _unit_first(cd, A, condensed.simples)]
+    n = len(simples)
+    T = np.zeros((n, n), dtype=complex)
+    for i in range(n):
+        for j in range(i, n):
+            T[i, j] = T[j, i] = local_double_braid_trace(cd, A, simples[i], simples[j])
+    S = T / np.sqrt(np.sum(condensed.dims_over_Q ** 2))
+    N = _verlinde(S, cd.identity_tolerance)
     return FusionRing.from_fusion(["Q"] + [f"X{i}" for i in range(1, n)], N)
+
+
+def _verlinde(S, tol):
+    """N_ij^k = sum_m S_im S_jm conj(S_km) / S_0m for a unitary S with its
+    unit row first; StructuralError unless S is unitary and N integral and
+    nonnegative, both within tol."""
+    dev = np.max(np.abs(S @ S.conj().T - np.eye(len(S))))
+    if dev > tol:
+        raise StructuralError(f"local S-matrix is not unitary (dev {dev:.2e})")
+    N = np.einsum("im,jm,km,m->ijk", S, S, S.conj(), 1 / S[0])
+    rounded = np.round(N.real).astype(np.int64)
+    dev = np.max(np.abs(N - rounded))
+    if dev > tol or (rounded < 0).any():
+        raise StructuralError(
+            f"Verlinde multiplicities are not nonnegative integers (dev {dev:.2e}, "
+            f"least {rounded.min()})")
+    return rounded
 
 
 def load_module(cd: CategoryData, path) -> ModuleObject:

@@ -30,7 +30,7 @@ def semion_cat(cats):
 
 
 def _build_qsystem_case(cats, name):
-    from tensorcat.algebra import group_algebra, symmetric_enveloping
+    from tensorcat.algebra import group_algebra, symmetric_enveloping, trivial_algebra
     from tensorcat.catalog import vec_zn
     from tensorcat.category_data import deligne_product_data
     from tensorcat.center_tube import (build_tube_algebra, center_presentation,
@@ -51,6 +51,8 @@ def _build_qsystem_case(cats, name):
           "vec_z6_t1": lambda: vec_zn(6, 1), "vec_z6_t0": lambda: vec_zn(6, 0)}[base]()
     if kind == "enveloping":
         return symmetric_enveloping(cd)
+    if kind == "trivial":
+        return cd, trivial_algebra()
     pres, A, _ = lagrangian_algebra(cd, decompose_center(build_tube_algebra(cd)))
     return pres, A
 
@@ -61,8 +63,9 @@ def qsystem_case(cats):
     not mutate them.  Names: 'toric:1+e', 'toric*toric:1+e*1' (the algebra
     1 + e (x) 1), 'D(Z6):Z3' (D(Z/6) and the Z/3 subgroup {0.0, 0.2, 0.4}),
     'D(Z6):lagrangian' (D(Z/6) and the group algebra of the dual-group factor),
-    'fib:enveloping' and '<base>:lagrangian' for base fib, ising, vec_z2,
-    vec_z6_t1 or vec_z6_t0 (the canonical Lagrangian of Z(base))."""
+    'fib:enveloping', '<base>:lagrangian' for base fib, ising, vec_z2,
+    vec_z6_t1 or vec_z6_t0 (the canonical Lagrangian of Z(base)) and
+    '<base>:trivial' (the base with the trivial algebra)."""
     built = {}
 
     def get(name):

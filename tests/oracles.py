@@ -825,7 +825,7 @@ def commutant_generators_by_diagrams(cd, A, x, sectors):
 
 
 def projector_block_by_diagrams(cd, A, X, Y, t, pairs, dQ):
-    """local_modules._projector_block with one diagram per entry: rho_X (x)
+    """projector_block with one diagram per entry: rho_X (x)
     lambda_Y after the normalized cup a (x) ab inserted between x1 and y1, where
     lambda_Y^{ab y1}_{y2} = R^{ab y1}_{y2} rho_Y(y1, ab, y2) is the left action."""
     from tensorcat.diagram_eval import (compose_values, insert, path_vector,
@@ -854,6 +854,113 @@ def projector_block_by_diagrams(cd, A, X, Y, t, pairs, dQ):
                 if blk.size:
                     P[ri, ci] += wmu * blk[0, 0] / dQ
     return P
+
+
+def _unfold_entry(cd, x, word, y, tree, path):
+    """U[tree, path] of unfold(cd, x, word, y): the coefficient of the detached
+    tree (e, spath) in the in-context middle path from x to y through word."""
+    from tensorcat.diagram_eval import unfold
+    ins, outs, U = unfold(cd, x, word, y)
+    return U[outs.index(tree), ins.index(path)]
+
+
+def projector_block(cd, A, X, Y, t, pairs, dQ):
+    """Block of the canonical projector X (x) Y -> X (x)_Q Y at channel t,
+    read from the memoized F-move matrices.
+
+    The separability element sum_a conj(mu^{a ab}_0) e_a, e_a the unit path
+    vector 0 -> a (x) ab, inserted between x1 and y1 and closed by rho_X on
+    the left and the left action
+    lambda_Y^{ab y1}_{y2} = R^{ab y1}_{y2} rho_Y(y1, ab, y2) on the right,
+    gives the (x2, y2) <- (x1, y1) entry
+    conj(mu^{a ab}_0) rho_X(x1, a, x2) lambda_Y(ab, y1, y2) K / dQ.  K is a
+    product of three unfold entries, the F-moves of that diagram: e_a
+    read on the path (x2, x1) of unfold(x1, (a, ab), x1), rho_X's vertex on
+    (x1, x2) of unfold(0, (x1, a), x2), and lambda_Y's vertex on (x1, t) of
+    unfold(x2, (ab, y1), t).
+    """
+    ring = cd.ring
+    P = np.zeros((len(pairs), len(pairs)), dtype=complex)
+    for a in A.support:
+        ab = ring.dual[a]
+        wmu = np.conj(A.mu.get((a, ab, 0), 0.0))
+        if wmu == 0:
+            continue
+        for ci, (x1, y1) in enumerate(pairs):
+            for ri, (x2, y2) in enumerate(pairs):
+                rx = X.rho.get((x1, a, x2))
+                ry = Y.rho.get((y1, ab, y2))
+                if rx is None or ry is None or not ring.N[ab, y1, y2]:
+                    continue
+                K = (np.conj(_unfold_entry(cd, x1, (a, ab), x1, (0, (a, 0)), (x2, x1)))
+                     * _unfold_entry(cd, 0, (x1, a), x2, (x2, (x1, x2)), (x1, x2))
+                     * _unfold_entry(cd, x2, (ab, y1), t, (y2, (ab, y2)), (x1, t)))
+                P[ri, ci] += wmu * rx * cd.rval(ab, y1, y2) * ry * K / dQ
+    return P
+
+
+def local_fusion_by_projector_ranks(cd, A, X, Y, condensed):
+    """Multiplicities of X (x)_Q Y over condensed.simples from the ranks of
+    the canonical projector.
+
+    The per-channel ranks of projector_block solve indicator @ m = ranks,
+    indicator[t, j] = 1 when t lies in the support of the j-th simple; m
+    must come out integral to within 0.01 and nonnegative.  When the
+    indicator has rank below the number of simples (two simples with the
+    same support, say), the channel ranks do not determine m and
+    StructuralError is raised.
+    """
+    from tensorcat.algebra import algebra_dim
+    from tensorcat.errors import StructuralError
+
+    ring = cd.ring
+    dQ = algebra_dim(cd, A)
+    ranks = np.zeros(ring.rank)
+    for t in range(ring.rank):
+        pairs = [(x, y) for x in X.support for y in Y.support if ring.N[x, y, t]]
+        if not pairs:
+            continue
+        P = projector_block(cd, A, X, Y, t, pairs, dQ)
+        dev = np.max(np.abs(P @ P - P))
+        if dev > cd.identity_tolerance:
+            raise StructuralError(f"canonical projector not idempotent (dev {dev:.2e})")
+        ranks[t] = int(np.sum(np.linalg.svd(P, compute_uv=False) > 0.5))
+    n_simples = len(condensed.simples)
+    indicator = np.zeros((ring.rank, n_simples))
+    for j, z in enumerate(condensed.simples):
+        indicator[list(z.support), j] = 1.0
+    support_rank = np.linalg.matrix_rank(indicator)
+    if support_rank < n_simples:
+        raise StructuralError(
+            f"supports of the {n_simples} simple locals span rank {support_rank} < "
+            f"{n_simples}: channel ranks do not determine the multiplicities")
+    mults = np.linalg.lstsq(indicator, ranks, rcond=None)[0]
+    rounded = np.round(mults).astype(int)
+    if np.max(np.abs(mults - rounded)) > 0.01 or np.max(
+            np.abs(indicator @ rounded - ranks)) > 0.01 or (rounded < 0).any():
+        raise StructuralError(
+            f"no nonnegative integral multiplicities: solved {mults} "
+            f"for channel ranks {ranks}")
+    return rounded
+
+
+def condensed_ring_by_projector_ranks(cd, A, condensed):
+    """The condensed fusion ring from local_fusion_by_projector_ranks on
+    every ordered pair of simples, the one equivalent to A moved first."""
+    from tensorcat.fusion_ring import FusionRing
+    from tensorcat.local_modules import _unitarily_equivalent, regular_module
+
+    simples = condensed.simples
+    n = len(simples)
+    N = np.zeros((n, n, n), dtype=np.int64)
+    for i, X in enumerate(simples):
+        for j, Y in enumerate(simples):
+            N[i, j] = local_fusion_by_projector_ranks(cd, A, X, Y, condensed)
+    reg = regular_module(A)
+    unit = next(i for i, m in enumerate(simples) if _unitarily_equivalent(cd, m, reg))
+    order = [unit] + [i for i in range(n) if i != unit]
+    N = N[np.ix_(order, order, order)]
+    return FusionRing.from_fusion(["Q"] + [f"X{i}" for i in range(1, n)], N)
 
 
 def deligne_product_data_by_loops(c1, c2):

@@ -17,8 +17,10 @@ from tensorcat.local_modules import (CondensedData,
                                      verify_module)
 
 from oracles import (brute_force_local_count, commutant_generators_by_diagrams,
-                     induced_action_by_entries, local_modules_by_every_induction,
-                     projector_block_by_diagrams, record_diagram_calls)
+                     condensed_ring_by_projector_ranks, induced_action_by_entries,
+                     local_fusion_by_projector_ranks, local_modules_by_every_induction,
+                     projector_block, projector_block_by_diagrams,
+                     record_diagram_calls, record_linalg_calls)
 
 
 def test_regular_module_over_itself(toric):
@@ -121,9 +123,24 @@ def test_condensed_ring_refuses_a_label_without_dual(cats, monkeypatch):
     """A condensed fusion table whose unit row misses N^0 raises instead of
     making the label its own dual."""
     import tensorcat.local_modules as lm
-    monkeypatch.setattr(lm, "local_fusion", lambda *a, **k: (None, np.zeros(0, int)))
+    monkeypatch.setattr(lm, "_verlinde", lambda S, tol: np.zeros((len(S),) * 3, int))
     with pytest.raises(StructuralError, match="fusion rules give Q no dual"):
         enumerate_local_modules(cats["vec_z3"], trivial_algebra(), with_ring=True)
+
+
+def test_condensed_ring_refuses_a_degenerate_braiding(cats, monkeypatch):
+    """vec_z2's braiding is symmetric: the Verlinde ring and local_fusion
+    raise PreconditionError before any double-braid trace is taken."""
+    import tensorcat.local_modules as lm
+    cd, A = cats["vec_z2"], trivial_algebra()
+    traces = []
+    monkeypatch.setattr(lm, "local_double_braid_trace", lambda *a: traces.append(a))
+    with pytest.raises(PreconditionError, match="nondegenerate"):
+        enumerate_local_modules(cd, A, with_ring=True)
+    cond = enumerate_local_modules(cd, A)
+    with pytest.raises(PreconditionError, match="nondegenerate"):
+        local_fusion(cd, A, cond.simples[1], cond.simples[1], condensed=cond)
+    assert traces == [] and cond.ring is None
 
 
 def test_local_fusion_assoc_comm_multisets(toric):
@@ -253,13 +270,15 @@ def test_commutant_generators_match_diagram_oracle(case, qsystem_case):
                 assert np.array_equal(g[y], w[y]), (case, x, y)
 
 
-@pytest.mark.parametrize("case", ["toric:1+e", "D(Z6):Z3", "fib:lagrangian"])
+@pytest.mark.parametrize("case", ["toric:1+e", "D(Z6):Z3", "fib:lagrangian",
+                                  "ising:trivial"])
 def test_projector_block_matches_diagram_oracle(case, qsystem_case):
-    """Every block over every pair of the simple locals and the simple
-    submodules, local or not, of the first six induced modules x (x) A; rho,
-    lambda and the F-moves multiply in another order than the diagram route,
-    hence the tolerance of 1e-13."""
-    import tensorcat.local_modules as lm
+    """The oracle's projector blocks, over every pair of the simple locals and
+    the simple submodules, local or not, of the first six induced modules
+    x (x) A, equal the diagram route to 1e-13: rho, lambda and the F-moves
+    multiply in another order.  local_double_braid_trace, which reads only
+    the diagonal of each block, equals sum_t d_t tr(P D) / dQ with the
+    diagram blocks to 1e-12 on every such pair."""
     from tensorcat.algebra import algebra_dim
     cd, A = qsystem_case(case)
     dQ = algebra_dim(cd, A)
@@ -268,15 +287,55 @@ def test_projector_block_matches_diagram_oracle(case, qsystem_case):
     blocks = 0
     for X in mods:
         for Y in mods:
+            trace = 0.0
             for t in range(cd.ring.rank):
                 pairs = [(x, y) for x in X.support for y in Y.support if cd.ring.N[x, y, t]]
                 if not pairs:
                     continue
-                got = lm._projector_block(cd, A, X, Y, t, pairs, dQ)
                 want = projector_block_by_diagrams(cd, A, X, Y, t, pairs, dQ)
+                got = projector_block(cd, A, X, Y, t, pairs, dQ)
                 assert np.max(np.abs(got - want)) < 1e-13, (case, X.support, Y.support, t)
                 blocks += np.count_nonzero(want) > 0
+                D = [cd.rval(x, y, t) * cd.rval(y, x, t) for x, y in pairs]
+                trace += cd.dims.dims[t] * np.diag(want) @ D
+            assert abs(local_double_braid_trace(cd, A, X, Y) - trace / dQ) < 1e-12, (
+                case, X.support, Y.support)
     assert blocks > 0
+
+
+RING_CASES = ["D(Z6):lagrangian", "D(Z6):Z3", "toric*toric:1+e*1", "fib:lagrangian",
+              "ising:lagrangian", "vec_z6_t1:lagrangian", "vec_z6_t0:lagrangian",
+              "ising:trivial"]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("case", RING_CASES)
+def test_condensed_ring_matches_projector_rank_oracle(case, seed, qsystem_case):
+    """The Verlinde ring equals the ring solved from the ranks of the
+    canonical projector, on the benchmark's condense cases, the Longo-Rehren
+    Lagrangians and a trivial algebra."""
+    cd, A = qsystem_case(case)
+    cond = enumerate_local_modules(cd, A, seed=seed, with_ring=True)
+    want = condensed_ring_by_projector_ranks(cd, A, cond)
+    assert cond.ring == want and cond.ring.labels == want.labels
+
+
+def test_local_layer_reads_f_without_unfold_or_rank_solve(qsystem_case, monkeypatch):
+    """The enumeration with its Verlinde ring, local_fusion and the
+    double-braid traces read F-symbols directly, so no unfold entry is
+    cached, and they call no svd, matrix_rank, lstsq or pinv."""
+    from dataclasses import replace
+    cd, A = qsystem_case("D(Z6):Z3")
+    cd = replace(cd)    # a copy with an empty unfold_cache
+    linalg = record_linalg_calls(monkeypatch, "svd", "matrix_rank", "lstsq", "pinv")
+    cond = enumerate_local_modules(cd, A, with_ring=True)
+    for X in cond.simples:
+        for Y in cond.simples:
+            local_fusion(cd, A, X, Y, condensed=cond)
+            local_double_braid_trace(cd, A, X, Y)
+    assert cond.ring.rank == 4
+    assert cd.unfold_cache == {}
+    assert linalg == {"svd": [], "matrix_rank": [], "lstsq": [], "pinv": []}
 
 
 @pytest.mark.parametrize("case", ["toric:1+e", "D(Z6):Z3"])
@@ -354,12 +413,18 @@ def test_free_module_decomposition_without_keep_verifies_all(toric, monkeypatch)
 
 
 def test_local_fusion_refuses_rank_deficient_supports(toric):
+    """Two simples on one support: the projector-rank solve cannot tell them
+    apart, and local_fusion refuses a list that holds one simple twice."""
     A = trivial_algebra()
     cond = enumerate_local_modules(toric, A)
     X = cond.simples[1]
     twice = CondensedData(simples=[X, X], dims_over_Q=np.ones(2))
     with pytest.raises(StructuralError, match=r"rank 1 < 2"):
-        local_fusion(toric, A, X, X, condensed=twice)
+        local_fusion_by_projector_ranks(toric, A, X, X, twice)
+    unit = cond.simples[0]
+    with pytest.raises(StructuralError, match="equivalent to 2 of"):
+        local_fusion(toric, A, unit, unit,
+                     condensed=CondensedData(simples=[unit, unit], dims_over_Q=np.ones(2)))
 
 
 def test_local_fusion_toric_squared_matches_group_law():

@@ -215,7 +215,10 @@ def _half_braiding():
     return cd, lambda c: not half_braiding_check(c, bumped)
 
 
-def _projector_idempotency():
+def _local_fusion_identification():
+    """A simple local with one rho entry off by EPS: local_fusion must find
+    it unitarily equivalent to the simple, which holds within
+    identity_tolerance at 1e-7 and not at the default."""
     cd = catalog.toric_code()
     A = group_algebra(cd, ("1", "e"))
     condensed = enumerate_local_modules(cd, A)
@@ -238,7 +241,7 @@ def _pointed_theorem_c():
 
 
 @pytest.mark.parametrize("build", [_dims_identity, _half_braiding,
-                                   _projector_idempotency, _pointed_theorem_c],
+                                   _local_fusion_identification, _pointed_theorem_c],
                          ids=["dims_identity", "half_braiding_check",
                               "local_fusion_idempotency", "theorem_c_pointed"])
 def test_tolerance_reaches_the_check(build):
