@@ -89,20 +89,22 @@ def is_nondegenerate(cd: CategoryData) -> bool:
 
 
 def check_label_subset(cd: CategoryData, sub) -> tuple:
-    """Normalize a label set; require 0 in sub, fusion- and dual-closed."""
+    """Normalize a label set; require 0 in sub, fusion- and dual-closed.
+    An error names the first offence by ascending a, its dual before (b, c)."""
     ring = cd.ring
     idx = sorted({ring.label_index(x) for x in sub})
     if 0 not in idx:
         raise PreconditionError("subcategory must contain the unit label 0")
-    inside = set(idx)
-    for a in idx:
-        if ring.dual[a] not in inside:
+    out = np.flatnonzero(~np.isin(np.arange(ring.rank), idx))
+    dual_out = np.isin(np.asarray(ring.dual)[idx], out)
+    fused_out = ring.N[np.ix_(idx, idx, out)] > 0
+    bad = np.flatnonzero(dual_out | fused_out.any(axis=(1, 2)))
+    if bad.size:
+        a = idx[bad[0]]
+        if dual_out[bad[0]]:
             raise PreconditionError(f"label set not dual-closed at {a}")
-        for b in idx:
-            for c in ring.channels(a, b):
-                if c not in inside:
-                    raise PreconditionError(
-                        f"label set not fusion-closed: {a} x {b} contains {c}")
+        j, k = np.argwhere(fused_out[bad[0]])[0]
+        raise PreconditionError(f"label set not fusion-closed: {a} x {idx[j]} contains {out[k]}")
     return tuple(idx)
 
 

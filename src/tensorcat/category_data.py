@@ -17,6 +17,8 @@ import functools
 import itertools
 import json
 import math
+import operator
+import random
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -103,6 +105,17 @@ def check_tolerance(value) -> float:
     except (TypeError, ValueError):
         pass
     raise StructuralError(f"tolerance must be a finite number > 0, got {value!r}")
+
+
+class SeededDraws:
+    """numpy's standard_normal(n), drawn from random.Random(repr(key)) on int
+    keys: one stream per value, under any PYTHONHASHSEED, no numpy.random."""
+
+    def __init__(self, key):
+        self._stream = random.Random(repr(tuple(map(operator.index, key))))
+
+    def standard_normal(self, n):
+        return np.array([self._stream.gauss(0.0, 1.0) for _ in range(n)])
 
 
 @dataclass(frozen=True)

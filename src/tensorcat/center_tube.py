@@ -25,9 +25,9 @@ random hermitian element, self-adjoint for the trace form, gives minimal
 projections q under every block at once (_corner_projections); q spans one
 copy of Z's irreducible module, the left ideal Tube q.  From that module
 come the multiplicity vector over Irr(C), the half-braiding components
-(one module matrix per basis vector, times a scale read from one F entry;
-half_braiding_check holds them to the composite-channel axioms with
-diagrams), the dimension, and the traces that S and T contract.
+(one conjugated module matrix per basis vector, times a scale read from one
+F entry; half_braiding_check holds them to the composite-channel axioms
+with diagrams), the dimension, and the traces that S and T contract.
 
 Conventions: the half-braiding sigma_{c,z}: c (x) z -> z (x) c carries the
 strand of the ambient category over the center object's strand; the braiding
@@ -43,8 +43,9 @@ import numpy as np
 from .algebra import (_conjugate_vertex_algebra, _max_dev, _rotation_phase,
                       _zigzag_phases, algebra_dim, group_algebra, is_commutative,
                       verify_qsystem)
-from .category_data import (CategoryData, QuadraticForm, deligne_product_data,
-                            pointed_from_quadratic_form, reverse_braiding)
+from .category_data import (CategoryData, QuadraticForm, SeededDraws,
+                            deligne_product_data, pointed_from_quadratic_form,
+                            reverse_braiding)
 from .braided_analysis import is_nondegenerate
 from .diagram_eval import (MorphismValue, compose_values, dagger_value, insert,
                            path_vector)
@@ -220,7 +221,9 @@ def build_tube_algebra(cd: CategoryData) -> TubeAlgebra:
                     fs = ring.channels(b, x)
                     for e1, y, j in leaving.get((x, a1), ()):
                         for e2, z, i in leaving.get((y, a2), ()):
-                            P = blocks[x, y, z]
+                            P = blocks.get((x, y, z))
+                            if P is None:     # no t from x to z: the product is 0
+                                continue
                             for f in fs:
                                 if not (N[a2][e1][f] and N[f][ab1][e2] and N[f][bb][z]):
                                     continue
@@ -255,7 +258,7 @@ def _corner_projections(sub: TubeAlgebra, weights, rng):
     them is left multiplication by a minimal projection q: q is that
     projection applied to the unit, and m is the size of the cluster.  A
     collision of eigenvalues shows as dim(q sub q) = tr(L_q R_q) != 1 and is
-    retried with a new h.
+    retried with a new h, drawn as two rng.standard_normal(n) calls.
     """
     cd = sub.cd
     n = sub.dim
@@ -333,7 +336,7 @@ def _corner_module(tube: TubeAlgebra, x, q, weights):
 
 
 def _half_braiding_scale(tube: TubeAlgebra):
-    """scale[k] with sigma_a(c) = scale[k] pi(t_k) at t_k = t_(x,a,c,y)."""
+    """scale[k] with sigma_a(c) = scale[k] conj(pi(t_k)) at t_k = t_(x,a,c,y)."""
     cd = tube.cd
     d, dual = cd.dims.dims, cd.ring.dual
     return np.array([np.sqrt(d[x] / (d[y] * d[a])) / cd.fval(y, a, dual[a], y, c, 0)
@@ -345,16 +348,19 @@ def _half_braiding(tube: TubeAlgebra, scale, copies, pi, D):
     their traces D[a, c, x] = sum_m sigma_a(c; (x, m), (x, m)) are written
     into the zero (rank, rank, rank) array D.
 
-    For a half-braiding with a-components sigma_c: a (x) x -> y (x) a, the
-    coefficient of t_(x,a,e,y) in a module is sigma_c closed against the
-    basis tree with a cap on a.  Only the channel c = e survives, as one
-    F-move, sqrt(d_a) F^{y a ab}_y[c, 0] (ab = dual(a)), and the tube inner
-    product weights sector x by d_x against the tree normalization, so
+    A half-braiding with a-components sigma_c: a (x) x -> y (x) a, closed
+    against the basis tree with a cap on a, is a matrix unit of its block.
+    Only the channel c = e survives, as one F-move, sqrt(d_a) F^{y a ab}_y[c, 0]
+    (ab = dual(a)), and by Schur orthogonality for the trace form the
+    coefficient of t_k in a matrix unit is conj(pi(t_k)) over the weight of
+    t_k, which puts d_x against the tree normalization, so
 
-        sigma_a(c) = pi(t_(x,a,c,y)) sqrt(d_x / d_y) / (sqrt(d_a) F^{y a ab}_y[c, 0]),
+        sigma_a(c) = conj(pi(t_(x,a,c,y))) sqrt(d_x / d_y) / (sqrt(d_a) F^{y a ab}_y[c, 0]),
 
-    with scale[k] the factor on pi(t_k).  pi is unitary in a
-    trace-orthonormal basis, so the components come out unitary.
+    with scale[k] the factor on conj(pi(t_k)).  A vertex gauge u moves t_k
+    and pi(t_k) by g = u^{ax}_c u^{c ab}_y and scale by u^{ya}_c u^{c ab}_y,
+    so sigma moves by u^{ya}_c / u^{ax}_c as it must (pi would be off by
+    g^2); pi is unitary in a trace-orthonormal basis, and so is sigma.
     """
     at = {}
     for i, (x, _m) in enumerate(copies):
@@ -363,7 +369,7 @@ def _half_braiding(tube: TubeAlgebra, scale, copies, pi, D):
     for (x, y), ks in tube.sectors.items():
         if x not in at or y not in at:
             continue
-        sigma = pi[np.ix_(ks, at[y], at[x])] * scale[ks, None, None]
+        sigma = np.conj(pi[np.ix_(ks, at[y], at[x])]) * scale[ks, None, None]
         for k, s in zip(ks, sigma):
             _x, a, c, _y = tube.basis[k]
             if x == y:
@@ -446,28 +452,29 @@ def decompose_center(tube: TubeAlgebra, seed=0) -> CenterData:
 
     One simple per block of the tube algebra, built in the corner where its
     multiplicity is smallest (the first such x).  Nothing is solved: each
-    half-braiding component is one module matrix times one F entry,
+    half-braiding component is one module matrix entry, conjugated so that
+    it follows the gauge of F, times one F entry (see _half_braiding),
 
-        sigma_a(c) = pi(t_(x,a,c,y)) sqrt(d_x / d_y) / (sqrt(d_a) F^{y a dual(a)}_y[c, 0]),
+        sigma_a(c) = conj(pi(t_(x,a,c,y))) sqrt(d_x / d_y) / (sqrt(d_a) F^{y a dual(a)}_y[c, 0]),
 
-    and with D[z, a, c, x] their traces (see _half_braiding), S[z, w] is the
+    and with D[z, a, c, x] their traces, S[z, w] is the
     sum of d_c D[z, p, c, x] D[w, x, c, p] and theta_z that of
     d_c D[z, x, c, x], over dim z.  Simples are ordered by (dim, twist
     angle, multiplicity vector), the unit first.
 
-    The seed drives the random hermitian element that splits each corner,
-    one stream for all corners.  Dims, twists, underlying multiplicities and
-    S do not depend on it, up to the order of simples that agree in all
-    three.  Nor do the copies and half-braidings of a simple with some
-    multiplicity 1, whose projection there is the block idempotent p_Z p_x;
-    otherwise they are fixed up to a seed-dependent unitary change of copy
-    basis.
+    The seed keys the stdlib stream SeededDraws((seed, 1)) that splits the
+    corners.  Dims, twists, underlying multiplicities and S do not depend on
+    it, up to the order of simples that agree in all three (which at a
+    given seed may differ from versions that drew from numpy.random).  Nor
+    do the copies and half-braidings of a simple with some multiplicity 1,
+    whose projection there is the block idempotent p_Z p_x; otherwise they
+    are fixed up to a seed-dependent unitary change of copy basis.
     """
     cd = tube.cd
     d = cd.dims.dims
     rank = cd.ring.rank
     weights = tube.trace_weights()
-    rng = np.random.default_rng((seed, 1))
+    rng = SeededDraws((seed, 1))
     corners = []   # (m, x, q): q a minimal projection at x under a block M_m
     for x in range(rank):
         D, sub = tube.corner(x)

@@ -42,7 +42,7 @@ import numpy as np
 from .algebra import (AlgebraObject, _associativity_dev, algebra_dim,
                       is_commutative, is_connected, verify_qsystem)
 from .braided_analysis import is_nondegenerate, muger_centralizer
-from .category_data import CategoryData, _decode_value, _write_json
+from .category_data import CategoryData, SeededDraws, _decode_value, _write_json
 from .errors import PreconditionError, StructuralError
 
 __all__ = [
@@ -194,10 +194,10 @@ def _commutant_generators(cd, A, x, sectors):
 def free_module_decomposition(cd, A, x, seed=0, keep=None):
     """Simple submodules of x (x) A.
 
-    A seeded random Hermitian element of the commutant is diagonalized per
-    sector; eigenvalue groups across sectors are the simple summands.  A
-    summand whose underlying object acquires multiplicity is out of scope
-    and raises.
+    A random Hermitian element of the commutant, drawn from the stdlib
+    stream SeededDraws((seed, x, 977)), is diagonalized per sector;
+    eigenvalue groups across sectors are the simple summands.  A summand
+    whose underlying object acquires multiplicity is out of scope and raises.
 
     keep, if given, is called with the list of every summand of a cleanly
     split round and returns the sublist to verify with verify_module and
@@ -210,23 +210,16 @@ def free_module_decomposition(cd, A, x, seed=0, keep=None):
     sectors, act = _induced_action(cd, A, x)
     ys = sorted(sectors)
     gens = _commutant_generators(cd, A, x, sectors)
-    rng = np.random.default_rng((seed, x, 977))
+    rng = SeededDraws((seed, x, 977))
     rounds = 5
     failures = []
     for _ in range(rounds):
         coeff = rng.standard_normal(len(gens)) + 1j * rng.standard_normal(len(gens))
-        H = {}
-        for y in ys:
-            n = len(sectors[y])
-            h = np.zeros((n, n), dtype=complex)
-            for ci, g in zip(coeff, gens):
-                h += ci * g[y]
-            H[y] = h + h.conj().T
         pairs = []
         for y in ys:
-            w, U = np.linalg.eigh(H[y])
-            for i, lam in enumerate(w):
-                pairs.append((float(lam), y, U[:, i]))
+            h = sum(ci * g[y] for ci, g in zip(coeff, gens))
+            w, U = np.linalg.eigh(h + h.conj().T)
+            pairs += [(float(lam), y, U[:, i]) for i, lam in enumerate(w)]
         pairs.sort(key=lambda t: t[0])
         gap = cd.split_resolution * max(1.0, max(abs(p[0]) for p in pairs))
         groups = []

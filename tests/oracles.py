@@ -277,6 +277,21 @@ def f_unitarity_by_loops(cd):
     return report
 
 
+def label_subset_error_by_loops(ring, idx):
+    """The first closure failure of the ascending label list idx, walking a,
+    then its dual, then every (b, c) with c in a (x) b, all ascending; None
+    if idx is dual- and fusion-closed."""
+    inside = set(idx)
+    for a in idx:
+        if ring.dual[a] not in inside:
+            return f"label set not dual-closed at {a}"
+        for b in idx:
+            for c in ring.channels(a, b):
+                if c not in inside:
+                    return f"label set not fusion-closed: {a} x {b} contains {c}"
+    return None
+
+
 def pentagon_by_loops(cd):
     """Plain-loop pentagon check; report lines as verify_pentagon prints them."""
     ring = cd.ring
@@ -463,6 +478,55 @@ def vertex_gauge(cd, seed, size=2 * math.pi):
          for (a, b, c, d, e, f), v in cd.F.entries.items()}
     return dataclasses.replace(cd, F=FSymbolSet(F), R=None, quadratic_form=None,
                                name=f"{cd.name} in a vertex gauge")
+
+
+def psu2_category(k):
+    """PSU(2)_k, the integer spins 0 .. k // 2 of SU(2)_k, with F in the
+    unitary q-Racah gauge (Kirillov-Reshetikhin 1989) and no braiding:
+
+        F^{j1 j2 j3}_j[j12, j23] = (-1)^(j1+j2+j3+j) sqrt([2 j12 + 1][2 j23 + 1])
+                                   {j1 j2 j12; j3 j j23}_q,
+
+    [n] = sin(n pi / (k+2)) / sin(pi / (k+2)), the 6j symbol by the q-Racah
+    sum.  A triple is admissible when it satisfies the triangle inequality
+    and sums to at most k.  Raises unless verify_pentagon is clean."""
+    from tensorcat.category_data import _finish, verify_pentagon
+    from tensorcat.fusion_ring import FusionRing
+
+    r = k // 2 + 1
+    qn = [math.sin(n * math.pi / (k + 2)) / math.sin(math.pi / (k + 2)) for n in range(k + 2)]
+    fact = [1.0]                                  # fact[n] = [n]!, n <= k + 1
+    for n in range(1, k + 2):
+        fact.append(fact[-1] * qn[n])
+    N = np.zeros((r, r, r), dtype=np.int64)
+    for a, b, c in itertools.product(range(r), repeat=3):
+        N[a, b, c] = abs(a - b) <= c <= a + b and a + b + c <= k
+
+    def delta(a, b, c):
+        return math.sqrt(fact[a + b - c] * fact[a - b + c] * fact[b + c - a] / fact[a + b + c + 1])
+
+    def sixj(j1, j2, j12, j3, j, j23):
+        triads = ((j1, j2, j12), (j1, j, j23), (j3, j2, j23), (j3, j, j12))
+        quads = (j1 + j2 + j3 + j, j1 + j12 + j3 + j23, j2 + j12 + j + j23)
+        total = 0.0
+        # [z + 1]! vanishes from z = k + 1 on, where [k + 2] = 0
+        for z in range(max(map(sum, triads)), min(min(quads), k) + 1):
+            den = math.prod(fact[z - sum(t)] for t in triads) * math.prod(fact[q - z] for q in quads)
+            total += (-1) ** z * fact[z + 1] / den
+        return math.prod(delta(*t) for t in triads) * total
+
+    F = {}
+    for a, b, c, d, e, f in itertools.product(range(1, r), range(1, r), range(1, r),
+                                              range(r), range(r), range(r)):
+        if N[a, b, e] and N[e, c, d] and N[b, c, f] and N[a, f, d]:
+            F[a, b, c, d, e, f] = ((-1) ** (a + b + c + d) * math.sqrt(qn[2 * e + 1] * qn[2 * f + 1])
+                                   * sixj(a, b, e, c, d, f) + 0j)
+    ring = FusionRing(rank=r, labels=tuple(str(j) for j in range(r)), dual=tuple(range(r)), N=N)
+    cd = _finish(ring, F, None, name=f"PSU(2)_{k}")
+    bad = verify_pentagon(cd)
+    if bad:
+        raise ValueError(f"PSU(2)_{k}: pentagon fails: {bad[:3]}")
+    return cd
 
 
 def dense_tube(tube):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tensorcat.braided_analysis import (find_centralizing_object,
+from tensorcat.braided_analysis import (check_label_subset, find_centralizing_object,
                                         gamma_characters, is_nondegenerate,
                                         muger_centralizer, restriction_hom,
                                         s_matrix, twists,
@@ -9,7 +9,7 @@ from tensorcat.braided_analysis import (find_centralizing_object,
 from tensorcat.category_data import deligne_product_data, reverse_braiding
 from tensorcat.errors import PreconditionError
 
-from oracles import PHI
+from oracles import PHI, label_subset_error_by_loops
 
 
 def test_twists_fibonacci(fib):
@@ -115,6 +115,46 @@ def test_centralizer_factor_in_product(fib, semion_cat):
     prod = deligne_product_data(fib, semion_cat)
     fib_factor = (0, 2)     # (0,0) and (t,0)
     assert muger_centralizer(prod, fib_factor) == (0, 1)  # the semion factor
+
+
+def test_label_subset_errors_name_the_first_offence(cats, fib, ising_cat):
+    """Every subset containing the unit, on small categories and a product:
+    the array check accepts exactly the closed ones and names the offence
+    the loop over a, its dual, then (b, c) meets first."""
+    cases = [ising_cat, cats["vec_z4"], cats["toric_code"],
+             deligne_product_data(fib, ising_cat)]
+    for cd in cases:
+        r = cd.ring.rank
+        for mask in range(2 ** (r - 1)):
+            idx = [0] + [a for a in range(1, r) if mask >> (a - 1) & 1]
+            want = label_subset_error_by_loops(cd.ring, idx)
+            if want is None:
+                assert check_label_subset(cd, reversed(idx)) == tuple(idx)
+            else:
+                with pytest.raises(PreconditionError) as err:
+                    check_label_subset(cd, reversed(idx))
+                assert str(err.value) == want, (cd.name, idx)
+    with pytest.raises(PreconditionError, match="fusion-closed: 1 x 1 contains 2"):
+        check_label_subset(ising_cat, (0, 1))
+    with pytest.raises(PreconditionError, match="dual-closed at 1"):
+        check_label_subset(cats["vec_z3"], (0, 1))
+    with pytest.raises(PreconditionError, match="must contain the unit"):
+        check_label_subset(ising_cat, (1, 2))
+
+
+def test_centralizer_in_the_double_of_z6():
+    """D(Z6) on labels g.h: (g, h) centralizes (0, h') iff g h' = 0 mod 6.
+    So the Lagrangian {0.h} is its own centralizer, the Z/3 {0.0, 0.2, 0.4}
+    is centralized by g in {0, 3}, and the whole category by the unit only."""
+    from tensorcat.catalog import vec_zn
+    from tensorcat.center_tube import center_presentation
+    cd, lagrangian = center_presentation(vec_zn(6, 0), None)
+    g_of = [int(label.split(".")[0]) for label in cd.ring.labels]
+    assert muger_centralizer(cd, lagrangian) == lagrangian == tuple(
+        a for a, g in enumerate(g_of) if g == 0)
+    z3 = ("0.0", "0.2", "0.4")
+    assert muger_centralizer(cd, z3) == tuple(a for a, g in enumerate(g_of) if 2 * g % 6 == 0)
+    assert muger_centralizer(cd, range(cd.ring.rank)) == (0,)
 
 
 def test_restriction_hom_identity_on_sub(fib, semion_cat):

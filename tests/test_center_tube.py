@@ -1,3 +1,4 @@
+import functools
 import os
 import subprocess
 import sys
@@ -23,7 +24,7 @@ from oracles import (PHI, algebras_gauge_equivalent, center_s_by_traces,
                      dense_tube, half_braiding_W_by_entries, mate_phase_by_diagrams,
                      record_diagram_calls, record_linalg_calls,
                      rotation_isometry_by_diagrams, tube_product_by_pairs,
-                     tube_star_by_diagrams, vertex_gauge)
+                     psu2_category, tube_star_by_diagrams, vertex_gauge)
 
 
 @pytest.fixture(scope="module")
@@ -323,6 +324,92 @@ def test_half_braiding_hexagons(centers):
     for name, (cd, _, center) in centers.items():
         for i, z in enumerate(center.simples):
             assert half_braiding_check(cd, z) == [], (name, i)
+
+
+def _sorted_twists(center):
+    return np.array(sorted((z.twist for z in center.simples),
+                           key=lambda t: (round(t.real, 6), round(t.imag, 6))))
+
+
+GAUGE_CASES = {"fibonacci": lambda: catalog_category("fibonacci"),
+               "ising": lambda: catalog_category("ising"),
+               "vec_zn(3,2)": lambda: vec_zn(3, 2),
+               "toric_code": lambda: catalog_category("toric_code"),
+               "vec_zn(4,1)": lambda: vec_zn(4, 1)}
+
+
+@functools.lru_cache(maxsize=None)
+def _stored_center(name):
+    cd = GAUGE_CASES[name]()
+    return cd, decompose_center(build_tube_algebra(cd), seed=0)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("name", list(GAUGE_CASES))
+def test_center_is_gauge_covariant(name, seed):
+    """In a random vertex gauge of F every simple passes the half-braiding
+    check and the twists are the stored gauge's: the readout conjugates the
+    module matrix, which transports as the half-braiding must."""
+    cd, stored = _stored_center(name)
+    gauged = vertex_gauge(cd, seed)
+    center = decompose_center(build_tube_algebra(gauged), seed=0)
+    for i, z in enumerate(center.simples):
+        assert half_braiding_check(gauged, z) == [], i
+    assert len(center.simples) == len(stored.simples)
+    assert np.max(np.abs(_sorted_twists(center) - _sorted_twists(stored))) < 1e-9
+
+
+def test_vec_z3_twists_are_cube_roots_in_a_vertex_gauge():
+    """The twists of Z(Vec(Z/3)) are cube roots of unity in any gauge; read
+    from pi(t_k) rather than its conjugate they moved by twice the gauge
+    phase at x = 1 and 2."""
+    center = decompose_center(build_tube_algebra(vertex_gauge(vec_zn(3, 2), 1)), seed=0)
+    twists = np.array([z.twist for z in center.simples])
+    assert np.max(np.abs(twists ** 3 - 1)) < 1e-9
+    assert np.sum(np.abs(twists - 1) < 1e-9) == 5
+
+
+def test_tube_with_an_empty_sector_pair_builds():
+    """PSU(2)_6 (q-Racah F) has sectors (0, 1) and (1, 3) but none from 0
+    to 3, so the product of that chain is 0 and has no block: the build
+    skips it, and the center is nondegenerate with clean half-braidings."""
+    cd = psu2_category(6)
+    tube = build_tube_algebra(cd)
+    S = tube.sectors
+    assert (0, 1) in S and (1, 3) in S and (0, 3) not in S
+    center = decompose_center(tube, seed=0)
+    checks = center_global_checks(center)
+    assert checks["dims_identity"] and checks["nondegenerate"]
+    for i, z in enumerate(center.simples):
+        assert half_braiding_check(cd, z) == [], i
+
+
+def test_seeded_draws_follow_the_seed_value():
+    """Equal seeds key one stream whatever their integer type; others differ."""
+    from tensorcat.category_data import SeededDraws
+    draws = SeededDraws((3, 1)).standard_normal(4)
+    assert np.array_equal(draws, SeededDraws((np.int64(3), 1)).standard_normal(4))
+    assert not np.array_equal(draws, SeededDraws((4, 1)).standard_normal(4))
+
+
+def test_spectral_splits_do_not_load_numpy_random():
+    """The corner split and the free-module split draw from a stdlib
+    stream, so neither imports numpy.random."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys\n"
+            "import tensorcat\n"
+            "from tensorcat.algebra import group_algebra\n"
+            "from tensorcat.catalog import toric_code, vec_zn\n"
+            "from tensorcat.center_tube import build_tube_algebra, decompose_center\n"
+            "from tensorcat.local_modules import enumerate_local_modules\n"
+            "assert len(decompose_center(build_tube_algebra(vec_zn(6, 1))).simples) == 36\n"
+            "cd = toric_code()\n"
+            "assert len(enumerate_local_modules(cd, group_algebra(cd, ('1', 'e'))).simples) == 1\n"
+            "print('numpy.random' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_half_braiding_check_detects_corruption(centers):

@@ -261,3 +261,15 @@ def test_import_does_not_load_scipy_optimize():
          "import tensorcat.cli, sys; print('scipy.optimize' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+def test_center_bytes_do_not_follow_the_hash_seed():
+    # the corner split is seeded from a string, so str hashing cannot reach it
+    src = Path(__file__).resolve().parents[1] / "src"
+    procs = [subprocess.Popen(
+        [sys.executable, "-m", "tensorcat.cli", "center", "--catalog", "ising", "--seed", "3"],
+        env=dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=h), stdout=subprocess.PIPE)
+        for h in ("0", "1")]
+    outs = [p.communicate(timeout=60)[0] for p in procs]
+    assert [p.returncode for p in procs] == [0, 0]
+    assert outs[0] == outs[1]
