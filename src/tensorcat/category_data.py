@@ -19,6 +19,7 @@ import json
 import math
 import operator
 import random
+import threading
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -65,16 +66,58 @@ class FSymbolSet(_SymbolSet):
 
     A tuple is admissible when N^e_{ab} = N^d_{ec} = N^f_{bc} = N^d_{af} = 1.
     Entries with a unit leg are not stored; ``value`` returns 1 for them.
+
+    A set made by ``deligne_product_data`` or ``pointed_from_quadratic_form``
+    computes each entry the first time ``value`` reads it and keeps it in
+    its own dict; the first access to ``entries`` builds every entry in bulk
+    into a fresh dict, which ``value`` reads from then on, so an edit made
+    through ``entries`` is what ``value`` returns.  A set stays safe to share
+    across threads: concurrent first reads write equal values, and the bulk
+    build runs once, under a lock.
     """
+
+    _ring = _compute = _build = None     # an explicit table computes nothing
+    _bulk_lock = threading.RLock()       # class-wide, so a set still deep-copies
+
+    @classmethod
+    def _lazy(cls, ring, compute, build):
+        """A set computing compute(*key) on the first read of an admissible
+        key, and build() -> every entry on the first access to ``entries``."""
+        out = cls._adopt({})
+        out._ring, out._compute, out._build = ring, compute, build
+        return out
+
+    @property
+    def entries(self):
+        if self._build is not None:
+            with self._bulk_lock:
+                if self._build is not None:
+                    self._held = self._build()
+                    self._compute = self._build = None
+        return self._held
+
+    @entries.setter
+    def entries(self, entries):
+        self._held = entries
+        self._compute = self._build = None
 
     def value(self, a, b, c, d, e, f):
         if a == 0 or b == 0 or c == 0:
             return 1.0 + 0.0j
-        try:
-            return self.entries[(a, b, c, d, e, f)]
-        except KeyError:
-            raise StructuralError(
-                f"missing F entry for admissible tuple {(a, b, c, d, e, f)}") from None
+        key = (a, b, c, d, e, f)
+        v = self._held.get(key)
+        return self._first_read(key) if v is None else v
+
+    def _first_read(self, key):
+        compute = self._compute
+        if compute is not None and _admissible(self._ring, key):
+            v = self._held[key] = compute(*key)
+            return v
+        # a bulk build that finished since the miss holds every entry
+        v = self._held.get(key)
+        if v is None:
+            raise StructuralError(f"missing F entry for admissible tuple {key}")
+        return v
 
     def matrix(self, ring, a, b, c, d):
         """The unitary matrix [F^{abc}_d]_{e,f} with its index lists."""
@@ -95,6 +138,17 @@ class RSymbolSet(_SymbolSet):
             return self.entries[(a, b, c)]
         except KeyError:
             raise StructuralError(f"missing R entry for admissible channel {(a, b, c)}") from None
+
+
+def _admissible(ring, key) -> bool:
+    """N^e_{ab} N^d_{ec} N^f_{bc} N^d_{af} = 1 for labels in range."""
+    a, b, c, d, e, f = key
+    table = ring.channel_table
+    try:
+        return (min(key) >= 0 and e in table[a][b] and d in table[e][c]
+                and f in table[b][c] and d in table[a][f])
+    except (IndexError, TypeError):
+        return False
 
 
 def check_tolerance(value) -> float:
@@ -124,7 +178,10 @@ class CategoryData:
 
     Frozen: a derived category (other ring labels, tolerance, no braiding)
     is a new instance from ``dataclasses.replace``, which starts with empty
-    evaluator caches.  Safe to share read-only across threads.
+    evaluator caches.  F of a Deligne product or of a quadratic form's
+    category is computed on first read (see FSymbolSet).  Safe to share
+    read-only across threads: concurrent first reads write equal values,
+    and the bulk build of F.entries runs once.
     """
 
     ring: FusionRing
@@ -225,6 +282,16 @@ class QuadraticForm:
         for (i, j), cij in self.cross.items():
             gcd = math.gcd(self.group[i], self.group[j])
             phase = phase + 2.0 * cij * g[i] * h[j] / gcd
+        return phase
+
+    def _f_phase(self, a, b, c):
+        """arg F(a, b, c) / pi = sum_i t_i a_i carry_i(b, c) / n_i, where
+        carry_i(b, c) = s - (s mod n_i) for s = b_i + c_i; for coordinate
+        tuples or broadcastable per-factor arrays."""
+        phase = 0.0
+        for n, ti, ai, bi, ci in zip(self.group, self.t, a, b, c):
+            s = bi + ci
+            phase = phase + ti * ai * (s - s % n) / n
         return phase
 
     def r_value(self, g, h):
@@ -603,10 +670,12 @@ def validate_category(cd: CategoryData) -> list:
     return report
 
 
-def _finish(ring, F_entries, R_entries, tolerance=CategoryData.tolerance, name="",
+def _finish(ring, F, R_entries, tolerance=CategoryData.tolerance, name="",
             quadratic_form=None):
-    """The CategoryData of freshly built entry dicts, which it keeps uncopied."""
-    return CategoryData(ring=ring, dims=fp_dimensions(ring), F=FSymbolSet._adopt(F_entries),
+    """The CategoryData of an FSymbolSet or of freshly built entry dicts,
+    which it keeps uncopied."""
+    F = F if isinstance(F, FSymbolSet) else FSymbolSet._adopt(F)
+    return CategoryData(ring=ring, dims=fp_dimensions(ring), F=F,
                         R=RSymbolSet._adopt(R_entries) if R_entries is not None else None,
                         tolerance=tolerance, name=name, quadratic_form=quadratic_form)
 
@@ -619,10 +688,9 @@ def pointed_from_quadratic_form(qf: QuadraticForm, name="") -> CategoryData:
     R(a,b) = exp(pi i t a b / n); cross terms contribute only to R.
 
     The form is validated first.  Labels are the elements in
-    ``qf.elements()`` order; the product table, duals, F and R come from
-    coordinate arrays over that grid.  F is filled one a-slab of (b, c) at a
-    time, in (a, b, c) order, so no (rank - 1)^3 array of keys or values is
-    ever held.
+    ``qf.elements()`` order; the product table, duals and R come from
+    coordinate arrays over that grid.  F is computed on first read (see
+    FSymbolSet).
     """
     bad = qf.validate()
     if bad:
@@ -630,32 +698,44 @@ def pointed_from_quadratic_form(qf: QuadraticForm, name="") -> CategoryData:
     ns = qf.group
     rank = qf.order
     x, P = qf._grid()
-    labels = tuple(".".join(str(a) for a in g) if len(ns) > 1 else str(g[0])
-                   for g in qf.elements())
+    els = qf.elements()
+    labels = tuple(".".join(str(a) for a in g) if len(ns) > 1 else str(g[0]) for g in els)
     dual = tuple(np.argmin(P, axis=1).tolist())
     N = np.zeros((rank, rank, rank), dtype=np.int64)
     N[np.arange(rank)[:, None], np.arange(rank)[None, :], P] = 1
     ring = FusionRing(rank=rank, labels=labels, dual=dual, N=N)
-
-    # carry[i, b, c] = x_i(b) + x_i(c) - ((x_i(b) + x_i(c)) mod n_i), on b, c >= 1
-    s = x[:, 1:, None] + x[:, None, 1:]
-    carry = (s - s % np.array(ns).reshape(-1, 1, 1)).reshape(len(ns), -1)
-    b, c = (v.ravel() for v in np.indices((rank - 1, rank - 1)) + 1)
-    bs, cs, fs = b.tolist(), c.tolist(), P[b, c].tolist()
-    F = FSymbolSet({})     # filled in place: no second copy of the largest dict
-    for a in range(1, rank):
-        e = P[a, b]
-        phase = 0.0
-        for i, n in enumerate(ns):
-            phase = phase + qf.t[i] * int(x[i, a]) * carry[i] / n
-        F.entries.update(zip(
-            zip(itertools.repeat(a), bs, cs, P[e, c].tolist(), e.tolist(), fs),
-            np.exp(1j * np.pi * phase).tolist()))
+    F = FSymbolSet._lazy(ring, functools.partial(_pointed_f_value, qf, els),
+                         functools.partial(_pointed_f_entries, qf))
     R = np.exp(1j * np.pi * qf._phase(x[:, :, None], x[:, None, :]))
     g_col, h_col = (v.ravel().tolist() for v in np.indices((rank, rank)))
     R_entries = zip(zip(g_col, h_col, P.ravel().tolist()), R.ravel().tolist())
     return CategoryData(ring=ring, dims=fp_dimensions(ring), F=F, R=RSymbolSet(R_entries),
                         name=name or f"pointed{list(ns)}", quadratic_form=qf)
+
+
+def _pointed_f_value(qf: QuadraticForm, els, a, b, c, d, e, f):
+    """F(a, b, c) = exp(pi i qf._f_phase(a, b, c)) at the labels' coordinates."""
+    return cmath.exp(1j * math.pi * qf._f_phase(els[a], els[b], els[c]))
+
+
+def _pointed_f_entries(qf: QuadraticForm) -> dict:
+    """Every F entry of the quadratic form's category, filled one a-slab of
+    (b, c) at a time, in (a, b, c) order, so no (rank - 1)^3 array of keys
+    or values is ever held: several times faster than _pointed_f_value per
+    key."""
+    rank = qf.order
+    x, P = qf._grid()
+    els = qf.elements()
+    b, c = (v.ravel() for v in np.indices((rank - 1, rank - 1)) + 1)
+    xb, xc = x[:, b], x[:, c]
+    bs, cs, fs = b.tolist(), c.tolist(), P[b, c].tolist()
+    entries = {}
+    for a in range(1, rank):
+        e = P[a, b]
+        entries.update(zip(
+            zip(itertools.repeat(a), bs, cs, P[e, c].tolist(), e.tolist(), fs),
+            np.exp(1j * np.pi * qf._f_phase(els[a], xb, xc)).tolist()))
+    return entries
 
 
 def kappa_of(cd: CategoryData, g) -> complex:
@@ -736,19 +816,16 @@ def _r_items(cd: CategoryData) -> list:
 def deligne_product_data(c1: CategoryData, c2: CategoryData) -> CategoryData:
     """Deligne product: ring product, componentwise F (and R when both braided).
 
-    The pair (i, j) has index i * rank2 + j; each entry is the product of
-    the two factors' entries, read from one list per factor.
+    The pair (i, j) has index i * rank2 + j; each F entry is the product of
+    the two factors' entries, computed on first read (see FSymbolSet).  F
+    reads the factors' F when it computes an entry, on a first read or in
+    the bulk build at the first access to its ``entries``: an edit made
+    through a factor's ``F.entries`` after the product exists reaches what
+    is computed after it, and nothing once ``entries`` is built.  The
+    product holds its factors, so ``copy.deepcopy`` of it copies them too.
     """
     ring = deligne_product(c1.ring, c2.ring)
     k = c2.ring.rank
-    F_entries = {}
-    items2 = _f_items(c2)
-    for a1, b1, c1_, d1, e1, f1, v1 in _f_items(c1):
-        for a2, b2, c2_, d2, e2, f2, v2 in items2:
-            A, B, C = a1 * k + a2, b1 * k + b2, c1_ * k + c2_
-            if A == 0 or B == 0 or C == 0:
-                continue
-            F_entries[(A, B, C, d1 * k + d2, e1 * k + e2, f1 * k + f2)] = v1 * v2
     R_entries = None
     if c1.R is not None and c2.R is not None:
         items2 = _r_items(c2)
@@ -756,8 +833,32 @@ def deligne_product_data(c1: CategoryData, c2: CategoryData) -> CategoryData:
                      for a1, b1, cc1, v1 in _r_items(c1)
                      for a2, b2, cc2, v2 in items2}
     name = f"{c1.name}(x){c2.name}" if c1.name and c2.name else ""
-    return _finish(ring, F_entries, R_entries,
-                   tolerance=max(c1.tolerance, c2.tolerance), name=name)
+    F = FSymbolSet._lazy(ring, functools.partial(_deligne_f_value, c1, c2),
+                         functools.partial(_deligne_f_entries, c1, c2))
+    return _finish(ring, F, R_entries, tolerance=max(c1.tolerance, c2.tolerance), name=name)
+
+
+def _deligne_f_value(c1, c2, a, b, c, d, e, f):
+    """The product c1.fval * c2.fval at the split labels, the one operation
+    _deligne_f_entries makes per entry."""
+    k = c2.ring.rank
+    return (c1.fval(a // k, b // k, c // k, d // k, e // k, f // k)
+            * c2.fval(a % k, b % k, c % k, d % k, e % k, f % k))
+
+
+def _deligne_f_entries(c1, c2) -> dict:
+    """Every F entry of the Deligne product, v1 * v2 over one list of fval
+    values per factor: several times faster than _deligne_f_value per key."""
+    k = c2.ring.rank
+    entries = {}
+    items2 = _f_items(c2)
+    for a1, b1, c1_, d1, e1, f1, v1 in _f_items(c1):
+        for a2, b2, c2_, d2, e2, f2, v2 in items2:
+            A, B, C = a1 * k + a2, b1 * k + b2, c1_ * k + c2_
+            if A == 0 or B == 0 or C == 0:
+                continue
+            entries[(A, B, C, d1 * k + d2, e1 * k + e2, f1 * k + f2)] = v1 * v2
+    return entries
 
 
 # ---------------------------------------------------------------------------

@@ -259,6 +259,7 @@ def _corner_projections(sub: TubeAlgebra, weights, rng):
     projection applied to the unit, and m is the size of the cluster.  A
     collision of eigenvalues shows as dim(q sub q) = tr(L_q R_q) != 1 and is
     retried with a new h, drawn as two rng.standard_normal(n) calls.
+    Returns the list of (m, q) and the smallest eigenvalue gap cut.
     """
     cd = sub.cd
     n = sub.dim
@@ -281,7 +282,7 @@ def _corner_projections(sub: TubeAlgebra, weights, rng):
         dims = np.einsum("cjk,ckj->c", np.tensordot(Q, P, (1, 0)),
                          np.tensordot(Q, P, (1, 1))).real
         if np.all(np.abs(dims - 1.0) < cd.identity_tolerance):
-            return [(len(c), q) for c, q in zip(clusters, Q)]
+            return [(len(c), q) for c, q in zip(clusters, Q)], min_gap
     raise StructuralError(
         f"corner split failed after {attempts} attempts "
         f"(smallest eigenvalue gap {min_gap:.2e})")
@@ -463,9 +464,11 @@ def decompose_center(tube: TubeAlgebra, seed=0) -> CenterData:
     angle, multiplicity vector), the unit first.
 
     The seed keys the stdlib stream SeededDraws((seed, 1)) that splits the
-    corners.  Dims, twists, underlying multiplicities and S do not depend on
-    it, up to the order of simples that agree in all three (which at a
-    given seed may differ from versions that drew from numpy.random).  Nor
+    corners; when the modules so found do not exhaust the tube, every
+    corner is split again from the same stream, up to four draws in all.
+    Dims, twists, underlying multiplicities and S do not depend on it, up
+    to the order of simples that agree in all three (which at a given seed
+    may differ from versions that drew from numpy.random).  Nor
     do the copies and half-braidings of a simple with some multiplicity 1,
     whose projection there is the block idempotent p_Z p_x; otherwise they
     are fixed up to a seed-dependent unitary change of copy basis.
@@ -475,33 +478,30 @@ def decompose_center(tube: TubeAlgebra, seed=0) -> CenterData:
     rank = cd.ring.rank
     weights = tube.trace_weights()
     rng = SeededDraws((seed, 1))
-    corners = []   # (m, x, q): q a minimal projection at x under a block M_m
-    for x in range(rank):
-        D, sub = tube.corner(x)
-        for m, f in _corner_projections(sub, weights[D], rng):
-            q = np.zeros(tube.dim, dtype=complex)
-            q[D] = f
-            corners.append((m, x, q))
-    corners.sort(key=lambda c: c[:2])
-    Q = np.array([q for _m, _x, q in corners])
-    unclaimed = np.ones(len(corners), dtype=bool)
     scale = _half_braiding_scale(tube)
-    # half-braiding traces, one row per simple; zeros leaves the unused rows unallocated
-    D = np.zeros((len(corners), rank, rank, rank), dtype=complex)
-    simples = []
-    for i, (_m, x, q) in enumerate(corners):
-        if not unclaimed[i]:
-            continue
-        copies, pi = _corner_module(tube, x, q, weights)
-        # tr pi(q') is 1 for a minimal projection q' under Z's blocks, else 0
-        unclaimed &= (Q @ np.einsum("kcc->k", pi)).real < 0.5
-        half = _half_braiding(tube, scale, copies, pi, D[len(simples)])
-        mult = np.bincount([y for y, _j in copies], minlength=rank)
-        simples.append(CenterObject(underlying=mult, half_braiding=half, copies=copies,
-                                    twist=1.0, dim=float(d @ mult)))
-    if sum(len(z.copies) ** 2 for z in simples) != tube.dim:
-        raise StructuralError("the corner modules do not exhaust the tube algebra")
-    D = D[:len(simples)]
+    attempts = 4
+    min_gap = np.inf
+    for _ in range(attempts):
+        corners = []   # (m, x, q): q a minimal projection at x under a block M_m
+        for x in range(rank):
+            D, sub = tube.corner(x)
+            splits, gap = _corner_projections(sub, weights[D], rng)
+            min_gap = min(min_gap, gap)
+            for m, f in splits:
+                q = np.zeros(tube.dim, dtype=complex)
+                q[D] = f
+                corners.append((m, x, q))
+        corners.sort(key=lambda c: c[:2])
+        simples, D = _corner_simples(tube, corners, weights, scale)
+        # a split just past split_resolution can leave a module's Gram-Schmidt
+        # a vector too many; every corner is then split again, further on
+        # in the same stream
+        if sum(len(z.copies) ** 2 for z in simples) == tube.dim:
+            break
+    else:
+        raise StructuralError(
+            f"the corner modules do not exhaust the tube algebra after {attempts} "
+            f"draws (smallest eigenvalue gap {min_gap:.2e})")
     twists = np.einsum("zxcx,c->z", D, d) / np.array([z.dim for z in simples])
     if np.max(np.abs(np.abs(twists) - 1.0)) > cd.identity_tolerance:
         raise StructuralError("half-braidings are not unitary: a twist is off the unit circle")
@@ -526,6 +526,31 @@ def decompose_center(tube: TubeAlgebra, seed=0) -> CenterData:
     S = (D.reshape(len(D), -1) @ Dt.reshape(len(D), -1).T)[np.ix_(order, order)]
     return CenterData(simples=[simples[i] for i in order], S=S,
                       T=np.diag(twists[order]), cd=cd)
+
+
+def _corner_simples(tube: TubeAlgebra, corners, weights, scale):
+    """One simple per block, from the module of the first corner projection
+    it claims, and the (simples, rank, rank, rank) array of its
+    half-braiding traces."""
+    cd = tube.cd
+    d = cd.dims.dims
+    rank = cd.ring.rank
+    Q = np.array([q for _m, _x, q in corners])
+    unclaimed = np.ones(len(corners), dtype=bool)
+    # half-braiding traces, one row per simple; zeros leaves the unused rows unallocated
+    D = np.zeros((len(corners), rank, rank, rank), dtype=complex)
+    simples = []
+    for i, (_m, x, q) in enumerate(corners):
+        if not unclaimed[i]:
+            continue
+        copies, pi = _corner_module(tube, x, q, weights)
+        # tr pi(q') is 1 for a minimal projection q' under Z's blocks, else 0
+        unclaimed &= (Q @ np.einsum("kcc->k", pi)).real < 0.5
+        half = _half_braiding(tube, scale, copies, pi, D[len(simples)])
+        mult = np.bincount([y for y, _j in copies], minlength=rank)
+        simples.append(CenterObject(underlying=mult, half_braiding=half, copies=copies,
+                                    twist=1.0, dim=float(d @ mult)))
+    return simples, D[:len(simples)]
 
 
 def center_global_checks(center: CenterData) -> dict:

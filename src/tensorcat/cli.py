@@ -224,7 +224,9 @@ def _dispatch(args) -> int:
     ring = cd.ring
 
     if cmd == "validate":
-        report = validate_category(cd)
+        # load_category has validated a full --input file, but not a partial one
+        checked = not (args.catalog or args.no_validate or cd.partial)
+        report = [] if checked else validate_category(cd)
         _emit({"valid": not report, "problems": report[:200]}, args)
         return EXIT_OK if not report else EXIT_INVALID
 

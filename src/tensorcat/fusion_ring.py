@@ -97,9 +97,13 @@ class FusionRing:
 
     @functools.cached_property
     def channel_table(self):
-        """channel_table[a][b] = channels(a, b), built once per ring."""
-        return tuple(tuple([int(c) for c in np.nonzero(row)[0]] for row in plane)
-                     for plane in self.N)
+        """channel_table[a][b] = channels(a, b), built once per ring from one
+        np.nonzero over N, whose c come grouped by (a, b) in order."""
+        r = self.rank
+        cs = np.nonzero(self.N)[2].tolist()
+        ends = np.cumsum(np.count_nonzero(self.N, axis=2)).tolist()
+        rows = [cs[i:j] for i, j in zip([0] + ends[:-1], ends)]
+        return tuple(tuple(rows[a * r:(a + 1) * r]) for a in range(r))
 
     @functools.cached_property
     def path_cache(self):

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -203,14 +205,19 @@ def test_pointed_tables_match_loop_oracle(qf):
 
 
 def test_pointed_from_quadratic_form_peak_memory():
-    """The per-slab build allocates no more at its peak than the loops."""
-    peaks = []
-    for build in (pointed_from_quadratic_form, pointed_from_quadratic_form_by_loops):
-        tracemalloc.start()
-        cd = build(DZ6)
-        peaks.append(tracemalloc.get_traced_memory()[1])
-        tracemalloc.stop()
-        del cd
+    """The per-slab build, which runs at the first access to F.entries,
+    allocates no more at its peak than the loops' whole construction."""
+    cd = pointed_from_quadratic_form(DZ6)
+    tracemalloc.start()
+    cd.F.entries
+    peaks = [tracemalloc.get_traced_memory()[1]]
+    tracemalloc.stop()
+    del cd
+    tracemalloc.start()
+    cd = pointed_from_quadratic_form_by_loops(DZ6)
+    peaks.append(tracemalloc.get_traced_memory()[1])
+    tracemalloc.stop()
+    del cd
     assert peaks[0] <= peaks[1], peaks
 
 
@@ -312,21 +319,160 @@ def test_deligne_product_data_matches_loop_oracle(fib, ising_cat, toric):
 
 
 def test_deligne_product_keeps_its_fresh_dicts(ising_cat):
-    """deligne_product_data hands its F and R dicts to the symbol sets
-    uncopied: building ising (x) ising peaks less than one F dict table above
-    what it keeps, where a copy adds one.  The public constructor still copies."""
+    """The first access to a Deligne product's F.entries builds the dict
+    the symbol set keeps, uncopied: on ising (x) ising it peaks less than
+    half an F dict table above what it keeps (a quarter, measured), where a
+    copy adds a whole one.  The public constructor still copies."""
     import sys
     from tensorcat.category_data import FSymbolSet
-    deligne_product_data(ising_cat, ising_cat)   # fill the factors' caches
+    deligne_product_data(ising_cat, ising_cat).F.entries   # fill the factors' caches
+    cd = deligne_product_data(ising_cat, ising_cat)
     tracemalloc.start()
     try:
-        cd = deligne_product_data(ising_cat, ising_cat)
+        cd.F.entries
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - kept < sys.getsizeof(cd.F.entries), (kept, peak)
+    assert peak - kept < sys.getsizeof(cd.F.entries) // 2, (kept, peak)
     entries = dict(cd.F.entries)
     assert FSymbolSet(entries).entries is not entries
+
+
+def _admissible_keys(ring):
+    """Admissible (a, b, c, d, e, f) without a unit leg."""
+    ch = ring.channels
+    return [(a, b, c, d, e, f) for a, b, c in itertools.product(range(1, ring.rank), repeat=3)
+            for e in ch(a, b) for d in ch(e, c) for f in ch(b, c) if d in ch(a, f)]
+
+
+LAZY_CASES = {
+    "vec_z6": lambda: catalog_category("vec_z6"),
+    "toric(x)toric": lambda: deligne_product_data(catalog_category("toric_code"),
+                                                  catalog_category("toric_code")),
+    "fib(x)ising": lambda: deligne_product_data(catalog_category("fibonacci"),
+                                                catalog_category("ising")),
+    "ising(x)ising": lambda: deligne_product_data(catalog_category("ising"),
+                                                  catalog_category("ising")),
+    "z6(x)rev": lambda: deligne_product_data(vec_zn(6, 1), reverse_braiding(vec_zn(6, 1))),
+    "D(Z6)": lambda: pointed_from_quadratic_form(DZ6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAZY_CASES))
+def test_f_read_before_the_bulk_build_is_bit_identical(name):
+    """An entry computed on its first read equals, bit for bit and in type,
+    the one the bulk build of F.entries gives, read before or after it;
+    the bulk build keeps the order it had and replaces what was computed."""
+    lazy, bulk = LAZY_CASES[name](), LAZY_CASES[name]()
+    keys = _admissible_keys(lazy.ring)
+    first = [lazy.fval(*k) for k in keys]
+    assert len(lazy.F._held) == len(keys)
+    entries = bulk.F.entries
+    assert sorted(entries) == sorted(keys)
+    for k, v in zip(keys, first):
+        assert v == entries[k] and type(v) is type(entries[k]), k
+    assert list(lazy.F.entries.items()) == list(entries.items())
+    assert all(lazy.fval(*k) is lazy.F.entries[k] for k in keys)
+    if name == "D(Z6)":
+        ref = pointed_from_quadratic_form_by_loops(DZ6)
+        assert list(entries.items()) == list(ref.F.entries.items())
+
+
+@pytest.mark.parametrize("name", sorted(LAZY_CASES))
+def test_f_first_read_rejects_inadmissible_tuples(name):
+    """Not admissible, out of range or not a label: the message a missing
+    entry of an explicit table gives, before and after the bulk build."""
+    cd = LAZY_CASES[name]()
+    r = cd.ring.rank
+    bad = [(1, 1, 1, 1, 1, r), (1, 1, 1, 1, 1, -1), (1, 1, 1, 1, 1, 1.5)]
+    good = set(_admissible_keys(cd.ring))
+    bad += [k for k in itertools.product(range(1, min(r, 4)), repeat=6) if k not in good][:20]
+    for _ in range(2):
+        for key in bad:
+            with pytest.raises(StructuralError,
+                               match=re.escape(f"missing F entry for admissible tuple {key}")):
+                cd.fval(*key)
+        cd.F.entries
+
+
+@pytest.mark.parametrize("name", ["fib(x)ising", "D(Z6)"])
+def test_fault_injection_reaches_computed_f(name):
+    """A copy whose F.entries is edited reports it in verify_pentagon, and
+    fval returns the edited value, whether or not the entry was read
+    before the copy."""
+    cd = LAZY_CASES[name]()
+    key = _admissible_keys(cd.ring)[-1]
+    for read_first in (False, True):
+        if read_first:
+            cd.fval(*key)
+        bad = copy.deepcopy(cd)
+        want = -cd.fval(*key)
+        bad.F.entries[key] *= -1
+        assert bad.fval(*key) == want
+        assert verify_pentagon(bad) != []
+    assert verify_pentagon(cd) == []
+
+
+def test_f_bulk_build_runs_once_across_threads():
+    """Threads that find F.entries unbuilt get one dict from one build, and
+    threads making first reads meanwhile read the values it holds."""
+    import sys
+    import threading
+    import time
+    cd, ref = LAZY_CASES["D(Z6)"](), LAZY_CASES["D(Z6)"]().F.entries
+    keys = list(ref)[::7]
+    build, calls = cd.F._build, []
+
+    def slow_build():
+        calls.append(1)
+        time.sleep(0.05)
+        return build()
+
+    cd.F._build = slow_build
+    start = threading.Barrier(6, timeout=10)
+    dicts, reads = [], []
+
+    def bulk():
+        start.wait()
+        dicts.append(cd.F.entries)
+
+    def first_reads():
+        start.wait()
+        reads.append([cd.fval(*k) for k in keys])
+
+    threads = [threading.Thread(target=f) for f in (bulk, first_reads) * 3]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(calls) == 1 and len(dicts) == 3 and len(reads) == 3
+    assert all(e is cd.F.entries for e in dicts)
+    assert all(got == [ref[k] for k in keys] for got in reads)
+    assert list(cd.F.entries.items()) == list(ref.items())
+
+
+def test_deligne_f_reads_its_factors_when_it_computes(fib, ising_cat):
+    """A product's F reads its factors when it computes an entry, on a first
+    read or in the bulk build of F.entries: an edit made through a factor's
+    F.entries after the product exists reaches what is computed after it,
+    and nothing once F.entries is built."""
+    c1 = copy.deepcopy(fib)
+    p, ref = deligne_product_data(c1, ising_cat), deligne_product_data(fib, ising_cat)
+    k = ising_cat.ring.rank
+    read, unread = [key for key in _admissible_keys(p.ring) if all(x // k == 1 for x in key)][:2]
+    assert p.fval(*read) == ref.fval(*read)
+    c1.F.entries[(1, 1, 1, 1, 1, 1)] *= -1
+    assert p.fval(*read) == ref.fval(*read)
+    assert p.fval(*unread) == -ref.fval(*unread)
+    assert p.F.entries[read] == -ref.fval(*read)
+    c1.F.entries[(1, 1, 1, 1, 1, 1)] *= -1
+    assert p.fval(*read) == -ref.fval(*read)
 
 
 def test_deligne_with_unit_is_identity(fib):

@@ -271,7 +271,7 @@ def test_corner_projections_sum_to_central_idempotents(cats, name):
         D, sub = tube.corner(x)
         oracle = central_idempotents_by_nullspace(sub)
         qs = []
-        for _m, f in _corner_projections(sub, weights[D], rng):
+        for _m, f in _corner_projections(sub, weights[D], rng)[0]:
             q = np.zeros(tube.dim, dtype=complex)
             q[D] = f
             qs.append(q)
@@ -527,6 +527,70 @@ def test_center_data_seed_independent_on_bench_categories(make):
             assert all(abs(v - w.half_braiding[a][c][key]) < 1e-10
                        for a, comp in z.half_braiding.items()
                        for c, tab in comp.items() for key, v in tab.items()), seed
+
+
+@pytest.mark.parametrize("make, seed", [
+    (lambda: deligne_product_data(catalog_category("fibonacci"), catalog_category("ising")), 420),
+    (lambda: vec_zn(8, 1), 505)], ids=["fib*ising", "vec_zn(8,1)"])
+def test_decompose_center_redraws_when_a_module_overshoots(make, seed):
+    """At these seeds the first draw leaves one module a Gram-Schmidt vector
+    too many (squared sizes summing past the tube dim); the corners are
+    split again and the simples agree with seed 0's."""
+    tube = build_tube_algebra(make())
+
+    def readout(center):
+        return sorted((round(z.dim, 9), round(z.twist.real, 9) + 0.0,
+                       round(z.twist.imag, 9) + 0.0, tuple(z.underlying))
+                      for z in center.simples)
+
+    assert readout(decompose_center(tube, seed=seed)) == readout(
+        decompose_center(tube, seed=0))
+
+
+def test_decompose_center_gives_up_after_four_draws(centers, monkeypatch):
+    """Modules that never exhaust the tube are drawn four times, then the
+    error names the smallest eigenvalue gap seen."""
+    from tensorcat import center_tube
+    _, tube, _ = centers["ising"]
+    calls = []
+
+    def no_simples(tube, corners, weights, scale):
+        calls.append(len(corners))
+        return [], np.zeros((0,) + (tube.cd.ring.rank,) * 3)
+
+    monkeypatch.setattr(center_tube, "_corner_simples", no_simples)
+    with pytest.raises(StructuralError, match=r"do not exhaust the tube algebra after 4 "
+                       r"draws \(smallest eigenvalue gap \d"):
+        decompose_center(tube, seed=0)
+    assert len(calls) == 4
+
+
+def test_pointed_presentation_computes_no_f_entry():
+    """D(Z10) (970,299 F entries) is built without computing any of them."""
+    from tensorcat.center_tube import center_presentation
+    pres, _support = center_presentation(vec_zn(10, 0), None)
+    assert pres.ring.rank == 100 and len(pres.F._held) == 0
+
+
+@pytest.mark.parametrize("n, t, most", [(6, 1, 300), (10, 0, 1500)])
+def test_theorem_c_reads_few_presentation_entries(monkeypatch, n, t, most):
+    """theorem_c_shadow computes only the presentation entries it reads
+    (250 of 42,875 on vec_zn(6,1) (x) rev, 1,458 of 970,299 on D(Z10)), and
+    never builds the whole F dict."""
+    from tensorcat import center_tube
+    built = []
+
+    def presentation(cd, center):
+        pres, support = center_presentation(cd, center)
+        built.append(pres)
+        return pres, support
+
+    center_presentation = center_tube.center_presentation
+    monkeypatch.setattr(center_tube, "center_presentation", presentation)
+    assert center_tube.theorem_c_shadow(vec_zn(n, t))["passed"]
+    (pres,) = built
+    # once built, the held dict is the whole one, of (rank - 1)^3 entries
+    assert 0 < len(pres.F._held) <= most < (pres.ring.rank - 1) ** 3
 
 
 @pytest.mark.parametrize("name", ["fibonacci", "ising", "toric_code", "vec_zn(6,1)"])

@@ -66,6 +66,68 @@ def test_validate_good_and_bad(tmp_path, capsys):
     assert code == 2  # load-time validation also reports failure
 
 
+def test_validate_checks_its_input_once(tmp_path, capsys, monkeypatch):
+    """validate runs validate_category once on each path: at load time for
+    --input, in the command for --no-validate and --catalog; a valid file
+    prints the same bytes either way."""
+    import copy
+    import tensorcat.category_data as category_data
+    import tensorcat.cli as cli
+    calls = []
+
+    def counted(cd):
+        calls.append(cd)
+        return validate(cd)
+
+    validate = category_data.validate_category
+    monkeypatch.setattr(category_data, "validate_category", counted)
+    monkeypatch.setattr(cli, "validate_category", counted)
+    cd = catalog_category("fibonacci")
+    good, bad = tmp_path / "fib.json", tmp_path / "bad.json"
+    save_category(cd, good)
+    broken = copy.deepcopy(cd)
+    broken.R.entries[(1, 1, 1)] = 1.0
+    save_category(broken, bad)
+    partial, bad_partial = _partial_files(tmp_path, cd)
+    outs = {}
+    for argv, code in ((["--input", str(good)], 0),
+                       (["--input", str(good), "--no-validate"], 0),
+                       (["--input", str(bad)], 2),
+                       (["--input", str(bad), "--no-validate"], 2),
+                       (["--input", str(partial)], 0),
+                       (["--input", str(bad_partial)], 2),
+                       (["--catalog", "fibonacci"], 0)):
+        calls.clear()
+        got, outs[tuple(argv)] = run(capsys, "validate", *argv)
+        assert (got, len(calls)) == (code, 1), argv
+    assert outs[("--input", str(good))] == outs[("--input", str(good), "--no-validate")]
+
+
+def _partial_files(tmp_path, cd):
+    """A partial file of cd's ring, as center --emit-category writes one,
+    and a copy whose dual is not an involution."""
+    from dataclasses import replace
+    from tensorcat.category_data import FSymbolSet
+    good, bad = tmp_path / "partial.json", tmp_path / "bad_partial.json"
+    save_category(replace(cd, F=FSymbolSet({}), R=None, partial=True), good)
+    doc = json.loads(good.read_text())
+    doc["dual"] = [0] * len(doc["dual"])
+    bad.write_text(json.dumps(doc))
+    return good, bad
+
+
+def test_validate_checks_a_partial_files_ring(tmp_path, capsys):
+    """load_category checks nothing of a partial file, so validate checks
+    its ring: a dual that is not an involution is reported, exit 2."""
+    good, bad = _partial_files(tmp_path, catalog_category("fibonacci"))
+    code, out = run(capsys, "validate", "--input", str(good))
+    assert code == 0 and json.loads(out)["valid"] is True
+    code, out = run(capsys, "validate", "--input", str(bad))
+    doc = json.loads(out)
+    assert code == 2 and doc["valid"] is False
+    assert "duality: dual(dual(1)) = 0" in doc["problems"]
+
+
 def test_validate_input_uses_tol(tmp_path, capsys):
     import copy
     cd = copy.deepcopy(catalog_category("fibonacci"))

@@ -186,9 +186,19 @@ def test_brute_force_oracle_small_ranks():
 
 
 def test_channel_table_matches_nonzero():
+    """The table from one np.nonzero equals the per-row loop, with the
+    same tuple-of-tuples-of-lists shape, on the catalog, D(Z6) and a
+    Deligne product."""
+    from tensorcat.category_data import QuadraticForm, pointed_from_quadratic_form
     rings = [catalog_category(name).ring for name in catalog_names()]
     rings.append(deligne_product(fib_ring(), catalog_category("ising").ring))
+    rings.append(pointed_from_quadratic_form(
+        QuadraticForm(group=(6, 6), t=(0, 0), cross={(0, 1): 1})).ring)
     for ring in rings:
+        loop = tuple(tuple([int(c) for c in np.nonzero(row)[0]] for row in plane)
+                     for plane in ring.N)
+        assert ring.channel_table == loop and type(ring.channel_table) is tuple
+        assert all(type(plane) is tuple for plane in ring.channel_table)
         for a in range(ring.rank):
             for b in range(ring.rank):
                 want = [int(c) for c in np.nonzero(ring.N[a, b])[0]]
