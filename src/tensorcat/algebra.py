@@ -26,9 +26,7 @@ import numpy as np
 
 from .category_data import (CategoryData, _decode_value, _write_json,
                             deligne_product_data, monoidal_opposite)
-from .diagram_eval import (MorphismValue, cap_morphism, compose_values,
-                           dagger_value, insert, path_vector, scalar_generator,
-                           tensor_values)
+from .diagram_eval import compose_values, dagger_value, insert, scalar_generator
 from .errors import PreconditionError, StructuralError
 
 __all__ = [
@@ -108,16 +106,6 @@ def group_algebra(cd: CategoryData, support) -> AlgebraObject:
                     raise StructuralError(f"support not closed: {a} x {b} contains {c}")
                 mu[(a, b, c)] = 1.0
     return AlgebraObject(support=support, mu=mu)
-
-
-def _max_dev(cd, f: MorphismValue, g: MorphismValue) -> float:
-    ring = cd.ring
-    dev = 0.0
-    for c in set(f.blocks) | set(g.blocks):
-        diff = f.block(ring, c) - g.block(ring, c)
-        if diff.size:
-            dev = max(dev, float(np.max(np.abs(diff))))
-    return dev
 
 
 def _associativity_dev(cd, act, xs, mu, supp) -> float:
@@ -210,8 +198,10 @@ def is_commutative(cd: CategoryData, A: AlgebraObject):
 def canonical_algebra(cd: CategoryData, x) -> AlgebraObject:
     """The Q-system on x (x) dual(x), with multiplication from the duality cap.
 
-    Components are read off from the evaluated diagram id_x (x) cap (x) id
-    and rescaled to the stored gauge.
+    id_x (x) cap (x) id between the trees of x (x) dual(x) is one F-move on
+    each side, so with xb = dual(x), before the unit channels are fixed to 1,
+
+        mu^{ab}_c = sqrt(dim Q) conj(F^{a x xb}_c[x, b]) F^{x xb x}_x[a, 0].
     """
     xi = cd.ring.label_index(x)
     xb = cd.ring.dual[xi]
@@ -221,24 +211,14 @@ def canonical_algebra(cd: CategoryData, x) -> AlgebraObject:
         raise StructuralError(f"x (x) dual(x) has multiplicity for x={x}; out of scope")
     if support == [0]:
         return trivial_algebra()
-    word = (xi, xb)
-    m_raw = insert(cd, (xi,), cap_morphism(cd, xb), (xb,))
-    dx = cd.dims.dims[xi]
-    dQ = sum(cd.dims.dims[c] for c in support)
-    mu = {}
-    for a in support:
-        ia = path_vector(cd, word, a, (xi, a))
-        for b in support:
-            ib = path_vector(cd, word, b, (xi, b))
-            both = tensor_values(cd, ia, ib)
-            for c in ring.channels(a, b):
-                if c not in support:
-                    continue
-                pc = dagger_value(path_vector(cd, word, c, (xi, c)))
-                val = compose_values(cd, pc, compose_values(cd, m_raw, both))
-                coeff = complex(val.block(ring, c)[0, 0])
-                mu[(a, b, c)] = coeff * np.sqrt(dQ) / np.sqrt(dx)
-    # gauge-fix the unit channels to exactly 1
+    root = np.sqrt(sum(cd.dims.dims[c] for c in support))
+    mu = {(a, b, c): root * cd.fval(a, xi, xb, c, xi, b).conjugate() * cd.fval(xi, xb, xi, xi, a, 0)
+          for a in support for b in support for c in ring.channels(a, b) if c in support}
+    return _unit_normalized(cd, support, mu)
+
+
+def _unit_normalized(cd, support, mu) -> AlgebraObject:
+    """The algebra of mu, gauge-fixed so that its unit channels are exactly 1."""
     unit_vals = [mu[k] for k in mu if k[0] == 0 or k[1] == 0]
     nu = unit_vals[0]
     if any(abs(v - nu) > cd.identity_tolerance for v in unit_vals):

@@ -928,7 +928,8 @@ def _write_json(doc: dict, path):
 
 
 def load_category(path, validate=True, tolerance=None) -> CategoryData:
-    """Load the JSON category format; validation runs unless suppressed.
+    """Load the JSON category format; validation, of the ring alone for a
+    partial file, runs unless suppressed.
 
     With ``validate=False`` the data loads with ``deferred_validation`` set
     on the returned object instead of raising on coherence failures.
@@ -948,23 +949,19 @@ def load_category(path, validate=True, tolerance=None) -> CategoryData:
     ring = FusionRing.from_sparse(rank, doc["N"], dual, labels)
     if (ring.N > 1).any():
         raise StructuralError("multiplicity > 1 is out of scope for this format")
-    partial = bool(doc.get("partial", False))
-    dims = fp_dimensions(ring)
+    partial = bool(doc.get("partial", False))    # ring and dims only: F and R are not read
     tol = doc.get("tolerance", CategoryData.tolerance) if tolerance is None else tolerance
-    if partial:
-        return CategoryData(ring=ring, dims=dims, F=FSymbolSet({}), R=None,
-                            tolerance=tol, partial=True)
-
-    F_entries = {(int(a), int(b), int(c), int(d), int(e), int(f)): _decode_value(v)
-                 for a, b, c, d, e, f, v in doc.get("F", [])}
-    R_entries = None if "R" not in doc else {
+    F_entries = {} if partial else {
+        (int(a), int(b), int(c), int(d), int(e), int(f)): _decode_value(v)
+        for a, b, c, d, e, f, v in doc.get("F", [])}
+    R_entries = None if partial or "R" not in doc else {
         (int(a), int(b), int(c)): _decode_value(v) for a, b, c, v in doc["R"]}
     bad = _inadmissible_entries(ring, F_entries, R_entries)
     if bad:
         raise StructuralError(bad[0])
-    cd = CategoryData(ring=ring, dims=dims, F=FSymbolSet._adopt(F_entries),
+    cd = CategoryData(ring=ring, dims=fp_dimensions(ring), F=FSymbolSet._adopt(F_entries),
                       R=RSymbolSet._adopt(R_entries) if R_entries is not None else None,
-                      tolerance=tol, deferred_validation=not validate)
+                      tolerance=tol, partial=partial, deferred_validation=not validate)
     if validate:
         report = validate_category(cd)
         if report:

@@ -24,10 +24,11 @@ m_x(Z) x m_x(Z) matrices.  One eigendecomposition of the left action of a
 random hermitian element, self-adjoint for the trace form, gives minimal
 projections q under every block at once (_corner_projections); q spans one
 copy of Z's irreducible module, the left ideal Tube q.  From that module
-come the multiplicity vector over Irr(C), the half-braiding components
-(one conjugated module matrix per basis vector, times a scale read from one
-F entry; half_braiding_check holds them to the composite-channel axioms
-with diagrams), the dimension, and the traces that S and T contract.
+come the multiplicity vector over Irr(C), the half-braiding (one array
+per simple, filled by one scatter of conjugated module matrices times a
+scale read from one F entry; half_braiding_check holds it to the
+composite-channel axioms read from F), the dimension, and the traces that
+S and T contract.
 
 Conventions: the half-braiding sigma_{c,z}: c (x) z -> z (x) c carries the
 strand of the ambient category over the center object's strand; the braiding
@@ -40,15 +41,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import (_conjugate_vertex_algebra, _max_dev, _rotation_phase,
-                      _zigzag_phases, algebra_dim, group_algebra, is_commutative,
-                      verify_qsystem)
+from .algebra import (_conjugate_vertex_algebra, _rotation_phase, _zigzag_phases,
+                      algebra_dim, group_algebra, is_commutative, verify_qsystem)
 from .category_data import (CategoryData, QuadraticForm, SeededDraws,
                             deligne_product_data, pointed_from_quadratic_form,
                             reverse_braiding)
 from .braided_analysis import is_nondegenerate
-from .diagram_eval import (MorphismValue, compose_values, dagger_value, insert,
-                           path_vector)
 from .errors import PreconditionError, StructuralError
 
 __all__ = [
@@ -138,7 +136,8 @@ class TubeAlgebra:
 @dataclass
 class CenterObject:
     underlying: np.ndarray        # multiplicity vector over Irr(C)
-    half_braiding: dict           # a -> {channel c: matrix (copies) x (copies)}
+    half_braiding: np.ndarray     # [a, c, copy_out, copy_in] = sigma_a on channel c,
+                                  # 0 off the blocks of tube basis vectors
     copies: list                  # ordered list of (x, m) copy labels
     twist: complex
     dim: float
@@ -336,18 +335,22 @@ def _corner_module(tube: TubeAlgebra, x, q, weights):
     return copies, pi
 
 
-def _half_braiding_scale(tube: TubeAlgebra):
-    """scale[k] with sigma_a(c) = scale[k] conj(pi(t_k)) at t_k = t_(x,a,c,y)."""
+def _half_braiding_readout(tube: TubeAlgebra):
+    """(slot, scale) with sigma_a(c) = scale[k] conj(pi(t_k)) at t_k =
+    t_(x,a,c,y), and slot[k] = a * rank + c its place in the flattened
+    first two axes of the half-braiding array."""
     cd = tube.cd
-    d, dual = cd.dims.dims, cd.ring.dual
-    return np.array([np.sqrt(d[x] / (d[y] * d[a])) / cd.fval(y, a, dual[a], y, c, 0)
-                     for x, a, c, y in tube.basis])
+    d, dual, rank = cd.dims.dims, cd.ring.dual, cd.ring.rank
+    slot = np.array([a * rank + c for _x, a, c, _y in tube.basis], dtype=np.intp)
+    scale = np.array([np.sqrt(d[x] / (d[y] * d[a])) / cd.fval(y, a, dual[a], y, c, 0)
+                      for x, a, c, y in tube.basis])
+    return slot, scale
 
 
-def _half_braiding(tube: TubeAlgebra, scale, copies, pi, D):
-    """Half-braiding components of a module, a -> {c: {(copy_out, copy_in): v}};
-    their traces D[a, c, x] = sum_m sigma_a(c; (x, m), (x, m)) are written
-    into the zero (rank, rank, rank) array D.
+def _half_braiding(tube: TubeAlgebra, readout, copies, pi, D):
+    """The half-braiding of a module as one array H[a, c, copy_out, copy_in]
+    = sigma_a(c); its traces D[a, c, x] = sum_m sigma_a(c; (x, m), (x, m))
+    are written into the zero (rank, rank, rank) array D.
 
     A half-braiding with a-components sigma_c: a (x) x -> y (x) a, closed
     against the basis tree with a cap on a, is a matrix unit of its block.
@@ -362,89 +365,78 @@ def _half_braiding(tube: TubeAlgebra, scale, copies, pi, D):
     and pi(t_k) by g = u^{ax}_c u^{c ab}_y and scale by u^{ya}_c u^{c ab}_y,
     so sigma moves by u^{ya}_c / u^{ax}_c as it must (pi would be off by
     g^2); pi is unitary in a trace-orthonormal basis, and so is sigma.
+
+    (a, c, x, y) names at most one t_k, and pi(t_k) is 0 off the copies at
+    y (rows) and x (columns), so one scatter of scale[k] conj(pi(t_k)) into
+    the slots (a, c) fills H, each block from its one source.
     """
-    at = {}
-    for i, (x, _m) in enumerate(copies):
-        at.setdefault(x, []).append(i)
-    half = {a: {} for a in range(tube.cd.ring.rank)}
-    for (x, y), ks in tube.sectors.items():
-        if x not in at or y not in at:
-            continue
-        sigma = np.conj(pi[np.ix_(ks, at[y], at[x])]) * scale[ks, None, None]
-        for k, s in zip(ks, sigma):
-            _x, a, c, _y = tube.basis[k]
-            if x == y:
-                D[a, c, x] = np.trace(s)
-            half[a].setdefault(c, {}).update(
-                ((copies[i], copies[j]), s[u, v])
-                for u, i in enumerate(at[y]) for v, j in enumerate(at[x]))
-    return half
+    rank = tube.cd.ring.rank
+    slot, scale = readout
+    n = len(copies)
+    H = np.zeros((rank * rank, n, n), dtype=complex)
+    np.add.at(H, slot, np.conj(pi) * scale[:, None, None])
+    H = H.reshape(rank, rank, n, n)
+    sector = np.equal.outer([x for x, _m in copies], np.arange(rank))
+    D[...] = np.einsum("acuu,ux->acx", H, sector)
+    return H
 
 
-def _sigma_generator(cd, z: CenterObject, a, copy_out, copy_in) -> MorphismValue:
-    """sigma component as a morphism [a, x] -> [y, a] between chosen copies."""
-    (y, my), (x, mx) = copy_out, copy_in
-    blocks = {}
-    for c, table in z.half_braiding.get(a, {}).items():
-        v = table.get((copy_out, copy_in))
-        if v is not None and abs(v) > 0:
-            blocks[c] = np.array([[v]])
-    return MorphismValue(source=(a, x), target=(y, a), blocks=blocks)
+def _f_moves(cd, a, b, c):
+    """F^{abc}_t[e, f] as a (rank, rank, rank) array over (t, e, f), 0 off the
+    admissible tuples."""
+    ring = cd.ring
+    table = ring.channel_table
+    out = np.zeros((ring.rank,) * 3, dtype=complex)
+    for e in table[a][b]:
+        for f in table[b][c]:
+            for t in table[e][c]:
+                if t in table[a][f]:
+                    out[t, e, f] = cd.fval(a, b, c, t, e, f)
+    return out
 
 
 def half_braiding_check(cd: CategoryData, z: CenterObject) -> list:
-    """Composite-channel axioms for the half-braiding components.
+    """The half-braiding axioms, read from F and the array z.half_braiding.
 
-    For all simples a, b and every channel g of a (x) b, the component of
-    sigma at g must match the two-step braid conjugated by the fusion tree,
-    and sigma at the unit must be the identity.
+    sigma_0 must be the identity.  For all simples a, b, every channel g of
+    a (x) b, every copy ci at x and co at y and every channel t,
+
+        sum_{w, f, h} F^{abx}_t[g, f] sigma_b(f)_{w<-x} conj(F^{awb}_t[h, f])
+                      sigma_a(h)_{y<-w} F^{yab}_t[h, g] = sigma_g(t)_{y<-x},
+
+    with w over the copies, f in b (x) x and h in a (x) w: sigma_b and then
+    sigma_a on a (x) b (x) x, carried by F from the tree ((ab)_g x)_t to
+    (a(bx)_f)_t, then ((aw)_h b)_t and back to (y(ab)_g)_t, is sigma_g.  One
+    contraction per a covers every b, copy pair and channel.  The report
+    has a line per failing copy pair of sigma_0, then per failing
+    (a, b, ci, co, g), in that order.
     """
-    ring = cd.ring
-    report = []
-    tol = cd.identity_tolerance
-    # unit component
-    for c, table in z.half_braiding.get(0, {}).items():
-        for ((yc, my), (xc, mx)), v in table.items():
-            want = 1.0 if (yc, my) == (xc, mx) else 0.0
-            if abs(v - want) > tol:
-                report.append(f"sigma_0 not identity at {((yc, my), (xc, mx))}")
-    for a in range(ring.rank):
-        for b in range(ring.rank):
-            for ci in z.copies:
-                for co in z.copies:
-                    # two-step: (sigma_a (x) id_b) (id_a (x) sigma_b) on [a, b, x]
-                    two = {}
-                    for mid in z.copies:
-                        s_b = _sigma_generator(cd, z, b, mid, ci)
-                        s_a = _sigma_generator(cd, z, a, co, mid)
-                        if not s_b.blocks or not s_a.blocks:
-                            continue
-                        term = compose_values(
-                            cd, insert(cd, (), s_a, (b,)),
-                            insert(cd, (a,), s_b, ()))
-                        for t, blk in term.blocks.items():
-                            if blk.size:
-                                two[t] = two.get(t, np.zeros_like(blk)) + blk
-                    x = ci[0]
-                    y = co[0]
-                    for g in ring.channels(a, b):
-                        # conjugate by the tree g -> a (x) b on both sides
-                        psi_in = insert(cd, (), path_vector(cd, (a, b), g, (a, g)), (x,))
-                        psi_out = insert(cd, (y,), dagger_value(
-                            path_vector(cd, (a, b), g, (a, g))), ())
-                        gmv = _sigma_generator(cd, z, g, co, ci)
-                        composite = compose_values(
-                            cd, psi_out,
-                            compose_values(
-                                cd,
-                                MorphismValue(source=(a, b, x), target=(y, a, b),
-                                              blocks=two),
-                                psi_in))
-                        dev = _max_dev(cd, composite, gmv)
-                        if dev > tol:
-                            report.append(
-                                f"hexagon fails at a={a}, b={b}, g={g}, "
-                                f"copies {ci}->{co}: dev={dev:.3e}")
+    ring, tol, H = cd.ring, cd.identity_tolerance, z.half_braiding
+    copies = z.copies
+    report = [f"sigma_0 not identity at {(co, ci)}"
+              for u, co in enumerate(copies) for v, ci in enumerate(copies)
+              if co[0] == ci[0] and abs(H[0, co[0], u, v] - (u == v)) > tol]
+    xs = sorted({x for x, _m in copies})
+    at = [xs.index(x) for x, _m in copies]      # each copy's sector, as a position in xs
+    labels = range(ring.rank)
+
+    def moves(key):
+        """[b, copy, t, e, f]: the F-moves at key(b, the copy's sector)."""
+        return np.array([[_f_moves(cd, *key(b, x)) for x in xs] for b in labels])[:, at]
+
+    want = H.transpose(1, 0, 2, 3)              # [t, g, co, ci] = sigma_g(t)
+    for a in labels:
+        f_in = moves(lambda b, x: (a, b, x))              # [b, ci, t, g, f] = F^{abx}_t[g, f]
+        f_mid = moves(lambda b, w: (a, w, b)).conj()      # [b, w, t, h, f] = conj F^{awb}_t[h, f]
+        f_out = moves(lambda b, y: (y, a, b))             # [b, co, t, h, g] = F^{yab}_t[h, g]
+        two = np.einsum("bitgf,bfwi->btgfwi", f_in, H)    # sigma_b
+        two = np.einsum("bwthf,btgfwi->btghwi", f_mid, two)
+        two = np.einsum("how,btghwi->btghoi", H[a], two)  # sigma_a
+        two = np.einsum("bothg,btghoi->btgoi", f_out, two)
+        dev = np.abs(two - want).max(axis=1) * ring.N[a, :, :, None, None]   # [b, g, co, ci]
+        for b, i, o, g in np.argwhere(dev.transpose(0, 3, 2, 1) > tol):
+            report.append(f"hexagon fails at a={a}, b={b}, g={g}, "
+                          f"copies {copies[i]}->{copies[o]}: dev={dev[b, g, o, i]:.3e}")
     return report
 
 
@@ -453,8 +445,9 @@ def decompose_center(tube: TubeAlgebra, seed=0) -> CenterData:
 
     One simple per block of the tube algebra, built in the corner where its
     multiplicity is smallest (the first such x).  Nothing is solved: each
-    half-braiding component is one module matrix entry, conjugated so that
-    it follows the gauge of F, times one F entry (see _half_braiding),
+    entry of a simple's half-braiding array is one module matrix entry,
+    conjugated so that it follows the gauge of F, times one F entry (see
+    _half_braiding),
 
         sigma_a(c) = conj(pi(t_(x,a,c,y))) sqrt(d_x / d_y) / (sqrt(d_a) F^{y a dual(a)}_y[c, 0]),
 
@@ -478,7 +471,7 @@ def decompose_center(tube: TubeAlgebra, seed=0) -> CenterData:
     rank = cd.ring.rank
     weights = tube.trace_weights()
     rng = SeededDraws((seed, 1))
-    scale = _half_braiding_scale(tube)
+    readout = _half_braiding_readout(tube)
     attempts = 4
     min_gap = np.inf
     for _ in range(attempts):
@@ -492,7 +485,7 @@ def decompose_center(tube: TubeAlgebra, seed=0) -> CenterData:
                 q[D] = f
                 corners.append((m, x, q))
         corners.sort(key=lambda c: c[:2])
-        simples, D = _corner_simples(tube, corners, weights, scale)
+        simples, D = _corner_simples(tube, corners, weights, readout)
         # a split just past split_resolution can leave a module's Gram-Schmidt
         # a vector too many; every corner is then split again, further on
         # in the same stream
@@ -528,7 +521,7 @@ def decompose_center(tube: TubeAlgebra, seed=0) -> CenterData:
                       T=np.diag(twists[order]), cd=cd)
 
 
-def _corner_simples(tube: TubeAlgebra, corners, weights, scale):
+def _corner_simples(tube: TubeAlgebra, corners, weights, readout):
     """One simple per block, from the module of the first corner projection
     it claims, and the (simples, rank, rank, rank) array of its
     half-braiding traces."""
@@ -546,7 +539,7 @@ def _corner_simples(tube: TubeAlgebra, corners, weights, scale):
         copies, pi = _corner_module(tube, x, q, weights)
         # tr pi(q') is 1 for a minimal projection q' under Z's blocks, else 0
         unclaimed &= (Q @ np.einsum("kcc->k", pi)).real < 0.5
-        half = _half_braiding(tube, scale, copies, pi, D[len(simples)])
+        half = _half_braiding(tube, readout, copies, pi, D[len(simples)])
         mult = np.bincount([y for y, _j in copies], minlength=rank)
         simples.append(CenterObject(underlying=mult, half_braiding=half, copies=copies,
                                     twist=1.0, dim=float(d @ mult)))

@@ -24,14 +24,14 @@ from .algebra import (AlgebraObject, canonical_algebra, is_commutative,
 from .braided_analysis import (find_centralizing_object, gamma_characters,
                                muger_centralizer, restriction_hom, s_matrix,
                                twists, verify_hypergroup_hom)
-from .category_data import (CategoryData, check_tolerance, load_category,
-                            save_category, validate_category)
+from .category_data import (CategoryData, FSymbolSet, check_tolerance,
+                            load_category, save_category, validate_category)
 from .center_tube import (build_tube_algebra, center_global_checks,
                           decompose_center)
 from .diagram_eval import categorical_trace, evaluate, parse_diagram, typecheck
 from .errors import PreconditionError, StructuralError, ValidationFailure
-from .fusion_ring import fp_dimensions
-from .local_modules import (condensation_identity_check,
+from .fusion_ring import FusionRing, fp_dimensions
+from .local_modules import (_verlinde, condensation_identity_check,
                             enumerate_local_modules, load_module)
 
 EXIT_OK = 0
@@ -224,8 +224,8 @@ def _dispatch(args) -> int:
     ring = cd.ring
 
     if cmd == "validate":
-        # load_category has validated a full --input file, but not a partial one
-        checked = not (args.catalog or args.no_validate or cd.partial)
+        # load_category has validated an --input file
+        checked = not (args.catalog or args.no_validate)
         report = [] if checked else validate_category(cd)
         _emit({"valid": not report, "problems": report[:200]}, args)
         return EXIT_OK if not report else EXIT_INVALID
@@ -359,26 +359,10 @@ def _dispatch(args) -> int:
 
 def _write_center_category(cd, center, path):
     """Partial CategoryData for Z(C): Verlinde fusion ring and dims only."""
-    from .fusion_ring import FusionRing
-    S = center.S
-    r = len(center.simples)
     total = np.sqrt(np.sum([z.dim ** 2 for z in center.simples]))
-    Snorm = S / total
-    N = np.zeros((r, r, r), dtype=np.int64)
-    for a in range(r):
-        for b in range(r):
-            for c in range(r):
-                val = np.sum(Snorm[a, :] * Snorm[b, :] * np.conj(Snorm[c, :])
-                             / Snorm[0, :])
-                n = int(round(val.real))
-                if abs(val - n) > cd.identity_tolerance:
-                    raise StructuralError(
-                        f"Verlinde coefficient not integral at ({a},{b},{c}): {val}")
-                N[a, b, c] = n
-    ring = FusionRing.from_fusion([f"z{i}" for i in range(r)], N)
-    dims = fp_dimensions(ring)
-    from .category_data import CategoryData, FSymbolSet
-    zcd = CategoryData(ring=ring, dims=dims, F=FSymbolSet({}), R=None,
+    N = _verlinde(center.S / total, cd.identity_tolerance)
+    ring = FusionRing.from_fusion([f"z{i}" for i in range(len(N))], N)
+    zcd = CategoryData(ring=ring, dims=fp_dimensions(ring), F=FSymbolSet({}), R=None,
                        tolerance=cd.tolerance, partial=True)
     save_category(zcd, path)
 

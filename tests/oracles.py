@@ -634,19 +634,98 @@ def record_linalg_calls(monkeypatch, *names):
     return seen
 
 
+def _sigma_value(z, a, copy_out, copy_in):
+    """sigma_a of z between two copies, as a morphism [a, x] -> [y, a] with
+    one 1x1 block per channel where it is nonzero."""
+    from tensorcat.diagram_eval import MorphismValue
+    column = z.half_braiding[a, :, z.copies.index(copy_out), z.copies.index(copy_in)]
+    blocks = {int(c): np.array([[column[c]]]) for c in np.flatnonzero(column)}
+    return MorphismValue(source=(a, copy_in[0]), target=(copy_out[0], a), blocks=blocks)
+
+
+def _max_dev(cd, f, g):
+    """Largest entry of f - g over the blocks of either morphism value."""
+    ring = cd.ring
+    dev = 0.0
+    for c in set(f.blocks) | set(g.blocks):
+        diff = f.block(ring, c) - g.block(ring, c)
+        if diff.size:
+            dev = max(dev, float(np.max(np.abs(diff))))
+    return dev
+
+
+def half_braiding_check_by_diagrams(cd, z):
+    """center_tube.half_braiding_check with one evaluated diagram per
+    (a, b, copy pair, channel): the two-step braid (sigma_a (x) id_b)
+    (id_a (x) sigma_b), summed over the middle copies, conjugated by the
+    fusion tree g -> a (x) b on both sides and compared with sigma_g."""
+    from tensorcat.diagram_eval import (MorphismValue, compose_values, dagger_value,
+                                        insert, path_vector)
+    ring = cd.ring
+    tol = cd.identity_tolerance
+    H = z.half_braiding
+    report = [f"sigma_0 not identity at {(co, ci)}"
+              for u, co in enumerate(z.copies) for v, ci in enumerate(z.copies)
+              if co[0] == ci[0] and abs(H[0, co[0], u, v] - (u == v)) > tol]
+    for a in range(ring.rank):
+        for b in range(ring.rank):
+            for ci in z.copies:
+                for co in z.copies:
+                    two = {}
+                    for mid in z.copies:
+                        s_b = _sigma_value(z, b, mid, ci)
+                        s_a = _sigma_value(z, a, co, mid)
+                        if not s_b.blocks or not s_a.blocks:
+                            continue
+                        term = compose_values(cd, insert(cd, (), s_a, (b,)),
+                                              insert(cd, (a,), s_b, ()))
+                        for t, blk in term.blocks.items():
+                            if blk.size:
+                                two[t] = two.get(t, np.zeros_like(blk)) + blk
+                    x, y = ci[0], co[0]
+                    for g in ring.channels(a, b):
+                        tree = path_vector(cd, (a, b), g, (a, g))
+                        psi_in = insert(cd, (), tree, (x,))
+                        psi_out = insert(cd, (y,), dagger_value(tree), ())
+                        composite = compose_values(cd, psi_out, compose_values(
+                            cd, MorphismValue(source=(a, b, x), target=(y, a, b), blocks=two),
+                            psi_in))
+                        dev = _max_dev(cd, composite, _sigma_value(z, g, co, ci))
+                        if dev > tol:
+                            report.append(f"hexagon fails at a={a}, b={b}, g={g}, "
+                                          f"copies {ci}->{co}: dev={dev:.3e}")
+    return report
+
+
 def center_twist_by_traces(cd, z):
     """theta_z = sum over copies (x, m) of the categorical trace of
     sigma_x((x, m), (x, m)), divided by dim z."""
-    from tensorcat.center_tube import _sigma_generator
     from tensorcat.diagram_eval import MorphismValue, categorical_trace
 
     total = 0.0 + 0.0j
     for copy in z.copies:
-        sg = _sigma_generator(cd, z, copy[0], copy, copy)
+        sg = _sigma_value(z, copy[0], copy, copy)
         if sg.blocks:
             total += categorical_trace(cd, MorphismValue(
                 source=sg.source, target=sg.source, blocks=sg.blocks))
     return complex(total / z.dim)
+
+
+def center_fusion_by_loops(cd, center):
+    """The Verlinde fusion tensor of a center, N[a, b, c] = sum_m S_am S_bm
+    conj(S_cm) / S_0m with S normalized by sqrt(sum dim^2), one entry at a
+    time; AssertionError on a non-integral entry."""
+    total = np.sqrt(np.sum([z.dim ** 2 for z in center.simples]))
+    S = center.S / total
+    r = len(S)
+    N = np.zeros((r, r, r), dtype=np.int64)
+    for a in range(r):
+        for b in range(r):
+            for c in range(r):
+                val = np.sum(S[a, :] * S[b, :] * np.conj(S[c, :]) / S[0, :])
+                N[a, b, c] = n = int(round(val.real))
+                assert abs(val - n) <= cd.identity_tolerance, (a, b, c, val)
+    return N
 
 
 def central_idempotents_by_nullspace(tube, seed=0):
@@ -684,7 +763,6 @@ def central_idempotents_by_nullspace(tube, seed=0):
 def center_s_by_traces(cd, simples):
     """S[z, w]: for every copy of z in sector x and of w in sector x', the
     categorical trace of sigma^z_{x'} composed with sigma^w_x."""
-    from tensorcat.center_tube import _sigma_generator
     from tensorcat.diagram_eval import categorical_trace, compose_values
 
     r = len(simples)
@@ -693,11 +771,39 @@ def center_s_by_traces(cd, simples):
         for j, w in enumerate(simples):
             for cz in z.copies:
                 for cw in w.copies:
-                    a1 = _sigma_generator(cd, w, cz[0], cw, cw)   # [x, x'] -> [x', x]
-                    a2 = _sigma_generator(cd, z, cw[0], cz, cz)   # [x', x] -> [x, x']
+                    a1 = _sigma_value(w, cz[0], cw, cw)   # [x, x'] -> [x', x]
+                    a2 = _sigma_value(z, cw[0], cz, cz)   # [x', x] -> [x, x']
                     if a1.blocks and a2.blocks:
                         S[i, j] += categorical_trace(cd, compose_values(cd, a2, a1))
     return S
+
+
+def canonical_algebra_by_diagrams(cd, x):
+    """algebra.canonical_algebra with each mu^{ab}_c read off the evaluated
+    diagram id_x (x) cap (x) id between the trees of x (x) dual(x)."""
+    from tensorcat.algebra import _unit_normalized, trivial_algebra
+    from tensorcat.diagram_eval import (cap_morphism, compose_values, dagger_value,
+                                        insert, path_vector, tensor_values)
+    ring = cd.ring
+    xi = ring.label_index(x)
+    xb = ring.dual[xi]
+    support = ring.channels(xi, xb)
+    if support == [0]:
+        return trivial_algebra()
+    word = (xi, xb)
+    m_raw = insert(cd, (xi,), cap_morphism(cd, xb), (xb,))
+    scale = np.sqrt(sum(cd.dims.dims[c] for c in support) / cd.dims.dims[xi])
+    mu = {}
+    for a in support:
+        ia = path_vector(cd, word, a, (xi, a))
+        for b in support:
+            both = tensor_values(cd, ia, path_vector(cd, word, b, (xi, b)))
+            for c in ring.channels(a, b):
+                if c in support:
+                    pc = dagger_value(path_vector(cd, word, c, (xi, c)))
+                    val = compose_values(cd, pc, compose_values(cd, m_raw, both))
+                    mu[(a, b, c)] = complex(val.block(ring, c)[0, 0]) * scale
+    return _unit_normalized(cd, support, mu)
 
 
 def algebras_gauge_equivalent(A1, A2, tol=1e-8):
@@ -760,7 +866,6 @@ def _sum_values(cd, values, source, target):
 def _associativity_by_diagrams(cd, act, xs, mu, supp):
     """Largest blockwise deviation of act(act (x) id) from act(id (x) mu),
     act and mu scalar generators, every term an evaluated diagram."""
-    from tensorcat.algebra import _max_dev
     from tensorcat.diagram_eval import compose_values, insert
     dev = 0.0
     for x in xs:
@@ -789,7 +894,6 @@ def qsystem_residuals_by_diagrams(cd, A):
     """(associativity, frobenius) of algebra.verify_qsystem, unscaled, from
     evaluated diagrams: the mu components bound as scalar generators and
     both sides of each axiom composed with insert and compose_values."""
-    from tensorcat.algebra import _max_dev
     from tensorcat.diagram_eval import compose_values, dagger_value, insert
     gens = _generators(cd, A.mu)
     supp = A.support

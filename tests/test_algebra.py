@@ -12,7 +12,8 @@ from tensorcat.category_data import reverse_braiding
 from tensorcat.errors import StructuralError
 from tensorcat.local_modules import is_local, regular_module
 
-from oracles import PHI, algebras_gauge_equivalent
+from oracles import (PHI, algebras_gauge_equivalent, canonical_algebra_by_diagrams,
+                     psu2_category, vertex_gauge)
 
 
 def test_trivial_algebra_passes(fib):
@@ -63,6 +64,28 @@ def test_canonical_all_simples_all_catalog(cats):
             assert rep.passed, (name, x, rep.residuals)
             dx = cd.dims.dims[x]
             assert algebra_dim(cd, A) == pytest.approx(dx * dx, abs=1e-9)
+
+
+@pytest.mark.parametrize("name", ["catalog", "fib*ising", "PSU(2)_6", "ising:gauged",
+                                  "fibonacci:gauged"])
+def test_canonical_algebra_matches_the_cap_diagram(cats, name):
+    """mu read from two F entries equals mu read off the evaluated diagram
+    id_x (x) cap (x) id to 1e-12, for every x, in the stored gauge and in
+    random vertex gauges."""
+    from tensorcat.category_data import deligne_product_data
+    base, gauged = name.partition(":")[::2]
+    if base == "catalog":
+        cases = list(cats.values())
+    elif gauged:
+        cases = [vertex_gauge(cats[base], seed) for seed in (1, 2, 3)]
+    else:
+        cases = [deligne_product_data(cats["fibonacci"], cats["ising"])
+                 if base == "fib*ising" else psu2_category(6)]
+    for cd in cases:
+        for x in range(cd.ring.rank):
+            A, B = canonical_algebra(cd, x), canonical_algebra_by_diagrams(cd, x)
+            assert A.support == B.support and set(A.mu) == set(B.mu), (cd.name, x)
+            assert max(abs(A.mu[k] - B.mu[k]) for k in A.mu) < 1e-12, (cd.name, x)
 
 
 def test_connectedness():

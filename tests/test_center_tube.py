@@ -11,7 +11,7 @@ from tensorcat.algebra import (AlgebraObject, algebra_dim, is_commutative,
                                solve_support_algebra, verify_qsystem)
 from tensorcat.catalog import catalog_category, catalog_names, vec_zn
 from tensorcat.center_tube import (_corner_module, _corner_projections,
-                                   _half_braiding_scale, build_tube_algebra,
+                                   _half_braiding_readout, build_tube_algebra,
                                    center_global_checks, center_presentation,
                                    decompose_center, half_braiding_check,
                                    lagrangian_algebra, theorem_c_shadow)
@@ -19,9 +19,11 @@ from tensorcat.category_data import deligne_product_data, reverse_braiding
 from tensorcat.errors import StructuralError
 from tensorcat.local_modules import condensation_identity_check
 
-from oracles import (PHI, algebras_gauge_equivalent, center_s_by_traces,
-                     center_twist_by_traces, central_idempotents_by_nullspace,
-                     dense_tube, half_braiding_W_by_entries, mate_phase_by_diagrams,
+from oracles import (PHI, algebras_gauge_equivalent, center_fusion_by_loops,
+                     center_s_by_traces, center_twist_by_traces,
+                     central_idempotents_by_nullspace, dense_tube,
+                     half_braiding_W_by_entries, half_braiding_check_by_diagrams,
+                     mate_phase_by_diagrams,
                      record_diagram_calls, record_linalg_calls,
                      rotation_isometry_by_diagrams, tube_product_by_pairs,
                      psu2_category, tube_star_by_diagrams, vertex_gauge)
@@ -223,14 +225,9 @@ def test_tube_build_evaluates_no_diagram(cats, name, monkeypatch):
     """Every structure constant, star coefficient and rotation phase is read
     from F: the build calls neither insert nor compose_values, however many
     basis pairs the tube has."""
-    import tensorcat.center_tube as ct
     cd = (deligne_product_data(cats["fibonacci"], cats["ising"]) if name == "fib*ising"
           else cats[name])
-    calls = []
-    insert, compose = ct.insert, ct.compose_values
-    monkeypatch.setattr(ct, "insert", lambda *a, **k: calls.append(1) or insert(*a, **k))
-    monkeypatch.setattr(ct, "compose_values",
-                        lambda *a, **k: calls.append(1) or compose(*a, **k))
+    calls = record_diagram_calls(monkeypatch)
     tube = build_tube_algebra(cd)
     assert not calls
     pairs = sum(len(tube.sectors[x, y]) * len(tube.sectors[y, z]) for x, y, z in tube.blocks)
@@ -417,11 +414,84 @@ def test_half_braiding_check_detects_corruption(centers):
     cd, _, center = centers["fibonacci"]
     z = copy.deepcopy(center.simples[-1])  # the dim phi^2 object
     a = 1
-    comp = z.half_braiding[a]
-    c = next(iter(comp))
-    key = next(iter(comp[c]))
-    comp[c][key] *= -1.0
+    c, u, v = np.argwhere(z.half_braiding[a] != 0)[0]    # the first admissible entry
+    z.half_braiding[a, c, u, v] *= -1.0
     assert half_braiding_check(cd, z)
+
+
+CHECK_CASES = {**{name: functools.partial(catalog_category, name) for name in catalog_names()},
+               "fib*ising": lambda: deligne_product_data(catalog_category("fibonacci"),
+                                                         catalog_category("ising")),
+               "PSU(2)_6": lambda: psu2_category(6),
+               **{f"{name}:gauged{seed}": functools.partial(
+                   lambda mk, seed: vertex_gauge(mk(), seed), mk, seed)
+                  for name, mk in (("fibonacci", lambda: catalog_category("fibonacci")),
+                                   ("ising", lambda: catalog_category("ising")),
+                                   ("vec_zn(3,2)", lambda: vec_zn(3, 2)))
+                  for seed in (1, 2, 3)}}
+
+
+def _assert_same_report(got, want):
+    """Equal lines, each dev within 1e-9 or, past that, the 3 digits printed."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        (g_head, _, g_dev), (w_head, _, w_dev) = g.rpartition("dev="), w.rpartition("dev=")
+        assert g_head == w_head
+        if w_head:
+            assert abs(float(g_dev) - float(w_dev)) <= 1e-9 + 1e-3 * float(w_dev), (g, w)
+
+
+def _compare_with_diagram_check(cd, simples):
+    """half_braiding_check against the diagram oracle on every simple, as
+    computed and with the first admissible entry of its first sigma_a with
+    a != 0 negated (of sigma_0 in a rank-1 category).  Returns the seconds
+    each took on the simples as computed."""
+    import copy
+    import time
+    seconds = np.zeros(2)
+    for z in simples:
+        reports = []
+        for k, check in enumerate((half_braiding_check, half_braiding_check_by_diagrams)):
+            start = time.perf_counter()
+            reports.append(check(cd, z))
+            seconds[k] += time.perf_counter() - start
+        _assert_same_report(*reports)
+        bad = copy.deepcopy(z)
+        hit = np.argwhere(bad.half_braiding != 0)
+        bad.half_braiding[tuple(hit[np.argmax(hit[:, 0] > 0)])] *= -1
+        _assert_same_report(half_braiding_check(cd, bad),
+                            half_braiding_check_by_diagrams(cd, bad))
+    return seconds
+
+
+@pytest.mark.parametrize("name", list(CHECK_CASES))
+def test_half_braiding_check_matches_the_diagram_check(name):
+    """The check read from F gives the diagram check's report line for line:
+    the same (a, b, g, copies) in the same order, on clean half-braidings and
+    with one entry negated in each simple."""
+    cd = CHECK_CASES[name]()
+    _compare_with_diagram_check(cd, decompose_center(build_tube_algebra(cd), seed=0).simples)
+
+
+def test_half_braiding_check_on_psu2_8_is_faster_than_the_diagrams():
+    """PSU(2)_8 (22 simples, copies up to 4): the same reports as the
+    diagram check, at least 4x faster, timed in one process."""
+    cd = psu2_category(8)
+    simples = decompose_center(build_tube_algebra(cd), seed=0).simples
+    assert len(simples) == 22 and all(half_braiding_check(cd, z) == [] for z in simples)
+    from_f, by_diagrams = _compare_with_diagram_check(cd, simples)
+    assert by_diagrams >= 4 * from_f
+
+
+@pytest.mark.parametrize("name", ["fib*ising", "PSU(2)_6"])
+def test_center_and_its_check_evaluate_no_diagram(name, monkeypatch):
+    """Tube build, decomposition and half_braiding_check on every simple call
+    neither insert nor compose_values."""
+    cd = CHECK_CASES[name]()
+    calls = record_diagram_calls(monkeypatch)
+    center = decompose_center(build_tube_algebra(cd), seed=0)
+    assert all(half_braiding_check(cd, z) == [] for z in center.simples)
+    assert calls == []
 
 
 def test_center_matches_product_for_modular_input(centers):
@@ -524,9 +594,7 @@ def test_center_data_seed_independent_on_bench_categories(make):
         for z, j in zip(ref.simples, perm):
             w = other.simples[j]
             assert w.copies == z.copies
-            assert all(abs(v - w.half_braiding[a][c][key]) < 1e-10
-                       for a, comp in z.half_braiding.items()
-                       for c, tab in comp.items() for key, v in tab.items()), seed
+            assert np.max(np.abs(w.half_braiding - z.half_braiding)) < 1e-10, seed
 
 
 @pytest.mark.parametrize("make, seed", [
@@ -615,7 +683,7 @@ def test_half_braiding_scale_matches_entrywise_oracle(cats, name):
     for cd in (base, vertex_gauge(base, 3)):
         tube = build_tube_algebra(cd)
         d = cd.dims.dims
-        scale = _half_braiding_scale(tube)
+        _slot, scale = _half_braiding_readout(tube)
         for (x, y), ks in tube.sectors.items():
             for a in {tube.basis[k][1] for k in ks}:
                 mine = [k for k in ks if tube.basis[k][1] == a]
@@ -872,6 +940,20 @@ def test_center_verlinde_ring_is_integral(tmp_path, centers):
         assert zcd.partial
         assert validate_fusion_ring(zcd.ring) == [], name
         assert zcd.ring.rank == len(center.simples)
+
+
+@pytest.mark.parametrize("name", ["vec_z2", "ising", "fib*fib"])
+def test_emitted_center_ring_matches_the_verlinde_loops(tmp_path, name):
+    """The fusion tensor of the emitted partial file is the one the
+    entry-by-entry Verlinde loop gives."""
+    from tensorcat.category_data import load_category
+    from tensorcat.cli import _write_center_category
+    cd = (deligne_product_data(catalog_category("fibonacci"), catalog_category("fibonacci"))
+          if name == "fib*fib" else catalog_category(name))
+    center = decompose_center(build_tube_algebra(cd), seed=0)
+    path = tmp_path / "z.json"
+    _write_center_category(cd, center, path)
+    assert np.array_equal(load_category(path).ring.N, center_fusion_by_loops(cd, center))
 
 
 def test_center_presentation_unavailable():

@@ -117,15 +117,26 @@ def _partial_files(tmp_path, cd):
 
 
 def test_validate_checks_a_partial_files_ring(tmp_path, capsys):
-    """load_category checks nothing of a partial file, so validate checks
-    its ring: a dual that is not an involution is reported, exit 2."""
+    """load_category checks a partial file's ring: a dual that is not an
+    involution is reported as for a broken full file, exit 2."""
     good, bad = _partial_files(tmp_path, catalog_category("fibonacci"))
     code, out = run(capsys, "validate", "--input", str(good))
     assert code == 0 and json.loads(out)["valid"] is True
     code, out = run(capsys, "validate", "--input", str(bad))
     doc = json.loads(out)
-    assert code == 2 and doc["valid"] is False
-    assert "duality: dual(dual(1)) = 0" in doc["problems"]
+    assert code == 2 and set(doc) == {"error", "report"}
+    assert "duality: dual(dual(1)) = 0" in doc["report"]
+
+
+def test_commands_refuse_a_broken_partial_ring(tmp_path, capsys):
+    """dims on a partial file whose dual is not an involution exits 2, where
+    it printed Frobenius-Perron dims when only validate checked the ring."""
+    good, bad = _partial_files(tmp_path, catalog_category("fibonacci"))
+    code, _ = run(capsys, "dims", "--input", str(good))
+    assert code == 0
+    code, out = run(capsys, "dims", "--input", str(bad))
+    assert code == 2
+    assert "duality: dual(dual(1)) = 0" in json.loads(out)["report"]
 
 
 def test_validate_input_uses_tol(tmp_path, capsys):

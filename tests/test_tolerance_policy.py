@@ -10,7 +10,6 @@ the splits working at a loose value.
 
 import ast
 import cmath
-import copy
 import io
 import json
 import tokenize
@@ -207,10 +206,9 @@ def _dims_identity():
 def _half_braiding():
     cd = catalog.vec_zn(2, 0)
     z = decompose_center(build_tube_algebra(cd)).simples[1]
-    half = copy.deepcopy(z.half_braiding)
-    entries = next(iter(half[1].values()))
-    key = next(iter(entries))
-    entries[key] += EPS
+    half = z.half_braiding.copy()
+    c, u, v = np.argwhere(half[1] != 0)[0]     # the first admissible entry of sigma_1
+    half[1, c, u, v] += EPS
     bumped = replace(z, half_braiding=half)
     return cd, lambda c: not half_braiding_check(c, bumped)
 
