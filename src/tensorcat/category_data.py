@@ -239,6 +239,11 @@ class CategoryData:
         """(x, s_word, y) -> unfolded middle bases; filled by diagram_eval.unfold."""
         return {}
 
+    @functools.cached_property
+    def f_moves_cache(self):
+        """(a, b, c) -> F^{abc} as one array; filled by center_tube._f_moves."""
+        return {}
+
 
 @dataclass(frozen=True)
 class QuadraticForm:

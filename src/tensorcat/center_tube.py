@@ -23,12 +23,13 @@ the simples Z of the center, of the blocks p_Z p_x Tube p_x, each of
 m_x(Z) x m_x(Z) matrices.  One eigendecomposition of the left action of a
 random hermitian element, self-adjoint for the trace form, gives minimal
 projections q under every block at once (_corner_projections); q spans one
-copy of Z's irreducible module, the left ideal Tube q.  From that module
-come the multiplicity vector over Irr(C), the half-braiding (one array
-per simple, filled by one scatter of conjugated module matrices times a
-scale read from one F entry; half_braiding_check holds it to the
-composite-channel axioms read from F), the dimension, and the traces that
-S and T contract.
+copy of Z's irreducible module, the left ideal Tube q.  The modules of a
+batch of projections with equal (m, x) are built, claimed and read out
+together (_corner_simples).  From each come the multiplicity vector over
+Irr(C), the half-braiding (one array per simple, one scatter of conjugated
+module matrices times a scale read from one F entry; half_braiding_check
+holds it to the axioms read from F), the dimension, and the traces that S
+and T contract.
 
 Conventions: the half-braiding sigma_{c,z}: c (x) z -> z (x) c carries the
 strand of the ambient category over the center object's strand; the braiding
@@ -76,11 +77,7 @@ class TubeAlgebra:
         return len(self.basis)
 
     def unit_vector(self):
-        v = np.zeros(self.dim, dtype=complex)
-        for i, (x, a, e, y) in enumerate(self.basis):
-            if a == 0 and x == y:
-                v[i] = 1.0
-        return v
+        return np.array([a == 0 and x == y for x, a, _e, y in self.basis], dtype=complex)
 
     def left_matrix(self, u):
         """The matrix of left multiplication by u."""
@@ -115,12 +112,7 @@ class TubeAlgebra:
 
     def trace_functional(self):
         """tau(t_{x,a,e,y}) = delta_{a,0} delta_{x,y} d_x."""
-        d = self.cd.dims.dims
-        tau = np.zeros(self.dim, dtype=complex)
-        for i, (x, a, e, y) in enumerate(self.basis):
-            if a == 0 and x == y:
-                tau[i] = d[x]
-        return tau
+        return self.unit_vector() * self.cd.dims.dims[[x for x, _a, _e, _y in self.basis]]
 
     def trace_weights(self):
         """w_i = tau(t_i^* t_i): the trace form tau(u^* v) is diagonal on the
@@ -130,7 +122,7 @@ class TubeAlgebra:
         w = np.zeros(self.dim)
         for (x, y), M in self.star.items():
             # t_i^* t_i runs x -> y -> x
-            w[S[x, y]] = np.einsum("ik,kil,l->i", M, self.blocks[x, y, x], tau[S[x, x]]).real
+            w[S[x, y]] = np.sum(M * (self.blocks[x, y, x] @ tau[S[x, x]]).T, axis=1).real
         return w
 
 @dataclass
@@ -246,9 +238,9 @@ def build_tube_algebra(cd: CategoryData) -> TubeAlgebra:
 
 
 def _corner_projections(sub: TubeAlgebra, weights, rng):
-    """(m, q) for each eigenvalue cluster of a random hermitian h in the
-    corner sub = p_x Tube p_x: q is a minimal projection of the corner
-    under the block M_m of one center simple.
+    """(m, Q) over the eigenvalue clusters of a random hermitian h in the
+    corner sub = p_x Tube p_x: row Q[i] is a minimal projection of the
+    corner under the block M_m[i] of one center simple.
 
     Left multiplication by h is self-adjoint for the trace inner product,
     which is diagonal on the basis with the given weights, so one eigh of
@@ -258,7 +250,7 @@ def _corner_projections(sub: TubeAlgebra, weights, rng):
     projection applied to the unit, and m is the size of the cluster.  A
     collision of eigenvalues shows as dim(q sub q) = tr(L_q R_q) != 1 and is
     retried with a new h, drawn as two rng.standard_normal(n) calls.
-    Returns the list of (m, q) and the smallest eigenvalue gap cut.
+    Returns m, Q and the smallest eigenvalue gap cut.
     """
     cd = sub.cd
     n = sub.dim
@@ -274,71 +266,93 @@ def _corner_projections(sub: TubeAlgebra, weights, rng):
         gaps = np.diff(lam)
         cuts = np.flatnonzero(gaps > cd.split_resolution * max(1.0, np.abs(lam).max()))
         min_gap = min(min_gap, gaps[cuts].min(initial=np.inf))
-        clusters = np.split(np.arange(n), cuts + 1)
-        coeff = V.conj().T @ unit
-        Q = np.array([V[:, c] @ coeff[c] for c in clusters]) / sw
+        starts = np.r_[0, cuts + 1]
+        # each cluster's eigenvectors times their overlaps with the unit, summed
+        Q = np.add.reduceat(V * (V.conj().T @ unit), starts, axis=1).T / sw
         # tr(L_q R_q), the dimension of q sub q: 1 exactly when q is minimal
         dims = np.einsum("cjk,ckj->c", np.tensordot(Q, P, (1, 0)),
                          np.tensordot(Q, P, (1, 1))).real
         if np.all(np.abs(dims - 1.0) < cd.identity_tolerance):
-            return [(len(c), q) for c, q in zip(clusters, Q)], min_gap
+            return np.diff(np.r_[starts, n]), Q, min_gap
     raise StructuralError(
         f"corner split failed after {attempts} attempts "
         f"(smallest eigenvalue gap {min_gap:.2e})")
 
 
-def _corner_module(tube: TubeAlgebra, x, q, weights):
-    """The irreducible module Tube q of a minimal projection q of the corner
-    p_x Tube p_x.
+def _corner_modules(tube: TubeAlgebra, x, Q, weights):
+    """The irreducible modules Tube q of a batch of minimal projections q of
+    the corner p_x Tube p_x, the rows of Q.
 
     The t_j q with t_j leaving x span Tube q; a pivoted Gram-Schmidt in the
     trace inner product, which is diagonal on the basis with the given
     weights, makes an orthonormal basis of it, sector by sector, on which
-    the left action is unitary.
+    the left action is unitary.  It runs once for the batch, one pivot per
+    pass and module, until every module is spanned.
 
-    Returns (copies, pi): copies[c] = (y, j) labels basis vector c, the j-th
-    in sector y, sectors ascending; pi[k] is the matrix of t_k on the module.
+    Returns (copies, pi): copies[b][c] = (y, j) labels basis vector c of
+    module b, the j-th in sector y, sectors ascending; pi[b, k] is the
+    matrix of t_k on module b, padded with zeros to the largest module.
     """
-    cd = tube.cd
-    S = tube.sectors
-    ys = [y for y in range(cd.ring.rank) if (x, y) in S]
+    cd, S, rank = tube.cd, tube.sectors, tube.cd.ring.rank
+    ys = [y for y in range(rank) if (x, y) in S]
     J = np.sort(np.concatenate([S[x, y] for y in ys]))    # coordinates of Tube p_x
     at = {y: np.searchsorted(J, S[x, y]) for y in ys}     # sector y's rows in J
     sw = np.sqrt(weights[J])
-    rows = np.zeros((len(J), len(J)), dtype=complex)    # row j: t_{J_j} q, tau-scaled
+    rows = np.zeros((len(Q), len(J), len(J)), dtype=complex)  # [b, j]: t_{J_j} q_b, tau-scaled
     for y, p in at.items():
-        rows[np.ix_(p, p)] = np.tensordot(tube.blocks[x, x, y], q[S[x, x]], (1, 0))
+        rows[:, p[:, None], p] = np.tensordot(Q[:, S[x, x]], tube.blocks[x, x, y], (1, 1))
     rows *= sw
-    floor = cd.noise_floor * np.max(np.abs(rows))
-    picked = []
+    floor = cd.noise_floor * np.abs(rows).max(axis=(1, 2))
+    target = np.array([tube.basis[j][3] for j in J])   # the sector t_{J_j} ends in
+    done = np.zeros(len(Q), dtype=bool)
+    sectors, vectors = [], []   # per pass, each module's pivot: its sector (rank once spanned)
     for _ in J:
-        norms = np.sqrt(np.sum(np.abs(rows) ** 2, axis=1))
-        if norms.max() <= floor:
+        norms = np.sqrt(np.sum(np.abs(rows) ** 2, axis=2))
+        top = norms.max(axis=1)
+        done |= top <= floor
+        if done.all():
             break
         # the first row of largest norm, ties within split_resolution included,
         # so that the choice and with it the copy's phase do not follow rounding
-        j = int(np.argmax(norms >= (1 - cd.split_resolution) * norms.max()))
-        v = rows[j] / norms[j]
-        picked.append((tube.basis[J[j]][3], v))
-        rows = rows - np.outer(rows @ v.conj(), v)
-    picked.sort(key=lambda s: s[0])
-    sectors = [y for y, _v in picked]
-    copies = [(y, sectors[:i].count(y)) for i, y in enumerate(sectors)]
-    B = np.array([v for _y, v in picked]).T
+        j = np.argmax(norms >= (1 - cd.split_resolution) * top[:, None], axis=1)
+        v = np.zeros((len(Q), len(J)), dtype=complex)
+        v[~done] = rows[~done, j[~done]] / norms[~done, j[~done], None]
+        sectors.append(np.where(done, rank, target[j]))
+        vectors.append(v)
+        rows -= (rows @ v.conj()[:, :, None]) * v[:, None, :]
+    n = len(sectors)      # the largest module's dimension
+    sectors = np.reshape(sectors, (n, len(Q))).T
+    copies = [[(y, i - sec.index(y)) for i, y in enumerate(sec) if y < rank]
+              for sec in np.sort(sectors, axis=1).tolist()]
+    order = np.argsort(sectors, axis=1, kind="stable")[:, None]     # copies by sector
+    B = np.take_along_axis(np.reshape(vectors, (n, len(Q), len(J))).transpose(1, 2, 0), order, 2)
     Bl, Br = (B * sw[:, None]).conj(), B / sw[:, None]
-    pi = np.zeros((tube.dim, len(copies), len(copies)), dtype=complex)
+    pi = np.zeros((len(Q), tube.dim, n, n), dtype=complex)
     for y, p in at.items():
         for z, l in at.items():
             if (x, y, z) in tube.blocks:
-                # t_k from y to z takes the module's sector y to its sector z
-                pi[S[y, z]] = np.einsum("lC,kil,ic->kCc", Bl[l], tube.blocks[x, y, z], Br[p])
+                P = tube.blocks[x, y, z]    # t_k from y to z: the module's sector y to z
+                T = Br[:, p].transpose(0, 2, 1) @ P.transpose(1, 0, 2).reshape(len(p), -1)
+                A = T.reshape(len(Q), -1, len(l)) @ Bl[:, l]     # [b, (c, k), C]
+                pi[:, S[y, z]] = A.reshape(len(Q), n, -1, n).transpose(0, 2, 3, 1)
     return copies, pi
 
 
 def _half_braiding_readout(tube: TubeAlgebra):
     """(slot, scale) with sigma_a(c) = scale[k] conj(pi(t_k)) at t_k =
     t_(x,a,c,y), and slot[k] = a * rank + c its place in the flattened
-    first two axes of the half-braiding array."""
+    first two axes of a half-braiding array.
+
+    A half-braiding closed against the basis tree with a cap on a is a
+    matrix unit of its block; only the channel c = e survives, as one
+    F-move sqrt(d_a) F^{y a ab}_y[c, 0] (ab = dual(a)), and by Schur
+    orthogonality for the trace form the coefficient of t_k in a matrix
+    unit is conj(pi(t_k)) over the weight of t_k, so scale[k] is
+    sqrt(d_x / d_y) / (sqrt(d_a) F^{y a ab}_y[c, 0]).  A vertex gauge u
+    moves t_k and pi(t_k) by g = u^{ax}_c u^{c ab}_y and scale by
+    u^{ya}_c u^{c ab}_y, so sigma moves by u^{ya}_c / u^{ax}_c as it must
+    (pi would be off by g^2); pi is unitary, and so is sigma.
+    """
     cd = tube.cd
     d, dual, rank = cd.dims.dims, cd.ring.dual, cd.ring.rank
     slot = np.array([a * rank + c for _x, a, c, _y in tube.basis], dtype=np.intp)
@@ -347,46 +361,17 @@ def _half_braiding_readout(tube: TubeAlgebra):
     return slot, scale
 
 
-def _half_braiding(tube: TubeAlgebra, readout, copies, pi, D):
-    """The half-braiding of a module as one array H[a, c, copy_out, copy_in]
-    = sigma_a(c); its traces D[a, c, x] = sum_m sigma_a(c; (x, m), (x, m))
-    are written into the zero (rank, rank, rank) array D.
-
-    A half-braiding with a-components sigma_c: a (x) x -> y (x) a, closed
-    against the basis tree with a cap on a, is a matrix unit of its block.
-    Only the channel c = e survives, as one F-move, sqrt(d_a) F^{y a ab}_y[c, 0]
-    (ab = dual(a)), and by Schur orthogonality for the trace form the
-    coefficient of t_k in a matrix unit is conj(pi(t_k)) over the weight of
-    t_k, which puts d_x against the tree normalization, so
-
-        sigma_a(c) = conj(pi(t_(x,a,c,y))) sqrt(d_x / d_y) / (sqrt(d_a) F^{y a ab}_y[c, 0]),
-
-    with scale[k] the factor on conj(pi(t_k)).  A vertex gauge u moves t_k
-    and pi(t_k) by g = u^{ax}_c u^{c ab}_y and scale by u^{ya}_c u^{c ab}_y,
-    so sigma moves by u^{ya}_c / u^{ax}_c as it must (pi would be off by
-    g^2); pi is unitary in a trace-orthonormal basis, and so is sigma.
-
-    (a, c, x, y) names at most one t_k, and pi(t_k) is 0 off the copies at
-    y (rows) and x (columns), so one scatter of scale[k] conj(pi(t_k)) into
-    the slots (a, c) fills H, each block from its one source.
-    """
-    rank = tube.cd.ring.rank
-    slot, scale = readout
-    n = len(copies)
-    H = np.zeros((rank * rank, n, n), dtype=complex)
-    np.add.at(H, slot, np.conj(pi) * scale[:, None, None])
-    H = H.reshape(rank, rank, n, n)
-    sector = np.equal.outer([x for x, _m in copies], np.arange(rank))
-    D[...] = np.einsum("acuu,ux->acx", H, sector)
-    return H
-
-
 def _f_moves(cd, a, b, c):
     """F^{abc}_t[e, f] as a (rank, rank, rank) array over (t, e, f), 0 off the
-    admissible tuples."""
-    ring = cd.ring
-    table = ring.channel_table
-    out = np.zeros((ring.rank,) * 3, dtype=complex)
+    admissible tuples; gathered once per category (cd.f_moves_cache), and
+    not to be mutated."""
+    if (a, b, c) not in cd.f_moves_cache:
+        cd.f_moves_cache[a, b, c] = _gather_f_moves(cd, a, b, c)
+    return cd.f_moves_cache[a, b, c]
+
+
+def _gather_f_moves(cd, a, b, c):
+    table, out = cd.ring.channel_table, np.zeros((cd.ring.rank,) * 3, dtype=complex)
     for e in table[a][b]:
         for f in table[b][c]:
             for t in table[e][c]:
@@ -411,8 +396,7 @@ def half_braiding_check(cd: CategoryData, z: CenterObject) -> list:
     has a line per failing copy pair of sigma_0, then per failing
     (a, b, ci, co, g), in that order.
     """
-    ring, tol, H = cd.ring, cd.identity_tolerance, z.half_braiding
-    copies = z.copies
+    ring, tol, H, copies = cd.ring, cd.identity_tolerance, z.half_braiding, z.copies
     report = [f"sigma_0 not identity at {(co, ci)}"
               for u, co in enumerate(copies) for v, ci in enumerate(copies)
               if co[0] == ci[0] and abs(H[0, co[0], u, v] - (u == v)) > tol]
@@ -444,10 +428,10 @@ def decompose_center(tube: TubeAlgebra, seed=0) -> CenterData:
     """Simple center objects with dims, twists, half-braidings, S and T.
 
     One simple per block of the tube algebra, built in the corner where its
-    multiplicity is smallest (the first such x).  Nothing is solved: each
-    entry of a simple's half-braiding array is one module matrix entry,
-    conjugated so that it follows the gauge of F, times one F entry (see
-    _half_braiding),
+    multiplicity is smallest (the first such x), a batch of equal (m, x) at
+    a time (_corner_simples).  Nothing is solved: each entry of a simple's
+    half-braiding array is one module matrix entry, conjugated so that it
+    follows the gauge of F, times one F entry (see _half_braiding_readout),
 
         sigma_a(c) = conj(pi(t_(x,a,c,y))) sqrt(d_x / d_y) / (sqrt(d_a) F^{y a dual(a)}_y[c, 0]),
 
@@ -467,25 +451,26 @@ def decompose_center(tube: TubeAlgebra, seed=0) -> CenterData:
     are fixed up to a seed-dependent unitary change of copy basis.
     """
     cd = tube.cd
-    d = cd.dims.dims
-    rank = cd.ring.rank
+    d, rank = cd.dims.dims, cd.ring.rank
     weights = tube.trace_weights()
     rng = SeededDraws((seed, 1))
     readout = _half_braiding_readout(tube)
     attempts = 4
     min_gap = np.inf
     for _ in range(attempts):
-        corners = []   # (m, x, q): q a minimal projection at x under a block M_m
+        ms, xs, Q = [], [], []   # q a minimal projection at x under a block M_m
         for x in range(rank):
             D, sub = tube.corner(x)
-            splits, gap = _corner_projections(sub, weights[D], rng)
+            m, Qx, gap = _corner_projections(sub, weights[D], rng)
             min_gap = min(min_gap, gap)
-            for m, f in splits:
-                q = np.zeros(tube.dim, dtype=complex)
-                q[D] = f
-                corners.append((m, x, q))
-        corners.sort(key=lambda c: c[:2])
-        simples, D = _corner_simples(tube, corners, weights, readout)
+            ms += m.tolist()
+            xs += [x] * len(m)
+            Q.append(np.zeros((len(m), tube.dim), dtype=complex))
+            Q[-1][:, D] = Qx
+        by_mx = np.lexsort((xs, ms))
+        Q = np.concatenate(Q)[by_mx]
+        simples, D = _corner_simples(tube, np.array(ms)[by_mx], np.array(xs)[by_mx], Q,
+                                     weights, readout)
         # a split just past split_resolution can leave a module's Gram-Schmidt
         # a vector too many; every corner is then split again, further on
         # in the same stream
@@ -495,54 +480,71 @@ def decompose_center(tube: TubeAlgebra, seed=0) -> CenterData:
         raise StructuralError(
             f"the corner modules do not exhaust the tube algebra after {attempts} "
             f"draws (smallest eigenvalue gap {min_gap:.2e})")
-    twists = np.einsum("zxcx,c->z", D, d) / np.array([z.dim for z in simples])
+    dims = np.array([z.dim for z in simples])
+    twists = np.einsum("zxcx,c->z", D, d) / dims
     if np.max(np.abs(np.abs(twists) - 1.0)) > cd.identity_tolerance:
         raise StructuralError("half-braidings are not unitary: a twist is off the unit circle")
-    labels = np.arange(rank)
-
-    def sort_key(i):
-        z = simples[i]
-        # the unit: underlying object 1 and sigma_a = 1 on channel a for every a
-        unit = (z.underlying[0] == z.underlying.sum() == 1
-                and np.all(np.abs(D[i, labels, labels, 0] - 1) < cd.identity_tolerance))
-        # rounded without signed zeros, so a twist of -1 always sorts at angle pi
-        t = complex(round(twists[i].real, 9) + 0.0, round(twists[i].imag, 9) + 0.0)
-        return (not unit, round(z.dim, 9), float(np.angle(t)), tuple(z.underlying))
-
-    order = sorted(range(len(simples)), key=sort_key)
     for z, t in zip(simples, twists):
         z.twist = complex(t)
+    U = np.array([z.underlying for z in simples])
+    # the unit: underlying object 1 and sigma_a = 1 on channel a for every a
+    diag = np.abs(D[:, range(rank), range(rank), 0] - 1)
+    unit = (U[:, 0] == 1) & (U.sum(axis=1) == 1) & np.all(diag < cd.identity_tolerance, axis=1)
+    # rounded without signed zeros, so a twist of -1 always sorts at angle pi
+    angle = np.arctan2(np.round(twists.imag, 9) + 0.0, np.round(twists.real, 9) + 0.0)
+    order = np.lexsort((*U.T[::-1], angle, np.round(dims, 9), ~unit))
     # S[z, w] = sum over (p, c, x) of D[z, p, c, x] d_c D[w, x, c, p], with z
-    # and w in the order found, then sorted
-    Dt = np.ascontiguousarray(D.transpose(0, 3, 2, 1))
-    Dt *= d[:, None]
-    S = (D.reshape(len(D), -1) @ Dt.reshape(len(D), -1).T)[np.ix_(order, order)]
+    # and w in the order found, one channel c at a time, then sorted
+    S = sum(d[c] * np.matmul(D[:, :, c].reshape(len(D), -1),
+                             D[:, :, c].transpose(0, 2, 1).reshape(len(D), -1).T)
+            for c in range(rank))[np.ix_(order, order)]
     return CenterData(simples=[simples[i] for i in order], S=S,
                       T=np.diag(twists[order]), cd=cd)
 
 
-def _corner_simples(tube: TubeAlgebra, corners, weights, readout):
+def _corner_simples(tube: TubeAlgebra, ms, xs, Q, weights, readout):
     """One simple per block, from the module of the first corner projection
     it claims, and the (simples, rank, rank, rank) array of its
-    half-braiding traces."""
-    cd = tube.cd
-    d = cd.dims.dims
-    rank = cd.ring.rank
-    Q = np.array([q for _m, _x, q in corners])
-    unclaimed = np.ones(len(corners), dtype=bool)
+    half-braiding traces.
+
+    The rows of Q, sorted by (m, x), go a batch of equal (m, x) at a time:
+    the modules of its unclaimed members are built together, one product
+    gives all their claims (tr pi(q') is 1 for a minimal projection q' under
+    the module's blocks, else 0), and each member is kept unless an earlier
+    one claimed it.  One scatter of scale[k] conj(pi(t_k)) into the slots
+    (a, c) fills the kept half-braidings, each block from its one t_k.
+    """
+    cd, rank, (slot, scale) = tube.cd, tube.cd.ring.rank, readout
+    unclaimed = np.ones(len(Q), dtype=bool)
     # half-braiding traces, one row per simple; zeros leaves the unused rows unallocated
-    D = np.zeros((len(corners), rank, rank, rank), dtype=complex)
+    D = np.zeros((len(Q), rank, rank, rank), dtype=complex)
     simples = []
-    for i, (_m, x, q) in enumerate(corners):
-        if not unclaimed[i]:
+    starts = np.flatnonzero(np.diff(ms, prepend=-1) | np.diff(xs, prepend=-1))
+    for lo, hi in zip(starts, np.r_[starts[1:], len(Q)]):
+        batch = lo + np.flatnonzero(unclaimed[lo:hi])
+        if not len(batch):
             continue
-        copies, pi = _corner_module(tube, x, q, weights)
-        # tr pi(q') is 1 for a minimal projection q' under Z's blocks, else 0
-        unclaimed &= (Q @ np.einsum("kcc->k", pi)).real < 0.5
-        half = _half_braiding(tube, readout, copies, pi, D[len(simples)])
-        mult = np.bincount([y for y, _j in copies], minlength=rank)
-        simples.append(CenterObject(underlying=mult, half_braiding=half, copies=copies,
-                                    twist=1.0, dim=float(d @ mult)))
+        copies, pi = _corner_modules(tube, xs[lo], Q[batch], weights)
+        claims = (Q @ np.einsum("bkcc->kb", pi)).real > 0.5
+        kept = []
+        for b, i in enumerate(batch):
+            if unclaimed[i]:
+                kept.append(b)
+                unclaimed &= ~claims[:, b]
+        pi = pi[kept] if len(kept) < len(batch) else pi
+        n = pi.shape[-1]
+        np.multiply(np.conj(pi, out=pi), scale[:, None, None], out=pi)
+        H = np.zeros((len(kept), rank, rank, n, n), dtype=complex)
+        np.add.at(H.reshape(len(kept), -1, n, n), (slice(None), slot), pi)
+        ys = np.array([[y for y, _j in copies[k]] + [-1] * (n - len(copies[k])) for k in kept])
+        sector = ys[:, :, None] == np.arange(rank)        # [b, copy, x]
+        D[len(simples):len(simples) + len(kept)] = np.einsum("bacuu,bux->bacx", H, sector)
+        for h, k, mult in zip(H, kept, sector.sum(axis=1)):
+            size = len(copies[k])
+            simples.append(CenterObject(underlying=mult, copies=copies[k], twist=1.0,
+                                        half_braiding=h[:, :, :size, :size].copy(),
+                                        dim=float(cd.dims.dims @ mult)))
+        del pi, H      # the batch's largest arrays, freed before the next batch's
     return simples, D[:len(simples)]
 
 
@@ -556,9 +558,7 @@ def center_global_checks(center: CenterData) -> dict:
     tol = cd.identity_tolerance
     smin = np.linalg.svd(S, compute_uv=False)[-1] if len(S) else 0.0
     nondeg = bool(smin > len(S) * cd.tolerance)
-    transparent = [i for i in range(len(S))
-                   if all(abs(S[i, j] - dims[i] * dims[j]) < tol
-                          for j in range(len(S)))]
+    transparent = np.flatnonzero(np.all(np.abs(S - np.outer(dims, dims)) < tol, axis=1)).tolist()
     return {
         "sum_dim_sq": total, "global_dim_sq": D ** 2,
         "dims_identity": abs(total - D ** 2) < tol,

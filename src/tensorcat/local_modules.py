@@ -538,7 +538,7 @@ def _verlinde(S, tol):
     dev = np.max(np.abs(S @ S.conj().T - np.eye(len(S))))
     if dev > tol:
         raise StructuralError(f"S-matrix is not unitary (dev {dev:.2e})")
-    N = np.einsum("im,jm,km,m->ijk", S, S, S.conj(), 1 / S[0])
+    N = (S[:, None] * (S / S[0])) @ S.conj().T
     rounded = np.round(N.real).astype(np.int64)
     dev = np.max(np.abs(N - rounded))
     if dev > tol or (rounded < 0).any():

@@ -544,6 +544,45 @@ def dense_tube(tube):
     return C, star
 
 
+def corner_module_by_simple(tube, x, q, weights):
+    """The irreducible module Tube q of one minimal projection q of the
+    corner p_x Tube p_x, one projection at a time: a pivoted Gram-Schmidt
+    of the t_j q (t_j leaving x) in the trace inner product, and the action
+    of every t_k as a plain einsum.  Returns (copies, pi) as
+    center_tube._corner_modules does for a batch of one."""
+    cd = tube.cd
+    S = tube.sectors
+    ys = [y for y in range(cd.ring.rank) if (x, y) in S]
+    J = np.sort(np.concatenate([S[x, y] for y in ys]))    # coordinates of Tube p_x
+    at = {y: np.searchsorted(J, S[x, y]) for y in ys}     # sector y's rows in J
+    sw = np.sqrt(weights[J])
+    rows = np.zeros((len(J), len(J)), dtype=complex)    # row j: t_{J_j} q, tau-scaled
+    for y, p in at.items():
+        rows[np.ix_(p, p)] = np.tensordot(tube.blocks[x, x, y], q[S[x, x]], (1, 0))
+    rows *= sw
+    floor = cd.noise_floor * np.max(np.abs(rows))
+    picked = []
+    for _ in J:
+        norms = np.sqrt(np.sum(np.abs(rows) ** 2, axis=1))
+        if norms.max() <= floor:
+            break
+        j = int(np.argmax(norms >= (1 - cd.split_resolution) * norms.max()))
+        v = rows[j] / norms[j]
+        picked.append((tube.basis[J[j]][3], v))
+        rows = rows - np.outer(rows @ v.conj(), v)
+    picked.sort(key=lambda s: s[0])
+    sectors = [y for y, _v in picked]
+    copies = [(y, sectors[:i].count(y)) for i, y in enumerate(sectors)]
+    B = np.array([v for _y, v in picked]).T
+    Bl, Br = (B * sw[:, None]).conj(), B / sw[:, None]
+    pi = np.zeros((tube.dim, len(copies), len(copies)), dtype=complex)
+    for y, p in at.items():
+        for z, l in at.items():
+            if (x, y, z) in tube.blocks:
+                pi[S[y, z]] = np.einsum("lC,kil,ic->kCc", Bl[l], tube.blocks[x, y, z], Br[p])
+    return copies, pi
+
+
 def half_braiding_W_by_entries(cd, x, a, y):
     """W[e, c] of one (x, a, y) of the tube, one diagram per entry: the
     cap-closed sigma_c (x) id composed with the dagger of t_(x,a,e,y), so

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 from tensorcat.algebra import (AlgebraObject, algebra_dim, is_commutative,
                                solve_support_algebra, verify_qsystem)
 from tensorcat.catalog import catalog_category, catalog_names, vec_zn
-from tensorcat.center_tube import (_corner_module, _corner_projections,
+from tensorcat.center_tube import (_corner_modules, _corner_projections,
                                    _half_braiding_readout, build_tube_algebra,
                                    center_global_checks, center_presentation,
                                    decompose_center, half_braiding_check,
@@ -21,7 +22,8 @@ from tensorcat.local_modules import condensation_identity_check
 
 from oracles import (PHI, algebras_gauge_equivalent, center_fusion_by_loops,
                      center_s_by_traces, center_twist_by_traces,
-                     central_idempotents_by_nullspace, dense_tube,
+                     central_idempotents_by_nullspace, corner_module_by_simple,
+                     dense_tube,
                      half_braiding_W_by_entries, half_braiding_check_by_diagrams,
                      mate_phase_by_diagrams,
                      record_diagram_calls, record_linalg_calls,
@@ -268,13 +270,13 @@ def test_corner_projections_sum_to_central_idempotents(cats, name):
         D, sub = tube.corner(x)
         oracle = central_idempotents_by_nullspace(sub)
         qs = []
-        for _m, f in _corner_projections(sub, weights[D], rng)[0]:
+        for f in _corner_projections(sub, weights[D], rng)[1]:
             q = np.zeros(tube.dim, dtype=complex)
             q[D] = f
             qs.append(q)
         found = []
         while qs:
-            _copies, pi = _corner_module(tube, x, qs[0], weights)
+            _copies, (pi,) = _corner_modules(tube, x, np.array(qs[:1]), weights)
             claimed = [(np.einsum("k,kcc->", q, pi).real > 0.5) for q in qs]
             total = np.sum([q[D] for q, c in zip(qs, claimed) if c], axis=0)
             dev = [np.max(np.abs(total - e)) for e in oracle]
@@ -282,6 +284,95 @@ def test_corner_projections_sum_to_central_idempotents(cats, name):
             found.append(int(np.argmin(dev)))
             qs = [q for q, c in zip(qs, claimed) if not c]
         assert sorted(found) == list(range(len(oracle))), (name, x)
+
+
+# The batch paths each fixture must take: Vec(S3) splits a 2 x 2 block at
+# the unit (m = 2), ising batches a module of size 2 with two of size 1.
+BATCH_PATHS = {"vec_s3": {"m > 1"}, "ising": {"mixed sizes"}}
+
+
+@pytest.mark.parametrize("name", catalog_names() + ["fib*ising", "vec_s3", "PSU(2)_6"])
+def test_corner_modules_match_the_per_simple_oracle(cats, name):
+    """Every projection of every (m, x) batch, as decompose_center forms
+    them, gets the copies of the one-projection oracle and its action to
+    1e-12, padded with zeros to the batch's largest module."""
+    cd = {"fib*ising": lambda: deligne_product_data(cats["fibonacci"], cats["ising"]),
+          "vec_s3": _vec_s3, "PSU(2)_6": lambda: psu2_category(6)}.get(name, lambda: cats[name])()
+    tube = build_tube_algebra(cd)
+    weights = tube.trace_weights()
+    rng = np.random.default_rng(0)
+    paths = set()
+    for x in range(cd.ring.rank):
+        D, sub = tube.corner(x)
+        ms, Qx, _gap = _corner_projections(sub, weights[D], rng)
+        for m in np.unique(ms):
+            Q = np.zeros((np.sum(ms == m), tube.dim), dtype=complex)
+            Q[:, D] = Qx[ms == m]
+            copies, pi = _corner_modules(tube, x, Q, weights)
+            sizes = {len(c) for c in copies}
+            assert pi.shape == (len(Q), tube.dim, max(sizes), max(sizes))
+            paths |= {"m > 1"} if m > 1 else set()
+            paths |= {"mixed sizes"} if len(sizes) > 1 else set()
+            for q, got, action in zip(Q, copies, pi):
+                want, want_pi = corner_module_by_simple(tube, x, q, weights)
+                n = len(want)
+                assert got == want, (name, x, m)
+                assert np.max(np.abs(action[:, :n, :n] - want_pi), initial=0) < 1e-12
+                assert not action[:, n:].any() and not action[:, :, n:].any()
+    assert BATCH_PATHS.get(name, set()) <= paths, (name, paths)
+
+
+def test_decompose_center_builds_one_batch_per_group(monkeypatch):
+    """vec_zn(8, 1) has 64 simples, 8 at each of its 8 corners, all with
+    multiplicity 1: one _corner_modules call per (m, x) group."""
+    from tensorcat import center_tube
+    calls = []
+
+    def counted(tube, x, Q, weights):
+        calls.append((x, len(Q)))
+        return _corner_modules(tube, x, Q, weights)
+
+    monkeypatch.setattr(center_tube, "_corner_modules", counted)
+    center = decompose_center(build_tube_algebra(vec_zn(8, 1)), seed=0)
+    assert len(center.simples) == 64
+    assert calls == [(x, 8) for x in range(8)]
+
+
+def test_decompose_center_peak_memory(monkeypatch):
+    """decompose_center on fib (x) fib (x) fib (tube dim 343, 64 simples)
+    peaks below 6 MiB, and once the batches are done the contraction of S
+    and the ordering allocate less than the trace array D: no transposed
+    copy of it.  A small center is decomposed first, so that lazy imports
+    are not counted."""
+    import tracemalloc
+    from tensorcat import center_tube
+    decompose_center(build_tube_algebra(vec_zn(2, 1)), seed=0)
+    fib = catalog_category("fibonacci")
+    tube = build_tube_algebra(deligne_product_data(deligne_product_data(fib, fib), fib))
+    after_batches = []
+    corner_simples = center_tube._corner_simples
+
+    def traced(*args):
+        simples, D = corner_simples(*args)
+        after_batches.append((tracemalloc.get_traced_memory()[0], D.nbytes))
+        tracemalloc.reset_peak()
+        return simples, D
+
+    monkeypatch.setattr(center_tube, "_corner_simples", traced)
+    tracemalloc.start()
+    try:
+        decompose_center(tube, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        monkeypatch.undo()
+        decompose_center(tube, seed=0)
+        whole = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ((base, trace_bytes),) = after_batches
+    assert trace_bytes == 64 * 8 ** 3 * 16
+    assert peak - base < trace_bytes, (peak - base, trace_bytes)
+    assert whole < 6 * 2 ** 20, whole
 
 
 def test_center_vec_z2_is_toric_code(centers):
@@ -315,6 +406,25 @@ def test_center_global_checks(centers):
         assert checks["dims_identity"], name
         assert checks["nondegenerate"], name
         assert checks["trivial_centralizer"], name
+
+
+@pytest.mark.parametrize("name", ["vec_z2", "semion", "fib*ising", "vec_zn(6,0)", "vec_s3"])
+def test_self_centralizer_matches_the_entrywise_loop(cats, name):
+    """The self-centralizer, one array comparison of S with the outer product
+    of the dims, lists what the entrywise loop lists: on the center's S
+    (the unit alone) and on |S|, where every simple of a pointed center is
+    transparent."""
+    cd = {"fib*ising": lambda: deligne_product_data(cats["fibonacci"], cats["ising"]),
+          "vec_zn(6,0)": lambda: vec_zn(6, 0), "vec_s3": _vec_s3}.get(name, lambda: cats[name])()
+    center = decompose_center(build_tube_algebra(cd), seed=0)
+    dims = [z.dim for z in center.simples]
+    tol = cd.identity_tolerance
+    for S in (center.S, np.abs(center.S)):
+        want = [i for i in range(len(S))
+                if all(abs(S[i, j] - dims[i] * dims[j]) < tol for j in range(len(S)))]
+        checks = center_global_checks(dataclasses.replace(center, S=S))
+        assert checks["self_centralizer"] == want, name
+        assert all(type(i) is int for i in checks["self_centralizer"])
 
 
 def test_half_braiding_hexagons(centers):
@@ -473,6 +583,29 @@ def test_half_braiding_check_matches_the_diagram_check(name):
     _compare_with_diagram_check(cd, decompose_center(build_tube_algebra(cd), seed=0).simples)
 
 
+def test_half_braiding_check_gathers_each_f_move_once(cats, monkeypatch):
+    """Checking every simple of fib (x) ising gathers each F-move array once
+    (216 keys, where a gather per simple and key would make 5,400), and
+    the memo gives the reports of a fresh gather."""
+    from tensorcat import center_tube
+    cd = deligne_product_data(cats["fibonacci"], cats["ising"])
+    simples = decompose_center(build_tube_algebra(cd), seed=0).simples
+    fresh = [half_braiding_check(dataclasses.replace(cd), z) for z in simples]
+    keys = []
+    gather = center_tube._gather_f_moves
+
+    def counted(cd, a, b, c):
+        keys.append((a, b, c))
+        return gather(cd, a, b, c)
+
+    monkeypatch.setattr(center_tube, "_gather_f_moves", counted)
+    reports = [half_braiding_check(cd, z) for z in simples]
+    assert reports == fresh and not any(reports)
+    assert 0 < len(keys) == len(set(keys)) == len(cd.f_moves_cache) <= cd.ring.rank ** 3
+    reports = [half_braiding_check(cd, z) for z in simples]
+    assert len(keys) == len(cd.f_moves_cache)
+
+
 def test_half_braiding_check_on_psu2_8_is_faster_than_the_diagrams():
     """PSU(2)_8 (22 simples, copies up to 4): the same reports as the
     diagram check, at least 4x faster, timed in one process."""
@@ -622,8 +755,8 @@ def test_decompose_center_gives_up_after_four_draws(centers, monkeypatch):
     _, tube, _ = centers["ising"]
     calls = []
 
-    def no_simples(tube, corners, weights, scale):
-        calls.append(len(corners))
+    def no_simples(tube, ms, xs, Q, weights, readout):
+        calls.append(len(Q))
         return [], np.zeros((0,) + (tube.cd.ring.rank,) * 3)
 
     monkeypatch.setattr(center_tube, "_corner_simples", no_simples)
