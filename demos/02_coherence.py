@@ -7,19 +7,22 @@ Category data carries F-symbols (associators) and optionally R-symbols
 hexagon instance and report violations with their indices.
 """
 
-import copy
+import dataclasses
 
-from tensorcat import (catalog_category, catalog_names, pointed_from_quadratic_form,
-                       QuadraticForm, verify_hexagon, verify_pentagon)
+from tensorcat import (FSymbolSet, catalog_category, catalog_names,
+                       pointed_from_quadratic_form, QuadraticForm, verify_hexagon,
+                       verify_pentagon)
 
 for name in catalog_names():
     cd = catalog_category(name)
     print(f"{name:12s} pentagon violations: {len(verify_pentagon(cd))}, "
           f"hexagon violations: {len(verify_hexagon(cd))}")
 
-# a single corrupted F-symbol is located precisely
-bad = copy.deepcopy(catalog_category("fibonacci"))
-bad.F.entries[(1, 1, 1, 1, 1, 1)] *= -1
+# a single corrupted F-symbol is located precisely; symbol sets are
+# immutable, so the corrupted copy carries a replacement F
+fib = catalog_category("fibonacci")
+key = (1, 1, 1, 1, 1, 1)
+bad = dataclasses.replace(fib, F=FSymbolSet({**fib.F.entries, key: -fib.fval(*key)}))
 print("\ncorrupted Fibonacci:", verify_pentagon(bad)[0])
 
 # pointed categories from quadratic forms always validate

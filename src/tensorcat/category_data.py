@@ -8,6 +8,10 @@ is synthesized rather than stored.  The F-move convention is
 
 with e the channel of a*b and f the channel of b*c.  R^{ab}_c is the scalar
 of the braiding sigma_{a,b}: a*b -> b*a on the channel c.
+
+F and R are immutable symbol sets, read one key at a time by ``value``
+(``cd.fval``, ``cd.rval``) or a column of keys at a time by ``lookup``,
+which the coherence checks use.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ import json
 import math
 import operator
 import random
-import threading
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import ClassVar
 
 import numpy as np
@@ -48,17 +52,82 @@ __all__ = [
 
 
 class _SymbolSet:
-    """A dict of symbol entries, copied from what the constructor is given."""
+    """Immutable symbol entries, read one key at a time by ``value`` or a
+    column of keys at a time by ``lookup``.  Both give exactly 1 on a unit
+    leg and raise StructuralError("missing ... entry for admissible ...")
+    on a key that is absent, not admissible or not a tuple of labels.
+
+    A stored set holds a copy of the dict it is given; ``entries`` shows it
+    read-only, and ``lookup`` reads sorted packed keys built from it once,
+    vectorized, and cached on the instance.  To edit an entry, build a
+    replacement, e.g. ``dataclasses.replace(cd, F=FSymbolSet({**cd.F.entries,
+    key: v}))``.
+    """
+
+    _arity: ClassVar[int]
+    _units: ClassVar[int]       # a unit label on one of the first _units legs gives 1
+    _missing: ClassVar[str]
 
     def __init__(self, entries):
-        self.entries = dict(entries)
+        self._held = dict(entries)
 
     @classmethod
     def _adopt(cls, entries: dict):
         """Wrap a dict that no caller keeps, without the constructor's copy."""
         out = cls.__new__(cls)
-        out.entries = entries
+        out._held = entries
         return out
+
+    @property
+    def entries(self):
+        return MappingProxyType(self._held)
+
+    def _absent(self, key):
+        return StructuralError(f"{self._missing} {key}")
+
+    def lookup(self, cols):
+        """The values at the rows of the index columns ``cols``, one column
+        per leg; the first row ``value`` would refuse raises what it raises."""
+        cols = [np.asarray(c) for c in cols]
+        out = np.ones(len(cols[0]), dtype=complex)
+        rows = np.flatnonzero(np.all([c != 0 for c in cols[:self._units]], axis=0))
+        if len(rows):
+            cols = [c[rows] for c in cols]
+            vals, ok = self._rows(cols)
+            if not ok.all():
+                raise self._absent(tuple(c[np.argmin(ok)].item() for c in cols))
+            out[rows] = vals
+        return out
+
+    @functools.cached_property
+    def _packed(self):
+        """(base, sorted packed keys, values) of the stored entries, behind a
+        key -1 that no row packs to."""
+        keys = _key_array(self._held, self._arity).T
+        base = int(keys.max()) + 1 if keys.size else 1
+        packed = np.append(-1, np.ravel_multi_index(keys, (base,) * self._arity))
+        order = np.argsort(packed)
+        vals = np.fromiter(self._held.values(), dtype=complex, count=len(self._held))
+        return base, packed[order], np.append(0j, vals)[order]
+
+    def _rows(self, cols):
+        """(values, found) of rows with no unit leg."""
+        base, keys, vals = self._packed
+        cols, ok = _label_columns(cols, base)
+        packed = np.ravel_multi_index(cols, (base,) * self._arity)
+        pos = np.minimum(np.searchsorted(keys, packed), len(keys) - 1)
+        return vals[pos], ok & (keys[pos] == packed)
+
+
+def _label_columns(cols, rank):
+    """cols as int64 columns, 0 on the rows that are not all labels (integers
+    in [0, rank)), and those rows' mask."""
+    ok = np.ones(len(cols[0]), dtype=bool)
+    for c in cols:
+        ok &= (c >= 0) & (c < rank)
+        if c.dtype.kind == "f":
+            ok &= c == np.floor(c)
+    return [np.where(ok, c, 0).astype(np.int64) for c in cols], ok
 
 
 class FSymbolSet(_SymbolSet):
@@ -67,39 +136,11 @@ class FSymbolSet(_SymbolSet):
     A tuple is admissible when N^e_{ab} = N^d_{ec} = N^f_{bc} = N^d_{af} = 1.
     Entries with a unit leg are not stored; ``value`` returns 1 for them.
 
-    A set made by ``deligne_product_data`` or ``pointed_from_quadratic_form``
-    computes each entry the first time ``value`` reads it and keeps it in
-    its own dict; the first access to ``entries`` builds every entry in bulk
-    into a fresh dict, which ``value`` reads from then on, so an edit made
-    through ``entries`` is what ``value`` returns.  A set stays safe to share
-    across threads: concurrent first reads write equal values, and the bulk
-    build runs once, under a lock.
+    The F of ``deligne_product_data`` and ``pointed_from_quadratic_form`` is
+    computed, not stored (``_ComputedF``).
     """
 
-    _ring = _compute = _build = None     # an explicit table computes nothing
-    _bulk_lock = threading.RLock()       # class-wide, so a set still deep-copies
-
-    @classmethod
-    def _lazy(cls, ring, compute, build):
-        """A set computing compute(*key) on the first read of an admissible
-        key, and build() -> every entry on the first access to ``entries``."""
-        out = cls._adopt({})
-        out._ring, out._compute, out._build = ring, compute, build
-        return out
-
-    @property
-    def entries(self):
-        if self._build is not None:
-            with self._bulk_lock:
-                if self._build is not None:
-                    self._held = self._build()
-                    self._compute = self._build = None
-        return self._held
-
-    @entries.setter
-    def entries(self, entries):
-        self._held = entries
-        self._compute = self._build = None
+    _arity, _units, _missing = 6, 3, "missing F entry for admissible tuple"
 
     def value(self, a, b, c, d, e, f):
         if a == 0 or b == 0 or c == 0:
@@ -109,15 +150,7 @@ class FSymbolSet(_SymbolSet):
         return self._first_read(key) if v is None else v
 
     def _first_read(self, key):
-        compute = self._compute
-        if compute is not None and _admissible(self._ring, key):
-            v = self._held[key] = compute(*key)
-            return v
-        # a bulk build that finished since the miss holds every entry
-        v = self._held.get(key)
-        if v is None:
-            raise StructuralError(f"missing F entry for admissible tuple {key}")
-        return v
+        raise self._absent(key)
 
     def matrix(self, ring, a, b, c, d):
         """The unitary matrix [F^{abc}_d]_{e,f} with its index lists."""
@@ -128,16 +161,51 @@ class FSymbolSet(_SymbolSet):
         return es, fs, mat
 
 
+class _ComputedF(FSymbolSet):
+    """F from a closed form: ``scalar(*key)`` for one entry, ``vector(cols)``
+    for admissible rows with no unit leg, equal bit for bit.
+
+    ``value`` computes an entry on its first read and keeps it in its memo,
+    ``_held``; ``lookup`` computes the rows it is given and keeps none, and
+    ``entries`` is a lookup of every admissible tuple with no unit leg,
+    made afresh on each access.  Concurrent first reads write equal values,
+    so a set is safe to share across threads.
+    """
+
+    def __init__(self, ring, scalar, vector):
+        self._held, self._ring, self._scalar, self._vector = {}, ring, scalar, vector
+
+    @property
+    def entries(self):
+        return MappingProxyType(_table(self._ring, self.lookup))
+
+    def _first_read(self, key):
+        if not _admissible(self._ring, key):
+            raise self._absent(key)
+        v = self._held[key] = self._scalar(*key)
+        return v
+
+    def _rows(self, cols):
+        N = self._ring.N
+        (a, b, c, d, e, f), ok = _label_columns(cols, self._ring.rank)
+        ok &= (N[a, b, e] * N[e, c, d] * N[b, c, f] * N[a, f, d]) > 0
+        vals = np.zeros(len(ok), dtype=complex)
+        vals[ok] = self._vector([col[ok] for col in (a, b, c, d, e, f)])
+        return vals, ok
+
+
 class RSymbolSet(_SymbolSet):
     """Braiding scalars (a,b,c) -> R^{ab}_c on channels with N^c_{ab} = 1."""
+
+    _arity, _units, _missing = 3, 2, "missing R entry for admissible channel"
 
     def value(self, a, b, c):
         if a == 0 or b == 0:
             return 1.0 + 0.0j
         try:
-            return self.entries[(a, b, c)]
+            return self._held[(a, b, c)]
         except KeyError:
-            raise StructuralError(f"missing R entry for admissible channel {(a, b, c)}") from None
+            raise self._absent((a, b, c)) from None
 
 
 def _admissible(ring, key) -> bool:
@@ -178,10 +246,10 @@ class CategoryData:
 
     Frozen: a derived category (other ring labels, tolerance, no braiding)
     is a new instance from ``dataclasses.replace``, which starts with empty
-    evaluator caches.  F of a Deligne product or of a quadratic form's
-    category is computed on first read (see FSymbolSet).  Safe to share
-    read-only across threads: concurrent first reads write equal values,
-    and the bulk build of F.entries runs once.
+    evaluator caches; so is a category with edited entries, whose F or R is
+    a replacement symbol set.  F of a Deligne product or of a quadratic
+    form's category is computed, not stored (see _ComputedF).  Safe to
+    share across threads: concurrent first reads write equal values.
     """
 
     ring: FusionRing
@@ -345,63 +413,6 @@ class QuadraticForm:
         return report
 
 
-class _SymbolTable:
-    """Vectorized lookup of F- or R-symbol dictionaries by packed integer key."""
-
-    def __init__(self, entries, rank, arity, unit_positions):
-        self.rank = rank
-        self.arity = arity
-        self.unit_positions = unit_positions
-        keys = np.empty(len(entries), dtype=np.int64)
-        vals = np.empty(len(entries), dtype=complex)
-        for i, (key, v) in enumerate(entries.items()):
-            keys[i] = self.pack(*key)
-            vals[i] = v
-        order = np.argsort(keys)
-        self.keys = keys[order]
-        self.vals = vals[order]
-
-    def pack(self, *idx):
-        out = 0
-        for x in idx:
-            out = out * self.rank + int(x)
-        return out
-
-    def pack_arrays(self, cols):
-        out = np.zeros(len(cols[0]), dtype=np.int64)
-        for col in cols:
-            out = out * self.rank + col.astype(np.int64)
-        return out
-
-    def lookup(self, cols, what):
-        """Values at the given index columns; unit legs give 1 exactly."""
-        triangle = np.zeros(len(cols[0]), dtype=bool)
-        for pos in self.unit_positions:
-            triangle |= cols[pos] == 0
-        out = np.ones(len(cols[0]), dtype=complex)
-        rest = ~triangle
-        if rest.any():
-            packed = self.pack_arrays([c[rest] for c in cols])
-            pos = np.searchsorted(self.keys, packed)
-            pos = np.clip(pos, 0, max(len(self.keys) - 1, 0))
-            hit = (self.keys[pos] == packed) if len(self.keys) else np.zeros(
-                len(packed), dtype=bool)
-            if not np.all(hit):
-                bad = np.argmin(hit)
-                raise StructuralError(
-                    f"missing {what} entry for admissible tuple "
-                    f"{self._unpack(packed[bad])}")
-            out[rest] = self.vals[pos]
-        return out
-
-    def _unpack(self, key):
-        idx = []
-        for _ in range(self.arity):
-            idx.append(int(key % self.rank))
-            key //= self.rank
-        return tuple(reversed(idx))
-
-
 class _ChannelJoin:
     """Expand rows by the fusion channels of a pair of label columns."""
 
@@ -419,12 +430,21 @@ class _ChannelJoin:
         """Return (row_idx, c) pairs with N^c_{a,b} = 1 for each input row."""
         keys = acol.astype(np.int64) * self.rank + bcol.astype(np.int64)
         counts = self.counts[keys]
-        total = int(counts.sum())
         row_idx = np.repeat(np.arange(len(keys)), counts)
-        cum = np.cumsum(counts)
-        local = np.arange(total) - np.repeat(cum - counts, counts)
-        cvals = self.c_sorted[self.starts[keys][row_idx] + local]
-        return row_idx, cvals
+        local = np.arange(len(row_idx)) - (np.cumsum(counts) - counts)[row_idx]
+        return row_idx, self.c_sorted[self.starts[keys][row_idx] + local]
+
+    def extend(self, cols, i, j):
+        """Each row of cols once per channel of cols[i] (x) cols[j], the
+        channel appended as a last column."""
+        idx, x = self.join(cols[i], cols[j])
+        return [col[idx] for col in cols] + [x]
+
+
+def _spread(cols, labels):
+    """Each row of cols once per label, the label appended as a last column."""
+    rep = np.repeat(np.arange(len(cols[0])), len(labels))
+    return [col[rep] for col in cols] + [np.tile(labels, len(cols[0]))]
 
 
 def _is_group_ring(ring):
@@ -437,42 +457,46 @@ def _key_array(entries, arity):
                        count=len(entries) * arity).reshape(len(entries), arity)
 
 
-def _dense_prefix(entries, r, arity, lead):
-    """np.ones((r,) * lead) holding each value at the first ``lead`` of the
-    ``arity`` indices of its key; one fancy assignment."""
-    keys = _key_array(entries, arity)
-    out = np.ones((r,) * lead, dtype=complex)
-    out[tuple(keys[:, :lead].T)] = np.fromiter(entries.values(), dtype=complex,
-                                               count=len(entries))
-    return out
+def _leading_blocks(r, rows_per_label):
+    """The labels 0 .. r-1 in consecutive blocks of at most 2^12 rows, at
+    least one label each: what the pointed checks hold at once."""
+    size = max(1, (1 << 12) // rows_per_label)
+    return [np.arange(a, min(a + size, r)) for a in range(0, r, size)]
 
 
 def _pointed_tables(cd):
-    """Group product table and dense F(a,b,c) array for a pointed category."""
-    return np.argmax(cd.ring.N, axis=2), _dense_prefix(cd.F.entries, cd.ring.rank, 6, 3)
+    """Group product table P and the dense F(a,b,c) array of a pointed
+    category, read by one lookup per block of leading labels a."""
+    r = cd.ring.rank
+    P = np.argmax(cd.ring.N, axis=2)
+    FF = []
+    for lead in _leading_blocks(r, r * r):
+        a, b, c = (v.ravel() for v in np.meshgrid(lead, range(r), range(r), indexing="ij"))
+        e = P[a, b]
+        FF.append(cd.F.lookup([a, b, c, P[e, c], e, P[b, c]]))
+    return P, np.concatenate(FF).reshape(r, r, r)
 
 
 def _pentagon_pointed(cd) -> list:
-    """Dense cocycle check F(ab,c,d) F(a,b,cd) = F(a,b,c) F(a,bc,d) F(b,c,d)."""
-    ring = cd.ring
-    r = ring.rank
+    """Dense cocycle check F(ab,c,d) F(a,b,cd) = F(a,b,c) F(a,bc,d) F(b,c,d),
+    one block of leading labels a (r^3 instances each) at a time."""
+    r = cd.ring.rank
     P, FF = _pointed_tables(cd)
-    a, b, c, d = np.ogrid[:r, :r, :r, :r]
-    ab = P[a, b]          # broadcasts to (r, r, 1, 1)
-    cdl = P[c, d]
-    bc = P[b, c]
-    lhs = FF[ab, c, d] * FF[a, b, cdl]
-    rhs = FF[a, b, c] * FF[a, bc, d] * FF[b, c, d]
-    resid = np.abs(lhs - rhs)
+    _, b, c, d = np.ogrid[:1, :r, :r, :r]
+    cdl, bc = P[c, d], P[b, c]
     report = []
-    for ia, ib, ic, id_ in np.argwhere(resid > cd.tolerance):
-        e = P[P[P[ia, ib], ic], id_]
-        f, g = P[ia, ib], P[P[ia, ib], ic]
-        l, k = P[ic, id_], P[ib, P[ic, id_]]
-        report.append(
-            "pentagon: (a,b,c,d,e;f,g,k,l)="
-            f"({ia},{ib},{ic},{id_},{e};{f},{g},{k},{l}) "
-            f"residual={resid[ia, ib, ic, id_]:.3e}")
+    for lead in _leading_blocks(r, r ** 3):
+        a = lead[:, None, None, None]
+        ab = P[a, b]
+        resid = np.abs(FF[ab, c, d] * FF[a, b, cdl]
+                       - FF[a, b, c] * FF[a, bc, d] * FF[b, c, d])
+        for ia, ib, ic, id_ in np.argwhere(resid > cd.tolerance):
+            f = P[lead[ia], ib]
+            g, l = P[f, ic], P[ic, id_]
+            report.append(
+                "pentagon: (a,b,c,d,e;f,g,k,l)="
+                f"({lead[ia]},{ib},{ic},{id_},{P[g, id_]};{f},{g},{P[ib, l]},{l}) "
+                f"residual={resid[ia, ib, ic, id_]:.3e}")
     return report
 
 
@@ -485,134 +509,89 @@ def verify_pentagon(cd: CategoryData) -> list:
     Fully vectorized; agrees with the reference loop implementation.
     """
     ring = cd.ring
-    r = ring.rank
     if _is_group_ring(ring):
         return _pentagon_pointed(cd)
     join = _ChannelJoin(ring)
-    ftab = _SymbolTable(cd.F.entries, r, 6, unit_positions=(0, 1, 2))
+    labels = np.arange(ring.rank, dtype=np.int64)
+    cols = list(np.argwhere(ring.N > 0).astype(np.int64).T)          # a, b, f
+    cols = join.extend(_spread(cols, labels), 2, 3)                    # c, g: N^g_{fc}
+    cols = join.extend(_spread(cols, labels), 4, 5)                    # d, e: N^e_{gd}
+    cols = join.extend(cols, 3, 5)                                     # l: N^l_{cd}
+    cols = [col[ring.N[cols[2], cols[7], cols[6]] > 0] for col in cols]  # N^e_{fl}
+    cols = join.extend(cols, 1, 7)                                     # k: N^k_{bl}
+    a, b, f, c, g, d, e, l, k = (col[ring.N[cols[0], cols[8], cols[6]] > 0] for col in cols)
 
-    trip = np.argwhere(ring.N > 0).astype(np.int64)  # (a, b, f)
-    a, b, f = trip[:, 0], trip[:, 1], trip[:, 2]
-    # extend by c and g with N^g_{fc} = 1
-    n_rows = len(a)
-    rep = np.repeat(np.arange(n_rows), r)
-    c = np.tile(np.arange(r, dtype=np.int64), n_rows)
-    a, b, f = a[rep], b[rep], f[rep]
-    idx, g = join.join(f, c)
-    a, b, f, c = a[idx], b[idx], f[idx], c[idx]
-    # extend by d and e with N^e_{gd} = 1
-    n_rows = len(a)
-    rep = np.repeat(np.arange(n_rows), r)
-    d = np.tile(np.arange(r, dtype=np.int64), n_rows)
-    a, b, f, c, g = a[rep], b[rep], f[rep], c[rep], g[rep]
-    idx, e = join.join(g, d)
-    a, b, f, c, g, d = a[idx], b[idx], f[idx], c[idx], g[idx], d[idx]
-    # l with N^l_{cd} = 1 and N^e_{fl} = 1
-    idx, l = join.join(c, d)
-    cols = [a[idx], b[idx], f[idx], c[idx], g[idx], d[idx], e[idx], l]
-    keep = ring.N[cols[2], cols[7], cols[6]] > 0
-    a, b, f, c, g, d, e, l = (col[keep] for col in cols)
-    # k with N^k_{bl} = 1 and N^e_{ak} = 1
-    idx, k = join.join(b, l)
-    cols = [a[idx], b[idx], f[idx], c[idx], g[idx], d[idx], e[idx], l[idx], k]
-    keep = ring.N[cols[0], cols[8], cols[6]] > 0
-    a, b, f, c, g, d, e, l, k = (col[keep] for col in cols)
-
-    lhs = (ftab.lookup([f, c, d, e, g, l], "F")
-           * ftab.lookup([a, b, l, e, f, k], "F"))
-    rhs = np.zeros(len(a), dtype=complex)
+    F = cd.F.lookup
+    lhs = F([f, c, d, e, g, l]) * F([a, b, l, e, f, k])
     idx, h = join.join(b, c)
     keep = (ring.N[a[idx], h, g[idx]] > 0) & (ring.N[h, d[idx], k[idx]] > 0)
     idx, h = idx[keep], h[keep]
-    terms = (ftab.lookup([a[idx], b[idx], c[idx], g[idx], f[idx], h], "F")
-             * ftab.lookup([a[idx], h, d[idx], e[idx], g[idx], k[idx]], "F")
-             * ftab.lookup([b[idx], c[idx], d[idx], k[idx], h, l[idx]], "F"))
+    terms = (F([a[idx], b[idx], c[idx], g[idx], f[idx], h])
+             * F([a[idx], h, d[idx], e[idx], g[idx], k[idx]])
+             * F([b[idx], c[idx], d[idx], k[idx], h, l[idx]]))
     rhs = (np.bincount(idx, weights=terms.real, minlength=len(a))
            + 1j * np.bincount(idx, weights=terms.imag, minlength=len(a)))
 
     resid = np.abs(lhs - rhs)
     bad = np.nonzero(resid > cd.tolerance)[0]
-    order = sorted(bad, key=lambda i: (int(a[i]), int(b[i]), int(c[i]), int(d[i]),
-                                       int(e[i]), int(f[i]), int(g[i]),
-                                       int(k[i]), int(l[i])))
+    order = bad[np.lexsort([x[bad] for x in (l, k, g, f, e, d, c, b, a)])]
     return [
         "pentagon: (a,b,c,d,e;f,g,k,l)="
         f"({a[i]},{b[i]},{c[i]},{d[i]},{e[i]};{f[i]},{g[i]},{k[i]},{l[i]}) "
         f"residual={resid[i]:.3e}" for i in order]
 
 
-def _hexagon_instances(cd, rtab, invert):
-    """One hexagon family for braiding scalars rv(a,b,c):
+def _hexagon_instances(cd) -> list:
+    """Both hexagon families, for braiding scalars rv(a,b,c):
 
         rv(a,b,e) F^{bac}_d[e,f] rv(a,c,f) = sum_g F^{abc}_d[e,g] rv(a,g,d) F^{bca}_d[g,f]
 
-    With ``invert`` the scalars are those of the inverse braiding,
+    first with rv = R, then with the scalars of the inverse braiding,
     rv(a,b,c) = 1 / R^{ba}_c.  Vectorized like verify_pentagon.
     """
     ring = cd.ring
-    r = ring.rank
-    if _is_group_ring(ring):
-        return _hexagon_pointed(cd, rtab, invert)
     join = _ChannelJoin(ring)
-    ftab = _SymbolTable(cd.F.entries, r, 6, unit_positions=(0, 1, 2))
-
-    def rv(acol, bcol, ccol):
-        if invert:
-            return 1.0 / rtab.lookup([bcol, acol, ccol], "R")
-        return rtab.lookup([acol, bcol, ccol], "R")
-
-    trip = np.argwhere(ring.N > 0).astype(np.int64)  # (a, b, e)
-    a, b, e = trip[:, 0], trip[:, 1], trip[:, 2]
-    n_rows = len(a)
-    rep = np.repeat(np.arange(n_rows), r)
-    c = np.tile(np.arange(r, dtype=np.int64), n_rows)
-    a, b, e = a[rep], b[rep], e[rep]
-    idx, d = join.join(e, c)
-    a, b, e, c = a[idx], b[idx], e[idx], c[idx]
-    idx, f = join.join(a, c)
-    cols = [a[idx], b[idx], e[idx], c[idx], d[idx], f]
-    keep = ring.N[cols[1], cols[5], cols[4]] > 0
-    a, b, e, c, d, f = (col[keep] for col in cols)
-
-    lhs = rv(a, b, e) * ftab.lookup([b, a, c, d, e, f], "F") * rv(a, c, f)
-    rhs = np.zeros(len(a), dtype=complex)
+    F, R = cd.F.lookup, cd.R.lookup
+    cols = list(np.argwhere(ring.N > 0).astype(np.int64).T)          # a, b, e
+    cols = join.extend(_spread(cols, np.arange(ring.rank, dtype=np.int64)), 2, 3)  # c, d
+    cols = join.extend(cols, 0, 3)                                     # f: N^f_{ac}
+    a, b, e, c, d, f = (col[ring.N[cols[1], cols[5], cols[4]] > 0] for col in cols)
     idx, g = join.join(b, c)
     keep = ring.N[a[idx], g, d[idx]] > 0
     idx, g = idx[keep], g[keep]
-    terms = (ftab.lookup([a[idx], b[idx], c[idx], d[idx], e[idx], g], "F")
-             * rv(a[idx], g, d[idx])
-             * ftab.lookup([b[idx], c[idx], a[idx], d[idx], g, f[idx]], "F"))
-    rhs = (np.bincount(idx, weights=terms.real, minlength=len(a))
-           + 1j * np.bincount(idx, weights=terms.imag, minlength=len(a)))
+    f_lhs = F([b, a, c, d, e, f])
+    f_in = F([a[idx], b[idx], c[idx], d[idx], e[idx], g])
+    f_out = F([b[idx], c[idx], a[idx], d[idx], g, f[idx]])
 
-    resid = np.abs(lhs - rhs)
-    bad = np.nonzero(resid > cd.tolerance)[0]
-    order = sorted(bad, key=lambda i: (int(a[i]), int(b[i]), int(c[i]),
-                                       int(d[i]), int(e[i]), int(f[i])))
-    return [
-        f"hexagon: (a,b,c,d;e,f)=({a[i]},{b[i]},{c[i]},{d[i]};{e[i]},{f[i]}) "
-        f"residual={resid[i]:.3e}" for i in order]
+    report = []
+    for tag, rv in (("hexagon", lambda x, y, z: R([x, y, z])),
+                    ("hexagon(inverse)", lambda x, y, z: 1.0 / R([y, x, z]))):
+        lhs = rv(a, b, e) * f_lhs * rv(a, c, f)
+        terms = f_in * rv(a[idx], g, d[idx]) * f_out
+        rhs = (np.bincount(idx, weights=terms.real, minlength=len(a))
+               + 1j * np.bincount(idx, weights=terms.imag, minlength=len(a)))
+        resid = np.abs(lhs - rhs)
+        bad = np.nonzero(resid > cd.tolerance)[0]
+        order = bad[np.lexsort([x[bad] for x in (f, e, d, c, b, a)])]
+        report += [f"{tag}: (a,b,c,d;e,f)=({a[i]},{b[i]},{c[i]},{d[i]};{e[i]},{f[i]}) "
+                   f"residual={resid[i]:.3e}" for i in order]
+    return report
 
 
-def _hexagon_pointed(cd, rtab, invert) -> list:
-    """Dense hexagon check for a pointed category."""
-    ring = cd.ring
-    r = ring.rank
+def _hexagon_pointed(cd) -> list:
+    """Dense hexagon check for a pointed category, both families."""
+    r = cd.ring.rank
     P, FF = _pointed_tables(cd)
-    RR = _dense_prefix(cd.R.entries, r, 3, 2)
-    if invert:
-        RR = 1.0 / RR.T
+    R = cd.R.lookup([*np.indices((r, r)).reshape(2, -1), P.ravel()]).reshape(r, r)
     a, b, c = np.ogrid[:r, :r, :r]
     bc = P[b, c]
-    lhs = RR[a, b] * FF[b, a, c] * RR[a, c]
-    rhs = FF[a, b, c] * RR[a, bc] * FF[b, c, a]
-    resid = np.abs(lhs - rhs)
     report = []
-    for ia, ib, ic in np.argwhere(resid > cd.tolerance):
-        e, f, d = P[ia, ib], P[ia, ic], P[P[ia, ib], ic]
-        report.append(
-            f"hexagon: (a,b,c,d;e,f)=({ia},{ib},{ic},{d};{e},{f}) "
-            f"residual={resid[ia, ib, ic]:.3e}")
+    for tag, RR in (("hexagon", R), ("hexagon(inverse)", 1.0 / R.T)):
+        resid = np.abs(RR[a, b] * FF[b, a, c] * RR[a, c] - FF[a, b, c] * RR[a, bc] * FF[b, c, a])
+        for ia, ib, ic in np.argwhere(resid > cd.tolerance):
+            e, f = P[ia, ib], P[ia, ic]
+            report.append(f"{tag}: (a,b,c,d;e,f)=({ia},{ib},{ic},{P[e, ic]};{e},{f}) "
+                          f"residual={resid[ia, ib, ic]:.3e}")
     return report
 
 
@@ -620,10 +599,7 @@ def verify_hexagon(cd: CategoryData) -> list:
     """Both hexagon families: for R and for the inverse braiding."""
     if cd.R is None:
         raise PreconditionError("verify_hexagon requires R-symbols")
-    rtab = _SymbolTable(cd.R.entries, cd.ring.rank, 3, unit_positions=(0, 1))
-    rep = _hexagon_instances(cd, rtab, invert=False)
-    rep_inv = _hexagon_instances(cd, rtab, invert=True)
-    return rep + [line.replace("hexagon:", "hexagon(inverse):") for line in rep_inv]
+    return (_hexagon_pointed if _is_group_ring(cd.ring) else _hexagon_instances)(cd)
 
 
 def _inadmissible_entries(ring, F_entries, R_entries) -> list:
@@ -651,13 +627,14 @@ def validate_category(cd: CategoryData) -> list:
         return report
     ring = cd.ring
     r = ring.rank
-    report += _inadmissible_entries(ring, cd.F.entries, cd.R and cd.R.entries)
+    F = FSymbolSet._adopt(cd.F.entries)     # a computed F is evaluated once, not key by key
+    report += _inadmissible_entries(ring, F.entries, cd.R and cd.R.entries)
     # unitarity of each F-block, d over the channels of (a (x) b) (x) c
     for a in range(1, r):
         for b in range(1, r):
             for c in range(1, r):
                 for d in sorted({d for e in ring.channels(a, b) for d in ring.channels(e, c)}):
-                    es, fs, mat = cd.F.matrix(ring, a, b, c, d)
+                    es, fs, mat = F.matrix(ring, a, b, c, d)
                     if not fs:
                         continue
                     if mat.shape[0] != mat.shape[1]:
@@ -675,14 +652,13 @@ def validate_category(cd: CategoryData) -> list:
     return report
 
 
-def _finish(ring, F, R_entries, tolerance=CategoryData.tolerance, name="",
-            quadratic_form=None):
+def _finish(ring, F, R_entries, tolerance=CategoryData.tolerance, name=""):
     """The CategoryData of an FSymbolSet or of freshly built entry dicts,
     which it keeps uncopied."""
     F = F if isinstance(F, FSymbolSet) else FSymbolSet._adopt(F)
     return CategoryData(ring=ring, dims=fp_dimensions(ring), F=F,
                         R=RSymbolSet._adopt(R_entries) if R_entries is not None else None,
-                        tolerance=tolerance, name=name, quadratic_form=quadratic_form)
+                        tolerance=tolerance, name=name)
 
 
 def pointed_from_quadratic_form(qf: QuadraticForm, name="") -> CategoryData:
@@ -694,8 +670,9 @@ def pointed_from_quadratic_form(qf: QuadraticForm, name="") -> CategoryData:
 
     The form is validated first.  Labels are the elements in
     ``qf.elements()`` order; the product table, duals and R come from
-    coordinate arrays over that grid.  F is computed on first read (see
-    FSymbolSet).
+    coordinate arrays over that grid.  F is computed from the closed form,
+    per key on its first ``value`` read and per column in ``lookup``, on
+    coordinate arrays (see _ComputedF); nothing is computed up front.
     """
     bad = qf.validate()
     if bad:
@@ -709,8 +686,8 @@ def pointed_from_quadratic_form(qf: QuadraticForm, name="") -> CategoryData:
     N = np.zeros((rank, rank, rank), dtype=np.int64)
     N[np.arange(rank)[:, None], np.arange(rank)[None, :], P] = 1
     ring = FusionRing(rank=rank, labels=labels, dual=dual, N=N)
-    F = FSymbolSet._lazy(ring, functools.partial(_pointed_f_value, qf, els),
-                         functools.partial(_pointed_f_entries, qf))
+    F = _ComputedF(ring, functools.partial(_pointed_f_value, qf, els),
+                   functools.partial(_pointed_f_rows, qf, x))
     R = np.exp(1j * np.pi * qf._phase(x[:, :, None], x[:, None, :]))
     g_col, h_col = (v.ravel().tolist() for v in np.indices((rank, rank)))
     R_entries = zip(zip(g_col, h_col, P.ravel().tolist()), R.ravel().tolist())
@@ -723,24 +700,9 @@ def _pointed_f_value(qf: QuadraticForm, els, a, b, c, d, e, f):
     return cmath.exp(1j * math.pi * qf._f_phase(els[a], els[b], els[c]))
 
 
-def _pointed_f_entries(qf: QuadraticForm) -> dict:
-    """Every F entry of the quadratic form's category, filled one a-slab of
-    (b, c) at a time, in (a, b, c) order, so no (rank - 1)^3 array of keys
-    or values is ever held: several times faster than _pointed_f_value per
-    key."""
-    rank = qf.order
-    x, P = qf._grid()
-    els = qf.elements()
-    b, c = (v.ravel() for v in np.indices((rank - 1, rank - 1)) + 1)
-    xb, xc = x[:, b], x[:, c]
-    bs, cs, fs = b.tolist(), c.tolist(), P[b, c].tolist()
-    entries = {}
-    for a in range(1, rank):
-        e = P[a, b]
-        entries.update(zip(
-            zip(itertools.repeat(a), bs, cs, P[e, c].tolist(), e.tolist(), fs),
-            np.exp(1j * np.pi * qf._f_phase(els[a], xb, xc)).tolist()))
-    return entries
+def _pointed_f_rows(qf: QuadraticForm, x, cols):
+    """_pointed_f_value on label columns, x[i, g] the coordinates of g."""
+    return np.exp(1j * np.pi * qf._f_phase(*(x[:, col] for col in cols[:3])))
 
 
 def kappa_of(cd: CategoryData, g) -> complex:
@@ -759,9 +721,8 @@ def reverse_braiding(cd: CategoryData) -> CategoryData:
     """Replace R^{ab}_c by conj(R^{ba}_c); an involution on the entries."""
     if cd.R is None:
         raise PreconditionError("reverse_braiding requires R-symbols")
-    entries = {}
-    for (a, b, c), v in cd.R.entries.items():
-        entries[(a, b, c)] = np.conj(cd.R.entries[(b, a, c)])
+    R = cd.R.entries
+    entries = {(a, b, c): np.conj(R[(b, a, c)]) for a, b, c in R}
     return CategoryData(ring=cd.ring, dims=cd.dims, F=cd.F, R=RSymbolSet._adopt(entries),
                         tolerance=cd.tolerance,
                         name=f"rev({cd.name})" if cd.name else "")
@@ -775,95 +736,69 @@ def monoidal_opposite(cd: CategoryData) -> CategoryData:
     R_op^{ab}_c = R^{b~ a~}_{c~}, where x~ = dual(x).
     """
     ring_op = opposite_ring(cd.ring)
-    dl = cd.ring.dual
-    F_entries = {}
-    r = cd.ring.rank
-    for a in range(1, r):
-        for b in range(1, r):
-            for c in range(1, r):
-                for e in ring_op.channels(a, b):
-                    for d in ring_op.channels(e, c):
-                        for f in ring_op.channels(b, c):
-                            if not ring_op.N[a, f, d]:
-                                continue
-                            F_entries[(a, b, c, d, e, f)] = np.conj(
-                                cd.fval(dl[c], dl[b], dl[a], dl[d], dl[f], dl[e]))
+    dl = np.array(cd.ring.dual)
+    F_entries = _table(ring_op, lambda cols: np.conj(
+        cd.F.lookup([dl[cols[i]] for i in (2, 1, 0, 3, 5, 4)])))
     R_entries = None
     if cd.R is not None:
-        R_entries = {}
-        for a in range(r):
-            for b in range(r):
-                for c in ring_op.channels(a, b):
-                    R_entries[(a, b, c)] = cd.rval(dl[b], dl[a], dl[c])
+        a, b, c = np.nonzero(ring_op.N)
+        R_entries = dict(_keyed((a, b, c), cd.R.lookup([dl[b], dl[a], dl[c]])))
     return _finish(ring_op, F_entries, R_entries, tolerance=cd.tolerance,
                    name=f"op({cd.name})" if cd.name else "")
 
 
-def _f_items(cd: CategoryData) -> list:
-    """(a, b, c, d, e, f, F^{abc}_d[e, f]) on every admissible tuple.
-
-    Unit legs are included, with the value 1.
-    """
-    r = cd.ring
-    return [(a, b, c, d, e, f, cd.fval(a, b, c, d, e, f))
-            for a in range(r.rank) for b in range(r.rank) for e in r.channels(a, b)
-            for c in range(r.rank) for d in r.channels(e, c) for f in r.channels(b, c)
-            if r.N[a, f, d]]
+def _keyed(cols, vals):
+    """(row of cols, value) pairs for index columns and an array of values."""
+    return zip(zip(*(c.tolist() for c in cols)), vals.tolist())
 
 
-def _r_items(cd: CategoryData) -> list:
-    """(a, b, c, R^{ab}_c) on every admissible channel, unit legs included."""
-    r = cd.ring
-    return [(a, b, c, cd.rval(a, b, c))
-            for a in range(r.rank) for b in range(r.rank) for c in r.channels(a, b)]
+def _table(ring, read) -> dict:
+    """{(a, b, c, d, e, f): read(cols)} over the columns of every admissible
+    tuple with no unit leg, in (a, b, e, c, d, f) order, read one block of
+    leading labels a at a time to keep the peak low."""
+    join, labels, out = _ChannelJoin(ring), np.arange(1, ring.rank, dtype=np.int64), {}
+    for lead in _leading_blocks(ring.rank, ring.rank ** 2):
+        a, b, e, c, d, f = join.extend(join.extend(_spread(join.extend(
+            _spread([lead[lead > 0]], labels), 0, 1), labels), 2, 3), 1, 3)
+        cols = [col[ring.N[a, f, d] > 0] for col in (a, b, c, d, e, f)]
+        out.update(_keyed(cols, read(cols)))
+    return out
 
 
 def deligne_product_data(c1: CategoryData, c2: CategoryData) -> CategoryData:
     """Deligne product: ring product, componentwise F (and R when both braided).
 
     The pair (i, j) has index i * rank2 + j; each F entry is the product of
-    the two factors' entries, computed on first read (see FSymbolSet).  F
-    reads the factors' F when it computes an entry, on a first read or in
-    the bulk build at the first access to its ``entries``: an edit made
-    through a factor's ``F.entries`` after the product exists reaches what
-    is computed after it, and nothing once ``entries`` is built.  The
-    product holds its factors, so ``copy.deepcopy`` of it copies them too.
+    the two factors' entries: ``value`` multiplies the factors' values on a
+    key's first read, ``lookup`` the factors' lookups on the split columns
+    (see _ComputedF).  The product holds its immutable factors, so
+    ``copy.deepcopy`` of it copies them too.
     """
     ring = deligne_product(c1.ring, c2.ring)
     k = c2.ring.rank
     R_entries = None
     if c1.R is not None and c2.R is not None:
-        items2 = _r_items(c2)
-        R_entries = {(a1 * k + a2, b1 * k + b2, cc1 * k + cc2): v1 * v2
-                     for a1, b1, cc1, v1 in _r_items(c1)
-                     for a2, b2, cc2, v2 in items2}
+        cols = np.nonzero(ring.N)
+        R_entries = dict(_keyed(cols, _split_product(c1.R, c2.R, k, cols)))
     name = f"{c1.name}(x){c2.name}" if c1.name and c2.name else ""
-    F = FSymbolSet._lazy(ring, functools.partial(_deligne_f_value, c1, c2),
-                         functools.partial(_deligne_f_entries, c1, c2))
+    F = _ComputedF(ring, functools.partial(_deligne_f_value, c1, c2),
+                   functools.partial(_split_product, c1.F, c2.F, k))
     return _finish(ring, F, R_entries, tolerance=max(c1.tolerance, c2.tolerance), name=name)
 
 
 def _deligne_f_value(c1, c2, a, b, c, d, e, f):
-    """The product c1.fval * c2.fval at the split labels, the one operation
-    _deligne_f_entries makes per entry."""
+    """The product c1.fval * c2.fval at the split labels."""
     k = c2.ring.rank
     return (c1.fval(a // k, b // k, c // k, d // k, e // k, f // k)
             * c2.fval(a % k, b % k, c % k, d % k, e % k, f % k))
 
 
-def _deligne_f_entries(c1, c2) -> dict:
-    """Every F entry of the Deligne product, v1 * v2 over one list of fval
-    values per factor: several times faster than _deligne_f_value per key."""
-    k = c2.ring.rank
-    entries = {}
-    items2 = _f_items(c2)
-    for a1, b1, c1_, d1, e1, f1, v1 in _f_items(c1):
-        for a2, b2, c2_, d2, e2, f2, v2 in items2:
-            A, B, C = a1 * k + a2, b1 * k + b2, c1_ * k + c2_
-            if A == 0 or B == 0 or C == 0:
-                continue
-            entries[(A, B, C, d1 * k + d2, e1 * k + e2, f1 * k + f2)] = v1 * v2
-    return entries
+def _split_product(S1, S2, k, cols):
+    """S1.lookup(cols // k) * S2.lookup(cols % k), multiplied as Python
+    multiplies complex numbers (numpy's complex product may round otherwise)."""
+    x = S1.lookup([col // k for col in cols])
+    y = S2.lookup([col % k for col in cols])
+    return (x.real * y.real - x.imag * y.imag) + 1j * (x.real * y.imag + x.imag * y.real)
 
 
 # ---------------------------------------------------------------------------

@@ -371,12 +371,11 @@ def _f_moves(cd, a, b, c):
 
 
 def _gather_f_moves(cd, a, b, c):
-    table, out = cd.ring.channel_table, np.zeros((cd.ring.rank,) * 3, dtype=complex)
-    for e in table[a][b]:
-        for f in table[b][c]:
-            for t in table[e][c]:
-                if t in table[a][f]:
-                    out[t, e, f] = cd.fval(a, b, c, t, e, f)
+    N = cd.ring.N
+    out = np.zeros((cd.ring.rank,) * 3, dtype=complex)
+    t, e, f = np.nonzero(N[:, c].T[:, :, None] * N[a].T[:, None, :]
+                         * N[a, b][:, None] * N[b, c])     # N^e_{ab} N^t_{ec} N^f_{bc} N^t_{af}
+    out[t, e, f] = cd.F.lookup([np.full(len(t), x) for x in (a, b, c)] + [t, e, f])
     return out
 
 
@@ -621,8 +620,10 @@ def center_presentation(cd: CategoryData, center: CenterData):
     support in its labels.
 
     Nondegenerately braided cd: C (x) reverse(C), Lagrangian on the pairs
-    (c, dual c).  Pointed cd with trivial associator built from a quadratic
-    form: the double of the group, Lagrangian on the dual-group factor.
+    (c, dual c).  Pointed cd built from a quadratic form whose associator
+    class is trivial, i.e. whose closed-form F phase is 0 mod 2 on the whole
+    group, in whatever gauge cd.F is: the double of the group, Lagrangian on
+    the dual-group factor.
     Either presentation carries cd's tolerance.
     """
     if _presents_center_as_product(cd):
@@ -632,7 +633,8 @@ def center_presentation(cd: CategoryData, center: CenterData):
         return pres, support
     qf = cd.quadratic_form
     if qf is not None and cd.is_pointed():
-        if any(abs(v - 1.0) > cd.identity_tolerance for v in cd.F.entries.values()):
+        x, _P = qf._grid()
+        if np.any(qf._f_phase(x[:, :, None, None], x[:, None, :, None], x[:, None, None]) % 2):
             raise PreconditionError(
                 "pointed presentation requires a trivial associator")
         k = len(qf.group)

@@ -1,4 +1,4 @@
-import copy
+import dataclasses
 import itertools
 import json
 import re
@@ -7,7 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tensorcat.category_data import (QuadraticForm, deligne_product_data, kappa_of,
+from tensorcat.category_data import (FSymbolSet, QuadraticForm, RSymbolSet,
+                                     deligne_product_data, kappa_of,
                                      load_category, monoidal_opposite,
                                      pointed_from_quadratic_form,
                                      reverse_braiding, save_category,
@@ -35,18 +36,19 @@ def test_fibonacci_f_matrix_is_the_golden_one(fib):
     assert fib.fval(1, 1, 1, 1, 1, 1) == pytest.approx(-1 / PHI)
 
 
+def _with_f(cd, key, v):
+    """cd with F^key replaced by v, through a replacement F."""
+    return dataclasses.replace(cd, F=FSymbolSet({**cd.F.entries, key: v}))
+
+
 def test_pentagon_detects_negated_entry(fib):
-    import copy
-    bad = copy.deepcopy(fib)
-    bad.F.entries[(1, 1, 1, 1, 1, 1)] *= -1
+    bad = _with_f(fib, (1, 1, 1, 1, 1, 1), -fib.fval(1, 1, 1, 1, 1, 1))
     report = verify_pentagon(bad)
     assert report and "pentagon" in report[0]
 
 
 def test_hexagon_detects_flattened_r(fib):
-    import copy
-    bad = copy.deepcopy(fib)
-    bad.R.entries[(1, 1, 1)] = 1.0
+    bad = dataclasses.replace(fib, R=RSymbolSet({**fib.R.entries, (1, 1, 1): 1.0}))
     assert verify_hexagon(bad)
 
 
@@ -62,16 +64,13 @@ def test_vectorized_validators_match_loop_reference(cats):
 def test_f_unitarity_matches_loop_reference(cats, fib, ising_cat):
     """validate_category visits only the nonempty F blocks and reports what
     the loop over all (a, b, c, d) reports, a corrupted block included."""
-    import copy
-
     def unitarity(cd):
         return [l for l in validate_category(cd) if l.startswith("F-block")]
 
     for name, cd in cats.items():
         assert unitarity(cd) == f_unitarity_by_loops(cd) == [], name
     for cd, key in ((fib, (1, 1, 1, 1, 1, 1)), (ising_cat, (1, 1, 1, 1, 0, 2))):
-        bad = copy.deepcopy(cd)
-        bad.F.entries[key] *= 1.5
+        bad = _with_f(cd, key, cd.fval(*key) * 1.5)
         assert unitarity(bad) == f_unitarity_by_loops(bad) != [], key
         assert f"({key[0]},{key[1]},{key[2]};{key[3]}) not unitary" in unitarity(bad)[0]
 
@@ -205,8 +204,8 @@ def test_pointed_tables_match_loop_oracle(qf):
 
 
 def test_pointed_from_quadratic_form_peak_memory():
-    """The per-slab build, which runs at the first access to F.entries,
-    allocates no more at its peak than the loops' whole construction."""
+    """F.entries of the computed set, one lookup over every admissible
+    tuple, allocates no more at its peak than the loops' whole construction."""
     cd = pointed_from_quadratic_form(DZ6)
     tracemalloc.start()
     cd.F.entries
@@ -318,30 +317,11 @@ def test_deligne_product_data_matches_loop_oracle(fib, ising_cat, toric):
         assert p.R.entries == R
 
 
-def test_deligne_product_keeps_its_fresh_dicts(ising_cat):
-    """The first access to a Deligne product's F.entries builds the dict
-    the symbol set keeps, uncopied: on ising (x) ising it peaks less than
-    half an F dict table above what it keeps (a quarter, measured), where a
-    copy adds a whole one.  The public constructor still copies."""
-    import sys
-    from tensorcat.category_data import FSymbolSet
-    deligne_product_data(ising_cat, ising_cat).F.entries   # fill the factors' caches
-    cd = deligne_product_data(ising_cat, ising_cat)
-    tracemalloc.start()
-    try:
-        cd.F.entries
-        kept, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak - kept < sys.getsizeof(cd.F.entries) // 2, (kept, peak)
-    entries = dict(cd.F.entries)
-    assert FSymbolSet(entries).entries is not entries
-
-
-def _admissible_keys(ring):
-    """Admissible (a, b, c, d, e, f) without a unit leg."""
+def _admissible_keys(ring, first=1):
+    """Admissible (a, b, c, d, e, f) with a, b, c >= first: without a unit
+    leg by default."""
     ch = ring.channels
-    return [(a, b, c, d, e, f) for a, b, c in itertools.product(range(1, ring.rank), repeat=3)
+    return [(a, b, c, d, e, f) for a, b, c in itertools.product(range(first, ring.rank), repeat=3)
             for e in ch(a, b) for d in ch(e, c) for f in ch(b, c) if d in ch(a, f)]
 
 
@@ -358,89 +338,118 @@ LAZY_CASES = {
 }
 
 
+def _columns(keys):
+    return [np.array(col, dtype=np.int64) for col in zip(*keys)]
+
+
 @pytest.mark.parametrize("name", sorted(LAZY_CASES))
 def test_f_read_before_the_bulk_build_is_bit_identical(name):
-    """An entry computed on its first read equals, bit for bit and in type,
-    the one the bulk build of F.entries gives, read before or after it;
-    the bulk build keeps the order it had and replaces what was computed."""
+    """A computed F gives, bit for bit, the same entry whether it is read by
+    value (computed and kept on the first read), by one lookup over every
+    admissible tuple, or through entries; no lookup writes to the per-key
+    memo.  value keeps the type of the product it computes (a float where
+    both factors' entries are), lookup and entries give complex."""
     lazy, bulk = LAZY_CASES[name](), LAZY_CASES[name]()
     keys = _admissible_keys(lazy.ring)
+    looked = bulk.F.lookup(_columns(keys)).tolist()
+    assert len(bulk.F._held) == 0
     first = [lazy.fval(*k) for k in keys]
     assert len(lazy.F._held) == len(keys)
+    assert first == looked == [lazy.fval(*k) for k in keys]
     entries = bulk.F.entries
-    assert sorted(entries) == sorted(keys)
-    for k, v in zip(keys, first):
-        assert v == entries[k] and type(v) is type(entries[k]), k
-    assert list(lazy.F.entries.items()) == list(entries.items())
-    assert all(lazy.fval(*k) is lazy.F.entries[k] for k in keys)
+    assert sorted(entries) == sorted(keys) and len(bulk.F._held) == 0
+    assert [entries[k] for k in keys] == first
     if name == "D(Z6)":
         ref = pointed_from_quadratic_form_by_loops(DZ6)
         assert list(entries.items()) == list(ref.F.entries.items())
 
 
+def test_f_and_r_lookup_equals_value_on_the_catalog(cats):
+    """On every stored set of the catalog, and its monoidal opposite, lookup
+    over all admissible tuples, unit legs included, equals value exactly."""
+    for name, cd in cats.items():
+        for c in (cd, monoidal_opposite(cd)):
+            ring = c.ring
+            keys = _admissible_keys(ring, first=0)
+            assert c.F.lookup(_columns(keys)).tolist() == [c.fval(*k) for k in keys], name
+            if c.R is not None:
+                rkeys = [(a, b, x) for a in range(ring.rank) for b in range(ring.rank)
+                         for x in ring.channels(a, b)]
+                assert (c.R.lookup(_columns(rkeys)).tolist()
+                        == [c.rval(*k) for k in rkeys]), name
+
+
 @pytest.mark.parametrize("name", sorted(LAZY_CASES))
 def test_f_first_read_rejects_inadmissible_tuples(name):
-    """Not admissible, out of range or not a label: the message a missing
-    entry of an explicit table gives, before and after the bulk build."""
+    """Not admissible, out of range or not a label: value and lookup raise
+    the message a missing entry of a stored table gives, computed or not."""
     cd = LAZY_CASES[name]()
+    stored = FSymbolSet(cd.F.entries)
     r = cd.ring.rank
     bad = [(1, 1, 1, 1, 1, r), (1, 1, 1, 1, 1, -1), (1, 1, 1, 1, 1, 1.5)]
     good = set(_admissible_keys(cd.ring))
     bad += [k for k in itertools.product(range(1, min(r, 4)), repeat=6) if k not in good][:20]
-    for _ in range(2):
+    ok = sorted(good)[0]
+    for F in (cd.F, stored):
         for key in bad:
-            with pytest.raises(StructuralError,
-                               match=re.escape(f"missing F entry for admissible tuple {key}")):
-                cd.fval(*key)
-        cd.F.entries
+            message = re.escape(f"missing F entry for admissible tuple {key}")
+            with pytest.raises(StructuralError, match=message):
+                F.value(*key)
+            cols = [np.array([x, y]) for x, y in zip(ok, key)]     # a float column for 1.5
+            with pytest.raises(StructuralError, match=message):
+                F.lookup(cols)
+
+
+def test_symbol_sets_are_read_only(fib):
+    """Assigning an item of entries raises; the constructor copies."""
+    for S in (fib.F, fib.R):
+        key = next(iter(S.entries))
+        with pytest.raises(TypeError):
+            S.entries[key] = 0.0
+        given = dict(S.entries)
+        assert type(S)(given).entries is not given
+    with pytest.raises(TypeError):
+        LAZY_CASES["D(Z6)"]().F.entries[(1, 1, 1, 2, 2, 2)] = 0.0
 
 
 @pytest.mark.parametrize("name", ["fib(x)ising", "D(Z6)"])
 def test_fault_injection_reaches_computed_f(name):
-    """A copy whose F.entries is edited reports it in verify_pentagon, and
-    fval returns the edited value, whether or not the entry was read
-    before the copy."""
+    """A copy whose F is replaced by the computed entries with one of them
+    negated reports it in verify_pentagon, and fval returns the negated
+    value, whether or not the entry was read before the copy."""
     cd = LAZY_CASES[name]()
     key = _admissible_keys(cd.ring)[-1]
     for read_first in (False, True):
         if read_first:
             cd.fval(*key)
-        bad = copy.deepcopy(cd)
         want = -cd.fval(*key)
-        bad.F.entries[key] *= -1
+        bad = _with_f(cd, key, want)
         assert bad.fval(*key) == want
         assert verify_pentagon(bad) != []
     assert verify_pentagon(cd) == []
 
 
-def test_f_bulk_build_runs_once_across_threads():
-    """Threads that find F.entries unbuilt get one dict from one build, and
-    threads making first reads meanwhile read the values it holds."""
+def test_f_first_reads_and_lookups_agree_across_threads():
+    """Six threads mixing first reads by value and lookups of one computed
+    set all get the reference values."""
     import sys
     import threading
-    import time
     cd, ref = LAZY_CASES["D(Z6)"](), LAZY_CASES["D(Z6)"]().F.entries
     keys = list(ref)[::7]
-    build, calls = cd.F._build, []
-
-    def slow_build():
-        calls.append(1)
-        time.sleep(0.05)
-        return build()
-
-    cd.F._build = slow_build
+    cols = _columns(keys)
+    want = [ref[k] for k in keys]
     start = threading.Barrier(6, timeout=10)
-    dicts, reads = [], []
-
-    def bulk():
-        start.wait()
-        dicts.append(cd.F.entries)
+    got = []
 
     def first_reads():
         start.wait()
-        reads.append([cd.fval(*k) for k in keys])
+        got.append([cd.fval(*k) for k in keys])
 
-    threads = [threading.Thread(target=f) for f in (bulk, first_reads) * 3]
+    def lookups():
+        start.wait()
+        got.append(cd.F.lookup(cols).tolist())
+
+    threads = [threading.Thread(target=f) for f in (lookups, first_reads) * 3]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -451,28 +460,30 @@ def test_f_bulk_build_runs_once_across_threads():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert len(calls) == 1 and len(dicts) == 3 and len(reads) == 3
-    assert all(e is cd.F.entries for e in dicts)
-    assert all(got == [ref[k] for k in keys] for got in reads)
-    assert list(cd.F.entries.items()) == list(ref.items())
+    assert len(got) == 6 and all(g == want for g in got)
 
 
-def test_deligne_f_reads_its_factors_when_it_computes(fib, ising_cat):
-    """A product's F reads its factors when it computes an entry, on a first
-    read or in the bulk build of F.entries: an edit made through a factor's
-    F.entries after the product exists reaches what is computed after it,
-    and nothing once F.entries is built."""
-    c1 = copy.deepcopy(fib)
-    p, ref = deligne_product_data(c1, ising_cat), deligne_product_data(fib, ising_cat)
-    k = ising_cat.ring.rank
-    read, unread = [key for key in _admissible_keys(p.ring) if all(x // k == 1 for x in key)][:2]
-    assert p.fval(*read) == ref.fval(*read)
-    c1.F.entries[(1, 1, 1, 1, 1, 1)] *= -1
-    assert p.fval(*read) == ref.fval(*read)
-    assert p.fval(*unread) == -ref.fval(*unread)
-    assert p.F.entries[read] == -ref.fval(*read)
-    c1.F.entries[(1, 1, 1, 1, 1, 1)] *= -1
-    assert p.fval(*read) == -ref.fval(*read)
+def test_pentagon_pointed_matches_loops_on_a_negated_entry():
+    """The pointed pentagon, one leading label at a time, reports what the
+    loop oracle reports, in its order, on vec_z6 with one entry negated."""
+    cd = catalog_category("vec_z6")
+    key = _admissible_keys(cd.ring)[40]
+    bad = _with_f(cd, key, -cd.fval(*key))
+    report = verify_pentagon(bad)
+    assert report and report == pentagon_by_loops(bad)
+
+
+def test_pentagon_pointed_peak_memory():
+    """verify_pentagon on D(Z6) holds one leading label's r^3 instances at a
+    time: it peaks under 10 MiB (90 MiB with all r^4 at once)."""
+    cd = pointed_from_quadratic_form(DZ6)
+    tracemalloc.start()
+    try:
+        assert verify_pentagon(cd) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20, peak
 
 
 def test_deligne_with_unit_is_identity(fib):
@@ -508,12 +519,11 @@ def test_load_rejects_inadmissible_f_entry(tmp_path, fib):
 
 
 def test_validate_and_load_reject_inadmissible_entries_alike(tmp_path, fib):
-    import copy
-    import re
     for where, key, msg in [("F", (1, 1, 1, 0, 0, 0), "F entry on inadmissible tuple (1,1,1,0,0,0)"),
                             ("R", (1, 0, 0), "R entry on inadmissible channel (1,0,0)")]:
-        bad = copy.deepcopy(fib)
-        getattr(bad, where).entries[key] = 1.0 + 0j
+        sets = {"F": fib.F, "R": fib.R}
+        sets[where] = type(sets[where])({**sets[where].entries, key: 1.0 + 0j})
+        bad = dataclasses.replace(fib, **sets)
         assert msg in validate_category(bad), where
         path = tmp_path / f"bad_{where}.json"
         save_category(bad, path)
@@ -548,9 +558,7 @@ def test_every_catalog_entry_round_trips(tmp_path, cats):
 
 
 def test_load_with_no_validate_defers(tmp_path, fib):
-    import copy
-    bad = copy.deepcopy(fib)
-    bad.R.entries[(1, 1, 1)] = 1.0
+    bad = dataclasses.replace(fib, R=RSymbolSet({**fib.R.entries, (1, 1, 1): 1.0}))
     path = tmp_path / "bad.json"
     save_category(bad, path)
     with pytest.raises(ValidationFailure):

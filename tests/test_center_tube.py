@@ -773,6 +773,30 @@ def test_pointed_presentation_computes_no_f_entry():
     assert pres.ring.rank == 100 and len(pres.F._held) == 0
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_pointed_branch_is_decided_in_any_gauge(seed):
+    """The pointed branch of center_presentation asks whether the quadratic
+    form's associator class is trivial, not whether the stored F is 1:
+    vec_z3 moved off the trivial associator by a small vertex gauge still
+    passes theorem_c_shadow."""
+    base = vec_zn(3, 0)
+    gauged = dataclasses.replace(vertex_gauge(base, seed, size=0.1),
+                                 quadratic_form=base.quadratic_form)
+    assert max(abs(v - 1) for v in gauged.F.entries.values()) > 1e-3
+    assert theorem_c_shadow(gauged)["passed"]
+
+
+def test_pointed_branch_refuses_a_nontrivial_associator_class():
+    """A degenerate form on Z/2 + Z/2 whose F is not a coboundary has no
+    presentation of its center."""
+    from tensorcat.category_data import QuadraticForm, pointed_from_quadratic_form
+    from tensorcat.errors import PreconditionError
+    qf = QuadraticForm(group=(2, 2), t=(1, 0))
+    assert qf.validate() == []
+    with pytest.raises(PreconditionError, match="trivial associator"):
+        center_presentation(pointed_from_quadratic_form(qf), None)
+
+
 @pytest.mark.parametrize("n, t, most", [(6, 1, 300), (10, 0, 1500)])
 def test_theorem_c_reads_few_presentation_entries(monkeypatch, n, t, most):
     """theorem_c_shadow computes only the presentation entries it reads
@@ -790,7 +814,7 @@ def test_theorem_c_reads_few_presentation_entries(monkeypatch, n, t, most):
     monkeypatch.setattr(center_tube, "center_presentation", presentation)
     assert center_tube.theorem_c_shadow(vec_zn(n, t))["passed"]
     (pres,) = built
-    # once built, the held dict is the whole one, of (rank - 1)^3 entries
+    # the memo holds what value computed; the whole table has (rank - 1)^3 entries
     assert 0 < len(pres.F._held) <= most < (pres.ring.rank - 1) ** 3
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from tensorcat.cli import main
 from tensorcat.algebra import group_algebra, save_algebra
 from tensorcat.catalog import catalog_category
-from tensorcat.category_data import save_category
+from tensorcat.category_data import FSymbolSet, RSymbolSet, save_category
 
 
 def run(capsys, *argv):
@@ -55,9 +56,7 @@ def test_validate_good_and_bad(tmp_path, capsys):
     save_category(cd, path)
     code, _ = run(capsys, "validate", "--input", str(path))
     assert code == 0
-    import copy
-    bad = copy.deepcopy(cd)
-    bad.R.entries[(1, 1, 1)] = 1.0
+    bad = replace(cd, R=RSymbolSet({**cd.R.entries, (1, 1, 1): 1.0}))
     bad_path = tmp_path / "bad.json"
     save_category(bad, bad_path)
     code, out = run(capsys, "validate", "--input", str(bad_path), "--no-validate")
@@ -70,7 +69,6 @@ def test_validate_checks_its_input_once(tmp_path, capsys, monkeypatch):
     """validate runs validate_category once on each path: at load time for
     --input, in the command for --no-validate and --catalog; a valid file
     prints the same bytes either way."""
-    import copy
     import tensorcat.category_data as category_data
     import tensorcat.cli as cli
     calls = []
@@ -85,8 +83,7 @@ def test_validate_checks_its_input_once(tmp_path, capsys, monkeypatch):
     cd = catalog_category("fibonacci")
     good, bad = tmp_path / "fib.json", tmp_path / "bad.json"
     save_category(cd, good)
-    broken = copy.deepcopy(cd)
-    broken.R.entries[(1, 1, 1)] = 1.0
+    broken = replace(cd, R=RSymbolSet({**cd.R.entries, (1, 1, 1): 1.0}))
     save_category(broken, bad)
     partial, bad_partial = _partial_files(tmp_path, cd)
     outs = {}
@@ -106,8 +103,6 @@ def test_validate_checks_its_input_once(tmp_path, capsys, monkeypatch):
 def _partial_files(tmp_path, cd):
     """A partial file of cd's ring, as center --emit-category writes one,
     and a copy whose dual is not an involution."""
-    from dataclasses import replace
-    from tensorcat.category_data import FSymbolSet
     good, bad = tmp_path / "partial.json", tmp_path / "bad_partial.json"
     save_category(replace(cd, F=FSymbolSet({}), R=None, partial=True), good)
     doc = json.loads(good.read_text())
@@ -140,9 +135,9 @@ def test_commands_refuse_a_broken_partial_ring(tmp_path, capsys):
 
 
 def test_validate_input_uses_tol(tmp_path, capsys):
-    import copy
-    cd = copy.deepcopy(catalog_category("fibonacci"))
-    cd.F.entries[(1, 1, 1, 1, 1, 1)] += 1e-7
+    cd = catalog_category("fibonacci")
+    key = (1, 1, 1, 1, 1, 1)
+    cd = replace(cd, F=FSymbolSet({**cd.F.entries, key: cd.fval(*key) + 1e-7}))
     path = tmp_path / "fib_perturbed.json"
     save_category(cd, path)
     code, _ = run(capsys, "validate", "--input", str(path))
