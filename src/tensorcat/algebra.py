@@ -19,12 +19,11 @@ evaluating a diagram.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .category_data import (CategoryData, _decode_value, _write_json,
+from .category_data import (CategoryData, _load_labelled, _save_labelled,
                             deligne_product_data, monoidal_opposite)
 from .diagram_eval import compose_values, dagger_value, insert, scalar_generator
 from .errors import PreconditionError, StructuralError
@@ -54,16 +53,19 @@ class AlgebraObject:
 
     def check_admissible(self, cd: CategoryData):
         """mu must be defined on exactly the admissible support triples."""
-        ring = cd.ring
         inside = set(self.support)
-        admissible = {(a, b, c) for a in self.support for b in self.support
-                      for c in ring.channels(a, b) if c in inside}
-        extra = set(self.mu) - admissible
-        missing = admissible - set(self.mu)
-        if extra:
-            raise StructuralError(f"mu entry on inadmissible triple {sorted(extra)[0]}")
-        if missing:
-            raise StructuralError(f"mu missing on admissible triple {sorted(missing)[0]}")
+        _require_keys("mu", self.mu, {(a, b, c) for a in self.support for b in self.support
+                                      for c in cd.ring.channels(a, b) if c in inside})
+
+
+def _require_keys(name, values, admissible):
+    """StructuralError at the least key of values off admissible, else at
+    the least admissible key that values lacks."""
+    extra, missing = set(values) - admissible, admissible - set(values)
+    if extra:
+        raise StructuralError(f"{name} entry on inadmissible triple {min(extra)}")
+    if missing:
+        raise StructuralError(f"{name} missing on admissible triple {min(missing)}")
 
 
 @dataclass
@@ -462,24 +464,9 @@ def symmetric_enveloping(cd: CategoryData):
 
 
 def load_algebra(cd: CategoryData, path) -> AlgebraObject:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("format") != 1:
-        raise StructuralError(f"unsupported algebra format {doc.get('format')!r}")
-    support = tuple(cd.ring.label_index(x) for x in doc["support"])
-    mu = {}
-    for a, b, c, v in doc["mu"]:
-        key = (cd.ring.label_index(a), cd.ring.label_index(b), cd.ring.label_index(c))
-        mu[key] = _decode_value(v)
+    support, mu = _load_labelled(cd, path, "algebra", "mu")
     return AlgebraObject(support=support, mu=mu)
 
 
 def save_algebra(cd: CategoryData, A: AlgebraObject, path):
-    doc = {
-        "format": 1,
-        "support": [cd.ring.labels[c] for c in A.support],
-        "mu": [[cd.ring.labels[a], cd.ring.labels[b], cd.ring.labels[c],
-                [complex(v).real, complex(v).imag]]
-               for (a, b, c), v in sorted(A.mu.items())],
-    }
-    _write_json(doc, path)
+    _save_labelled(cd, A.support, "mu", A.mu, path)

@@ -72,7 +72,10 @@ def twists(cd: CategoryData) -> TwistData:
 
 
 def s_matrix(cd: CategoryData) -> SMatrix:
-    """s~_{ab} = sum_c N^c_{ab} (theta_c / theta_a theta_b) d_c."""
+    """s~_{ab} = sum_c N^c_{ab} (theta_c / theta_a theta_b) d_c, the complex
+    conjugate of Bakalov-Kirillov's (which sums over N^c_{a* b}): for S =
+    s~ / D, D^2 = sum_a d_a^2, T = diag(theta) and p+ = sum_a theta_a d_a^2,
+    a modular category has (S T^-1)^3 = conj(p+ / D) S^2, not (S T)^3 = (p+ / D) S^2."""
     th = twists(cd).theta
     s = np.einsum("abc,c->ab", cd.ring.N, th * cd.dims.dims) / np.outer(th, th)
     return SMatrix(s=s)

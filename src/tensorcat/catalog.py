@@ -81,8 +81,7 @@ def ising() -> CategoryData:
 
 
 def semion() -> CategoryData:
-    cd = pointed_from_quadratic_form(QuadraticForm(group=(2,), t=(1,)), name="semion")
-    return cd
+    return pointed_from_quadratic_form(QuadraticForm(group=(2,), t=(1,)), name="semion")
 
 
 def vec_zn(n: int, t: int = 0, name="") -> CategoryData:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import PreconditionError, StructuralError, ValidationFailure
 from .fusion_ring import (FPDimData, FusionRing, deligne_product,
-                          fp_dimensions, opposite_ring)
+                          fp_dimensions, opposite_ring, validate_fusion_ring)
 
 __all__ = [
     "FSymbolSet",
@@ -57,11 +57,11 @@ class _SymbolSet:
     leg and raise StructuralError("missing ... entry for admissible ...")
     on a key that is absent, not admissible or not a tuple of labels.
 
-    A stored set holds a copy of the dict it is given; ``entries`` shows it
-    read-only, and ``lookup`` reads sorted packed keys built from it once,
-    vectorized, and cached on the instance.  To edit an entry, build a
-    replacement, e.g. ``dataclasses.replace(cd, F=FSymbolSet({**cd.F.entries,
-    key: v}))``.
+    A stored set holds a copy of the dict it is given, all values finite;
+    ``entries`` shows it read-only, and ``lookup`` reads sorted packed keys
+    built from it once, vectorized, and cached on the instance.  To edit an
+    entry, build a replacement, e.g.
+    ``dataclasses.replace(cd, F=FSymbolSet({**cd.F.entries, key: v}))``.
     """
 
     _arity: ClassVar[int]
@@ -70,6 +70,9 @@ class _SymbolSet:
 
     def __init__(self, entries):
         self._held = dict(entries)
+        for key, v in self._held.items():
+            if not cmath.isfinite(v):
+                raise StructuralError(f"{type(self).__name__} entry {key} is not finite: {v!r}")
 
     @classmethod
     def _adopt(cls, entries: dict):
@@ -151,14 +154,6 @@ class FSymbolSet(_SymbolSet):
 
     def _first_read(self, key):
         raise self._absent(key)
-
-    def matrix(self, ring, a, b, c, d):
-        """The unitary matrix [F^{abc}_d]_{e,f} with its index lists."""
-        es = [e for e in ring.channels(a, b) if ring.N[e, c, d]]
-        fs = [f for f in ring.channels(b, c) if ring.N[a, f, d]]
-        mat = np.array([[self.value(a, b, c, d, e, f) for f in fs] for e in es],
-                       dtype=complex) if es and fs else np.zeros((len(es), len(fs)), complex)
-        return es, fs, mat
 
 
 class _ComputedF(FSymbolSet):
@@ -342,10 +337,7 @@ class QuadraticForm:
         return math.prod(self.group)
 
     def elements(self):
-        out = [()]
-        for n in self.group:
-            out = [e + (a,) for e in out for a in range(n)]
-        return out
+        return list(itertools.product(*map(range, self.group)))
 
     def _phase(self, g, h):
         """arg R(g, h) / pi, for coordinate tuples or broadcastable per-factor arrays."""
@@ -429,9 +421,7 @@ class _ChannelJoin:
     def join(self, acol, bcol):
         """Return (row_idx, c) pairs with N^c_{a,b} = 1 for each input row."""
         keys = acol.astype(np.int64) * self.rank + bcol.astype(np.int64)
-        counts = self.counts[keys]
-        row_idx = np.repeat(np.arange(len(keys)), counts)
-        local = np.arange(len(row_idx)) - (np.cumsum(counts) - counts)[row_idx]
+        row_idx, local = _expand(self.counts[keys])
         return row_idx, self.c_sorted[self.starts[keys][row_idx] + local]
 
     def extend(self, cols, i, j):
@@ -439,6 +429,12 @@ class _ChannelJoin:
         channel appended as a last column."""
         idx, x = self.join(cols[i], cols[j])
         return [col[idx] for col in cols] + [x]
+
+
+def _expand(counts):
+    """(row, k) for k in range(counts[row]), row by row."""
+    row = np.repeat(np.arange(len(counts)), counts)
+    return row, np.arange(len(row)) - (np.cumsum(counts) - counts)[row]
 
 
 def _spread(cols, labels):
@@ -616,33 +612,48 @@ def _inadmissible_entries(ring, F_entries, R_entries) -> list:
                for k in R[N[tuple(R.T)] == 0].tolist()])
 
 
+def _f_unitarity(cd) -> list:
+    """A line per F-block (a, b, c; d), in that order, whose Gram matrix
+    G[e, e'] = sum_f F[e, f] conj F[e', f] is further than 10 * tolerance
+    from the identity.  A block's rows are all n x n pairs (e, f) of its
+    channels (admissibility splits into a condition on e and one on f, and
+    ring associativity makes #e = #f); sorted by (e, f), each row meets the
+    n rows with its f, and one bincount sums the products into G.
+    """
+    report = []
+    for cols in _admissible_rows(cd.ring):
+        order = np.lexsort(cols[::-1])
+        a, b, c, d, e, f = cols = [col[order] for col in cols]
+        v = cd.F.lookup(cols)
+        start = np.flatnonzero(np.diff([a, b, c, d], prepend=-1).any(axis=0))
+        size = np.diff(start, append=len(a))
+        block = np.repeat(np.arange(len(start)), size)
+        n = np.rint(np.sqrt(size)).astype(np.int64)[block]
+        ei, fi = np.divmod(np.arange(len(a)) - start[block], n)
+        i, ej = _expand(n)                          # row i = (ei, fi) meets row (ej, fi)
+        first = start[block[i]]
+        terms = v[i] * v[first + ej * n[i] + fi[i]].conj()
+        g = first + ei[i] * n[i] + ej               # G[ei, ej]
+        G = np.bincount(g, weights=terms.real) + 1j * np.bincount(g, weights=terms.imag)
+        G[ei == fi] -= 1
+        dev = np.maximum.reduceat(np.abs(G), start)
+        bad = np.flatnonzero(dev > cd.tolerance * 10)
+        report += [f"F-block ({a[s]},{b[s]},{c[s]};{d[s]}) not unitary, dev={x:.3e}"
+                   for s, x in zip(start[bad], dev[bad])]
+    return report
+
+
 def validate_category(cd: CategoryData) -> list:
     """Ring axioms, admissibility of the stored entries, F unitarity,
-    pentagon, unimodularity and hexagons."""
-    from .fusion_ring import validate_fusion_ring
+    pentagon, unimodularity and hexagons.  A computed F is admissible by
+    construction, and read only through ``lookup``."""
     report = list(validate_fusion_ring(cd.ring))
-    if report:
-        return report
-    if cd.partial:
+    if report or cd.partial:
         return report
     ring = cd.ring
-    r = ring.rank
-    F = FSymbolSet._adopt(cd.F.entries)     # a computed F is evaluated once, not key by key
-    report += _inadmissible_entries(ring, F.entries, cd.R and cd.R.entries)
-    # unitarity of each F-block, d over the channels of (a (x) b) (x) c
-    for a in range(1, r):
-        for b in range(1, r):
-            for c in range(1, r):
-                for d in sorted({d for e in ring.channels(a, b) for d in ring.channels(e, c)}):
-                    es, fs, mat = F.matrix(ring, a, b, c, d)
-                    if not fs:
-                        continue
-                    if mat.shape[0] != mat.shape[1]:
-                        report.append(f"F-block ({a},{b},{c};{d}) is not square")
-                        continue
-                    dev = np.max(np.abs(mat @ mat.conj().T - np.eye(len(es))))
-                    if dev > cd.tolerance * 10:
-                        report.append(f"F-block ({a},{b},{c};{d}) not unitary, dev={dev:.3e}")
+    F_entries = {} if isinstance(cd.F, _ComputedF) else cd.F.entries
+    report += _inadmissible_entries(ring, F_entries, cd.R and cd.R.entries)
+    report += _f_unitarity(cd)
     report += verify_pentagon(cd)
     if cd.R is not None:
         for (a, b, c), v in cd.R.entries.items():
@@ -689,8 +700,7 @@ def pointed_from_quadratic_form(qf: QuadraticForm, name="") -> CategoryData:
     F = _ComputedF(ring, functools.partial(_pointed_f_value, qf, els),
                    functools.partial(_pointed_f_rows, qf, x))
     R = np.exp(1j * np.pi * qf._phase(x[:, :, None], x[:, None, :]))
-    g_col, h_col = (v.ravel().tolist() for v in np.indices((rank, rank)))
-    R_entries = zip(zip(g_col, h_col, P.ravel().tolist()), R.ravel().tolist())
+    R_entries = _keyed([*np.indices((rank, rank)).reshape(2, -1), P.ravel()], R.ravel())
     return CategoryData(ring=ring, dims=fp_dimensions(ring), F=F, R=RSymbolSet(R_entries),
                         name=name or f"pointed{list(ns)}", quadratic_form=qf)
 
@@ -712,9 +722,8 @@ def kappa_of(cd: CategoryData, g) -> complex:
     if cd.R is None:
         raise PreconditionError("kappa_of requires braiding data")
     gi = cd.ring.label_index(g)
-    sq = cd.ring.channels(gi, gi)
-    assert len(sq) == 1
-    return cd.rval(gi, gi, sq[0])
+    (square,) = cd.ring.channels(gi, gi)
+    return cd.rval(gi, gi, square)
 
 
 def reverse_braiding(cd: CategoryData) -> CategoryData:
@@ -752,17 +761,20 @@ def _keyed(cols, vals):
     return zip(zip(*(c.tolist() for c in cols)), vals.tolist())
 
 
-def _table(ring, read) -> dict:
-    """{(a, b, c, d, e, f): read(cols)} over the columns of every admissible
-    tuple with no unit leg, in (a, b, e, c, d, f) order, read one block of
-    leading labels a at a time to keep the peak low."""
-    join, labels, out = _ChannelJoin(ring), np.arange(1, ring.rank, dtype=np.int64), {}
+def _admissible_rows(ring):
+    """The columns (a, b, c, d, e, f) of every admissible tuple with no unit
+    leg, in (a, b, e, c, d, f) order, one block of leading labels a at a
+    time to keep the peak low."""
+    join, labels = _ChannelJoin(ring), np.arange(1, ring.rank, dtype=np.int64)
     for lead in _leading_blocks(ring.rank, ring.rank ** 2):
         a, b, e, c, d, f = join.extend(join.extend(_spread(join.extend(
             _spread([lead[lead > 0]], labels), 0, 1), labels), 2, 3), 1, 3)
-        cols = [col[ring.N[a, f, d] > 0] for col in (a, b, c, d, e, f)]
-        out.update(_keyed(cols, read(cols)))
-    return out
+        yield [col[ring.N[a, f, d] > 0] for col in (a, b, c, d, e, f)]
+
+
+def _table(ring, read) -> dict:
+    """{(a, b, c, d, e, f): read(cols)} over _admissible_rows."""
+    return {k: v for cols in _admissible_rows(ring) for k, v in _keyed(cols, read(cols))}
 
 
 def deligne_product_data(c1: CategoryData, c2: CategoryData) -> CategoryData:
@@ -806,13 +818,20 @@ def _split_product(S1, S2, k, cols):
 
 
 def _decode_value(v):
-    if isinstance(v, (list, tuple)) and len(v) == 2 and all(
-            isinstance(x, (int, float)) for x in v):
-        return complex(float(v[0]), float(v[1]))
-    if isinstance(v, dict) and "rou" in v:
-        k, n = v["rou"]
-        coeff = float(v.get("coeff", 1.0))
-        return coeff * cmath.exp(2j * math.pi * int(k) / int(n))
+    """A value of a data file: [re, im] with finite real re and im, or
+    {"rou": [k, n]} with integers k and n >= 1 for exp(2 pi i k / n), times
+    an optional finite real "coeff"; StructuralError on anything else."""
+    def real(x):                # a bool is not a number here, nor NaN or inf
+        return type(x) in (int, float) and -math.inf < x < math.inf
+    try:
+        if isinstance(v, (list, tuple)) and len(v) == 2 and all(map(real, v)):
+            return complex(float(v[0]), float(v[1]))
+        if isinstance(v, dict) and "rou" in v:
+            (k, n), coeff = v["rou"], v.get("coeff", 1.0)
+            if type(k) is type(n) is int and n >= 1 and real(coeff):
+                return float(coeff) * cmath.exp(2j * math.pi * k / n)
+    except (TypeError, ValueError, OverflowError):  # not a pair, or too large for a float
+        pass
     raise StructuralError(f"cannot decode complex value {v!r}")
 
 
@@ -834,9 +853,7 @@ def save_category(cd: CategoryData, path):
         "labels": list(ring.labels),
         "unit": 0,
         "dual": list(ring.dual),
-        "N": [[int(a), int(b), int(c), int(ring.N[a, b, c])]
-              for a in range(ring.rank) for b in range(ring.rank)
-              for c in range(ring.rank) if ring.N[a, b, c]],
+        "N": [[a, b, c, int(ring.N[a, b, c])] for a, b, c in np.argwhere(ring.N).tolist()],
         "dims_hint": [float(x) for x in cd.dims.dims],
         "tolerance": cd.tolerance,
     }
@@ -865,6 +882,26 @@ def _write_json(doc: dict, path):
         lines.append(f"{json.dumps(key)}: {val}")
     with open(path, "w") as fh:
         fh.write("{\n" + ",\n".join(lines) + "\n}\n")
+
+
+def _load_labelled(cd: CategoryData, path, kind, field):
+    """(support, {(x, y, z): value}) of an algebra or module file, its
+    labels resolved in cd."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    if doc.get("format") != 1:
+        raise StructuralError(f"unsupported {kind} format {doc.get('format')!r}")
+    label = cd.ring.label_index
+    return (tuple(label(x) for x in doc["support"]),
+            {(label(x), label(y), label(z)): _decode_value(v) for x, y, z, v in doc[field]})
+
+
+def _save_labelled(cd: CategoryData, support, field, values, path):
+    """Write an algebra or module file: its support and labelled values."""
+    labels = cd.ring.labels
+    _write_json({"format": 1, "support": [labels[x] for x in support],
+                 field: [[labels[x], labels[y], labels[z], _encode_value(v)]
+                         for (x, y, z), v in sorted(values.items())]}, path)
 
 
 def load_category(path, validate=True, tolerance=None) -> CategoryData:

@@ -439,6 +439,10 @@ def decompose_center(tube: TubeAlgebra, seed=0) -> CenterData:
     d_c D[z, x, c, x], over dim z.  Simples are ordered by (dim, twist
     angle, multiplicity vector), the unit first.
 
+    S has the convention of braided_analysis.s_matrix, the complex conjugate
+    of Bakalov-Kirillov's: with D^2 = sum_z dim_z^2 and T = diag(theta),
+    (S/D T^-1)^3 = (S/D)^2, as the Gauss sum sum_z theta_z dim_z^2 is D.
+
     The seed keys the stdlib stream SeededDraws((seed, 1)) that splits the
     corners; when the modules so found do not exhaust the tube, every
     corner is split again from the same stream, up to four draws in all.

@@ -159,44 +159,34 @@ def validate_fusion_ring(ring: FusionRing) -> list:
     "structural:" prefix and short-circuit the axiom checks they invalidate.
     The empty list means the ring is valid.
     """
-    report = []
     r = ring.rank
     N = ring.N
     if N.shape != (r, r, r):
-        report.append(f"structural: N has shape {N.shape}, expected {(r, r, r)}")
-        return report
+        return [f"structural: N has shape {N.shape}, expected {(r, r, r)}"]
     if len(ring.dual) != r:
-        report.append(f"structural: dual has length {len(ring.dual)}, expected {r}")
-        return report
+        return [f"structural: dual has length {len(ring.dual)}, expected {r}"]
     if any(not 0 <= d < r for d in ring.dual):
-        report.append("structural: dual contains out-of-range indices")
-        return report
+        return ["structural: dual contains out-of-range indices"]
     if (N < 0).any():
-        bad = tuple(int(i) for i in np.argwhere(N < 0)[0])
-        report.append(f"structural: negative entry N{bad}")
-        return report
+        return [f"structural: negative entry N{tuple(np.argwhere(N < 0)[0].tolist())}"]
 
-    dual = ring.dual
+    report = []
+    dual = np.asarray(ring.dual)
     # Unit: N^c_{0b} = delta_{b,c}, N^c_{a0} = delta_{a,c}.
     eye = np.eye(r, dtype=np.int64)
-    if not np.array_equal(N[0], eye):
-        for b, c in np.argwhere(N[0] != eye):
-            report.append(f"unit: N^{c}_{{0,{b}}} = {N[0, b, c]}")
-    if not np.array_equal(N[:, 0, :], eye):
-        for a, c in np.argwhere(N[:, 0, :] != eye):
-            report.append(f"unit: N^{c}_{{{a},0}} = {N[a, 0, c]}")
+    for b, c in np.argwhere(N[0] != eye):
+        report.append(f"unit: N^{c}_{{0,{b}}} = {N[0, b, c]}")
+    for a, c in np.argwhere(N[:, 0, :] != eye):
+        report.append(f"unit: N^{c}_{{{a},0}} = {N[a, 0, c]}")
 
     # Duality: N^0_{ab} = delta_{b, dual(a)}; involution; dual(0) = 0.
     if dual[0] != 0:
         report.append(f"duality: dual(0) = {dual[0]}")
-    for a in range(r):
-        if dual[dual[a]] != a:
-            report.append(f"duality: dual(dual({a})) = {dual[dual[a]]}")
-    for a in range(r):
-        for b in range(r):
-            want = 1 if b == dual[a] else 0
-            if N[a, b, 0] != want:
-                report.append(f"duality: N^0_{{{a},{b}}} = {N[a, b, 0]}, expected {want}")
+    for a in np.flatnonzero(dual[dual] != np.arange(r)):
+        report.append(f"duality: dual(dual({a})) = {dual[dual[a]]}")
+    want = (np.arange(r)[None, :] == dual[:, None]).astype(np.int64)
+    for a, b in np.argwhere(N[:, :, 0] != want):
+        report.append(f"duality: N^0_{{{a},{b}}} = {N[a, b, 0]}, expected {want[a, b]}")
 
     # Associativity: sum_e N^e_{ab} N^d_{ec} = sum_f N^f_{bc} N^d_{af}.
     lhs = np.einsum("abe,ecd->abcd", N, N)
@@ -206,15 +196,15 @@ def validate_fusion_ring(ring: FusionRing) -> list:
             f"associativity: (a,b,c,d)=({a},{b},{c},{d}) "
             f"lhs={lhs[a, b, c, d]} rhs={rhs[a, b, c, d]}")
 
-    # Rotation symmetry: N^c_{ab} = N^{dual a}_{b, dual c} = N^{dual b}_{dual c, a}.
-    for a in range(r):
-        for b in range(r):
-            for c in range(r):
-                n = N[a, b, c]
-                if N[b, dual[c], dual[a]] != n:
-                    report.append(f"rotation: N^{dual[a]}_{{{b},{dual[c]}}} != N^{c}_{{{a},{b}}}")
-                if N[dual[c], a, dual[b]] != n:
-                    report.append(f"rotation: N^{dual[b]}_{{{dual[c]},{a}}} != N^{c}_{{{a},{b}}}")
+    # Rotation symmetry: N^c_{ab} = N^{dual a}_{b, dual c} = N^{dual b}_{dual c, a},
+    # reported per (a, b, c), the first rotation before the second.
+    a, b, c = np.ogrid[:r, :r, :r]
+    bad = np.stack([N[b, dual[c], dual[a]] != N, N[dual[c], a, dual[b]] != N], axis=-1)
+    for a, b, c, second in np.argwhere(bad):
+        if second:
+            report.append(f"rotation: N^{dual[b]}_{{{dual[c]},{a}}} != N^{c}_{{{a},{b}}}")
+        else:
+            report.append(f"rotation: N^{dual[a]}_{{{b},{dual[c]}}} != N^{c}_{{{a},{b}}}")
     return report
 
 

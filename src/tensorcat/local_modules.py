@@ -34,15 +34,15 @@ and the F-symbols.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (AlgebraObject, _associativity_dev, algebra_dim,
+from .algebra import (AlgebraObject, _associativity_dev, _require_keys, algebra_dim,
                       is_commutative, is_connected, verify_qsystem)
 from .braided_analysis import is_nondegenerate, muger_centralizer
-from .category_data import CategoryData, SeededDraws, _decode_value, _write_json
+from .category_data import (CategoryData, SeededDraws, _load_labelled,
+                            _save_labelled)
 from .errors import PreconditionError, StructuralError
 
 __all__ = [
@@ -66,14 +66,8 @@ class ModuleObject:
 
     def check_admissible(self, cd: CategoryData, A: AlgebraObject):
         inside = set(self.support)
-        admissible = {(x, a, y) for x in self.support for a in A.support
-                      for y in cd.ring.channels(x, a) if y in inside}
-        extra = set(self.rho) - admissible
-        missing = admissible - set(self.rho)
-        if extra:
-            raise StructuralError(f"rho entry on inadmissible triple {sorted(extra)[0]}")
-        if missing:
-            raise StructuralError(f"rho missing on admissible triple {sorted(missing)[0]}")
+        _require_keys("rho", self.rho, {(x, a, y) for x in self.support for a in A.support
+                                        for y in cd.ring.channels(x, a) if y in inside})
 
     def fpdim(self, cd: CategoryData) -> float:
         return float(sum(cd.dims.dims[x] for x in self.support))
@@ -549,24 +543,9 @@ def _verlinde(S, tol):
 
 
 def load_module(cd: CategoryData, path) -> ModuleObject:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("format") != 1:
-        raise StructuralError(f"unsupported module format {doc.get('format')!r}")
-    support = tuple(cd.ring.label_index(x) for x in doc["support"])
-    rho = {}
-    for x, a, y, v in doc["rho"]:
-        rho[(cd.ring.label_index(x), cd.ring.label_index(a),
-             cd.ring.label_index(y))] = _decode_value(v)
+    support, rho = _load_labelled(cd, path, "module", "rho")
     return ModuleObject(support=support, rho=rho)
 
 
 def save_module(cd: CategoryData, X: ModuleObject, path):
-    doc = {
-        "format": 1,
-        "support": [cd.ring.labels[x] for x in X.support],
-        "rho": [[cd.ring.labels[x], cd.ring.labels[a], cd.ring.labels[y],
-                 [complex(v).real, complex(v).imag]]
-                for (x, a, y), v in sorted(X.rho.items())],
-    }
-    _write_json(doc, path)
+    _save_labelled(cd, X.support, "rho", X.rho, path)

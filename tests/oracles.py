@@ -52,6 +52,34 @@ def ring_axioms_by_loops(rank, dual, N):
     return True
 
 
+def ring_duality_rotation_by_loops(ring):
+    """The duality and rotation lines of validate_fusion_ring, by plain
+    loops, in its order; the associativity lines between them left out."""
+    report = []
+    r = ring.rank
+    N = ring.N
+    dual = ring.dual
+    if dual[0] != 0:
+        report.append(f"duality: dual(0) = {dual[0]}")
+    for a in range(r):
+        if dual[dual[a]] != a:
+            report.append(f"duality: dual(dual({a})) = {dual[dual[a]]}")
+    for a in range(r):
+        for b in range(r):
+            want = 1 if b == dual[a] else 0
+            if N[a, b, 0] != want:
+                report.append(f"duality: N^0_{{{a},{b}}} = {N[a, b, 0]}, expected {want}")
+    for a in range(r):
+        for b in range(r):
+            for c in range(r):
+                n = N[a, b, c]
+                if N[b, dual[c], dual[a]] != n:
+                    report.append(f"rotation: N^{dual[a]}_{{{b},{dual[c]}}} != N^{c}_{{{a},{b}}}")
+                if N[dual[c], a, dual[b]] != n:
+                    report.append(f"rotation: N^{dual[b]}_{{{dual[c]},{a}}} != N^{c}_{{{a},{b}}}")
+    return report
+
+
 def enumerate_candidate_rings(rank, max_entry=2):
     """All (dual, N) pairs of the given rank with unit and duality rows forced.
 
@@ -265,7 +293,10 @@ def f_unitarity_by_loops(cd):
         for b in range(1, r):
             for c in range(1, r):
                 for d in range(r):
-                    es, fs, mat = cd.F.matrix(ring, a, b, c, d)
+                    es = [e for e in ring.channels(a, b) if ring.N[e, c, d]]
+                    fs = [f for f in ring.channels(b, c) if ring.N[a, f, d]]
+                    mat = np.array([[cd.fval(a, b, c, d, e, f) for f in fs] for e in es],
+                                   dtype=complex)
                     if not es or not fs:
                         continue
                     if mat.shape[0] != mat.shape[1]:

@@ -17,7 +17,7 @@ from tensorcat.category_data import (FSymbolSet, QuadraticForm, RSymbolSet,
 from tensorcat.catalog import catalog_category, catalog_names, vec_zn
 from tensorcat.errors import StructuralError, ValidationFailure
 
-from tensorcat.category_data import _pointed_tables
+from tensorcat.category_data import _ComputedF, _pointed_tables
 
 from oracles import (PHI, deligne_product_data_by_loops, f_unitarity_by_loops,
                      hexagon_by_loops, pentagon_by_loops, pointed_from_quadratic_form_by_loops,
@@ -429,6 +429,42 @@ def test_fault_injection_reaches_computed_f(name):
     assert verify_pentagon(cd) == []
 
 
+@pytest.mark.parametrize("name", ["fib(x)ising", "D(Z6)"])
+def test_validate_reads_no_entries_of_a_computed_f(name, monkeypatch):
+    """validate_category reads a computed F only through lookup."""
+    def dump(self):
+        raise AssertionError("validate_category read _ComputedF.entries")
+
+    cd = LAZY_CASES[name]()
+    monkeypatch.setattr(_ComputedF, "entries", property(dump))
+    assert validate_category(cd) == []
+
+
+def _index_order(lines):
+    """Report lines sorted by the index tuple they name, as the vectorized
+    pentagon and hexagon checks order them."""
+    return sorted(lines, key=lambda l: tuple(
+        map(int, re.split("[,;]", l.split("=(")[1].split(")")[0]))))
+
+
+@pytest.mark.parametrize("name", ["fib(x)ising", "ising(x)ising"])
+def test_validate_matches_loop_references_on_injected_errors(name):
+    """With three F entries scaled, negated and nudged, validate_category
+    gives the loop references' unitarity, pentagon and hexagon lines, in
+    that order."""
+    cd = LAZY_CASES[name]()
+    keys = _admissible_keys(cd.ring)
+    for key, factor in zip(keys[len(keys) // 3::len(keys) // 3], (1.5, -1, 1 + 1e-7j)):
+        bad = _with_f(cd, key, cd.fval(*key) * factor)
+        hexagons = (_index_order(hexagon_by_loops(bad, lambda a, b, c: bad.rval(a, b, c)))
+                    + _index_order([l.replace("hexagon:", "hexagon(inverse):") for l in
+                                    hexagon_by_loops(bad, lambda a, b, c: 1 / bad.rval(b, a, c))]))
+        report = validate_category(bad)
+        assert report, key
+        assert report == (f_unitarity_by_loops(bad) + _index_order(pentagon_by_loops(bad))
+                          + hexagons), key
+
+
 def test_f_first_reads_and_lookups_agree_across_threads():
     """Six threads mixing first reads by value and lookups of one computed
     set all get the reference values."""
@@ -580,6 +616,37 @@ def test_rou_tokens_accepted(tmp_path):
     cd = load_category(path)
     assert cd.rval(1, 1, 0) == pytest.approx(1j)
     assert cd.fval(1, 1, 1, 1, 0, 0) == pytest.approx(-1.0)
+
+
+BAD_VALUES = [[float("nan"), 0.0], [0.0, float("-inf")], [True, 0.0],
+              {"rou": [1, 0]}, {"rou": [1.5, 4]}, {"rou": [1, 4], "coeff": float("inf")},
+              {"rou": [1, 4], "coeff": False}]
+
+
+def fib_file_with(path, value):
+    """A fibonacci category file whose F^{ttt}_t[t, t] is the token value."""
+    save_category(catalog_category("fibonacci"), path)
+    doc = json.loads(path.read_text())
+    for row in doc["F"]:
+        if row[:6] == [1, 1, 1, 1, 1, 1]:
+            row[6] = value
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("value", BAD_VALUES)
+def test_load_refuses_values_that_are_not_finite_numbers(tmp_path, value):
+    path = fib_file_with(tmp_path / "bad.json", value)
+    with pytest.raises(StructuralError, match="cannot decode complex value"):
+        load_category(path)
+
+
+def test_symbol_set_constructors_refuse_non_finite_values(fib):
+    for v in (float("nan"), complex(0.0, float("inf"))):
+        for S, key in ((fib.F, (1, 1, 1, 1, 1, 1)), (fib.R, (1, 1, 0))):
+            message = re.escape(f"{type(S).__name__} entry {key} is not finite")
+            with pytest.raises(StructuralError, match=message):
+                type(S)({**S.entries, key: v})
 
 
 def test_category_data_is_frozen():

@@ -828,6 +828,22 @@ def test_contracted_s_and_t_match_trace_oracles(name):
         assert center.T[i, i] == z.twist
 
 
+def test_center_s_is_the_conjugate_of_bakalov_kirillovs():
+    """Normalized S of Z(vec_z3) satisfies (S T^-1)^3 = conj(p+ / D) S^2;
+    the textbook (S T)^3 = (p+ / D) S^2 is off by 1, as Z(vec_z3) has
+    simples that are not self-dual."""
+    center = decompose_center(build_tube_algebra(catalog_category("vec_z3")), seed=0)
+    dims = np.array([z.dim for z in center.simples])
+    D = np.sqrt(np.sum(dims ** 2))
+    S, T = center.S / D, center.T
+    gauss = np.sum(np.diag(T) * dims ** 2) / D
+    assert abs(gauss - 1) < 1e-12
+    ours = np.linalg.matrix_power(S @ np.linalg.inv(T), 3) - np.conj(gauss) * S @ S
+    textbook = np.linalg.matrix_power(S @ T, 3) - gauss * S @ S
+    assert np.max(np.abs(ours)) < 1e-12
+    assert np.max(np.abs(textbook)) == pytest.approx(1.0, abs=1e-9)
+
+
 @pytest.mark.parametrize("name", catalog_names() + ["fib*ising", "vec_zn(3,2)", "vec_s3"])
 def test_half_braiding_scale_matches_entrywise_oracle(cats, name):
     """The cap-closed W of the entrywise diagrams is diagonal, and its

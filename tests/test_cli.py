@@ -65,6 +65,19 @@ def test_validate_good_and_bad(tmp_path, capsys):
     assert code == 2  # load-time validation also reports failure
 
 
+@pytest.mark.parametrize("value", [[float("nan"), 0.0], {"rou": [1, 0]}, {"rou": [1.5, 4]}])
+def test_validate_refuses_a_bad_number_as_structural(tmp_path, capsys, value):
+    """A NaN, a zero root-of-unity order or a fractional one exits 3 with a
+    JSON error, not valid and not a traceback."""
+    from test_category_data import fib_file_with
+    path = fib_file_with(tmp_path / "bad.json", value)
+    code = main(["validate", "--input", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert json.loads(out)["error"].startswith("cannot decode complex value")
+    assert "Traceback" not in err
+
+
 def test_validate_checks_its_input_once(tmp_path, capsys, monkeypatch):
     """validate runs validate_category once on each path: at load time for
     --input, in the command for --no-validate and --catalog; a valid file

@@ -6,7 +6,8 @@ from tensorcat.fusion_ring import (FusionRing, deligne_product, fp_dimensions,
                                    validate_fusion_ring)
 from tensorcat.catalog import catalog_category, catalog_names, vec_zn
 
-from oracles import PHI, SQRT2, enumerate_candidate_rings, ring_axioms_by_loops
+from oracles import (PHI, SQRT2, enumerate_candidate_rings, ring_axioms_by_loops,
+                     ring_duality_rotation_by_loops)
 
 
 def fib_ring():
@@ -205,3 +206,33 @@ def test_channel_table_matches_nonzero():
                 got = ring.channels(a, b)
                 assert isinstance(got, list) and got == want, (ring.labels, a, b)
                 assert ring.channels(a, b) is got  # built once per ring
+
+
+def _corrupted_rings():
+    """Catalog rings with a broken dual involution, a wrong N^0_{ab} or one
+    rotation-violating entry."""
+    for name in ("ising", "vec_z3", "vec_z4", "toric_code"):
+        ring = catalog_category(name).ring
+        r = ring.rank
+        dual = list(ring.dual)
+        dual[1] = r - 1 if dual[1] != r - 1 else 0
+        yield f"{name}: dual(1)", FusionRing(r, ring.labels, dual, ring.N)
+        N = ring.N.copy()
+        N[1, 1, 0] = 1 - N[1, 1, 0]
+        yield f"{name}: N^0_11", FusionRing(r, ring.labels, ring.dual, N)
+        N = ring.N.copy()
+        N[1, r - 1, 1] += 1
+        yield f"{name}: N^1_1{r - 1}", FusionRing(r, ring.labels, ring.dual, N)
+
+
+def test_duality_and_rotation_lines_match_loop_reference():
+    """validate_fusion_ring gives the loops' duality and rotation lines, in
+    their order, on clean and corrupted rings."""
+    def lines(ring):
+        return [l for l in validate_fusion_ring(ring) if l.startswith(("duality", "rotation"))]
+
+    for name in catalog_names():
+        ring = catalog_category(name).ring
+        assert lines(ring) == ring_duality_rotation_by_loops(ring) == [], name
+    for name, ring in _corrupted_rings():
+        assert lines(ring) == ring_duality_rotation_by_loops(ring) != [], name
