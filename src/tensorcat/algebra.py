@@ -11,9 +11,11 @@ so unitary separability reads
 and that is what the verifier checks (as m_phys m_phys^dag = id).
 Associativity, unitality and the Frobenius relations are scale-free in this
 gauge.  The diagram basis is left-associated and F has entries 1 on unit
-legs, so associativity and both Frobenius relations are F-contractions of
-the stored mu (see _associativity_dev and _frobenius_dev), checked without
-evaluating a diagram.
+legs, so associativity, both Frobenius relations and commutativity are
+F- and R-contractions of the stored mu.  Each axiom has one term generator
+(_associativity_terms, _frobenius_terms, _commutativity_terms): the
+verifiers take the largest |term| and solve_support_algebra minimizes the
+same terms, so nothing here evaluates a diagram.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import numpy as np
 
 from .category_data import (CategoryData, _load_labelled, _save_labelled,
                             deligne_product_data, monoidal_opposite)
-from .diagram_eval import compose_values, dagger_value, insert, scalar_generator
 from .errors import PreconditionError, StructuralError
 
 __all__ = [
@@ -110,8 +111,8 @@ def group_algebra(cd: CategoryData, support) -> AlgebraObject:
     return AlgebraObject(support=support, mu=mu)
 
 
-def _associativity_dev(cd, act, xs, mu, supp) -> float:
-    """Largest deviation of act(act (x) id) from act(id (x) mu), read from F.
+def _associativity_terms(cd, act, xs, mu, supp):
+    """act(act (x) id) - act(id (x) mu) on every path, read from F.
 
     ``act`` and ``mu`` map (x, a, y) and (a, b, c) to coefficients on the
     module support ``xs`` and the algebra support ``supp``; algebra
@@ -121,27 +122,25 @@ def _associativity_dev(cd, act, xs, mu, supp) -> float:
     """
     ring = cd.ring
     inside = set(xs)
-    dev = 0.0
     for x, a, b in itertools.product(xs, supp, supp):
         cs = [c for c in ring.channels(a, b) if (a, b, c) in mu]
         for z in ring.channels(x, a):
             for y in (y for y in ring.channels(z, b) if y in inside):
                 rhs = sum(cd.fval(x, a, b, y, z, c) * mu[(a, b, c)] * act[(x, c, y)]
                           for c in cs if (x, c, y) in act)
-                dev = max(dev, abs(act.get((x, a, z), 0) * act.get((z, b, y), 0) - rhs))
-    return float(dev)
+                yield act.get((x, a, z), 0) * act.get((z, b, y), 0) - rhs
 
 
-def _frobenius_dev(cd, mu, supp) -> float:
-    """Largest deviation of either Frobenius composite from m^dag m, read from F.
+def _frobenius_terms(cd, mu, supp):
+    """Either Frobenius composite minus m^dag m, read from F.
 
     On the channel t of a (x) b -> c (x) d the three terms are
     mid = mu^{ab}_t conj(mu^{cd}_t) (0 for t outside supp),
     left = sum_g conj(mu^{cg}_a) mu^{gb}_d F^{cgb}_t[a, d] and
-    right = sum_g mu^{ag}_c conj(mu^{gd}_b F^{agd}_t[c, b]).
+    right = sum_g mu^{ag}_c conj(mu^{gd}_b F^{agd}_t[c, b]);
+    yields left - mid, then right - mid.
     """
     ring = cd.ring
-    dev = 0.0
     for a, b, c, d in itertools.product(supp, repeat=4):
         for t in (t for t in ring.channels(a, b) if ring.N[c, d, t]):
             mid = mu.get((a, b, t), 0) * mu.get((c, d, t), 0).conjugate()
@@ -149,16 +148,27 @@ def _frobenius_dev(cd, mu, supp) -> float:
                        for g in supp if (c, g, a) in mu and (g, b, d) in mu)
             right = sum(mu[(a, g, c)] * (mu[(g, d, b)] * cd.fval(a, g, d, t, c, b)).conjugate()
                         for g in supp if (a, g, c) in mu and (g, d, b) in mu)
-            dev = max(dev, abs(left - mid), abs(right - mid))
-    return float(dev)
+            yield left - mid
+            yield right - mid
+
+
+def _commutativity_terms(cd, mu):
+    """mu^{ba}_c R^{ab}_c - mu^{ab}_c on every triple, in sorted order."""
+    for a, b, c in sorted(mu):
+        yield mu[(b, a, c)] * cd.rval(a, b, c) - mu[(a, b, c)]
+
+
+def _max_abs(terms) -> float:
+    """The largest |term|, 0 for no terms: the residual of an axiom."""
+    return float(max(map(abs, terms), default=0.0))
 
 
 def verify_qsystem(cd: CategoryData, A: AlgebraObject) -> QSystemReport:
     """Check the five Q-system axioms on the stored coefficients.
 
     Associativity and the Frobenius relations are multiplicity-free
-    F-contractions of mu (_associativity_dev, _frobenius_dev); no diagram is
-    evaluated.  Residuals are maxima over fusion-tree components;
+    F-contractions of mu (_associativity_terms, _frobenius_terms); no diagram
+    is evaluated.  Residuals are maxima over fusion-tree components;
     separability is measured on the physically normalized multiplication
     m / sqrt(dim Q).
     """
@@ -167,8 +177,8 @@ def verify_qsystem(cd: CategoryData, A: AlgebraObject) -> QSystemReport:
     dQ = algebra_dim(cd, A)
 
     unit_dev = max(abs(A.mu[k] - 1.0) for k in A.mu if k[0] == 0 or k[1] == 0)
-    assoc_dev = _associativity_dev(cd, A.mu, supp, A.mu, supp)
-    frob_dev = _frobenius_dev(cd, A.mu, supp)
+    assoc_dev = _max_abs(_associativity_terms(cd, A.mu, supp, A.mu, supp))
+    frob_dev = _max_abs(_frobenius_terms(cd, A.mu, supp))
 
     sep_dev = 0.0
     for c in supp:
@@ -191,9 +201,7 @@ def is_commutative(cd: CategoryData, A: AlgebraObject):
     """(passed, residual) for mu^{ba}_c R^{ab}_c = mu^{ab}_c on all triples."""
     if cd.R is None:
         raise PreconditionError("commutativity requires R-symbols")
-    residual = 0.0
-    for (a, b, c), v in A.mu.items():
-        residual = max(residual, abs(A.mu[(b, a, c)] * cd.rval(a, b, c) - v))
+    residual = _max_abs(_commutativity_terms(cd, A.mu))
     return residual < cd.residual_tolerance, residual
 
 
@@ -316,9 +324,10 @@ def solve_support_algebra(cd: CategoryData, support, commutative=False,
                           seed=0, max_restarts=24) -> AlgebraObject:
     """Numerically solve for Q-system coefficients on a fusion-closed support.
 
-    Residual system: associativity against the F-symbols, the Frobenius
-    relations (precomputed recoupling tensors), unitary separability, and
-    optionally commutativity.  Unit channels are pinned to 1.
+    Residual vector: the associativity and Frobenius terms verify_qsystem
+    checks, unitary separability, and optionally the commutativity terms
+    is_commutative checks, as interleaved real and imaginary parts.  Unit
+    channels are pinned to 1.
     """
     from scipy.optimize import least_squares
 
@@ -335,32 +344,6 @@ def solve_support_algebra(cd: CategoryData, support, commutative=False,
     if not free:
         return AlgebraObject(support=support, mu=dict(fixed))
 
-    # precompute Frobenius recoupling tensors with unit coefficients
-    unit_gen = {t: scalar_generator(cd, *t, 1.0) for t in triples}
-    frob_terms = []
-    for a in support:
-        for b in support:
-            for c in support:
-                for dd in support:
-                    mid = [(e, compose_values(cd, dagger_value(unit_gen[(c, dd, e)]),
-                                              unit_gen[(a, b, e)]))
-                           for e in support if (a, b, e) in unit_gen
-                           and (c, dd, e) in unit_gen]
-                    left = [(g, compose_values(
-                        cd, insert(cd, (c,), unit_gen[(g, b, dd)], ()),
-                        insert(cd, (), dagger_value(unit_gen[(c, g, a)]), (b,))))
-                        for g in support if (c, g, a) in unit_gen
-                        and (g, b, dd) in unit_gen]
-                    right = [(g, compose_values(
-                        cd, insert(cd, (), unit_gen[(a, g, c)], (dd,)),
-                        insert(cd, (a,), dagger_value(unit_gen[(g, dd, b)]), ())))
-                        for g in support if (a, g, c) in unit_gen
-                        and (g, dd, b) in unit_gen]
-                    if mid or left or right:
-                        frob_terms.append(((a, b, c, dd), mid, left, right))
-
-    channels_all = {(a, b): ring.channels(a, b) for a in support for b in support}
-
     def unpack(xvec):
         mu = dict(fixed)
         for i, t in enumerate(free):
@@ -369,50 +352,12 @@ def solve_support_algebra(cd: CategoryData, support, commutative=False,
 
     def residuals(xvec):
         mu = unpack(xvec)
-        res = []
-        # associativity over every admissible tree channel e
-        for a in support:
-            for b in support:
-                for c in support:
-                    for dd in support:
-                        for e in channels_all[(a, b)]:
-                            if not ring.N[e, c, dd]:
-                                continue
-                            lhs = (mu.get((a, b, e), 0.0) * mu.get((e, c, dd), 0.0)
-                                   if e in inside else 0.0)
-                            rhs = 0.0
-                            for f in channels_all[(b, c)]:
-                                if f in inside and ring.N[a, f, dd] and (a, f, dd) in mu:
-                                    rhs += (cd.fval(a, b, c, dd, e, f)
-                                            * mu[(b, c, f)] * mu[(a, f, dd)])
-                            res.append(lhs - rhs)
-        # Frobenius
-        for (a, b, c, dd), mid, left, right in frob_terms:
-            keys = set()
-            for _, mv in mid + left + right:
-                keys |= set(mv.blocks)
-            for t in keys:
-                vm = sum(mu[(a, b, e)] * np.conj(mu[(c, dd, e)])
-                         * mv.block(ring, t)[0, 0]
-                         for e, mv in mid if mv.block(ring, t).size)
-                vl = sum(np.conj(mu[(c, g, a)]) * mu[(g, b, dd)]
-                         * mv.block(ring, t)[0, 0]
-                         for g, mv in left if mv.block(ring, t).size)
-                vr = sum(mu[(a, g, c)] * np.conj(mu[(g, dd, b)])
-                         * mv.block(ring, t)[0, 0]
-                         for g, mv in right if mv.block(ring, t).size)
-                res.append(vl - vm)
-                res.append(vr - vm)
-        # separability
-        for c in support:
-            res.append(sum(abs(mu[t]) ** 2 for t in triples if t[2] == c) - dQ)
+        res = [*_associativity_terms(cd, mu, support, mu, support),
+               *_frobenius_terms(cd, mu, support)]
+        res += [sum(abs(mu[t]) ** 2 for t in triples if t[2] == c) - dQ for c in support]
         if commutative:
-            for (a, b, c) in triples:
-                res.append(mu[(b, a, c)] * cd.rval(a, b, c) - mu[(a, b, c)])
-        out = np.empty(2 * len(res))
-        out[0::2] = [z.real if isinstance(z, complex) else float(np.real(z)) for z in res]
-        out[1::2] = [z.imag if isinstance(z, complex) else float(np.imag(z)) for z in res]
-        return out
+            res += _commutativity_terms(cd, mu)
+        return np.asarray(res, dtype=complex).view(float)
 
     rng = np.random.default_rng(seed)
     mags = np.array([np.sqrt(d[a] * d[b] * d[c] / dQ) for (a, b, c) in free])

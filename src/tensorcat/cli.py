@@ -28,7 +28,8 @@ from .category_data import (CategoryData, FSymbolSet, check_tolerance,
                             load_category, save_category, validate_category)
 from .center_tube import (build_tube_algebra, center_global_checks,
                           decompose_center)
-from .diagram_eval import categorical_trace, evaluate, parse_diagram, typecheck
+from .diagram_eval import (categorical_trace, evaluate, parse_diagram, scalar_generator,
+                           typecheck)
 from .errors import PreconditionError, StructuralError, ValidationFailure
 from .fusion_ring import FusionRing, fp_dimensions
 from .local_modules import (_verlinde, condensation_identity_check,
@@ -326,12 +327,10 @@ def _dispatch(args) -> int:
         env = {}
         if args.algebra:
             A = _load_algebra_arg(cd, args.algebra)
-            from .diagram_eval import scalar_generator
             for (a, b, c), v in A.mu.items():
                 env[f"m_{a}_{b}_{c}"] = scalar_generator(cd, a, b, c, v)
         if args.module:
             X = load_module(cd, args.module)
-            from .diagram_eval import scalar_generator
             for (x, a, y), v in X.rho.items():
                 env[f"r_{x}_{a}_{y}"] = scalar_generator(cd, x, a, y, v)
         expr = parse_diagram(args.expression)

@@ -188,13 +188,16 @@ def validate_fusion_ring(ring: FusionRing) -> list:
     for a, b in np.argwhere(N[:, :, 0] != want):
         report.append(f"duality: N^0_{{{a},{b}}} = {N[a, b, 0]}, expected {want[a, b]}")
 
-    # Associativity: sum_e N^e_{ab} N^d_{ec} = sum_f N^f_{bc} N^d_{af}.
-    lhs = np.einsum("abe,ecd->abcd", N, N)
-    rhs = np.einsum("bcf,afd->abcd", N, N)
-    for a, b, c, d in np.argwhere(lhs != rhs):
-        report.append(
-            f"associativity: (a,b,c,d)=({a},{b},{c},{d}) "
-            f"lhs={lhs[a, b, c, d]} rhs={rhs[a, b, c, d]}")
+    # Associativity: sum_e N^e_{ab} N^d_{ec} = sum_f N^f_{bc} N^d_{af}, one a at
+    # a time as float products (exact while rank * max(N)^2 < 2^53).
+    Nf = N.astype(float)
+    for a in range(r):
+        lhs = (Nf[a] @ Nf.reshape(r, r * r)).reshape(r, r, r)
+        rhs = (Nf.reshape(r * r, r) @ Nf[a]).reshape(r, r, r)
+        for b, c, d in np.argwhere(lhs != rhs):
+            report.append(
+                f"associativity: (a,b,c,d)=({a},{b},{c},{d}) "
+                f"lhs={int(lhs[b, c, d])} rhs={int(rhs[b, c, d])}")
 
     # Rotation symmetry: N^c_{ab} = N^{dual a}_{b, dual c} = N^{dual b}_{dual c, a},
     # reported per (a, b, c), the first rotation before the second.

@@ -38,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (AlgebraObject, _associativity_dev, _require_keys, algebra_dim,
-                      is_commutative, is_connected, verify_qsystem)
+from .algebra import (AlgebraObject, _associativity_terms, _max_abs, _require_keys,
+                      algebra_dim, is_commutative, is_connected, verify_qsystem)
 from .braided_analysis import is_nondegenerate, muger_centralizer
 from .category_data import (CategoryData, SeededDraws, _load_labelled,
                             _save_labelled)
@@ -94,14 +94,14 @@ def regular_module(A: AlgebraObject) -> ModuleObject:
 def verify_module(cd: CategoryData, A: AlgebraObject, X: ModuleObject) -> dict:
     """Residuals for module associativity and the unit axiom.
 
-    Associativity is the F-contraction of algebra._associativity_dev with
+    Associativity is the F-contraction of algebra._associativity_terms with
     act = rho: on the path (x, z, y) of x (x) a (x) b -> y it compares
     rho^{xa}_z rho^{zb}_y with sum_c F^{xab}_y[z, c] mu^{ab}_c rho^{xc}_y.
     No diagram is evaluated.
     """
     X.check_admissible(cd, A)
     unit_dev = max((abs(X.rho[k] - 1.0) for k in X.rho if k[1] == 0), default=0.0)
-    assoc_dev = _associativity_dev(cd, X.rho, X.support, A.mu, A.support)
+    assoc_dev = _max_abs(_associativity_terms(cd, X.rho, X.support, A.mu, A.support))
     scale = max(1.0, max((abs(v) for v in X.rho.values()), default=1.0) ** 2)
     tol = cd.residual_tolerance
     return {"associativity": assoc_dev / scale, "unit": unit_dev,

@@ -80,6 +80,20 @@ def ring_duality_rotation_by_loops(ring):
     return report
 
 
+def ring_associativity_by_loops(ring):
+    """The associativity lines of validate_fusion_ring, by plain integer
+    loops, in (a, b, c, d) order."""
+    report = []
+    r = ring.rank
+    N = ring.N.tolist()
+    for a, b, c, d in itertools.product(range(r), repeat=4):
+        lhs = sum(N[a][b][e] * N[e][c][d] for e in range(r))
+        rhs = sum(N[b][c][f] * N[a][f][d] for f in range(r))
+        if lhs != rhs:
+            report.append(f"associativity: (a,b,c,d)=({a},{b},{c},{d}) lhs={lhs} rhs={rhs}")
+    return report
+
+
 def enumerate_candidate_rings(rank, max_entry=2):
     """All (dual, N) pairs of the given rank with unit and duality rows forced.
 

@@ -217,6 +217,27 @@ def test_solve_support_algebra_failure_reports_attempts(toric):
         solve_support_algebra(toric, (0, 3), commutative=True, max_restarts=2)
 
 
+def test_solver_gauge_on_toric_code_is_pinned(toric):
+    """The solve lands on one point of a flat gauge direction, and the exact
+    point depends on the residual vector's values and order.  This mirrors
+    the solved toric-code Lagrangian printed by the `cli` entries of
+    perfbench/reference.json; it goes when ROADMAP item 2c makes that entry
+    gauge-invariant."""
+    A = solve_support_algebra(toric, (0, "e"), commutative=True)
+    assert A.mu[(1, 1, 0)] == 0.8416520131766395 + 0.5400202669490377j
+
+
+def test_solver_evaluates_no_diagram(cats, monkeypatch):
+    """The solver's residuals are verify_qsystem's F-contraction terms: a
+    non-pointed solve calls neither insert nor compose_values."""
+    from oracles import record_diagram_calls
+    prod, S = symmetric_enveloping(cats["fibonacci"])
+    calls = record_diagram_calls(monkeypatch)
+    solved = solve_support_algebra(prod, S.support)
+    assert not calls
+    assert verify_qsystem(prod, solved).passed
+
+
 @pytest.mark.parametrize("name", ["fibonacci", "ising", "semion", "toric_code", "vec_z3"])
 def test_symmetric_enveloping_matches_solver_up_to_gauge(cats, name):
     prod, S = symmetric_enveloping(cats[name])
@@ -287,7 +308,7 @@ def test_qsystem_residuals_match_diagram_oracle(case, qsystem_case):
     stored gauge and in a random vertex gauge, for the Q-system and for a
     random mu with unit channels 1.  Away from the stored Q-system the
     residuals are far from 0, so the formulas are tested, not just the zeros."""
-    from tensorcat.algebra import _associativity_dev, _frobenius_dev
+    from tensorcat.algebra import _associativity_terms, _frobenius_terms, _max_abs
 
     from oracles import qsystem_residuals_by_diagrams, vertex_gauge
     cd, A = qsystem_case(case)
@@ -295,8 +316,8 @@ def test_qsystem_residuals_match_diagram_oracle(case, qsystem_case):
     for gauged in (cd, vertex_gauge(cd, 11)):
         for B in (A, _random_mu(A, 5)):
             want = qsystem_residuals_by_diagrams(gauged, B)
-            got = (_associativity_dev(gauged, B.mu, B.support, B.mu, B.support),
-                   _frobenius_dev(gauged, B.mu, B.support))
+            got = (_max_abs(_associativity_terms(gauged, B.mu, B.support, B.mu, B.support)),
+                   _max_abs(_frobenius_terms(gauged, B.mu, B.support)))
             assert np.allclose(got, want, rtol=0, atol=1e-12), (case, got, want)
             largest = max(largest, *want)
     assert verify_qsystem(cd, A).passed

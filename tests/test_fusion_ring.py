@@ -6,8 +6,8 @@ from tensorcat.fusion_ring import (FusionRing, deligne_product, fp_dimensions,
                                    validate_fusion_ring)
 from tensorcat.catalog import catalog_category, catalog_names, vec_zn
 
-from oracles import (PHI, SQRT2, enumerate_candidate_rings, ring_axioms_by_loops,
-                     ring_duality_rotation_by_loops)
+from oracles import (PHI, SQRT2, enumerate_candidate_rings, ring_associativity_by_loops,
+                     ring_axioms_by_loops, ring_duality_rotation_by_loops)
 
 
 def fib_ring():
@@ -236,3 +236,23 @@ def test_duality_and_rotation_lines_match_loop_reference():
         assert lines(ring) == ring_duality_rotation_by_loops(ring) == [], name
     for name, ring in _corrupted_rings():
         assert lines(ring) == ring_duality_rotation_by_loops(ring) != [], name
+
+
+def test_associativity_lines_match_loop_reference():
+    """validate_fusion_ring's float products give the integer loops'
+    associativity lines, byte for byte and in their order."""
+    def lines(ring):
+        return [l for l in validate_fusion_ring(ring) if l.startswith("associativity")]
+
+    for name in catalog_names():
+        ring = catalog_category(name).ring
+        assert lines(ring) == ring_associativity_by_loops(ring) == [], name
+    broken = [ring for _, ring in _corrupted_rings()]
+    ising = catalog_category("ising").ring
+    N = ising.N.copy()
+    N[1, 2, 1] = 3
+    broken.append(FusionRing.from_arrays(ising.labels, ising.dual, N))
+    assert sum(bool(lines(ring)) for ring in broken) > 3
+    assert "(a,b,c,d)=(1,1,1,1) lhs=2 rhs=4" in lines(broken[-1])[0]
+    for ring in broken:
+        assert lines(ring) == ring_associativity_by_loops(ring), ring.labels

@@ -375,7 +375,7 @@ def test_module_residuals_match_diagram_oracle(case, qsystem_case):
     two perturbed copies: random non-unit rho, and X cut down to its first
     label x, whose paths (x, z, x) with z != x have only the mu side.  The
     perturbed copies fail verify_module by the oracle's residual."""
-    from tensorcat.algebra import _associativity_dev
+    from tensorcat.algebra import _associativity_terms, _max_abs
     from tensorcat.local_modules import ModuleObject
 
     from oracles import module_associativity_by_diagrams, vertex_gauge
@@ -390,7 +390,7 @@ def test_module_residuals_match_diagram_oracle(case, qsystem_case):
             ModuleObject((x,), {k: v for k, v in X.rho.items() if k[0] == k[2] == x})]
         for gauged in (cd, vertex_gauge(cd, 11)):
             for M in [X] + perturbed:
-                got = _associativity_dev(gauged, M.rho, M.support, A.mu, A.support)
+                got = _max_abs(_associativity_terms(gauged, M.rho, M.support, A.mu, A.support))
                 want = module_associativity_by_diagrams(gauged, A, M)
                 assert got == pytest.approx(want, abs=1e-12), (case, M.support)
         for M in perturbed:
