@@ -240,11 +240,11 @@ class CategoryData:
     """A unitary fusion category skeleton: ring, dims, F and optional R.
 
     Frozen: a derived category (other ring labels, tolerance, no braiding)
-    is a new instance from ``dataclasses.replace``, which starts with empty
-    evaluator caches; so is a category with edited entries, whose F or R is
-    a replacement symbol set.  F of a Deligne product or of a quadratic
-    form's category is computed, not stored (see _ComputedF).  Safe to
-    share across threads: concurrent first reads write equal values.
+    is a new instance from ``dataclasses.replace``; so is a category with
+    edited entries, whose F or R is a replacement symbol set.  F of a
+    Deligne product or of a quadratic form's category is computed, not
+    stored (see _ComputedF).  Safe to share across threads: concurrent
+    first reads write equal values.
     """
 
     ring: FusionRing
@@ -255,7 +255,6 @@ class CategoryData:
     name: str = ""
     partial: bool = False  # ring and dims only; F entries absent
     quadratic_form: QuadraticForm | None = None  # set by pointed_from_quadratic_form
-    deferred_validation: bool = False  # loaded with validate=False
 
     def __post_init__(self):
         object.__setattr__(self, "tolerance", check_tolerance(self.tolerance))
@@ -296,11 +295,6 @@ class CategoryData:
         if self.R is None:
             raise PreconditionError("category carries no braiding data")
         return self.R.value(a, b, c)
-
-    @functools.cached_property
-    def unfold_cache(self):
-        """(x, s_word, y) -> unfolded middle bases; filled by diagram_eval.unfold."""
-        return {}
 
     @functools.cached_property
     def f_moves_cache(self):
@@ -406,29 +400,42 @@ class QuadraticForm:
 
 
 class _ChannelJoin:
-    """Expand rows by the fusion channels of a pair of label columns."""
+    """The label tuples a ring's fusion channels allow."""
 
     def __init__(self, ring):
-        r = ring.rank
-        trip = np.argwhere(ring.N > 0)
-        keys = trip[:, 0] * r + trip[:, 1]
-        order = np.argsort(keys, kind="stable")
-        self.c_sorted = trip[order, 2].astype(np.int64)
-        self.counts = ring.N.sum(axis=2).reshape(-1).astype(np.int64)
-        self.starts = np.concatenate([[0], np.cumsum(self.counts)[:-1]])
-        self.rank = r
+        self.N, self.rank = ring.N, ring.rank
+        self.channels = np.nonzero(ring.N)[2]       # c ascending within each (a, b)
+        self.counts = np.count_nonzero(ring.N, axis=2).reshape(-1)
+        self.starts = np.cumsum(self.counts) - self.counts
 
-    def join(self, acol, bcol):
-        """Return (row_idx, c) pairs with N^c_{a,b} = 1 for each input row."""
-        keys = acol.astype(np.int64) * self.rank + bcol.astype(np.int64)
-        row_idx, local = _expand(self.counts[keys])
-        return row_idx, self.c_sorted[self.starts[keys][row_idx] + local]
+    def tuples(self, spec, **given):
+        """{name: column} of the label tuples with N^z_{xy} = 1 for every
+        triple xyz of the space-separated spec.  A name takes the column
+        given for it; otherwise it is spread over every label where it is
+        first met as x or y, or extended by the channels of x (x) y where it
+        is first met as z, and a triple of bound names filters.  From sorted
+        given columns, rows come out in lexicographic order of the names as
+        met.  The given columns are gathered once, at the end."""
+        take = np.arange(len(next(iter(given.values()))) if given else 1)
+        cols = {}                       # the other names, row by row with take
 
-    def extend(self, cols, i, j):
-        """Each row of cols once per channel of cols[i] (x) cols[j], the
-        channel appended as a last column."""
-        idx, x = self.join(cols[i], cols[j])
-        return [col[idx] for col in cols] + [x]
+        def at(x):
+            return cols[x] if x in cols else given[x][take]
+
+        for x, y, z in spec.split():
+            for name in (x, y):
+                if name not in cols and name not in given:
+                    row = np.repeat(np.arange(len(take)), self.rank)
+                    take, cols = take[row], {k: v[row] for k, v in cols.items()}
+                    cols[name] = np.arange(len(row)) % self.rank
+            if z in cols or z in given:
+                row, new = np.flatnonzero(self.N[at(x), at(y), at(z)]), {}
+            else:
+                keys = at(x) * self.rank + at(y)
+                row, local = _expand(self.counts[keys])
+                new = {z: self.channels[self.starts[keys][row] + local]}
+            take, cols = take[row], {**{k: v[row] for k, v in cols.items()}, **new}
+        return {**{k: v[take] for k, v in given.items()}, **cols}
 
 
 def _expand(counts):
@@ -437,10 +444,27 @@ def _expand(counts):
     return row, np.arange(len(row)) - (np.cumsum(counts) - counts)[row]
 
 
-def _spread(cols, labels):
-    """Each row of cols once per label, the label appended as a last column."""
-    rep = np.repeat(np.arange(len(cols[0])), len(labels))
-    return [col[rep] for col in cols] + [np.tile(labels, len(cols[0]))]
+def _sums(idx, terms, n=0):
+    """The complex sums of terms over each value of idx in range(n)."""
+    return (np.bincount(idx, weights=terms.real, minlength=n)
+            + 1j * np.bincount(idx, weights=terms.imag, minlength=n))
+
+
+def _read(symbols, cols, names):
+    """symbols.lookup of the columns cols[x] for x in names."""
+    return symbols.lookup([cols[x] for x in names])
+
+
+def _lines(cd, head, cols, resid):
+    """'head=(values) residual=r' for each row with resid > tolerance, in
+    order of the printed values; head names the columns it prints, as in
+    'hexagon: (a,b,c,d;e,f)'."""
+    fields = head.split(": ")[1]
+    keys = [cols[x] for x in fields if x.isalpha()]
+    bad = np.flatnonzero(resid > cd.tolerance)
+    order = bad[np.lexsort([k[bad] for k in keys[::-1]])]
+    fmt = head + "=" + "".join("{}" if x.isalpha() else x for x in fields) + " residual={:.3e}"
+    return [fmt.format(*(k[i] for k in keys), resid[i]) for i in order]
 
 
 def _is_group_ring(ring):
@@ -501,76 +525,21 @@ def verify_pentagon(cd: CategoryData) -> list:
 
         F^{fcd}_e[g,l] F^{abl}_e[f,k] = sum_h F^{abc}_g[f,h] F^{ahd}_e[g,k] F^{bcd}_k[h,l]
 
-    Returns one report line per violated instance, ordered by index tuple.
-    Fully vectorized; agrees with the reference loop implementation.
+    One report line per violated instance, in order of its printed index
+    tuple (a,b,c,d,e,f,g,k,l).  The instances are joined one leading label
+    a at a time, each with its h-sum, so the peak is one label's worth.
     """
-    ring = cd.ring
-    if _is_group_ring(ring):
+    if _is_group_ring(cd.ring):
         return _pentagon_pointed(cd)
-    join = _ChannelJoin(ring)
-    labels = np.arange(ring.rank, dtype=np.int64)
-    cols = list(np.argwhere(ring.N > 0).astype(np.int64).T)          # a, b, f
-    cols = join.extend(_spread(cols, labels), 2, 3)                    # c, g: N^g_{fc}
-    cols = join.extend(_spread(cols, labels), 4, 5)                    # d, e: N^e_{gd}
-    cols = join.extend(cols, 3, 5)                                     # l: N^l_{cd}
-    cols = [col[ring.N[cols[2], cols[7], cols[6]] > 0] for col in cols]  # N^e_{fl}
-    cols = join.extend(cols, 1, 7)                                     # k: N^k_{bl}
-    a, b, f, c, g, d, e, l, k = (col[ring.N[cols[0], cols[8], cols[6]] > 0] for col in cols)
-
-    F = cd.F.lookup
-    lhs = F([f, c, d, e, g, l]) * F([a, b, l, e, f, k])
-    idx, h = join.join(b, c)
-    keep = (ring.N[a[idx], h, g[idx]] > 0) & (ring.N[h, d[idx], k[idx]] > 0)
-    idx, h = idx[keep], h[keep]
-    terms = (F([a[idx], b[idx], c[idx], g[idx], f[idx], h])
-             * F([a[idx], h, d[idx], e[idx], g[idx], k[idx]])
-             * F([b[idx], c[idx], d[idx], k[idx], h, l[idx]]))
-    rhs = (np.bincount(idx, weights=terms.real, minlength=len(a))
-           + 1j * np.bincount(idx, weights=terms.imag, minlength=len(a)))
-
-    resid = np.abs(lhs - rhs)
-    bad = np.nonzero(resid > cd.tolerance)[0]
-    order = bad[np.lexsort([x[bad] for x in (l, k, g, f, e, d, c, b, a)])]
-    return [
-        "pentagon: (a,b,c,d,e;f,g,k,l)="
-        f"({a[i]},{b[i]},{c[i]},{d[i]},{e[i]};{f[i]},{g[i]},{k[i]},{l[i]}) "
-        f"residual={resid[i]:.3e}" for i in order]
-
-
-def _hexagon_instances(cd) -> list:
-    """Both hexagon families, for braiding scalars rv(a,b,c):
-
-        rv(a,b,e) F^{bac}_d[e,f] rv(a,c,f) = sum_g F^{abc}_d[e,g] rv(a,g,d) F^{bca}_d[g,f]
-
-    first with rv = R, then with the scalars of the inverse braiding,
-    rv(a,b,c) = 1 / R^{ba}_c.  Vectorized like verify_pentagon.
-    """
-    ring = cd.ring
-    join = _ChannelJoin(ring)
-    F, R = cd.F.lookup, cd.R.lookup
-    cols = list(np.argwhere(ring.N > 0).astype(np.int64).T)          # a, b, e
-    cols = join.extend(_spread(cols, np.arange(ring.rank, dtype=np.int64)), 2, 3)  # c, d
-    cols = join.extend(cols, 0, 3)                                     # f: N^f_{ac}
-    a, b, e, c, d, f = (col[ring.N[cols[1], cols[5], cols[4]] > 0] for col in cols)
-    idx, g = join.join(b, c)
-    keep = ring.N[a[idx], g, d[idx]] > 0
-    idx, g = idx[keep], g[keep]
-    f_lhs = F([b, a, c, d, e, f])
-    f_in = F([a[idx], b[idx], c[idx], d[idx], e[idx], g])
-    f_out = F([b[idx], c[idx], a[idx], d[idx], g, f[idx]])
-
-    report = []
-    for tag, rv in (("hexagon", lambda x, y, z: R([x, y, z])),
-                    ("hexagon(inverse)", lambda x, y, z: 1.0 / R([y, x, z]))):
-        lhs = rv(a, b, e) * f_lhs * rv(a, c, f)
-        terms = f_in * rv(a[idx], g, d[idx]) * f_out
-        rhs = (np.bincount(idx, weights=terms.real, minlength=len(a))
-               + 1j * np.bincount(idx, weights=terms.imag, minlength=len(a)))
-        resid = np.abs(lhs - rhs)
-        bad = np.nonzero(resid > cd.tolerance)[0]
-        order = bad[np.lexsort([x[bad] for x in (f, e, d, c, b, a)])]
-        report += [f"{tag}: (a,b,c,d;e,f)=({a[i]},{b[i]},{c[i]},{d[i]};{e[i]},{f[i]}) "
-                   f"residual={resid[i]:.3e}" for i in order]
+    join, report = _ChannelJoin(cd.ring), []
+    for a in range(cd.ring.rank):
+        inst = join.tuples("abf fcg gde cdl fle blk ake", a=np.array([a]))
+        hsum = join.tuples("bch ahg hdk", i=np.arange(len(inst["a"])), **inst)
+        lhs = _read(cd.F, inst, "fcdegl") * _read(cd.F, inst, "ablefk")
+        terms = (_read(cd.F, hsum, "abcgfh") * _read(cd.F, hsum, "ahdegk")
+                 * _read(cd.F, hsum, "bcdkhl"))
+        report += _lines(cd, "pentagon: (a,b,c,d,e;f,g,k,l)", inst,
+                         np.abs(lhs - _sums(hsum["i"], terms, len(lhs))))
     return report
 
 
@@ -592,10 +561,33 @@ def _hexagon_pointed(cd) -> list:
 
 
 def verify_hexagon(cd: CategoryData) -> list:
-    """Both hexagon families: for R and for the inverse braiding."""
+    """Both hexagon families, for braiding scalars rv(a,b,c):
+
+        rv(a,b,e) F^{bac}_d[e,f] rv(a,c,f) = sum_g F^{abc}_d[e,g] rv(a,g,d) F^{bca}_d[g,f]
+
+    first with rv = R, then with the scalars of the inverse braiding,
+    rv(a,b,c) = 1 / R^{ba}_c.  One report line per violated instance, each
+    family's in order of its printed index tuple (a,b,c,d,e,f); joined one
+    leading label a at a time, like verify_pentagon.
+    """
     if cd.R is None:
         raise PreconditionError("verify_hexagon requires R-symbols")
-    return (_hexagon_pointed if _is_group_ring(cd.ring) else _hexagon_instances)(cd)
+    if _is_group_ring(cd.ring):
+        return _hexagon_pointed(cd)
+    join = _ChannelJoin(cd.ring)
+    report = {"hexagon": [], "hexagon(inverse)": []}
+    for a in range(cd.ring.rank):
+        inst = join.tuples("abe ecd acf bfd", a=np.array([a]))
+        gsum = join.tuples("bcg agd", i=np.arange(len(inst["a"])), **inst)
+        f_lhs = _read(cd.F, inst, "bacdef")
+        f_in, f_out = _read(cd.F, gsum, "abcdeg"), _read(cd.F, gsum, "bcadgf")
+        for tag, rv in (("hexagon", lambda t, xyz: _read(cd.R, t, xyz)),
+                        ("hexagon(inverse)",
+                         lambda t, xyz: 1.0 / _read(cd.R, t, xyz[1] + xyz[0] + xyz[2]))):
+            lhs = rv(inst, "abe") * f_lhs * rv(inst, "acf")
+            rhs = _sums(gsum["i"], f_in * rv(gsum, "agd") * f_out, len(lhs))
+            report[tag] += _lines(cd, f"{tag}: (a,b,c,d;e,f)", inst, np.abs(lhs - rhs))
+    return report["hexagon"] + report["hexagon(inverse)"]
 
 
 def _inadmissible_entries(ring, F_entries, R_entries) -> list:
@@ -634,7 +626,7 @@ def _f_unitarity(cd) -> list:
         first = start[block[i]]
         terms = v[i] * v[first + ej * n[i] + fi[i]].conj()
         g = first + ei[i] * n[i] + ej               # G[ei, ej]
-        G = np.bincount(g, weights=terms.real) + 1j * np.bincount(g, weights=terms.imag)
+        G = _sums(g, terms)
         G[ei == fi] -= 1
         dev = np.maximum.reduceat(np.abs(G), start)
         bad = np.flatnonzero(dev > cd.tolerance * 10)
@@ -765,11 +757,11 @@ def _admissible_rows(ring):
     """The columns (a, b, c, d, e, f) of every admissible tuple with no unit
     leg, in (a, b, e, c, d, f) order, one block of leading labels a at a
     time to keep the peak low."""
-    join, labels = _ChannelJoin(ring), np.arange(1, ring.rank, dtype=np.int64)
+    join = _ChannelJoin(ring)
     for lead in _leading_blocks(ring.rank, ring.rank ** 2):
-        a, b, e, c, d, f = join.extend(join.extend(_spread(join.extend(
-            _spread([lead[lead > 0]], labels), 0, 1), labels), 2, 3), 1, 3)
-        yield [col[ring.N[a, f, d] > 0] for col in (a, b, c, d, e, f)]
+        t = join.tuples("abe ecd bcf afd", a=lead[lead > 0])
+        keep = (t["b"] > 0) & (t["c"] > 0)
+        yield [t[x][keep] for x in "abcdef"]
 
 
 def _table(ring, read) -> dict:
@@ -908,8 +900,8 @@ def load_category(path, validate=True, tolerance=None) -> CategoryData:
     """Load the JSON category format; validation, of the ring alone for a
     partial file, runs unless suppressed.
 
-    With ``validate=False`` the data loads with ``deferred_validation`` set
-    on the returned object instead of raising on coherence failures.
+    With ``validate=False`` the data loads without the coherence checks,
+    and ``validate_category`` can report on it later.
     ``tolerance`` replaces the file's tolerance, for validation included.
     """
     with open(path) as fh:
@@ -938,7 +930,7 @@ def load_category(path, validate=True, tolerance=None) -> CategoryData:
         raise StructuralError(bad[0])
     cd = CategoryData(ring=ring, dims=fp_dimensions(ring), F=FSymbolSet._adopt(F_entries),
                       R=RSymbolSet._adopt(R_entries) if R_entries is not None else None,
-                      tolerance=tol, partial=partial, deferred_validation=not validate)
+                      tolerance=tol, partial=partial)
     if validate:
         report = validate_category(cd)
         if report:

@@ -44,15 +44,8 @@ ObjectWord = tuple  # tuple of simple label indices
 
 
 def paths(ring: FusionRing, word) -> dict:
-    """Map total channel c -> ordered list of fusion paths of the word.
-
-    Memoized on the ring (``ring.path_cache``); callers must not mutate the
-    returned lists.
-    """
+    """Map total channel c -> ordered list of fusion paths of the word."""
     word = tuple(word)
-    found = ring.path_cache.get(word)
-    if found is not None:
-        return found
     byc = {}
     if not word:
         byc[0] = [()]
@@ -62,8 +55,7 @@ def paths(ring: FusionRing, word) -> dict:
             partial = [p + (c,) for p in partial for c in ring.channels(p[-1], w)]
         for p in partial:
             byc.setdefault(p[-1], []).append(p)
-    found = ring.path_cache[word] = {c: sorted(ps) for c, ps in byc.items()}
-    return found
+    return {c: sorted(ps) for c, ps in byc.items()}
 
 
 @dataclass
@@ -144,7 +136,14 @@ def path_vector(cd: CategoryData, word, c, path) -> MorphismValue:
     return MorphismValue(source=(c,), target=word, blocks={c: col})
 
 
-def _unfold(cd, x, s_word, y):
+def unfold(cd, x, s_word, y):
+    """Unitary change of basis between in-context and detached middle bases.
+
+    Returns (in_basis, out_basis, U): in_basis holds the in-context middle
+    paths from x to y through s_word; out_basis holds pairs (e, spath) of a
+    standalone path of s_word at total e with N^y_{x,e} = 1; and
+    |m> = sum U[(e,spath), m] |x (x) (e, spath); y>.
+    """
     ring = cd.ring
     j = len(s_word)
     in_basis = [p for p in _middle_paths(ring, x, s_word) if (p[-1] if p else x) == y]
@@ -198,22 +197,6 @@ def _middle_paths(ring, x, s_word):
     return sorted(m for m, _ in states)
 
 
-def unfold(cd, x, s_word, y):
-    """Unitary change of basis between in-context and detached middle bases.
-
-    Returns (in_basis, out_basis, U): in_basis holds the in-context middle
-    paths from x to y through s_word; out_basis holds pairs (e, spath) of a
-    standalone path of s_word at total e with N^y_{x,e} = 1; and
-    |m> = sum U[(e,spath), m] |x (x) (e, spath); y>.  Memoized on the
-    category (``cd.unfold_cache``).
-    """
-    key = (x, tuple(s_word), y)
-    found = cd.unfold_cache.get(key)
-    if found is None:
-        found = cd.unfold_cache[key] = _unfold(cd, *key)
-    return found
-
-
 def insert(cd: CategoryData, prefix, h: MorphismValue, suffix,
            max_word=DEFAULT_MAX_WORD) -> MorphismValue:
     """id_prefix (x) h (x) id_suffix as a MorphismValue."""
@@ -229,6 +212,7 @@ def insert(cd: CategoryData, prefix, h: MorphismValue, suffix,
     p, j_s, j_t = len(prefix), len(h.source), len(h.target)
     src_by = paths(ring, src)
     tgt_by = paths(ring, tgt)
+    h_paths = paths(ring, h.source), paths(ring, h.target)
     middle_cache = {}
     blocks = {}
     for c in set(src_by) | set(tgt_by):
@@ -258,7 +242,7 @@ def insert(cd: CategoryData, prefix, h: MorphismValue, suffix,
             x = pp[-1] if p else 0
             mkey = (x, y)
             if mkey not in middle_cache:
-                middle_cache[mkey] = _middle_matrix(cd, x, h, y)
+                middle_cache[mkey] = _middle_matrix(cd, x, h, y, *h_paths)
             in_s, in_t, M = middle_cache[mkey]
             if M.size == 0:
                 continue
@@ -271,17 +255,15 @@ def insert(cd: CategoryData, prefix, h: MorphismValue, suffix,
     return MorphismValue(source=src, target=tgt, blocks=blocks)
 
 
-def _middle_matrix(cd, x, h, y):
-    """Matrix of id_x (x) h between in-context middle bases at (x, y)."""
+def _middle_matrix(cd, x, h, y, src_order, tgt_order):
+    """Matrix of id_x (x) h between in-context middle bases at (x, y);
+    src_order and tgt_order are the paths of h's source and target."""
     in_s, out_s, U_s = unfold(cd, x, h.source, y)
     in_t, out_t, U_t = unfold(cd, x, h.target, y)
     D = np.zeros((len(out_t), len(out_s)), dtype=complex)
     spaths = {}
     for col, (e, sp) in enumerate(out_s):
         spaths.setdefault(e, []).append((sp, col))
-    ring = cd.ring
-    src_order = paths(ring, h.source)
-    tgt_order = paths(ring, h.target)
     for rowi, (e, tp) in enumerate(out_t):
         if e not in spaths:
             continue

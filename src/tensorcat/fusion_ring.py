@@ -105,11 +105,6 @@ class FusionRing:
         rows = [cs[i:j] for i, j in zip([0] + ends[:-1], ends)]
         return tuple(tuple(rows[a * r:(a + 1) * r]) for a in range(r))
 
-    @functools.cached_property
-    def path_cache(self):
-        """word -> fusion paths by channel; filled by diagram_eval.paths."""
-        return {}
-
     def __eq__(self, other):
         if not isinstance(other, FusionRing):
             return NotImplemented

@@ -338,7 +338,9 @@ def label_subset_error_by_loops(ring, idx):
 
 
 def pentagon_by_loops(cd):
-    """Plain-loop pentagon check; report lines as verify_pentagon prints them."""
+    """Plain-loop pentagon check: the lines verify_pentagon prints, in loop
+    order (a,b,f,c,g,d,e,l,k); verify_pentagon sorts them by the printed
+    index tuple (a,b,c,d,e,f,g,k,l)."""
     ring = cd.ring
     tol = cd.tolerance
     r = ring.rank
@@ -374,7 +376,10 @@ def pentagon_by_loops(cd):
 
 
 def hexagon_by_loops(cd, rv):
-    """Plain-loop check of one hexagon family for braiding scalars rv(a, b, c)."""
+    """Plain-loop check of one hexagon family for braiding scalars rv(a, b, c):
+    the lines verify_hexagon prints for that family, in loop order
+    (a,b,e,c,d,f); verify_hexagon sorts them by the printed index tuple
+    (a,b,c,d,e,f)."""
     ring = cd.ring
     tol = cd.tolerance
     r = ring.rank

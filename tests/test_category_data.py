@@ -21,7 +21,7 @@ from tensorcat.category_data import _ComputedF, _pointed_tables
 
 from oracles import (PHI, deligne_product_data_by_loops, f_unitarity_by_loops,
                      hexagon_by_loops, pentagon_by_loops, pointed_from_quadratic_form_by_loops,
-                     pointed_tables_by_loops, quadratic_form_validate_by_loops)
+                     pointed_tables_by_loops, psu2_category, quadratic_form_validate_by_loops)
 
 
 def test_catalog_passes_pentagon_and_hexagon(cats):
@@ -522,6 +522,65 @@ def test_pentagon_pointed_peak_memory():
     assert peak < 10 * 2 ** 20, peak
 
 
+def test_streamed_checks_keep_the_printed_index_order():
+    """With F entries negated under three leading labels and two R entries
+    rotated, verify_pentagon and both hexagon families give the loop
+    references' lines sorted by their printed integers (the loops run in
+    (a,b,f,c,g,d,e,l,k) order, not in that one)."""
+    cd = LAZY_CASES["fib(x)ising"]()
+    keys = _admissible_keys(cd.ring)
+    negated = [next(k for k in keys if k[0] == a) for a in (1, 3, 5)]
+    F = {**cd.F.entries, **{k: -cd.fval(*k) for k in negated}}
+    R = dict(cd.R.entries)
+    for k in [next(k for k in sorted(R) if k[0] == a and k[1]) for a in (2, 4)]:
+        R[k] *= 1j
+    bad = dataclasses.replace(cd, F=FSymbolSet(F), R=RSymbolSet(R))
+
+    def leading_labels(lines):
+        return {line.split("=(")[1].split(",")[0] for line in lines}
+
+    pentagons = verify_pentagon(bad)
+    assert len(leading_labels(pentagons)) >= 3
+    assert pentagons == _index_order(pentagon_by_loops(bad))
+    hexagons = verify_hexagon(bad)
+    assert len(leading_labels(hexagons)) >= 3
+    assert hexagons == (
+        _index_order(hexagon_by_loops(bad, lambda a, b, c: bad.rval(a, b, c)))
+        + _index_order([line.replace("hexagon:", "hexagon(inverse):") for line in
+                        hexagon_by_loops(bad, lambda a, b, c: 1 / bad.rval(b, a, c))]))
+
+
+def _traced_peak(check, cd):
+    """check(cd), which must report nothing, and its tracemalloc peak."""
+    tracemalloc.start()
+    try:
+        assert check(cd) == []
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_pentagon_peak_memory_on_psu2_10(monkeypatch):
+    """The general pentagon holds one leading label's instances and their
+    h-sum at a time: PSU(2)_10 peaks under 24 MiB (44 MiB with every
+    instance at once)."""
+    import tensorcat.category_data as category_data
+    monkeypatch.setattr(category_data, "verify_pentagon", lambda cd: [])
+    cd = psu2_category(10)
+    monkeypatch.undo()
+    peak = _traced_peak(verify_pentagon, cd)
+    assert peak < 24 * 2 ** 20, peak
+
+
+def test_hexagon_peak_memory_on_ising_ising_fib():
+    """Both hexagon families, one leading label at a time: ising(x)ising(x)fib
+    (rank 18) peaks under 8 MiB (16 MiB with every instance at once)."""
+    ising = catalog_category("ising")
+    cd = deligne_product_data(deligne_product_data(ising, ising), catalog_category("fibonacci"))
+    peak = _traced_peak(verify_hexagon, cd)
+    assert peak < 8 * 2 ** 20, peak
+
+
 def test_deligne_with_unit_is_identity(fib):
     unit = vec_zn(1, 0)
     p = deligne_product_data(fib, unit)
@@ -535,7 +594,6 @@ def test_save_load_round_trip(tmp_path, fib):
     p2 = tmp_path / "fib2.json"
     save_category(fib, p1)
     cd = load_category(p1)
-    assert cd.deferred_validation is False
     save_category(cd, p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert cd.ring == fib.ring
@@ -600,7 +658,7 @@ def test_load_with_no_validate_defers(tmp_path, fib):
     with pytest.raises(ValidationFailure):
         load_category(path)
     cd = load_category(path, validate=False)
-    assert cd.deferred_validation is True
+    assert any(line.startswith("hexagon") for line in validate_category(cd))
 
 
 def test_rou_tokens_accepted(tmp_path):
@@ -654,14 +712,3 @@ def test_category_data_is_frozen():
     cd = catalog_category("fibonacci")
     with pytest.raises(dataclasses.FrozenInstanceError):
         cd.tolerance = 1e-7
-
-
-def test_replace_starts_with_empty_unfold_cache():
-    import dataclasses
-    from tensorcat.diagram_eval import braid_morphism, insert
-    cd = catalog_category("ising")
-    insert(cd, (1,), braid_morphism(cd, 1, 2), (1,))
-    assert cd.unfold_cache
-    looser = dataclasses.replace(cd, tolerance=1e-7)
-    assert looser.tolerance == 1e-7 and looser.unfold_cache == {}
-    assert cd.tolerance == 1e-9

@@ -324,15 +324,19 @@ def test_evaluator_caches_die_with_their_category():
     assert [r() for r in refs] == [None, None]
 
 
-def test_equal_distinct_categories_evaluate_identically():
+def test_equal_distinct_categories_evaluate_identically(monkeypatch):
+    import tensorcat.diagram_eval as de
     from tensorcat.catalog import ising
     cd1, cd2 = ising(), ising()
     assert cd1.ring == cd2.ring and cd1.ring is not cd2.ring
+    seen = []
+    real = de.unfold
+    monkeypatch.setattr(de, "unfold", lambda cd, *args: seen.append(cd) or real(cd, *args))
     v1 = _braid_in_context(cd1)
-    # each ring and category owns its caches: nothing is shared through equality
-    assert cd1.ring.path_cache and cd1.unfold_cache
-    assert not cd2.ring.path_cache and not cd2.unfold_cache
+    calls = len(seen)
     v2 = _braid_in_context(cd2)
+    # nothing is reused through equality: the second category unfolds as the first
+    assert calls and seen == [cd1] * calls + [cd2] * calls
     assert v1.blocks.keys() == v2.blocks.keys()
     for c in v1.blocks:
         assert np.array_equal(v1.blocks[c], v2.blocks[c])

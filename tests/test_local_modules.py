@@ -322,11 +322,12 @@ def test_condensed_ring_matches_projector_rank_oracle(case, seed, qsystem_case):
 
 def test_local_layer_reads_f_without_unfold_or_rank_solve(qsystem_case, monkeypatch):
     """The enumeration with its Verlinde ring, local_fusion and the
-    double-braid traces read F-symbols directly, so no unfold entry is
-    cached, and they call no svd, matrix_rank, lstsq or pinv."""
-    from dataclasses import replace
+    double-braid traces read F-symbols directly, so they call no unfold,
+    svd, matrix_rank, lstsq or pinv."""
+    import tensorcat.diagram_eval as de
     cd, A = qsystem_case("D(Z6):Z3")
-    cd = replace(cd)    # a copy with an empty unfold_cache
+    unfolds = []
+    monkeypatch.setattr(de, "unfold", lambda *args: unfolds.append(args))
     linalg = record_linalg_calls(monkeypatch, "svd", "matrix_rank", "lstsq", "pinv")
     cond = enumerate_local_modules(cd, A, with_ring=True)
     for X in cond.simples:
@@ -334,7 +335,7 @@ def test_local_layer_reads_f_without_unfold_or_rank_solve(qsystem_case, monkeypa
             local_fusion(cd, A, X, Y, condensed=cond)
             local_double_braid_trace(cd, A, X, Y)
     assert cond.ring.rank == 4
-    assert cd.unfold_cache == {}
+    assert unfolds == []
     assert linalg == {"svd": [], "matrix_rank": [], "lstsq": [], "pinv": []}
 
 
