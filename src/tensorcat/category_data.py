@@ -296,11 +296,6 @@ class CategoryData:
             raise PreconditionError("category carries no braiding data")
         return self.R.value(a, b, c)
 
-    @functools.cached_property
-    def f_moves_cache(self):
-        """(a, b, c) -> F^{abc} as one array; filled by center_tube._f_moves."""
-        return {}
-
 
 @dataclass(frozen=True)
 class QuadraticForm:

@@ -17,19 +17,20 @@ n = 588), where a dense n^3 array would take 3.0 GiB.  Products, stars and
 the left regular action are contractions over blocks.
 
 The center lives in the diagonal corners p_x Tube p_x (Izumi 2000, Mueger
-2003), which are small: at most 16 of the 144 basis elements of
-ising (x) ising.  A corner is the sum, over
-the simples Z of the center, of the blocks p_Z p_x Tube p_x, each of
-m_x(Z) x m_x(Z) matrices.  One eigendecomposition of the left action of a
-random hermitian element, self-adjoint for the trace form, gives minimal
-projections q under every block at once (_corner_projections); q spans one
-copy of Z's irreducible module, the left ideal Tube q.  The modules of a
-batch of projections with equal (m, x) are built, claimed and read out
-together (_corner_simples).  From each come the multiplicity vector over
-Irr(C), the half-braiding (one array per simple, one scatter of conjugated
-module matrices times a scale read from one F entry; half_braiding_check
-holds it to the axioms read from F), the dimension, and the traces that S
-and T contract.
+2003), which are small: at most 16 of the 144 basis elements of ising (x)
+ising.  A corner is the sum, over the simples Z of the center, of the
+blocks p_Z p_x Tube p_x, each of m_x(Z) x m_x(Z) matrices.  One
+eigendecomposition of the left action of a random hermitian element,
+self-adjoint for the trace form, gives minimal projections q under every
+block at once (_corner_projections); q spans one copy of Z's irreducible
+module, the left ideal Tube q.  The modules of a batch of projections with
+equal (m, x) are built, claimed and read out together (_corner_simples).
+From each come the multiplicity vector over Irr(C), the half-braiding (one
+array per simple, one scatter of conjugated module matrices times a scale
+read from one F entry), the dimension, and the traces that S and T
+contract.  half_braiding_check holds the half-braiding to its axioms,
+joined over the admissible label tuples one leading label at a time, with
+F read by lookup.
 
 Conventions: the half-braiding sigma_{c,z}: c (x) z -> z (x) c carries the
 strand of the ambient category over the center object's strand; the braiding
@@ -44,8 +45,8 @@ import numpy as np
 
 from .algebra import (_conjugate_vertex_algebra, _rotation_phase, _zigzag_phases,
                       algebra_dim, group_algebra, is_commutative, verify_qsystem)
-from .category_data import (CategoryData, QuadraticForm, SeededDraws,
-                            deligne_product_data, pointed_from_quadratic_form,
+from .category_data import (CategoryData, QuadraticForm, SeededDraws, _ChannelJoin, _expand,
+                            _sums, deligne_product_data, pointed_from_quadratic_form,
                             reverse_braiding)
 from .braided_analysis import is_nondegenerate
 from .errors import PreconditionError, StructuralError
@@ -361,24 +362,6 @@ def _half_braiding_readout(tube: TubeAlgebra):
     return slot, scale
 
 
-def _f_moves(cd, a, b, c):
-    """F^{abc}_t[e, f] as a (rank, rank, rank) array over (t, e, f), 0 off the
-    admissible tuples; gathered once per category (cd.f_moves_cache), and
-    not to be mutated."""
-    if (a, b, c) not in cd.f_moves_cache:
-        cd.f_moves_cache[a, b, c] = _gather_f_moves(cd, a, b, c)
-    return cd.f_moves_cache[a, b, c]
-
-
-def _gather_f_moves(cd, a, b, c):
-    N = cd.ring.N
-    out = np.zeros((cd.ring.rank,) * 3, dtype=complex)
-    t, e, f = np.nonzero(N[:, c].T[:, :, None] * N[a].T[:, None, :]
-                         * N[a, b][:, None] * N[b, c])     # N^e_{ab} N^t_{ec} N^f_{bc} N^t_{af}
-    out[t, e, f] = cd.F.lookup([np.full(len(t), x) for x in (a, b, c)] + [t, e, f])
-    return out
-
-
 def half_braiding_check(cd: CategoryData, z: CenterObject) -> list:
     """The half-braiding axioms, read from F and the array z.half_braiding.
 
@@ -390,33 +373,55 @@ def half_braiding_check(cd: CategoryData, z: CenterObject) -> list:
 
     with w over the copies, f in b (x) x and h in a (x) w: sigma_b and then
     sigma_a on a (x) b (x) x, carried by F from the tree ((ab)_g x)_t to
-    (a(bx)_f)_t, then ((aw)_h b)_t and back to (y(ab)_g)_t, is sigma_g.  One
-    contraction per a covers every b, copy pair and channel.  The report
-    has a line per failing copy pair of sigma_0, then per failing
+    (a(bx)_f)_t, then ((aw)_h b)_t and back to (y(ab)_g)_t, is sigma_g.
+    The admissible tuples (a, b, g, x, t, f, w, h, y), with x, w and y
+    sectors of z, are joined one leading label a at a time, with one F
+    lookup; each then takes the copies of its sectors.  An entry of sigma_g
+    off the blocks of tube basis vectors has no term and counts whole.  The
+    report has a line per failing copy pair of sigma_0, then per failing
     (a, b, ci, co, g), in that order.
     """
     ring, tol, H, copies = cd.ring, cd.identity_tolerance, z.half_braiding, z.copies
     report = [f"sigma_0 not identity at {(co, ci)}"
               for u, co in enumerate(copies) for v, ci in enumerate(copies)
               if co[0] == ci[0] and abs(H[0, co[0], u, v] - (u == v)) > tol]
-    xs = sorted({x for x, _m in copies})
-    at = [xs.index(x) for x, _m in copies]      # each copy's sector, as a position in xs
-    labels = range(ring.rank)
-
-    def moves(key):
-        """[b, copy, t, e, f]: the F-moves at key(b, the copy's sector)."""
-        return np.array([[_f_moves(cd, *key(b, x)) for x in xs] for b in labels])[:, at]
-
-    want = H.transpose(1, 0, 2, 3)              # [t, g, co, ci] = sigma_g(t)
-    for a in labels:
-        f_in = moves(lambda b, x: (a, b, x))              # [b, ci, t, g, f] = F^{abx}_t[g, f]
-        f_mid = moves(lambda b, w: (a, w, b)).conj()      # [b, w, t, h, f] = conj F^{awb}_t[h, f]
-        f_out = moves(lambda b, y: (y, a, b))             # [b, co, t, h, g] = F^{yab}_t[h, g]
-        two = np.einsum("bitgf,bfwi->btgfwi", f_in, H)    # sigma_b
-        two = np.einsum("bwthf,btgfwi->btghwi", f_mid, two)
-        two = np.einsum("how,btghwi->btghoi", H[a], two)  # sigma_a
-        two = np.einsum("bothg,btghoi->btgoi", f_out, two)
-        dev = np.abs(two - want).max(axis=1) * ring.N[a, :, :, None, None]   # [b, g, co, ci]
+    N, rank = ring.N, ring.rank
+    sector = np.array([x for x, _m in copies], dtype=np.intp)
+    count = np.bincount(sector, minlength=rank)         # the copies come sorted by sector
+    first, xs = np.cumsum(count) - count, np.flatnonzero(count)
+    off_block = np.einsum("git,ogt->gtoi", N[:, sector], N[sector]) == 0    # sigma_g(t): ci -> co
+    stray = np.abs(H * off_block).max(axis=1, initial=0.0)                   # [g, co, ci]
+    join = _ChannelJoin(ring)
+    for a in range(rank):
+        out = join.tuples("abg gxt ygt", a=np.full(len(xs) ** 2, a),     # sigma_g(t): x -> y
+                          x=np.repeat(xs, len(xs)), y=np.tile(xs, len(xs)))
+        cx, cy = count[out["x"]], count[out["y"]]
+        one, three = (join.tuples(s, r=np.arange(len(cx)), **out) for s in ("bxf aft", "yah hbt"))
+        mid = join.tuples("wbf awh hbt aft", a=np.full(len(xs), a), w=xs)
+        parts = (one, "abxtgf"), (mid, "awbthf"), (three, "yabthg")     # the three F-moves
+        moves = cd.F.lookup([np.concatenate([c[s[leg]] for c, s in parts]) for leg in range(6)])
+        f_in, f_mid, f_out = np.split(moves, np.cumsum([len(one["r"]), len(mid["w"])]))
+        # under each row (r, f) of one, the rows (w, h) of mid with its (b, t, f)
+        btf = [np.ravel_multi_index((c["b"], c["t"], c["f"]), (rank,) * 3) for c in (one, mid)]
+        size = np.bincount(btf[1], minlength=rank ** 3)
+        q, k = _expand(size[btf[0]])
+        m = np.argsort(btf[1], kind="stable")[(np.cumsum(size) - size)[btf[0]][q] + k]
+        r, w, h = one["r"][q], mid["w"][m], mid["h"][m]
+        # those with N^h_{ya} = 1, once per copy (co, cm, ci) at (y, w, x), ci fastest
+        row, k = _expand(cy[r] * count[w] * cx[r] * N[out["y"][r], a, h])
+        q, m, r, w, h = q[row], m[row], r[row], w[row], h[row]
+        k, i = np.divmod(k, cx[r])
+        o, j = np.divmod(k, count[w])
+        ci, cm, co = first[out["x"][r]] + i, first[w] + j, first[out["y"][r]] + o
+        terms = (f_in[q] * f_mid[m].conj() * f_out[np.searchsorted(three["r"] * rank + three["h"],
+                                                                    r * rank + h)]
+                 * H[a, h, co, cm] * H[out["b"][r], one["f"][q], cm, ci])
+        lhs = _sums((np.cumsum(cx * cy) - cx * cy)[r] + o * cx[r] + i, terms, int(np.sum(cx * cy)))
+        r, k = _expand(cy * cx)         # each target once per copy pair, in the order of lhs
+        (o, i), g = np.divmod(k, cx[r]), out["g"][r]
+        co, ci = first[out["y"][r]] + o, first[out["x"][r]] + i
+        dev = np.where(N[a, :, :, None, None] > 0, stray, 0.0)         # [b, g, co, ci]
+        np.maximum.at(dev, (out["b"][r], g, co, ci), np.abs(lhs - H[g, out["t"][r], co, ci]))
         for b, i, o, g in np.argwhere(dev.transpose(0, 3, 2, 1) > tol):
             report.append(f"hexagon fails at a={a}, b={b}, g={g}, "
                           f"copies {copies[i]}->{copies[o]}: dev={dev[b, g, o, i]:.3e}")

@@ -530,38 +530,44 @@ def vertex_gauge(cd, seed, size=2 * math.pi):
                                name=f"{cd.name} in a vertex gauge")
 
 
-def psu2_category(k):
-    """PSU(2)_k, the integer spins 0 .. k // 2 of SU(2)_k, with F in the
+def su2_category(k, integer_spins=False):
+    """SU(2)_k, the spins j = 0, 1/2, .., k/2 labelled by 2j, with F in the
     unitary q-Racah gauge (Kirillov-Reshetikhin 1989) and no braiding:
 
         F^{j1 j2 j3}_j[j12, j23] = (-1)^(j1+j2+j3+j) sqrt([2 j12 + 1][2 j23 + 1])
                                    {j1 j2 j12; j3 j j23}_q,
 
     [n] = sin(n pi / (k+2)) / sin(pi / (k+2)), the 6j symbol by the q-Racah
-    sum.  A triple is admissible when it satisfies the triangle inequality
-    and sums to at most k.  Raises unless verify_pentagon is clean."""
+    sum.  A triple is admissible when it satisfies the triangle inequality,
+    sums to an integer and sums to at most k.  The half-integer spins have
+    Frobenius-Schur sign -1.  With ``integer_spins`` it is PSU(2)_k, the
+    integer spins labelled by j.  Raises unless verify_pentagon is clean."""
     from tensorcat.category_data import _finish, verify_pentagon
     from tensorcat.fusion_ring import FusionRing
 
-    r = k // 2 + 1
+    spins = list(range(0, k + 1, 2 if integer_spins else 1))
+    r = len(spins)
     qn = [math.sin(n * math.pi / (k + 2)) / math.sin(math.pi / (k + 2)) for n in range(k + 2)]
     fact = [1.0]                                  # fact[n] = [n]!, n <= k + 1
     for n in range(1, k + 2):
         fact.append(fact[-1] * qn[n])
     N = np.zeros((r, r, r), dtype=np.int64)
-    for a, b, c in itertools.product(range(r), repeat=3):
-        N[a, b, c] = abs(a - b) <= c <= a + b and a + b + c <= k
+    for (i, a), (j, b), (l, c) in itertools.product(enumerate(spins), repeat=3):
+        N[i, j, l] = abs(a - b) <= c <= a + b and (a + b + c) % 2 == 0 and a + b + c <= 2 * k
 
     def delta(a, b, c):
-        return math.sqrt(fact[a + b - c] * fact[a - b + c] * fact[b + c - a] / fact[a + b + c + 1])
+        return math.sqrt(fact[(a + b - c) // 2] * fact[(a - b + c) // 2] * fact[(b + c - a) // 2]
+                         / fact[(a + b + c) // 2 + 1])
 
     def sixj(j1, j2, j12, j3, j, j23):
+        """The q-Racah sum, spins given as 2j; z counts in units of 1."""
         triads = ((j1, j2, j12), (j1, j, j23), (j3, j2, j23), (j3, j, j12))
         quads = (j1 + j2 + j3 + j, j1 + j12 + j3 + j23, j2 + j12 + j + j23)
         total = 0.0
         # [z + 1]! vanishes from z = k + 1 on, where [k + 2] = 0
-        for z in range(max(map(sum, triads)), min(min(quads), k) + 1):
-            den = math.prod(fact[z - sum(t)] for t in triads) * math.prod(fact[q - z] for q in quads)
+        for z in range(max(sum(t) // 2 for t in triads), min(min(quads) // 2, k) + 1):
+            den = (math.prod(fact[z - sum(t) // 2] for t in triads)
+                   * math.prod(fact[q // 2 - z] for q in quads))
             total += (-1) ** z * fact[z + 1] / den
         return math.prod(delta(*t) for t in triads) * total
 
@@ -569,14 +575,22 @@ def psu2_category(k):
     for a, b, c, d, e, f in itertools.product(range(1, r), range(1, r), range(1, r),
                                               range(r), range(r), range(r)):
         if N[a, b, e] and N[e, c, d] and N[b, c, f] and N[a, f, d]:
-            F[a, b, c, d, e, f] = ((-1) ** (a + b + c + d) * math.sqrt(qn[2 * e + 1] * qn[2 * f + 1])
-                                   * sixj(a, b, e, c, d, f) + 0j)
-    ring = FusionRing(rank=r, labels=tuple(str(j) for j in range(r)), dual=tuple(range(r)), N=N)
-    cd = _finish(ring, F, None, name=f"PSU(2)_{k}")
+            sa, sb, sc, sd, se, sf = (spins[x] for x in (a, b, c, d, e, f))
+            F[a, b, c, d, e, f] = ((-1) ** ((sa + sb + sc + sd) // 2)
+                                   * math.sqrt(qn[se + 1] * qn[sf + 1])
+                                   * sixj(sa, sb, se, sc, sd, sf) + 0j)
+    labels = tuple(str(s // 2) if integer_spins else str(s) for s in spins)
+    ring = FusionRing(rank=r, labels=labels, dual=tuple(range(r)), N=N)
+    cd = _finish(ring, F, None, name=f"{'PSU' if integer_spins else 'SU'}(2)_{k}")
     bad = verify_pentagon(cd)
     if bad:
-        raise ValueError(f"PSU(2)_{k}: pentagon fails: {bad[:3]}")
+        raise ValueError(f"{cd.name}: pentagon fails: {bad[:3]}")
     return cd
+
+
+def psu2_category(k):
+    """PSU(2)_k, the integer spins 0 .. k // 2 of SU(2)_k, labelled by j."""
+    return su2_category(k, integer_spins=True)
 
 
 def dense_tube(tube):
@@ -783,6 +797,36 @@ def half_braiding_check_by_diagrams(cd, z):
                         if dev > tol:
                             report.append(f"hexagon fails at a={a}, b={b}, g={g}, "
                                           f"copies {ci}->{co}: dev={dev:.3e}")
+    return report
+
+
+def half_braiding_check_dense(cd, z):
+    """center_tube.half_braiding_check as one dense contraction per a over
+    (b, copies, t, g, f, h), whatever the fusion sparsity, with F gathered
+    once per call into the dense array Fd[a, b, c, d, e, f] = F^{abc}_d[e, f],
+    0 off the admissible tuples.  For small ranks only."""
+    ring, tol, H, copies = cd.ring, cd.identity_tolerance, z.half_braiding, z.copies
+    N = ring.N
+    report = [f"sigma_0 not identity at {(co, ci)}"
+              for u, co in enumerate(copies) for v, ci in enumerate(copies)
+              if co[0] == ci[0] and abs(H[0, co[0], u, v] - (u == v)) > tol]
+    Fd = np.zeros((ring.rank,) * 6, dtype=complex)
+    keys = np.nonzero(np.einsum("abe,ecd,bcf,afd->abcdef", N, N, N, N))
+    Fd[keys] = cd.F.lookup(keys)
+    sector = [x for x, _m in copies]
+    want = H.transpose(1, 0, 2, 3)              # [t, g, co, ci] = sigma_g(t)
+    for a in range(ring.rank):
+        f_in = Fd[a][:, sector]                           # [b, ci, t, g, f] = F^{abx}_t[g, f]
+        f_mid = Fd[a][sector].transpose(1, 0, 2, 3, 4).conj()   # [b, w, t, h, f] = conj F^{awb}_t[h, f]
+        f_out = Fd[sector, a].transpose(1, 0, 2, 3, 4)    # [b, co, t, h, g] = F^{yab}_t[h, g]
+        two = np.einsum("bitgf,bfwi->btgfwi", f_in, H)    # sigma_b
+        two = np.einsum("bwthf,btgfwi->btghwi", f_mid, two)
+        two = np.einsum("how,btghwi->btghoi", H[a], two)  # sigma_a
+        two = np.einsum("bothg,btghoi->btgoi", f_out, two)
+        dev = np.abs(two - want).max(axis=1) * N[a, :, :, None, None]   # [b, g, co, ci]
+        for b, i, o, g in np.argwhere(dev.transpose(0, 3, 2, 1) > tol):
+            report.append(f"hexagon fails at a={a}, b={b}, g={g}, "
+                          f"copies {copies[i]}->{copies[o]}: dev={dev[b, g, o, i]:.3e}")
     return report
 
 

@@ -25,10 +25,10 @@ from oracles import (PHI, algebras_gauge_equivalent, center_fusion_by_loops,
                      central_idempotents_by_nullspace, corner_module_by_simple,
                      dense_tube,
                      half_braiding_W_by_entries, half_braiding_check_by_diagrams,
-                     mate_phase_by_diagrams,
+                     half_braiding_check_dense, mate_phase_by_diagrams,
                      record_diagram_calls, record_linalg_calls,
                      rotation_isometry_by_diagrams, tube_product_by_pairs,
-                     psu2_category, tube_star_by_diagrams, vertex_gauge)
+                     psu2_category, su2_category, tube_star_by_diagrams, vertex_gauge)
 
 
 @pytest.fixture(scope="module")
@@ -551,11 +551,13 @@ def _assert_same_report(got, want):
             assert abs(float(g_dev) - float(w_dev)) <= 1e-9 + 1e-3 * float(w_dev), (g, w)
 
 
-def _compare_with_diagram_check(cd, simples):
-    """half_braiding_check against the diagram oracle on every simple, as
+def _compare_with_references(cd, simples):
+    """half_braiding_check against both references on every simple, as
     computed and with the first admissible entry of its first sigma_a with
-    a != 0 negated (of sigma_0 in a rank-1 category).  Returns the seconds
-    each took on the simples as computed."""
+    a != 0 negated (of sigma_0 in a rank-1 category): the same lines as the
+    dense contraction, and as the diagram oracle up to the printed dev.
+    Returns the seconds the check and the diagram oracle took on the
+    simples as computed."""
     import copy
     import time
     seconds = np.zeros(2)
@@ -565,45 +567,57 @@ def _compare_with_diagram_check(cd, simples):
             start = time.perf_counter()
             reports.append(check(cd, z))
             seconds[k] += time.perf_counter() - start
+        assert reports[0] == half_braiding_check_dense(cd, z)
         _assert_same_report(*reports)
         bad = copy.deepcopy(z)
         hit = np.argwhere(bad.half_braiding != 0)
         bad.half_braiding[tuple(hit[np.argmax(hit[:, 0] > 0)])] *= -1
-        _assert_same_report(half_braiding_check(cd, bad),
-                            half_braiding_check_by_diagrams(cd, bad))
+        got = half_braiding_check(cd, bad)
+        assert got == half_braiding_check_dense(cd, bad)
+        _assert_same_report(got, half_braiding_check_by_diagrams(cd, bad))
     return seconds
 
 
 @pytest.mark.parametrize("name", list(CHECK_CASES))
 def test_half_braiding_check_matches_the_diagram_check(name):
-    """The check read from F gives the diagram check's report line for line:
-    the same (a, b, g, copies) in the same order, on clean half-braidings and
-    with one entry negated in each simple."""
+    """The check read from F gives the dense contraction's report line for
+    line and the diagram check's: the same (a, b, g, copies) in the same
+    order, on clean half-braidings and with one entry negated in each
+    simple."""
     cd = CHECK_CASES[name]()
-    _compare_with_diagram_check(cd, decompose_center(build_tube_algebra(cd), seed=0).simples)
+    _compare_with_references(cd, decompose_center(build_tube_algebra(cd), seed=0).simples)
 
 
-def test_half_braiding_check_gathers_each_f_move_once(cats, monkeypatch):
-    """Checking every simple of fib (x) ising gathers each F-move array once
-    (216 keys, where a gather per simple and key would make 5,400), and
-    the memo gives the reports of a fresh gather."""
-    from tensorcat import center_tube
-    cd = deligne_product_data(cats["fibonacci"], cats["ising"])
+def test_half_braiding_check_on_su2_4_matches_the_dense_check():
+    """SU(2)_4, whose half-integer spins have Frobenius-Schur sign -1: every
+    simple passes, and with its largest entry of a sigma_a, a != 0, negated
+    each fails with the dense contraction's report."""
+    import copy
+    cd = su2_category(4)
     simples = decompose_center(build_tube_algebra(cd), seed=0).simples
-    fresh = [half_braiding_check(dataclasses.replace(cd), z) for z in simples]
-    keys = []
-    gather = center_tube._gather_f_moves
+    assert len(simples) == 25 and all(half_braiding_check(cd, z) == [] for z in simples)
+    for z in simples:
+        bad = copy.deepcopy(z)
+        sigma = bad.half_braiding[1:]
+        sigma[np.unravel_index(np.argmax(np.abs(sigma)), sigma.shape)] *= -1
+        assert half_braiding_check(cd, bad) == half_braiding_check_dense(cd, bad) != []
 
-    def counted(cd, a, b, c):
-        keys.append((a, b, c))
-        return gather(cd, a, b, c)
 
-    monkeypatch.setattr(center_tube, "_gather_f_moves", counted)
-    reports = [half_braiding_check(cd, z) for z in simples]
-    assert reports == fresh and not any(reports)
-    assert 0 < len(keys) == len(set(keys)) == len(cd.f_moves_cache) <= cd.ring.rank ** 3
-    reports = [half_braiding_check(cd, z) for z in simples]
-    assert len(keys) == len(cd.f_moves_cache)
+def test_half_braiding_check_peak_memory_on_ising_ising():
+    """Checking all 81 simples of ising (x) ising peaks under 1 MiB
+    (0.2 MiB measured); a per-category memo of dense F-move arrays peaked
+    at 12.7 MiB, 8.1 MiB of it the memo."""
+    import tracemalloc
+    cd = deligne_product_data(catalog_category("ising"), catalog_category("ising"))
+    simples = decompose_center(build_tube_algebra(cd), seed=0).simples
+    tracemalloc.start()
+    try:
+        reports = [half_braiding_check(cd, z) for z in simples]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(simples) == 81 and not any(reports)
+    assert peak < 2 ** 20
 
 
 def test_half_braiding_check_on_psu2_8_is_faster_than_the_diagrams():
@@ -612,7 +626,7 @@ def test_half_braiding_check_on_psu2_8_is_faster_than_the_diagrams():
     cd = psu2_category(8)
     simples = decompose_center(build_tube_algebra(cd), seed=0).simples
     assert len(simples) == 22 and all(half_braiding_check(cd, z) == [] for z in simples)
-    from_f, by_diagrams = _compare_with_diagram_check(cd, simples)
+    from_f, by_diagrams = _compare_with_references(cd, simples)
     assert by_diagrams >= 4 * from_f
 
 
