@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .category_data import (CategoryData, _load_labelled, _save_labelled,
+from .category_data import (CategoryData, _load_labelled, _read_all, _save_labelled,
                             deligne_product_data, monoidal_opposite)
 from .errors import PreconditionError, StructuralError
 
@@ -248,21 +248,15 @@ def _unit_normalized(cd, support, mu) -> AlgebraObject:
     return AlgebraObject(support=tuple(support), mu=mu)
 
 
-def _zigzag_phases(cd):
-    """zeta_a, the phase of the zig-zag (cap_ab (x) id_ab)(id_ab (x) cup_a) on
-    [ab], ab = dual(a), which evaluates to d_a conj F^{ab a ab}_ab[0, 0]: the
-    Frobenius-Schur indicator of a, up to the gauge of F."""
-    dual = cd.ring.dual
-    z = np.array([cd.fval(dual[a], a, dual[a], dual[a], 0, 0)
-                  for a in range(cd.ring.rank)]).conj()
-    return z / np.abs(z)
+def _rotation_phases(cd):
+    """(zeta, phi), read from F by one lookup.  zeta[a] is the phase of the
+    zig-zag (cap_ab (x) id_ab)(id_ab (x) cup_a) on [ab], ab = dual(a), which
+    is d_a conj F^{ab a ab}_ab[0, 0]: the Frobenius-Schur indicator of a, up
+    to the gauge of F.  phi[a1, a2, b] is the one coefficient of the rotation
+    isometry phi: [bb] -> [ab1, ab2], the rigidity dual of the tree
+    psi_b: b -> a2 (x) a1, on every channel b of a2 (x) a1, and 0 elsewhere.
 
-
-def _rotation_phase(cd, a1, a2, b, zeta):
-    """The one coefficient of the rotation isometry phi: [bb] -> [ab1, ab2]
-    (ab = dual(a)), the rigidity dual of the tree psi_b: b -> a2 (x) a1.
-
-    The condition (psi_b (x) phi) cup_b = nested cups fixes the phase of phi,
+    The condition (psi_b (x) phi) cup_b = nested cups fixes its phase,
     Frobenius-Schur signs included; phi is normalized to an isometry and
     divided by the zig-zag phase of b.  The nested cups composed with psi_b^*
     and closed by a cap on b evaluate to sqrt(d_a1 d_a2 d_b) times
@@ -271,13 +265,21 @@ def _rotation_phase(cd, a1, a2, b, zeta):
 
     so phi is the phase of that product over zeta_b.
     """
-    dual = cd.ring.dual
+    rank, dual = cd.ring.rank, np.asarray(cd.ring.dual)
+    a2, a1, b = np.nonzero(cd.ring.N)
     ab1, ab2, bb = dual[a1], dual[a2], dual[b]
-    v = ((cd.fval(bb, a2, ab2, bb, ab1, 0) * cd.fval(ab1, a1, ab1, ab1, 0, 0)).conjugate()
-         * cd.fval(bb, a2, a1, 0, ab1, b))
-    if not abs(v) > cd.noise_floor:
+    o, ov = np.zeros(rank, dtype=np.intp), np.zeros_like(b)      # the unit label
+    fz, f1, f2 = _read_all(cd.F, (dual, np.arange(rank), dual, dual, o, o),
+                           (bb, a2, ab2, bb, ab1, ov), (bb, a2, a1, ov, ab1, b))
+    zeta = fz.conj() / np.abs(fz)
+    v = (f1 * fz[a1]).conjugate() * f2
+    r = np.abs(v)
+    if not np.all(r > cd.noise_floor):
         raise StructuralError("degenerate rotation isometry")
-    return complex(v / abs(v) / zeta[b])
+    phi = np.zeros((rank,) * 3, dtype=complex)
+    # v / r part by part: a complex quotient multiplies by 1 / r, and rounds apart
+    phi[a1, a2, b] = (v.real / r + 1j * (v.imag / r)) / zeta[b]
+    return zeta, phi
 
 
 def _conjugate_vertex_algebra(cd: CategoryData, support, braided) -> AlgebraObject:
@@ -304,20 +306,17 @@ def _conjugate_vertex_algebra(cd: CategoryData, support, braided) -> AlgebraObje
     odd elements of vec_zn(6, 1)).  It is applied as its conjugate, equal for
     a sign, so that the unit channels come out as exactly 1 in floating point.
     """
-    ring = cd.ring
-    dl = ring.dual
-    d = cd.dims.dims
-    zeta = _zigzag_phases(cd)
-    kappa = {}
-    for a in range(ring.rank):
-        for b in range(ring.rank):
-            for c in ring.channels(a, b):
-                k = np.conj(_rotation_phase(cd, b, a, c, zeta) * zeta[c])
-                kappa[(a, b, c)] = k * cd.rval(dl[a], dl[b], dl[c]) if braided else k
-    mu = {(support[a], support[b], support[c]):
-          np.sqrt(d[a] * d[b] / d[c]) * k * np.conj(kappa[(0, c, c)])
-          for (a, b, c), k in kappa.items()}
-    return AlgebraObject(support=support, mu=mu)
+    dl, d = np.asarray(cd.ring.dual), cd.dims.dims
+    zeta, phi = _rotation_phases(cd)
+    a, b, c = np.nonzero(cd.ring.N)
+    kappa = np.conj(phi[b, a, c] * zeta[c])
+    if braided:
+        kappa = kappa * cd.R.lookup([dl[a], dl[b], dl[c]])
+    sign = np.conj(kappa[a == 0])       # kappa(0, c, c), c ascending
+    mu = np.sqrt(d[a] * d[b] / d[c]) * kappa * sign[c]
+    return AlgebraObject(support=support, mu={
+        (support[i], support[j], support[k]): v
+        for i, j, k, v in zip(a.tolist(), b.tolist(), c.tolist(), mu)})
 
 
 def solve_support_algebra(cd: CategoryData, support, commutative=False,

@@ -92,15 +92,15 @@ class _SymbolSet:
         """The values at the rows of the index columns ``cols``, one column
         per leg; the first row ``value`` would refuse raises what it raises."""
         cols = [np.asarray(c) for c in cols]
-        out = np.ones(len(cols[0]), dtype=complex)
-        rows = np.flatnonzero(np.all([c != 0 for c in cols[:self._units]], axis=0))
-        if len(rows):
-            cols = [c[rows] for c in cols]
-            vals, ok = self._rows(cols)
-            if not ok.all():
-                raise self._absent(tuple(c[np.argmin(ok)].item() for c in cols))
-            out[rows] = vals
-        return out
+        unit = np.any([c == 0 for c in cols[:self._units]], axis=0)
+        if unit.all():
+            return np.ones(len(unit), dtype=complex)
+        vals, ok = self._rows(cols)     # every row: a gathered copy of the columns costs more
+        ok |= unit
+        if not ok.all():
+            raise self._absent(tuple(c[np.argmin(ok)].item() for c in cols))
+        vals[unit] = 1
+        return vals
 
     @functools.cached_property
     def _packed(self):
@@ -114,11 +114,12 @@ class _SymbolSet:
         return base, packed[order], np.append(0j, vals)[order]
 
     def _rows(self, cols):
-        """(values, found) of rows with no unit leg."""
+        """(values, found) of the rows; those with a unit leg are lookup's."""
         base, keys, vals = self._packed
         cols, ok = _label_columns(cols, base)
         packed = np.ravel_multi_index(cols, (base,) * self._arity)
-        pos = np.minimum(np.searchsorted(keys, packed), len(keys) - 1)
+        pos = np.searchsorted(keys, packed)
+        np.minimum(pos, len(keys) - 1, out=pos)
         return vals[pos], ok & (keys[pos] == packed)
 
 
@@ -127,10 +128,11 @@ def _label_columns(cols, rank):
     in [0, rank)), and those rows' mask."""
     ok = np.ones(len(cols[0]), dtype=bool)
     for c in cols:
-        ok &= (c >= 0) & (c < rank)
-        if c.dtype.kind == "f":
-            ok &= c == np.floor(c)
-    return [np.where(ok, c, 0).astype(np.int64) for c in cols], ok
+        if c.dtype.kind == "f" or c.min(initial=0) < 0 or c.max(initial=0) >= rank:
+            ok &= (c >= 0) & (c < rank) & (c == np.floor(c))
+    if not ok.all():
+        cols = [np.where(ok, c, 0) for c in cols]
+    return [c.astype(np.int64, copy=False) for c in cols], ok
 
 
 class FSymbolSet(_SymbolSet):
@@ -399,36 +401,41 @@ class _ChannelJoin:
 
     def __init__(self, ring):
         self.N, self.rank = ring.N, ring.rank
-        self.channels = np.nonzero(ring.N)[2]       # c ascending within each (a, b)
-        self.counts = np.count_nonzero(ring.N, axis=2).reshape(-1)
-        self.starts = np.cumsum(self.counts) - self.counts
+        # per leg of N^z_{xy}, (labels, counts, starts) of the labels it takes
+        # beside each pair of the other two, ascending: the channels of x (x) y for z
+        self.legs = [(np.nonzero(T)[2], n, np.cumsum(n) - n)
+                     for T in (ring.N.transpose(1, 2, 0), ring.N.transpose(0, 2, 1), ring.N)
+                     for n in [np.count_nonzero(T, axis=2).reshape(-1)]]
 
     def tuples(self, spec, **given):
         """{name: column} of the label tuples with N^z_{xy} = 1 for every
         triple xyz of the space-separated spec.  A name takes the column
-        given for it; otherwise it is spread over every label where it is
-        first met as x or y, or extended by the channels of x (x) y where it
-        is first met as z, and a triple of bound names filters.  From sorted
-        given columns, rows come out in lexicographic order of the names as
-        met.  The given columns are gathered once, at the end."""
+        given for it.  Otherwise the last new name of a triple is extended
+        by the labels the triple's other two allow (the channels of x (x) y
+        when it is z), a new name before it is spread over every label, and
+        a triple of bound names filters.  From sorted given columns, rows
+        come out in lexicographic order of the names as met.  The given
+        columns are gathered once, at the end."""
         take = np.arange(len(next(iter(given.values()))) if given else 1)
         cols = {}                       # the other names, row by row with take
 
         def at(x):
             return cols[x] if x in cols else given[x][take]
 
-        for x, y, z in spec.split():
-            for name in (x, y):
-                if name not in cols and name not in given:
-                    row = np.repeat(np.arange(len(take)), self.rank)
-                    take, cols = take[row], {k: v[row] for k, v in cols.items()}
-                    cols[name] = np.arange(len(row)) % self.rank
-            if z in cols or z in given:
-                row, new = np.flatnonzero(self.N[at(x), at(y), at(z)]), {}
+        for triple in spec.split():
+            fresh = [i for i, name in enumerate(triple) if name not in cols and name not in given]
+            for name in (triple[i] for i in fresh[:-1]):
+                row = np.repeat(np.arange(len(take)), self.rank)
+                take, cols = take[row], {k: v[row] for k, v in cols.items()}
+                cols[name] = np.arange(len(row)) % self.rank
+            if fresh:
+                labels, counts, starts = self.legs[fresh[-1]]
+                x, y = (at(name) for j, name in enumerate(triple) if j != fresh[-1])
+                keys = x * self.rank + y
+                row, local = _expand(counts[keys])
+                new = {triple[fresh[-1]]: labels[starts[keys][row] + local]}
             else:
-                keys = at(x) * self.rank + at(y)
-                row, local = _expand(self.counts[keys])
-                new = {z: self.channels[self.starts[keys][row] + local]}
+                row, new = np.flatnonzero(self.N[tuple(map(at, triple))]), {}
             take, cols = take[row], {**{k: v[row] for k, v in cols.items()}, **new}
         return {**{k: v[take] for k, v in given.items()}, **cols}
 
@@ -448,6 +455,12 @@ def _sums(idx, terms, n=0):
 def _read(symbols, cols, names):
     """symbols.lookup of the columns cols[x] for x in names."""
     return symbols.lookup([cols[x] for x in names])
+
+
+def _read_all(symbols, *keys):
+    """symbols.lookup of each set of key columns, all read by one lookup."""
+    vals = symbols.lookup([np.concatenate(leg) for leg in zip(*keys)])
+    return np.split(vals, np.cumsum([len(k[0]) for k in keys[:-1]]))
 
 
 def _lines(cd, head, cols, resid):
@@ -474,7 +487,7 @@ def _key_array(entries, arity):
 
 def _leading_blocks(r, rows_per_label):
     """The labels 0 .. r-1 in consecutive blocks of at most 2^12 rows, at
-    least one label each: what the pointed checks hold at once."""
+    least one label each: what the pointed checks and small tubes hold at once."""
     size = max(1, (1 << 12) // rows_per_label)
     return [np.arange(a, min(a + size, r)) for a in range(0, r, size)]
 

@@ -6,7 +6,8 @@ vector in Hom(a (x) x (x) dual(a) -> y).  Products glue annuli: the a-strands
 fuse through every channel b with the dual leg closed off by rotation
 isometries.  Each coefficient of that gluing diagram is a single product of
 F-moves, the unfold entries the evaluator would multiply, times a rotation
-phase evaluated once per vertex (a1, a2, b); the tests hold the result to
+phase per vertex (a1, a2, b), joined over the admissible label tuples and
+read from F by lookup, as is everything here; the tests hold the result to
 the diagrams in random gauges of F and check it associative and C*.
 
 t_(x,a,e,y) maps the sector x to y, and t_i t_j is nonzero only when t_j
@@ -39,15 +40,16 @@ of two center objects (z, sigma) and (w, rho) is rho evaluated at z.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import (_conjugate_vertex_algebra, _rotation_phase, _zigzag_phases,
-                      algebra_dim, group_algebra, is_commutative, verify_qsystem)
+from .algebra import (_conjugate_vertex_algebra, _rotation_phases, algebra_dim,
+                      group_algebra, is_commutative, verify_qsystem)
 from .category_data import (CategoryData, QuadraticForm, SeededDraws, _ChannelJoin, _expand,
-                            _sums, deligne_product_data, pointed_from_quadratic_form,
-                            reverse_braiding)
+                            _leading_blocks, _read_all, _sums, deligne_product_data,
+                            pointed_from_quadratic_form, reverse_braiding)
 from .braided_analysis import is_nondegenerate
 from .errors import PreconditionError, StructuralError
 
@@ -144,16 +146,15 @@ class CenterData:
     cd: CategoryData
 
 
-def _tube_basis(cd):
-    ring = cd.ring
-    basis = []
-    for x in range(ring.rank):
-        for a in range(ring.rank):
-            ab = ring.dual[a]
-            for e in ring.channels(a, x):
-                for y in ring.channels(e, ab):
-                    basis.append((x, a, e, y))
-    return basis
+def _views(shapes, rank):
+    """({key: zeroed array of that shape}, buffer, start): views, key's from start[key] on."""
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    offsets = np.cumsum(sizes) - sizes
+    start = np.zeros((rank,) * len(next(iter(shapes))), dtype=np.intp)
+    start[tuple(np.array(list(shapes)).T)] = offsets
+    buf = np.zeros(sum(sizes), dtype=complex)
+    return ({k: buf[o:o + m].reshape(shape) for (k, shape), o, m
+             in zip(shapes.items(), offsets.tolist(), sizes)}, buf, start)
 
 
 def build_tube_algebra(cd: CategoryData) -> TubeAlgebra:
@@ -171,9 +172,13 @@ def build_tube_algebra(cd: CategoryData) -> TubeAlgebra:
 
         conj F^{f ab1 ab2}_z[e2, bb] * F^{a2 a1 x}_f[b, e1] * F^{a2 e1 ab1}_{e2}[f, y],
 
-    the coefficient of t_(x,b,f,z); phi_b is a phase per vertex (a1, a2, b),
-    read from F in the same way (_rotation_phase).  The star of t_(x,a,e,y)
-    closes both a-strands with caps; on t_(y,ab,g,x) it is
+    the coefficient of t_(x,b,f,z), with phi_b a phase per vertex (a1, a2, b)
+    (algebra._rotation_phases).  The tuples (a1, a2, b, x, e1, y, e2, z, f)
+    are joined with no dual label (N^y_{e ab} = N^e_{ya}), a block of leading
+    labels a1 at a time (_leading_blocks, one label from SU(2)_10 on); a
+    block's three F-move sets are one lookup, scattered into views of one
+    buffer.  The star of t_(x,a,e,y) closes both a-strands with caps; on
+    t_(y,ab,g,x) it is, joined and read alike,
 
         d_a / zeta_a * conj(F^{ab a x}_x[0, e] F^{ab e ab}_g[x, y]) * F^{x ab a}_x[g, 0].
 
@@ -184,56 +189,41 @@ def build_tube_algebra(cd: CategoryData) -> TubeAlgebra:
     ring = cd.ring
     if (ring.N > 1).any():
         raise StructuralError("fusion multiplicity > 1 is out of scope")
-    rank, dual, fval = ring.rank, ring.dual, cd.fval
-    N = ring.N.tolist()
-    d = cd.dims.dims
-    floor = cd.noise_floor
-    basis = _tube_basis(cd)
-    index = {quad: k for k, quad in enumerate(basis)}
-    sectors, pos, leaving = {}, [], {}
-    for k, (x, a, e, y) in enumerate(basis):
+    rank, dual, floor = ring.rank, np.asarray(ring.dual), cd.noise_floor
+    join = _ChannelJoin(ring)
+    q = join.tuples("axe yae", x=np.arange(rank))      # the basis, ascending
+    basis = list(zip(*(q[k].tolist() for k in "xaey")))
+    sectors, pos = {}, []
+    for k, (x, _a, _e, y) in enumerate(basis):
         members = sectors.setdefault((x, y), [])
         pos.append(len(members))
         members.append(k)
-        leaving.setdefault((x, a), []).append((e, y, k))
-    size = {s: len(ks) for s, ks in sectors.items()}
-    zeta = _zigzag_phases(cd)
-    blocks = {(x, y, z): np.zeros((size[y, z], size[x, y], size[x, z]), dtype=complex)
-              for (x, y) in sectors for z in range(rank)
-              if (y, z) in sectors and (x, z) in sectors}
+    n = np.bincount(q["x"] * rank + q["y"], minlength=rank * rank).reshape(rank, rank)
+    at = np.zeros((rank,) * 4, dtype=np.intp)       # a basis vector's place in its sector
+    at[q["x"], q["a"], q["e"], q["y"]] = pos
+    zeta, phi = _rotation_phases(cd)
+    blocks, buf, start = _views({(x, y, z): (n[y, z], n[x, y], n[x, z])
+                                 for (x, y) in sectors for z in range(rank)
+                                 if n[y, z] and n[x, z]}, rank)
+    pairs = np.bincount(q["a"], n.sum(axis=1)[q["y"]], rank)    # products t_i t_j per a1
+    for lead in _leading_blocks(rank, int(pairs.max())):
+        t = join.tuples("cab axe yae cyg zcg bxf cef gaf zbf", a=lead)
+        a, b, c, x, e, y, g, z, f = (t[k] for k in "abcxeygzf")
+        f1, f2, f3 = _read_all(cd.F, (f, dual[a], dual[c], z, g, dual[b]), (c, a, x, f, b, e),
+                               (c, e, dual[a], g, f, y))
+        v = phi[a, c, b] * f1.conjugate() * f2 * f3
+        keep = np.abs(v) > floor
+        buf[(start[x, y, z] + (at[y, c, g, z] * n[x, y] + at[x, a, e, y]) * n[x, z]
+             + at[x, b, f, z])[keep]] = v[keep]
 
-    for a1 in range(rank):
-        ab1 = dual[a1]
-        for a2 in range(rank):
-            ab2 = dual[a2]
-            for b in ring.channels(a2, a1):
-                bb = dual[b]
-                phi = _rotation_phase(cd, a1, a2, b, zeta)
-                for x in range(rank):
-                    fs = ring.channels(b, x)
-                    for e1, y, j in leaving.get((x, a1), ()):
-                        for e2, z, i in leaving.get((y, a2), ()):
-                            P = blocks.get((x, y, z))
-                            if P is None:     # no t from x to z: the product is 0
-                                continue
-                            for f in fs:
-                                if not (N[a2][e1][f] and N[f][ab1][e2] and N[f][bb][z]):
-                                    continue
-                                c = (phi * fval(f, ab1, ab2, z, e2, bb).conjugate()
-                                     * fval(a2, a1, x, f, b, e1) * fval(a2, e1, ab1, e2, f, y))
-                                if abs(c) > floor:
-                                    P[pos[i], pos[j], pos[index[x, b, f, z]]] = c
-
-    star = {(x, y): np.zeros((size[x, y], size[y, x]), dtype=complex) for x, y in sectors}
-    for k, (x, a, e, y) in enumerate(basis):
-        ab = dual[a]
-        scale = d[a] / zeta[a] * fval(ab, a, x, x, 0, e).conjugate()
-        for g in ring.channels(ab, y):
-            if not (N[x][ab][g] and N[g][a][x]):
-                continue
-            c = scale * fval(ab, e, ab, g, x, y).conjugate() * fval(x, ab, a, x, g, 0)
-            if abs(c) > floor:
-                star[x, y][pos[k], pos[index[y, ab, g, x]]] = c
+    star, buf, start = _views({(x, y): (n[x, y], n[y, x]) for x, y in sectors}, rank)
+    t = join.tuples("agy gax", **q)     # g in ab (x) y
+    x, a, e, y, g = (t[k] for k in "xaeyg")
+    ab, o = dual[a], np.zeros_like(a)
+    f1, f2, f3 = _read_all(cd.F, (ab, a, x, x, o, e), (ab, e, ab, g, x, y), (x, ab, a, x, g, o))
+    v = cd.dims.dims[a] / zeta[a] * f1.conjugate() * f2.conjugate() * f3
+    keep = np.abs(v) > floor
+    buf[(start[x, y] + at[x, a, e, y] * n[y, x] + at[y, ab, g, x])[keep]] = v[keep]
     return TubeAlgebra(basis=basis, sectors={s: np.array(ks) for s, ks in sectors.items()},
                        blocks=blocks, star=star, cd=cd)
 
@@ -355,11 +345,10 @@ def _half_braiding_readout(tube: TubeAlgebra):
     (pi would be off by g^2); pi is unitary, and so is sigma.
     """
     cd = tube.cd
-    d, dual, rank = cd.dims.dims, cd.ring.dual, cd.ring.rank
-    slot = np.array([a * rank + c for _x, a, c, _y in tube.basis], dtype=np.intp)
-    scale = np.array([np.sqrt(d[x] / (d[y] * d[a])) / cd.fval(y, a, dual[a], y, c, 0)
-                      for x, a, c, y in tube.basis])
-    return slot, scale
+    d, dual, rank = cd.dims.dims, np.asarray(cd.ring.dual), cd.ring.rank
+    x, a, c, y = np.array(tube.basis).T
+    scale = np.sqrt(d[x] / (d[y] * d[a])) / cd.F.lookup([y, a, dual[a], y, c, 0 * a])
+    return a * rank + c, scale
 
 
 def half_braiding_check(cd: CategoryData, z: CenterObject) -> list:
@@ -398,9 +387,8 @@ def half_braiding_check(cd: CategoryData, z: CenterObject) -> list:
         cx, cy = count[out["x"]], count[out["y"]]
         one, three = (join.tuples(s, r=np.arange(len(cx)), **out) for s in ("bxf aft", "yah hbt"))
         mid = join.tuples("wbf awh hbt aft", a=np.full(len(xs), a), w=xs)
-        parts = (one, "abxtgf"), (mid, "awbthf"), (three, "yabthg")     # the three F-moves
-        moves = cd.F.lookup([np.concatenate([c[s[leg]] for c, s in parts]) for leg in range(6)])
-        f_in, f_mid, f_out = np.split(moves, np.cumsum([len(one["r"]), len(mid["w"])]))
+        f_in, f_mid, f_out = _read_all(cd.F, *([c[k] for k in s] for c, s in (   # the F-moves
+            (one, "abxtgf"), (mid, "awbthf"), (three, "yabthg"))))
         # under each row (r, f) of one, the rows (w, h) of mid with its (b, t, f)
         btf = [np.ravel_multi_index((c["b"], c["t"], c["f"]), (rank,) * 3) for c in (one, mid)]
         size = np.bincount(btf[1], minlength=rank ** 3)

@@ -441,6 +441,82 @@ def rotation_isometry_by_diagrams(cd, a1, a2, b):
     return phi
 
 
+def tube_basis_by_loops(cd):
+    """The tube basis (x, a, e, y), e in a (x) x and y in e (x) dual(a), in
+    lexicographic order."""
+    ring = cd.ring
+    return [(x, a, e, y) for x in range(ring.rank) for a in range(ring.rank)
+            for e in ring.channels(a, x) for y in ring.channels(e, ring.dual[a])]
+
+
+def tube_by_loops(cd):
+    """The tube algebra of build_tube_algebra, by a nine-deep loop over
+    (a1, a2, b, x, (e1, y), (e2, z), f) with one fval call per F-move and
+    rotation and zig-zag phases read one vertex at a time: the same
+    coefficients, sectors and block layout, the same noise-floor drop."""
+    from tensorcat.center_tube import TubeAlgebra
+
+    ring = cd.ring
+    rank, dual, fval, N = ring.rank, ring.dual, cd.fval, ring.N.tolist()
+    d = cd.dims.dims
+    floor = cd.noise_floor
+    basis = tube_basis_by_loops(cd)
+    index = {quad: k for k, quad in enumerate(basis)}
+    sectors, pos, leaving = {}, [], {}
+    for k, (x, a, e, y) in enumerate(basis):
+        members = sectors.setdefault((x, y), [])
+        pos.append(len(members))
+        members.append(k)
+        leaving.setdefault((x, a), []).append((e, y, k))
+    size = {s: len(ks) for s, ks in sectors.items()}
+    z = np.array([fval(dual[a], a, dual[a], dual[a], 0, 0) for a in range(rank)]).conj()
+    zeta = z / np.abs(z)
+
+    def rotation_phase(a1, a2, b):
+        ab1, ab2, bb = dual[a1], dual[a2], dual[b]
+        v = ((fval(bb, a2, ab2, bb, ab1, 0) * fval(ab1, a1, ab1, ab1, 0, 0)).conjugate()
+             * fval(bb, a2, a1, 0, ab1, b))
+        return complex(v / abs(v) / zeta[b])
+
+    blocks = {(x, y, z): np.zeros((size[y, z], size[x, y], size[x, z]), dtype=complex)
+              for (x, y) in sectors for z in range(rank)
+              if (y, z) in sectors and (x, z) in sectors}
+    for a1 in range(rank):
+        ab1 = dual[a1]
+        for a2 in range(rank):
+            ab2 = dual[a2]
+            for b in ring.channels(a2, a1):
+                bb = dual[b]
+                phi = rotation_phase(a1, a2, b)
+                for x in range(rank):
+                    fs = ring.channels(b, x)
+                    for e1, y, j in leaving.get((x, a1), ()):
+                        for e2, z, i in leaving.get((y, a2), ()):
+                            P = blocks.get((x, y, z))
+                            if P is None:
+                                continue
+                            for f in fs:
+                                if not (N[a2][e1][f] and N[f][ab1][e2] and N[f][bb][z]):
+                                    continue
+                                c = (phi * fval(f, ab1, ab2, z, e2, bb).conjugate()
+                                     * fval(a2, a1, x, f, b, e1) * fval(a2, e1, ab1, e2, f, y))
+                                if abs(c) > floor:
+                                    P[pos[i], pos[j], pos[index[x, b, f, z]]] = c
+
+    star = {(x, y): np.zeros((size[x, y], size[y, x]), dtype=complex) for x, y in sectors}
+    for k, (x, a, e, y) in enumerate(basis):
+        ab = dual[a]
+        scale = d[a] / zeta[a] * fval(ab, a, x, x, 0, e).conjugate()
+        for g in ring.channels(ab, y):
+            if not (N[x][ab][g] and N[g][a][x]):
+                continue
+            c = scale * fval(ab, e, ab, g, x, y).conjugate() * fval(x, ab, a, x, g, 0)
+            if abs(c) > floor:
+                star[x, y][pos[k], pos[index[y, ab, g, x]]] = c
+    return TubeAlgebra(basis=basis, sectors={s: np.array(ks) for s, ks in sectors.items()},
+                       blocks=blocks, star=star, cd=cd)
+
+
 def tube_product_by_pairs(cd):
     """Tube-algebra structure constants C[i, j, k], re-evaluating the whole
     gluing diagram for every basis pair (i, j) with x2 = y1.
@@ -448,11 +524,10 @@ def tube_product_by_pairs(cd):
     The gluing diagram of build_tube_algebra with a 1e-13 drop, no
     intermediate reused between pairs.
     """
-    from tensorcat.center_tube import _tube_basis
     from tensorcat.diagram_eval import compose_values, insert, path_vector, paths
 
     ring = cd.ring
-    basis = _tube_basis(cd)
+    basis = tube_basis_by_loops(cd)
     n = len(basis)
     index = {quad: k for k, quad in enumerate(basis)}
     product = np.zeros((n, n, n), dtype=complex)
@@ -484,12 +559,11 @@ def tube_star_by_diagrams(cd):
     """Star coefficients star[i, k] of t_k in t_i^*: the dagger of t_i with
     both a-strands closed by caps, one diagram per basis vector, divided by
     the zig-zag phase of a."""
-    from tensorcat.center_tube import _tube_basis
     from tensorcat.diagram_eval import (cap_morphism, compose_values, cup_morphism,
                                         dagger_value, insert, paths)
 
     ring = cd.ring
-    basis = _tube_basis(cd)
+    basis = tube_basis_by_loops(cd)
     index = {quad: k for k, quad in enumerate(basis)}
     star = np.zeros((len(basis), len(basis)), dtype=complex)
     for i, (x, a, e, y) in enumerate(basis):

@@ -27,7 +27,7 @@ from oracles import (PHI, algebras_gauge_equivalent, center_fusion_by_loops,
                      half_braiding_W_by_entries, half_braiding_check_by_diagrams,
                      half_braiding_check_dense, mate_phase_by_diagrams,
                      record_diagram_calls, record_linalg_calls,
-                     rotation_isometry_by_diagrams, tube_product_by_pairs,
+                     rotation_isometry_by_diagrams, tube_by_loops, tube_product_by_pairs,
                      psu2_category, su2_category, tube_star_by_diagrams, vertex_gauge)
 
 
@@ -238,18 +238,19 @@ def test_tube_build_evaluates_no_diagram(cats, name, monkeypatch):
 
 def test_rotation_phase_matches_the_diagram():
     """The closed-form phase of the rotation isometry equals the evaluated
-    diagram on every vertex, in the stored gauge and in a random one."""
-    from tensorcat.algebra import _rotation_phase, _zigzag_phases
+    diagram on every vertex, in the stored gauge and in a random one, and
+    is 0 off the vertices."""
+    from tensorcat.algebra import _rotation_phases
     for base in (catalog_category("ising"), vec_zn(3, 2)):
         for cd in (base, vertex_gauge(base, 3)):
             ring = cd.ring
-            zeta = _zigzag_phases(cd)
+            _zeta, phi = _rotation_phases(cd)
+            assert not phi[ring.N.transpose(1, 0, 2) == 0].any()
             for a1 in range(ring.rank):
                 for a2 in range(ring.rank):
                     for b in ring.channels(a2, a1):
-                        phi = rotation_isometry_by_diagrams(cd, a1, a2, b)
-                        want = phi.blocks[ring.dual[b]][0, 0]
-                        assert abs(_rotation_phase(cd, a1, a2, b, zeta) - want) < 1e-12
+                        want = rotation_isometry_by_diagrams(cd, a1, a2, b).blocks[ring.dual[b]]
+                        assert abs(phi[a1, a2, b] - want[0, 0]) < 1e-12
 
 
 @pytest.mark.parametrize("name", catalog_names() + ["vec_s3", "fib*ising"])
@@ -541,6 +542,25 @@ CHECK_CASES = {**{name: functools.partial(catalog_category, name) for name in ca
                   for seed in (1, 2, 3)}}
 
 
+@pytest.mark.parametrize("name", list(CHECK_CASES) + ["SU(2)_4"])
+def test_tube_join_matches_the_loops(name):
+    """The joined build has the basis, sectors and block layout of the loop
+    oracle, and its blocks and star: bit for bit on the pointed catalog
+    categories and ising, within 1e-15 elsewhere, where the two multiply in
+    another order."""
+    cd = su2_category(4) if name == "SU(2)_4" else CHECK_CASES[name]()
+    tube, want = build_tube_algebra(cd), tube_by_loops(cd)
+    assert tube.basis == want.basis
+    assert [(s, k.tolist()) for s, k in tube.sectors.items()] == \
+        [(s, k.tolist()) for s, k in want.sectors.items()]
+    assert list(tube.blocks) == list(want.blocks) and list(tube.star) == list(want.star)
+    tol = 0.0 if name in catalog_names() and (cd.is_pointed() or name == "ising") else 1e-15
+    for got, ref in ((tube.blocks, want.blocks), (tube.star, want.star)):
+        for key, P in ref.items():
+            assert got[key].shape == P.shape
+            assert np.max(np.abs(got[key] - P), initial=0.0) <= tol, (name, key)
+
+
 def _assert_same_report(got, want):
     """Equal lines, each dev within 1e-9 or, past that, the 3 digits printed."""
     assert len(got) == len(want)
@@ -553,11 +573,13 @@ def _assert_same_report(got, want):
 
 def _compare_with_references(cd, simples):
     """half_braiding_check against both references on every simple, as
-    computed and with the first admissible entry of its first sigma_a with
-    a != 0 negated (of sigma_0 in a rank-1 category): the same lines as the
-    dense contraction, and as the diagram oracle up to the printed dev.
-    Returns the seconds the check and the diagram oracle took on the
-    simples as computed."""
+    computed and with the largest |entry| of its sigma_a, a != 0, doubled
+    (of sigma_0 in a rank-1 category): the same lines as the dense
+    contraction, and as the diagram oracle up to the printed dev, and a
+    corrupted report that is not empty.  Doubled, not negated: negating
+    sigma_1 of the unit of Vec(Z/2) gives the half-braiding of e.  Returns
+    the seconds the check and the diagram oracle took on the simples as
+    computed."""
     import copy
     import time
     seconds = np.zeros(2)
@@ -570,10 +592,10 @@ def _compare_with_references(cd, simples):
         assert reports[0] == half_braiding_check_dense(cd, z)
         _assert_same_report(*reports)
         bad = copy.deepcopy(z)
-        hit = np.argwhere(bad.half_braiding != 0)
-        bad.half_braiding[tuple(hit[np.argmax(hit[:, 0] > 0)])] *= -1
+        sigma = bad.half_braiding[1:] if cd.ring.rank > 1 else bad.half_braiding
+        sigma[np.unravel_index(np.argmax(np.abs(sigma)), sigma.shape)] *= 2
         got = half_braiding_check(cd, bad)
-        assert got == half_braiding_check_dense(cd, bad)
+        assert got == half_braiding_check_dense(cd, bad) != []
         _assert_same_report(got, half_braiding_check_by_diagrams(cd, bad))
     return seconds
 
@@ -582,7 +604,7 @@ def _compare_with_references(cd, simples):
 def test_half_braiding_check_matches_the_diagram_check(name):
     """The check read from F gives the dense contraction's report line for
     line and the diagram check's: the same (a, b, g, copies) in the same
-    order, on clean half-braidings and with one entry negated in each
+    order, on clean half-braidings and with one entry doubled in each
     simple."""
     cd = CHECK_CASES[name]()
     _compare_with_references(cd, decompose_center(build_tube_algebra(cd), seed=0).simples)
