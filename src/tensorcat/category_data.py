@@ -400,12 +400,7 @@ class _ChannelJoin:
     """The label tuples a ring's fusion channels allow."""
 
     def __init__(self, ring):
-        self.N, self.rank = ring.N, ring.rank
-        # per leg of N^z_{xy}, (labels, counts, starts) of the labels it takes
-        # beside each pair of the other two, ascending: the channels of x (x) y for z
-        self.legs = [(np.nonzero(T)[2], n, np.cumsum(n) - n)
-                     for T in (ring.N.transpose(1, 2, 0), ring.N.transpose(0, 2, 1), ring.N)
-                     for n in [np.count_nonzero(T, axis=2).reshape(-1)]]
+        self.N, self.rank, self.legs = ring.N, ring.rank, ring.channel_legs
 
     def tuples(self, spec, **given):
         """{name: column} of the label tuples with N^z_{xy} = 1 for every
@@ -485,21 +480,47 @@ def _key_array(entries, arity):
                        count=len(entries) * arity).reshape(len(entries), arity)
 
 
-def _leading_blocks(r, rows_per_label):
-    """The labels 0 .. r-1 in consecutive blocks of at most 2^12 rows, at
-    least one label each: what the pointed checks and small tubes hold at once."""
-    size = max(1, (1 << 12) // rows_per_label)
-    return [np.arange(a, min(a + size, r)) for a in range(0, r, size)]
+_ROWS = 1 << 14        # the rows a join block holds at once, read by _blocks
+
+
+def _blocks(counts):
+    """The pairs (a, b) with counts[a, b] > 0 rows, columns a and b in (a, b)
+    order, a block of at most _ROWS rows at a time: whole labels a while the
+    next fits, a label past the budget split by b, a pair past it alone."""
+    a, b = np.nonzero(counts)
+    units = np.flatnonzero(np.concatenate(([True], a[1:] != a[:-1]))
+                           | (counts.sum(axis=1) > _ROWS)[a])
+    start, held = 0, 0
+    for i, rows in zip(units.tolist(), np.add.reduceat(counts[a, b], units).tolist()):
+        if held and held + rows > _ROWS:
+            yield a[start:i], b[start:i]
+            start, held = i, 0
+        held += rows
+    if held:
+        yield a[start:], b[start:]
+
+
+def _trees(N):
+    """T[a, b, c, d] = N^d_{abc}, the trees ((a b) c -> d) or (a (b c) -> d)."""
+    r, N = len(N), N.astype(float)                  # float: a BLAS product
+    return (N.reshape(r * r, r) @ N.reshape(r, r * r)).reshape((r,) * 4)
+
+
+def _tree_pairs(X, ring):
+    """sum_{c,d} (sum_e X[..., e] N^d_{ec})^2 = X G X^T, the pairs of trees (e c -> d)
+    on X's; G[e, f] = sum_y N^f_{ey} m_y, m_y = sum_c N^y_{c dual(c)} by reciprocity."""
+    G = ring.N.transpose(0, 2, 1) @ ring.N[np.arange(ring.rank), ring.dual].sum(axis=0)
+    return ((X @ G.astype(float)) * X).sum(axis=-1)
 
 
 def _pointed_tables(cd):
     """Group product table P and the dense F(a,b,c) array of a pointed
-    category, read by one lookup per block of leading labels a."""
+    category, read by one lookup per block of _blocks, r rows per (a, b)."""
     r = cd.ring.rank
     P = np.argmax(cd.ring.N, axis=2)
     FF = []
-    for lead in _leading_blocks(r, r * r):
-        a, b, c = (v.ravel() for v in np.meshgrid(lead, range(r), range(r), indexing="ij"))
+    for a, b in _blocks(np.full((r, r), r)):
+        a, b, c = np.repeat(a, r), np.repeat(b, r), np.tile(np.arange(r), len(b))
         e = P[a, b]
         FF.append(cd.F.lookup([a, b, c, P[e, c], e, P[b, c]]))
     return P, np.concatenate(FF).reshape(r, r, r)
@@ -507,25 +528,22 @@ def _pointed_tables(cd):
 
 def _pentagon_pointed(cd) -> list:
     """Dense cocycle check F(ab,c,d) F(a,b,cd) = F(a,b,c) F(a,bc,d) F(b,c,d),
-    one block of leading labels a (r^3 instances each) at a time."""
+    walked by _blocks, r^2 instances per (a, b)."""
     r = cd.ring.rank
     P, FF = _pointed_tables(cd)
-    _, b, c, d = np.ogrid[:1, :r, :r, :r]
-    cdl, bc = P[c, d], P[b, c]
-    report = []
-    for lead in _leading_blocks(r, r ** 3):
-        a = lead[:, None, None, None]
-        ab = P[a, b]
-        resid = np.abs(FF[ab, c, d] * FF[a, b, cdl]
-                       - FF[a, b, c] * FF[a, bc, d] * FF[b, c, d])
-        for ia, ib, ic, id_ in np.argwhere(resid > cd.tolerance):
-            f = P[lead[ia], ib]
-            g, l = P[f, ic], P[ic, id_]
-            report.append(
-                "pentagon: (a,b,c,d,e;f,g,k,l)="
-                f"({lead[ia]},{ib},{ic},{id_},{P[g, id_]};{f},{g},{P[ib, l]},{l}) "
-                f"residual={resid[ia, ib, ic, id_]:.3e}")
-    return report
+    _, c, d = np.ogrid[:1, :r, :r]
+    cdl, bad = P[c, d], []                  # bad: (a, b, c, d, residual) of the violations
+    for a, b in _blocks(np.full((r, r), r * r)):
+        a, b = a[:, None, None], b[:, None, None]
+        resid = np.abs(FF[P[a, b], c, d] * FF[a, b, cdl]
+                       - FF[a, b, c] * FF[a, P[b, c], d] * FF[b, c, d])
+        i, ic, id_ = np.nonzero(resid > cd.tolerance)
+        bad.append((a[i, 0, 0], b[i, 0, 0], ic, id_, resid[i, ic, id_]))
+    a, b, c, d, resid = map(np.concatenate, zip(*bad))
+    f, l = P[a, b], P[c, d]
+    g = P[f, c]
+    return _lines(cd, "pentagon: (a,b,c,d,e;f,g,k,l)",
+                  dict(a=a, b=b, c=c, d=d, e=P[g, d], f=f, g=g, k=P[b, l], l=l), resid)
 
 
 def verify_pentagon(cd: CategoryData) -> list:
@@ -534,14 +552,15 @@ def verify_pentagon(cd: CategoryData) -> list:
         F^{fcd}_e[g,l] F^{abl}_e[f,k] = sum_h F^{abc}_g[f,h] F^{ahd}_e[g,k] F^{bcd}_k[h,l]
 
     One report line per violated instance, in order of its printed index
-    tuple (a,b,c,d,e,f,g,k,l).  The instances are joined one leading label
-    a at a time, each with its h-sum, so the peak is one label's worth.
+    tuple (a,b,c,d,e,f,g,k,l).  Joined a block of _blocks at a time: (a, b, c)
+    counts P = sum_{d,e} (N^e_{abcd})^2 instances and P |b (x) c| h-sum rows.
     """
     if _is_group_ring(cd.ring):
         return _pentagon_pointed(cd)
+    N = cd.ring.N
     join, report = _ChannelJoin(cd.ring), []
-    for a in range(cd.ring.rank):
-        inst = join.tuples("abf fcg gde cdl fle blk ake", a=np.array([a]))
+    for a, b in _blocks((_tree_pairs(_trees(N), cd.ring) * (1 + N.sum(axis=2))).sum(axis=2)):
+        inst = join.tuples("abf fcg gde cdl fle blk ake", a=a, b=b)
         hsum = join.tuples("bch ahg hdk", i=np.arange(len(inst["a"])), **inst)
         lhs = _read(cd.F, inst, "fcdegl") * _read(cd.F, inst, "ablefk")
         terms = (_read(cd.F, hsum, "abcgfh") * _read(cd.F, hsum, "ahdegk")
@@ -575,17 +594,17 @@ def verify_hexagon(cd: CategoryData) -> list:
 
     first with rv = R, then with the scalars of the inverse braiding,
     rv(a,b,c) = 1 / R^{ba}_c.  One report line per violated instance, each
-    family's in order of its printed index tuple (a,b,c,d,e,f); joined one
-    leading label a at a time, like verify_pentagon.
+    family's in order of its printed index tuple (a,b,c,d,e,f); joined by
+    _blocks, (a, b, c, d) counting N^d_{abc} N^d_{bac} (e, f) and as many g.
     """
     if cd.R is None:
         raise PreconditionError("verify_hexagon requires R-symbols")
     if _is_group_ring(cd.ring):
         return _hexagon_pointed(cd)
-    join = _ChannelJoin(cd.ring)
+    T, join = _trees(cd.ring.N), _ChannelJoin(cd.ring)
     report = {"hexagon": [], "hexagon(inverse)": []}
-    for a in range(cd.ring.rank):
-        inst = join.tuples("abe ecd acf bfd", a=np.array([a]))
+    for a, b in _blocks((T * (1 + T) * T.transpose(1, 0, 2, 3)).sum(axis=(2, 3))):
+        inst = join.tuples("abe ecd acf bfd", a=a, b=b)
         gsum = join.tuples("bcg agd", i=np.arange(len(inst["a"])), **inst)
         f_lhs = _read(cd.F, inst, "bacdef")
         f_in, f_out = _read(cd.F, gsum, "abcdeg"), _read(cd.F, gsum, "bcadgf")
@@ -763,13 +782,14 @@ def _keyed(cols, vals):
 
 def _admissible_rows(ring):
     """The columns (a, b, c, d, e, f) of every admissible tuple with no unit
-    leg, in (a, b, e, c, d, f) order, one block of leading labels a at a
-    time to keep the peak low."""
+    leg, in (a, b, e, c, d, f) order, a block of _blocks at a time, (a, b,
+    c, d) counting (N^d_{abc})^2 pairs (e, f)."""
     join = _ChannelJoin(ring)
-    for lead in _leading_blocks(ring.rank, ring.rank ** 2):
-        t = join.tuples("abe ecd bcf afd", a=lead[lead > 0])
-        keep = (t["b"] > 0) & (t["c"] > 0)
-        yield [t[x][keep] for x in "abcdef"]
+    for a, b in _blocks(np.pad(_tree_pairs(ring.N[1:, 1:], ring), ((1, 0), (1, 0)))):
+        t = join.tuples("abe ecd bcf afd", a=a, b=b)
+        keep = t["c"] > 0
+        t = [t[x][keep] for x in "abcdef"]      # the join's own columns go before the yield
+        yield t
 
 
 def _table(ring, read) -> dict:

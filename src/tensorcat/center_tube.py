@@ -30,8 +30,9 @@ From each come the multiplicity vector over Irr(C), the half-braiding (one
 array per simple, one scatter of conjugated module matrices times a scale
 read from one F entry), the dimension, and the traces that S and T
 contract.  half_braiding_check holds the half-braiding to its axioms,
-joined over the admissible label tuples one leading label at a time, with
-F read by lookup.
+joined over the admissible label tuples with F read by lookup.  It and the
+tube build walk category_data._blocks, a block of label pairs at a time,
+sized by the rows counted from N before the join.
 
 Conventions: the half-braiding sigma_{c,z}: c (x) z -> z (x) c carries the
 strand of the ambient category over the center object's strand; the braiding
@@ -47,8 +48,8 @@ import numpy as np
 
 from .algebra import (_conjugate_vertex_algebra, _rotation_phases, algebra_dim,
                       group_algebra, is_commutative, verify_qsystem)
-from .category_data import (CategoryData, QuadraticForm, SeededDraws, _ChannelJoin, _expand,
-                            _leading_blocks, _read_all, _sums, deligne_product_data,
+from .category_data import (CategoryData, QuadraticForm, SeededDraws, _ChannelJoin, _blocks,
+                            _expand, _read_all, _sums, _trees, deligne_product_data,
                             pointed_from_quadratic_form, reverse_braiding)
 from .braided_analysis import is_nondegenerate
 from .errors import PreconditionError, StructuralError
@@ -174,11 +175,13 @@ def build_tube_algebra(cd: CategoryData) -> TubeAlgebra:
 
     the coefficient of t_(x,b,f,z), with phi_b a phase per vertex (a1, a2, b)
     (algebra._rotation_phases).  The tuples (a1, a2, b, x, e1, y, e2, z, f)
-    are joined with no dual label (N^y_{e ab} = N^e_{ya}), a block of leading
-    labels a1 at a time (_leading_blocks, one label from SU(2)_10 on); a
-    block's three F-move sets are one lookup, scattered into views of one
-    buffer.  The star of t_(x,a,e,y) closes both a-strands with caps; on
-    t_(y,ab,g,x) it is, joined and read alike,
+    are joined with no dual label (N^y_{e ab} = N^e_{ya}), a block of pairs
+    (a1, a2) of _blocks at a time, each counted as one row per product
+    t_i t_j, channel b and, at most, f in b (x) x: a small tube is one block.
+    A block's three F-move sets are one lookup, scattered into views of one
+    buffer.  The basis and the star's channels g are nonzero entries of
+    products of N.  The star of t_(x,a,e,y) closes both a-strands with caps;
+    on t_(y,ab,g,x) it is, read alike,
 
         d_a / zeta_a * conj(F^{ab a x}_x[0, e] F^{ab e ab}_g[x, y]) * F^{x ab a}_x[g, 0].
 
@@ -189,25 +192,25 @@ def build_tube_algebra(cd: CategoryData) -> TubeAlgebra:
     ring = cd.ring
     if (ring.N > 1).any():
         raise StructuralError("fusion multiplicity > 1 is out of scope")
-    rank, dual, floor = ring.rank, np.asarray(ring.dual), cd.noise_floor
+    N, rank, dual, floor = ring.N, ring.rank, np.asarray(ring.dual), cd.noise_floor
     join = _ChannelJoin(ring)
-    q = join.tuples("axe yae", x=np.arange(rank))      # the basis, ascending
+    B = np.einsum("axe,yae->xaey", N, N)                # 1 at the basis vectors t_(x,a,e,y)
+    q = dict(zip("xaey", np.nonzero(B)))                # the basis, ascending
     basis = list(zip(*(q[k].tolist() for k in "xaey")))
     sectors, pos = {}, []
     for k, (x, _a, _e, y) in enumerate(basis):
         members = sectors.setdefault((x, y), [])
         pos.append(len(members))
         members.append(k)
-    n = np.bincount(q["x"] * rank + q["y"], minlength=rank * rank).reshape(rank, rank)
+    n = B.sum(axis=(1, 2))                              # the sector sizes
     at = np.zeros((rank,) * 4, dtype=np.intp)       # a basis vector's place in its sector
     at[q["x"], q["a"], q["e"], q["y"]] = pos
     zeta, phi = _rotation_phases(cd)
     blocks, buf, start = _views({(x, y, z): (n[y, z], n[x, y], n[x, z])
                                  for (x, y) in sectors for z in range(rank)
                                  if n[y, z] and n[x, z]}, rank)
-    pairs = np.bincount(q["a"], n.sum(axis=1)[q["y"]], rank)    # products t_i t_j per a1
-    for lead in _leading_blocks(rank, int(pairs.max())):
-        t = join.tuples("cab axe yae cyg zcg bxf cef gaf zbf", a=lead)
+    for a, c in _blocks(B.sum(axis=(0, 2)) @ B.sum(axis=(2, 3)) * (N @ N.sum(2).max(1)).T):
+        t = join.tuples("cab axe yae cyg zcg bxf cef gaf zbf", a=a, c=c)
         a, b, c, x, e, y, g, z, f = (t[k] for k in "abcxeygzf")
         f1, f2, f3 = _read_all(cd.F, (f, dual[a], dual[c], z, g, dual[b]), (c, a, x, f, b, e),
                                (c, e, dual[a], g, f, y))
@@ -217,8 +220,8 @@ def build_tube_algebra(cd: CategoryData) -> TubeAlgebra:
              + at[x, b, f, z])[keep]] = v[keep]
 
     star, buf, start = _views({(x, y): (n[x, y], n[y, x]) for x, y in sectors}, rank)
-    t = join.tuples("agy gax", **q)     # g in ab (x) y
-    x, a, e, y, g = (t[k] for k in "xaeyg")
+    i, g = np.nonzero(N[q["a"], :, q["y"]] * N[:, q["a"], q["x"]].T)     # g in ab (x) y
+    x, a, e, y = (q[k][i] for k in "xaey")
     ab, o = dual[a], np.zeros_like(a)
     f1, f2, f3 = _read_all(cd.F, (ab, a, x, x, o, e), (ab, e, ab, g, x, y), (x, ab, a, x, g, o))
     v = cd.dims.dims[a] / zeta[a] * f1.conjugate() * f2.conjugate() * f3
@@ -364,9 +367,11 @@ def half_braiding_check(cd: CategoryData, z: CenterObject) -> list:
     sigma_a on a (x) b (x) x, carried by F from the tree ((ab)_g x)_t to
     (a(bx)_f)_t, then ((aw)_h b)_t and back to (y(ab)_g)_t, is sigma_g.
     The admissible tuples (a, b, g, x, t, f, w, h, y), with x, w and y
-    sectors of z, are joined one leading label a at a time, with one F
-    lookup; each then takes the copies of its sectors.  An entry of sigma_g
-    off the blocks of tube basis vectors has no term and counts whole.  The
+    sectors of z, are joined a block of pairs (a, b) of _blocks at a time,
+    with one F lookup; each then takes the copies of its sectors.  A pair
+    counts its deviations, its targets' copy pairs and, at most, their terms:
+    N^t_{awb} choices of f and of h per copy at w.  An entry of sigma_g off
+    the blocks of tube basis vectors has no term and counts whole.  The
     report has a line per failing copy pair of sigma_0, then per failing
     (a, b, ci, co, g), in that order.
     """
@@ -380,39 +385,42 @@ def half_braiding_check(cd: CategoryData, z: CenterObject) -> list:
     first, xs = np.cumsum(count) - count, np.flatnonzero(count)
     off_block = np.einsum("git,ogt->gtoi", N[:, sector], N[sector]) == 0    # sigma_g(t): ci -> co
     stray = np.abs(H * off_block).max(axis=1, initial=0.0)                   # [g, co, ci]
+    XY = np.einsum("x,gxt->gt", count, N) * np.einsum("y,ygt->gt", count, N)
+    K = np.einsum("w,awbt->abt", count, _trees(N) ** 2)
     join = _ChannelJoin(ring)
-    for a in range(rank):
-        out = join.tuples("abg gxt ygt", a=np.full(len(xs) ** 2, a),     # sigma_g(t): x -> y
-                          x=np.repeat(xs, len(xs)), y=np.tile(xs, len(xs)))
+    for pa, pb in _blocks(rank * len(copies) ** 2 + ((N @ XY) * (1 + K)).sum(axis=2)):
+        p, x, y = np.indices((len(pa), len(xs), len(xs))).reshape(3, -1)   # p: the pair (a, b)
+        out = join.tuples("abg gxt ygt", p=p, a=pa[p], b=pb[p], x=xs[x], y=xs[y])  # sigma_g(t)
         cx, cy = count[out["x"]], count[out["y"]]
         one, three = (join.tuples(s, r=np.arange(len(cx)), **out) for s in ("bxf aft", "yah hbt"))
-        mid = join.tuples("wbf awh hbt aft", a=np.full(len(xs), a), w=xs)
+        p, w = np.indices((len(pa), len(xs))).reshape(2, -1)
+        mid = join.tuples("wbf awh hbt aft", p=p, a=pa[p], b=pb[p], w=xs[w])
         f_in, f_mid, f_out = _read_all(cd.F, *([c[k] for k in s] for c, s in (   # the F-moves
             (one, "abxtgf"), (mid, "awbthf"), (three, "yabthg"))))
-        # under each row (r, f) of one, the rows (w, h) of mid with its (b, t, f)
-        btf = [np.ravel_multi_index((c["b"], c["t"], c["f"]), (rank,) * 3) for c in (one, mid)]
-        size = np.bincount(btf[1], minlength=rank ** 3)
-        q, k = _expand(size[btf[0]])
-        m = np.argsort(btf[1], kind="stable")[(np.cumsum(size) - size)[btf[0]][q] + k]
+        # under each row (r, f) of one, the rows (w, h) of mid with its (a, b, t, f)
+        ptf = [(c["p"] * rank + c["t"]) * rank + c["f"] for c in (one, mid)]
+        size = np.bincount(ptf[1], minlength=len(pa) * rank ** 2)
+        q, k = _expand(size[ptf[0]])
+        m = np.argsort(ptf[1], kind="stable")[(np.cumsum(size) - size)[ptf[0]][q] + k]
         r, w, h = one["r"][q], mid["w"][m], mid["h"][m]
         # those with N^h_{ya} = 1, once per copy (co, cm, ci) at (y, w, x), ci fastest
-        row, k = _expand(cy[r] * count[w] * cx[r] * N[out["y"][r], a, h])
+        row, k = _expand(cy[r] * count[w] * cx[r] * N[out["y"][r], out["a"][r], h])
         q, m, r, w, h = q[row], m[row], r[row], w[row], h[row]
         k, i = np.divmod(k, cx[r])
         o, j = np.divmod(k, count[w])
         ci, cm, co = first[out["x"][r]] + i, first[w] + j, first[out["y"][r]] + o
         terms = (f_in[q] * f_mid[m].conj() * f_out[np.searchsorted(three["r"] * rank + three["h"],
                                                                     r * rank + h)]
-                 * H[a, h, co, cm] * H[out["b"][r], one["f"][q], cm, ci])
+                 * H[out["a"][r], h, co, cm] * H[out["b"][r], one["f"][q], cm, ci])
         lhs = _sums((np.cumsum(cx * cy) - cx * cy)[r] + o * cx[r] + i, terms, int(np.sum(cx * cy)))
         r, k = _expand(cy * cx)         # each target once per copy pair, in the order of lhs
         (o, i), g = np.divmod(k, cx[r]), out["g"][r]
         co, ci = first[out["y"][r]] + o, first[out["x"][r]] + i
-        dev = np.where(N[a, :, :, None, None] > 0, stray, 0.0)         # [b, g, co, ci]
-        np.maximum.at(dev, (out["b"][r], g, co, ci), np.abs(lhs - H[g, out["t"][r], co, ci]))
-        for b, i, o, g in np.argwhere(dev.transpose(0, 3, 2, 1) > tol):
-            report.append(f"hexagon fails at a={a}, b={b}, g={g}, "
-                          f"copies {copies[i]}->{copies[o]}: dev={dev[b, g, o, i]:.3e}")
+        dev = np.where(N[pa, pb][:, :, None, None] > 0, stray, 0.0)     # [(a, b), g, co, ci]
+        np.maximum.at(dev, (out["p"][r], g, co, ci), np.abs(lhs - H[g, out["t"][r], co, ci]))
+        for p, i, o, g in np.argwhere(dev.transpose(0, 3, 2, 1) > tol):
+            report.append(f"hexagon fails at a={pa[p]}, b={pb[p]}, g={g}, "
+                          f"copies {copies[i]}->{copies[o]}: dev={dev[p, g, o, i]:.3e}")
     return report
 
 

@@ -105,6 +105,15 @@ class FusionRing:
         rows = [cs[i:j] for i, j in zip([0] + ends[:-1], ends)]
         return tuple(tuple(rows[a * r:(a + 1) * r]) for a in range(r))
 
+    @functools.cached_property
+    def channel_legs(self):
+        """Per leg of N^z_{xy}, (labels, counts, starts) of the labels it takes
+        beside each pair of the other two, ascending: the channels of x (x) y
+        for z.  category_data._ChannelJoin extends label tuples by them."""
+        return [(np.nonzero(T)[2], n, np.cumsum(n) - n)
+                for T in (self.N.transpose(1, 2, 0), self.N.transpose(0, 2, 1), self.N)
+                for n in [np.count_nonzero(T, axis=2).reshape(-1)]]
+
     def __eq__(self, other):
         if not isinstance(other, FusionRing):
             return NotImplemented

@@ -538,8 +538,8 @@ def test_f_first_reads_and_lookups_agree_across_threads():
 
 
 def test_pentagon_pointed_matches_loops_on_a_negated_entry():
-    """The pointed pentagon, one leading label at a time, reports what the
-    loop oracle reports, in its order, on vec_z6 with one entry negated."""
+    """The pointed pentagon, walked in blocks of (a, b) pairs, reports what
+    the loop oracle reports, in its order, on vec_z6 with one entry negated."""
     cd = catalog_category("vec_z6")
     key = _admissible_keys(cd.ring)[40]
     bad = _with_f(cd, key, -cd.fval(*key))
@@ -548,8 +548,9 @@ def test_pentagon_pointed_matches_loops_on_a_negated_entry():
 
 
 def test_pentagon_pointed_peak_memory():
-    """verify_pentagon on D(Z6) holds one leading label's r^3 instances at a
-    time: it peaks under 10 MiB (90 MiB with all r^4 at once)."""
+    """verify_pentagon on D(Z6) holds one block of the row budget, r^2
+    instances per (a, b), at a time: it peaks under 10 MiB (90 MiB with all
+    r^4 at once)."""
     cd = pointed_from_quadratic_form(DZ6)
     tracemalloc.start()
     try:
@@ -599,9 +600,9 @@ def _traced_peak(check, cd):
 
 
 def test_pentagon_peak_memory_on_psu2_10(monkeypatch):
-    """The general pentagon holds one leading label's instances and their
-    h-sum at a time: PSU(2)_10 peaks under 24 MiB (44 MiB with every
-    instance at once)."""
+    """The general pentagon holds one block of the row budget, its instances
+    and their h-sum, at a time: PSU(2)_10 peaks under 24 MiB (44 MiB with
+    every instance at once)."""
     import tensorcat.category_data as category_data
     monkeypatch.setattr(category_data, "verify_pentagon", lambda cd: [])
     cd = psu2_category(10)
@@ -610,9 +611,22 @@ def test_pentagon_peak_memory_on_psu2_10(monkeypatch):
     assert peak < 24 * 2 ** 20, peak
 
 
+def test_pentagon_splits_a_label_past_the_budget_on_psu2_14(monkeypatch):
+    """PSU(2)_14's largest leading label has 696,144 h-sum rows, far past
+    the row budget, so it is split by its second label: the pentagon peaks
+    under 96 MiB, where one label at a time peaked at 172.8 MiB."""
+    import tensorcat.category_data as category_data
+    monkeypatch.setattr(category_data, "verify_pentagon", lambda cd: [])
+    cd = psu2_category(14)
+    monkeypatch.undo()
+    peak = _traced_peak(verify_pentagon, cd)
+    assert peak < 96 * 2 ** 20, peak
+
+
 def test_hexagon_peak_memory_on_ising_ising_fib():
-    """Both hexagon families, one leading label at a time: ising(x)ising(x)fib
-    (rank 18) peaks under 8 MiB (16 MiB with every instance at once)."""
+    """Both hexagon families, one block of the row budget at a time:
+    ising(x)ising(x)fib (rank 18) peaks under 8 MiB (16 MiB with every
+    instance at once)."""
     ising = catalog_category("ising")
     cd = deligne_product_data(deligne_product_data(ising, ising), catalog_category("fibonacci"))
     peak = _traced_peak(verify_hexagon, cd)
