@@ -92,7 +92,7 @@ class _SymbolSet:
         """The values at the rows of the index columns ``cols``, one column
         per leg; the first row ``value`` would refuse raises what it raises."""
         cols = [np.asarray(c) for c in cols]
-        unit = np.any([c == 0 for c in cols[:self._units]], axis=0)
+        unit = functools.reduce(np.logical_or, [c == 0 for c in cols[:self._units]])
         if unit.all():
             return np.ones(len(unit), dtype=complex)
         vals, ok = self._rows(cols)     # every row: a gathered copy of the columns costs more
@@ -116,23 +116,22 @@ class _SymbolSet:
     def _rows(self, cols):
         """(values, found) of the rows; those with a unit leg are lookup's."""
         base, keys, vals = self._packed
-        cols, ok = _label_columns(cols, base)
-        packed = np.ravel_multi_index(cols, (base,) * self._arity)
+        _cols, packed, ok = _label_columns(cols, base)
         pos = np.searchsorted(keys, packed)
         np.minimum(pos, len(keys) - 1, out=pos)
         return vals[pos], ok & (keys[pos] == packed)
 
 
 def _label_columns(cols, rank):
-    """cols as int64 columns, 0 on the rows that are not all labels (integers
-    in [0, rank)), and those rows' mask."""
-    ok = np.ones(len(cols[0]), dtype=bool)
-    for c in cols:
-        if c.dtype.kind == "f" or c.min(initial=0) < 0 or c.max(initial=0) >= rank:
-            ok &= (c >= 0) & (c < rank) & (c == np.floor(c))
-    if not ok.all():
-        cols = [np.where(ok, c, 0) for c in cols]
-    return [c.astype(np.int64, copy=False) for c in cols], ok
+    """(cols, packed, ok): cols as integer columns, 0 on the rows that are
+    not all labels (integers in [0, rank)), their raveled index in base rank,
+    and those rows' mask; packing is the one bounds check when all are."""
+    try:
+        return cols, np.ravel_multi_index(cols, (rank,) * len(cols)), True
+    except (TypeError, ValueError):
+        ok = np.all([(c >= 0) & (c < rank) & (c == np.floor(c)) for c in cols], axis=0)
+        cols = [np.where(ok, c, 0).astype(np.int64) for c in cols]
+        return cols, np.ravel_multi_index(cols, (rank,) * len(cols)), ok
 
 
 class FSymbolSet(_SymbolSet):
@@ -184,10 +183,13 @@ class _ComputedF(FSymbolSet):
 
     def _rows(self, cols):
         N = self._ring.N
-        (a, b, c, d, e, f), ok = _label_columns(cols, self._ring.rank)
-        ok &= (N[a, b, e] * N[e, c, d] * N[b, c, f] * N[a, f, d]) > 0
+        cols, _packed, ok = _label_columns(cols, self._ring.rank)
+        a, b, c, d, e, f = cols
+        ok = ok & ((N[a, b, e] * N[e, c, d] * N[b, c, f] * N[a, f, d]) > 0)
+        if ok.all():
+            return self._vector(cols), ok
         vals = np.zeros(len(ok), dtype=complex)
-        vals[ok] = self._vector([col[ok] for col in (a, b, c, d, e, f)])
+        vals[ok] = self._vector([col[ok] for col in cols])
         return vals, ok
 
 
@@ -828,8 +830,7 @@ def _deligne_f_value(c1, c2, a, b, c, d, e, f):
 def _split_product(S1, S2, k, cols):
     """S1.lookup(cols // k) * S2.lookup(cols % k), multiplied as Python
     multiplies complex numbers (numpy's complex product may round otherwise)."""
-    x = S1.lookup([col // k for col in cols])
-    y = S2.lookup([col % k for col in cols])
+    x, y = (S.lookup(c) for S, c in zip((S1, S2), np.divmod(np.array(cols), k)))
     return (x.real * y.real - x.imag * y.imag) + 1j * (x.real * y.imag + x.imag * y.real)
 
 

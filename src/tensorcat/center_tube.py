@@ -23,16 +23,17 @@ ising.  A corner is the sum, over the simples Z of the center, of the
 blocks p_Z p_x Tube p_x, each of m_x(Z) x m_x(Z) matrices.  One
 eigendecomposition of the left action of a random hermitian element,
 self-adjoint for the trace form, gives minimal projections q under every
-block at once (_corner_projections); q spans one copy of Z's irreducible
-module, the left ideal Tube q.  The modules of a batch of projections with
-equal (m, x) are built, claimed and read out together (_corner_simples).
-From each come the multiplicity vector over Irr(C), the half-braiding (one
-array per simple, one scatter of conjugated module matrices times a scale
-read from one F entry), the dimension, and the traces that S and T
-contract.  half_braiding_check holds the half-braiding to its axioms,
-joined over the admissible label tuples with F read by lookup.  It and the
-tube build walk category_data._blocks, a block of label pairs at a time,
-sized by the rows counted from N before the join.
+block at once (_corner_projections), stacked over the corners of one
+size; q spans one copy of Z's irreducible module, the left ideal Tube q.
+Only the projections in Z's corner of least multiplicity are built, in
+batches of equal module size across corners (_corner_simples).  From each
+come the multiplicity vector over Irr(C), the half-braiding (one array per
+simple, module matrix entries conjugated and times a scale read from one F
+entry), the dimension, and the traces that S and T contract.
+half_braiding_check holds the half-braiding to its axioms, joined over
+the admissible label tuples with F read by lookup.  It and the tube build
+walk category_data._blocks, a block of label pairs at a time, sized by the
+rows counted from N before the join.
 
 Conventions: the half-braiding sigma_{c,z}: c (x) z -> z (x) c carries the
 strand of the ambient category over the center object's strand; the braiding
@@ -41,6 +42,7 @@ of two center objects (z, sigma) and (w, rho) is rho evaluated at z.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -72,7 +74,8 @@ class TubeAlgebra:
     basis: list     # quadruples (x, a, e, y)
     sectors: dict   # (x, y) -> ascending indices of the t_(x, ., ., y)
     blocks: dict    # (x, y, z) -> (n_yz, n_xy, n_xz): [i, j, k] = coefficient of t_k in
-                    # t_i * t_j, positions in sectors (y, z), (x, y) and (x, z)
+                    # t_i * t_j, positions in sectors (y, z), (x, y) and (x, z); held in
+                    # memory as [j, i, k], so P.transpose(1, 0, 2) is contiguous
     star: dict      # (x, y) -> (n_xy, n_yx): [i, k] = coefficient of t_k in t_i^*
     cd: CategoryData
 
@@ -114,20 +117,30 @@ class TubeAlgebra:
                               blocks={(x, x, x): self.blocks[x, x, x]},
                               star={(x, x): self.star[x, x]}, cd=self.cd)
 
+    @functools.cached_property
+    def _leaving(self):
+        """x -> (J, ends, at): the t_j leaving x, sector by sector, sectors
+        ascending, as tube indices J, the sector ends[i] each ends in, and
+        at[y] the slice of J in sector y."""
+        out = {}
+        for x, y in sorted(self.sectors):
+            J, ends, at = out.setdefault(x, ([], [], {}))
+            at[y] = slice(len(J), len(J) + len(self.sectors[x, y]))
+            J += self.sectors[x, y].tolist()
+            ends += [y] * len(self.sectors[x, y])
+        return {x: (np.array(J), np.array(ends), at) for x, (J, ends, at) in out.items()}
+
     def trace_functional(self):
         """tau(t_{x,a,e,y}) = delta_{a,0} delta_{x,y} d_x."""
         return self.unit_vector() * self.cd.dims.dims[[x for x, _a, _e, _y in self.basis]]
 
     def trace_weights(self):
-        """w_i = tau(t_i^* t_i): the trace form tau(u^* v) is diagonal on the
-        basis, with these positive weights."""
-        S = self.sectors
-        tau = self.trace_functional()
-        w = np.zeros(self.dim)
-        for (x, y), M in self.star.items():
-            # t_i^* t_i runs x -> y -> x
-            w[S[x, y]] = np.sum(M * (self.blocks[x, y, x] @ tau[S[x, x]]).T, axis=1).real
-        return w
+        """w_i = tau(t_i^* t_i) = d_y / d_a for t_i = t_(x,a,e,y), an orthonormal
+        tree: the trace form tau(u^* v) is diagonal on the basis, with these
+        positive weights (the tests hold both to the products and stars)."""
+        d = self.cd.dims.dims
+        _x, a, _e, y = np.array(self.basis).T
+        return d[y] / d[a]
 
 @dataclass
 class CenterObject:
@@ -206,7 +219,7 @@ def build_tube_algebra(cd: CategoryData) -> TubeAlgebra:
     at = np.zeros((rank,) * 4, dtype=np.intp)       # a basis vector's place in its sector
     at[q["x"], q["a"], q["e"], q["y"]] = pos
     zeta, phi = _rotation_phases(cd)
-    blocks, buf, start = _views({(x, y, z): (n[y, z], n[x, y], n[x, z])
+    blocks, buf, start = _views({(x, y, z): (n[x, y], n[y, z], n[x, z])
                                  for (x, y) in sectors for z in range(rank)
                                  if n[y, z] and n[x, z]}, rank)
     for a, c in _blocks(B.sum(axis=(0, 2)) @ B.sum(axis=(2, 3)) * (N @ N.sum(2).max(1)).T):
@@ -216,7 +229,7 @@ def build_tube_algebra(cd: CategoryData) -> TubeAlgebra:
                                (c, e, dual[a], g, f, y))
         v = phi[a, c, b] * f1.conjugate() * f2 * f3
         keep = np.abs(v) > floor
-        buf[(start[x, y, z] + (at[y, c, g, z] * n[x, y] + at[x, a, e, y]) * n[x, z]
+        buf[(start[x, y, z] + (at[x, a, e, y] * n[y, z] + at[y, c, g, z]) * n[x, z]
              + at[x, b, f, z])[keep]] = v[keep]
 
     star, buf, start = _views({(x, y): (n[x, y], n[y, x]) for x, y in sectors}, rank)
@@ -228,114 +241,220 @@ def build_tube_algebra(cd: CategoryData) -> TubeAlgebra:
     keep = np.abs(v) > floor
     buf[(start[x, y] + at[x, a, e, y] * n[y, x] + at[y, ab, g, x])[keep]] = v[keep]
     return TubeAlgebra(basis=basis, sectors={s: np.array(ks) for s, ks in sectors.items()},
-                       blocks=blocks, star=star, cd=cd)
+                       blocks={k: P.transpose(1, 0, 2) for k, P in blocks.items()},
+                       star=star, cd=cd)
 
 
-def _corner_projections(sub: TubeAlgebra, weights, rng):
-    """(m, Q) over the eigenvalue clusters of a random hermitian h in the
-    corner sub = p_x Tube p_x: row Q[i] is a minimal projection of the
-    corner under the block M_m[i] of one center simple.
+_ENTRIES = 1 << 19     # complex entries a batch of corner modules holds at once, read by _batches
+
+
+def _corner_projections(tube: TubeAlgebra, xs, weights, rng):
+    """(mult, x, Q, gap) over the eigenvalue clusters of a random hermitian
+    h in each corner p_x Tube p_x, x in xs: row Q[i] is a minimal projection
+    q of the corner x[i], in its coordinates tube.sectors[x, x] and padded
+    with zeros, under the block M_m of one center simple Z, and mult[i] is
+    Z's multiplicity vector, m = mult[i, x[i]].  Rows come by corner and,
+    within one, by eigenvalue.
 
     Left multiplication by h is self-adjoint for the trace inner product,
     which is diagonal on the basis with the given weights, so one eigh of
-    diag(sqrt w) L_h diag(1/sqrt w) diagonalizes it.  On a block M_m each of
-    h's m eigenvalues appears m times, and the spectral projection at one of
-    them is left multiplication by a minimal projection q: q is that
-    projection applied to the unit, and m is the size of the cluster.  A
-    collision of eigenvalues shows as dim(q sub q) = tr(L_q R_q) != 1 and is
-    retried with a new h, drawn as two rng.standard_normal(n) calls.
-    Returns m, Q and the smallest eigenvalue gap cut.
+    diag(sqrt w) L_h diag(1/sqrt w) diagonalizes it, stacked over the corners
+    of one size.  On a block M_m each of h's m eigenvalues appears m times,
+    and the spectral projection at one of them is left multiplication by q:
+    q is that projection applied to the unit, and m is the size of the
+    cluster.  A collision of eigenvalues shows as dim(q p_x Tube p_x q) =
+    tr(L_q R_q) != 1, and only that corner is drawn again, up to four
+    attempts.  An attempt draws h corner by corner in the order of xs, two
+    rng.standard_normal(n) calls each, so a retry draws after every
+    corner's earlier attempt.  Right multiplication by q projects p_y Tube
+    p_x onto p_y Tube q, so its trace there, read from _right_traces, is
+    m_y(Z).  gap is the smallest eigenvalue gap cut.
     """
-    cd = sub.cd
-    n = sub.dim
-    (P,) = sub.blocks.values()
-    sw = np.sqrt(weights)
-    unit = sw * sub.unit_vector()
+    cd, S = tube.cd, tube.sectors
+    unit = np.sqrt(weights) * tube.unit_vector()
+    T = _right_traces(tube)
     attempts = 4
-    min_gap = np.inf
+    todo, found, gap = list(xs), [], np.inf
     for _ in range(attempts):
-        r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        h = r + sub.star_vector(r)
-        lam, V = np.linalg.eigh(sw[:, None] * sub.left_matrix(h) / sw)
-        gaps = np.diff(lam)
-        cuts = np.flatnonzero(gaps > cd.split_resolution * max(1.0, np.abs(lam).max()))
-        min_gap = min(min_gap, gaps[cuts].min(initial=np.inf))
-        starts = np.r_[0, cuts + 1]
-        # each cluster's eigenvectors times their overlaps with the unit, summed
-        Q = np.add.reduceat(V * (V.conj().T @ unit), starts, axis=1).T / sw
-        # tr(L_q R_q), the dimension of q sub q: 1 exactly when q is minimal
-        dims = np.einsum("cjk,ckj->c", np.tensordot(Q, P, (1, 0)),
-                         np.tensordot(Q, P, (1, 1))).real
-        if np.all(np.abs(dims - 1.0) < cd.identity_tolerance):
-            return np.diff(np.r_[starts, n]), Q, min_gap
-    raise StructuralError(
-        f"corner split failed after {attempts} attempts "
-        f"(smallest eigenvalue gap {min_gap:.2e})")
+        draws = {x: rng.standard_normal(len(S[x, x])) + 1j * rng.standard_normal(len(S[x, x]))
+                 for x in todo}
+        sizes = {}
+        for x in todo:
+            sizes.setdefault(len(S[x, x]), []).append(x)
+        for n, g in sizes.items():
+            D = np.array([S[x, x] for x in g])
+            P = np.array([tube.blocks[x, x, x] for x in g])
+            sw = np.sqrt(weights[D])
+            r = np.array([draws[x] for x in g])
+            h = r + np.einsum("gi,gik->gk", r.conj(), np.array([tube.star[x, x] for x in g]))
+            lam, V = np.linalg.eigh(sw[:, :, None] * np.einsum("gi,gijk->gkj", h, P)
+                                    / sw[:, None, :])
+            gaps = np.diff(lam)
+            cut = gaps > cd.split_resolution * np.maximum(1.0, np.abs(lam).max(axis=1))[:, None]
+            gap = min(gap, gaps[cut].min(initial=np.inf))
+            cluster = np.zeros((len(g), n), dtype=np.intp)      # each eigenvector's cluster
+            np.cumsum(cut, axis=1, out=cluster[:, 1:])
+            # each cluster's eigenvectors times their overlaps with the unit, summed
+            W = V * np.einsum("gij,gi->gj", V.conj(), unit[D])[:, None]
+            Q = (W @ (cluster[:, :, None] == np.arange(n))).transpose(0, 2, 1) / sw[:, None]
+            # tr(L_q R_q), the dimension of q p_x Tube p_x q: 1 exactly when q is minimal
+            L = Q @ P.reshape(len(g), n, -1)
+            R = Q @ P.transpose(0, 2, 1, 3).reshape(len(g), n, -1)
+            dims = np.einsum("gcjk,gckj->gc", L.reshape((len(g),) + (n,) * 3),
+                             R.reshape((len(g),) + (n,) * 3)).real
+            real = np.arange(n) <= cluster[:, -1:]          # the clusters there are
+            ok = np.all(~real | (np.abs(dims - 1.0) < cd.identity_tolerance), axis=1)
+            i, c = np.nonzero(real & ok[:, None])
+            q = np.zeros((len(i), T.shape[1]), dtype=complex)
+            q[:, :n] = Q[i, c]
+            mult = np.rint(np.einsum("cj,cjy->cy", q, T[np.array(g)[i]]).real)
+            found.append((mult.astype(np.intp), np.array(g)[i], q))
+            todo = [x for x in todo if x not in set(np.array(g)[ok].tolist())]
+        if not todo:
+            break
+    else:
+        raise StructuralError(
+            f"corner split failed after {attempts} attempts "
+            f"(smallest eigenvalue gap {gap:.2e})")
+    mult, x, Q = (np.concatenate(f) for f in zip(*found))
+    order = np.argsort(x, kind="stable")
+    return mult[order], x[order], Q[order], gap
 
 
-def _corner_modules(tube: TubeAlgebra, x, Q, weights):
-    """The irreducible modules Tube q of a batch of minimal projections q of
-    the corner p_x Tube p_x, the rows of Q.
+def _right_traces(tube: TubeAlgebra):
+    """T[x, j, y]: the trace of right multiplication by t_j, the j-th basis
+    vector of the corner p_x Tube p_x, on the sector (x, y); j is padded to
+    the largest corner."""
+    S, rank = tube.sectors, tube.cd.ring.rank
+    T = np.zeros((rank, max(len(S[x, x]) for x in range(rank)), rank), dtype=complex)
+    for x, y in S:
+        T[x, :len(S[x, x]), y] = np.einsum("iji->j", tube.blocks[x, x, y])
+    return T
+
+
+def _batches(n, unit, cost):
+    """(lo, hi) of the batches of members, in order, equal n and equal unit
+    consecutive, each of at most _ENTRIES of cost: whole units of one n
+    while the next fits, a unit past the budget split member by member, a
+    member past it alone."""
+    new = np.r_[True, unit[1:] != unit[:-1]]
+    big = np.add.reduceat(cost, np.flatnonzero(new)) > _ENTRIES
+    units = np.flatnonzero(new | big[np.cumsum(new) - 1])
+    lo, held = 0, 0
+    for i, c in zip(units.tolist(), np.add.reduceat(cost, units).tolist()):
+        if held and (held + c > _ENTRIES or n[i] != n[lo]):
+            yield lo, i
+            lo, held = i, 0
+        held += c
+    if held:
+        yield lo, len(n)
+
+
+def _corner_modules(tube: TubeAlgebra, xs, Q, weights, readout):
+    """The irreducible modules Tube q of a batch of minimal projections q,
+    the rows of Q, each of the corner p_x Tube p_x at its x in xs
+    (ascending) and in its coordinates (see _corner_projections), and their
+    half-braidings.
 
     The t_j q with t_j leaving x span Tube q; a pivoted Gram-Schmidt in the
     trace inner product, which is diagonal on the basis with the given
     weights, makes an orthonormal basis of it, sector by sector, on which
     the left action is unitary.  It runs once for the batch, one pivot per
-    pass and module, until every module is spanned.
+    pass and module, until every module is spanned; the t_j of a corner
+    with fewer are padded with zero rows.  t_k from y to z acts only where
+    a module has copies at y and at z: its action pi(t_k) is contracted from
+    one tube block per such (y, z), for the modules of one corner with as
+    many copies in each sector at once, straight into the slots of the
+    half-braiding array, which are then conjugated and scaled (see
+    _half_braiding_readout); no array of module matrices is built.
 
-    Returns (copies, pi): copies[b][c] = (y, j) labels basis vector c of
-    module b, the j-th in sector y, sectors ascending; pi[b, k] is the
-    matrix of t_k on module b, padded with zeros to the largest module.
+    Returns (copies, H, sector): copies[b][c] = (y, j) labels basis vector c
+    of module b, the j-th in sector y, sectors ascending; H[b] is module b's
+    (rank, rank, n, n) half-braiding array and sector[b, c] = y, both padded
+    (H with zeros, sector with rank) to the largest module; there is no
+    padding when the modules have one size, as decompose_center's batches
+    have.
     """
-    cd, S, rank = tube.cd, tube.sectors, tube.cd.ring.rank
-    ys = [y for y in range(rank) if (x, y) in S]
-    J = np.sort(np.concatenate([S[x, y] for y in ys]))    # coordinates of Tube p_x
-    at = {y: np.searchsorted(J, S[x, y]) for y in ys}     # sector y's rows in J
-    sw = np.sqrt(weights[J])
-    rows = np.zeros((len(Q), len(J), len(J)), dtype=complex)  # [b, j]: t_{J_j} q_b, tau-scaled
-    for y, p in at.items():
-        rows[:, p[:, None], p] = np.tensordot(Q[:, S[x, x]], tube.blocks[x, x, y], (1, 1))
-    rows *= sw
+    cd, S, rank, (slot, scale) = tube.cd, tube.sectors, tube.cd.ring.rank, readout
+    runs = {}           # x -> the batch's members there, lo to hi
+    for b, x in enumerate(xs.tolist()):
+        runs[x] = (runs.get(x, (b,))[0], b + 1)
+    width = max(len(tube._leaving[x][0]) for x in runs)
+    rows = np.zeros((len(Q), width, width), dtype=complex)  # [b, j]: t_{J_j} q_b, tau-scaled
+    sw, target = np.ones((len(Q), width)), np.full((len(Q), width), rank)
+    key = np.full((len(Q), width), tube.dim)                # the tube index of each row
+    u = np.zeros((len(Q), width), dtype=complex)            # q_b, tau-scaled
+    for x, (lo, hi) in runs.items():
+        J, ends, at = tube._leaving[x]
+        sw[lo:hi, :len(J)], key[lo:hi, :len(J)] = np.sqrt(weights[J]), J
+        target[lo:hi, :len(J)] = ends
+        q = Q[lo:hi, :len(S[x, x])]
+        u[lo:hi, at[x]] = sw[lo:hi, at[x]] * q
+        for y, p in at.items():
+            P = tube.blocks[x, x, y].transpose(1, 0, 2)
+            rows[lo:hi, p, p] = (q @ P.reshape(len(P), -1)).reshape(hi - lo, len(J[p]), -1)
+    rows *= sw[:, None]
+    # on the corner's sector, rows[b, j] = chi(t_j) u_b when Tube q_b is the line of q_b
+    chi = (rows @ u.conj()[:, :, None])[:, :, 0] / np.sum(np.abs(u) ** 2, axis=1)[:, None]
     floor = cd.noise_floor * np.abs(rows).max(axis=(1, 2))
-    target = np.array([tube.basis[j][3] for j in J])   # the sector t_{J_j} ends in
-    done = np.zeros(len(Q), dtype=bool)
+    member = np.arange(len(Q))
     sectors, vectors = [], []   # per pass, each module's pivot: its sector (rank once spanned)
-    for _ in J:
+    for _ in range(width):
         norms = np.sqrt(np.sum(np.abs(rows) ** 2, axis=2))
         top = norms.max(axis=1)
-        done |= top <= floor
+        done = top <= floor
         if done.all():
             break
-        # the first row of largest norm, ties within split_resolution included,
-        # so that the choice and with it the copy's phase do not follow rounding
-        j = np.argmax(norms >= (1 - cd.split_resolution) * top[:, None], axis=1)
-        v = np.zeros((len(Q), len(J)), dtype=complex)
-        v[~done] = rows[~done, j[~done]] / norms[~done, j[~done], None]
-        sectors.append(np.where(done, rank, target[j]))
+        # the row of largest norm and least tube index, ties within split_resolution
+        # included, so that the choice and with it the copy's phase do not follow rounding
+        j = np.argmin(np.where(norms >= (1 - cd.split_resolution) * top[:, None], key, tube.dim),
+                      axis=1)
+        v = rows[member, j] * np.where(done, 0.0, 1 / np.maximum(norms[member, j], floor))[:, None]
+        sectors.append(np.where(done, rank, target[member, j]))
         vectors.append(v)
         rows -= (rows @ v.conj()[:, :, None]) * v[:, None, :]
     n = len(sectors)      # the largest module's dimension
-    sectors = np.reshape(sectors, (n, len(Q))).T
+    order = np.argsort(np.transpose(sectors), axis=1, kind="stable")   # copies by sector
+    sectors = np.sort(np.transpose(sectors), axis=1)                    # [b, copy]
     copies = [[(y, i - sec.index(y)) for i, y in enumerate(sec) if y < rank]
-              for sec in np.sort(sectors, axis=1).tolist()]
-    order = np.argsort(sectors, axis=1, kind="stable")[:, None]     # copies by sector
-    B = np.take_along_axis(np.reshape(vectors, (n, len(Q), len(J))).transpose(1, 2, 0), order, 2)
-    Bl, Br = (B * sw[:, None]).conj(), B / sw[:, None]
-    pi = np.zeros((len(Q), tube.dim, n, n), dtype=complex)
-    for y, p in at.items():
-        for z, l in at.items():
-            if (x, y, z) in tube.blocks:
-                P = tube.blocks[x, y, z]    # t_k from y to z: the module's sector y to z
-                T = Br[:, p].transpose(0, 2, 1) @ P.transpose(1, 0, 2).reshape(len(p), -1)
-                A = T.reshape(len(Q), -1, len(l)) @ Bl[:, l]     # [b, (c, k), C]
-                pi[:, S[y, z]] = A.reshape(len(Q), n, -1, n).transpose(0, 2, 3, 1)
-    return copies, pi
+              for sec in sectors.tolist()]
+    B = np.asarray(vectors)[order, member[:, None]].transpose(0, 2, 1)
+    Bl, Br = (B * sw[:, :, None]).conj(), B / sw[:, :, None]
+    count = (sectors[:, :, None] == np.arange(rank)).sum(axis=1)
+    first = np.cumsum(count, axis=1) - count        # each sector's first copy
+    H = np.zeros((len(Q), rank * rank, n, n), dtype=complex)
+    line = count.sum(axis=1) == 1
+    # a module of one copy: pi(t_k) = chi(t_k) on its corner
+    b, j = np.nonzero(line[:, None] & (target == xs[:, None]))
+    k = key[b, j]
+    H[b, slot[k], 0, 0] = np.conj(chi[b, j]) * scale[slot[k], xs[b], xs[b]]
+    layouts = {}        # the others of one corner with as many copies in each sector
+    for b in np.flatnonzero(~line).tolist():
+        layouts.setdefault((xs[b], *count[b].tolist()), []).append(b)
+    for (x, *_), g in layouts.items():
+        _J, _ends, at = tube._leaving[x]
+        bl, br, h = Bl[g], Br[g], np.zeros((len(g), rank * rank, n, n), dtype=complex)
+        c = {y: slice(first[g[0], y], first[g[0], y] + count[g[0], y])
+             for y in np.flatnonzero(count[g[0]]).tolist()}
+        for y in c:
+            for z in c:
+                if (x, y, z) in tube.blocks:    # t_k from y to z: the modules' sector y to z
+                    P = tube.blocks[x, y, z].transpose(1, 0, 2)
+                    T = br[:, at[y], c[y]].transpose(0, 2, 1) @ P.reshape(len(P), -1)
+                    A = T.reshape(len(g), -1, P.shape[2]) @ bl[:, at[z], c[z]]  # [b, (c, k), C]
+                    h[:, slot[S[y, z]], c[z], c[y]] = (A.reshape(len(g), c[y].stop - c[y].start,
+                                                                 P.shape[1], -1)
+                                                       .transpose(0, 2, 3, 1))
+        sector = np.minimum(sectors[g[0]], rank - 1)    # where h is 0 on padding
+        H[g] = h.conj() * scale[:, sector, sector[:, None]]   # scale[s, x, y] at [s, C, c]
+    return copies, H.reshape(len(Q), rank, rank, n, n), sectors
 
 
 def _half_braiding_readout(tube: TubeAlgebra):
-    """(slot, scale) with sigma_a(c) = scale[k] conj(pi(t_k)) at t_k =
-    t_(x,a,c,y), and slot[k] = a * rank + c its place in the flattened
-    first two axes of a half-braiding array.
+    """(slot, scale) with sigma_a(c) = scale[slot[k], x, y] conj(pi(t_k)) at
+    t_k = t_(x,a,c,y), and slot[k] = a * rank + c its place in the flattened
+    first two axes of a half-braiding array; scale is 0 where there is no
+    basis vector.
 
     A half-braiding closed against the basis tree with a cap on a is a
     matrix unit of its block; only the channel c = e survives, as one
@@ -350,7 +469,9 @@ def _half_braiding_readout(tube: TubeAlgebra):
     cd = tube.cd
     d, dual, rank = cd.dims.dims, np.asarray(cd.ring.dual), cd.ring.rank
     x, a, c, y = np.array(tube.basis).T
-    scale = np.sqrt(d[x] / (d[y] * d[a])) / cd.F.lookup([y, a, dual[a], y, c, 0 * a])
+    scale = np.zeros((rank * rank, rank, rank), dtype=complex)
+    scale[a * rank + c, x, y] = (np.sqrt(d[x] / (d[y] * d[a]))
+                                 / cd.F.lookup([y, a, dual[a], y, c, 0 * a]))
     return a * rank + c, scale
 
 
@@ -428,10 +549,13 @@ def decompose_center(tube: TubeAlgebra, seed=0) -> CenterData:
     """Simple center objects with dims, twists, half-braidings, S and T.
 
     One simple per block of the tube algebra, built in the corner where its
-    multiplicity is smallest (the first such x), a batch of equal (m, x) at
-    a time (_corner_simples).  Nothing is solved: each entry of a simple's
-    half-braiding array is one module matrix entry, conjugated so that it
-    follows the gauge of F, times one F entry (see _half_braiding_readout),
+    multiplicity is smallest (the first such x).  Every corner is split at
+    once (_corner_projections), and the modules are built in a few batches
+    of equal module size across corners (_corner_simples), each at most
+    _ENTRIES complex entries, a module constant.  Nothing is solved: each
+    entry of a simple's half-braiding array is one module matrix entry,
+    conjugated so that it follows the gauge of F, times one F entry (see
+    _half_braiding_readout),
 
         sigma_a(c) = conj(pi(t_(x,a,c,y))) sqrt(d_x / d_y) / (sqrt(d_a) F^{y a dual(a)}_y[c, 0]),
 
@@ -445,11 +569,13 @@ def decompose_center(tube: TubeAlgebra, seed=0) -> CenterData:
     (S/D T^-1)^3 = (S/D)^2, as the Gauss sum sum_z theta_z dim_z^2 is D.
 
     The seed keys the stdlib stream SeededDraws((seed, 1)) that splits the
-    corners; when the modules so found do not exhaust the tube, every
-    corner is split again from the same stream, up to four draws in all.
-    Dims, twists, underlying multiplicities and S do not depend on it, up
-    to the order of simples that agree in all three (which at a given seed
-    may differ from versions that drew from numpy.random).  Nor
+    corners, x ascending; a corner whose split fails draws again after every
+    corner has drawn, up to four attempts.  When the modules so found do not
+    exhaust the tube, every corner is split again from the same stream, up
+    to four draws in all.  Dims, twists, underlying multiplicities and S do
+    not depend on the seed, up to the order of simples that agree in all
+    three (which at a given seed may differ from versions that drew from
+    numpy.random or retried a corner before drawing the next).  Nor
     do the copies and half-braidings of a simple with some multiplicity 1,
     whose projection there is the block idempotent p_Z p_x; otherwise they
     are fixed up to a seed-dependent unitary change of copy basis.
@@ -462,19 +588,9 @@ def decompose_center(tube: TubeAlgebra, seed=0) -> CenterData:
     attempts = 4
     min_gap = np.inf
     for _ in range(attempts):
-        ms, xs, Q = [], [], []   # q a minimal projection at x under a block M_m
-        for x in range(rank):
-            D, sub = tube.corner(x)
-            m, Qx, gap = _corner_projections(sub, weights[D], rng)
-            min_gap = min(min_gap, gap)
-            ms += m.tolist()
-            xs += [x] * len(m)
-            Q.append(np.zeros((len(m), tube.dim), dtype=complex))
-            Q[-1][:, D] = Qx
-        by_mx = np.lexsort((xs, ms))
-        Q = np.concatenate(Q)[by_mx]
-        simples, D = _corner_simples(tube, np.array(ms)[by_mx], np.array(xs)[by_mx], Q,
-                                     weights, readout)
+        mult, xs, Q, gap = _corner_projections(tube, np.arange(rank), weights, rng)
+        min_gap = min(min_gap, gap)
+        simples, D = _corner_simples(tube, mult, xs, Q, weights, readout)
         # a split just past split_resolution can leave a module's Gram-Schmidt
         # a vector too many; every corner is then split again, further on
         # in the same stream
@@ -498,57 +614,78 @@ def decompose_center(tube: TubeAlgebra, seed=0) -> CenterData:
     angle = np.arctan2(np.round(twists.imag, 9) + 0.0, np.round(twists.real, 9) + 0.0)
     order = np.lexsort((*U.T[::-1], angle, np.round(dims, 9), ~unit))
     # S[z, w] = sum over (p, c, x) of D[z, p, c, x] d_c D[w, x, c, p], with z
-    # and w in the order found, one channel c at a time, then sorted
-    S = sum(d[c] * np.matmul(D[:, :, c].reshape(len(D), -1),
-                             D[:, :, c].transpose(0, 2, 1).reshape(len(D), -1).T)
-            for c in range(rank))[np.ix_(order, order)]
-    return CenterData(simples=[simples[i] for i in order], S=S,
+    # and w in the order found: all of D against a scaled transposed copy of
+    # a quarter of its rows, or fewer, at a time; then sorted
+    S = np.empty((len(D), len(D)), dtype=complex)
+    step = max(1, min(-(-len(D) // 4), _ENTRIES // rank ** 3))
+    part = np.empty((step, rank ** 3), dtype=complex)
+    for lo in range(0, len(D), step):
+        w = part[:len(D[lo:lo + step])]
+        np.multiply(D[lo:lo + step].transpose(0, 3, 2, 1), d[:, None],
+                    out=w.reshape((-1,) + (rank,) * 3))
+        S[:, lo:lo + step] = D.reshape(len(D), -1) @ w.T
+    return CenterData(simples=[simples[i] for i in order], S=S[np.ix_(order, order)],
                       T=np.diag(twists[order]), cd=cd)
 
 
-def _corner_simples(tube: TubeAlgebra, ms, xs, Q, weights, readout):
-    """One simple per block, from the module of the first corner projection
-    it claims, and the (simples, rank, rank, rank) array of its
-    half-braiding traces.
+def _corner_simples(tube: TubeAlgebra, mult, xs, Q, weights, readout):
+    """One simple per block, from the module of the first of its corner
+    projections in (m, x) order, and the (simples, rank, rank, rank) array
+    of its half-braiding traces.
 
-    The rows of Q, sorted by (m, x), go a batch of equal (m, x) at a time:
-    the modules of its unclaimed members are built together, one product
-    gives all their claims (tr pi(q') is 1 for a minimal projection q' under
-    the module's blocks, else 0), and each member is kept unless an earlier
-    one claimed it.  One scatter of scale[k] conj(pi(t_k)) into the slots
-    (a, c) fills the kept half-braidings, each block from its one t_k.
+    A projection q at x under a simple Z comes with Z's multiplicities
+    mult = (m_y(Z))_y (_corner_projections): so Z's module size is n =
+    sum_y m_y(Z), and its first projection in (m, x) order lies in its
+    corner of least multiplicity, the first such x, where m = m_x(Z).  Only
+    the projections there are built, sorted by (n, x, m) and walked by
+    _batches, a batch of equal n across corners at a time (_corner_modules).
+    A simple with m = 1 there has just one; of those under one block M_m
+    with m > 1, the first claims the others: tr pi(q') is 1 for a minimal
+    projection q' under the module's blocks, else 0, and tr pi(t_k) on a
+    corner is read from the traces D.
     """
-    cd, rank, (slot, scale) = tube.cd, tube.cd.ring.rank, readout
+    cd, rank, (_slot, scale) = tube.cd, tube.cd.ring.rank, readout
+    ms, n = mult[np.arange(len(xs)), xs], mult.sum(axis=1)
+    first = np.flatnonzero(np.argmin(np.where(mult > 0, mult, tube.dim), axis=1) == xs)
+    first = first[np.lexsort((ms[first], xs[first], n[first]))]
+    ms, xs, Q, n = ms[first], xs[first], Q[first], n[first]
+    x, a, c, y = np.array(tube.basis).T
+    span = np.bincount(x, minlength=rank)       # the t_j leaving each corner
+    corner = x == y     # tr pi(t_k) = conj(D[a, c, x] / scale) there, at place j of x's
+    x, a, c = x[corner], a[corner], c[corner]
+    j, scale = np.arange(len(x)) - np.searchsorted(x, x), scale[a * rank + c, x, x]
+    claimable = np.flatnonzero(ms > 1)
     unclaimed = np.ones(len(Q), dtype=bool)
     # half-braiding traces, one row per simple; zeros leaves the unused rows unallocated
     D = np.zeros((len(Q), rank, rank, rank), dtype=complex)
     simples = []
-    starts = np.flatnonzero(np.diff(ms, prepend=-1) | np.diff(xs, prepend=-1))
-    for lo, hi in zip(starts, np.r_[starts[1:], len(Q)]):
+    for lo, hi in _batches(n, (n * rank + xs) * (ms.max(initial=0) + 1) + ms,
+                           span[xs] ** 2 + rank ** 2 * n ** 2):
         batch = lo + np.flatnonzero(unclaimed[lo:hi])
         if not len(batch):
             continue
-        copies, pi = _corner_modules(tube, xs[lo], Q[batch], weights)
-        claims = (Q @ np.einsum("bkcc->kb", pi)).real > 0.5
-        kept = []
-        for b, i in enumerate(batch):
-            if unclaimed[i]:
-                kept.append(b)
-                unclaimed &= ~claims[:, b]
-        pi = pi[kept] if len(kept) < len(batch) else pi
-        n = pi.shape[-1]
-        np.multiply(np.conj(pi, out=pi), scale[:, None, None], out=pi)
-        H = np.zeros((len(kept), rank, rank, n, n), dtype=complex)
-        np.add.at(H.reshape(len(kept), -1, n, n), (slice(None), slot), pi)
-        ys = np.array([[y for y, _j in copies[k]] + [-1] * (n - len(copies[k])) for k in kept])
-        sector = ys[:, :, None] == np.arange(rank)        # [b, copy, x]
-        D[len(simples):len(simples) + len(kept)] = np.einsum("bacuu,bux->bacx", H, sector)
-        for h, k, mult in zip(H, kept, sector.sum(axis=1)):
-            size = len(copies[k])
-            simples.append(CenterObject(underlying=mult, copies=copies[k], twist=1.0,
-                                        half_braiding=h[:, :, :size, :size].copy(),
-                                        dim=float(cd.dims.dims @ mult)))
-        del pi, H      # the batch's largest arrays, freed before the next batch's
+        copies, H, sector = _corner_modules(tube, xs[batch], Q[batch], weights, readout)
+        at = sector[:, :, None] == np.arange(rank)      # [b, copy, x]
+        kept = np.ones(len(batch), dtype=bool)
+        multi = np.flatnonzero(ms[batch] > 1)
+        if len(multi):
+            traces = H[multi].diagonal(0, 3, 4) @ at[multi, None]       # [b, a, c, x]
+            corners = np.zeros((len(multi), rank, Q.shape[1]), dtype=complex)
+            corners[:, x, j] = np.conj(traces[:, a, c, x] / scale)      # [b, x, j]
+            claims = np.einsum("qj,bqj->qb", Q[claimable], corners[:, xs[claimable]]).real > 0.5
+            for b, claimed in zip(multi.tolist(), claims.T):
+                kept[b] = unclaimed[batch[b]]
+                if kept[b]:
+                    unclaimed[claimable[claimed]] = False
+        if not kept.all():
+            H, at, copies = H[kept], at[kept], [cs for cs, k in zip(copies, kept) if k]
+        # the traces over the copies at x, straight into D
+        np.matmul(H.diagonal(0, 3, 4).reshape(len(H), rank * rank, -1), at,
+                  out=D[len(simples):len(simples) + len(H)].reshape(len(H), rank * rank, rank))
+        underlying = at.sum(axis=1)
+        for h, cs, u, dim in zip(H, copies, underlying, (underlying @ cd.dims.dims).tolist()):
+            simples.append(CenterObject(underlying=u, copies=cs, twist=1.0, dim=dim,
+                                        half_braiding=h[:, :, :len(cs), :len(cs)]))
     return simples, D[:len(simples)]
 
 
@@ -594,8 +731,9 @@ def lagrangian_algebra(cd: CategoryData, center: CenterData):
         raise StructuralError("a center simple has unit multiplicity > 1; "
                               "Lagrangian algebra out of scope")
     chosen = [i for i, m in enumerate(mults) if m == 1]
-    pres, support = center_presentation(cd, center)
-    if _presents_center_as_product(cd):
+    product = _presents_center_as_product(cd)       # the branch, decided once
+    pres, support = _presentation(cd, product)
+    if product:
         alg = _conjugate_vertex_algebra(cd, support, braided=True)
     else:
         alg = group_algebra(pres, support)
@@ -631,7 +769,13 @@ def center_presentation(cd: CategoryData, center: CenterData):
     the dual-group factor.
     Either presentation carries cd's tolerance.
     """
-    if _presents_center_as_product(cd):
+    return _presentation(cd, _presents_center_as_product(cd))
+
+
+def _presentation(cd: CategoryData, product: bool):
+    """center_presentation on the branch already decided: C (x) reverse(C)
+    when product, else the pointed presentation."""
+    if product:
         pres = deligne_product_data(cd, reverse_braiding(cd))
         r = cd.ring.rank
         support = tuple(c * r + cd.ring.dual[c] for c in range(r))

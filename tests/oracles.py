@@ -721,6 +721,97 @@ def corner_module_by_simple(tube, x, q, weights):
     return copies, pi
 
 
+def corner_projections_by_corner(sub, weights, rng):
+    """(m, Q, gap) of one corner sub = p_x Tube p_x split on its own: the
+    eigenvalue clusters of diag(sqrt w) L_h diag(1/sqrt w) for a random
+    hermitian h, drawn as two rng.standard_normal(n) calls, redrawn at once
+    until every cluster's q has tr(L_q R_q) = 1, up to four attempts."""
+    cd = sub.cd
+    n = sub.dim
+    (P,) = sub.blocks.values()
+    sw = np.sqrt(weights)
+    unit = sw * sub.unit_vector()
+    min_gap = np.inf
+    for _ in range(4):
+        r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        h = r + sub.star_vector(r)
+        lam, V = np.linalg.eigh(sw[:, None] * sub.left_matrix(h) / sw)
+        gaps = np.diff(lam)
+        cuts = np.flatnonzero(gaps > cd.split_resolution * max(1.0, np.abs(lam).max()))
+        min_gap = min(min_gap, gaps[cuts].min(initial=np.inf))
+        starts = np.r_[0, cuts + 1]
+        Q = np.add.reduceat(V * (V.conj().T @ unit), starts, axis=1).T / sw
+        dims = np.einsum("cjk,ckj->c", np.tensordot(Q, P, (1, 0)),
+                         np.tensordot(Q, P, (1, 1))).real
+        if np.all(np.abs(dims - 1.0) < cd.identity_tolerance):
+            return np.diff(np.r_[starts, n]), Q, min_gap
+    raise AssertionError(f"corner split failed (smallest eigenvalue gap {min_gap:.2e})")
+
+
+def decompose_center_by_corners(tube, seed=0):
+    """center_tube.decompose_center one corner and one projection at a
+    time, the reference for its batches.  Each corner is split with its own
+    retries before the next corner draws from SeededDraws((seed, 1)); the
+    projections, sorted by (m, x) and then by eigenvalue, are taken in turn,
+    each unless an earlier module claims it (tr pi(q) > 0.5), its module
+    built by corner_module_by_simple and its half-braiding scattered on its
+    own.  Every corner is split again, further on in the stream, while the
+    modules do not exhaust the tube; dims, twists, order and S follow
+    decompose_center's docstring."""
+    from tensorcat.category_data import SeededDraws
+    from tensorcat.center_tube import CenterData, CenterObject, _half_braiding_readout
+
+    cd = tube.cd
+    d, rank = cd.dims.dims, cd.ring.rank
+    weights = tube.trace_weights()
+    rng = SeededDraws((seed, 1))
+    slot, field = _half_braiding_readout(tube)
+    x, _a, _c, y = np.array(tube.basis).T
+    scale = field[slot, x, y]
+    for _ in range(4):
+        found = []
+        for x in range(rank):
+            D, sub = tube.corner(x)
+            ms, Qx, _gap = corner_projections_by_corner(sub, weights[D], rng)
+            for m, qx in zip(ms.tolist(), Qx):
+                q = np.zeros(tube.dim, dtype=complex)
+                q[D] = qx
+                found.append((m, x, q))
+        found.sort(key=lambda f: f[:2])
+        simples, traces, claims = [], [], []
+        for _m, x, q in found:
+            if any((q @ t).real > 0.5 for t in claims):
+                continue
+            copies, pi = corner_module_by_simple(tube, x, q, weights)
+            claims.append(np.einsum("kcc->k", pi))
+            n = len(copies)
+            H = np.zeros((rank * rank, n, n), dtype=complex)
+            np.add.at(H, slot, scale[:, None, None] * pi.conj())
+            H = H.reshape(rank, rank, n, n)
+            sector = np.array([y for y, _j in copies])[:, None] == np.arange(rank)
+            traces.append(np.einsum("acuu,ux->acx", H, sector))
+            mult = sector.sum(axis=0)
+            simples.append(CenterObject(underlying=mult, half_braiding=H, copies=copies,
+                                        twist=1.0, dim=float(d @ mult)))
+        if sum(len(z.copies) ** 2 for z in simples) == tube.dim:
+            break
+    else:
+        raise AssertionError("the corner modules do not exhaust the tube algebra")
+    D = np.array(traces)
+    dims = np.array([z.dim for z in simples])
+    twists = np.einsum("zxcx,c->z", D, d) / dims
+    for z, t in zip(simples, twists):
+        z.twist = complex(t)
+    U = np.array([z.underlying for z in simples])
+    diag = np.abs(D[:, range(rank), range(rank), 0] - 1)
+    unit = (U[:, 0] == 1) & (U.sum(axis=1) == 1) & np.all(diag < cd.identity_tolerance, axis=1)
+    angle = np.arctan2(np.round(twists.imag, 9) + 0.0, np.round(twists.real, 9) + 0.0)
+    order = np.lexsort((*U.T[::-1], angle, np.round(dims, 9), ~unit))
+    S = np.einsum("zpcx,c,wxcp->zw", D, d, D)[np.ix_(order, order)]
+    return CenterData(simples=[simples[i] for i in order], S=S,
+                      T=np.diag(twists[order]), cd=cd)
+
+
 def half_braiding_W_by_entries(cd, x, a, y):
     """W[e, c] of one (x, a, y) of the tube, one diagram per entry: the
     cap-closed sigma_c (x) id composed with the dagger of t_(x,a,e,y), so

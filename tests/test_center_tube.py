@@ -10,6 +10,7 @@ import pytest
 
 from tensorcat.algebra import (AlgebraObject, algebra_dim, is_commutative,
                                solve_support_algebra, verify_qsystem)
+from tensorcat.braided_analysis import is_nondegenerate
 from tensorcat.catalog import catalog_category, catalog_names, vec_zn
 from tensorcat.center_tube import (_corner_modules, _corner_projections,
                                    _half_braiding_readout, build_tube_algebra,
@@ -23,7 +24,7 @@ from tensorcat.local_modules import condensation_identity_check
 from oracles import (PHI, algebras_gauge_equivalent, center_fusion_by_loops,
                      center_s_by_traces, center_twist_by_traces,
                      central_idempotents_by_nullspace, corner_module_by_simple,
-                     dense_tube,
+                     decompose_center_by_corners, dense_tube,
                      half_braiding_W_by_entries, half_braiding_check_by_diagrams,
                      half_braiding_check_dense, mate_phase_by_diagrams,
                      record_diagram_calls, record_linalg_calls,
@@ -158,20 +159,18 @@ def test_tube_follows_the_evaluator_in_another_gauge(cats, name, seed):
 def test_corner_split_reports_attempts(centers):
     import dataclasses
     _, tube, _ = centers["vec_z2"]
-    D, sub = tube.corner(0)
-    weights = tube.trace_weights()[D]
     # doubling the product quadruples dim(q sub q) for every spectral projection q
-    doubled = dataclasses.replace(sub, blocks={k: 2 * P for k, P in sub.blocks.items()})
+    doubled = dataclasses.replace(tube, blocks={k: 2 * P for k, P in tube.blocks.items()})
     with pytest.raises(StructuralError, match=r"corner split failed after 4 attempts "
                        r"\(smallest eigenvalue gap \d"):
-        _corner_projections(doubled, weights, np.random.default_rng(0))
+        _corner_projections(doubled, [0, 1], tube.trace_weights(), np.random.default_rng(0))
 
 
 def test_corner_split_retries_a_central_element(centers):
     """An rng whose draws make h a multiple of the unit yields one cluster,
     whose q, the unit of the 2-dimensional corner, is not minimal."""
     _, tube, _ = centers["vec_z2"]
-    D, sub = tube.corner(0)
+    _D, sub = tube.corner(0)
 
     class UnitDraws:
         calls = 0
@@ -183,8 +182,31 @@ def test_corner_split_retries_a_central_element(centers):
     rng = UnitDraws()
     with pytest.raises(StructuralError, match=r"corner split failed after 4 attempts "
                        r"\(smallest eigenvalue gap inf\)"):
-        _corner_projections(sub, tube.trace_weights()[D], rng)
+        _corner_projections(tube, [0], tube.trace_weights(), rng)
     assert rng.calls == 8     # a real and an imaginary part per attempt
+
+
+def test_only_a_failed_corner_draws_again(centers):
+    """Every corner draws its h, x ascending; a corner whose split fails
+    draws again only after every corner has drawn, and alone.  Fibonacci's
+    corners have 2 and 3 basis vectors; corner 0's first h is the unit."""
+    _, tube, _ = centers["fibonacci"]
+    _D, sub = tube.corner(0)
+    good = np.random.default_rng(3)
+
+    class FirstDrawUnit:
+        calls = []
+
+        def standard_normal(self, n):
+            self.calls.append(n)
+            return sub.unit_vector().real if len(self.calls) <= 2 else good.standard_normal(n)
+
+    rng = FirstDrawUnit()
+    mult, xs, Q, _gap = _corner_projections(tube, [0, 1], tube.trace_weights(), rng)
+    assert rng.calls == [2, 2, 3, 3, 2, 2]
+    assert xs.tolist() == [0, 0, 1, 1, 1]
+    assert sorted(mult.tolist()) == [[0, 1], [0, 1], [1, 0], [1, 1], [1, 1]]
+    assert Q.shape == (5, 3) and not Q[xs == 0, 2:].any()      # padded to corner 1's 3
 
 
 def test_decompose_center_memory_bounded():
@@ -266,18 +288,15 @@ def test_corner_projections_sum_to_central_idempotents(cats, name):
         cd = cats[name]
     tube = build_tube_algebra(cd)
     weights = tube.trace_weights()
-    rng = np.random.default_rng(0)
+    _mult, xs, Q, _gap = _corner_projections(tube, range(cd.ring.rank), weights,
+                                             np.random.default_rng(0))
     for x in range(cd.ring.rank):
         D, sub = tube.corner(x)
         oracle = central_idempotents_by_nullspace(sub)
-        qs = []
-        for f in _corner_projections(sub, weights[D], rng)[1]:
-            q = np.zeros(tube.dim, dtype=complex)
-            q[D] = f
-            qs.append(q)
+        qs = [_embedded(tube, x, q) for q in Q[xs == x]]
         found = []
         while qs:
-            _copies, (pi,) = _corner_modules(tube, x, np.array(qs[:1]), weights)
+            _copies, pi = corner_module_by_simple(tube, x, qs[0], weights)
             claimed = [(np.einsum("k,kcc->", q, pi).real > 0.5) for q in qs]
             total = np.sum([q[D] for q, c in zip(qs, claimed) if c], axis=0)
             dev = [np.max(np.abs(total - e)) for e in oracle]
@@ -287,56 +306,102 @@ def test_corner_projections_sum_to_central_idempotents(cats, name):
         assert sorted(found) == list(range(len(oracle))), (name, x)
 
 
-# The batch paths each fixture must take: Vec(S3) splits a 2 x 2 block at
-# the unit (m = 2), ising batches a module of size 2 with two of size 1.
-BATCH_PATHS = {"vec_s3": {"m > 1"}, "ising": {"mixed sizes"}}
+def _embedded(tube, x, q):
+    """A projection of the corner p_x Tube p_x, given in its coordinates,
+    over the whole tube."""
+    out = np.zeros(tube.dim, dtype=complex)
+    out[tube.sectors[x, x]] = q[:len(tube.sectors[x, x])]
+    return out
+
+
+def _recorded_batches(monkeypatch, tube):
+    """decompose_center(tube) and the (xs, Q, copies, H, sector) of each
+    _corner_modules batch it builds."""
+    from tensorcat import center_tube
+    batches = []
+
+    def recorded(tube, xs, Q, weights, readout):
+        out = _corner_modules(tube, xs, Q, weights, readout)
+        batches.append((xs, Q) + out)
+        return out
+
+    monkeypatch.setattr(center_tube, "_corner_modules", recorded)
+    center = decompose_center(tube, seed=0)
+    monkeypatch.setattr(center_tube, "_corner_modules", _corner_modules)
+    return center, batches
+
+
+# The batch paths each fixture must take: Vec(S3) and ising batch modules
+# of two copies, from more than one corner.
+BATCH_PATHS = {"vec_s3": {"n > 1", "corners"}, "ising": {"n > 1", "corners"}}
 
 
 @pytest.mark.parametrize("name", catalog_names() + ["fib*ising", "vec_s3", "PSU(2)_6"])
-def test_corner_modules_match_the_per_simple_oracle(cats, name):
-    """Every projection of every (m, x) batch, as decompose_center forms
-    them, gets the copies of the one-projection oracle and its action to
-    1e-12, padded with zeros to the batch's largest module."""
+def test_corner_modules_match_the_per_simple_oracle(cats, name, monkeypatch):
+    """Every projection of every batch decompose_center builds gets the
+    copies of the one-projection oracle, and from its action, to 1e-12, the
+    half-braiding scale[k] conj(pi(t_k)); a batch has one module size and
+    no padding."""
     cd = {"fib*ising": lambda: deligne_product_data(cats["fibonacci"], cats["ising"]),
           "vec_s3": _vec_s3, "PSU(2)_6": lambda: psu2_category(6)}.get(name, lambda: cats[name])()
     tube = build_tube_algebra(cd)
     weights = tube.trace_weights()
-    rng = np.random.default_rng(0)
+    rank = cd.ring.rank
+    slot, field = _half_braiding_readout(tube)
+    x, _a, _c, y = np.array(tube.basis).T
+    scale = field[slot, x, y]
+    _center, batches = _recorded_batches(monkeypatch, tube)
     paths = set()
-    for x in range(cd.ring.rank):
-        D, sub = tube.corner(x)
-        ms, Qx, _gap = _corner_projections(sub, weights[D], rng)
-        for m in np.unique(ms):
-            Q = np.zeros((np.sum(ms == m), tube.dim), dtype=complex)
-            Q[:, D] = Qx[ms == m]
-            copies, pi = _corner_modules(tube, x, Q, weights)
-            sizes = {len(c) for c in copies}
-            assert pi.shape == (len(Q), tube.dim, max(sizes), max(sizes))
-            paths |= {"m > 1"} if m > 1 else set()
-            paths |= {"mixed sizes"} if len(sizes) > 1 else set()
-            for q, got, action in zip(Q, copies, pi):
-                want, want_pi = corner_module_by_simple(tube, x, q, weights)
-                n = len(want)
-                assert got == want, (name, x, m)
-                assert np.max(np.abs(action[:, :n, :n] - want_pi), initial=0) < 1e-12
-                assert not action[:, n:].any() and not action[:, :, n:].any()
+    for xs, Q, copies, H, sector in batches:
+        sizes = {len(c) for c in copies}
+        assert len(sizes) == 1 and H.shape == (len(Q), rank, rank) + (max(sizes),) * 2
+        assert sector.tolist() == [[y for y, _j in c] for c in copies]
+        paths |= {"n > 1"} if max(sizes) > 1 else set()
+        paths |= {"corners"} if len(set(xs.tolist())) > 1 else set()
+        for x, q, got, h in zip(xs.tolist(), Q, copies, H):
+            want, pi = corner_module_by_simple(tube, x, _embedded(tube, x, q), weights)
+            n = len(want)
+            assert got == want, (name, x)
+            oracle = np.zeros((rank * rank, n, n), dtype=complex)
+            np.add.at(oracle, slot, scale[:, None, None] * pi.conj())
+            assert np.max(np.abs(h.reshape(-1, n, n) - oracle)) < 1e-12, (name, x)
     assert BATCH_PATHS.get(name, set()) <= paths, (name, paths)
 
 
-def test_decompose_center_builds_one_batch_per_group(monkeypatch):
-    """vec_zn(8, 1) has 64 simples, 8 at each of its 8 corners, all with
-    multiplicity 1: one _corner_modules call per (m, x) group."""
-    from tensorcat import center_tube
-    calls = []
-
-    def counted(tube, x, Q, weights):
-        calls.append((x, len(Q)))
-        return _corner_modules(tube, x, Q, weights)
-
-    monkeypatch.setattr(center_tube, "_corner_modules", counted)
-    center = decompose_center(build_tube_algebra(vec_zn(8, 1)), seed=0)
+def test_decompose_center_batches_by_module_size(monkeypatch):
+    """vec_zn(8, 1) has 64 simples, 8 at each of its 8 corners, all with one
+    copy: one _corner_modules batch for all of them.  fib (x) ising has
+    modules of 1, 2 and 4 copies: at most one batch per size."""
+    center, batches = _recorded_batches(monkeypatch, build_tube_algebra(vec_zn(8, 1)))
     assert len(center.simples) == 64
-    assert calls == [(x, 8) for x in range(8)]
+    assert [(sorted(set(xs.tolist())), len(xs)) for xs, *_ in batches] == [(list(range(8)), 64)]
+    cd = deligne_product_data(catalog_category("fibonacci"), catalog_category("ising"))
+    center, batches = _recorded_batches(monkeypatch, build_tube_algebra(cd))
+    sizes = [{len(c) for c in copies} for _xs, _Q, copies, *_ in batches]
+    assert all(len(s) == 1 for s in sizes)
+    assert sorted(s.pop() for s in sizes) == [1, 2, 4] == sorted(
+        {len(z.copies) for z in center.simples})
+
+
+@pytest.mark.parametrize("make", [
+    lambda: deligne_product_data(catalog_category("fibonacci"), catalog_category("ising")),
+    lambda: _vec_s3(), lambda: su2_category(4)], ids=["fib*ising", "vec_s3", "SU(2)_4"])
+def test_a_small_module_budget_gives_the_default_simples(make, monkeypatch):
+    """With a budget below one module every projection is a batch of its
+    own, and one claimed by an earlier batch is never built: the m = 2
+    projections of Vec(S3)'s unit corner, which share a batch by default.
+    The simples, S and T are the default run's, to 1e-12."""
+    from tensorcat import center_tube
+    tube = build_tube_algebra(make())
+    want, batches = _recorded_batches(monkeypatch, tube)
+    monkeypatch.setattr(center_tube, "_ENTRIES", 1)
+    got, small = _recorded_batches(monkeypatch, tube)
+    assert len(small) > len(batches) and all(len(xs) == 1 for xs, *_ in small)
+    assert len(small) == len(got.simples) <= sum(len(xs) for xs, *_ in batches)
+    assert [z.copies for z in got.simples] == [z.copies for z in want.simples]
+    assert np.max(np.abs(got.S - want.S)) < 1e-12 and np.max(np.abs(got.T - want.T)) < 1e-12
+    for z, w in zip(got.simples, want.simples):
+        assert np.max(np.abs(z.half_braiding - w.half_braiding)) < 1e-12
 
 
 def test_decompose_center_peak_memory(monkeypatch):
@@ -610,6 +675,41 @@ def test_half_braiding_check_matches_the_diagram_check(name):
     _compare_with_references(cd, decompose_center(build_tube_algebra(cd), seed=0).simples)
 
 
+@pytest.mark.parametrize("name", list(CHECK_CASES) + ["vec_s3", "SU(2)_4"])
+def test_decompose_center_matches_the_per_corner_oracle(name, monkeypatch):
+    """decompose_center against oracles.decompose_center_by_corners, which
+    splits one corner at a time and builds one module at a time, at seeds
+    0-2.  Where neither drew a corner's h twice, the simples come in the
+    same order with the same copies, and S, T and every half-braiding agree
+    to 1e-12; otherwise dims, twists, underlying objects and S agree up to
+    relabelling.  half_braiding_check is clean on every simple."""
+    from tensorcat import category_data, center_tube
+    cd = {"vec_s3": _vec_s3, "SU(2)_4": lambda: su2_category(4)}.get(name, CHECK_CASES.get(name))()
+    tube = build_tube_algebra(cd)
+    draws = []
+
+    class Counted(category_data.SeededDraws):
+        def standard_normal(self, n):
+            draws.append(n)
+            return super().standard_normal(n)
+
+    for module in (category_data, center_tube):
+        monkeypatch.setattr(module, "SeededDraws", Counted)
+    for seed in range(3):
+        draws.clear()
+        got = decompose_center(tube, seed=seed)
+        want = decompose_center_by_corners(tube, seed=seed)
+        if len(draws) == 4 * cd.ring.rank:      # one h per corner in each
+            assert [z.copies for z in got.simples] == [z.copies for z in want.simples], seed
+            assert np.max(np.abs(got.S - want.S)) < 1e-12, seed
+            assert np.max(np.abs(got.T - want.T)) < 1e-12, seed
+            for z, w in zip(got.simples, want.simples):
+                assert np.max(np.abs(z.half_braiding - w.half_braiding)) < 1e-12, seed
+        else:
+            assert _tied_relabelling(got, want) is not None, seed
+        assert all(half_braiding_check(cd, z) == [] for z in got.simples), seed
+
+
 def test_half_braiding_check_on_su2_4_matches_the_dense_check():
     """SU(2)_4, whose half-integer spins have Frobenius-Schur sign -1: every
     simple passes, and with its largest entry of a sigma_a, a != 0, negated
@@ -841,13 +941,13 @@ def test_theorem_c_reads_few_presentation_entries(monkeypatch, n, t, most):
     from tensorcat import center_tube
     built = []
 
-    def presentation(cd, center):
-        pres, support = center_presentation(cd, center)
+    def presentation(cd, product):
+        pres, support = decided(cd, product)
         built.append(pres)
         return pres, support
 
-    center_presentation = center_tube.center_presentation
-    monkeypatch.setattr(center_tube, "center_presentation", presentation)
+    decided = center_tube._presentation
+    monkeypatch.setattr(center_tube, "_presentation", presentation)
     assert center_tube.theorem_c_shadow(vec_zn(n, t))["passed"]
     (pres,) = built
     # the memo holds what value computed; the whole table has (rank - 1)^3 entries
@@ -892,7 +992,9 @@ def test_half_braiding_scale_matches_entrywise_oracle(cats, name):
     for cd in (base, vertex_gauge(base, 3)):
         tube = build_tube_algebra(cd)
         d = cd.dims.dims
-        _slot, scale = _half_braiding_readout(tube)
+        slot, field = _half_braiding_readout(tube)
+        ends = np.array(tube.basis)[:, [0, 3]]
+        scale = field[slot, ends[:, 0], ends[:, 1]]
         for (x, y), ks in tube.sectors.items():
             for a in {tube.basis[k][1] for k in ks}:
                 mine = [k for k in ks if tube.basis[k][1] == a]
@@ -904,16 +1006,16 @@ def test_half_braiding_scale_matches_entrywise_oracle(cats, name):
 @pytest.mark.parametrize("name", ["fibonacci", "toric_code"])
 def test_decompose_center_evaluates_no_diagram(cats, name, monkeypatch):
     """decompose_center calls neither insert nor compose_values, solves
-    nothing (no pinv) and takes no SVD: one eigh per simple object of the
-    category (the split of each diagonal corner), however many simples the
-    center has."""
+    nothing (no pinv) and takes no SVD: one stacked eigh per size of the
+    diagonal corners (their splits), however many simples the center has."""
     tube = build_tube_algebra(cats[name])
     calls = record_diagram_calls(monkeypatch)
     linalg = record_linalg_calls(monkeypatch, "svd", "eigh", "pinv")
     center = decompose_center(tube, seed=0)
     assert calls == []
     assert not linalg["svd"] and not linalg["pinv"]
-    assert len(linalg["eigh"]) == cats[name].ring.rank < len(center.simples)
+    sizes = {len(tube.sectors[x, x]) for x in range(cats[name].ring.rank)}
+    assert len(linalg["eigh"]) == len(sizes) < len(center.simples)
 
 
 @pytest.mark.parametrize("name", catalog_names() + ["ising:gauged", "vec_zn(3,2):gauged"])
@@ -1104,6 +1206,25 @@ def test_theorem_c_shadow_verifies_the_lagrangian_once(make, monkeypatch):
         monkeypatch.setattr(module, "verify_qsystem", counted)
     assert theorem_c_shadow(make(), seed=0)["passed"]
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("make", [lambda: catalog_category("fibonacci"), lambda: vec_zn(6, 0)],
+                         ids=["fibonacci", "vec_zn(6,0)"])
+def test_theorem_c_shadow_decides_the_presentation_once(make, monkeypatch):
+    """Whether cd is nondegenerate, which picks C (x) reverse(C) or the
+    pointed presentation, is computed once per theorem_c_shadow."""
+    import tensorcat.center_tube
+    import tensorcat.local_modules
+    cd, calls = make(), []
+
+    def counted(c):
+        calls.append(c)
+        return is_nondegenerate(c)
+
+    for module in (tensorcat.center_tube, tensorcat.local_modules):
+        monkeypatch.setattr(module, "is_nondegenerate", counted)
+    assert theorem_c_shadow(cd, seed=0)["passed"]
+    assert sum(c is cd for c in calls) == 1
 
 
 def test_condensed_center_braiding_trivial(centers):

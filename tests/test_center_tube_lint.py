@@ -1,7 +1,10 @@
-"""A lint on src/tensorcat/center_tube.py: F is read only by ``lookup``,
-never one key at a time by ``fval`` or ``F.value``.  The tube build, its
+"""Lints on src/tensorcat/center_tube.py.  F is read only by ``lookup``,
+never one key at a time by ``fval`` or ``F.value``: the tube build, its
 star and the half-braiding readout and check join their label tuples and
-read F in columns; a per-key read in a loop is what they replaced."""
+read F in columns; a per-key read in a loop is what they replaced.  And
+decompose_center and _corner_simples walk no ``range(... rank ...)``: the
+corners are split at once and their modules built in batches across
+corners; a loop over the corners is what those replaced."""
 
 import ast
 from pathlib import Path
@@ -33,3 +36,38 @@ def test_lint_flags_a_per_key_read():
             '    fval = cd.fval\n'
             '    return [fval(*k) for k in keys], tube.cd.fval(*key)\n')
     assert _per_key_reads(text) == [2, 4, 6, 7]
+
+
+def _rank_loops(text, names=("decompose_center", "_corner_simples")):
+    """Line of each for loop or comprehension, in the functions named, over
+    a range(...) whose arguments mention rank."""
+    def mentions_rank(node):
+        return any(isinstance(n, ast.Name) and n.id == "rank"
+                   or isinstance(n, ast.Attribute) and n.attr == "rank" for n in ast.walk(node))
+
+    return sorted(loop.iter.lineno
+                  for fn in ast.walk(ast.parse(text))
+                  if isinstance(fn, ast.FunctionDef) and fn.name in names
+                  for loop in ast.walk(fn) if isinstance(loop, (ast.For, ast.comprehension))
+                  and isinstance(loop.iter, ast.Call) and isinstance(loop.iter.func, ast.Name)
+                  and loop.iter.func.id == "range" and mentions_rank(loop.iter))
+
+
+def test_decompose_center_walks_no_corner_loop():
+    stray = _rank_loops(CENTER_TUBE.read_text())
+    assert not stray, f"loops over range(rank) in decompose_center or _corner_simples at {stray}"
+
+
+def test_lint_flags_a_corner_loop():
+    text = ('def decompose_center(tube):\n'
+            '    for x in range(rank):\n'
+            '        pass\n'
+            '    S = sum(f(c) for c in range(tube.cd.ring.rank))\n'
+            '    for lo in range(0, len(D), step):\n'
+            '        pass\n'
+            'def _corner_simples(tube):\n'
+            '    return [x for x in range(1, rank + 1)], list(range(rank))\n'
+            'def _corner_modules(tube):\n'
+            '    for y in range(rank):\n'
+            '        pass\n')
+    assert _rank_loops(text) == [2, 4, 8]
