@@ -22,14 +22,15 @@ The center lives in the diagonal corners p_x Tube p_x (Izumi 2000, Mueger
 ising.  A corner is the sum, over the simples Z of the center, of the
 blocks p_Z p_x Tube p_x, each of m_x(Z) x m_x(Z) matrices.  One
 eigendecomposition of the left action of a random hermitian element,
-self-adjoint for the trace form, gives minimal projections q under every
-block at once (_corner_projections), stacked over the corners of one
-size; q spans one copy of Z's irreducible module, the left ideal Tube q.
-Only the projections in Z's corner of least multiplicity are built, in
-batches of equal module size across corners (_corner_simples).  From each
-come the multiplicity vector over Irr(C), the half-braiding (one array per
-simple, module matrix entries conjugated and times a scale read from one F
-entry), the dimension, and the traces that S and T contract.
+self-adjoint for the trace form, gives one minimal projection q per block
+(_corner_projections), stacked over the corners of one size; tr(L_q R_q')
+= dim(q p_x Tube p_x q') tells which eigenvalue clusters share a block.
+q spans one copy of Z's irreducible module, the left ideal Tube q.  Only
+Z's projection in its corner of least multiplicity is built, so no module
+twice, in batches of equal module size across corners (_corner_simples).
+From each come the multiplicity vector over Irr(C), the half-braiding (one
+array per simple, module matrix entries conjugated and times a scale read
+from one F entry), the dimension, and the traces that S and T contract.
 half_braiding_check holds the half-braiding to its axioms, joined over
 the admissible label tuples with F read by lookup.  It and the tube build
 walk category_data._blocks, a block of label pairs at a time, sized by the
@@ -249,12 +250,13 @@ _ENTRIES = 1 << 19     # complex entries a batch of corner modules holds at once
 
 
 def _corner_projections(tube: TubeAlgebra, xs, weights, rng):
-    """(mult, x, Q, gap) over the eigenvalue clusters of a random hermitian
-    h in each corner p_x Tube p_x, x in xs: row Q[i] is a minimal projection
-    q of the corner x[i], in its coordinates tube.sectors[x, x] and padded
-    with zeros, under the block M_m of one center simple Z, and mult[i] is
-    Z's multiplicity vector, m = mult[i, x[i]].  Rows come by corner and,
-    within one, by eigenvalue.
+    """(mult, x, Q, gap), one row per block of each corner p_x Tube p_x, x
+    in xs: row Q[i] is a minimal projection q of the corner x[i], in its
+    coordinates tube.sectors[x, x] and padded with zeros, under the block
+    M_m of one center simple Z, the first of the block's m eigenvalue
+    clusters of a random hermitian h, and mult[i] is Z's multiplicity
+    vector, m = mult[i, x[i]].  Rows come by corner and, within one, by
+    eigenvalue.
 
     Left multiplication by h is self-adjoint for the trace inner product,
     which is diagonal on the basis with the given weights, so one eigh of
@@ -262,13 +264,15 @@ def _corner_projections(tube: TubeAlgebra, xs, weights, rng):
     of one size.  On a block M_m each of h's m eigenvalues appears m times,
     and the spectral projection at one of them is left multiplication by q:
     q is that projection applied to the unit, and m is the size of the
-    cluster.  A collision of eigenvalues shows as dim(q p_x Tube p_x q) =
-    tr(L_q R_q) != 1, and only that corner is drawn again, up to four
-    attempts.  An attempt draws h corner by corner in the order of xs, two
-    rng.standard_normal(n) calls each, so a retry draws after every
-    corner's earlier attempt.  Right multiplication by q projects p_y Tube
-    p_x onto p_y Tube q, so its trace there, read from _right_traces, is
-    m_y(Z).  gap is the smallest eigenvalue gap cut.
+    cluster.  dim(q p_x Tube p_x q') = tr(L_q R_q') is 1 when the clusters'
+    q and q' lie under one block and 0 otherwise, so only the first of a
+    block is kept.  A collision of eigenvalues shows as tr(L_q R_q) != 1,
+    and only that corner is drawn again, up to four attempts.  An attempt
+    draws h corner by corner in the order of xs, two rng.standard_normal(n)
+    calls each, so a retry draws after every corner's earlier attempt.
+    Right multiplication by q projects p_y Tube p_x onto p_y Tube q, so its
+    trace there, read from _right_traces, is m_y(Z).  gap is the smallest
+    eigenvalue gap cut.
     """
     cd, S = tube.cd, tube.sectors
     unit = np.sqrt(weights) * tube.unit_vector()
@@ -297,14 +301,16 @@ def _corner_projections(tube: TubeAlgebra, xs, weights, rng):
             # each cluster's eigenvectors times their overlaps with the unit, summed
             W = V * np.einsum("gij,gi->gj", V.conj(), unit[D])[:, None]
             Q = (W @ (cluster[:, :, None] == np.arange(n))).transpose(0, 2, 1) / sw[:, None]
-            # tr(L_q R_q), the dimension of q p_x Tube p_x q: 1 exactly when q is minimal
+            # tr(L_q R_q'), the dimension of q p_x Tube p_x q', one matmul against R_q' with
+            # its last two axes swapped: 1 exactly when q and q' are minimal under one block
             L = Q @ P.reshape(len(g), n, -1)
-            R = Q @ P.transpose(0, 2, 1, 3).reshape(len(g), n, -1)
-            dims = np.einsum("gcjk,gckj->gc", L.reshape((len(g),) + (n,) * 3),
-                             R.reshape((len(g),) + (n,) * 3)).real
+            R = Q @ P.transpose(0, 2, 3, 1).reshape(len(g), n, -1)
+            dims = (L @ R.transpose(0, 2, 1)).real                      # [g, q, q']
             real = np.arange(n) <= cluster[:, -1:]          # the clusters there are
-            ok = np.all(~real | (np.abs(dims - 1.0) < cd.identity_tolerance), axis=1)
-            i, c = np.nonzero(real & ok[:, None])
+            ok = np.all(~real | (np.abs(dims.diagonal(0, 1, 2) - 1.0) < cd.identity_tolerance),
+                        axis=1)
+            first = ~np.tril(dims > 0.5, -1).any(axis=2)    # no earlier cluster in its block
+            i, c = np.nonzero(real & first & ok[:, None])
             q = np.zeros((len(i), T.shape[1]), dtype=complex)
             q[:, :n] = Q[i, c]
             mult = np.rint(np.einsum("cj,cjy->cy", q, T[np.array(g)[i]]).real)
@@ -332,16 +338,12 @@ def _right_traces(tube: TubeAlgebra):
     return T
 
 
-def _batches(n, unit, cost):
-    """(lo, hi) of the batches of members, in order, equal n and equal unit
-    consecutive, each of at most _ENTRIES of cost: whole units of one n
-    while the next fits, a unit past the budget split member by member, a
-    member past it alone."""
-    new = np.r_[True, unit[1:] != unit[:-1]]
-    big = np.add.reduceat(cost, np.flatnonzero(new)) > _ENTRIES
-    units = np.flatnonzero(new | big[np.cumsum(new) - 1])
+def _batches(n, cost):
+    """(lo, hi) of the batches of members, in order: consecutive members of
+    equal n while the next fits under _ENTRIES of cost, a member past it
+    alone."""
     lo, held = 0, 0
-    for i, c in zip(units.tolist(), np.add.reduceat(cost, units).tolist()):
+    for i, c in enumerate(cost.tolist()):
         if held and (held + c > _ENTRIES or n[i] != n[lo]):
             yield lo, i
             lo, held = i, 0
@@ -629,64 +631,36 @@ def decompose_center(tube: TubeAlgebra, seed=0) -> CenterData:
 
 
 def _corner_simples(tube: TubeAlgebra, mult, xs, Q, weights, readout):
-    """One simple per block, from the module of the first of its corner
-    projections in (m, x) order, and the (simples, rank, rank, rank) array
-    of its half-braiding traces.
+    """One simple per block, from the module of its projection in its corner
+    of least multiplicity, and the (simples, rank, rank, rank) array of its
+    half-braiding traces.
 
-    A projection q at x under a simple Z comes with Z's multiplicities
-    mult = (m_y(Z))_y (_corner_projections): so Z's module size is n =
-    sum_y m_y(Z), and its first projection in (m, x) order lies in its
-    corner of least multiplicity, the first such x, where m = m_x(Z).  Only
-    the projections there are built, sorted by (n, x, m) and walked by
-    _batches, a batch of equal n across corners at a time (_corner_modules).
-    A simple with m = 1 there has just one; of those under one block M_m
-    with m > 1, the first claims the others: tr pi(q') is 1 for a minimal
-    projection q' under the module's blocks, else 0, and tr pi(t_k) on a
-    corner is read from the traces D.
+    _corner_projections gives one projection q per block of each corner,
+    with its simple Z's multiplicities mult = (m_y(Z))_y: so Z's module size
+    is n = sum_y m_y(Z).  Only the projections in Z's corner of least
+    multiplicity, the first such x, are built, one per simple, sorted by
+    (n, x) and walked by _batches, a batch of equal n across corners at a
+    time (_corner_modules).
     """
-    cd, rank, (_slot, scale) = tube.cd, tube.cd.ring.rank, readout
-    ms, n = mult[np.arange(len(xs)), xs], mult.sum(axis=1)
+    cd, rank = tube.cd, tube.cd.ring.rank
+    n = mult.sum(axis=1)
     first = np.flatnonzero(np.argmin(np.where(mult > 0, mult, tube.dim), axis=1) == xs)
-    first = first[np.lexsort((ms[first], xs[first], n[first]))]
-    ms, xs, Q, n = ms[first], xs[first], Q[first], n[first]
-    x, a, c, y = np.array(tube.basis).T
-    span = np.bincount(x, minlength=rank)       # the t_j leaving each corner
-    corner = x == y     # tr pi(t_k) = conj(D[a, c, x] / scale) there, at place j of x's
-    x, a, c = x[corner], a[corner], c[corner]
-    j, scale = np.arange(len(x)) - np.searchsorted(x, x), scale[a * rank + c, x, x]
-    claimable = np.flatnonzero(ms > 1)
-    unclaimed = np.ones(len(Q), dtype=bool)
-    # half-braiding traces, one row per simple; zeros leaves the unused rows unallocated
-    D = np.zeros((len(Q), rank, rank, rank), dtype=complex)
+    first = first[np.lexsort((xs[first], n[first]))]
+    xs, Q, n = xs[first], Q[first], n[first]
+    span = np.bincount(np.array(tube.basis)[:, 0], minlength=rank)     # the t_j leaving x
+    D = np.zeros((len(Q), rank, rank, rank), dtype=complex)    # half-braiding traces
     simples = []
-    for lo, hi in _batches(n, (n * rank + xs) * (ms.max(initial=0) + 1) + ms,
-                           span[xs] ** 2 + rank ** 2 * n ** 2):
-        batch = lo + np.flatnonzero(unclaimed[lo:hi])
-        if not len(batch):
-            continue
-        copies, H, sector = _corner_modules(tube, xs[batch], Q[batch], weights, readout)
+    for lo, hi in _batches(n, span[xs] ** 2 + rank ** 2 * n ** 2):
+        copies, H, sector = _corner_modules(tube, xs[lo:hi], Q[lo:hi], weights, readout)
         at = sector[:, :, None] == np.arange(rank)      # [b, copy, x]
-        kept = np.ones(len(batch), dtype=bool)
-        multi = np.flatnonzero(ms[batch] > 1)
-        if len(multi):
-            traces = H[multi].diagonal(0, 3, 4) @ at[multi, None]       # [b, a, c, x]
-            corners = np.zeros((len(multi), rank, Q.shape[1]), dtype=complex)
-            corners[:, x, j] = np.conj(traces[:, a, c, x] / scale)      # [b, x, j]
-            claims = np.einsum("qj,bqj->qb", Q[claimable], corners[:, xs[claimable]]).real > 0.5
-            for b, claimed in zip(multi.tolist(), claims.T):
-                kept[b] = unclaimed[batch[b]]
-                if kept[b]:
-                    unclaimed[claimable[claimed]] = False
-        if not kept.all():
-            H, at, copies = H[kept], at[kept], [cs for cs, k in zip(copies, kept) if k]
         # the traces over the copies at x, straight into D
-        np.matmul(H.diagonal(0, 3, 4).reshape(len(H), rank * rank, -1), at,
-                  out=D[len(simples):len(simples) + len(H)].reshape(len(H), rank * rank, rank))
+        np.matmul(H.diagonal(0, 3, 4).reshape(hi - lo, rank * rank, -1), at,
+                  out=D[lo:hi].reshape(hi - lo, rank * rank, rank))
         underlying = at.sum(axis=1)
         for h, cs, u, dim in zip(H, copies, underlying, (underlying @ cd.dims.dims).tolist()):
             simples.append(CenterObject(underlying=u, copies=cs, twist=1.0, dim=dim,
                                         half_braiding=h[:, :, :len(cs), :len(cs)]))
-    return simples, D[:len(simples)]
+    return simples, D
 
 
 def center_global_checks(center: CenterData) -> dict:

@@ -28,8 +28,7 @@ from .category_data import (CategoryData, FSymbolSet, check_tolerance,
                             load_category, save_category, validate_category)
 from .center_tube import (build_tube_algebra, center_global_checks,
                           decompose_center)
-from .diagram_eval import (categorical_trace, evaluate, parse_diagram, scalar_generator,
-                           typecheck)
+from .diagram_eval import categorical_trace, evaluate, scalar_generator
 from .errors import PreconditionError, StructuralError, ValidationFailure
 from .fusion_ring import FusionRing, fp_dimensions
 from .local_modules import (_verlinde, condensation_identity_check,
@@ -333,9 +332,8 @@ def _dispatch(args) -> int:
             X = load_module(cd, args.module)
             for (x, a, y), v in X.rho.items():
                 env[f"r_{x}_{a}_{y}"] = scalar_generator(cd, x, a, y, v)
-        expr = parse_diagram(args.expression)
-        source, target = typecheck(expr, cd, env)
-        mv = evaluate(expr, cd, env, max_word=args.max_word)
+        mv = evaluate(args.expression, cd, env, max_word=args.max_word)   # typechecks it
+        source, target = mv.source, mv.target
         doc = {
             "source": [ring.labels[i] for i in source],
             "target": [ring.labels[i] for i in target],

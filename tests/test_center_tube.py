@@ -277,9 +277,12 @@ def test_rotation_phase_matches_the_diagram():
 
 @pytest.mark.parametrize("name", catalog_names() + ["vec_s3", "fib*ising"])
 def test_corner_projections_sum_to_central_idempotents(cats, name):
-    """At every corner, the projections one simple claims (tr pi(q) > 0.5
-    on the module of the first of them) add up to one minimal central
-    idempotent of the nullspace oracle, and every idempotent is reached."""
+    """At every corner, each projection q lies under exactly one minimal
+    central idempotent e of the nullspace oracle, e q = q and e' q = 0 for
+    every other e', and every idempotent has exactly one projection: the
+    block M_2 of Vec(S3)'s unit corner gives one of its two clusters.  Over
+    an orthonormal basis u of the left ideal p_x Tube p_x q, scaled so that
+    u^* u = q, the projections u u^* sum to e."""
     if name == "vec_s3":
         cd = _vec_s3()
     elif name == "fib*ising":
@@ -287,23 +290,26 @@ def test_corner_projections_sum_to_central_idempotents(cats, name):
     else:
         cd = cats[name]
     tube = build_tube_algebra(cd)
-    weights = tube.trace_weights()
-    _mult, xs, Q, _gap = _corner_projections(tube, range(cd.ring.rank), weights,
+    _mult, xs, Q, _gap = _corner_projections(tube, range(cd.ring.rank), tube.trace_weights(),
                                              np.random.default_rng(0))
     for x in range(cd.ring.rank):
         D, sub = tube.corner(x)
         oracle = central_idempotents_by_nullspace(sub)
-        qs = [_embedded(tube, x, q) for q in Q[xs == x]]
+        sw = np.sqrt(sub.trace_weights())
         found = []
-        while qs:
-            _copies, pi = corner_module_by_simple(tube, x, qs[0], weights)
-            claimed = [(np.einsum("k,kcc->", q, pi).real > 0.5) for q in qs]
-            total = np.sum([q[D] for q, c in zip(qs, claimed) if c], axis=0)
-            dev = [np.max(np.abs(total - e)) for e in oracle]
-            assert min(dev) < 1e-10, (name, x, min(dev))
-            found.append(int(np.argmin(dev)))
-            qs = [q for q, c in zip(qs, claimed) if not c]
-        assert sorted(found) == list(range(len(oracle))), (name, x)
+        for q in Q[xs == x, :len(D)]:
+            eq = np.array([[np.max(np.abs(sub.multiply(e, q) - t * q)) for t in (1, 0)]
+                           for e in oracle])            # [e, (e q - q, e q)]
+            under = eq[:, 0] < 1e-10
+            assert under.sum() == 1, (name, x, eq)
+            assert np.all(eq[~under, 1] < 1e-10), (name, x, eq)
+            found.append(int(np.argmax(under)))
+            # the t_j q, tau-scaled; their right singular vectors span the left ideal
+            _u, s, vh = np.linalg.svd([sub.multiply(t, q) * sw for t in np.eye(len(D))])
+            us = vh[s > 1e-10 * s[0]] / sw * np.sqrt(sub.trace_functional() @ q)
+            total = np.sum([sub.multiply(u, sub.star_vector(u)) for u in us], axis=0)
+            assert np.max(np.abs(total - oracle[found[-1]])) < 1e-10, (name, x)
+        assert sorted(found) == list(range(len(oracle))), (name, x, found)
 
 
 def _embedded(tube, x, q):
@@ -383,21 +389,21 @@ def test_decompose_center_batches_by_module_size(monkeypatch):
         {len(z.copies) for z in center.simples})
 
 
-@pytest.mark.parametrize("make", [
-    lambda: deligne_product_data(catalog_category("fibonacci"), catalog_category("ising")),
-    lambda: _vec_s3(), lambda: su2_category(4)], ids=["fib*ising", "vec_s3", "SU(2)_4"])
-def test_a_small_module_budget_gives_the_default_simples(make, monkeypatch):
+@pytest.mark.parametrize("make, center_rank", [
+    (lambda: deligne_product_data(catalog_category("fibonacci"), catalog_category("ising")), 36),
+    (lambda: _vec_s3(), 8), (lambda: su2_category(4), 25)], ids=["fib*ising", "vec_s3", "SU(2)_4"])
+def test_a_small_module_budget_gives_the_default_simples(make, center_rank, monkeypatch):
     """With a budget below one module every projection is a batch of its
-    own, and one claimed by an earlier batch is never built: the m = 2
-    projections of Vec(S3)'s unit corner, which share a batch by default.
-    The simples, S and T are the default run's, to 1e-12."""
+    own.  Either way the batches build exactly one module per simple, so
+    only one for the block M_2 of Vec(S3)'s unit corner.  The simples, S
+    and T are the default run's, to 1e-12."""
     from tensorcat import center_tube
     tube = build_tube_algebra(make())
     want, batches = _recorded_batches(monkeypatch, tube)
     monkeypatch.setattr(center_tube, "_ENTRIES", 1)
     got, small = _recorded_batches(monkeypatch, tube)
     assert len(small) > len(batches) and all(len(xs) == 1 for xs, *_ in small)
-    assert len(small) == len(got.simples) <= sum(len(xs) for xs, *_ in batches)
+    assert len(small) == len(got.simples) == sum(len(xs) for xs, *_ in batches) == center_rank
     assert [z.copies for z in got.simples] == [z.copies for z in want.simples]
     assert np.max(np.abs(got.S - want.S)) < 1e-12 and np.max(np.abs(got.T - want.T)) < 1e-12
     for z, w in zip(got.simples, want.simples):
