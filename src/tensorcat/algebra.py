@@ -219,8 +219,6 @@ def canonical_algebra(cd: CategoryData, x) -> AlgebraObject:
     support = ring.channels(xi, xb)
     if any(ring.N[xi, xb, c] > 1 for c in support):
         raise StructuralError(f"x (x) dual(x) has multiplicity for x={x}; out of scope")
-    if support == [0]:
-        return trivial_algebra()
     root = np.sqrt(sum(cd.dims.dims[c] for c in support))
     mu = {(a, b, c): root * cd.fval(a, xi, xb, c, xi, b).conjugate() * cd.fval(xi, xb, xi, xi, a, 0)
           for a in support for b in support for c in ring.channels(a, b) if c in support}

@@ -385,19 +385,15 @@ def _corner_modules(tube: TubeAlgebra, xs, Q, weights, readout):
     rows = np.zeros((len(Q), width, width), dtype=complex)  # [b, j]: t_{J_j} q_b, tau-scaled
     sw, target = np.ones((len(Q), width)), np.full((len(Q), width), rank)
     key = np.full((len(Q), width), tube.dim)                # the tube index of each row
-    u = np.zeros((len(Q), width), dtype=complex)            # q_b, tau-scaled
     for x, (lo, hi) in runs.items():
         J, ends, at = tube._leaving[x]
         sw[lo:hi, :len(J)], key[lo:hi, :len(J)] = np.sqrt(weights[J]), J
         target[lo:hi, :len(J)] = ends
         q = Q[lo:hi, :len(S[x, x])]
-        u[lo:hi, at[x]] = sw[lo:hi, at[x]] * q
         for y, p in at.items():
             P = tube.blocks[x, x, y].transpose(1, 0, 2)
             rows[lo:hi, p, p] = (q @ P.reshape(len(P), -1)).reshape(hi - lo, len(J[p]), -1)
     rows *= sw[:, None]
-    # on the corner's sector, rows[b, j] = chi(t_j) u_b when Tube q_b is the line of q_b
-    chi = (rows @ u.conj()[:, :, None])[:, :, 0] / np.sum(np.abs(u) ** 2, axis=1)[:, None]
     floor = cd.noise_floor * np.abs(rows).max(axis=(1, 2))
     member = np.arange(len(Q))
     sectors, vectors = [], []   # per pass, each module's pivot: its sector (rank once spanned)
@@ -425,14 +421,9 @@ def _corner_modules(tube: TubeAlgebra, xs, Q, weights, readout):
     count = (sectors[:, :, None] == np.arange(rank)).sum(axis=1)
     first = np.cumsum(count, axis=1) - count        # each sector's first copy
     H = np.zeros((len(Q), rank * rank, n, n), dtype=complex)
-    line = count.sum(axis=1) == 1
-    # a module of one copy: pi(t_k) = chi(t_k) on its corner
-    b, j = np.nonzero(line[:, None] & (target == xs[:, None]))
-    k = key[b, j]
-    H[b, slot[k], 0, 0] = np.conj(chi[b, j]) * scale[slot[k], xs[b], xs[b]]
-    layouts = {}        # the others of one corner with as many copies in each sector
-    for b in np.flatnonzero(~line).tolist():
-        layouts.setdefault((xs[b], *count[b].tolist()), []).append(b)
+    layouts = {}        # the modules of one corner with as many copies in each sector
+    for b, x in enumerate(xs.tolist()):
+        layouts.setdefault((x, *count[b].tolist()), []).append(b)
     for (x, *_), g in layouts.items():
         _J, _ends, at = tube._leaving[x]
         bl, br, h = Bl[g], Br[g], np.zeros((len(g), rank * rank, n, n), dtype=complex)

@@ -24,7 +24,7 @@ from .algebra import (AlgebraObject, canonical_algebra, is_commutative,
 from .braided_analysis import (find_centralizing_object, gamma_characters,
                                muger_centralizer, restriction_hom, s_matrix,
                                twists, verify_hypergroup_hom)
-from .category_data import (CategoryData, FSymbolSet, check_tolerance,
+from .category_data import (CategoryData, FSymbolSet, _encode_value, check_tolerance,
                             load_category, save_category, validate_category)
 from .center_tube import (build_tube_algebra, center_global_checks,
                           decompose_center)
@@ -40,11 +40,6 @@ EXIT_INVALID = 2
 EXIT_STRUCTURAL = 3
 
 
-def _cnum(z):
-    z = complex(z)
-    return [z.real, z.imag]
-
-
 def _emit(doc, args):
     doc = dict(doc)
     doc.setdefault("tolerance", args.tol)
@@ -55,16 +50,14 @@ def _emit(doc, args):
 
 
 def _json_default(obj):
-    if isinstance(obj, complex):
-        return _cnum(obj)
+    if isinstance(obj, (complex, np.complexfloating)):
+        return _encode_value(obj)
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.floating,)):
         return float(obj)
-    if isinstance(obj, (np.complexfloating,)):
-        return _cnum(complex(obj))
     raise TypeError(f"not serializable: {type(obj)}")
 
 
@@ -238,14 +231,14 @@ def _dispatch(args) -> int:
     if cmd == "smatrix":
         s = s_matrix(cd).s
         _emit({"labels": list(ring.labels),
-               "s_matrix": [[_cnum(z) for z in row] for row in s],
-               "twists": [_cnum(t) for t in twists(cd).theta]}, args)
+               "s_matrix": [[_encode_value(z) for z in row] for row in s],
+               "twists": [_encode_value(t) for t in twists(cd).theta]}, args)
         return EXIT_OK
 
     if cmd == "chars":
         g = gamma_characters(cd).gamma
         _emit({"labels": list(ring.labels),
-               "gamma": [[_cnum(z) for z in row] for row in g]}, args)
+               "gamma": [[_encode_value(z) for z in row] for row in g]}, args)
         return EXIT_OK
 
     if cmd == "centralizer":
@@ -290,7 +283,7 @@ def _dispatch(args) -> int:
                    "support": [ring.labels[x] for x in m.support],
                    "fpdim": m.fpdim(cd),
                    "rho": [[ring.labels[x], ring.labels[a], ring.labels[y],
-                            _cnum(v)] for (x, a, y), v in sorted(m.rho.items())],
+                            _encode_value(v)] for (x, a, y), v in sorted(m.rho.items())],
                } for m in cond.simples],
                "dims_over_Q": [float(x) for x in cond.dims_over_Q]}, args)
         return EXIT_OK
@@ -311,10 +304,10 @@ def _dispatch(args) -> int:
         doc = {
             "rank": len(center.simples),
             "dims": [z.dim for z in center.simples],
-            "twists": [_cnum(z.twist) for z in center.simples],
+            "twists": [_encode_value(z.twist) for z in center.simples],
             "underlying": [[int(m) for m in z.underlying] for z in center.simples],
-            "S": [[_cnum(v) for v in row] for row in center.S],
-            "T": [_cnum(z.twist) for z in center.simples],
+            "S": [[_encode_value(v) for v in row] for row in center.S],
+            "T": [_encode_value(z.twist) for z in center.simples],
             "checks": {k: v for k, v in checks.items() if k != "self_centralizer"},
         }
         _emit(doc, args)
@@ -337,18 +330,18 @@ def _dispatch(args) -> int:
         doc = {
             "source": [ring.labels[i] for i in source],
             "target": [ring.labels[i] for i in target],
-            "blocks": {str(c): [[_cnum(v) for v in row] for row in m]
+            "blocks": {str(c): [[_encode_value(v) for v in row] for row in m]
                        for c, m in sorted(mv.blocks.items()) if m.size},
         }
         if source == target:
-            doc["trace"] = _cnum(categorical_trace(cd, mv))
+            doc["trace"] = _encode_value(categorical_trace(cd, mv))
         _emit(doc, args)
         return EXIT_OK
 
     if cmd == "kappa":
         from .category_data import kappa_of
         val = kappa_of(cd, args.g)
-        _emit({"g": args.g, "kappa": _cnum(val)}, args)
+        _emit({"g": args.g, "kappa": _encode_value(val)}, args)
         return EXIT_OK
 
     raise StructuralError(f"unknown subcommand {cmd!r}")

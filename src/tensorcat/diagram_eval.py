@@ -140,61 +140,40 @@ def unfold(cd, x, s_word, y):
     """Unitary change of basis between in-context and detached middle bases.
 
     Returns (in_basis, out_basis, U): in_basis holds the in-context middle
-    paths from x to y through s_word; out_basis holds pairs (e, spath) of a
-    standalone path of s_word at total e with N^y_{x,e} = 1; and
-    |m> = sum U[(e,spath), m] |x (x) (e, spath); y>.
+    paths m from x to y through s_word; out_basis holds pairs (e, n) of a
+    standalone path n of s_word at total e with N^y_{x,e} = 1; and
+    |m> = sum U[(e,n), m] |x (x) (e, n); y>.  Detaching the strands s_2 ..
+    s_j one F-move at a time, U[(e,n), m] is the product over k of
+    F^{x n_k s_{k+1}}_{m_{k+1}}[m_k, n_{k+1}], on the n with N^{m_k}_{x n_k} = 1
+    at every step, and 0 elsewhere.
     """
-    ring = cd.ring
-    j = len(s_word)
-    in_basis = [p for p in _middle_paths(ring, x, s_word) if (p[-1] if p else x) == y]
-    if j == 0:
-        out_basis = [(0, ())] if y == x else []
-        U = np.eye(len(in_basis), dtype=complex)
-        return tuple(in_basis), tuple(out_basis), U
-    if j == 1:
-        out_basis = [(s_word[0], (s_word[0],))] if in_basis else []
-        U = np.eye(len(in_basis), dtype=complex)
-        return tuple(in_basis), tuple(out_basis), U
-
-    # iterative F-moves: detach strands s_2 .. s_j from the context channel
-    amps = {}
-    for idx, m in enumerate(in_basis):
-        key = ((s_word[0],), m[0], m[1:])
-        amps.setdefault(key, {})[idx] = 1.0 + 0.0j
-    for k in range(1, j):
-        nxt = {}
-        for (npath, attach, mtail), vec in amps.items():
-            n_k = npath[-1]
-            s_next = s_word[k]
-            m_next = mtail[0]
-            for n_next in ring.channels(n_k, s_next):
-                if not ring.N[x, n_next, m_next]:
-                    continue
-                coef = cd.fval(x, n_k, s_next, m_next, attach, n_next)
-                if coef == 0:
-                    continue
-                key = (npath + (n_next,), m_next, mtail[1:])
-                acc = nxt.setdefault(key, {})
-                for idx, amp in vec.items():
-                    acc[idx] = acc.get(idx, 0.0) + amp * coef
-        amps = nxt
-    out_basis = sorted({(npath[-1], npath) for (npath, attach, mtail) in amps})
-    U = np.zeros((len(out_basis), len(in_basis)), dtype=complex)
+    ring, s_word = cd.ring, tuple(s_word)
+    in_basis = tuple(p[1:] for p in paths(ring, (x,) + s_word).get(y, []))
+    entries = {}        # (e, n, column of m) -> U entry
+    for col, m in enumerate(in_basis):
+        walk = [(s_word[:1], 1.0 + 0.0j)]
+        for k in range(1, len(s_word)):
+            walk = [(n + (c,), amp * cd.fval(x, n[-1], s_word[k], m[k], m[k - 1], c))
+                    for n, amp in walk for c in ring.channels(n[-1], s_word[k])
+                    if ring.N[x, c, m[k]]]
+        entries.update(((n[-1] if n else 0, n, col), amp) for n, amp in walk)
+    out_basis = tuple(sorted({key[:2] for key in entries}))
     row = {ob: i for i, ob in enumerate(out_basis)}
-    for (npath, attach, _tail), vec in amps.items():
-        assert attach == y
-        i = row[(npath[-1], npath)]
-        for idx, amp in vec.items():
-            U[i, idx] = amp
-    return tuple(in_basis), tuple(out_basis), U
+    U = np.zeros((len(out_basis), len(in_basis)), dtype=complex)
+    for (e, n, col), amp in entries.items():
+        U[row[e, n], col] = amp
+    return in_basis, out_basis, U
 
 
-def _middle_paths(ring, x, s_word):
-    """In-context paths: m-sequences fusing s_word onto the channel x."""
-    states = [((), x)]
-    for w in s_word:
-        states = [(m + (c,), c) for (m, last) in states for c in ring.channels(last, w)]
-    return sorted(m for m, _ in states)
+def _by_middle(ps, p, j):
+    """The paths ps, split into p prefix, j middle and suffix channels,
+    grouped by (prefix, y, suffix) with y the channel the middle ends on:
+    key -> [(middle, position in ps)]."""
+    groups = {}
+    for i, path in enumerate(ps):
+        y = path[p + j - 1] if p + j else 0
+        groups.setdefault((path[:p], y, path[p + j:]), []).append((path[p:p + j], i))
+    return groups
 
 
 def insert(cd: CategoryData, prefix, h: MorphismValue, suffix,
@@ -219,22 +198,8 @@ def insert(cd: CategoryData, prefix, h: MorphismValue, suffix,
         sps = src_by.get(c, [])
         tps = tgt_by.get(c, [])
         block = np.zeros((len(tps), len(sps)), dtype=complex)
-        # group source and target paths by (prefix path, y, suffix path)
-        groups_s = {}
-        for i, path in enumerate(sps):
-            pp = path[:p]
-            mp = path[p:p + j_s]
-            vp = path[p + j_s:]
-            y = mp[-1] if j_s else (pp[-1] if p else 0)
-            groups_s.setdefault((pp, y, vp), []).append((mp, i))
-        groups_t = {}
-        for i, path in enumerate(tps):
-            pp = path[:p]
-            mp = path[p:p + j_t]
-            vp = path[p + j_t:]
-            y = mp[-1] if j_t else (pp[-1] if p else 0)
-            groups_t.setdefault((pp, y, vp), []).append((mp, i))
-        for key, src_items in groups_s.items():
+        groups_t = _by_middle(tps, p, j_t)
+        for key, src_items in _by_middle(sps, p, j_s).items():
             tgt_items = groups_t.get(key)
             if not tgt_items:
                 continue

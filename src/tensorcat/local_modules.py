@@ -62,6 +62,8 @@ class ModuleObject:
 
     def __post_init__(self):
         self.support = tuple(sorted(int(x) for x in self.support))
+        if len(set(self.support)) != len(self.support):
+            raise StructuralError("module support has a repeated label")
         self.rho = {tuple(k): complex(v) for k, v in self.rho.items()}
 
     def check_admissible(self, cd: CategoryData, A: AlgebraObject):

@@ -1330,6 +1330,50 @@ def _unfold_entry(cd, x, word, y, tree, path):
     return U[outs.index(tree), ins.index(path)]
 
 
+def unfold_by_walk(cd, x, s_word, y):
+    """diagram_eval.unfold by an amplitude walk: the in-context paths are
+    enumerated as m-sequences fusing s_word onto x, and the strands s_2 ..
+    s_j are detached one F-move at a time, a dict of amplitudes per
+    (standalone path, attaching channel, rest of m), with words of length 0
+    and 1 answered directly."""
+    ring = cd.ring
+    states = [((), x)]
+    for w in s_word:
+        states = [(m + (c,), c) for (m, last) in states for c in ring.channels(last, w)]
+    in_basis = [m for m in sorted(m for m, _ in states) if (m[-1] if m else x) == y]
+    j = len(s_word)
+    if j == 0:
+        out_basis = [(0, ())] if y == x else []
+        return tuple(in_basis), tuple(out_basis), np.eye(len(in_basis), dtype=complex)
+    if j == 1:
+        out_basis = [(s_word[0], (s_word[0],))] if in_basis else []
+        return tuple(in_basis), tuple(out_basis), np.eye(len(in_basis), dtype=complex)
+    amps = {}
+    for idx, m in enumerate(in_basis):
+        amps.setdefault(((s_word[0],), m[0], m[1:]), {})[idx] = 1.0 + 0.0j
+    for k in range(1, j):
+        nxt = {}
+        for (npath, attach, mtail), vec in amps.items():
+            n_k, s_next, m_next = npath[-1], s_word[k], mtail[0]
+            for n_next in ring.channels(n_k, s_next):
+                if not ring.N[x, n_next, m_next]:
+                    continue
+                coef = cd.fval(x, n_k, s_next, m_next, attach, n_next)
+                if coef == 0:
+                    continue
+                acc = nxt.setdefault((npath + (n_next,), m_next, mtail[1:]), {})
+                for idx, amp in vec.items():
+                    acc[idx] = acc.get(idx, 0.0) + amp * coef
+        amps = nxt
+    out_basis = sorted({(npath[-1], npath) for (npath, _attach, _tail) in amps})
+    row = {ob: i for i, ob in enumerate(out_basis)}
+    U = np.zeros((len(out_basis), len(in_basis)), dtype=complex)
+    for (npath, _attach, _tail), vec in amps.items():
+        for idx, amp in vec.items():
+            U[row[(npath[-1], npath)], idx] = amp
+    return tuple(in_basis), tuple(out_basis), U
+
+
 def projector_block(cd, A, X, Y, t, pairs, dQ):
     """Block of the canonical projector X (x) Y -> X (x)_Q Y at channel t,
     read from the memoized F-move matrices.

@@ -293,6 +293,16 @@ def test_eval_with_algebra_generators(tmp_path, capsys):
     assert doc["source"] == ["e", "e"] and doc["target"] == ["1"]
 
 
+def test_eval_module_file_with_a_repeated_label_exits_three(tmp_path, capsys):
+    mod = tmp_path / "mod.json"
+    mod.write_text(json.dumps({"format": 1, "support": ["m", "f", "f"],
+                               "rho": [["m", "1", "m", [1.0, 0.0]], ["m", "e", "f", [1.0, 0.0]],
+                                       ["f", "1", "f", [1.0, 0.0]], ["f", "e", "m", [1.0, 0.0]]]}))
+    code, out = run(capsys, "eval", "id[m]", "--catalog", "toric_code", "--module", str(mod))
+    assert code == 3
+    assert "repeated" in json.loads(out)["error"]
+
+
 def test_eval_parse_error_exit_three(capsys):
     code, out = run(capsys, "eval", "cup[t", "--catalog", "fibonacci")
     assert code == 3

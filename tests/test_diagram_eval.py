@@ -284,19 +284,46 @@ def test_random_words_compose_functorially(word_ops):
                            atol=1e-10)
 
 
-def test_unfold_matrices_are_unitary(ising_cat):
+def test_unfold_matrices_are_unitary(cats):
     """The F-move change of basis between in-context and detached middle
     bases must be unitary for every context."""
     from tensorcat.diagram_eval import unfold
-    cd = ising_cat
-    rng = np.random.default_rng(4)
-    for _ in range(30):
-        x, y = rng.integers(0, 3, size=2)
-        word = tuple(rng.integers(0, 3, size=rng.integers(0, 4)))
-        in_b, out_b, U = unfold(cd, int(x), word, int(y))
-        assert len(in_b) == len(out_b)
-        if len(in_b):
-            assert np.allclose(U.conj().T @ U, np.eye(len(in_b)), atol=1e-12)
+    from oracles import psu2_category
+    for cd in (cats["ising"], cats["fibonacci"], psu2_category(6)):
+        r = cd.ring.rank
+        rng = np.random.default_rng(4)
+        for _ in range(30):
+            x, y = rng.integers(0, r, size=2)
+            word = tuple(rng.integers(0, r, size=rng.integers(0, 4)))
+            in_b, out_b, U = unfold(cd, int(x), word, int(y))
+            assert len(in_b) == len(out_b)
+            if len(in_b):
+                assert np.allclose(U.conj().T @ U, np.eye(len(in_b)), atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "ising", "PSU(2)_6", "fib*ising",
+                                  "ising in a gauge", "vec_zn(3,2)"])
+def test_unfold_matches_the_amplitude_walk(cats, name):
+    """unfold's per-path F-move products are the amplitude walk's U, bit for
+    bit, with the same bases, on every word of length 0 to 3 and every
+    context (x, y)."""
+    import itertools
+    from tensorcat.catalog import vec_zn
+    from tensorcat.category_data import deligne_product_data
+    from tensorcat.diagram_eval import unfold
+    from oracles import psu2_category, unfold_by_walk, vertex_gauge
+    cd = {"PSU(2)_6": lambda: psu2_category(6),
+          "fib*ising": lambda: deligne_product_data(cats["fibonacci"], cats["ising"]),
+          "ising in a gauge": lambda: vertex_gauge(cats["ising"], 3),
+          "vec_zn(3,2)": lambda: vec_zn(3, 2)}.get(name, lambda: cats[name])()
+    r = cd.ring.rank
+    for j in range(4):
+        for word in itertools.product(range(r), repeat=j):
+            for x, y in itertools.product(range(r), repeat=2):
+                in_b, out_b, U = unfold(cd, x, word, y)
+                in_w, out_w, U_w = unfold_by_walk(cd, x, word, y)
+                assert (in_b, out_b) == (in_w, out_w), (x, word, y)
+                assert np.array_equal(U, U_w), (x, word, y)
 
 
 def test_missing_r_reported(toric):

@@ -191,6 +191,17 @@ def test_module_file_round_trip(tmp_path, toric):
         assert Y.rho[k] == pytest.approx(v)
 
 
+def test_repeated_module_label_refused(toric):
+    """A support label given twice is refused, as AlgebraObject refuses one:
+    this module on A = 1+e would pass verify_module with fpdim 3, where the
+    module on the support {m, f} has fpdim 2."""
+    from tensorcat.local_modules import ModuleObject
+    rho = {(2, 0, 2): 1, (2, 1, 3): 1, (3, 0, 3): 1, (3, 1, 2): 1}
+    with pytest.raises(StructuralError, match="repeated"):
+        ModuleObject(support=(2, 3, 3), rho=rho)
+    assert ModuleObject(support=(2, 3), rho=rho).fpdim(toric) == 2.0
+
+
 def test_inadmissible_rho_reported(toric):
     A = group_algebra(toric, ("1", "e"))
     X = regular_module(A)
