@@ -239,6 +239,56 @@ class SeededDraws:
         return np.array([self._stream.gauss(0.0, 1.0) for _ in range(n)])
 
 
+def seeded_split(what, sizes, rng, hermitian, accept):
+    """Split a finite-dimensional C*-algebra by a seeded random self-adjoint
+    element, in one retry loop; the smallest eigenvalue gap cut.
+
+    Each attempt, each key not yet split, in the order of sizes, draws
+    r = rng.standard_normal(n) + 1j rng.standard_normal(n), n = sizes[key],
+    and hermitian(key, r) lists its Hermitian matrices, diagonalized by one
+    stacked eigh per size.  A key's pooled eigenvalues are cut where a
+    consecutive gap exceeds split_resolution * max(1, max|lambda|).  accept
+    gets (keys, j, V, cluster) per size: each matrix's key and list index,
+    eigenvectors and their clusters, numbered per key by eigenvalue.  It
+    returns {key: reason} for the keys, earlier ones too, to draw again.
+    After four attempts StructuralError names the split (what), the
+    smallest gap cut and each attempt's reasons.
+    """
+    attempts, todo, reasons, gap = 4, list(sizes), [], np.inf
+    for _ in range(attempts):
+        by_size = {}
+        for o, k in enumerate(todo):
+            r = rng.standard_normal(sizes[k]) + 1j * rng.standard_normal(sizes[k])
+            for j, m in enumerate(hermitian(k, r)):
+                by_size.setdefault(len(m), []).append((o, j, m))
+        # per size: (position in todo, list index) of each matrix, eigenvalues, eigenvectors
+        stacks = [(np.array([t[:2] for t in st]), *np.linalg.eigh(np.array([t[2] for t in st])))
+                  for st in by_size.values()]
+        lam = np.concatenate([w.ravel() for _oj, w, _V in stacks])
+        owner = np.concatenate([np.repeat(oj[:, 0], w.shape[1]) for oj, w, _V in stacks])
+        order = np.lexsort((lam, owner))        # by key, then ascending; ties keep stacked order
+        lam, owner = lam[order], owner[order]
+        start = np.searchsorted(owner, np.arange(len(todo)))    # each key's first
+        top = np.maximum(1.0, np.maximum.reduceat(np.abs(lam), start))[owner[1:]]
+        gaps = np.diff(lam)
+        cut = (gaps > CategoryData.split_resolution * top) & (owner[1:] == owner[:-1])
+        gap = min(gap, gaps[cut].min(initial=np.inf))
+        run = np.concatenate(([0], np.cumsum(cut)))         # clusters so far, over all keys
+        cluster = np.empty_like(run)
+        cluster[order] = run - run[start][owner]
+        at = [0, *itertools.accumulate(w.size for _oj, w, _V in stacks)]
+        failed = accept([([todo[o] for o in oj[:, 0].tolist()], oj[:, 1], V,
+                          cluster[lo:hi].reshape(w.shape))
+                         for (oj, w, V), lo, hi in zip(stacks, at, at[1:])])
+        if not failed:
+            return gap
+        reasons.append(", ".join(dict.fromkeys(failed.values())))
+        todo = [k for k in sizes if k in failed]
+    raise StructuralError(
+        f"{what} failed after {attempts} attempts (smallest eigenvalue gap {gap:.2e}): "
+        + "; ".join(f"attempt {i + 1}: {r}" for i, r in enumerate(reasons)))
+
+
 @dataclass(frozen=True)
 class CategoryData:
     """A unitary fusion category skeleton: ring, dims, F and optional R.
@@ -266,10 +316,9 @@ class CategoryData:
     # The tolerance policy (README, "Tolerances"): ``tolerance`` bounds the
     # coherence residuals of the input data, and the thresholds on derived
     # data are the three names below.  ``split_resolution`` is fixed: it
-    # conditions the seeded random elements of the two spectral splits
-    # (corner projections, free_module_decomposition), whose eigenvalues,
-    # and the corner Gram-Schmidt's row norms, count as equal when closer
-    # than it relative to max(1, scale).
+    # conditions the random element of seeded_split, whose eigenvalues, and
+    # the corner Gram-Schmidt's row norms, count as equal when closer than
+    # it relative to max(1, scale).
     split_resolution: ClassVar[float] = 1e-6
 
     @property

@@ -20,10 +20,10 @@ the left regular action are contractions over blocks.
 The center lives in the diagonal corners p_x Tube p_x (Izumi 2000, Mueger
 2003), which are small: at most 16 of the 144 basis elements of ising (x)
 ising.  A corner is the sum, over the simples Z of the center, of the
-blocks p_Z p_x Tube p_x, each of m_x(Z) x m_x(Z) matrices.  One
-eigendecomposition of the left action of a random hermitian element,
-self-adjoint for the trace form, gives one minimal projection q per block
-(_corner_projections), stacked over the corners of one size; tr(L_q R_q')
+blocks p_Z p_x Tube p_x, each of m_x(Z) x m_x(Z) matrices.  The seeded
+split (category_data.seeded_split) of the left action of a random hermitian
+element, self-adjoint for the trace form, gives one minimal projection q
+per block (_corner_projections), every corner at once; tr(L_q R_q')
 = dim(q p_x Tube p_x q') tells which eigenvalue clusters share a block.
 q spans one copy of Z's irreducible module, the left ideal Tube q.  Only
 Z's projection in its corner of least multiplicity is built, so no module
@@ -53,7 +53,7 @@ from .algebra import (_conjugate_vertex_algebra, _rotation_phases, algebra_dim,
                       group_algebra, is_commutative, verify_qsystem)
 from .category_data import (CategoryData, QuadraticForm, SeededDraws, _ChannelJoin, _blocks,
                             _expand, _read_all, _sums, _trees, deligne_product_data,
-                            pointed_from_quadratic_form, reverse_braiding)
+                            pointed_from_quadratic_form, reverse_braiding, seeded_split)
 from .braided_analysis import is_nondegenerate
 from .errors import PreconditionError, StructuralError
 
@@ -249,55 +249,50 @@ def build_tube_algebra(cd: CategoryData) -> TubeAlgebra:
 _ENTRIES = 1 << 19     # complex entries a batch of corner modules holds at once, read by _batches
 
 
-def _corner_projections(tube: TubeAlgebra, xs, weights, rng):
+def _corner_projections(tube: TubeAlgebra, xs, weights, rng, whole=lambda mult, x, Q: None):
     """(mult, x, Q, gap), one row per block of each corner p_x Tube p_x, x
     in xs: row Q[i] is a minimal projection q of the corner x[i], in its
     coordinates tube.sectors[x, x] and padded with zeros, under the block
     M_m of one center simple Z, the first of the block's m eigenvalue
     clusters of a random hermitian h, and mult[i] is Z's multiplicity
     vector, m = mult[i, x[i]].  Rows come by corner and, within one, by
-    eigenvalue.
+    eigenvalue; gap is the smallest eigenvalue gap cut.
 
     Left multiplication by h is self-adjoint for the trace inner product,
-    which is diagonal on the basis with the given weights, so one eigh of
-    diag(sqrt w) L_h diag(1/sqrt w) diagonalizes it, stacked over the corners
-    of one size.  On a block M_m each of h's m eigenvalues appears m times,
-    and the spectral projection at one of them is left multiplication by q:
-    q is that projection applied to the unit, and m is the size of the
+    which is diagonal on the basis with the given weights, so seeded_split
+    splits diag(sqrt w) L_h diag(1/sqrt w), h drawn from rng corner by
+    corner.  On a block M_m each of h's m eigenvalues appears m times, and
+    the spectral projection at one of them is left multiplication by q: q
+    is that projection applied to the unit, and m is the size of the
     cluster.  dim(q p_x Tube p_x q') = tr(L_q R_q') is 1 when the clusters'
     q and q' lie under one block and 0 otherwise, so only the first of a
     block is kept.  A collision of eigenvalues shows as tr(L_q R_q) != 1,
-    and only that corner is drawn again, up to four attempts.  An attempt
-    draws h corner by corner in the order of xs, two rng.standard_normal(n)
-    calls each, so a retry draws after every corner's earlier attempt.
-    Right multiplication by q projects p_y Tube p_x onto p_y Tube q, so its
-    trace there, read from _right_traces, is m_y(Z).  gap is the smallest
-    eigenvalue gap cut.
+    and that corner draws again.  Once every corner is split, whole(mult,
+    x, Q) may name a reason to split them all again.  Right multiplication
+    by q projects p_y Tube p_x onto p_y Tube q, so its trace there, read
+    from _right_traces, is m_y(Z).
     """
     cd, S = tube.cd, tube.sectors
     unit = np.sqrt(weights) * tube.unit_vector()
     T = _right_traces(tube)
-    attempts = 4
-    todo, found, gap = list(xs), [], np.inf
-    for _ in range(attempts):
-        draws = {x: rng.standard_normal(len(S[x, x])) + 1j * rng.standard_normal(len(S[x, x]))
-                 for x in todo}
-        sizes = {}
-        for x in todo:
-            sizes.setdefault(len(S[x, x]), []).append(x)
-        for n, g in sizes.items():
+    found = []
+
+    def hermitian(x, h):
+        sw = np.sqrt(weights[S[x, x]])
+        h = h + np.einsum("i,ik->k", h.conj(), tube.star[x, x])
+        return [sw[:, None] * np.einsum("i,ijk->kj", h, tube.blocks[x, x, x]) / sw]
+
+    def split():
+        mult, x, Q = (np.concatenate(f) for f in zip(*found))
+        order = np.argsort(x, kind="stable")
+        return mult[order], x[order], Q[order]
+
+    def accept(stacks):
+        failed = {}
+        for g, _j, V, cluster in stacks:
             D = np.array([S[x, x] for x in g])
-            P = np.array([tube.blocks[x, x, x] for x in g])
-            sw = np.sqrt(weights[D])
-            r = np.array([draws[x] for x in g])
-            h = r + np.einsum("gi,gik->gk", r.conj(), np.array([tube.star[x, x] for x in g]))
-            lam, V = np.linalg.eigh(sw[:, :, None] * np.einsum("gi,gijk->gkj", h, P)
-                                    / sw[:, None, :])
-            gaps = np.diff(lam)
-            cut = gaps > cd.split_resolution * np.maximum(1.0, np.abs(lam).max(axis=1))[:, None]
-            gap = min(gap, gaps[cut].min(initial=np.inf))
-            cluster = np.zeros((len(g), n), dtype=np.intp)      # each eigenvector's cluster
-            np.cumsum(cut, axis=1, out=cluster[:, 1:])
+            P, sw = np.array([tube.blocks[x, x, x] for x in g]), np.sqrt(weights[D])
+            g, n = np.array(g), V.shape[1]
             # each cluster's eigenvectors times their overlaps with the unit, summed
             W = V * np.einsum("gij,gi->gj", V.conj(), unit[D])[:, None]
             Q = (W @ (cluster[:, :, None] == np.arange(n))).transpose(0, 2, 1) / sw[:, None]
@@ -307,24 +302,23 @@ def _corner_projections(tube: TubeAlgebra, xs, weights, rng):
             R = Q @ P.transpose(0, 2, 3, 1).reshape(len(g), n, -1)
             dims = (L @ R.transpose(0, 2, 1)).real                      # [g, q, q']
             real = np.arange(n) <= cluster[:, -1:]          # the clusters there are
-            ok = np.all(~real | (np.abs(dims.diagonal(0, 1, 2) - 1.0) < cd.identity_tolerance),
-                        axis=1)
+            off = np.where(real, np.abs(dims.diagonal(0, 1, 2) - 1.0), 0.0).max(axis=1)
+            ok = off < cd.identity_tolerance
             first = ~np.tril(dims > 0.5, -1).any(axis=2)    # no earlier cluster in its block
             i, c = np.nonzero(real & first & ok[:, None])
             q = np.zeros((len(i), T.shape[1]), dtype=complex)
             q[:, :n] = Q[i, c]
-            mult = np.rint(np.einsum("cj,cjy->cy", q, T[np.array(g)[i]]).real)
-            found.append((mult.astype(np.intp), np.array(g)[i], q))
-            todo = [x for x in todo if x not in set(np.array(g)[ok].tolist())]
-        if not todo:
-            break
-    else:
-        raise StructuralError(
-            f"corner split failed after {attempts} attempts "
-            f"(smallest eigenvalue gap {gap:.2e})")
-    mult, x, Q = (np.concatenate(f) for f in zip(*found))
-    order = np.argsort(x, kind="stable")
-    return mult[order], x[order], Q[order], gap
+            mult = np.rint(np.einsum("cj,cjy->cy", q, T[g[i]]).real)
+            found.append((mult.astype(np.intp), g[i], q))
+            failed.update((x, f"corner {x}: |tr(L_q R_q) - 1| = {o:.2e}")
+                          for x, o in zip(g[~ok].tolist(), off[~ok].tolist()))
+        if failed or not (reason := whole(*split())):
+            return failed
+        found.clear()
+        return dict.fromkeys(xs, reason)
+
+    gap = seeded_split("corner split", {x: len(S[x, x]) for x in xs}, rng, hermitian, accept)
+    return (*split(), gap)
 
 
 def _right_traces(tube: TubeAlgebra):
@@ -561,14 +555,13 @@ def decompose_center(tube: TubeAlgebra, seed=0) -> CenterData:
     of Bakalov-Kirillov's: with D^2 = sum_z dim_z^2 and T = diag(theta),
     (S/D T^-1)^3 = (S/D)^2, as the Gauss sum sum_z theta_z dim_z^2 is D.
 
-    The seed keys the stdlib stream SeededDraws((seed, 1)) that splits the
-    corners, x ascending; a corner whose split fails draws again after every
-    corner has drawn, up to four attempts.  When the modules so found do not
-    exhaust the tube, every corner is split again from the same stream, up
-    to four draws in all.  Dims, twists, underlying multiplicities and S do
-    not depend on the seed, up to the order of simples that agree in all
-    three (which at a given seed may differ from versions that drew from
-    numpy.random or retried a corner before drawing the next).  Nor
+    The seed keys the stdlib stream SeededDraws((seed, 1)) of the one seeded
+    split (category_data.seeded_split) of the corners, x ascending; a corner
+    whose split fails draws again after every corner has drawn.  When the
+    modules so found do not exhaust the tube, every corner is split again
+    from the same stream.  Both retries share the split's four attempts.
+    Dims, twists, underlying multiplicities and S do not depend on the
+    seed, up to the order of simples that agree in all three.  Nor
     do the copies and half-braidings of a simple with some multiplicity 1,
     whose projection there is the block idempotent p_Z p_x; otherwise they
     are fixed up to a seed-dependent unitary change of copy basis.
@@ -578,21 +571,17 @@ def decompose_center(tube: TubeAlgebra, seed=0) -> CenterData:
     weights = tube.trace_weights()
     rng = SeededDraws((seed, 1))
     readout = _half_braiding_readout(tube)
-    attempts = 4
-    min_gap = np.inf
-    for _ in range(attempts):
-        mult, xs, Q, gap = _corner_projections(tube, np.arange(rank), weights, rng)
-        min_gap = min(min_gap, gap)
-        simples, D = _corner_simples(tube, mult, xs, Q, weights, readout)
+    built = []
+
+    def exhausts(mult, xs, Q):
         # a split just past split_resolution can leave a module's Gram-Schmidt
-        # a vector too many; every corner is then split again, further on
-        # in the same stream
-        if sum(len(z.copies) ** 2 for z in simples) == tube.dim:
-            break
-    else:
-        raise StructuralError(
-            f"the corner modules do not exhaust the tube algebra after {attempts} "
-            f"draws (smallest eigenvalue gap {min_gap:.2e})")
+        # a vector too many; every corner is then split again
+        built[:] = _corner_simples(tube, mult, xs, Q, weights, readout)
+        if sum(len(z.copies) ** 2 for z in built[0]) != tube.dim:
+            return "the corner modules do not exhaust the tube algebra"
+
+    _corner_projections(tube, np.arange(rank), weights, rng, exhausts)
+    simples, D = built
     dims = np.array([z.dim for z in simples])
     twists = np.einsum("zxcx,c->z", D, d) / dims
     if np.max(np.abs(np.abs(twists) - 1.0)) > cd.identity_tolerance:

@@ -42,7 +42,7 @@ from .algebra import (AlgebraObject, _associativity_terms, _max_abs, _require_ke
                       algebra_dim, is_commutative, is_connected, verify_qsystem)
 from .braided_analysis import is_nondegenerate, muger_centralizer
 from .category_data import (CategoryData, SeededDraws, _load_labelled,
-                            _save_labelled)
+                            _save_labelled, seeded_split)
 from .errors import PreconditionError, StructuralError
 
 __all__ = [
@@ -190,82 +190,63 @@ def _commutant_generators(cd, A, x, sectors):
 def free_module_decomposition(cd, A, x, seed=0, keep=None):
     """Simple submodules of x (x) A.
 
-    A random Hermitian element of the commutant, drawn from the stdlib
-    stream SeededDraws((seed, x, 977)), is diagonalized per sector;
-    eigenvalue groups across sectors are the simple summands.  A summand
-    whose underlying object acquires multiplicity is out of scope and raises.
+    A random Hermitian element of the commutant, one matrix per sector, is
+    drawn from the stdlib stream SeededDraws((seed, x, 977)) and split by
+    category_data.seeded_split; its eigenvalue clusters across sectors are
+    the simple summands.  A summand whose underlying object acquires
+    multiplicity is out of scope and fails the attempt.
 
     keep, if given, is called with the list of every summand of a cleanly
-    split round and returns the sublist to verify with verify_module and
-    return; the others are dropped unverified.  A round is retried when a
-    returned candidate fails verify_module, and keep is then called again on
-    the new round, so the returned list comes from the round keep saw last.
-    With keep=None every summand is verified and returned.
+    split attempt and returns the sublist to verify with verify_module and
+    return; the others are dropped unverified.  An attempt is retried when
+    a returned candidate fails verify_module, and keep is then called again
+    on the new attempt, so the returned list comes from the attempt keep
+    saw last.  With keep=None every summand is verified and returned.
     """
     ring = cd.ring
     sectors, act = _induced_action(cd, A, x)
     ys = sorted(sectors)
     gens = _commutant_generators(cd, A, x, sectors)
-    rng = SeededDraws((seed, x, 977))
-    rounds = 5
-    failures = []
-    for _ in range(rounds):
-        coeff = rng.standard_normal(len(gens)) + 1j * rng.standard_normal(len(gens))
-        pairs = []
-        for y in ys:
-            h = sum(ci * g[y] for ci, g in zip(coeff, gens))
-            w, U = np.linalg.eigh(h + h.conj().T)
-            pairs += [(float(lam), y, U[:, i]) for i, lam in enumerate(w)]
-        pairs.sort(key=lambda t: t[0])
-        gap = cd.split_resolution * max(1.0, max(abs(p[0]) for p in pairs))
-        groups = []
-        for lam, y, vec in pairs:
-            if groups and abs(lam - groups[-1][0]) < gap:
-                groups[-1][1].append((y, vec))
-            else:
-                groups.append((lam, [(y, vec)]))
-        modules = []
-        for _lam, members in groups:
-            per_y = {}
-            for y, vec in members:
-                per_y.setdefault(y, []).append(vec)
-            crowded = [y for y, v in per_y.items() if len(v) > 1]
+    modules = []
+
+    def hermitian(_x, coeff):
+        hs = [sum(ci * g[y] for ci, g in zip(coeff, gens)) for y in ys]
+        return [h + h.conj().T for h in hs]
+
+    def accept(stacks):
+        clusters = {}
+        for _x, j, V, cluster in stacks:
+            for k, U, cs in zip(j.tolist(), V, cluster.tolist()):
+                for i, c in enumerate(cs):
+                    clusters.setdefault(c, {}).setdefault(ys[k], []).append(U[:, i])
+        modules.clear()
+        for c in sorted(clusters):
+            crowded = [y for y, v in clusters[c].items() if len(v) > 1]
             if crowded:
                 # collision between distinct simples, or multiplicity
-                failures.append(f"eigenvalue collision in sector {crowded[0]}")
-                break
-            support = tuple(sorted(per_y))
-            rho = {}
-            for y1 in support:
-                u1 = per_y[y1][0]
-                for a in A.support:
-                    for y2 in ring.channels(y1, a):
-                        if y2 not in support:
-                            continue
-                        m = act[a].get((y2, y1))
-                        if m is None:
-                            continue
-                        rho[(y1, a, y2)] = complex(per_y[y2][0].conj() @ m @ u1)
+                return {x: f"eigenvalue collision in sector {crowded[0]}"}
+            u = {y: v[0] for y, v in clusters[c].items()}
+            support = tuple(sorted(u))
+            rho = {(y1, a, y2): complex(u[y2].conj() @ act[a][y2, y1] @ u[y1])
+                   for y1 in support for a in A.support for y2 in ring.channels(y1, a)
+                   if y2 in u and (y2, y1) in act[a]}
             mod = ModuleObject(support=support, rho=rho)
             if not _action_connected(cd, mod):
                 # two distinct simples merged by an eigenvalue collision
-                failures.append(f"merged simples on support {support}")
-                break
+                return {x: f"merged simples on support {support}"}
             modules.append(mod)
-        else:
-            if keep is not None:
-                modules = keep(modules)
-            reports = (verify_module(cd, A, mod) for mod in modules)
-            bad = next((r for r in reports if not r["passed"]), None)
-            if bad is None:
-                return modules
-            failures.append(f"verify_module failed (associativity "
-                            f"{bad['associativity']:.2e}, unit {bad['unit']:.2e})")
-    raise StructuralError(
-        f"could not split x (x) A for x={x} in {rounds} rounds ("
-        + "; ".join(f"round {i + 1}: {f}" for i, f in enumerate(failures))
-        + "): persistent eigenvalue collisions or underlying multiplicity "
-        "(out of scope)")
+        if keep is not None:
+            modules[:] = keep(modules)
+        reports = (verify_module(cd, A, mod) for mod in modules)
+        bad = next((r for r in reports if not r["passed"]), None)
+        if bad is None:
+            return {}
+        return {x: f"verify_module failed (associativity "
+                   f"{bad['associativity']:.2e}, unit {bad['unit']:.2e})"}
+
+    seeded_split(f"x (x) A split for x={x}", {x: len(gens)}, SeededDraws((seed, x, 977)),
+                 hermitian, accept)
+    return modules
 
 
 def _gauge_phases(support, edges):

@@ -764,3 +764,81 @@ def test_category_data_is_frozen():
     cd = catalog_category("fibonacci")
     with pytest.raises(dataclasses.FrozenInstanceError):
         cd.tolerance = 1e-7
+
+
+class _FixedDraws:
+    """An rng for seeded_split whose draws are zeros, recording each n."""
+
+    def __init__(self):
+        self.calls = []
+
+    def standard_normal(self, n):
+        self.calls.append(n)
+        return np.zeros(n)
+
+
+def _split_once(groups):
+    """seeded_split of fixed diagonal matrices, groups[key] the eigenvalue
+    lists of key's matrices: (gap, {(key, j): clusters}, eigh stack sizes)."""
+    from tensorcat.category_data import seeded_split
+    seen, sizes = {}, []
+
+    def accept(stacks):
+        for keys, js, V, cluster in stacks:
+            sizes.append(V.shape[1])
+            for key, j, c in zip(keys, js, cluster.tolist()):
+                seen[key, j] = c
+        return {}
+
+    gap = seeded_split("test split", dict.fromkeys(groups, 1), _FixedDraws(),
+                       lambda key, r: [np.diag(lam) for lam in groups[key]], accept)
+    return gap, seen, sizes
+
+
+def test_seeded_split_cuts_each_group_at_its_own_scale():
+    """One matrix per group: a gap of 2e-6 is cut where max|lambda| <= 1
+    (2e-6 > 1e-6) and not where it is 3 (2e-6 < 3e-6); the gap returned is
+    the smallest cut, and the 1.5e-6 from group 0's last eigenvalue to
+    group 1's first is no gap of either."""
+    gap, seen, sizes = _split_once({0: [[-3.0, 0.0, 2e-6]], 1: [[3.5e-6, 5.5e-6, 0.5]]})
+    assert seen == {(0, 0): [0, 1, 1], (1, 0): [0, 1, 2]}
+    assert sizes == [3]                 # both groups in one stacked eigh
+    assert gap == 5.5e-6 - 3.5e-6
+
+
+def test_seeded_split_pools_a_group_across_sectors_of_two_sizes():
+    """One group, sectors of sizes 2 and 3: the pooled eigenvalues 1, 1 +
+    5e-7, 3, 5, 5.001 are cut at 5.001e-6 (the scale is max|lambda|), so 1
+    and 1 + 5e-7 are one cluster across the sectors."""
+    gap, seen, sizes = _split_once({7: [[1.0, 5.0], [1.0 + 5e-7, 3.0, 5.001]]})
+    assert seen == {(7, 0): [0, 2], (7, 1): [0, 1, 3]}
+    assert sizes == [2, 3]
+    assert gap == 5.001 - 5.0
+
+
+def test_seeded_split_cuts_consecutive_gaps_not_spreads():
+    """A run 0, 0.6e-6, 1.2e-6, 1.8e-6 is one cluster: no consecutive gap
+    passes 1e-6.  Anchoring each cluster at its first eigenvalue, the rule
+    the split of x (x) A used before, splits the run in two."""
+    run = [0.0, 0.6e-6, 1.2e-6, 1.8e-6, 0.5]
+    gap, seen, _sizes = _split_once({0: [run]})
+    assert seen == {(0, 0): [0, 0, 0, 0, 1]} and gap == 0.5 - 1.8e-6
+    anchors = []
+    for lam in run:
+        if not anchors or abs(lam - anchors[-1]) >= 1e-6:
+            anchors.append(lam)
+    assert len(anchors) == 3
+
+
+def test_seeded_split_redraws_only_rejected_keys_then_names_every_attempt():
+    """Key 1 is rejected every time and key 0 never: both draw once, then
+    key 1 alone, two draws an attempt; the error names the split, the
+    attempts, the smallest gap cut and each attempt's reasons."""
+    from tensorcat.category_data import seeded_split
+    rng = _FixedDraws()
+    with pytest.raises(StructuralError, match=r"^test split failed after 4 attempts \(smallest "
+                       r"eigenvalue gap 2\.00e\+00\): attempt 1: 1 refused; attempt 2: 1 "
+                       r"refused; attempt 3: 1 refused; attempt 4: 1 refused$"):
+        seeded_split("test split", {0: 2, 1: 3}, rng, lambda key, r: [np.diag([0.0, 2.0])],
+                     lambda stacks: {1: "1 refused"})
+    assert rng.calls == [2, 2, 3, 3] + [3, 3] * 3

@@ -902,8 +902,9 @@ def test_decompose_center_gives_up_after_four_draws(centers, monkeypatch):
         return [], np.zeros((0,) + (tube.cd.ring.rank,) * 3)
 
     monkeypatch.setattr(center_tube, "_corner_simples", no_simples)
-    with pytest.raises(StructuralError, match=r"do not exhaust the tube algebra after 4 "
-                       r"draws \(smallest eigenvalue gap \d"):
+    with pytest.raises(StructuralError, match=r"corner split failed after 4 attempts "
+                       r"\(smallest eigenvalue gap \d.*attempt 4: the corner modules do not "
+                       r"exhaust the tube algebra"):
         decompose_center(tube, seed=0)
     assert len(calls) == 4
 

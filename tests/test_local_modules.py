@@ -216,8 +216,9 @@ def test_free_module_decomposition_failure_names_rounds(toric, monkeypatch):
         "associativity": 0.5, "unit": 0.0, "passed": False})
     A = group_algebra(toric, ("1", "e"))
     with pytest.raises(StructuralError,
-                       match=r"in 5 rounds \(round 1: verify_module failed "
-                             r"\(associativity 5\.00e-01, unit 0\.00e\+00\); round 2: "):
+                       match=r"x=2 failed after 4 attempts \(smallest eigenvalue gap [^)]+\): "
+                             r"attempt 1: verify_module failed \(associativity 5\.00e-01, "
+                             r"unit 0\.00e\+00\); attempt 2: "):
         free_module_decomposition(toric, A, 2)
 
 
