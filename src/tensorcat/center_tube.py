@@ -28,9 +28,9 @@ per block (_corner_projections), every corner at once; tr(L_q R_q')
 q spans one copy of Z's irreducible module, the left ideal Tube q.  Only
 Z's projection in its corner of least multiplicity is built, so no module
 twice, in batches of equal module size across corners (_corner_simples).
-From each come the multiplicity vector over Irr(C), the half-braiding (one
-array per simple, module matrix entries conjugated and times a scale read
-from one F entry), the dimension, and the traces that S and T contract.
+From each come the multiplicity vector over Irr(C), the half-braiding
+(module matrix entries conjugated, each times one F entry), the dimension
+and the traces S and T contract, held only where they can be nonzero.
 half_braiding_check holds the half-braiding to its axioms, joined over
 the admissible label tuples with F read by lookup.  It and the tube build
 walk category_data._blocks, a block of label pairs at a time, sized by the
@@ -87,37 +87,6 @@ class TubeAlgebra:
     def unit_vector(self):
         return np.array([a == 0 and x == y for x, a, _e, y in self.basis], dtype=complex)
 
-    def left_matrix(self, u):
-        """The matrix of left multiplication by u."""
-        S = self.sectors
-        L = np.zeros((self.dim, self.dim), dtype=complex)
-        for (x, y, z), P in self.blocks.items():
-            L[np.ix_(S[x, z], S[x, y])] += np.tensordot(u[S[y, z]], P, 1).T
-        return L
-
-    def multiply(self, u, v):
-        S = self.sectors
-        w = np.zeros(self.dim, dtype=complex)
-        for (x, y, z), P in self.blocks.items():
-            w[S[x, z]] += v[S[x, y]] @ np.tensordot(u[S[y, z]], P, 1)
-        return w
-
-    def star_vector(self, u):
-        S = self.sectors
-        w = np.zeros(self.dim, dtype=complex)
-        for (x, y), M in self.star.items():
-            w[S[y, x]] += np.conj(u[S[x, y]]) @ M
-        return w
-
-    def corner(self, x):
-        """The diagonal corner p_x Tube p_x as a tube algebra of its own, with
-        its coordinates in this one."""
-        D = self.sectors[x, x]
-        return D, TubeAlgebra(basis=[self.basis[i] for i in D],
-                              sectors={(x, x): np.arange(len(D))},
-                              blocks={(x, x, x): self.blocks[x, x, x]},
-                              star={(x, x): self.star[x, x]}, cd=self.cd)
-
     @functools.cached_property
     def _leaving(self):
         """x -> (J, ends, at): the t_j leaving x, sector by sector, sectors
@@ -130,10 +99,6 @@ class TubeAlgebra:
             J += self.sectors[x, y].tolist()
             ends += [y] * len(self.sectors[x, y])
         return {x: (np.array(J), np.array(ends), at) for x, (J, ends, at) in out.items()}
-
-    def trace_functional(self):
-        """tau(t_{x,a,e,y}) = delta_{a,0} delta_{x,y} d_x."""
-        return self.unit_vector() * self.cd.dims.dims[[x for x, _a, _e, _y in self.basis]]
 
     def trace_weights(self):
         """w_i = tau(t_i^* t_i) = d_y / d_a for t_i = t_(x,a,e,y), an orthonormal
@@ -360,9 +325,9 @@ def _corner_modules(tube: TubeAlgebra, xs, Q, weights, readout):
     with fewer are padded with zero rows.  t_k from y to z acts only where
     a module has copies at y and at z: its action pi(t_k) is contracted from
     one tube block per such (y, z), for the modules of one corner with as
-    many copies in each sector at once, straight into the slots of the
-    half-braiding array, which are then conjugated and scaled (see
-    _half_braiding_readout); no array of module matrices is built.
+    many copies in each sector at once, conjugated and times scale[k] (see
+    _half_braiding_readout), straight into the slots of the half-braiding
+    array; no array of module matrices is built.
 
     Returns (copies, H, sector): copies[b][c] = (y, j) labels basis vector c
     of module b, the j-th in sector y, sectors ascending; H[b] is module b's
@@ -429,19 +394,16 @@ def _corner_modules(tube: TubeAlgebra, xs, Q, weights, readout):
                     P = tube.blocks[x, y, z].transpose(1, 0, 2)
                     T = br[:, at[y], c[y]].transpose(0, 2, 1) @ P.reshape(len(P), -1)
                     A = T.reshape(len(g), -1, P.shape[2]) @ bl[:, at[z], c[z]]  # [b, (c, k), C]
-                    h[:, slot[S[y, z]], c[z], c[y]] = (A.reshape(len(g), c[y].stop - c[y].start,
-                                                                 P.shape[1], -1)
-                                                       .transpose(0, 2, 3, 1))
-        sector = np.minimum(sectors[g[0]], rank - 1)    # where h is 0 on padding
-        H[g] = h.conj() * scale[:, sector, sector[:, None]]   # scale[s, x, y] at [s, C, c]
+                    A = A.reshape(len(g), -1, P.shape[1], A.shape[2]).transpose(0, 2, 3, 1)
+                    h[:, slot[S[y, z]], c[z], c[y]] = A.conj() * scale[S[y, z], None, None]
+        H[g] = h
     return copies, H.reshape(len(Q), rank, rank, n, n), sectors
 
 
 def _half_braiding_readout(tube: TubeAlgebra):
-    """(slot, scale) with sigma_a(c) = scale[slot[k], x, y] conj(pi(t_k)) at
-    t_k = t_(x,a,c,y), and slot[k] = a * rank + c its place in the flattened
-    first two axes of a half-braiding array; scale is 0 where there is no
-    basis vector.
+    """(slot, scale), one entry per tube basis vector, with sigma_a(c) =
+    scale[k] conj(pi(t_k)) at t_k = t_(x,a,c,y), and slot[k] = a * rank + c
+    its place in the flattened first two axes of a half-braiding array.
 
     A half-braiding closed against the basis tree with a cap on a is a
     matrix unit of its block; only the channel c = e survives, as one
@@ -454,12 +416,10 @@ def _half_braiding_readout(tube: TubeAlgebra):
     (pi would be off by g^2); pi is unitary, and so is sigma.
     """
     cd = tube.cd
-    d, dual, rank = cd.dims.dims, np.asarray(cd.ring.dual), cd.ring.rank
+    d, dual = cd.dims.dims, np.asarray(cd.ring.dual)
     x, a, c, y = np.array(tube.basis).T
-    scale = np.zeros((rank * rank, rank, rank), dtype=complex)
-    scale[a * rank + c, x, y] = (np.sqrt(d[x] / (d[y] * d[a]))
-                                 / cd.F.lookup([y, a, dual[a], y, c, 0 * a]))
-    return a * rank + c, scale
+    return (a * cd.ring.rank + c,
+            np.sqrt(d[x] / (d[y] * d[a])) / cd.F.lookup([y, a, dual[a], y, c, 0 * a]))
 
 
 def half_braiding_check(cd: CategoryData, z: CenterObject) -> list:
@@ -546,10 +506,10 @@ def decompose_center(tube: TubeAlgebra, seed=0) -> CenterData:
 
         sigma_a(c) = conj(pi(t_(x,a,c,y))) sqrt(d_x / d_y) / (sqrt(d_a) F^{y a dual(a)}_y[c, 0]),
 
-    and with D[z, a, c, x] their traces, S[z, w] is the
-    sum of d_c D[z, p, c, x] D[w, x, c, p] and theta_z that of
-    d_c D[z, x, c, x], over dim z.  Simples are ordered by (dim, twist
-    angle, multiplicity vector), the unit first.
+    and with D[z, t] their traces on the triples t = (a, c, x) of _trace_triples,
+    S[z, w] is the sum of D[z, t] d_c D[w, swap(t)], swap(a, c, x) = (x, c, a),
+    and theta_z that of d_c D[z, t] on a = x, over dim z.  Simples are
+    ordered by (dim, twist angle, multiplicity vector), the unit first.
 
     S has the convention of braided_analysis.s_matrix, the complex conjugate
     of Bakalov-Kirillov's: with D^2 = sum_z dim_z^2 and T = diag(theta),
@@ -582,38 +542,35 @@ def decompose_center(tube: TubeAlgebra, seed=0) -> CenterData:
 
     _corner_projections(tube, np.arange(rank), weights, rng, exhausts)
     simples, D = built
+    a, c, x = _trace_triples(cd.ring)
     dims = np.array([z.dim for z in simples])
-    twists = np.einsum("zxcx,c->z", D, d) / dims
+    twists = D[:, a == x] @ d[c[a == x]] / dims
     if np.max(np.abs(np.abs(twists) - 1.0)) > cd.identity_tolerance:
         raise StructuralError("half-braidings are not unitary: a twist is off the unit circle")
     for z, t in zip(simples, twists):
         z.twist = complex(t)
     U = np.array([z.underlying for z in simples])
     # the unit: underlying object 1 and sigma_a = 1 on channel a for every a
-    diag = np.abs(D[:, range(rank), range(rank), 0] - 1)
+    diag = np.abs(D[:, x == 0] - 1)                 # the triples (a, a, 0)
     unit = (U[:, 0] == 1) & (U.sum(axis=1) == 1) & np.all(diag < cd.identity_tolerance, axis=1)
     # rounded without signed zeros, so a twist of -1 always sorts at angle pi
     angle = np.arctan2(np.round(twists.imag, 9) + 0.0, np.round(twists.real, 9) + 0.0)
     order = np.lexsort((*U.T[::-1], angle, np.round(dims, 9), ~unit))
-    # S[z, w] = sum over (p, c, x) of D[z, p, c, x] d_c D[w, x, c, p], with z
-    # and w in the order found: all of D against a scaled transposed copy of
-    # a quarter of its rows, or fewer, at a time; then sorted
+    # S[z, w] = sum over t of D[z, t] d_c D[w, swap(t)], z and w in the order found: a
+    # quarter of the rows of D, or fewer, gathered by swap and scaled at a time; then sorted
+    swap = np.lexsort((a, c, x))                    # the index of (x, c, a)
     S = np.empty((len(D), len(D)), dtype=complex)
-    step = max(1, min(-(-len(D) // 4), _ENTRIES // rank ** 3))
-    part = np.empty((step, rank ** 3), dtype=complex)
+    step = max(1, min(-(-len(D) // 4), _ENTRIES // len(swap)))
     for lo in range(0, len(D), step):
-        w = part[:len(D[lo:lo + step])]
-        np.multiply(D[lo:lo + step].transpose(0, 3, 2, 1), d[:, None],
-                    out=w.reshape((-1,) + (rank,) * 3))
-        S[:, lo:lo + step] = D.reshape(len(D), -1) @ w.T
+        S[:, lo:lo + step] = D @ (D[lo:lo + step, swap] * d[c]).T
     return CenterData(simples=[simples[i] for i in order], S=S[np.ix_(order, order)],
                       T=np.diag(twists[order]), cd=cd)
 
 
 def _corner_simples(tube: TubeAlgebra, mult, xs, Q, weights, readout):
     """One simple per block, from the module of its projection in its corner
-    of least multiplicity, and the (simples, rank, rank, rank) array of its
-    half-braiding traces.
+    of least multiplicity, and D[z, t], the trace of its sigma_a(c) over the
+    copies at x for the t-th triple (a, c, x) of _trace_triples.
 
     _corner_projections gives one projection q per block of each corner,
     with its simple Z's multiplicities mult = (m_y(Z))_y: so Z's module size
@@ -628,19 +585,24 @@ def _corner_simples(tube: TubeAlgebra, mult, xs, Q, weights, readout):
     first = first[np.lexsort((xs[first], n[first]))]
     xs, Q, n = xs[first], Q[first], n[first]
     span = np.bincount(np.array(tube.basis)[:, 0], minlength=rank)     # the t_j leaving x
-    D = np.zeros((len(Q), rank, rank, rank), dtype=complex)    # half-braiding traces
+    a, c, x = _trace_triples(cd.ring)
+    D = np.zeros((len(Q), len(a)), dtype=complex)
     simples = []
     for lo, hi in _batches(n, span[xs] ** 2 + rank ** 2 * n ** 2):
         copies, H, sector = _corner_modules(tube, xs[lo:hi], Q[lo:hi], weights, readout)
         at = sector[:, :, None] == np.arange(rank)      # [b, copy, x]
-        # the traces over the copies at x, straight into D
-        np.matmul(H.diagonal(0, 3, 4).reshape(hi - lo, rank * rank, -1), at,
-                  out=D[lo:hi].reshape(hi - lo, rank * rank, rank))
+        D[lo:hi] = np.einsum("btu,but->bt", H.diagonal(0, 3, 4)[:, a, c], at[:, :, x])
         underlying = at.sum(axis=1)
         for h, cs, u, dim in zip(H, copies, underlying, (underlying @ cd.dims.dims).tolist()):
             simples.append(CenterObject(underlying=u, copies=cs, twist=1.0, dim=dim,
                                         half_braiding=h[:, :, :len(cs), :len(cs)]))
     return simples, D
+
+
+def _trace_triples(ring):
+    """(a, c, x), ascending, with N^c_{ax} = N^c_{xa} = 1, closed under a <-> x:
+    only there is t_(x,a,c,x) in the tube, and a trace of sigma_a(c) at x nonzero."""
+    return np.nonzero(ring.N.transpose(0, 2, 1) * ring.N.transpose(1, 2, 0))
 
 
 def center_global_checks(center: CenterData) -> dict:

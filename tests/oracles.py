@@ -682,6 +682,50 @@ def dense_tube(tube):
     return C, star
 
 
+def left_matrix(tube, u):
+    """The matrix of left multiplication by u in a tube algebra."""
+    S = tube.sectors
+    L = np.zeros((tube.dim, tube.dim), dtype=complex)
+    for (x, y, z), P in tube.blocks.items():
+        L[np.ix_(S[x, z], S[x, y])] += np.tensordot(u[S[y, z]], P, 1).T
+    return L
+
+
+def multiply(tube, u, v):
+    """The product u v in a tube algebra, block by block."""
+    S = tube.sectors
+    w = np.zeros(tube.dim, dtype=complex)
+    for (x, y, z), P in tube.blocks.items():
+        w[S[x, z]] += v[S[x, y]] @ np.tensordot(u[S[y, z]], P, 1)
+    return w
+
+
+def star_vector(tube, u):
+    """The star u^* in a tube algebra, block by block."""
+    S = tube.sectors
+    w = np.zeros(tube.dim, dtype=complex)
+    for (x, y), M in tube.star.items():
+        w[S[y, x]] += np.conj(u[S[x, y]]) @ M
+    return w
+
+
+def corner(tube, x):
+    """(D, sub): the diagonal corner p_x Tube p_x as a tube algebra of its
+    own, and D its coordinates in tube."""
+    from tensorcat.center_tube import TubeAlgebra
+
+    D = tube.sectors[x, x]
+    return D, TubeAlgebra(basis=[tube.basis[i] for i in D],
+                          sectors={(x, x): np.arange(len(D))},
+                          blocks={(x, x, x): tube.blocks[x, x, x]},
+                          star={(x, x): tube.star[x, x]}, cd=tube.cd)
+
+
+def trace_functional(tube):
+    """tau(t_{x,a,e,y}) = delta_{a,0} delta_{x,y} d_x."""
+    return tube.unit_vector() * tube.cd.dims.dims[[x for x, _a, _e, _y in tube.basis]]
+
+
 def corner_module_by_simple(tube, x, q, weights):
     """The irreducible module Tube q of one minimal projection q of the
     corner p_x Tube p_x, one projection at a time: a pivoted Gram-Schmidt
@@ -734,8 +778,8 @@ def corner_projections_by_corner(sub, weights, rng):
     min_gap = np.inf
     for _ in range(4):
         r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        h = r + sub.star_vector(r)
-        lam, V = np.linalg.eigh(sw[:, None] * sub.left_matrix(h) / sw)
+        h = r + star_vector(sub, r)
+        lam, V = np.linalg.eigh(sw[:, None] * left_matrix(sub, h) / sw)
         gaps = np.diff(lam)
         cuts = np.flatnonzero(gaps > cd.split_resolution * max(1.0, np.abs(lam).max()))
         min_gap = min(min_gap, gaps[cuts].min(initial=np.inf))
@@ -765,13 +809,11 @@ def decompose_center_by_corners(tube, seed=0):
     d, rank = cd.dims.dims, cd.ring.rank
     weights = tube.trace_weights()
     rng = SeededDraws((seed, 1))
-    slot, field = _half_braiding_readout(tube)
-    x, _a, _c, y = np.array(tube.basis).T
-    scale = field[slot, x, y]
+    slot, scale = _half_braiding_readout(tube)
     for _ in range(4):
         found = []
         for x in range(rank):
-            D, sub = tube.corner(x)
+            D, sub = corner(tube, x)
             ms, Qx, _gap = corner_projections_by_corner(sub, weights[D], rng)
             for m, qx in zip(ms.tolist(), Qx):
                 q = np.zeros(tube.dim, dtype=complex)
@@ -1042,7 +1084,7 @@ def central_idempotents_by_nullspace(tube, seed=0):
     for _ in range(4):
         coeff = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         h = Z @ coeff
-        h = h + tube.star_vector(h)
+        h = h + star_vector(tube, h)
         # regular action of h restricted to the center
         A = np.linalg.lstsq(Z, np.tensordot(h, C, 1).T @ Z, rcond=None)[0]
         w, V = np.linalg.eig(A)
@@ -1051,8 +1093,8 @@ def central_idempotents_by_nullspace(tube, seed=0):
         idems = []
         for v in (Z @ V).T:
             lead = np.argmax(np.abs(v))
-            idems.append(v * v[lead] / tube.multiply(v, v)[lead])
-        if all(np.max(np.abs(tube.multiply(p, p) - p)) < 1e-6 for p in idems) and \
+            idems.append(v * v[lead] / multiply(tube, v, v)[lead])
+        if all(np.max(np.abs(multiply(tube, p, p) - p)) < 1e-6 for p in idems) and \
                 np.max(np.abs(np.sum(idems, axis=0) - tube.unit_vector())) < 1e-6:
             return idems
     raise AssertionError("no split of the center into minimal idempotents")

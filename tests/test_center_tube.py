@@ -23,12 +23,13 @@ from tensorcat.local_modules import condensation_identity_check
 
 from oracles import (PHI, algebras_gauge_equivalent, center_fusion_by_loops,
                      center_s_by_traces, center_twist_by_traces,
-                     central_idempotents_by_nullspace, corner_module_by_simple,
+                     central_idempotents_by_nullspace, corner, corner_module_by_simple,
                      decompose_center_by_corners, dense_tube,
                      half_braiding_W_by_entries, half_braiding_check_by_diagrams,
-                     half_braiding_check_dense, mate_phase_by_diagrams,
-                     record_diagram_calls, record_linalg_calls,
-                     rotation_isometry_by_diagrams, tube_by_loops, tube_product_by_pairs,
+                     half_braiding_check_dense, left_matrix, mate_phase_by_diagrams,
+                     multiply, record_diagram_calls, record_linalg_calls,
+                     rotation_isometry_by_diagrams, star_vector, trace_functional,
+                     tube_by_loops, tube_product_by_pairs,
                      psu2_category, su2_category, tube_star_by_diagrams, vertex_gauge)
 
 
@@ -54,13 +55,13 @@ def test_tube_associativity_and_unit(centers):
         eye = np.eye(n)
         u = tube.unit_vector()
         for i in range(n):
-            assert np.allclose(tube.multiply(u, eye[i]), eye[i], atol=1e-9)
-            assert np.allclose(tube.multiply(eye[i], u), eye[i], atol=1e-9)
+            assert np.allclose(multiply(tube, u, eye[i]), eye[i], atol=1e-9)
+            assert np.allclose(multiply(tube, eye[i], u), eye[i], atol=1e-9)
         rng = np.random.default_rng(3)
         for _ in range(40):
             i, j, k = rng.integers(0, n, size=3)
-            lhs = tube.multiply(tube.multiply(eye[i], eye[j]), eye[k])
-            rhs = tube.multiply(eye[i], tube.multiply(eye[j], eye[k]))
+            lhs = multiply(tube, multiply(tube, eye[i], eye[j]), eye[k])
+            rhs = multiply(tube, eye[i], multiply(tube, eye[j], eye[k]))
             assert np.allclose(lhs, rhs, atol=1e-9), (name, i, j, k)
 
 
@@ -68,12 +69,12 @@ def test_tube_star_and_trace_form_positive(centers):
     for name, (cd, tube, _) in centers.items():
         n = tube.dim
         eye = np.eye(n)
-        tau = tube.trace_functional()
+        tau = trace_functional(tube)
         G = np.zeros((n, n), dtype=complex)
         for i in range(n):
-            si = tube.star_vector(eye[i])
+            si = star_vector(tube, eye[i])
             for j in range(n):
-                G[i, j] = tau @ tube.multiply(si, eye[j])
+                G[i, j] = tau @ multiply(tube, si, eye[j])
         assert np.max(np.abs(G - G.conj().T)) < 1e-9, name
         # diagonal on the basis: the corner modules take their inner product from it
         assert np.max(np.abs(G - np.diag(tube.trace_weights()))) < 1e-12, name
@@ -82,14 +83,15 @@ def test_tube_star_and_trace_form_positive(centers):
         rng = np.random.default_rng(5)
         for _ in range(20):
             i, j = rng.integers(0, n, size=2)
-            lhs = tube.star_vector(tube.multiply(eye[i], eye[j]))
-            rhs = tube.multiply(tube.star_vector(eye[j]), tube.star_vector(eye[i]))
+            lhs = star_vector(tube, multiply(tube, eye[i], eye[j]))
+            rhs = multiply(tube, star_vector(tube, eye[j]), star_vector(tube, eye[i]))
             assert np.allclose(lhs, rhs, atol=1e-9), (name, i, j)
 
 
 def test_array_methods_match_entrywise_sums(centers):
-    """multiply, star_vector, left_matrix and trace_weights against the
-    defining sums over the dense structure constants, written as loops."""
+    """The oracles' multiply, star_vector and left_matrix, and the tube's
+    trace_weights, against the defining sums over the dense structure
+    constants, written as loops."""
     rng = np.random.default_rng(7)
     for name, (cd, tube, _) in centers.items():
         n = tube.dim
@@ -102,10 +104,10 @@ def test_array_methods_match_entrywise_sums(centers):
                 ustar[k] += np.conj(u[i]) * star[i, k]
                 for j in range(n):
                     prod[k] += u[i] * v[j] * C[i, j, k]
-        assert np.allclose(tube.multiply(u, v), prod, atol=1e-12), name
-        assert np.allclose(tube.star_vector(u), ustar, atol=1e-12), name
-        assert np.allclose(tube.left_matrix(u) @ v, prod, atol=1e-12), name
-        tau = tube.trace_functional()
+        assert np.allclose(multiply(tube, u, v), prod, atol=1e-12), name
+        assert np.allclose(star_vector(tube, u), ustar, atol=1e-12), name
+        assert np.allclose(left_matrix(tube, u) @ v, prod, atol=1e-12), name
+        tau = trace_functional(tube)
         weights = [sum(star[i, k] * C[k, i, l] * tau[l] for k in range(n) for l in range(n))
                    for i in range(n)]
         assert np.allclose(tube.trace_weights(), weights, atol=1e-12), name
@@ -150,7 +152,7 @@ def test_tube_follows_the_evaluator_in_another_gauge(cats, name, seed):
     assert np.max(np.abs(C - dense_tube(build_tube_algebra(cd))[0])) > 0.1
     assert np.max(np.abs(np.einsum("ijk,klm->ijlm", C, C)
                          - np.einsum("jlk,ikm->ijlm", C, C))) < 1e-12
-    tau = tube.trace_functional()
+    tau = trace_functional(tube)
     G = np.einsum("ik,kjl,l->ij", star, C, tau)    # tau(t_i^* t_j)
     assert np.max(np.abs(G - np.diag(tube.trace_weights()))) < 1e-12
     assert tube.trace_weights().min() > 0.1
@@ -170,7 +172,7 @@ def test_corner_split_retries_a_central_element(centers):
     """An rng whose draws make h a multiple of the unit yields one cluster,
     whose q, the unit of the 2-dimensional corner, is not minimal."""
     _, tube, _ = centers["vec_z2"]
-    _D, sub = tube.corner(0)
+    _D, sub = corner(tube, 0)
 
     class UnitDraws:
         calls = 0
@@ -191,7 +193,7 @@ def test_only_a_failed_corner_draws_again(centers):
     draws again only after every corner has drawn, and alone.  Fibonacci's
     corners have 2 and 3 basis vectors; corner 0's first h is the unit."""
     _, tube, _ = centers["fibonacci"]
-    _D, sub = tube.corner(0)
+    _D, sub = corner(tube, 0)
     good = np.random.default_rng(3)
 
     class FirstDrawUnit:
@@ -293,21 +295,21 @@ def test_corner_projections_sum_to_central_idempotents(cats, name):
     _mult, xs, Q, _gap = _corner_projections(tube, range(cd.ring.rank), tube.trace_weights(),
                                              np.random.default_rng(0))
     for x in range(cd.ring.rank):
-        D, sub = tube.corner(x)
+        D, sub = corner(tube, x)
         oracle = central_idempotents_by_nullspace(sub)
         sw = np.sqrt(sub.trace_weights())
         found = []
         for q in Q[xs == x, :len(D)]:
-            eq = np.array([[np.max(np.abs(sub.multiply(e, q) - t * q)) for t in (1, 0)]
+            eq = np.array([[np.max(np.abs(multiply(sub, e, q) - t * q)) for t in (1, 0)]
                            for e in oracle])            # [e, (e q - q, e q)]
             under = eq[:, 0] < 1e-10
             assert under.sum() == 1, (name, x, eq)
             assert np.all(eq[~under, 1] < 1e-10), (name, x, eq)
             found.append(int(np.argmax(under)))
             # the t_j q, tau-scaled; their right singular vectors span the left ideal
-            _u, s, vh = np.linalg.svd([sub.multiply(t, q) * sw for t in np.eye(len(D))])
-            us = vh[s > 1e-10 * s[0]] / sw * np.sqrt(sub.trace_functional() @ q)
-            total = np.sum([sub.multiply(u, sub.star_vector(u)) for u in us], axis=0)
+            _u, s, vh = np.linalg.svd([multiply(sub, t, q) * sw for t in np.eye(len(D))])
+            us = vh[s > 1e-10 * s[0]] / sw * np.sqrt(trace_functional(sub) @ q)
+            total = np.sum([multiply(sub, u, star_vector(sub, u)) for u in us], axis=0)
             assert np.max(np.abs(total - oracle[found[-1]])) < 1e-10, (name, x)
         assert sorted(found) == list(range(len(oracle))), (name, x, found)
 
@@ -353,9 +355,7 @@ def test_corner_modules_match_the_per_simple_oracle(cats, name, monkeypatch):
     tube = build_tube_algebra(cd)
     weights = tube.trace_weights()
     rank = cd.ring.rank
-    slot, field = _half_braiding_readout(tube)
-    x, _a, _c, y = np.array(tube.basis).T
-    scale = field[slot, x, y]
+    slot, scale = _half_braiding_readout(tube)
     _center, batches = _recorded_batches(monkeypatch, tube)
     paths = set()
     for xs, Q, copies, H, sector in batches:
@@ -414,23 +414,27 @@ def test_decompose_center_peak_memory(monkeypatch):
     """decompose_center on fib (x) fib (x) fib (tube dim 343, 64 simples)
     peaks below 6 MiB, and once the batches are done the contraction of S
     and the ordering allocate less than the trace array D: no transposed
-    copy of it.  A small center is decomposed first, so that lazy imports
-    are not counted."""
+    copy of it.  D holds one entry per simple and admissible triple, 125 of
+    them for fib (x) fib (x) fib and 81 for the double of Z/3 (rank 9), not
+    one per triple of labels.  A small center is decomposed first, so that
+    lazy imports are not counted."""
     import tracemalloc
     from tensorcat import center_tube
     decompose_center(build_tube_algebra(vec_zn(2, 1)), seed=0)
     fib = catalog_category("fibonacci")
     tube = build_tube_algebra(deligne_product_data(deligne_product_data(fib, fib), fib))
+    double = build_tube_algebra(center_presentation(vec_zn(3, 0), None)[0])
     after_batches = []
     corner_simples = center_tube._corner_simples
 
     def traced(*args):
         simples, D = corner_simples(*args)
-        after_batches.append((tracemalloc.get_traced_memory()[0], D.nbytes))
+        after_batches.append((tracemalloc.get_traced_memory()[0], D.shape, D.nbytes))
         tracemalloc.reset_peak()
         return simples, D
 
     monkeypatch.setattr(center_tube, "_corner_simples", traced)
+    decompose_center(double, seed=0)
     tracemalloc.start()
     try:
         decompose_center(tube, seed=0)
@@ -441,8 +445,9 @@ def test_decompose_center_peak_memory(monkeypatch):
         whole = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    ((base, trace_bytes),) = after_batches
-    assert trace_bytes == 64 * 8 ** 3 * 16
+    (_, double_traces, _), (base, _, trace_bytes) = after_batches
+    assert double_traces == (81, 81)
+    assert trace_bytes == 64 * 125 * 16
     assert peak - base < trace_bytes, (peak - base, trace_bytes)
     assert whole < 6 * 2 ** 20, whole
 
@@ -899,7 +904,7 @@ def test_decompose_center_gives_up_after_four_draws(centers, monkeypatch):
 
     def no_simples(tube, ms, xs, Q, weights, readout):
         calls.append(len(Q))
-        return [], np.zeros((0,) + (tube.cd.ring.rank,) * 3)
+        return [], np.zeros((0, 0))
 
     monkeypatch.setattr(center_tube, "_corner_simples", no_simples)
     with pytest.raises(StructuralError, match=r"corner split failed after 4 attempts "
@@ -999,9 +1004,8 @@ def test_half_braiding_scale_matches_entrywise_oracle(cats, name):
     for cd in (base, vertex_gauge(base, 3)):
         tube = build_tube_algebra(cd)
         d = cd.dims.dims
-        slot, field = _half_braiding_readout(tube)
-        ends = np.array(tube.basis)[:, [0, 3]]
-        scale = field[slot, ends[:, 0], ends[:, 1]]
+        slot, scale = _half_braiding_readout(tube)
+        assert scale.shape == (tube.dim,)
         for (x, y), ks in tube.sectors.items():
             for a in {tube.basis[k][1] for k in ks}:
                 mine = [k for k in ks if tube.basis[k][1] == a]

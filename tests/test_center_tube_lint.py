@@ -4,7 +4,11 @@ star and the half-braiding readout and check join their label tuples and
 read F in columns; a per-key read in a loop is what they replaced.  And
 decompose_center and _corner_simples walk no ``range(... rank ...)``: the
 corners are split at once and their modules built in batches across
-corners; a loop over the corners is what those replaced."""
+corners; a loop over the corners is what those replaced.  Nor do they or
+_half_braiding_readout build a shape that names rank three or more times:
+the traces are held on the admissible triples and the readout scale per
+tube basis vector, where dense (rank, rank, rank) tables were mostly
+zeros."""
 
 import ast
 from pathlib import Path
@@ -38,19 +42,21 @@ def test_lint_flags_a_per_key_read():
     assert _per_key_reads(text) == [2, 4, 6, 7]
 
 
+def _rank_names(node):
+    """How many times node names rank, as a name or an attribute."""
+    return sum(isinstance(n, ast.Name) and n.id == "rank"
+               or isinstance(n, ast.Attribute) and n.attr == "rank" for n in ast.walk(node))
+
+
 def _rank_loops(text, names=("decompose_center", "_corner_simples")):
     """Line of each for loop or comprehension, in the functions named, over
     a range(...) whose arguments mention rank."""
-    def mentions_rank(node):
-        return any(isinstance(n, ast.Name) and n.id == "rank"
-                   or isinstance(n, ast.Attribute) and n.attr == "rank" for n in ast.walk(node))
-
     return sorted(loop.iter.lineno
                   for fn in ast.walk(ast.parse(text))
                   if isinstance(fn, ast.FunctionDef) and fn.name in names
                   for loop in ast.walk(fn) if isinstance(loop, (ast.For, ast.comprehension))
                   and isinstance(loop.iter, ast.Call) and isinstance(loop.iter.func, ast.Name)
-                  and loop.iter.func.id == "range" and mentions_rank(loop.iter))
+                  and loop.iter.func.id == "range" and _rank_names(loop.iter))
 
 
 def test_decompose_center_walks_no_corner_loop():
@@ -71,3 +77,43 @@ def test_lint_flags_a_corner_loop():
             '    for y in range(rank):\n'
             '        pass\n')
     assert _rank_loops(text) == [2, 4, 8]
+
+
+def _rank_cubed_shapes(text, names=("decompose_center", "_corner_simples",
+                                    "_half_braiding_readout")):
+    """Line of each shape, in the functions named, that names rank three or
+    more times: a tuple literal, ``(rank,) * k`` or ``rank ** k`` with
+    k >= 3."""
+    def cubed(node):
+        if isinstance(node, ast.Tuple):
+            return _rank_names(node) >= 3
+        return (isinstance(node, ast.BinOp) and isinstance(node.right, ast.Constant)
+                and type(node.right.value) is int
+                and (isinstance(node.op, ast.Pow)
+                     or isinstance(node.op, ast.Mult) and isinstance(node.left, ast.Tuple))
+                and _rank_names(node.left) * node.right.value >= 3)
+
+    return sorted({node.lineno
+                   for fn in ast.walk(ast.parse(text))
+                   if isinstance(fn, ast.FunctionDef) and fn.name in names
+                   for node in ast.walk(fn) if cubed(node)})
+
+
+def test_center_holds_no_rank_cubed_table():
+    stray = _rank_cubed_shapes(CENTER_TUBE.read_text())
+    assert not stray, f"shapes naming rank three times in center_tube.py at lines {stray}"
+
+
+def test_lint_flags_a_rank_cubed_table():
+    text = ('def _corner_simples(tube):\n'
+            '    D = np.zeros((len(Q), rank, rank, rank), dtype=complex)\n'
+            '    E = np.zeros((len(Q), rank, rank))\n'
+            'def decompose_center(tube):\n'
+            '    step = max(1, _ENTRIES // rank ** 3)\n'
+            '    w = part.reshape((-1,) + (rank,) * 3)\n'
+            '    v = part.reshape((-1,) + (rank,) * 2, rank ** 2)\n'
+            'def _half_braiding_readout(tube):\n'
+            '    scale = np.zeros((rank * rank, cd.ring.rank, rank))\n'
+            'def _corner_modules(tube):\n'
+            '    H = np.zeros((len(Q), rank, rank, rank))\n')
+    assert _rank_cubed_shapes(text) == [2, 5, 6, 9]
