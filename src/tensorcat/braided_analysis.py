@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .category_data import CategoryData
+from .category_data import CategoryData, _sums
 from .errors import PreconditionError
 from .fusion_ring import hypergroup_coeffs
 
@@ -64,11 +64,9 @@ class SubcategoryRestriction:
 def twists(cd: CategoryData) -> TwistData:
     if cd.R is None:
         raise PreconditionError("twists require R-symbols")
-    ring, d = cd.ring, cd.dims.dims
-    theta = np.array([
-        sum((d[c] / d[a]) * cd.rval(a, a, c) for c in ring.channels(a, a))
-        for a in range(ring.rank)], dtype=complex)
-    return TwistData(theta=theta)
+    r, d = cd.ring.rank, cd.dims.dims
+    a, c = np.nonzero(cd.ring.N[np.arange(r), np.arange(r)])    # the channels of a (x) a
+    return TwistData(theta=_sums(a, d[c] / d[a] * cd.R.lookup([a, a, c]), r))
 
 
 def s_matrix(cd: CategoryData) -> SMatrix:
@@ -87,7 +85,8 @@ def gamma_characters(cd: CategoryData) -> CharacterTable:
 
 
 def is_nondegenerate(cd: CategoryData) -> bool:
-    """True iff s~ is invertible (smallest singular value > rank * tolerance)."""
+    """True iff the Muger center is trivial: only the unit centralizes every
+    label.  For braided fusion data this is the invertibility of s~."""
     return _sub_nondegenerate(cd, list(range(cd.ring.rank)))
 
 
@@ -111,22 +110,31 @@ def check_label_subset(cd: CategoryData, sub) -> tuple:
     return tuple(idx)
 
 
+def _centralizes(cd, sub):
+    """Mask over the labels a with s~_{ax} = d_a d_x for every x in sub,
+    within 10 tolerance max(1, d_max^2)."""
+    sub = list(sub)
+    d = cd.dims.dims
+    tol = cd.tolerance * max(1.0, float(d.max()) ** 2) * 10
+    dev = np.abs(s_matrix(cd).s[:, sub] - np.outer(d, d[sub]))
+    return np.all(dev < tol, axis=1)
+
+
 def _sub_nondegenerate(cd, sub):
-    s = s_matrix(cd).s
-    block = s[np.ix_(sub, sub)]
-    smin = np.linalg.svd(block, compute_uv=False)[-1]
-    return bool(smin > len(sub) * cd.tolerance)
+    """Only the unit of the closed label set sub centralizes sub."""
+    return np.flatnonzero(_centralizes(cd, sub)[list(sub)]).tolist() == [0]
+
+
+def _unitarity_dev(S):
+    """max |S S^dagger - 1|, 0 exactly when S is unitary."""
+    return np.max(np.abs(S @ S.conj().T - np.eye(len(S))))
 
 
 def muger_centralizer(cd: CategoryData, sub) -> tuple:
     """Labels a with s~_{ax} = d_a d_x for every x in sub."""
     if cd.R is None:
         raise PreconditionError("centralizer requires R-symbols")
-    sub = list(check_label_subset(cd, sub))
-    d = cd.dims.dims
-    tol = cd.tolerance * max(1.0, float(d.max()) ** 2) * 10
-    dev = np.abs(s_matrix(cd).s[:, sub] - np.outer(d, d[sub]))
-    return tuple(int(a) for a in np.flatnonzero(np.all(dev < tol, axis=1)))
+    return tuple(np.flatnonzero(_centralizes(cd, check_label_subset(cd, sub))).tolist())
 
 
 def restriction_hom(cd: CategoryData, sub) -> SubcategoryRestriction:
@@ -139,45 +147,32 @@ def restriction_hom(cd: CategoryData, sub) -> SubcategoryRestriction:
     sub = check_label_subset(cd, sub)
     if not _sub_nondegenerate(cd, sub):
         raise PreconditionError("restriction of the braiding to sub is degenerate")
-    gamma = gamma_characters(cd).gamma
-    d = cd.dims.dims
-    tol = cd.residual_tolerance * max(1.0, float(d.max()) ** 2)
+    idx = np.array(sub)
+    g = gamma_characters(cd).gamma[:, idx]
+    tol = cd.residual_tolerance * max(1.0, float(cd.dims.dims.max()) ** 2)
+    # match[b, j]: gamma_b and gamma_{sub[j]} agree on sub
+    match = np.array([np.abs(g - g[y]).max(axis=1) for y in idx]).T < tol
     # distinct sub labels must have distinct restricted characters
-    for i, y in enumerate(sub):
-        for z in sub[i + 1:]:
-            if max(abs(gamma[y, x] - gamma[z, x]) for x in sub) < tol:
-                raise PreconditionError(
-                    f"degenerate sub: gamma_{y} and gamma_{z} agree on sub")
-    f = []
-    for b in range(cd.ring.rank):
-        matches = [y for y in sub
-                   if max(abs(gamma[b, x] - gamma[y, x]) for x in sub) < tol]
-        if len(matches) != 1:
-            raise PreconditionError(
-                f"no unique restriction match for label {b}: candidates {matches}")
-        f.append(matches[0])
-    for x in sub:
-        assert f[x] == x
-    return SubcategoryRestriction(sub=sub, f=tuple(f))
+    pairs = np.argwhere(np.triu(match[idx], 1))
+    if pairs.size:
+        y, z = idx[pairs[0]]
+        raise PreconditionError(f"degenerate sub: gamma_{y} and gamma_{z} agree on sub")
+    bad = np.flatnonzero(match.sum(axis=1) != 1)
+    if bad.size:
+        raise PreconditionError(f"no unique restriction match for label {bad[0]}: "
+                                f"candidates {idx[match[bad[0]]].tolist()}")
+    return SubcategoryRestriction(sub=sub, f=tuple(idx[match.argmax(axis=1)].tolist()))
 
 
 def verify_hypergroup_hom(cd: CategoryData, sr: SubcategoryRestriction) -> list:
     """Check sum_{c in f^-1(y)} M^c_{ab} = M^y_{f(a) f(b)} for all a, b, y."""
     M = hypergroup_coeffs(cd.ring, cd.dims).M
-    r = cd.ring.rank
-    f = sr.f
-    tol = cd.residual_tolerance
-    report = []
-    for a in range(r):
-        for b in range(r):
-            for y in sr.sub:
-                lhs = sum(M[a, b, c] for c in range(r) if f[c] == y)
-                rhs = M[f[a], f[b], y]
-                if abs(lhs - rhs) > tol:
-                    report.append(
-                        f"hypergroup hom fails at (a,b,y)=({a},{b},{y}): "
-                        f"{lhs:.12f} != {rhs:.12f}")
-    return report
+    f, sub = np.array(sr.f), list(sr.sub)
+    lhs = M @ (f[:, None] == sub)
+    rhs = M[np.ix_(f, f, sub)]
+    return [f"hypergroup hom fails at (a,b,y)=({a},{b},{sub[j]}): "
+            f"{lhs[a, b, j]:.12f} != {rhs[a, b, j]:.12f}"
+            for a, b, j in np.argwhere(np.abs(lhs - rhs) > cd.residual_tolerance)]
 
 
 def find_centralizing_object(cd: CategoryData, sub):
@@ -189,8 +184,6 @@ def find_centralizing_object(cd: CategoryData, sub):
     sub = check_label_subset(cd, sub)
     if len(sub) == cd.ring.rank:
         raise PreconditionError("sub must be a proper subset of the labels")
-    if not _sub_nondegenerate(cd, sub):
-        raise PreconditionError("restriction of the braiding to sub is degenerate")
     sr = restriction_hom(cd, sub)
     for a in range(cd.ring.rank):
         if a not in sub and sr.f[a] == 0:

@@ -335,7 +335,7 @@ class CategoryData:
 
     @property
     def noise_floor(self):
-        """Computed coefficients, norms and relative singular values below it are 0."""
+        """Computed coefficients and norms below it are 0."""
         return max(self.tolerance / 10, 1e-10)
 
     def is_pointed(self):

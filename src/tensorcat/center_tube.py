@@ -54,7 +54,7 @@ from .algebra import (_conjugate_vertex_algebra, _rotation_phases, algebra_dim,
 from .category_data import (CategoryData, QuadraticForm, SeededDraws, _ChannelJoin, _blocks,
                             _expand, _read_all, _sums, _trees, deligne_product_data,
                             pointed_from_quadratic_form, reverse_braiding, seeded_split)
-from .braided_analysis import is_nondegenerate
+from .braided_analysis import _unitarity_dev, is_nondegenerate
 from .errors import PreconditionError, StructuralError
 
 __all__ = [
@@ -266,6 +266,7 @@ def _corner_projections(tube: TubeAlgebra, xs, weights, rng, whole=lambda mult, 
             L = Q @ P.reshape(len(g), n, -1)
             R = Q @ P.transpose(0, 2, 3, 1).reshape(len(g), n, -1)
             dims = (L @ R.transpose(0, 2, 1)).real                      # [g, q, q']
+            del P, L, R     # not held through whole's module build
             real = np.arange(n) <= cluster[:, -1:]          # the clusters there are
             off = np.where(real, np.abs(dims.diagonal(0, 1, 2) - 1.0), 0.0).max(axis=1)
             ok = off < cd.identity_tolerance
@@ -606,15 +607,15 @@ def _trace_triples(ring):
 
 
 def center_global_checks(center: CenterData) -> dict:
-    """Sum of dim^2, S invertibility, and the self-centralizer of Z(C)."""
+    """Sum of dim^2, unitarity of S / sqrt(sum dim^2), and the
+    self-centralizer of Z(C)."""
     cd = center.cd
     dims = np.array([z.dim for z in center.simples])
     total = float(np.sum(dims ** 2))
     D = cd.dims.global_dim
     S = center.S
     tol = cd.identity_tolerance
-    smin = np.linalg.svd(S, compute_uv=False)[-1] if len(S) else 0.0
-    nondeg = bool(smin > len(S) * cd.tolerance)
+    nondeg = len(S) > 0 and bool(_unitarity_dev(S / np.sqrt(total)) < tol)
     transparent = np.flatnonzero(np.all(np.abs(S - np.outer(dims, dims)) < tol, axis=1)).tolist()
     return {
         "sum_dim_sq": total, "global_dim_sq": D ** 2,
@@ -719,9 +720,10 @@ def _presentation(cd: CategoryData, product: bool):
 def theorem_c_shadow(cd: CategoryData, seed=0) -> dict:
     """The categorical assertions consumed by the non-Gamma classification.
 
-    (i) sum of center dims^2 equals global_dim^2; (ii) the center S-matrix
-    is invertible; (iii) the center centralizes only its unit; (iv) the
-    canonical Lagrangian condenses to a single simple local module.
+    (i) sum of center dims^2 equals global_dim^2; (ii) S / D, for the
+    center S-matrix and D^2 = sum dims^2, is unitary, hence invertible;
+    (iii) the center centralizes only its unit; (iv) the canonical
+    Lagrangian condenses to a single simple local module.
     """
     tube = build_tube_algebra(cd)
     center = decompose_center(tube, seed=seed)

@@ -40,7 +40,7 @@ import numpy as np
 
 from .algebra import (AlgebraObject, _associativity_terms, _max_abs, _require_keys,
                       algebra_dim, is_commutative, is_connected, verify_qsystem)
-from .braided_analysis import is_nondegenerate, muger_centralizer
+from .braided_analysis import _unitarity_dev, is_nondegenerate
 from .category_data import (CategoryData, SeededDraws, _load_labelled,
                             _save_labelled, seeded_split)
 from .errors import PreconditionError, StructuralError
@@ -494,7 +494,7 @@ def _condensed_ring(cd, A, condensed: CondensedData):
     PreconditionError is raised before any trace is taken.
     """
     from .fusion_ring import FusionRing
-    if muger_centralizer(cd, range(cd.ring.rank)) != (0,):
+    if not is_nondegenerate(cd):
         raise PreconditionError(
             "the Verlinde ring of the condensed theory needs a nondegenerate braiding")
     simples = [condensed.simples[i] for i in _unit_first(cd, A, condensed.simples)]
@@ -512,7 +512,7 @@ def _verlinde(S, tol):
     """N_ij^k = sum_m S_im S_jm conj(S_km) / S_0m for a unitary S with its
     unit row first; StructuralError unless S is unitary and N integral and
     nonnegative, both within tol."""
-    dev = np.max(np.abs(S @ S.conj().T - np.eye(len(S))))
+    dev = _unitarity_dev(S)
     if dev > tol:
         raise StructuralError(f"S-matrix is not unitary (dev {dev:.2e})")
     N = (S[:, None] * (S / S[0])) @ S.conj().T

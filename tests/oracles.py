@@ -337,6 +337,64 @@ def label_subset_error_by_loops(ring, idx):
     return None
 
 
+def nondegenerate_by_svd(cd, sub):
+    """The braiding restricted to the label list sub is nondegenerate when
+    the smallest singular value of s~ on sub exceeds len(sub) * tolerance."""
+    from tensorcat.braided_analysis import s_matrix
+    block = s_matrix(cd).s[np.ix_(sub, sub)]
+    return bool(np.linalg.svd(block, compute_uv=False)[-1] > len(sub) * cd.tolerance)
+
+
+def restriction_hom_by_loops(cd, sub):
+    """restriction_hom's f for the closed, ascending label tuple sub, or the
+    text of the PreconditionError it raises: the nondegeneracy of s~ on sub
+    by singular values, then the restricted characters compared pair by pair."""
+    from tensorcat.braided_analysis import gamma_characters
+    if not nondegenerate_by_svd(cd, sub):
+        return "restriction of the braiding to sub is degenerate"
+    gamma = gamma_characters(cd).gamma
+    d = cd.dims.dims
+    tol = cd.residual_tolerance * max(1.0, float(d.max()) ** 2)
+    for i, y in enumerate(sub):
+        for z in sub[i + 1:]:
+            if max(abs(gamma[y, x] - gamma[z, x]) for x in sub) < tol:
+                return f"degenerate sub: gamma_{y} and gamma_{z} agree on sub"
+    f = []
+    for b in range(cd.ring.rank):
+        matches = [y for y in sub
+                   if max(abs(gamma[b, x] - gamma[y, x]) for x in sub) < tol]
+        if len(matches) != 1:
+            return f"no unique restriction match for label {b}: candidates {matches}"
+        f.append(matches[0])
+    return tuple(f)
+
+
+def hypergroup_hom_by_loops(cd, sub, f):
+    """(a, b, y, lhs, rhs) for each (a, b, y), a and b over the labels and y
+    over sub in that order, where sum_{c in f^-1(y)} M^c_{ab} and
+    M^y_{f(a) f(b)} differ by more than residual_tolerance."""
+    from tensorcat.fusion_ring import hypergroup_coeffs
+    M = hypergroup_coeffs(cd.ring, cd.dims).M
+    r = cd.ring.rank
+    out = []
+    for a in range(r):
+        for b in range(r):
+            for y in sub:
+                lhs = sum(M[a, b, c] for c in range(r) if f[c] == y)
+                rhs = M[f[a], f[b], y]
+                if abs(lhs - rhs) > cd.residual_tolerance:
+                    out.append((a, b, y, lhs, rhs))
+    return out
+
+
+def twists_by_loops(cd):
+    """theta_a = sum over c in a (x) a of (d_c / d_a) R^{aa}_c, one label at a time."""
+    d = cd.dims.dims
+    return np.array([
+        sum((d[c] / d[a]) * cd.rval(a, a, c) for c in cd.ring.channels(a, a))
+        for a in range(cd.ring.rank)], dtype=complex)
+
+
 def pentagon_by_loops(cd):
     """Plain-loop pentagon check: the lines verify_pentagon prints, in loop
     order (a,b,f,c,g,d,e,l,k); verify_pentagon sorts them by the printed

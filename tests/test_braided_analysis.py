@@ -1,15 +1,21 @@
+import itertools
+import re
+
 import numpy as np
 import pytest
 
-from tensorcat.braided_analysis import (check_label_subset, find_centralizing_object,
+from tensorcat.braided_analysis import (SubcategoryRestriction, _sub_nondegenerate,
+                                        check_label_subset, find_centralizing_object,
                                         gamma_characters, is_nondegenerate,
                                         muger_centralizer, restriction_hom,
                                         s_matrix, twists,
                                         verify_hypergroup_hom)
+from tensorcat.catalog import catalog_category, catalog_names, vec_zn
 from tensorcat.category_data import deligne_product_data, reverse_braiding
-from tensorcat.errors import PreconditionError
+from tensorcat.errors import PreconditionError, StructuralError
 
-from oracles import PHI, label_subset_error_by_loops
+from oracles import (PHI, hypergroup_hom_by_loops, label_subset_error_by_loops,
+                     nondegenerate_by_svd, restriction_hom_by_loops, twists_by_loops)
 
 
 def test_twists_fibonacci(fib):
@@ -231,3 +237,87 @@ def test_s_matrix_cross_check_against_diagrams(cats):
                 tr = categorical_trace(
                     cd, evaluate(f"braid[{lb},{la}] . braid[{la},{lb}]", cd))
                 assert abs(tr - s[a, b]) < 1e-9, (name, a, b)
+
+
+def _differential_categories():
+    """The catalog, the products of pairs of five of its categories, every
+    valid vec_zn(n, t) for n <= 6, the doubles of Z/3, Z/4 and Z/6, and
+    fib (x) reverse(fib)."""
+    from tensorcat.center_tube import center_presentation
+    cds = [catalog_category(n) for n in catalog_names()]
+    five = [catalog_category(n) for n in ("fibonacci", "ising", "semion", "toric_code", "vec_z3")]
+    cds += [deligne_product_data(c1, c2)
+            for c1, c2 in itertools.combinations_with_replacement(five, 2)]
+    for n in range(1, 7):
+        for t in range(2 * n):
+            try:
+                cds.append(vec_zn(n, t))
+            except StructuralError:     # t names no quadratic form on Z/n
+                pass
+    cds += [center_presentation(vec_zn(n, 0), None)[0] for n in (3, 4, 6)]
+    fib = catalog_category("fibonacci")
+    return cds + [deligne_product_data(fib, reverse_braiding(fib))]
+
+
+def _closed_subsets(ring, size):
+    """Every dual- and fusion-closed label tuple of at most size labels,
+    ascending, 0 first."""
+    fused = [[sum(1 << c for c in ring.channels(a, b)) for b in range(ring.rank)]
+             for a in range(ring.rank)]
+    for k in range(size):
+        for rest in itertools.combinations(range(1, ring.rank), k):
+            sub = (0, *rest)
+            bits = sum(1 << a for a in sub)
+            if all(bits >> ring.dual[a] & 1 and not any(fused[a][b] & ~bits for b in sub)
+                   for a in sub):
+                yield sub
+
+
+def _report_entries(report):
+    """(a, b, y, lhs, rhs) of each verify_hypergroup_hom line."""
+    pattern = r"hypergroup hom fails at \(a,b,y\)=\((\d+),(\d+),(\d+)\): (\S+) != (\S+)"
+    return [tuple(int(v) for v in m.groups()[:3]) + tuple(float(v) for v in m.groups()[3:])
+            for m in (re.fullmatch(pattern, line) for line in report)]
+
+
+def test_nondegeneracy_restriction_and_twists_match_the_loop_rules(monkeypatch):
+    """On 62 braided categories and every closed label set of at most four
+    labels: the trivial Muger center of the braiding on sub decides as the
+    singular values of s~ on sub did; restriction_hom gives the loops' f or
+    their error text, also on the degenerate sets once both nondegeneracy
+    tests are bypassed; verify_hypergroup_hom reports the loops' (a, b, y),
+    with values within 1e-12, for f and for f moved one step along sub;
+    and twists is bit-identical to the sum over channels one label at a time."""
+    import oracles
+    from tensorcat import braided_analysis
+    cds = _differential_categories()
+    assert len(cds) == 62
+    degenerate = []
+    for cd in cds:
+        r = cd.ring.rank
+        assert np.array_equal(twists(cd).theta, twists_by_loops(cd)), cd.name
+        assert is_nondegenerate(cd) == nondegenerate_by_svd(cd, list(range(r))), cd.name
+        for sub in _closed_subsets(cd.ring, 4):
+            assert _sub_nondegenerate(cd, sub) == nondegenerate_by_svd(cd, list(sub)), (cd.name, sub)
+            want = restriction_hom_by_loops(cd, sub)
+            try:
+                got = restriction_hom(cd, sub).f
+            except PreconditionError as err:
+                got = str(err)
+            assert got == want, (cd.name, sub)
+            if isinstance(want, str):
+                degenerate.append((cd, sub))
+                continue
+            moved = tuple(sub[(sub.index(y) + 1) % len(sub)] for y in want)
+            for f in (want, moved):
+                report = _report_entries(verify_hypergroup_hom(cd, SubcategoryRestriction(sub, f)))
+                oracle = hypergroup_hom_by_loops(cd, sub, f)
+                assert [e[:3] for e in report] == [e[:3] for e in oracle], (cd.name, sub, f)
+                assert all(abs(x - y) < 1e-12 for e, o in zip(report, oracle)
+                           for x, y in zip(e[3:], o[3:])), (cd.name, sub, f)
+    monkeypatch.setattr(braided_analysis, "_sub_nondegenerate", lambda cd, sub: True)
+    monkeypatch.setattr(oracles, "nondegenerate_by_svd", lambda cd, sub: True)
+    for cd, sub in degenerate:
+        with pytest.raises(PreconditionError) as err:
+            restriction_hom(cd, sub)
+        assert str(err.value) == restriction_hom_by_loops(cd, sub), (cd.name, sub)

@@ -452,6 +452,32 @@ def test_decompose_center_peak_memory(monkeypatch):
     assert whole < 6 * 2 ** 20, whole
 
 
+def test_corner_split_arrays_are_dropped_before_the_module_build(monkeypatch):
+    """_corner_projections drops its stacked corner blocks and their left
+    and right products once the corner dimensions are formed, so they are
+    not held while decompose_center builds the modules: on the double of
+    Z/4 (rank 16) under 1.5 MiB is traced when _corner_simples starts
+    (3.6 MiB while they were held)."""
+    import tracemalloc
+    from tensorcat import center_tube
+    decompose_center(build_tube_algebra(vec_zn(2, 1)), seed=0)
+    tube = build_tube_algebra(center_presentation(vec_zn(4, 0), None)[0])
+    held = []
+    corner_simples = center_tube._corner_simples
+
+    def traced(*args):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return corner_simples(*args)
+
+    monkeypatch.setattr(center_tube, "_corner_simples", traced)
+    tracemalloc.start()
+    try:
+        decompose_center(tube, seed=0)
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 1 and held[0] < 1.5 * 2 ** 20, held
+
+
 def test_center_vec_z2_is_toric_code(centers):
     _, _, center = centers["vec_z2"]
     assert len(center.simples) == 4
@@ -483,6 +509,23 @@ def test_center_global_checks(centers):
         assert checks["dims_identity"], name
         assert checks["nondegenerate"], name
         assert checks["trivial_centralizer"], name
+
+
+@pytest.mark.parametrize("name", ["ising", "vec_z3", "fib*ising"])
+def test_nondegenerate_reads_unitarity_of_s(cats, name):
+    """(ii) holds when S / sqrt(sum dim^2) is unitary.  Flipping the sign of
+    one pair S[1, 2], S[2, 1] leaves S invertible, its smallest singular
+    value above 1, yet no longer unitary: (ii) reads False."""
+    cd = {"fib*ising": lambda: deligne_product_data(cats["fibonacci"], cats["ising"])}.get(
+        name, lambda: cats[name])()
+    center = decompose_center(build_tube_algebra(cd), seed=0)
+    S = center.S.copy()
+    S[[1, 2], [2, 1]] *= -1
+    assert np.linalg.svd(S, compute_uv=False)[-1] > 1
+    assert center_global_checks(center)["nondegenerate"]
+    assert not center_global_checks(dataclasses.replace(center, S=S))["nondegenerate"]
+    empty = dataclasses.replace(center, simples=[], S=S[:0, :0])
+    assert not center_global_checks(empty)["nondegenerate"]
 
 
 @pytest.mark.parametrize("name", ["vec_z2", "semion", "fib*ising", "vec_zn(6,0)", "vec_s3"])
@@ -1254,7 +1297,7 @@ def test_condensed_center_braiding_trivial(centers):
 
 def test_center_dims_identity_full_catalog():
     """sum of dim^2 over center simples equals global_dim^2 for every
-    catalog entry, the center S-matrix is invertible, and only the unit
+    catalog entry, the center S-matrix over D is unitary, and only the unit
     is transparent."""
     from tensorcat.catalog import catalog_names
     for name in catalog_names():

@@ -201,6 +201,15 @@ def _dims_identity():
     return cd, lambda c: center_global_checks(replace(bumped, cd=c))["dims_identity"]
 
 
+def _unitary_s():
+    cd = catalog.vec_zn(2, 0)
+    center = decompose_center(build_tube_algebra(cd))
+    S = center.S.copy()
+    S[1, 2] += EPS
+    bumped = replace(center, S=S)
+    return cd, lambda c: center_global_checks(replace(bumped, cd=c))["nondegenerate"]
+
+
 def _half_braiding():
     cd = catalog.vec_zn(2, 0)
     z = decompose_center(build_tube_algebra(cd)).simples[1]
@@ -224,9 +233,9 @@ def _local_fusion_identification():
     return cd, lambda c: local_fusion(c, A, bumped, bumped, condensed=condensed)
 
 
-@pytest.mark.parametrize("build", [_dims_identity, _half_braiding,
+@pytest.mark.parametrize("build", [_dims_identity, _unitary_s, _half_braiding,
                                    _local_fusion_identification],
-                         ids=["dims_identity", "half_braiding_check",
+                         ids=["dims_identity", "unitary_s", "half_braiding_check",
                               "local_fusion_idempotency"])
 def test_tolerance_reaches_the_check(build):
     cd, check = build()
