@@ -87,7 +87,7 @@ def gamma_characters(cd: CategoryData) -> CharacterTable:
 def is_nondegenerate(cd: CategoryData) -> bool:
     """True iff the Muger center is trivial: only the unit centralizes every
     label.  For braided fusion data this is the invertibility of s~."""
-    return _sub_nondegenerate(cd, list(range(cd.ring.rank)))
+    return _sub_nondegenerate(cd, range(cd.ring.rank), s_matrix(cd).s)
 
 
 def check_label_subset(cd: CategoryData, sub) -> tuple:
@@ -110,19 +110,18 @@ def check_label_subset(cd: CategoryData, sub) -> tuple:
     return tuple(idx)
 
 
-def _centralizes(cd, sub):
-    """Mask over the labels a with s~_{ax} = d_a d_x for every x in sub,
-    within 10 tolerance max(1, d_max^2)."""
+def _centralizes(cd, sub, s):
+    """Mask over the labels a with s[a, x] = d_a d_x for every x in sub,
+    within 10 tolerance max(1, d_max^2); s is cd's s~, computed by the caller."""
     sub = list(sub)
     d = cd.dims.dims
     tol = cd.tolerance * max(1.0, float(d.max()) ** 2) * 10
-    dev = np.abs(s_matrix(cd).s[:, sub] - np.outer(d, d[sub]))
-    return np.all(dev < tol, axis=1)
+    return np.all(np.abs(s[:, sub] - np.outer(d, d[sub])) < tol, axis=1)
 
 
-def _sub_nondegenerate(cd, sub):
-    """Only the unit of the closed label set sub centralizes sub."""
-    return np.flatnonzero(_centralizes(cd, sub)[list(sub)]).tolist() == [0]
+def _sub_nondegenerate(cd, sub, s):
+    """Only the unit of the closed label set sub centralizes sub, s being cd's s~."""
+    return np.flatnonzero(_centralizes(cd, sub, s)[list(sub)]).tolist() == [0]
 
 
 def _unitarity_dev(S):
@@ -134,7 +133,8 @@ def muger_centralizer(cd: CategoryData, sub) -> tuple:
     """Labels a with s~_{ax} = d_a d_x for every x in sub."""
     if cd.R is None:
         raise PreconditionError("centralizer requires R-symbols")
-    return tuple(np.flatnonzero(_centralizes(cd, check_label_subset(cd, sub))).tolist())
+    sub = check_label_subset(cd, sub)
+    return tuple(np.flatnonzero(_centralizes(cd, sub, s_matrix(cd).s)).tolist())
 
 
 def restriction_hom(cd: CategoryData, sub) -> SubcategoryRestriction:
@@ -145,10 +145,11 @@ def restriction_hom(cd: CategoryData, sub) -> SubcategoryRestriction:
     then total and unique.
     """
     sub = check_label_subset(cd, sub)
-    if not _sub_nondegenerate(cd, sub):
+    s = s_matrix(cd).s          # once, for the nondegeneracy test and the characters
+    if not _sub_nondegenerate(cd, sub, s):
         raise PreconditionError("restriction of the braiding to sub is degenerate")
     idx = np.array(sub)
-    g = gamma_characters(cd).gamma[:, idx]
+    g = s[:, idx] / cd.dims.dims[:, None]       # gamma_b(y) for y in sub
     tol = cd.residual_tolerance * max(1.0, float(cd.dims.dims.max()) ** 2)
     # match[b, j]: gamma_b and gamma_{sub[j]} agree on sub
     match = np.array([np.abs(g - g[y]).max(axis=1) for y in idx]).T < tol

@@ -30,7 +30,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import PreconditionError, StructuralError, ValidationFailure
-from .fusion_ring import (FPDimData, FusionRing, deligne_product,
+from .fusion_ring import (FPDimData, FusionRing, _label_rows, deligne_product,
                           fp_dimensions, opposite_ring, validate_fusion_ring)
 
 __all__ = [
@@ -669,15 +669,20 @@ def verify_hexagon(cd: CategoryData) -> list:
 
 
 def _inadmissible_entries(ring, F_entries, R_entries) -> list:
-    """A line per F entry (a,b,c,d,e,f) with N^e_{ab} N^d_{ec} N^f_{bc} N^d_{af}
-    = 0 and per R entry (a,b,c) with N^c_{ab} = 0: validate_category reports
+    """A line per F entry (a,b,c,d,e,f) or R entry (a,b,c) with a label
+    outside range(rank), then per F entry with N^e_{ab} N^d_{ec} N^f_{bc}
+    N^d_{af} = 0 and per R entry with N^c_{ab} = 0: validate_category reports
     them and load_category raises the first."""
-    N = ring.N
-    F = _key_array(F_entries, 6)
+    N, r = ring.N, ring.rank
+    F, R = _key_array(F_entries, 6), _key_array(R_entries or {}, 3)
+    report = [f"{name} entry with a label outside 0..{r - 1}: ({','.join(map(str, k))})"
+              for name, K in (("F", F), ("R", R))
+              for k in K[((K < 0) | (K >= r)).any(axis=1)].tolist()]
+    F, R = (K[((K >= 0) & (K < r)).all(axis=1)] for K in (F, R))
     a, b, c, d, e, f = F.T
     bad = F[N[a, b, e] * N[e, c, d] * N[b, c, f] * N[a, f, d] == 0]
-    R = _key_array(R_entries or {}, 3)
-    return (["F entry on inadmissible tuple ({},{},{},{},{},{})".format(*k) for k in bad.tolist()]
+    return (report
+            + ["F entry on inadmissible tuple ({},{},{},{},{},{})".format(*k) for k in bad.tolist()]
             + ["R entry on inadmissible channel ({},{},{})".format(*k)
                for k in R[N[tuple(R.T)] == 0].tolist()])
 
@@ -986,7 +991,10 @@ def load_category(path, validate=True, tolerance=None) -> CategoryData:
         doc = json.load(fh)
     if doc.get("format") != 1:
         raise StructuralError(f"unsupported format marker {doc.get('format')!r}")
-    rank = int(doc["rank"])
+    if missing := [key for key in ("rank", "dual", "N") if key not in doc]:
+        raise StructuralError(f"category file has no {missing[0]!r}")
+    if type(rank := doc["rank"]) is not int or rank < 1:
+        raise StructuralError(f"rank must be a positive integer, not {rank!r}")
     labels = doc.get("labels") or [str(i) for i in range(rank)]
     if len(labels) != rank:
         raise StructuralError("labels length does not match rank")
@@ -998,11 +1006,11 @@ def load_category(path, validate=True, tolerance=None) -> CategoryData:
         raise StructuralError("multiplicity > 1 is out of scope for this format")
     partial = bool(doc.get("partial", False))    # ring and dims only: F and R are not read
     tol = doc.get("tolerance", CategoryData.tolerance) if tolerance is None else tolerance
+    # integer labels here; their range is checked on the key arrays (_inadmissible_entries)
     F_entries = {} if partial else {
-        (int(a), int(b), int(c), int(d), int(e), int(f)): _decode_value(v)
-        for a, b, c, d, e, f, v in doc.get("F", [])}
+        k: _decode_value(v) for k, v in _label_rows(doc.get("F", []), 6, "F")}
     R_entries = None if partial or "R" not in doc else {
-        (int(a), int(b), int(c)): _decode_value(v) for a, b, c, v in doc["R"]}
+        k: _decode_value(v) for k, v in _label_rows(doc["R"], 3, "R")}
     bad = _inadmissible_entries(ring, F_entries, R_entries)
     if bad:
         raise StructuralError(bad[0])

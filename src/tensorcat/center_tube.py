@@ -12,10 +12,10 @@ the diagrams in random gauges of F and check it associative and C*.
 
 t_(x,a,e,y) maps the sector x to y, and t_i t_j is nonzero only when t_j
 ends where t_i starts.  So the structure constants are stored as one block
-per chain of sectors x -> y -> z, n_yz x n_xy x n_xz entries, and the star
-as one block per sector pair: 5.2 MiB for ising (x) fib (x) fib (dimension
-n = 588), where a dense n^3 array would take 3.0 GiB.  Products, stars and
-the left regular action are contractions over blocks.
+per chain of sectors x -> y -> z, n_yz x n_xy x n_xz entries: 5.2 MiB for
+ising (x) fib (x) fib (dimension n = 588), where a dense n^3 array would
+take 3.0 GiB.  Products and the left regular action are contractions over
+blocks; no star is stored (see _corner_projections).
 
 The center lives in the diagonal corners p_x Tube p_x (Izumi 2000, Mueger
 2003), which are small: at most 16 of the 144 basis elements of ising (x)
@@ -72,12 +72,11 @@ class TubeAlgebra:
     a product t_i t_j is nonzero only when t_j ends where t_i starts, so
     the structure constants live in one block per chain x -> y -> z.
     """
-    basis: list     # quadruples (x, a, e, y)
-    sectors: dict   # (x, y) -> ascending indices of the t_(x, ., ., y)
-    blocks: dict    # (x, y, z) -> (n_yz, n_xy, n_xz): [i, j, k] = coefficient of t_k in
-                    # t_i * t_j, positions in sectors (y, z), (x, y) and (x, z); held in
-                    # memory as [j, i, k], so P.transpose(1, 0, 2) is contiguous
-    star: dict      # (x, y) -> (n_xy, n_yx): [i, k] = coefficient of t_k in t_i^*
+    basis: np.ndarray   # (dim, 4) integer rows (x, a, e, y), ascending
+    sectors: dict       # (x, y) -> ascending indices of the t_(x, ., ., y), by first index
+    blocks: dict        # (x, y, z) -> (n_yz, n_xy, n_xz): [i, j, k] = coefficient of t_k
+                        # in t_i * t_j, positions in sectors (y, z), (x, y) and (x, z); held
+                        # in memory as [j, i, k], so P.transpose(1, 0, 2) is contiguous
     cd: CategoryData
 
     @property
@@ -85,7 +84,7 @@ class TubeAlgebra:
         return len(self.basis)
 
     def unit_vector(self):
-        return np.array([a == 0 and x == y for x, a, _e, y in self.basis], dtype=complex)
+        return ((self.basis[:, 1] == 0) & (self.basis[:, 0] == self.basis[:, 3])).astype(complex)
 
     @functools.cached_property
     def _leaving(self):
@@ -103,10 +102,9 @@ class TubeAlgebra:
     def trace_weights(self):
         """w_i = tau(t_i^* t_i) = d_y / d_a for t_i = t_(x,a,e,y), an orthonormal
         tree: the trace form tau(u^* v) is diagonal on the basis, with these
-        positive weights (the tests hold both to the products and stars)."""
+        positive weights (the tests hold both to the products and the oracle star)."""
         d = self.cd.dims.dims
-        _x, a, _e, y = np.array(self.basis).T
-        return d[y] / d[a]
+        return d[self.basis[:, 3]] / d[self.basis[:, 1]]
 
 @dataclass
 class CenterObject:
@@ -126,19 +124,8 @@ class CenterData:
     cd: CategoryData
 
 
-def _views(shapes, rank):
-    """({key: zeroed array of that shape}, buffer, start): views, key's from start[key] on."""
-    sizes = [math.prod(shape) for shape in shapes.values()]
-    offsets = np.cumsum(sizes) - sizes
-    start = np.zeros((rank,) * len(next(iter(shapes))), dtype=np.intp)
-    start[tuple(np.array(list(shapes)).T)] = offsets
-    buf = np.zeros(sum(sizes), dtype=complex)
-    return ({k: buf[o:o + m].reshape(shape) for (k, shape), o, m
-             in zip(shapes.items(), offsets.tolist(), sizes)}, buf, start)
-
-
 def build_tube_algebra(cd: CategoryData) -> TubeAlgebra:
-    """Basis, structure constants and star, read from the F-moves.
+    """Basis and structure constants, read from the F-moves.
 
     The product t_(y,a2,e2,z) t_(x,a1,e1,y) glues the a-strands through each
     channel b of a2 (x) a1: the diagram
@@ -157,14 +144,12 @@ def build_tube_algebra(cd: CategoryData) -> TubeAlgebra:
     are joined with no dual label (N^y_{e ab} = N^e_{ya}), a block of pairs
     (a1, a2) of _blocks at a time, each counted as one row per product
     t_i t_j, channel b and, at most, f in b (x) x: a small tube is one block.
-    A block's three F-move sets are one lookup, scattered into views of one
-    buffer.  The basis and the star's channels g are nonzero entries of
-    products of N.  The star of t_(x,a,e,y) closes both a-strands with caps;
-    on t_(y,ab,g,x) it is, read alike,
-
-        d_a / zeta_a * conj(F^{ab a x}_x[0, e] F^{ab e ab}_g[x, y]) * F^{x ab a}_x[g, 0].
-
-    Coefficients at or below the noise floor are dropped.
+    A block's three F-move sets are one lookup, scattered into one buffer
+    that the blocks view.  The basis is the join of (x, a, e, y), walked by
+    _blocks of pairs (x, a), its rows ascending: so t_(x,a,e,y) is found
+    from two (rank, rank, rank) tables, and its place in its sector from
+    one stable sort by sector.  Coefficients at or below the noise floor
+    are dropped.
     """
     if cd.partial:
         raise PreconditionError("tube algebra needs full F data")
@@ -173,42 +158,51 @@ def build_tube_algebra(cd: CategoryData) -> TubeAlgebra:
         raise StructuralError("fusion multiplicity > 1 is out of scope")
     N, rank, dual, floor = ring.N, ring.rank, np.asarray(ring.dual), cd.noise_floor
     join = _ChannelJoin(ring)
-    B = np.einsum("axe,yae->xaey", N, N)                # 1 at the basis vectors t_(x,a,e,y)
-    q = dict(zip("xaey", np.nonzero(B)))                # the basis, ascending
-    basis = list(zip(*(q[k].tolist() for k in "xaey")))
-    sectors, pos = {}, []
-    for k, (x, _a, _e, y) in enumerate(basis):
-        members = sectors.setdefault((x, y), [])
-        pos.append(len(members))
-        members.append(k)
-    n = B.sum(axis=(1, 2))                              # the sector sizes
-    at = np.zeros((rank,) * 4, dtype=np.intp)       # a basis vector's place in its sector
-    at[q["x"], q["a"], q["e"], q["y"]] = pos
-    zeta, phi = _rotation_phases(cd)
-    blocks, buf, start = _views({(x, y, z): (n[x, y], n[y, z], n[x, z])
-                                 for (x, y) in sectors for z in range(rank)
-                                 if n[y, z] and n[x, z]}, rank)
-    for a, c in _blocks(B.sum(axis=(0, 2)) @ B.sum(axis=(2, 3)) * (N @ N.sum(2).max(1)).T):
+    runs = N.transpose(1, 0, 2) * N.sum(axis=0)         # [x, a, e]: how many t_(x,a,e,.)
+    heads = runs.sum(axis=2)                            # [x, a]
+    basis = []
+    for x, a in _blocks(heads):
+        q = join.tuples("axe yae", x=x, a=a)
+        basis.append(np.stack([q[k] for k in "xaey"], axis=1))
+    basis = np.concatenate(basis)                       # ascending in (x, a, e, y)
+    sector = basis[:, 0] * rank + basis[:, 3]
+    n = np.bincount(sector, minlength=rank * rank)      # the sector sizes
+    first = np.cumsum(n) - n
+    order = np.argsort(sector, kind="stable")           # each sector's members, ascending
+    pos = np.empty_like(order)                          # a basis vector's place in its sector
+    pos[order] = np.arange(len(order)) - first[sector[order]]
+    # t_(x,a,e,y) is the first t_(x,a,e,.) plus the number of y' < y with N^e_{y'a}
+    lead = (np.cumsum(runs) - runs.ravel()).reshape(runs.shape)
+    below = np.cumsum(N, axis=0).transpose(1, 2, 0) - N.transpose(1, 2, 0)     # [a, e, y]
+
+    def at(x, a, e, y):
+        return pos[lead[x, a, e] + below[a, e, y]]
+
+    n = n.reshape(rank, rank)
+    keys = np.flatnonzero(n)
+    sectors = {divmod(k, rank): order[first[k]:first[k] + n.flat[k]]    # by first appearance
+               for k in keys[np.argsort(order[first[keys]])].tolist()}
+    shapes = {(x, y, z): (n[x, y], n[y, z], n[x, z])    # one buffer, a view per block
+              for (x, y) in sectors for z in range(rank) if n[y, z] and n[x, z]}
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    offsets = np.cumsum(sizes) - sizes
+    start = np.zeros((rank,) * 3, dtype=np.intp)
+    start[tuple(np.array(list(shapes)).T)] = offsets
+    buf = np.zeros(sum(sizes), dtype=complex)
+    _zeta, phi = _rotation_phases(cd)
+    ends = np.bincount(basis[:, 1] * rank + basis[:, 3], minlength=rank * rank)   # [a, y]
+    for a, c in _blocks(ends.reshape(rank, rank) @ heads * (N @ N.sum(2).max(1)).T):
         t = join.tuples("cab axe yae cyg zcg bxf cef gaf zbf", a=a, c=c)
         a, b, c, x, e, y, g, z, f = (t[k] for k in "abcxeygzf")
         f1, f2, f3 = _read_all(cd.F, (f, dual[a], dual[c], z, g, dual[b]), (c, a, x, f, b, e),
                                (c, e, dual[a], g, f, y))
         v = phi[a, c, b] * f1.conjugate() * f2 * f3
         keep = np.abs(v) > floor
-        buf[(start[x, y, z] + (at[x, a, e, y] * n[y, z] + at[y, c, g, z]) * n[x, z]
-             + at[x, b, f, z])[keep]] = v[keep]
-
-    star, buf, start = _views({(x, y): (n[x, y], n[y, x]) for x, y in sectors}, rank)
-    i, g = np.nonzero(N[q["a"], :, q["y"]] * N[:, q["a"], q["x"]].T)     # g in ab (x) y
-    x, a, e, y = (q[k][i] for k in "xaey")
-    ab, o = dual[a], np.zeros_like(a)
-    f1, f2, f3 = _read_all(cd.F, (ab, a, x, x, o, e), (ab, e, ab, g, x, y), (x, ab, a, x, g, o))
-    v = cd.dims.dims[a] / zeta[a] * f1.conjugate() * f2.conjugate() * f3
-    keep = np.abs(v) > floor
-    buf[(start[x, y] + at[x, a, e, y] * n[y, x] + at[y, ab, g, x])[keep]] = v[keep]
-    return TubeAlgebra(basis=basis, sectors={s: np.array(ks) for s, ks in sectors.items()},
-                       blocks={k: P.transpose(1, 0, 2) for k, P in blocks.items()},
-                       star=star, cd=cd)
+        buf[(start[x, y, z] + (at(x, a, e, y) * n[y, z] + at(y, c, g, z)) * n[x, z]
+             + at(x, b, f, z))[keep]] = v[keep]
+    return TubeAlgebra(basis=basis, sectors=sectors, cd=cd, blocks={
+        k: buf[o:o + m].reshape(shape).transpose(1, 0, 2)
+        for (k, shape), o, m in zip(shapes.items(), offsets.tolist(), sizes)})
 
 
 _ENTRIES = 1 << 19     # complex entries a batch of corner modules holds at once, read by _batches
@@ -223,19 +217,19 @@ def _corner_projections(tube: TubeAlgebra, xs, weights, rng, whole=lambda mult, 
     vector, m = mult[i, x[i]].  Rows come by corner and, within one, by
     eigenvalue; gap is the smallest eigenvalue gap cut.
 
-    Left multiplication by h is self-adjoint for the trace inner product,
-    which is diagonal on the basis with the given weights, so seeded_split
-    splits diag(sqrt w) L_h diag(1/sqrt w), h drawn from rng corner by
-    corner.  On a block M_m each of h's m eigenvalues appears m times, and
-    the spectral projection at one of them is left multiplication by q: q
-    is that projection applied to the unit, and m is the size of the
-    cluster.  dim(q p_x Tube p_x q') = tr(L_q R_q') is 1 when the clusters'
-    q and q' lie under one block and 0 otherwise, so only the first of a
-    block is kept.  A collision of eigenvalues shows as tr(L_q R_q) != 1,
-    and that corner draws again.  Once every corner is split, whole(mult,
-    x, Q) may name a reason to split them all again.  Right multiplication
-    by q projects p_y Tube p_x onto p_y Tube q, so its trace there, read
-    from _right_traces, is m_y(Z).
+    Left multiplication is a *-representation for the trace inner product,
+    diagonal on the basis with the given weights: with m = diag(sqrt w) L_h
+    diag(1/sqrt w), m + m^dagger is the matrix of h + h^*, and seeded_split
+    splits it, h drawn from rng corner by corner.  On a block M_m each of
+    h's m eigenvalues appears m times, and the spectral projection at one of
+    them is left multiplication by q: q is that projection applied to the
+    unit, and m is the size of the cluster.  dim(q p_x Tube p_x q') =
+    tr(L_q R_q') is 1 when the clusters' q and q' lie under one block and 0
+    otherwise, so only the first of a block is kept.  A collision of
+    eigenvalues shows as tr(L_q R_q) != 1, and that corner draws again.
+    Once every corner is split, whole(mult, x, Q) may name a reason to split
+    them all again.  Right multiplication by q projects p_y Tube p_x onto
+    p_y Tube q, so its trace there, read from _right_traces, is m_y(Z).
     """
     cd, S = tube.cd, tube.sectors
     unit = np.sqrt(weights) * tube.unit_vector()
@@ -244,8 +238,8 @@ def _corner_projections(tube: TubeAlgebra, xs, weights, rng, whole=lambda mult, 
 
     def hermitian(x, h):
         sw = np.sqrt(weights[S[x, x]])
-        h = h + np.einsum("i,ik->k", h.conj(), tube.star[x, x])
-        return [sw[:, None] * np.einsum("i,ijk->kj", h, tube.blocks[x, x, x]) / sw]
+        m = sw[:, None] * np.einsum("i,ijk->kj", h, tube.blocks[x, x, x]) / sw
+        return [m + m.conj().T]         # diag(sqrt w) L_(h + h^*) diag(1/sqrt w)
 
     def split():
         mult, x, Q = (np.concatenate(f) for f in zip(*found))
@@ -418,7 +412,7 @@ def _half_braiding_readout(tube: TubeAlgebra):
     """
     cd = tube.cd
     d, dual = cd.dims.dims, np.asarray(cd.ring.dual)
-    x, a, c, y = np.array(tube.basis).T
+    x, a, c, y = tube.basis.T
     return (a * cd.ring.rank + c,
             np.sqrt(d[x] / (d[y] * d[a])) / cd.F.lookup([y, a, dual[a], y, c, 0 * a]))
 
@@ -529,10 +523,7 @@ def decompose_center(tube: TubeAlgebra, seed=0) -> CenterData:
     """
     cd = tube.cd
     d, rank = cd.dims.dims, cd.ring.rank
-    weights = tube.trace_weights()
-    rng = SeededDraws((seed, 1))
-    readout = _half_braiding_readout(tube)
-    built = []
+    weights, readout, built = tube.trace_weights(), _half_braiding_readout(tube), []
 
     def exhausts(mult, xs, Q):
         # a split just past split_resolution can leave a module's Gram-Schmidt
@@ -541,7 +532,7 @@ def decompose_center(tube: TubeAlgebra, seed=0) -> CenterData:
         if sum(len(z.copies) ** 2 for z in built[0]) != tube.dim:
             return "the corner modules do not exhaust the tube algebra"
 
-    _corner_projections(tube, np.arange(rank), weights, rng, exhausts)
+    _corner_projections(tube, np.arange(rank), weights, SeededDraws((seed, 1)), exhausts)
     simples, D = built
     a, c, x = _trace_triples(cd.ring)
     dims = np.array([z.dim for z in simples])
@@ -585,7 +576,7 @@ def _corner_simples(tube: TubeAlgebra, mult, xs, Q, weights, readout):
     first = np.flatnonzero(np.argmin(np.where(mult > 0, mult, tube.dim), axis=1) == xs)
     first = first[np.lexsort((xs[first], n[first]))]
     xs, Q, n = xs[first], Q[first], n[first]
-    span = np.bincount(np.array(tube.basis)[:, 0], minlength=rank)     # the t_j leaving x
+    span = np.bincount(tube.basis[:, 0], minlength=rank)        # the t_j leaving x
     a, c, x = _trace_triples(cd.ring)
     D = np.zeros((len(Q), len(a)), dtype=complex)
     simples = []
@@ -609,12 +600,9 @@ def _trace_triples(ring):
 def center_global_checks(center: CenterData) -> dict:
     """Sum of dim^2, unitarity of S / sqrt(sum dim^2), and the
     self-centralizer of Z(C)."""
-    cd = center.cd
+    S, D, tol = center.S, center.cd.dims.global_dim, center.cd.identity_tolerance
     dims = np.array([z.dim for z in center.simples])
     total = float(np.sum(dims ** 2))
-    D = cd.dims.global_dim
-    S = center.S
-    tol = cd.identity_tolerance
     nondeg = len(S) > 0 and bool(_unitarity_dev(S / np.sqrt(total)) < tol)
     transparent = np.flatnonzero(np.all(np.abs(S - np.outer(dims, dims)) < tol, axis=1)).tolist()
     return {
@@ -650,10 +638,8 @@ def lagrangian_algebra(cd: CategoryData, center: CenterData):
     chosen = [i for i, m in enumerate(mults) if m == 1]
     product = _presents_center_as_product(cd)       # the branch, decided once
     pres, support = _presentation(cd, product)
-    if product:
-        alg = _conjugate_vertex_algebra(cd, support, braided=True)
-    else:
-        alg = group_algebra(pres, support)
+    alg = (_conjugate_vertex_algebra(cd, support, braided=True) if product
+           else group_algebra(pres, support))
     dQ = algebra_dim(pres, alg)
     DZ = pres.dims.global_dim
     if abs(dQ ** 2 - DZ) > cd.identity_tolerance:
@@ -693,26 +679,20 @@ def _presentation(cd: CategoryData, product: bool):
     """center_presentation on the branch already decided: C (x) reverse(C)
     when product, else the pointed presentation."""
     if product:
-        pres = deligne_product_data(cd, reverse_braiding(cd))
         r = cd.ring.rank
-        support = tuple(c * r + cd.ring.dual[c] for c in range(r))
-        return pres, support
+        return (deligne_product_data(cd, reverse_braiding(cd)),
+                tuple(c * r + cd.ring.dual[c] for c in range(r)))
     qf = cd.quadratic_form
     if qf is not None and cd.is_pointed():
         x, _P = qf._grid()
         if np.any(qf._f_phase(x[:, :, None, None], x[:, None, :, None], x[:, None, None]) % 2):
-            raise PreconditionError(
-                "pointed presentation requires a trivial associator")
+            raise PreconditionError("pointed presentation requires a trivial associator")
         k = len(qf.group)
-        dbl = QuadraticForm(group=qf.group + qf.group,
-                            t=(0,) * (2 * k),
+        dbl = QuadraticForm(group=qf.group + qf.group, t=(0,) * (2 * k),
                             cross={(i, k + i): 1 for i in range(k)})
         pres = replace(pointed_from_quadratic_form(dbl, name=f"double({cd.name})"),
                        tolerance=cd.tolerance)
-        els = dbl.elements()
-        support = tuple(i for i, g in enumerate(els)
-                        if all(x == 0 for x in g[:k]))
-        return pres, support
+        return pres, tuple(i for i, g in enumerate(dbl.elements()) if all(x == 0 for x in g[:k]))
     raise PreconditionError(
         "no braided presentation of the center available for this category")
 
@@ -725,8 +705,7 @@ def theorem_c_shadow(cd: CategoryData, seed=0) -> dict:
     (iii) the center centralizes only its unit; (iv) the canonical
     Lagrangian condenses to a single simple local module.
     """
-    tube = build_tube_algebra(cd)
-    center = decompose_center(tube, seed=seed)
+    center = decompose_center(build_tube_algebra(cd), seed=seed)
     checks = center_global_checks(center)
     result = {
         "center_rank": len(center.simples),

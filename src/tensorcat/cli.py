@@ -52,12 +52,8 @@ def _emit(doc, args):
 def _json_default(obj):
     if isinstance(obj, (complex, np.complexfloating)):
         return _encode_value(obj)
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.ndarray, np.integer, np.floating)):
         return obj.tolist()
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
     raise TypeError(f"not serializable: {type(obj)}")
 
 
@@ -97,16 +93,12 @@ def _load_algebra_arg(cd, spec) -> AlgebraObject:
 
 def _find_lagrangian(cd) -> AlgebraObject:
     """Search for a connected commutative Q-system with dim^2 = global_dim."""
-    d = cd.dims.dims
-    D = cd.dims.global_dim
-    r = cd.ring.rank
-    rest = [x for x in range(1, r)]
+    d, D, r = cd.dims.dims, cd.dims.global_dim, cd.ring.rank
     for size in range(0, r):
-        for combo in itertools.combinations(rest, size):
+        for combo in itertools.combinations(range(1, r), size):
             supp = (0,) + combo
-            if abs(sum(d[c] for c in supp) ** 2 - D) > cd.identity_tolerance:
-                continue
-            if any(cd.ring.dual[c] not in supp for c in supp):
+            if (abs(sum(d[c] for c in supp) ** 2 - D) > cd.identity_tolerance
+                    or any(cd.ring.dual[c] not in supp for c in supp)):
                 continue
             try:
                 alg = solve_support_algebra(cd, supp, commutative=True)

@@ -68,12 +68,17 @@ class FusionRing:
 
     @staticmethod
     def from_sparse(rank, triples, dual, labels=None):
-        """Build from sparse entries [(a, b, c, n), ...]; unchecked duplicates add."""
+        """Build from sparse entries [(a, b, c, n), ...], labels in range(rank)
+        and integers n >= 0; unchecked duplicates add.  StructuralError names
+        the first row or entry that is not such an entry."""
         if labels is None:
             labels = tuple(str(i) for i in range(rank))
         N = np.zeros((rank, rank, rank), dtype=np.int64)
-        for a, b, c, n in triples:
-            N[a, b, c] += int(n)
+        for (a, b, c), n in _label_rows(triples, 3, "N"):
+            if not (0 <= min(a, b, c) and max(a, b, c) < rank and type(n) is int and n >= 0):
+                raise StructuralError(f"N entry ({a},{b},{c}) = {n!r}: a label outside "
+                                      f"0..{rank - 1} or not an integer n >= 0")
+            N[a, b, c] += n
         return FusionRing(rank=rank, labels=tuple(labels), dual=tuple(dual), N=N)
 
     def label_index(self, name) -> int:
@@ -126,6 +131,18 @@ class FusionRing:
             h = hash((self.rank, self.dual, self.N.tobytes()))
             object.__setattr__(self, "_hash", h)
         return h
+
+
+def _label_rows(rows, arity, what):
+    """(labels, last field) of each row of a data file, in one pass: arity
+    integer labels and one more field; StructuralError names the first row
+    that is not."""
+    for i, row in enumerate(rows):
+        if not (type(row) in (list, tuple) and len(row) == arity + 1
+                and all(type(x) is int for x in row[:arity])):
+            raise StructuralError(f"{what} row {i} is not {arity} integer labels and a value: "
+                                  f"{row!r}")
+        yield tuple(row[:arity]), row[arity]
 
 
 @dataclass(frozen=True)

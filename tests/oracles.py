@@ -516,7 +516,6 @@ def tube_by_loops(cd):
 
     ring = cd.ring
     rank, dual, fval, N = ring.rank, ring.dual, cd.fval, ring.N.tolist()
-    d = cd.dims.dims
     floor = cd.noise_floor
     basis = tube_basis_by_loops(cd)
     index = {quad: k for k, quad in enumerate(basis)}
@@ -561,18 +560,79 @@ def tube_by_loops(cd):
                                 if abs(c) > floor:
                                     P[pos[i], pos[j], pos[index[x, b, f, z]]] = c
 
-    star = {(x, y): np.zeros((size[x, y], size[y, x]), dtype=complex) for x, y in sectors}
+    return TubeAlgebra(basis=np.array(basis, dtype=np.intp).reshape(-1, 4),
+                       sectors={s: np.array(ks) for s, ks in sectors.items()},
+                       blocks=blocks, cd=cd)
+
+
+def tube_star_by_loops(tube):
+    """The star of a tube algebra, which may be a corner, one (n_xy, n_yx)
+    block per sector (x, y): [i, k] is the coefficient of t_k in t_i^*.  The
+    star of t_(x,a,e,y) closes both a-strands with caps; on t_(y,ab,g,x) it
+    is, one fval call per F-move,
+
+        d_a / zeta_a * conj(F^{ab a x}_x[0, e] F^{ab e ab}_g[x, y]) * F^{x ab a}_x[g, 0],
+
+    with the noise-floor drop of build_tube_algebra."""
+    cd, S = tube.cd, tube.sectors
+    ring, fval, d = cd.ring, cd.fval, cd.dims.dims
+    basis = [tuple(k) for k in tube.basis.tolist()]
+    index = {quad: k for k, quad in enumerate(basis)}
+    pos = {k: p for ks in S.values() for p, k in enumerate(ks.tolist())}
+    z = np.array([fval(ring.dual[a], a, ring.dual[a], ring.dual[a], 0, 0)
+                  for a in range(ring.rank)]).conj()
+    zeta = z / np.abs(z)
+    star = {(x, y): np.zeros((len(S[x, y]), len(S[y, x])), dtype=complex) for x, y in S}
     for k, (x, a, e, y) in enumerate(basis):
-        ab = dual[a]
+        ab = ring.dual[a]
         scale = d[a] / zeta[a] * fval(ab, a, x, x, 0, e).conjugate()
         for g in ring.channels(ab, y):
-            if not (N[x][ab][g] and N[g][a][x]):
+            if not (ring.N[x, ab, g] and ring.N[g, a, x]):
                 continue
             c = scale * fval(ab, e, ab, g, x, y).conjugate() * fval(x, ab, a, x, g, 0)
-            if abs(c) > floor:
+            if abs(c) > cd.noise_floor:
                 star[x, y][pos[k], pos[index[y, ab, g, x]]] = c
-    return TubeAlgebra(basis=basis, sectors={s: np.array(ks) for s, ks in sectors.items()},
-                       blocks=blocks, star=star, cd=cd)
+    return star
+
+
+def tube_by_product(left, right, cd):
+    """The tube algebra of cd = C (x) D assembled from the tube algebras
+    left of C and right of D, block by block.  The pair (i, j) of labels is
+    i * rank_D + j (deligne_product_data), and t_(x,a,e,y) of cd is the
+    product of the factors' basis vectors on the label pairs, so the basis
+    is the pairs of factor vectors, sorted by their product labels, and a
+    block (x, y, z) is the entrywise product of the factor blocks
+    (x1, y1, z1) and (x2, y2, z2) gathered at the factor positions: the
+    Kronecker product under that basis permutation."""
+    from tensorcat.center_tube import TubeAlgebra
+
+    r2 = right.cd.ring.rank
+    i1, i2 = np.indices((left.dim, right.dim)).reshape(2, -1)
+    basis = left.basis[i1] * r2 + right.basis[i2]
+    order = np.lexsort(basis.T[::-1])
+    basis, i1, i2 = basis[order], i1[order], i2[order]
+    places = []                     # each factor vector's place in its sector
+    for tube in (left, right):
+        pos = np.zeros(tube.dim, dtype=np.intp)
+        for ks in tube.sectors.values():
+            pos[ks] = np.arange(len(ks))
+        places.append(pos)
+    sectors = {}
+    for k, (x, _a, _e, y) in enumerate(basis.tolist()):
+        sectors.setdefault((x, y), []).append(k)
+    sectors = {key: np.array(ks) for key, ks in sectors.items()}
+    blocks = {}
+    for (x, y), J in sectors.items():
+        for z in range(cd.ring.rank):
+            if (y, z) in sectors and (x, z) in sectors:
+                I, K = sectors[y, z], sectors[x, z]
+                left_block, right_block = (
+                    tube.blocks[keys][np.ix_(pos[ix[I]], pos[ix[J]], pos[ix[K]])]
+                    for tube, pos, ix, keys in (
+                        (left, places[0], i1, (x // r2, y // r2, z // r2)),
+                        (right, places[1], i2, (x % r2, y % r2, z % r2))))
+                blocks[x, y, z] = left_block * right_block
+    return TubeAlgebra(basis=basis, sectors=sectors, blocks=blocks, cd=cd)
 
 
 def tube_product_by_pairs(cd):
@@ -727,15 +787,15 @@ def psu2_category(k):
 
 def dense_tube(tube):
     """The dense (n, n, n) product and (n, n) star of a tube algebra,
-    assembled from its blocks: C[i, j, k] is the coefficient of t_k in
-    t_i t_j.  For small test tubes only."""
+    assembled from its blocks and from tube_star_by_loops: C[i, j, k] is the
+    coefficient of t_k in t_i t_j.  For small test tubes only."""
     n = tube.dim
     S = tube.sectors
     C = np.zeros((n, n, n), dtype=complex)
     for (x, y, z), P in tube.blocks.items():
         C[np.ix_(S[y, z], S[x, y], S[x, z])] = P
     star = np.zeros((n, n), dtype=complex)
-    for (x, y), M in tube.star.items():
+    for (x, y), M in tube_star_by_loops(tube).items():
         star[np.ix_(S[x, y], S[y, x])] = M
     return C, star
 
@@ -759,10 +819,11 @@ def multiply(tube, u, v):
 
 
 def star_vector(tube, u):
-    """The star u^* in a tube algebra, block by block."""
+    """The star u^* in a tube algebra, block by block, the blocks those of
+    tube_star_by_loops."""
     S = tube.sectors
     w = np.zeros(tube.dim, dtype=complex)
-    for (x, y), M in tube.star.items():
+    for (x, y), M in tube_star_by_loops(tube).items():
         w[S[y, x]] += np.conj(u[S[x, y]]) @ M
     return w
 
@@ -773,15 +834,13 @@ def corner(tube, x):
     from tensorcat.center_tube import TubeAlgebra
 
     D = tube.sectors[x, x]
-    return D, TubeAlgebra(basis=[tube.basis[i] for i in D],
-                          sectors={(x, x): np.arange(len(D))},
-                          blocks={(x, x, x): tube.blocks[x, x, x]},
-                          star={(x, x): tube.star[x, x]}, cd=tube.cd)
+    return D, TubeAlgebra(basis=tube.basis[D], sectors={(x, x): np.arange(len(D))},
+                          blocks={(x, x, x): tube.blocks[x, x, x]}, cd=tube.cd)
 
 
 def trace_functional(tube):
     """tau(t_{x,a,e,y}) = delta_{a,0} delta_{x,y} d_x."""
-    return tube.unit_vector() * tube.cd.dims.dims[[x for x, _a, _e, _y in tube.basis]]
+    return tube.unit_vector() * tube.cd.dims.dims[tube.basis[:, 0]]
 
 
 def corner_module_by_simple(tube, x, q, weights):

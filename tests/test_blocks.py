@@ -71,9 +71,9 @@ def test_the_budget_changes_no_report_and_no_tube_block(name, monkeypatch):
         monkeypatch.setattr(category_data, "_ROWS", budget)
         got, other = _run(cd, bad, simples)
         assert got == want, budget
-        assert other.basis == tube.basis and list(other.blocks) == list(tube.blocks)
-        for built, ref in ((other.blocks, tube.blocks), (other.star, tube.star)):
-            assert all(np.array_equal(built[key], P) for key, P in ref.items()), budget
+        assert np.array_equal(other.basis, tube.basis)
+        assert list(other.blocks) == list(tube.blocks)
+        assert all(np.array_equal(other.blocks[key], P) for key, P in tube.blocks.items()), budget
         # a label split by its second label: its pairs in more than one block
         split = any(len(set(np.concatenate([a for a, _ in w]).tolist()))
                     < sum(len(set(a.tolist())) for a, _ in w) for w in walks)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import re
 
 import numpy as np
@@ -298,7 +299,8 @@ def test_nondegeneracy_restriction_and_twists_match_the_loop_rules(monkeypatch):
         assert np.array_equal(twists(cd).theta, twists_by_loops(cd)), cd.name
         assert is_nondegenerate(cd) == nondegenerate_by_svd(cd, list(range(r))), cd.name
         for sub in _closed_subsets(cd.ring, 4):
-            assert _sub_nondegenerate(cd, sub) == nondegenerate_by_svd(cd, list(sub)), (cd.name, sub)
+            assert _sub_nondegenerate(cd, sub, s_matrix(cd).s) == \
+                nondegenerate_by_svd(cd, list(sub)), (cd.name, sub)
             want = restriction_hom_by_loops(cd, sub)
             try:
                 got = restriction_hom(cd, sub).f
@@ -315,9 +317,30 @@ def test_nondegeneracy_restriction_and_twists_match_the_loop_rules(monkeypatch):
                 assert [e[:3] for e in report] == [e[:3] for e in oracle], (cd.name, sub, f)
                 assert all(abs(x - y) < 1e-12 for e, o in zip(report, oracle)
                            for x, y in zip(e[3:], o[3:])), (cd.name, sub, f)
-    monkeypatch.setattr(braided_analysis, "_sub_nondegenerate", lambda cd, sub: True)
+    monkeypatch.setattr(braided_analysis, "_sub_nondegenerate", lambda cd, sub, s: True)
     monkeypatch.setattr(oracles, "nondegenerate_by_svd", lambda cd, sub: True)
     for cd, sub in degenerate:
         with pytest.raises(PreconditionError) as err:
             restriction_hom(cd, sub)
         assert str(err.value) == restriction_hom_by_loops(cd, sub), (cd.name, sub)
+
+
+def test_s_matrix_is_computed_once_per_call_chain(toric, monkeypatch, capsys):
+    """is_nondegenerate, muger_centralizer, restriction_hom and
+    find_centralizing_object each compute s~ once, and the CLI's
+    find-central, which calls restriction_hom and then
+    find_centralizing_object, twice."""
+    from tensorcat import braided_analysis
+    from tensorcat.cli import main
+    calls, real = [], braided_analysis.s_matrix
+    monkeypatch.setattr(braided_analysis, "s_matrix", lambda cd: calls.append(cd) or real(cd))
+    for call in (lambda: is_nondegenerate(toric), lambda: muger_centralizer(toric, (0, 1)),
+                 lambda: restriction_hom(toric, (0,)),
+                 lambda: find_centralizing_object(toric, (0,))):
+        calls.clear()
+        call()
+        assert len(calls) == 1
+    calls.clear()
+    assert main(["find-central", "--catalog", "toric_code", "--sub", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["centralizing_object"] == "e"
+    assert len(calls) == 2

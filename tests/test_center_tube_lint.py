@@ -1,14 +1,17 @@
 """Lints on src/tensorcat/center_tube.py.  F is read only by ``lookup``,
-never one key at a time by ``fval`` or ``F.value``: the tube build, its
-star and the half-braiding readout and check join their label tuples and
-read F in columns; a per-key read in a loop is what they replaced.  And
+never one key at a time by ``fval`` or ``F.value``: the tube build and the
+half-braiding readout and check join their label tuples and read F in
+columns; a per-key read in a loop is what they replaced.  And
 decompose_center and _corner_simples walk no ``range(... rank ...)``: the
 corners are split at once and their modules built in batches across
 corners; a loop over the corners is what those replaced.  Nor do they or
 _half_braiding_readout build a shape that names rank three or more times:
 the traces are held on the admissible triples and the readout scale per
 tube basis vector, where dense (rank, rank, rank) tables were mostly
-zeros."""
+zeros.  Nor does build_tube_algebra build a shape that names rank four
+times or an einsum with four output indices: the basis is the join of its
+label tuples, where a dense (rank, rank, rank, rank) indicator and index
+table were thrown away after the build."""
 
 import ast
 from pathlib import Path
@@ -80,18 +83,18 @@ def test_lint_flags_a_corner_loop():
 
 
 def _rank_cubed_shapes(text, names=("decompose_center", "_corner_simples",
-                                    "_half_braiding_readout")):
-    """Line of each shape, in the functions named, that names rank three or
-    more times: a tuple literal, ``(rank,) * k`` or ``rank ** k`` with
-    k >= 3."""
+                                    "_half_braiding_readout"), times=3):
+    """Line of each shape, in the functions named, that names rank times or
+    more often: a tuple literal, ``(rank,) * k`` or ``rank ** k`` with
+    k >= times."""
     def cubed(node):
         if isinstance(node, ast.Tuple):
-            return _rank_names(node) >= 3
+            return _rank_names(node) >= times
         return (isinstance(node, ast.BinOp) and isinstance(node.right, ast.Constant)
                 and type(node.right.value) is int
                 and (isinstance(node.op, ast.Pow)
                      or isinstance(node.op, ast.Mult) and isinstance(node.left, ast.Tuple))
-                and _rank_names(node.left) * node.right.value >= 3)
+                and _rank_names(node.left) * node.right.value >= times)
 
     return sorted({node.lineno
                    for fn in ast.walk(ast.parse(text))
@@ -117,3 +120,47 @@ def test_lint_flags_a_rank_cubed_table():
             'def _corner_modules(tube):\n'
             '    H = np.zeros((len(Q), rank, rank, rank))\n')
     assert _rank_cubed_shapes(text) == [2, 5, 6, 9]
+
+
+def _four_index_einsums(text, names=("build_tube_algebra",)):
+    """Line of each einsum, in the functions named, with four or more output
+    indices, after "->" or, with none, the letters given once."""
+    def outputs(spec):
+        if "->" in spec:
+            return len(spec.split("->")[1].strip())
+        return sum(c.isalpha() and spec.count(c) == 1 for c in set(spec))
+
+    return sorted(node.lineno
+                  for fn in ast.walk(ast.parse(text))
+                  if isinstance(fn, ast.FunctionDef) and fn.name in names
+                  for node in ast.walk(fn) if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute) and node.func.attr == "einsum"
+                  and node.args and isinstance(node.args[0], ast.Constant)
+                  and isinstance(node.args[0].value, str) and outputs(node.args[0].value) >= 4)
+
+
+def _rank_four_tables(text):
+    """Line of each shape naming rank four times, and of each four-index
+    einsum, in build_tube_algebra."""
+    return sorted(set(_rank_cubed_shapes(text, ("build_tube_algebra",), times=4))
+                  | set(_four_index_einsums(text)))
+
+
+def test_tube_build_holds_no_rank_four_table():
+    stray = _rank_four_tables(CENTER_TUBE.read_text())
+    assert not stray, f"rank^4 tables in build_tube_algebra at lines {stray}"
+
+
+def test_lint_flags_a_rank_four_table():
+    text = ('def build_tube_algebra(cd):\n'
+            '    B = np.einsum("axe,yae->xaey", N, N)\n'
+            '    at = np.zeros((rank,) * 4, dtype=np.intp)\n'
+            '    T = np.zeros((rank, rank, rank, cd.ring.rank))\n'
+            '    U = np.einsum("axe,ybe", N, N)\n'
+            '    lead = np.zeros((rank, rank, rank))\n'
+            '    n = np.einsum("axe,yae->xy", N, N)\n'
+            '    v = np.zeros(rank ** 4)\n'
+            'def decompose_center(tube):\n'
+            '    B = np.einsum("axe,yae->xaey", N, N)\n'
+            '    at = np.zeros((rank,) * 4)\n')
+    assert _rank_four_tables(text) == [2, 3, 4, 5, 8]

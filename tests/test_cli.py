@@ -364,3 +364,49 @@ def test_center_bytes_do_not_follow_the_hash_seed():
     outs = [p.communicate(timeout=60)[0] for p in procs]
     assert [p.returncode for p in procs] == [0, 0]
     assert outs[0] == outs[1]
+
+
+def _set(key, row, field, value):
+    """An edit of a category file: doc[key][row][field] = value."""
+    def edit(doc):
+        doc[key][row][field] = value
+    return edit
+
+
+MALFORMED = {
+    "N label -1": (_set("N", 4, 2, -1), "N entry (1,1,-1) = 1: a label outside 0..1"),
+    "N label past the rank": (_set("N", 4, 2, 2), "N entry (1,1,2) = 1: a label outside 0..1"),
+    "N label 1.5": (_set("N", 4, 2, 1.5), "N row 4 is not 3 integer labels and a value"),
+    "negative N entry": (_set("N", 4, 3, -1), "N entry (1,1,1) = -1: a label outside 0..1 "
+                                              "or not an integer n >= 0"),
+    "N multiplicity 1.0": (_set("N", 4, 3, 1.0), "N entry (1,1,1) = 1.0"),
+    "N row of 3 fields": (lambda doc: doc["N"][4].pop(), "N row 4 is not 3 integer labels"),
+    "F label -1": (_set("F", 0, 3, -1), "F entry with a label outside 0..1: (1,1,1,-1,1,1)"),
+    "F label past the rank": (_set("F", 0, 3, 2), "F entry with a label outside 0..1: (1,1,1,2,1,1)"),
+    "F label 1.5": (_set("F", 0, 3, 1.5), "F row 0 is not 6 integer labels and a value"),
+    "F row of 5 fields": (lambda doc: doc["F"][1].pop(0), "F row 1 is not 6 integer labels"),
+    "R label past the rank": (_set("R", 1, 2, 5), "R entry with a label outside 0..1: (1,1,5)"),
+    "R label 1.5": (_set("R", 1, 0, 1.5), "R row 1 is not 3 integer labels and a value"),
+    "no rank": (lambda doc: doc.pop("rank"), "category file has no 'rank'"),
+    "rank 2.0": (lambda doc: doc.update(rank=2.0), "rank must be a positive integer, not 2.0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_validate_refuses_a_malformed_file_as_structural(tmp_path, capsys, case):
+    """A label out of range or not an integer, a row of the wrong length, a
+    negative multiplicity or a missing rank exits 3 with a JSON error that
+    names the row or key, with and without validation: no traceback, and no
+    label wrapped around to the last one."""
+    edit, message = MALFORMED[case]
+    path = tmp_path / "bad.json"
+    save_category(catalog_category("fibonacci"), path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    for flags in ([], ["--no-validate"]):
+        code = main(["validate", "--input", str(path), *flags])
+        out, err = capsys.readouterr()
+        assert code == 3, (case, out)
+        assert message in json.loads(out)["error"], case
+        assert "Traceback" not in err
